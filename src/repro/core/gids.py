@@ -977,13 +977,17 @@ class GIDSDataLoader:
             and self.tracer.enabled
             and ledger_baseline is not None
         ):
-            after_totals = self._ledger_totals()
-            for name, value in after_totals.items():
+            for name, value in self._ledger_totals().items():
                 delta = value - ledger_baseline[name]
                 if delta:
                     self.tracer.metrics.counter(
                         f"integrity.{name}"
                     ).inc(delta)
+            # Pages in quarantine is a level, not a total: the scrubber
+            # releases pages it repairs, so it can end below the warm-up's.
+            self.tracer.metrics.gauge("integrity.quarantined").set(
+                self.ledger.num_quarantined
+            )
         # Timing-only runs never fetch features, so drain the queue of
         # undetected-corruption markers instead of letting it grow.
         self._pending_corrupt.clear()
@@ -994,7 +998,6 @@ class GIDSDataLoader:
             "detected": self.ledger.total_detected,
             "repaired": self.ledger.total_repaired,
             "unrepairable": self.ledger.total_unrepairable,
-            "quarantined": self.ledger.num_quarantined,
         }
 
     def _execute(self, n_iterations: int, report: RunReport | None) -> None:

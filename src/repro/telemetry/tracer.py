@@ -38,7 +38,7 @@ from .tracks import STAGE_TRACKS, TRACKS, require_known_track
 DETAIL_LEVELS = ("stage", "request")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One closed interval of modeled time on one track."""
 
@@ -72,7 +72,7 @@ class Span:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instant:
     """A zero-duration marker event on one track."""
 
@@ -390,17 +390,25 @@ class Tracer:
     def state_dict(self) -> dict:
         """Snapshot of everything recorded so far (checkpointable).
 
-        When a flight recorder is attached its ring rides along under a
-        ``"flight"`` key; tracers without one emit the historical layout
-        unchanged, so old checkpoints stay loadable in both directions.
+        Events are one row each — ``(name, track, start_s, duration_s,
+        args)`` per span, ``(name, track, at_s, args)`` per instant — that
+        share the recorded ``args`` dicts: a request-detail trace is saved
+        at every checkpoint, and a dict plus a copied ``args`` per event was
+        most of what a snapshot allocated.  When a flight recorder is
+        attached its ring rides along under a ``"flight"`` key.
         """
         state = {
             "detail": self.detail,
             "clock_s": self.clock_s,
             "iteration": self.iteration,
             "truncated": self.truncated,
-            "spans": [span.to_dict() for span in self.spans],
-            "instants": [inst.to_dict() for inst in self.instants],
+            "spans": [
+                (s.name, s.track, s.start_s, s.duration_s, s.args)
+                for s in self.spans
+            ],
+            "instants": [
+                (i.name, i.track, i.at_s, i.args) for i in self.instants
+            ],
             "metrics": self.metrics.state_dict(),
         }
         if self.flight is not None:
@@ -412,7 +420,8 @@ class Tracer:
 
         The detail level must match: a ``request``-detail snapshot resumed
         at ``stage`` detail (or vice versa) would splice two incompatible
-        granularities into one file.
+        granularities into one file.  Events may be rows or the per-event
+        dicts (:meth:`Span.to_dict`) that snapshots held before.
         """
         if state.get("detail") != self.detail:
             raise TelemetryError(
@@ -422,8 +431,16 @@ class Tracer:
         self.clock_s = float(state["clock_s"])
         self.iteration = int(state["iteration"])
         self.truncated = bool(state["truncated"])
-        self.spans = [Span.from_dict(s) for s in state["spans"]]
-        self.instants = [Instant.from_dict(i) for i in state["instants"]]
+        self.spans = [
+            Span.from_dict(s) if isinstance(s, dict)
+            else Span(*s[:-1], dict(s[-1]))
+            for s in state["spans"]
+        ]
+        self.instants = [
+            Instant.from_dict(i) if isinstance(i, dict)
+            else Instant(*i[:-1], dict(i[-1]))
+            for i in state["instants"]
+        ]
         self.metrics = MetricsRegistry()
         self.metrics.load_state_dict(state["metrics"])
         if self.flight is not None and "flight" in state:

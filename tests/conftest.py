@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import (
     INTEL_OPTANE,
@@ -16,6 +17,11 @@ from repro import (
     load_scaled,
     power_law_graph,
 )
+
+
+# CI's regression-gate job runs tests/test_cache_gpu_differential.py with
+# ``--hypothesis-profile=differential --hypothesis-seed=0``.
+settings.register_profile("differential", max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,7 @@ from repro import (
     ReadVerifier,
     Scrubber,
     SystemConfig,
+    Tracer,
     TrainingPipeline,
     load_scaled,
 )
@@ -382,6 +383,26 @@ class TestGIDSIntegrityAcceptance:
             loader.system.num_ssds,
         )
         assert poisoned.sum() == 0
+
+    def test_quarantine_level_is_published_as_a_gauge(self):
+        """Tracer + scrubber + corruption storm + warm-up: the scrubber
+        releases, during the measured run, pages the warm-up quarantined,
+        so the level ends below where the measurement started — which a
+        counter delta cannot say (it raised ``TelemetryError``)."""
+        plan = _corrupt_plan(bitflip_rate=0.0)
+        twin = _loader(plan, verify_reads="full", scrub_iops=1e6)
+        twin.run(10, warmup=0)
+        tracer = Tracer()
+        loader = _loader(
+            plan, verify_reads="full", scrub_iops=1e6, tracer=tracer
+        )
+        loader.run(30, warmup=10)
+        level = loader.ledger.num_quarantined
+        assert level < twin.ledger.num_quarantined
+        assert tracer.metrics.to_dict()["integrity.quarantined"] == {
+            "kind": "gauge",
+            "value": level,
+        }
 
     def test_healthy_run_is_untouched_by_integrity_support(self):
         """Pay-for-what-you-use: a loader with no plan and verification off

@@ -56,7 +56,7 @@ class TestMultiEpochRuns:
         loader.window.drain()
         loader.cache.check_invariants()
         # Pending (non-resident) registrations must also be fully undone.
-        assert not loader.cache._pending
+        assert loader.cache.num_pending == 0
 
     def test_cache_hits_improve_after_first_epoch(self, loader_factory):
         """Once the seed set recycles, the cache should be warmer than on

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -192,6 +194,50 @@ class TestTracerCheckpoint:
         state = Tracer(detail="request").state_dict()
         with pytest.raises(TelemetryError):
             Tracer(detail="stage").load_state_dict(state)
+
+    def test_per_event_dict_snapshot_still_loads(self):
+        """Snapshots used to hold ``Span.to_dict()`` per event."""
+        tracer = Tracer(detail="request")
+        tracer.record("s", "ssd", start_s=0.0, duration_s=1.0, n=4)
+        tracer.instant("i", "window", page=2)
+        state = tracer.state_dict()
+        state["spans"] = [span.to_dict() for span in tracer.spans]
+        state["instants"] = [inst.to_dict() for inst in tracer.instants]
+        restored = Tracer(detail="request")
+        restored.load_state_dict(pickle.loads(pickle.dumps(state)))
+        assert restored.spans == tracer.spans
+        assert restored.instants == tracer.instants
+
+    def test_snapshot_rows_allocate_a_fraction_of_per_event_dicts(self):
+        """A request-detail trace rides in every checkpoint, so what a
+        snapshot allocates per event is what a traced, checkpointed run's
+        peak memory grows by per iteration."""
+        tracer = Tracer(detail="request")
+        for k in range(25_000):
+            tracer.record(
+                "read", "ssd", start_s=k * 1e-3, duration_s=5e-4,
+                requests=k, pages=2 * k,
+            )
+            tracer.instant("cache.evict", "gpu.cache", at_s=k * 1e-3, page=k)
+
+        def allocated(build) -> int:
+            tracemalloc.start()
+            try:
+                held = build()
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del held
+            return size
+
+        rows = allocated(tracer.state_dict)
+        dicts = allocated(
+            lambda: (
+                [span.to_dict() for span in tracer.spans],
+                [inst.to_dict() for inst in tracer.instants],
+            )
+        )
+        assert rows < 0.4 * dicts, (rows, dicts)
 
 
 class TestCounterGauge:
