@@ -2134,11 +2134,8 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     import json
 
     from .bench.workloads import get_workload
+    from .core.readpath import StorageStack
     from .errors import ReproError
-    from .faults.array import FaultySSDArray
-    from .faults.injector import FaultInjector
-    from .sim.ssd import SSDArray
-    from .storage.feature_store import FeatureStore
     from .storage_ha import StorageHA
 
     if args.num_ssds <= 0:
@@ -2154,19 +2151,12 @@ def _cmd_storage(args: argparse.Namespace) -> int:
 
     workload = get_workload(args.dataset, scale=args.scale)
     system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
-    store = FeatureStore(
-        workload.dataset.num_nodes,
-        workload.dataset.feature_dim,
-        page_bytes=system.ssd.page_bytes,
-    )
 
-    fault_array = None
+    device_plan = None
     if args.fault_plan is not None:
         plan = _load_fault_plan(args.fault_plan)
         if plan.device_events:
-            fault_array = FaultySSDArray(
-                SSDArray(system.ssd, system.num_ssds), FaultInjector(plan)
-            )
+            device_plan = plan
         else:
             print(
                 "note: the plan has no device events; the array stays "
@@ -2174,12 +2164,19 @@ def _cmd_storage(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     try:
-        ha = StorageHA(
+        stack = StorageStack(
+            workload.dataset,
+            system,
+            fault_plan=device_plan,
+            page_bytes=system.ssd.page_bytes,
+            **ha_kwargs,
+        )
+        # The drill reports device health even for an unprotected array.
+        ha = stack.storage_ha or StorageHA(
             num_devices=system.num_ssds,
             base_latency_s=system.ssd.read_latency_s,
-            total_pages=store.layout.total_pages,
-            fault_array=fault_array,
-            **ha_kwargs,
+            total_pages=stack.layout.total_pages,
+            fault_array=stack.fault_array,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

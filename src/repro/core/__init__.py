@@ -20,14 +20,7 @@ from .autotune import (
     measure_window_depths,
     recommend_window_depth,
 )
-from .multi_gpu import (
-    MultiGPUResult,
-    MultiGPUTrainer,
-    contended_ssd,
-    partition_shards,
-    scaling_study,
-    shard_train_ids,
-)
+from .multi_gpu import contended_ssd, partition_shards, shard_train_ids
 from .fleet import (
     CHAOS_SCENARIOS,
     ElasticFleetTrainer,
@@ -50,11 +43,8 @@ __all__ = [
     "best_window_depth",
     "measure_window_depths",
     "recommend_window_depth",
-    "MultiGPUResult",
-    "MultiGPUTrainer",
     "contended_ssd",
     "partition_shards",
-    "scaling_study",
     "shard_train_ids",
     "CHAOS_SCENARIOS",
     "ElasticFleetTrainer",

@@ -47,8 +47,6 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..errors import CheckpointError, ConfigError, PipelineError
-from ..faults.array import FaultySSDArray
-from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan, WorkerEvent
 from ..graph.datasets import ScaledDataset
 from ..pipeline.metrics import (
@@ -60,10 +58,8 @@ from ..sampling.neighbor import NeighborSampler
 from ..serving.breaker import BreakerBoard
 from ..serving.config import ServingConfig
 from ..sim.counters import TransferCounters
-from ..sim.gpu import GPUModel
 from ..sim.ssd import SSDArray
 from ..storage.feature_store import FeatureStore
-from ..storage_ha import StorageHA
 from ..training.graphsage import (
     GraphSAGE,
     average_gradients,
@@ -75,6 +71,7 @@ from ..telemetry.tracks import (
     FLEET_EVENTS_TRACK,
     declare_track,
 )
+from . import readpath
 from .multi_gpu import contended_ssd, partition_shards, shard_train_ids
 
 #: Loader name fleet runs export under.
@@ -271,6 +268,16 @@ class _Worker:
 
 
 @dataclass(frozen=True)
+class _Served:
+    """One batch's pass through cache -> peers -> SSD: times and traffic."""
+
+    hbm_s: float
+    peer_s: float
+    ssd_s: float
+    counters: TransferCounters
+
+
+@dataclass(frozen=True)
 class FleetResult:
     """Everything an elastic epoch produced, replayable and exportable."""
 
@@ -396,28 +403,13 @@ class ElasticFleetTrainer:
         for index in range(self.fleet.num_gpus):
             declare_track(f"fleet.gpu{index}")
 
-        self.store = FeatureStore(
-            dataset.num_nodes,
-            dataset.feature_dim,
-            page_bytes=system.ssd.page_bytes,
-        )
-        self.layout = self.store.layout
-        self.gpu = GPUModel(system.gpu)
-        self.model = GraphSAGE(
-            in_dim=dataset.feature_dim,
-            hidden_dim=hidden_dim,
-            num_classes=num_classes,
-            num_layers=len(self.fanouts),
-            lr=lr,
-            seed=seed,
-        )
-
         # Worker-scoped events come from the fault plan; device events
-        # degrade the shared array through the PR 1 machinery.
+        # degrade the shared array through the stack's fault machinery
+        # (the fleet consumes only the device timeline, never the plan's
+        # per-read failure process).
         self.fault_plan = fault_plan
         self._events: list[WorkerEvent] = []
-        self.fault_array: FaultySSDArray | None = None
-        base_array = SSDArray(system.ssd, system.num_ssds)
+        device_plan = None
         if fault_plan is not None:
             for event in fault_plan.worker_events:
                 if event.worker >= self.fleet.num_gpus:
@@ -430,25 +422,36 @@ class ElasticFleetTrainer:
                 key=lambda e: (e.at_time_s, e.worker),
             )
             if fault_plan.device_events:
-                self.fault_array = FaultySSDArray(
-                    base_array, FaultInjector(fault_plan)
-                )
-        self._base_array = base_array
+                device_plan = fault_plan
 
-        # Storage HA over the shared array: pay-for-what-you-use — the
+        # Storage HA over the shared array is pay-for-what-you-use — the
         # defaults keep the fleet's storage accounting bit-identical.
-        self.storage_ha: StorageHA | None = None
-        if replication > 1 or parity or rebuild_iops > 0:
-            self.storage_ha = StorageHA(
-                num_devices=system.num_ssds,
-                base_latency_s=system.ssd.read_latency_s,
-                replication=replication,
-                parity=parity,
-                rebuild_iops=rebuild_iops,
-                total_pages=self.layout.total_pages,
-                fault_array=self.fault_array,
-                tracer=tracer,
-            )
+        self.stack = readpath.StorageStack(
+            dataset,
+            system,
+            fault_plan=device_plan,
+            replication=replication,
+            parity=parity,
+            rebuild_iops=rebuild_iops,
+            tracer=tracer,
+            page_bytes=system.ssd.page_bytes,
+        )
+        self.store = self.stack.store
+        self.layout = self.stack.layout
+        self.gpu = self.stack.gpu
+        self.fault_array = self.stack.fault_array
+        self.storage_ha = self.stack.storage_ha
+        #: The shared array as one of ``n`` concurrently aggregating
+        #: workers sees it, per (array state, ``n``).
+        self._contended: dict[tuple[SSDArray, int], SSDArray] = {}
+        self.model = GraphSAGE(
+            in_dim=dataset.feature_dim,
+            hidden_dim=hidden_dim,
+            num_classes=num_classes,
+            num_layers=len(self.fanouts),
+            lr=lr,
+            seed=seed,
+        )
 
         cache_lines = int(gpu_cache_bytes // self.layout.page_bytes)
         self.workers = [
@@ -658,19 +661,13 @@ class ElasticFleetTrainer:
 
     def _serve_pages(
         self, worker: _Worker, pages: np.ndarray, n_active: int
-    ) -> tuple[float, float, float, int, int, int]:
-        """Serve one batch's pages through cache -> peers -> SSD.
-
-        Returns ``(hbm_s, peer_s, ssd_s, n_hits, n_peer, n_ssd,
-        ha_route)``; ``ha_route`` is the storage-HA routing outcome (or
-        ``None`` when redundancy is off).
-        """
+    ) -> _Served:
+        """Serve one batch's pages through cache -> peers -> SSD."""
         page_bytes = self.layout.page_bytes
-        hit_mask = worker.cache.access(pages)
-        n_hits = int(hit_mask.sum())
-        hbm_s = self.gpu.hbm_read_time(n_hits * page_bytes)
+        counters = TransferCounters()
+        remaining = readpath.probe(worker.cache, pages, counters, page_bytes)
+        hbm_s = self.gpu.hbm_read_time(counters.gpu_cache_bytes)
 
-        remaining = pages[~hit_mask]
         peer_s = 0.0
         n_peer = 0
         if self.fleet.peer_cache and len(self.workers) > 1:
@@ -718,33 +715,36 @@ class ElasticFleetTrainer:
                     remaining = remaining[~found]
 
         n_ssd = len(remaining)
-        ha_route = None
+        shared = self.stack.advance(self.clock_s)
         if self.fault_array is not None:
-            self.fault_array.advance_to(self.clock_s)
-            effective = self.fault_array.effective()
-            array = dc_replace(
-                effective, spec=contended_ssd(effective.spec, n_active)
+            shared = shared.effective()
+        array = self._contended.get((shared, n_active))
+        if array is None:
+            array = self._contended[shared, n_active] = dc_replace(
+                shared, spec=contended_ssd(shared.spec, n_active)
             )
+        if self.storage_ha is None:
+            counters.storage_requests += n_ssd
+            counters.storage_bytes += n_ssd * page_bytes
         else:
-            array = SSDArray(
-                contended_ssd(self.system.ssd, n_active),
-                self.system.num_ssds,
-            )
-        n_service = n_ssd
-        if self.storage_ha is not None and self.fault_array is not None:
-            # Route the batch through the redundancy layout: pages behind
-            # an unavailable device come off replicas (counted) or cost
-            # parity member reads (added to device service).
-            self.storage_ha.advance(self.clock_s)
-            if n_ssd:
-                ha_route = self.storage_ha.route(remaining)
-                n_service += ha_route.extra_service_reads
+            # Pages behind an unavailable device come off replicas
+            # (counted) or cost parity member reads (added to device
+            # service).  The fleet models no CPU-mirror tier: a page with
+            # no live copy still queues on the shared array.
+            lost = readpath.route(self.stack, remaining, counters).n_lost
+            counters.storage_requests += lost
+            counters.storage_bytes += lost * page_bytes
+            counters.fallback_requests -= lost
+            counters.fallback_bytes -= lost * page_bytes
+        n_service = (
+            n_ssd + counters.reconstruct_reads - counters.parity_reconstructs
+        )
         ssd_s = array.batch_service_time(n_service) if n_service else 0.0
 
-        worker.counters["cache_hit_pages"] += n_hits
+        worker.counters["cache_hit_pages"] += counters.gpu_cache_hits
         worker.counters["peer_hit_pages"] += n_peer
         worker.counters["ssd_pages"] += n_ssd
-        return hbm_s, peer_s, ssd_s, n_hits, n_peer, n_ssd, ha_route
+        return _Served(hbm_s, peer_s, ssd_s, counters)
 
     # ------------------------------------------------------------------
     # The global step
@@ -810,10 +810,13 @@ class ElasticFleetTrainer:
                 minibatch.num_sampled, n_kernels=len(self.fanouts)
             )
             pages = self.layout.pages_for_nodes(minibatch.input_nodes)
-            hbm_s, peer_s, ssd_s, n_hits, n_peer, n_ssd, ha_route = (
-                self._serve_pages(worker, pages, n_active)
+            served = self._serve_pages(worker, pages, n_active)
+            hbm_s, peer_s, ssd_s = served.hbm_s, served.peer_s, served.ssd_s
+            transfer_s = (
+                served.counters.storage_requests
+                * page_bytes
+                / self.system.pcie.bandwidth_bytes
             )
-            transfer_s = n_ssd * page_bytes / self.system.pcie.bandwidth_bytes
             training_s = self.gpu.training_time(minibatch.num_input_nodes)
             io_s = (peer_s + ssd_s + transfer_s + hbm_s) * worker.slow_factor
             elapsed = sampling_s + io_s + training_s
@@ -848,17 +851,7 @@ class ElasticFleetTrainer:
             )
             stage_max.transfer = max(stage_max.transfer, times.transfer)
             stage_max.training = max(stage_max.training, times.training)
-            counters.storage_requests += n_ssd
-            counters.storage_bytes += n_ssd * page_bytes
-            counters.gpu_cache_hits += n_hits
-            counters.gpu_cache_bytes += n_hits * page_bytes
-            if ha_route is not None:
-                counters.replica_redirects += ha_route.n_replica
-                counters.parity_reconstructs += ha_route.n_reconstruct
-                counters.reconstruct_reads += ha_route.reconstruct_reads
-                counters.storage_bytes += (
-                    ha_route.extra_service_reads * page_bytes
-                )
+            counters.merge(served.counters)
             work_stats.append(
                 (worker, minibatch, times, batch_index, elapsed)
             )
@@ -926,13 +919,9 @@ class ElasticFleetTrainer:
             )
         )
 
-        if self.storage_ha is not None:
-            # Rebuild soaks the step's idle IOPS (scrubber economics).
-            sweep = self.storage_ha.background_sweep(
-                step_time, self.clock_s + step_time
-            )
-            if sweep is not None and sweep.pages_rebuilt:
-                counters.rebuild_pages += sweep.pages_rebuilt
+        self.stack.rebuild_sweep(
+            step_time, self.clock_s + step_time, counters
+        )
 
         self.clock_s += step_time
         self.step_index += 1

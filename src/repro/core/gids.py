@@ -25,19 +25,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..cache.cpu_buffer import ConstantCPUBuffer
 from ..cache.gpu_cache import GPUSoftwareCache
 from ..config import LoaderConfig, SystemConfig
 from ..errors import CheckpointError, ConfigError
-from ..faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultStats,
-    FaultySSDArray,
-    RetryPolicy,
-)
+from ..faults import FaultPlan, FaultStats, RetryPolicy
 from ..graph.datasets import ScaledDataset
-from ..graph.pagerank import hot_node_ranking
 from ..integrity import (
     VERIFY_BANDWIDTH_BYTES_PER_S,
     CorruptionLedger,
@@ -51,38 +43,11 @@ from ..sampling.minibatch import MiniBatch
 from ..sampling.neighbor import NeighborSampler
 from ..sampling.seeds import SeedBatchStream
 from ..sim.counters import TransferCounters
-from ..sim.gpu import GPUModel
-from ..sim.pcie import PCIeLink
-from ..sim.ssd import SSDArray
-from ..storage.feature_store import FeatureStore
-from ..storage_ha import StorageHA
 from ..telemetry import Tracer
 from ..telemetry.context import TraceContext, step_trace_id
 from ..telemetry.tracks import INTEGRITY_TRACK
 from ..utils import as_rng
-
-
-def apportion(total: int, weights: list[int]) -> list[int]:
-    """Split ``total`` units across ``weights`` proportionally (ints, exact).
-
-    Largest-remainder rounding: the result sums to ``total`` exactly, which
-    keeps per-iteration fault counters consistent with the group-level
-    draw.  All-zero weights split as evenly as possible.
-    """
-    if total < 0:
-        raise ConfigError("total must be non-negative")
-    if not weights:
-        return []
-    w = np.asarray(weights, dtype=np.float64)
-    if w.sum() == 0:
-        w = np.ones(len(weights))
-    raw = w / w.sum() * total
-    out = np.floor(raw).astype(np.int64)
-    remainder = total - int(out.sum())
-    order = np.argsort(-(raw - out), kind="stable")
-    for i in range(remainder):
-        out[order[i]] += 1
-    return out.tolist()
+from . import readpath
 
 
 class GIDSDataLoader:
@@ -188,46 +153,31 @@ class GIDSDataLoader:
         self.snapshotter = None
         self._rng = as_rng(seed)
 
-        self.store = FeatureStore(
-            dataset.num_nodes, dataset.feature_dim, data=features
-        )
-        self.layout = self.store.layout
-        self.ssd = SSDArray(system.ssd, system.num_ssds)
-        self.pcie = PCIeLink(system.pcie)
-        self.gpu = GPUModel(system.gpu)
-
-        # Fault machinery is strictly pay-for-what-you-use: with no plan
-        # (or a null one) none of the branches below ever fire and the
-        # modeled times are bit-identical to a loader without fault support.
+        # The storage stack is strictly pay-for-what-you-use: with no fault
+        # plan (or a null one) and the redundancy defaults, none of the
+        # fault/HA branches of the read path ever fire and the modeled
+        # times are bit-identical to a loader without those planes.
         self.fault_plan = fault_plan
-        self.faults: FaultInjector | None = None
-        self.fault_array: FaultySSDArray | None = None
+        self.stack = readpath.StorageStack(
+            dataset,
+            system,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+            replication=replication,
+            parity=parity,
+            rebuild_iops=rebuild_iops,
+            tracer=tracer,
+            features=features,
+        )
+        self.store = self.stack.store
+        self.layout = self.stack.layout
+        self.ssd = self.stack.ssd
+        self.pcie = self.stack.pcie
+        self.gpu = self.stack.gpu
+        self.faults = self.stack.faults
+        self.fault_array = self.stack.fault_array
+        self.storage_ha = self.stack.storage_ha
         self._sim_now_s = 0.0
-        if fault_plan is not None and not fault_plan.is_null():
-            self.faults = FaultInjector(fault_plan, retry_policy)
-            self.fault_array = FaultySSDArray(self.ssd, self.faults)
-            if fault_plan.pcie_degradation_factor > 1.0:
-                self.pcie = PCIeLink(
-                    system.pcie,
-                    degradation_factor=fault_plan.pcie_degradation_factor,
-                )
-
-        # Storage HA (replication/parity + health + rebuild) is likewise
-        # pay-for-what-you-use: with the defaults no StorageHA object
-        # exists, and with redundancy on but no fault machinery attached
-        # every route() is an inert all-direct pass-through.
-        self.storage_ha: StorageHA | None = None
-        if replication > 1 or parity or rebuild_iops > 0:
-            self.storage_ha = StorageHA(
-                num_devices=system.num_ssds,
-                base_latency_s=system.ssd.read_latency_s,
-                replication=replication,
-                parity=parity,
-                rebuild_iops=rebuild_iops,
-                total_pages=self.store.layout.total_pages,
-                fault_array=self.fault_array,
-                tracer=tracer,
-            )
 
         # Integrity machinery follows the same pay-for-what-you-use rule:
         # it exists only when something can corrupt reads or the caller
@@ -278,7 +228,9 @@ class GIDSDataLoader:
         self.cache = GPUSoftwareCache(cache_lines, seed=self._cache_rng)
         self.cache.tracer = tracer
 
-        self.cpu_buffer = self._build_cpu_buffer(hot_nodes)
+        self.cpu_buffer = self.stack.build_cpu_buffer(
+            dataset, self.config, hot_nodes, self._rng
+        )
         self.accumulator = self._build_accumulator()
         if self.accumulator is not None:
             self.accumulator.tracer = tracer
@@ -324,43 +276,6 @@ class GIDSDataLoader:
         raise ConfigError(
             f"unknown sampler kind {sampler_kind!r}; "
             "expected 'neighbor', 'ladies' or 'hetero'"
-        )
-
-    def _build_cpu_buffer(
-        self, hot_nodes: np.ndarray | None
-    ) -> ConstantCPUBuffer | None:
-        fraction = self.config.cpu_buffer_fraction
-        if fraction <= 0:
-            return None
-        capacity = fraction * self.dataset.feature_data_bytes
-        if hot_nodes is not None:
-            # Caller supplied a precomputed ranking (Section 3.3: users may
-            # "define which nodes should be pinned" with their own metric).
-            return ConstantCPUBuffer(
-                num_nodes=self.dataset.num_nodes,
-                feature_bytes=self.store.feature_bytes,
-                capacity_bytes=capacity,
-                hot_nodes=np.asarray(hot_nodes, dtype=np.int64),
-            )
-        seed_weights = None
-        if self.config.hot_node_metric == "reverse_pagerank":
-            # Weight the teleport vector by training-seed membership so the
-            # ranking reflects the actual sampling frontier (Section 3.3).
-            seed_weights = np.zeros(self.dataset.num_nodes)
-            seed_weights[self.dataset.train_ids] = 1.0
-            if seed_weights.sum() == 0:
-                seed_weights = None
-        hot = hot_node_ranking(
-            self.dataset.graph,
-            self.config.hot_node_metric,
-            seed_weights=seed_weights,
-            rng=self._rng,
-        )
-        return ConstantCPUBuffer(
-            num_nodes=self.dataset.num_nodes,
-            feature_bytes=self.store.feature_bytes,
-            capacity_bytes=capacity,
-            hot_nodes=hot,
         )
 
     def _build_accumulator(self):
@@ -430,101 +345,65 @@ class GIDSDataLoader:
         return group
 
     def _aggregate_group(self, group) -> list[IterationMetrics]:
-        """Serve one merged group's feature requests and model its time."""
+        """Serve one merged group's feature requests and model its time.
+
+        Each entry runs probe -> route -> verify; the group then pays one
+        charge (a single fault draw over the merged storage batch) and one
+        transfer — the stages of :mod:`repro.core.readpath`.
+        """
         page_bytes = self.layout.page_bytes
-        feature_bytes = self.store.feature_bytes
-        faults = self.faults
-        array = self.ssd
         tracer = self.tracer
         group_start_s = self._sim_now_s
         if tracer is not None:
             tracer.clock_s = group_start_s
-        if faults is not None:
-            self.fault_array.advance_to(self._sim_now_s)
-            array = self.fault_array
-        if self.storage_ha is not None:
-            self.storage_ha.advance(self._sim_now_s)
+        array = self.stack.advance(group_start_s)
 
-        per_entry: list[TransferCounters] = []
-        integrity_rereads = 0
-        verified_bytes = 0
-        if self.verifier is None:
-            for entry in group:
-                n_buffer_nodes, _ = entry.payload
-                hit_mask = self.cache.access(entry.pages)
-                n_hits = int(hit_mask.sum())
-                n_miss = len(entry.pages) - n_hits
-                n_lost = 0
-                n_replica = n_reconstruct = extra_reads = 0
-                if faults is not None and n_miss:
-                    miss_pages = entry.pages[~hit_mask]
-                    if self.storage_ha is not None:
-                        # Redundant layout: unavailable pages redirect to
-                        # a surviving replica or reconstruct from parity;
-                        # only pages with no live copy fall back.
-                        route = self.storage_ha.route(miss_pages)
-                        n_lost = route.n_lost
-                        n_replica = route.n_replica
-                        n_reconstruct = route.n_reconstruct
-                        extra_reads = route.extra_service_reads
-                    else:
-                        # Pages homed on a dropped-out (or recovered but
-                        # not yet rebuilt) device are known-unavailable:
-                        # they skip storage and fall back to the
-                        # feature-store path.
-                        n_lost = int(
-                            self.fault_array.unavailable_page_mask(
-                                miss_pages
-                            ).sum()
-                        )
-                n_storage = n_miss - n_lost
-                per_entry.append(
-                    TransferCounters(
-                        storage_requests=n_storage,
-                        storage_bytes=(n_storage + extra_reads) * page_bytes,
-                        cpu_buffer_requests=n_buffer_nodes,
-                        cpu_buffer_bytes=n_buffer_nodes * feature_bytes,
-                        gpu_cache_hits=n_hits,
-                        gpu_cache_bytes=n_hits * page_bytes,
-                        fallback_requests=n_lost,
-                        fallback_bytes=n_lost * page_bytes,
-                        replica_redirects=n_replica,
-                        parity_reconstructs=n_reconstruct,
-                        reconstruct_reads=n_reconstruct + extra_reads,
-                    )
-                )
-        else:
-            for entry in group:
-                counters = self._serve_entry_verified(
-                    entry, group_start_s, array
-                )
-                integrity_rereads += counters.integrity_rereads
-                verified_bytes += counters.verified_pages * page_bytes
-                per_entry.append(counters)
-
+        per_entry = [
+            self._serve_entry(entry, group_start_s) for entry in group
+        ]
         total_storage_pages = sum(c.storage_requests for c in per_entry)
-        total_cpu_bytes = sum(c.cpu_buffer_bytes for c in per_entry)
-        total_hbm_bytes = sum(c.gpu_cache_bytes for c in per_entry)
 
-        service_requests = total_storage_pages
+        fault, n_spiked = readpath.charge(self.stack, per_entry)
         fault_extra_time = 0.0
-        if faults is not None:
-            fault_extra_time, service_requests = self._resolve_group_faults(
-                per_entry, total_storage_pages, array
+        if self.faults is not None:
+            fault_extra_time = fault.backoff_s + array.tail_extra_time(
+                n_spiked
             )
-        # Repair re-reads occupy device service exactly like retried
-        # commands; digest checks cost modeled hash time on every verified
-        # byte.  Both are zero whenever the integrity layer is off.
-        service_requests += integrity_rereads
-        # Parity reconstruction issues k member reads for each rebuilt
-        # page; the extra k-1 occupy device service like fresh commands.
+            if (
+                tracer is not None
+                and tracer.want_request_detail
+                and (fault_extra_time > 0.0 or fault.injected_failures)
+            ):
+                tracer.record(
+                    "fault_resolution",
+                    "faults",
+                    start_s=group_start_s,
+                    duration_s=fault_extra_time,
+                    injected=fault.injected_failures,
+                    retries=fault.retries,
+                    unrecovered=fault.unrecovered,
+                    timed_out=fault.timed_out,
+                )
+        # Retried commands and repair re-reads occupy device service
+        # exactly like fresh ones; parity reconstruction issues k member
+        # reads for each rebuilt page, and the extra k-1 do too.  Digest
+        # checks cost modeled hash time on every verified byte.  All are
+        # zero whenever the matching plane is off.
+        integrity_rereads = sum(c.integrity_rereads for c in per_entry)
         ha_extra_reads = sum(
             c.reconstruct_reads - c.parity_reconstructs for c in per_entry
         )
-        service_requests += ha_extra_reads
-        integrity_extra_time = verified_bytes / VERIFY_BANDWIDTH_BYTES_PER_S
-        total_storage_bytes = sum(c.storage_bytes for c in per_entry)
-        total_fallback_bytes = sum(c.fallback_bytes for c in per_entry)
+        service_requests = (
+            total_storage_pages
+            + fault.retries
+            + integrity_rereads
+            + ha_extra_reads
+        )
+        integrity_extra_time = (
+            sum(c.verified_pages for c in per_entry)
+            * page_bytes
+            / VERIFY_BANDWIDTH_BYTES_PER_S
+        )
 
         storage_time = (
             self.framework_overhead_s
@@ -532,12 +411,9 @@ class GIDSDataLoader:
             + fault_extra_time
             + integrity_extra_time
         )
-        ingress_time = self.pcie.ingress_time(
-            total_storage_bytes,
-            storage_time,
-            total_cpu_bytes + total_fallback_bytes,
+        ingress_time, hbm_time = readpath.transfer(
+            self.stack, per_entry, storage_time
         )
-        hbm_time = self.gpu.hbm_read_time(total_hbm_bytes)
         group_time = ingress_time + hbm_time
 
         if tracer is not None and tracer.want_request_detail:
@@ -548,9 +424,11 @@ class GIDSDataLoader:
                 service_requests=service_requests,
                 ingress_time=ingress_time,
                 hbm_time=hbm_time,
-                storage_bytes=total_storage_bytes,
-                cpu_bytes=total_cpu_bytes + total_fallback_bytes,
-                hbm_bytes=total_hbm_bytes,
+                storage_bytes=sum(c.storage_bytes for c in per_entry),
+                cpu_bytes=sum(
+                    c.cpu_buffer_bytes + c.fallback_bytes for c in per_entry
+                ),
+                hbm_bytes=sum(c.gpu_cache_bytes for c in per_entry),
             )
             if integrity_extra_time > 0.0:
                 tracer.record(
@@ -601,17 +479,17 @@ class GIDSDataLoader:
                     counters=counters,
                 )
             )
+        # Background sweeps overlap the group they follow (they soak up
+        # idle device IOPS), so they advance no modeled time; their budget
+        # is the group's elapsed time and their traffic is accounted on
+        # the group's last iteration.
+        group_elapsed = sum(m.times.total for m in metrics)
+        last = metrics[-1].counters
         if self.scrubber is not None:
-            # The sweep overlaps the group it follows (it soaks up idle
-            # device IOPS), so it advances no modeled time; its budget is
-            # the group's elapsed time and its reads are accounted on the
-            # group's last iteration.
-            group_elapsed = sum(m.times.total for m in metrics)
             scrub = self.scrubber.sweep(
                 group_elapsed, group_start_s + group_elapsed
             )
             if scrub.pages_scanned:
-                last = metrics[-1].counters
                 last.scrubbed_pages += scrub.pages_scanned
                 last.corrupt_detected += scrub.detected
                 last.corrupt_repaired += scrub.repaired
@@ -624,38 +502,31 @@ class GIDSDataLoader:
                         repaired=scrub.repaired,
                         released=scrub.released,
                     )
-        if self.storage_ha is not None:
-            # The rebuilder rides the same idle-IOPS economics as the
-            # scrubber: its sweep overlaps the group, costs no modeled
-            # time, and its traffic lands on the last iteration.
-            group_elapsed = sum(m.times.total for m in metrics)
-            sweep = self.storage_ha.background_sweep(
-                group_elapsed, group_start_s + group_elapsed
-            )
-            if sweep is not None and sweep.pages_rebuilt:
-                metrics[-1].counters.rebuild_pages += sweep.pages_rebuilt
-            if (
-                tracer is not None
-                and tracer.want_request_detail
-                and (ha_extra_reads or any(
+        self.stack.rebuild_sweep(
+            group_elapsed, group_start_s + group_elapsed, last
+        )
+        if (
+            tracer is not None
+            and tracer.want_request_detail
+            and (ha_extra_reads or any(
+                c.replica_redirects for c in per_entry
+            ))
+        ):
+            tracer.record(
+                "degraded_reads",
+                "storage.ha",
+                start_s=group_start_s,
+                duration_s=storage_time,
+                replica_redirects=sum(
                     c.replica_redirects for c in per_entry
-                ))
-            ):
-                tracer.record(
-                    "degraded_reads",
-                    "storage.ha",
-                    start_s=group_start_s,
-                    duration_s=storage_time,
-                    replica_redirects=sum(
-                        c.replica_redirects for c in per_entry
-                    ),
-                    parity_reconstructs=sum(
-                        c.parity_reconstructs for c in per_entry
-                    ),
-                    reconstruct_reads=sum(
-                        c.reconstruct_reads for c in per_entry
-                    ),
-                )
+                ),
+                parity_reconstructs=sum(
+                    c.parity_reconstructs for c in per_entry
+                ),
+                reconstruct_reads=sum(
+                    c.reconstruct_reads for c in per_entry
+                ),
+            )
 
         if tracer is not None and tracer.enabled:
             self._trace_group_stages(tracer, group_start_s, metrics)
@@ -666,104 +537,44 @@ class GIDSDataLoader:
 
         # Advance the simulated clock so time-triggered device events
         # (dropout/recovery) fire at the right point of the run.
-        self._sim_now_s += sum(m.times.total for m in metrics)
+        self._sim_now_s += group_elapsed
         if tracer is not None:
             tracer.clock_s = self._sim_now_s
         return metrics
 
-    def _serve_entry_verified(
-        self, entry, now_s: float, array
-    ) -> TransferCounters:
-        """Serve one iteration's pages with the integrity layer engaged.
+    def _serve_entry(self, entry, now_s: float) -> TransferCounters:
+        """Run one iteration's pages through probe -> route -> verify.
 
-        The healthy-path arithmetic (hits, misses, lost pages, byte
-        counts) is identical to the fast path in :meth:`_aggregate_group`;
-        on top of it, quarantined pages skip cache and storage entirely
-        (served from the fallback tier), every storage-served page runs
-        through the fault injector's corruption draw and the configured
-        verify mode, and pages condemned this round are invalidated from
-        the GPU cache so unverified bytes are never admitted.
+        Every storage-served page (redirected replicas included) runs
+        through the corruption draw and the configured verify mode; pages
+        condemned this round get their good bytes over the CPU path.
         """
         page_bytes = self.layout.page_bytes
-        feature_bytes = self.store.feature_bytes
         n_buffer_nodes, _ = entry.payload
-        pages = entry.pages
-        n_quarantine = 0
-        if self.ledger.num_quarantined:
-            qmask = self.ledger.quarantined_mask(pages)
-            if qmask.any():
-                n_quarantine = int(qmask.sum())
-                # Quarantined pages never touch cache or storage: release
-                # the window's registered reuse units and serve them from
-                # the fallback tier.
-                self.cache.forget_future(pages[qmask])
-                pages = pages[~qmask]
-        hit_mask = self.cache.access(pages)
-        n_hits = int(hit_mask.sum())
-        miss_pages = pages[~hit_mask]
-        n_lost = 0
-        n_replica = n_reconstruct = extra_reads = 0
-        if self.faults is not None and len(miss_pages):
-            if self.storage_ha is not None:
-                # Redirect unavailable pages to a surviving copy (or
-                # reconstruct from parity); the redirected pages still run
-                # the corruption draw and verifier below — replicas get
-                # verified exactly like primary reads.
-                route = self.storage_ha.route(miss_pages)
-                n_lost = route.n_lost
-                n_replica = route.n_replica
-                n_reconstruct = route.n_reconstruct
-                extra_reads = route.extra_service_reads
-                if n_lost:
-                    miss_pages = miss_pages[~route.lost_mask]
-            else:
-                lost = self.fault_array.unavailable_page_mask(miss_pages)
-                if lost.any():
-                    n_lost = int(lost.sum())
-                    miss_pages = miss_pages[~lost]
-        n_storage = len(miss_pages)
-
-        origins = None
-        if (
-            self.faults is not None
-            and self.faults.plan.has_corruption
-            and n_storage
-        ):
-            kinds, origins = self.faults.corruption_kinds(
-                miss_pages, now_s, self.system.num_ssds
-            )
-        else:
-            kinds = np.zeros(n_storage, dtype=np.uint8)
-        outcome = self.verifier.process(
-            miss_pages, kinds, now_s=now_s, origin_times=origins
-        )
-        q_now = outcome.quarantined
-        if q_now:
-            # Condemned pages must not stay resident; their good bytes
-            # come over the CPU path, not from storage.
-            self.cache.invalidate(outcome.quarantined_pages)
-        self._pending_corrupt.append(outcome.undetected_pages)
-
-        n_fallback = n_lost + n_quarantine + q_now
-        return TransferCounters(
-            storage_requests=n_storage,
-            storage_bytes=(n_storage - q_now + extra_reads) * page_bytes,
+        counters = TransferCounters(
             cpu_buffer_requests=n_buffer_nodes,
-            cpu_buffer_bytes=n_buffer_nodes * feature_bytes,
-            gpu_cache_hits=n_hits,
-            gpu_cache_bytes=n_hits * page_bytes,
-            fallback_requests=n_fallback,
-            fallback_bytes=n_fallback * page_bytes,
-            replica_redirects=n_replica,
-            parity_reconstructs=n_reconstruct,
-            reconstruct_reads=n_reconstruct + extra_reads,
-            verified_pages=outcome.verified,
-            unverified_pages=outcome.unverified,
-            corrupt_detected=outcome.detected,
-            corrupt_repaired=outcome.repaired,
-            corrupt_quarantined=q_now,
-            integrity_rereads=outcome.rereads,
+            cpu_buffer_bytes=n_buffer_nodes * self.store.feature_bytes,
         )
+        miss_pages = readpath.probe(
+            self.cache, entry.pages, counters, page_bytes, self.ledger
+        )
+        routed = readpath.route(self.stack, miss_pages, counters)
+        if self.verifier is not None:
+            if routed.n_lost:
+                miss_pages = miss_pages[~routed.lost_mask]
+            outcome = readpath.verify(
+                self.verifier,
+                self.faults,
+                miss_pages,
+                counters,
+                now_s=now_s,
+                num_ssds=self.system.num_ssds,
+                page_bytes=page_bytes,
+                cache=self.cache,
+            )
+            counters.storage_bytes -= outcome.quarantined * page_bytes
+            self._pending_corrupt.append(outcome.undetected_pages)
+        return counters
 
     def _trace_group_resources(
         self,
@@ -872,63 +683,6 @@ class GIDSDataLoader:
             tracer.iteration = iteration + 1
             tracer.metrics.histogram("iteration.total_s").observe(t.total)
             m.counters.publish(tracer.metrics)
-
-    def _resolve_group_faults(
-        self, per_entry: list[TransferCounters], total_storage_pages: int, array
-    ) -> tuple[float, int]:
-        """Run the failure/retry/spike process for one merged storage batch.
-
-        Mutates the per-iteration counters in place (retries, injected
-        faults, unrecovered reads re-routed to the fallback path) and
-        returns ``(extra_elapsed_seconds, service_requests)`` where
-        ``service_requests`` includes re-issued commands — retried reads
-        occupy device service exactly like fresh ones.
-        """
-        faults = self.faults
-        page_bytes = self.layout.page_bytes
-        outcome = faults.resolve_batch(total_storage_pages)
-        n_spiked = faults.spike_count(total_storage_pages)
-        extra_time = outcome.backoff_s + array.tail_extra_time(n_spiked)
-
-        weights = [c.storage_requests for c in per_entry]
-        for counters, injected, retries, unrecovered, spikes in zip(
-            per_entry,
-            apportion(outcome.injected_failures, weights),
-            apportion(outcome.retries, weights),
-            apportion(outcome.unrecovered, weights),
-            apportion(n_spiked, weights),
-        ):
-            counters.injected_faults += injected
-            counters.storage_retries += retries
-            counters.latency_spikes += spikes
-            if unrecovered:
-                # Reads that exhausted the retry policy (or its time
-                # budget) are served by the feature-store fallback; their
-                # bytes never arrive from storage.
-                counters.storage_bytes = max(
-                    0, counters.storage_bytes - unrecovered * page_bytes
-                )
-                counters.fallback_requests += unrecovered
-                counters.fallback_bytes += unrecovered * page_bytes
-        if outcome.timed_out and per_entry:
-            per_entry[0].retry_timeouts += 1
-        tracer = self.tracer
-        if (
-            tracer is not None
-            and tracer.want_request_detail
-            and (extra_time > 0.0 or outcome.injected_failures)
-        ):
-            tracer.record(
-                "fault_resolution",
-                "faults",
-                start_s=self._sim_now_s,
-                duration_s=extra_time,
-                injected=outcome.injected_failures,
-                retries=outcome.retries,
-                unrecovered=outcome.unrecovered,
-                timed_out=outcome.timed_out,
-            )
-        return extra_time, total_storage_pages + outcome.retries
 
     # ------------------------------------------------------------------
     # Public API

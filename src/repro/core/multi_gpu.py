@@ -1,30 +1,22 @@
-"""Data-parallel multi-GPU training over a shared SSD array (extension).
+"""Sharding and SSD-contention helpers for data-parallel training.
 
 The paper evaluates a single GPU and notes that multi-GPU scaling "requires
-significant additional hardware resources" (Section 5).  This extension
-quantifies why with the same device models: ``k`` GPUs each run their own
-GIDS dataloader over a disjoint shard of the training seeds, but all GPU
-storage traffic contends for one SSD array, so each GPU's achievable IOPS
-is the device peak divided by the number of concurrently aggregating GPUs.
-Per-GPU PCIe links and GPU caches are private; the constant CPU buffer is
-shared read-only (DRAM bandwidth far exceeds what the redirects draw).
-
-Scaling is near-linear while the SSD array has headroom and saturates once
-it doesn't — which is the economic argument for GIDS's single-GPU design
-point (add SSDs, not GPUs, when data preparation is the bottleneck).
+significant additional hardware resources" (Section 5).  The
+:class:`~repro.core.fleet.ElasticFleetTrainer` quantifies why with the same
+device models; this module holds the pieces it is built from: ``k`` GPUs
+train disjoint shards of the seeds (:func:`shard_train_ids`,
+:func:`partition_shards`), but all GPU storage traffic contends for one SSD
+array, so each GPU's achievable IOPS is the device peak divided by the
+number of concurrently aggregating GPUs (:func:`contended_ssd`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
-
 import numpy as np
 
-from ..config import LoaderConfig, SSDSpec, SystemConfig
+from ..config import SSDSpec
 from ..errors import ConfigError
 from ..graph.datasets import ScaledDataset
-from ..pipeline.metrics import RunReport
-from .gids import GIDSDataLoader
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -212,105 +204,3 @@ def contended_ssd(spec: SSDSpec, num_gpus: int) -> SSDSpec:
         peak_iops=spec.peak_iops / num_gpus,
         page_bytes=spec.page_bytes,
     )
-
-
-@dataclass(frozen=True)
-class MultiGPUResult:
-    """Epoch-level outcome of a data-parallel run."""
-
-    num_gpus: int
-    per_gpu_reports: tuple[RunReport, ...]
-    iterations_per_gpu: int
-
-    @property
-    def epoch_time(self) -> float:
-        """Synchronized data-parallel epoch time: the slowest GPU's time."""
-        return max(r.e2e_time for r in self.per_gpu_reports)
-
-    @property
-    def total_iterations(self) -> int:
-        return self.iterations_per_gpu * self.num_gpus
-
-    @property
-    def throughput(self) -> float:
-        """Mini-batches per second across the fleet."""
-        return self.total_iterations / self.epoch_time
-
-
-class MultiGPUTrainer:
-    """Runs ``num_gpus`` GIDS dataloaders over sharded seeds.
-
-    Args:
-        dataset: the shared graph dataset.
-        system: single-GPU system configuration; the SSD array is shared
-            across GPUs and its per-GPU share is derived internally.
-        config: GIDS configuration, applied per GPU (each GPU has its own
-            cache of the configured size, as it would in hardware).
-        num_gpus: data-parallel width.
-        loader_kwargs: forwarded to every :class:`GIDSDataLoader`.
-    """
-
-    def __init__(
-        self,
-        dataset: ScaledDataset,
-        system: SystemConfig,
-        config: LoaderConfig | None = None,
-        *,
-        num_gpus: int = 2,
-        seed: int = 0,
-        **loader_kwargs,
-    ) -> None:
-        if num_gpus <= 0:
-            raise ConfigError("num_gpus must be positive")
-        self.num_gpus = num_gpus
-        shards = shard_train_ids(dataset.train_ids, num_gpus, seed=seed)
-        shared = system.with_ssd(contended_ssd(system.ssd, num_gpus))
-        self.loaders = []
-        for gpu_index, shard in enumerate(shards):
-            shard_dataset = dc_replace(dataset, train_ids=shard)
-            self.loaders.append(
-                GIDSDataLoader(
-                    shard_dataset,
-                    shared,
-                    config,
-                    seed=seed + gpu_index,
-                    **loader_kwargs,
-                )
-            )
-
-    def run(
-        self, iterations_per_gpu: int, *, warmup: int = 10
-    ) -> MultiGPUResult:
-        """Run every GPU's loader for ``iterations_per_gpu`` iterations."""
-        if iterations_per_gpu <= 0:
-            raise ConfigError("iterations_per_gpu must be positive")
-        reports = tuple(
-            loader.run(iterations_per_gpu, warmup=warmup)
-            for loader in self.loaders
-        )
-        return MultiGPUResult(
-            num_gpus=self.num_gpus,
-            per_gpu_reports=reports,
-            iterations_per_gpu=iterations_per_gpu,
-        )
-
-
-def scaling_study(
-    dataset: ScaledDataset,
-    system: SystemConfig,
-    config: LoaderConfig | None = None,
-    *,
-    gpu_counts: tuple[int, ...] = (1, 2, 4),
-    iterations_per_gpu: int = 20,
-    seed: int = 0,
-    **loader_kwargs,
-) -> dict[int, MultiGPUResult]:
-    """Throughput of the fleet at several data-parallel widths."""
-    results = {}
-    for num_gpus in gpu_counts:
-        trainer = MultiGPUTrainer(
-            dataset, system, config, num_gpus=num_gpus, seed=seed,
-            **loader_kwargs,
-        )
-        results[num_gpus] = trainer.run(iterations_per_gpu)
-    return results

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import SystemConfig
+from ..core import readpath
 from ..errors import CheckpointError, ConfigError, FullGraphError
 from ..graph.partition import partition_graph
 from ..pipeline.metrics import IterationMetrics, RunReport, StageTimes
@@ -354,78 +355,62 @@ class FullGraphTrainer:
     # Storage charging helpers
 
     def _fault_extra(self, n_pages: int, counters: TransferCounters) -> float:
-        """Failure/retry/spike process for one storage batch (like GIDS)."""
+        """Failure/retry/spike cost of one storage batch.
+
+        The draw and its counting are the shared read path's; what the
+        sweep owns is how an exhausted read is made good and how the
+        process is priced against sequential I/O.
+        """
         if self.faults is None or n_pages == 0:
             return 0.0
-        outcome = self.faults.resolve_batch(n_pages)
-        spikes = self.faults.spike_count(n_pages)
-        counters.injected_faults += outcome.injected_failures
-        counters.storage_retries += outcome.retries
-        counters.latency_spikes += spikes
-        if outcome.timed_out:
-            counters.retry_timeouts += 1
-        if outcome.unrecovered:
-            if self.placement is not None:
-                # Redundancy holds a second copy (or parity group) of
-                # every page: the unserved pages are re-read from the
-                # surviving copy at one extra device read each instead of
-                # being recomputed from the layer below.
-                extra = (
-                    outcome.unrecovered
-                    * self.placement.reconstruct_reads_per_page
-                )
-                if self.placement.mode == "parity":
-                    counters.parity_reconstructs += outcome.unrecovered
-                else:
-                    counters.replica_redirects += outcome.unrecovered
-                counters.reconstruct_reads += extra
-                counters.storage_bytes += (
-                    extra * self.activations.page_bytes
-                )
-                return (
-                    outcome.backoff_s
-                    + (spikes + extra) * self.system.ssd.read_latency_s
-                )
+        fault, n_spiked = readpath.draw_faults(
+            self.faults, n_pages, [counters]
+        )
+        extra = 0
+        if fault.unrecovered and self.placement is not None:
+            # Redundancy holds a second copy (or parity group) of every
+            # page: the unserved pages are re-read from the surviving
+            # copy at one extra device read each instead of being
+            # recomputed from the layer below.
+            extra = (
+                fault.unrecovered * self.placement.reconstruct_reads_per_page
+            )
+            if self.placement.mode == "parity":
+                counters.parity_reconstructs += fault.unrecovered
+            else:
+                counters.replica_redirects += fault.unrecovered
+            counters.reconstruct_reads += extra
+            counters.storage_bytes += extra * self.activations.page_bytes
+        elif fault.unrecovered:
             # Unserved spill pages are *recomputable*: the lost block is
             # regenerated from the layer below, accounted as fallback.
-            counters.fallback_requests += outcome.unrecovered
+            counters.fallback_requests += fault.unrecovered
             counters.fallback_bytes += (
-                outcome.unrecovered * self.activations.page_bytes
+                fault.unrecovered * self.activations.page_bytes
             )
         return (
-            outcome.backoff_s + spikes * self.system.ssd.read_latency_s
+            fault.backoff_s
+            + (n_spiked + extra) * self.system.ssd.read_latency_s
         )
 
     def _verify_extra(self, n_pages: int, counters: TransferCounters) -> float:
-        """Verify-on-read over reloaded spill pages (like feature pages)."""
+        """Verify-on-read over reloaded spill pages (like feature pages);
+        condemned pages are recomputed from the layer below."""
         if self.verifier is None or n_pages == 0:
             return 0.0
         pages = (
             np.arange(n_pages, dtype=np.int64) + self._spill_page_cursor
         )
         self._spill_page_cursor += n_pages
-        if self.faults is not None and self.faults.plan.has_corruption:
-            kinds, origins = self.faults.corruption_kinds(
-                pages, self.clock_s, self.system.num_ssds
-            )
-        else:
-            kinds = np.zeros(n_pages, dtype=np.uint8)
-            origins = None
-        outcome = self.verifier.process(
-            pages, kinds, now_s=self.clock_s, origin_times=origins
+        outcome = readpath.verify(
+            self.verifier,
+            self.faults,
+            pages,
+            counters,
+            now_s=self.clock_s,
+            num_ssds=self.system.num_ssds,
+            page_bytes=self.activations.page_bytes,
         )
-        counters.verified_pages += outcome.verified
-        counters.unverified_pages += outcome.unverified
-        counters.corrupt_detected += outcome.detected
-        counters.corrupt_repaired += outcome.repaired
-        counters.corrupt_quarantined += outcome.quarantined
-        counters.integrity_rereads += outcome.rereads
-        if outcome.quarantined:
-            # Condemned spill pages are recomputed from the layer below.
-            counters.fallback_requests += outcome.quarantined
-            counters.fallback_bytes += (
-                outcome.quarantined * self.activations.page_bytes
-            )
         return outcome.rereads * self.system.ssd.read_latency_s
 
     def _seq_read(self, n_bytes: int, counters: TransferCounters) -> float:

@@ -26,25 +26,14 @@ import heapq
 
 import numpy as np
 
-from ..cache.cpu_buffer import ConstantCPUBuffer
 from ..cache.gpu_cache import GPUSoftwareCache
 from ..config import LoaderConfig, SystemConfig
+from ..core import readpath
 from ..errors import CheckpointError, ServingError
-from ..faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultySSDArray,
-    RetryPolicy,
-)
+from ..faults import FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
-from ..graph.pagerank import hot_node_ranking
 from ..sampling.neighbor import NeighborSampler
 from ..sim.counters import TransferCounters
-from ..sim.gpu import GPUModel
-from ..sim.pcie import PCIeLink
-from ..sim.ssd import SSDArray
-from ..storage.feature_store import FeatureStore
-from ..storage_ha import StorageHA
 from ..telemetry import Tracer
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..utils import as_rng
@@ -135,38 +124,26 @@ class InferenceServer:
         self.tracer = tracer
         self._rng = as_rng(seed)
 
-        # --- shared storage stack (mirrors GIDSDataLoader) -------------
-        self.store = FeatureStore(dataset.num_nodes, dataset.feature_dim)
-        self.layout = self.store.layout
-        self.ssd = SSDArray(system.ssd, system.num_ssds)
-        self.pcie = PCIeLink(system.pcie)
-        self.gpu = GPUModel(system.gpu)
-
+        # --- shared storage stack --------------------------------------
         self.fault_plan = fault_plan
-        self.faults: FaultInjector | None = None
-        self.fault_array: FaultySSDArray | None = None
-        if fault_plan is not None and not fault_plan.is_null():
-            self.faults = FaultInjector(fault_plan, retry_policy)
-            self.fault_array = FaultySSDArray(self.ssd, self.faults)
-            if fault_plan.pcie_degradation_factor > 1.0:
-                self.pcie = PCIeLink(
-                    system.pcie,
-                    degradation_factor=fault_plan.pcie_degradation_factor,
-                )
-
-        # Storage HA: same pay-for-what-you-use gating as the loader.
-        self.storage_ha: StorageHA | None = None
-        if replication > 1 or parity or rebuild_iops > 0:
-            self.storage_ha = StorageHA(
-                num_devices=system.num_ssds,
-                base_latency_s=system.ssd.read_latency_s,
-                replication=replication,
-                parity=parity,
-                rebuild_iops=rebuild_iops,
-                total_pages=self.store.layout.total_pages,
-                fault_array=self.fault_array,
-                tracer=tracer,
-            )
+        self.stack = readpath.StorageStack(
+            dataset,
+            system,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+            replication=replication,
+            parity=parity,
+            rebuild_iops=rebuild_iops,
+            tracer=tracer,
+        )
+        self.store = self.stack.store
+        self.layout = self.stack.layout
+        self.ssd = self.stack.ssd
+        self.pcie = self.stack.pcie
+        self.gpu = self.stack.gpu
+        self.faults = self.stack.faults
+        self.fault_array = self.stack.fault_array
+        self.storage_ha = self.stack.storage_ha
 
         cache_lines = int(
             self.config.gpu_cache_bytes // self.layout.page_bytes
@@ -174,7 +151,9 @@ class InferenceServer:
         self._cache_rng = self._rng.spawn(1)[0]
         self.cache = GPUSoftwareCache(cache_lines, seed=self._cache_rng)
         self.cache.tracer = tracer
-        self.cpu_buffer = self._build_cpu_buffer(hot_nodes)
+        self.cpu_buffer = self.stack.build_cpu_buffer(
+            dataset, self.config, hot_nodes, self._rng
+        )
 
         # One sampler per brownout level (scaled fanouts), sharing the
         # sampling RNG: the level sequence is deterministic, so the draw
@@ -241,34 +220,6 @@ class InferenceServer:
 
     def _scaled(self, scale: float) -> tuple[int, ...]:
         return tuple(max(1, int(round(f * scale))) for f in self.fanouts)
-
-    def _build_cpu_buffer(
-        self, hot_nodes: np.ndarray | None
-    ) -> ConstantCPUBuffer | None:
-        fraction = self.config.cpu_buffer_fraction
-        if fraction <= 0:
-            return None
-        if hot_nodes is None:
-            seed_weights = None
-            if self.config.hot_node_metric == "reverse_pagerank":
-                # Same teleport weighting as the training loader, so both
-                # pin the identical hot set.
-                seed_weights = np.zeros(self.dataset.num_nodes)
-                seed_weights[self.dataset.train_ids] = 1.0
-                if seed_weights.sum() == 0:
-                    seed_weights = None
-            hot_nodes = hot_node_ranking(
-                self.dataset.graph,
-                self.config.hot_node_metric,
-                seed_weights=seed_weights,
-                rng=self._rng,
-            )
-        return ConstantCPUBuffer(
-            num_nodes=self.dataset.num_nodes,
-            feature_bytes=self.store.feature_bytes,
-            capacity_bytes=fraction * self.dataset.feature_data_bytes,
-            hot_nodes=np.asarray(hot_nodes, dtype=np.int64),
-        )
 
     # ------------------------------------------------------------------
     # Event loop
@@ -448,11 +399,9 @@ class InferenceServer:
 
         pages = self.layout.pages_for_nodes(nodes[~buffered])
         counters.page_faults += len(pages)
-        hit_mask = self.cache.access(pages)
-        n_hits = int(hit_mask.sum())
-        counters.gpu_cache_hits += n_hits
-        counters.gpu_cache_bytes += n_hits * self.layout.page_bytes
-        miss_pages = pages[~hit_mask]
+        miss_pages = readpath.probe(
+            self.cache, pages, counters, self.layout.page_bytes
+        )
 
         storage_s = 0.0
         if level.cache_only:
@@ -476,18 +425,14 @@ class InferenceServer:
                     SERVING_TRACK,
                     at_s=start_s + sampling_s,
                     pages=len(miss_pages),
-                    cache_hits=n_hits,
+                    cache_hits=counters.gpu_cache_hits,
                     buffered=n_buffered,
                 )
             storage_s = self._storage_time(miss_pages, start_s, counters)
 
-        cpu_path_bytes = (
-            counters.cpu_buffer_bytes + counters.fallback_bytes
+        ingress_s, hbm_s = readpath.transfer(
+            self.stack, [counters], storage_s
         )
-        ingress_s = self.pcie.ingress_time(
-            counters.storage_bytes, storage_s, cpu_path_bytes
-        )
-        hbm_s = self.gpu.hbm_read_time(counters.gpu_cache_bytes)
         inference_s = self.gpu.training_time(len(nodes))
         if stamp:
             self.tracer.record(
@@ -523,55 +468,48 @@ class InferenceServer:
         start_s: float,
         counters: TransferCounters,
     ) -> float:
-        """Latency of the storage fetch, through breakers/faults/hedging."""
-        num_ssds = self.system.num_ssds
-        devices = miss_pages % num_ssds
-        if self.faults is not None:
-            self.fault_array.advance_to(start_s)
-            active, _ = self.faults.device_states(start_s, num_ssds)
-            stale = self.fault_array.stale_device_mask()
-        else:
-            active = np.ones(num_ssds, dtype=bool)
-            stale = np.zeros(num_ssds, dtype=bool)
-        if self.storage_ha is not None:
-            self.storage_ha.advance(start_s)
+        """Latency of the storage fetch, through breakers/faults/hedging.
 
-        n_storage = 0
-        n_fallback = 0
-        extra_reads = 0
+        Routing, fault resolution and their accounting are the shared
+        stages of :mod:`repro.core.readpath`; what lives here is serving
+        policy — which devices the breaker board lets a request touch,
+        what a dead device costs to discover, and hedging.
+        """
+        num_ssds = self.system.num_ssds
+        page_bytes = self.layout.page_bytes
+        devices = miss_pages % num_ssds
+        array = self.stack.advance(start_s)
+        active, stale = self.stack.device_masks()
         timeout_s = 0.0
         stamp = self.tracer is not None and self.tracer.want_request_detail
 
         def reroute(pages_subset: np.ndarray, device: int) -> None:
             """Send pages away from ``device``: replica first, mirror last."""
-            nonlocal n_storage, n_fallback, extra_reads
-            if self.storage_ha is None or len(pages_subset) == 0:
-                n_fallback += len(pages_subset)
-                if stamp and len(pages_subset):
+            n_pages = len(pages_subset)
+            if self.storage_ha is None or n_pages == 0:
+                counters.fallback_requests += n_pages
+                counters.fallback_bytes += n_pages * page_bytes
+                if stamp and n_pages:
                     self.tracer.instant(
                         "fallback.mirror",
                         "cpu.buffer",
                         at_s=start_s,
                         device=device,
-                        pages=len(pages_subset),
+                        pages=n_pages,
                     )
                 return
             avoid = ~(active & ~stale)
             avoid[device] = True
-            out = self.storage_ha.redirect(pages_subset, avoid=avoid)
-            n_storage += out.n_storage
-            extra_reads += out.extra_service_reads
-            counters.replica_redirects += out.n_replica
-            counters.parity_reconstructs += out.n_reconstruct
-            counters.reconstruct_reads += out.reconstruct_reads
-            n_fallback += out.n_lost
+            out = readpath.route(
+                self.stack, pages_subset, counters, avoid=avoid
+            )
             if stamp:
                 self.tracer.instant(
                     "ha.redirect",
                     HA_TRACK,
                     at_s=start_s,
                     device=device,
-                    pages=len(pages_subset),
+                    pages=n_pages,
                     replica=out.n_replica,
                     reconstruct=out.n_reconstruct,
                     lost=out.n_lost,
@@ -620,48 +558,39 @@ class InferenceServer:
                 if breaker is not None:
                     breaker.record(n_probe, 0, start_s, self.tracer)
             else:
-                n_storage += n_probe
+                counters.storage_requests += n_probe
+                counters.storage_bytes += n_probe * page_bytes
                 if breaker is not None:
                     breaker.record(n_probe, 0, start_s, self.tracer)
 
-        array = self.fault_array if self.fault_array is not None else self.ssd
+        n_storage = counters.storage_requests
         latency = timeout_s
         base = 0.0
         if n_storage:
-            retries = 0
-            backoff_s = 0.0
-            unrecovered = 0
-            spike_extra = 0.0
+            fault, n_spiked = readpath.charge(self.stack, [counters])
+            spike_s = 0.0
             if self.faults is not None:
-                outcome = self.faults.resolve_batch(n_storage)
-                retries = outcome.retries
-                backoff_s = outcome.backoff_s
-                unrecovered = outcome.unrecovered
-                counters.storage_retries += retries
-                counters.injected_faults += outcome.injected_failures
-                if outcome.timed_out:
-                    counters.retry_timeouts += 1
-                n_spiked = self.faults.spike_count(n_storage)
-                if n_spiked:
-                    spike_extra = array.tail_extra_time(n_spiked)
-                    counters.latency_spikes += n_spiked
-                if stamp and (retries or unrecovered):
+                spike_s = array.tail_extra_time(n_spiked)
+                if stamp and (fault.retries or fault.unrecovered):
                     self.tracer.instant(
                         "retry",
                         "faults",
                         at_s=start_s + timeout_s,
-                        retries=retries,
-                        backoff_s=backoff_s,
-                        unrecovered=unrecovered,
+                        retries=fault.retries,
+                        backoff_s=fault.backoff_s,
+                        unrecovered=fault.unrecovered,
                     )
-            n_served = n_storage - unrecovered
-            n_fallback += unrecovered
-            base = array.batch_service_time(n_served + retries + extra_reads)
-            latency += base + backoff_s + spike_extra
-            counters.storage_requests += n_served
-            counters.storage_bytes += (
-                n_served + extra_reads
-            ) * self.layout.page_bytes
+            # A read that exhausted its retries never completed on the
+            # device: the server neither counts it as a storage request
+            # nor charges it a service slot.
+            counters.storage_requests -= fault.unrecovered
+            base = array.batch_service_time(
+                counters.storage_requests
+                + fault.retries
+                + counters.reconstruct_reads
+                - counters.parity_reconstructs
+            )
+            latency += base + fault.backoff_s + spike_s
 
         if self.hedge is not None and n_storage:
             hedged = self.hedge.maybe_hedge(latency, base)
@@ -674,16 +603,9 @@ class InferenceServer:
                 )
             latency = hedged
 
-        counters.fallback_requests += n_fallback
-        counters.fallback_bytes += n_fallback * self.layout.page_bytes
-        if self.storage_ha is not None:
-            # Rebuild rides the idle IOPS left behind by this request's
-            # storage window — no modeled-time cost, traffic only.
-            sweep = self.storage_ha.background_sweep(
-                latency, start_s + latency
-            )
-            if sweep is not None and sweep.pages_rebuilt:
-                counters.rebuild_pages += sweep.pages_rebuilt
+        # Rebuild rides the idle IOPS left behind by this request's
+        # storage window.
+        self.stack.rebuild_sweep(latency, start_s + latency, counters)
         return latency
 
     # ------------------------------------------------------------------

@@ -128,14 +128,25 @@ class StorageHA:
     # ------------------------------------------------------------------
     # Routing
 
-    def route(self, pages: np.ndarray) -> HARouteOutcome:
-        """Route one batch of miss pages through the redundancy layout."""
+    def route(
+        self, pages: np.ndarray, *, avoid: np.ndarray | None = None
+    ) -> HARouteOutcome:
+        """Route one batch of miss pages through the redundancy layout.
+
+        ``avoid`` marks devices the caller forbids beyond what the fault
+        timeline says — the serving path's breaker board: an open breaker
+        is a routing decision, not a device state.
+        """
         pages = np.asarray(pages, dtype=np.int64)
         n = len(pages)
         if n == 0:
             return HARouteOutcome(lost_mask=np.zeros(0, dtype=bool))
         avail, prefer = self._availability()
-        if prefer.all():
+        if avoid is not None:
+            avoid = np.asarray(avoid, dtype=bool)
+            avail = avail & ~avoid
+            prefer = prefer & ~avoid
+        elif prefer.all():
             return HARouteOutcome(
                 n_direct=n, lost_mask=np.zeros(n, dtype=bool)
             )
@@ -202,35 +213,6 @@ class StorageHA:
             "n_lost": int(lost.sum()),
             "lost": lost,
         }
-
-    def redirect(self, pages: np.ndarray, *, avoid: np.ndarray) -> HARouteOutcome:
-        """Route ``pages`` away from devices marked in ``avoid``.
-
-        Serving-path hook: the breaker board forbids devices beyond what
-        the fault timeline says (an open breaker is a routing decision,
-        not a device state), so the caller passes the full forbidden set.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        avoid = np.asarray(avoid, dtype=bool)
-        avail, prefer = self._availability()
-        avail = avail & ~avoid
-        prefer = prefer & ~avoid
-        primary = self.placement.primary_device(pages)
-        direct = prefer[primary]
-        rest = pages[~direct]
-        outcome = self._route_rest(rest, avail, prefer)
-        lost_mask = np.zeros(len(pages), dtype=bool)
-        if outcome["lost"] is not None:
-            lost_mask[np.flatnonzero(~direct)[outcome["lost"]]] = True
-        return HARouteOutcome(
-            n_direct=int(direct.sum()) + outcome["extra_direct"],
-            n_replica=outcome["replica"],
-            n_reconstruct=outcome["reconstruct"],
-            reconstruct_reads=outcome["reconstruct"]
-            * self.placement.reconstruct_reads_per_page,
-            n_lost=outcome["n_lost"],
-            lost_mask=lost_mask,
-        )
 
     def unrepairable_count(self, pages: np.ndarray) -> int:
         """Pages with no live copy and no reconstruction path right now."""

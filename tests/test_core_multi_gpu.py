@@ -1,14 +1,12 @@
-"""Unit tests for the multi-GPU data-parallel extension."""
+"""Unit tests for the data-parallel sharding and contention helpers."""
 
 import numpy as np
 import pytest
 
-from repro.config import INTEL_OPTANE, LoaderConfig, SystemConfig
+from repro.config import INTEL_OPTANE
 from repro.core.multi_gpu import (
-    MultiGPUTrainer,
     contended_ssd,
     partition_shards,
-    scaling_study,
     shard_train_ids,
 )
 from repro.errors import ConfigError
@@ -137,82 +135,3 @@ class TestContendedSSD:
     def test_invalid(self):
         with pytest.raises(ConfigError):
             contended_ssd(INTEL_OPTANE, 0)
-
-
-class TestMultiGPUTrainer:
-    @pytest.fixture
-    def setup(self, small_dataset):
-        system = SystemConfig(
-            ssd=INTEL_OPTANE,
-            cpu_memory_limit_bytes=small_dataset.total_bytes * 0.5,
-        )
-        config = LoaderConfig(
-            gpu_cache_bytes=small_dataset.feature_data_bytes * 0.02
-        )
-        return small_dataset, system, config
-
-    def test_run_shape(self, setup):
-        dataset, system, config = setup
-        trainer = MultiGPUTrainer(
-            dataset, system, config, num_gpus=2,
-            batch_size=16, fanouts=(4, 4),
-        )
-        result = trainer.run(5, warmup=2)
-        assert result.num_gpus == 2
-        assert len(result.per_gpu_reports) == 2
-        assert result.total_iterations == 10
-        assert result.epoch_time == max(
-            r.e2e_time for r in result.per_gpu_reports
-        )
-
-    def test_gpus_train_on_disjoint_shards(self, setup):
-        dataset, system, config = setup
-        trainer = MultiGPUTrainer(
-            dataset, system, config, num_gpus=2,
-            batch_size=16, fanouts=(4, 4),
-        )
-        a = trainer.loaders[0].dataset.train_ids
-        b = trainer.loaders[1].dataset.train_ids
-        assert len(np.intersect1d(a, b)) == 0
-
-    def test_storage_bound_scaling_is_sublinear(self, setup):
-        """With caches disabled every request hits the shared SSD, so two
-        GPUs gain less than 2x fleet throughput — the contention the
-        paper's Section 5 alludes to."""
-        dataset, system, _ = setup
-        bare = LoaderConfig(
-            gpu_cache_bytes=0.0,
-            cpu_buffer_fraction=0.0,
-            window_depth=0,
-            accumulator_enabled=False,
-        )
-        results = scaling_study(
-            dataset, system, bare,
-            gpu_counts=(1, 2), iterations_per_gpu=8,
-            batch_size=48, fanouts=(8, 8),
-        )
-        ratio = results[2].throughput / results[1].throughput
-        assert 1.0 <= ratio < 1.95
-
-    def test_cached_scaling_can_exceed_storage_bound(self, setup):
-        """With per-GPU caches, smaller shards recycle their working set
-        sooner, so data-parallel sharding can scale better than the raw
-        storage share suggests."""
-        dataset, system, config = setup
-        results = scaling_study(
-            dataset, system, config,
-            gpu_counts=(1, 2), iterations_per_gpu=8,
-            batch_size=24, fanouts=(5, 5),
-        )
-        assert results[2].throughput >= results[1].throughput * 0.95
-
-    def test_invalid_args(self, setup):
-        dataset, system, config = setup
-        with pytest.raises(ConfigError):
-            MultiGPUTrainer(dataset, system, config, num_gpus=0)
-        trainer = MultiGPUTrainer(
-            dataset, system, config, num_gpus=2, batch_size=16,
-            fanouts=(4,),
-        )
-        with pytest.raises(ConfigError):
-            trainer.run(0)

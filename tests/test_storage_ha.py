@@ -499,7 +499,7 @@ class TestStorageHARouting:
         ha.advance(0.5)
         avoid = np.array([True, False, False, False])
         pages = np.arange(200, dtype=np.int64)
-        out = ha.redirect(pages, avoid=avoid)
+        out = ha.route(pages, avoid=avoid)
         assert out.n_replica == 50  # pages homed on the avoided device
         assert out.n_direct == 150
         assert out.n_lost == 0
