@@ -16,6 +16,7 @@ from ..errors import SamplingError
 from ..graph.csr import CSRGraph
 from ..graph.partition import PartitionResult
 from ..utils import as_rng
+from .frontier import check_edge_keys, row_positions, unique_edges
 from .minibatch import MiniBatch, SampledLayer
 
 
@@ -57,6 +58,7 @@ class ClusterSampler:
             train_mask = np.asarray(train_mask, dtype=bool)
             if train_mask.shape != (graph.num_nodes,):
                 raise SamplingError("train_mask must cover every node")
+        check_edge_keys(graph.num_nodes)
         self.graph = graph
         self.partition = partition
         self.clusters_per_batch = clusters_per_batch
@@ -116,24 +118,7 @@ class ClusterSampler:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         dst = np.repeat(nodes, degrees)
-        gather = np.repeat(starts, degrees) + _run_offsets(degrees)
-        src = graph.indices[gather]
+        src = graph.indices[row_positions(starts, degrees)]
         keep = in_batch[src]
-        src = src[keep]
-        dst = dst[keep]
-        if len(src):
-            keys = dst * np.int64(graph.num_nodes) + src
-            _, unique_idx = np.unique(keys, return_index=True)
-            src = src[unique_idx]
-            dst = dst[unique_idx]
-        return src, dst
-
-
-def _run_offsets(run_lengths: np.ndarray) -> np.ndarray:
-    """``[0..r0-1, 0..r1-1, ...]`` for the given run lengths."""
-    total = int(run_lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.zeros(len(run_lengths), dtype=np.int64)
-    np.cumsum(run_lengths[:-1], out=starts[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, run_lengths)
+        keys = dst[keep] * graph.num_nodes + src[keep]
+        return unique_edges(keys, graph.num_nodes)

@@ -18,7 +18,13 @@ import numpy as np
 from ..errors import SamplingError
 from ..graph.hetero import HeteroGraph
 from ..utils import as_rng
-from .minibatch import MiniBatch, SampledLayer
+from .frontier import (
+    check_edge_keys,
+    row_positions,
+    sample_blocks,
+    unique_edges,
+)
+from .minibatch import MiniBatch
 
 
 class HeteroNeighborSampler:
@@ -42,6 +48,7 @@ class HeteroNeighborSampler:
     ) -> None:
         if len(fanouts) == 0:
             raise SamplingError("fanouts must contain at least one layer")
+        check_edge_keys(hetero.csr.num_nodes)
         self.hetero = hetero
         self.graph = hetero.csr
         self._rng = as_rng(seed)
@@ -81,26 +88,8 @@ class HeteroNeighborSampler:
 
     def sample(self, seeds: np.ndarray) -> MiniBatch:
         """Sample a typed computational graph for one batch of seeds."""
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        if len(seeds) == 0:
-            raise SamplingError("seed set must not be empty")
-        if seeds.min() < 0 or seeds.max() >= self.graph.num_nodes:
-            raise SamplingError("seed ids out of range for this graph")
-
-        layers: list[SampledLayer] = []
-        frontier = seeds
-        num_sampled = len(seeds)
-        for caps in self._layer_caps:
-            src, dst = self._sample_layer(frontier, caps)
-            layers.append(SampledLayer(src=src, dst=dst))
-            num_sampled += len(src)
-            frontier = np.unique(np.concatenate([frontier, src]))
-        layers.reverse()
-        return MiniBatch(
-            seeds=seeds,
-            layers=tuple(layers),
-            input_nodes=frontier,
-            num_sampled=num_sampled,
+        return sample_blocks(
+            self.graph, seeds, self._layer_caps, self._sample_layer
         )
 
     def _sample_layer(
@@ -123,8 +112,7 @@ class HeteroNeighborSampler:
             return empty, empty
 
         dst_all = np.repeat(frontier, degrees)
-        gather = np.repeat(starts, degrees) + _run_offsets(degrees)
-        src_all = graph.indices[gather]
+        src_all = graph.indices[row_positions(starts, degrees)]
         src_types = self.hetero.type_of(src_all)
 
         # Shuffle edges once; then a stable sort by (dst, type) makes each
@@ -149,21 +137,5 @@ class HeteroNeighborSampler:
         rank = np.arange(total) - group_starts[group_ids]
 
         keep = rank < caps[type_sorted]
-        src = src_sorted[keep]
-        dst = dst_sorted[keep]
-        if len(src):
-            keys = dst * np.int64(graph.num_nodes) + src
-            _, unique_idx = np.unique(keys, return_index=True)
-            src = src[unique_idx]
-            dst = dst[unique_idx]
-        return src, dst
-
-
-def _run_offsets(run_lengths: np.ndarray) -> np.ndarray:
-    """``[0..r0-1, 0..r1-1, ...]`` for the given run lengths."""
-    total = int(run_lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.zeros(len(run_lengths), dtype=np.int64)
-    np.cumsum(run_lengths[:-1], out=starts[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, run_lengths)
+        keys = dst_sorted[keep] * graph.num_nodes + src_sorted[keep]
+        return unique_edges(keys, graph.num_nodes)

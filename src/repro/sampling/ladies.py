@@ -18,7 +18,8 @@ import numpy as np
 
 from ..errors import SamplingError
 from ..graph.csr import CSRGraph
-from ..utils import as_rng
+from ..utils import as_rng, sorted_unique
+from .frontier import checked_seeds, row_positions
 from .minibatch import MiniBatch, SampledLayer
 
 
@@ -55,11 +56,7 @@ class LadiesSampler:
 
     def sample(self, seeds: np.ndarray) -> MiniBatch:
         """Sample a layered computational graph for one batch of seeds."""
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        if len(seeds) == 0:
-            raise SamplingError("seed set must not be empty")
-        if seeds.min() < 0 or seeds.max() >= self.graph.num_nodes:
-            raise SamplingError("seed ids out of range for this graph")
+        seeds = checked_seeds(self.graph, seeds)
 
         layers: list[SampledLayer] = []
         current = seeds
@@ -72,8 +69,8 @@ class LadiesSampler:
             all_nodes.append(chosen)
             # LADIES keeps the seed/previous nodes in the next layer so the
             # self path survives; the next layer conditions on both.
-            current = np.unique(np.concatenate([current, chosen]))
-        input_nodes = np.unique(np.concatenate(all_nodes))
+            current = sorted_unique(np.concatenate([current, chosen]))
+        input_nodes = sorted_unique(np.concatenate(all_nodes))
         layers.reverse()
         return MiniBatch(
             seeds=seeds,
@@ -100,8 +97,7 @@ class LadiesSampler:
             return empty, empty, empty
 
         dst_all = np.repeat(layer_nodes, degrees)
-        gather = np.repeat(starts, degrees) + _run_offsets(degrees)
-        src_all = graph.indices[gather]
+        src_all = graph.indices[row_positions(starts, degrees)]
 
         # Importance of candidate u: sum over layer nodes v it feeds of
         # (1/deg(v))^2 — the squared column norm of the row-normalized
@@ -119,13 +115,3 @@ class LadiesSampler:
 
         keep = np.isin(src_all, chosen)
         return chosen, src_all[keep], dst_all[keep]
-
-
-def _run_offsets(run_lengths: np.ndarray) -> np.ndarray:
-    """``[0..r0-1, 0..r1-1, ...]`` for the given run lengths."""
-    total = int(run_lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.zeros(len(run_lengths), dtype=np.int64)
-    np.cumsum(run_lengths[:-1], out=starts[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, run_lengths)

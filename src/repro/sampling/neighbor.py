@@ -5,12 +5,14 @@ selected uniformly at random; the union of the frontier and the sampled
 neighbors becomes the frontier of the next (lower) layer, exactly like DGL's
 ``MultiLayerNeighborSampler`` blocks.
 
-Vectorization note: for nodes whose degree exceeds the fanout we draw with
-replacement and deduplicate the resulting edges.  For high-degree nodes the
-collision probability is negligible, and for low-degree nodes (degree <=
-fanout) the full neighbor list is taken, so the sampled subgraph matches the
-"up to k distinct neighbors" semantics of GraphSAGE in all but a vanishing
-fraction of draws.
+What a layer does: rows whose degree is at most the fanout contribute their
+whole neighbor list; every other row contributes ``fanout`` draws *with
+replacement*.  Both kinds become ``dst * num_nodes + src`` keys in one
+array, which is sorted once; dropping adjacent equal keys removes repeated
+draws and the generator's multi-edges together, and the surviving keys
+decode to a block in ``(dst, src)`` order.  For high-degree rows the
+collision probability is negligible, so the block matches GraphSAGE's "up
+to k distinct neighbors" in all but a vanishing fraction of draws.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ import numpy as np
 from ..errors import SamplingError
 from ..graph.csr import CSRGraph
 from ..utils import as_rng
-from .minibatch import MiniBatch, SampledLayer
+from .frontier import (
+    check_edge_keys,
+    row_positions,
+    sample_blocks,
+    unique_edges,
+)
+from .minibatch import MiniBatch
 
 
 class NeighborSampler:
@@ -45,6 +53,7 @@ class NeighborSampler:
             raise SamplingError("fanouts must contain at least one layer")
         if any(f <= 0 for f in fanouts):
             raise SamplingError(f"fanouts must be positive, got {fanouts}")
+        check_edge_keys(graph.num_nodes)
         self.graph = graph
         self.fanouts = tuple(int(f) for f in fanouts)
         self._rng = as_rng(seed)
@@ -55,28 +64,8 @@ class NeighborSampler:
 
     def sample(self, seeds: np.ndarray) -> MiniBatch:
         """Sample the computational graph for one batch of seed nodes."""
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        if len(seeds) == 0:
-            raise SamplingError("seed set must not be empty")
-        if seeds.min() < 0 or seeds.max() >= self.graph.num_nodes:
-            raise SamplingError("seed ids out of range for this graph")
-
-        layers: list[SampledLayer] = []
-        frontier = seeds
-        num_sampled = len(seeds)
-        for fanout in self.fanouts:
-            src, dst = self._sample_layer(frontier, fanout)
-            layers.append(SampledLayer(src=src, dst=dst))
-            num_sampled += len(src)
-            frontier = np.unique(np.concatenate([frontier, src]))
-        input_nodes = frontier
-        # The GNN consumes layers input-first; we sampled seeds-first.
-        layers.reverse()
-        return MiniBatch(
-            seeds=seeds,
-            layers=tuple(layers),
-            input_nodes=input_nodes,
-            num_sampled=num_sampled,
+        return sample_blocks(
+            self.graph, seeds, self.fanouts, self._sample_layer
         )
 
     def _sample_layer(
@@ -84,57 +73,27 @@ class NeighborSampler:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sample up to ``fanout`` in-neighbors of every frontier node."""
         graph = self.graph
+        num_nodes = graph.num_nodes
         starts = graph.indptr[frontier]
         degrees = graph.indptr[frontier + 1] - starts
+        key_base = frontier * num_nodes
 
-        small = degrees <= fanout
         # Low-degree nodes contribute their full neighbor list.
-        small_nodes = frontier[small]
+        is_big = degrees > fanout
+        small = np.flatnonzero(~is_big)
         small_deg = degrees[small]
-        if small_nodes.size:
-            small_dst = np.repeat(small_nodes, small_deg)
-            offsets = _run_offsets(small_deg)
-            small_src = graph.indices[
-                np.repeat(starts[small], small_deg) + offsets
-            ]
-        else:
-            small_dst = np.empty(0, dtype=np.int64)
-            small_src = np.empty(0, dtype=np.int64)
+        positions = row_positions(starts[small], small_deg)
+        keys = np.repeat(key_base[small], small_deg)
 
         # High-degree nodes: fanout draws with replacement, dedup after.
-        big_nodes = frontier[~small]
-        if big_nodes.size:
-            big_deg = degrees[~small]
+        big = np.flatnonzero(is_big)
+        if big.size:
             picks = self._rng.integers(
-                0, big_deg[:, None], size=(len(big_nodes), fanout)
+                0, degrees[big][:, None], size=(len(big), fanout)
             )
-            big_src = graph.indices[(starts[~small][:, None] + picks).ravel()]
-            big_dst = np.repeat(big_nodes, fanout)
-            keys = big_dst * np.int64(graph.num_nodes) + big_src
-            _, unique_idx = np.unique(keys, return_index=True)
-            big_src = big_src[unique_idx]
-            big_dst = big_dst[unique_idx]
-        else:
-            big_src = np.empty(0, dtype=np.int64)
-            big_dst = np.empty(0, dtype=np.int64)
+            picks += starts[big][:, None]
+            positions = np.concatenate([positions, picks.ravel()])
+            keys = np.concatenate([keys, np.repeat(key_base[big], fanout)])
 
-        src = np.concatenate([small_src, big_src])
-        dst = np.concatenate([small_dst, big_dst])
-        if len(src):
-            # The generator may produce multi-edges; a sampled block carries
-            # each (dst, src) pair at most once, like DGL's blocks.
-            keys = dst * np.int64(graph.num_nodes) + src
-            _, unique_idx = np.unique(keys, return_index=True)
-            src = src[unique_idx]
-            dst = dst[unique_idx]
-        return src, dst
-
-
-def _run_offsets(run_lengths: np.ndarray) -> np.ndarray:
-    """``[0..r0-1, 0..r1-1, ...]`` for the given run lengths."""
-    total = int(run_lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.zeros(len(run_lengths), dtype=np.int64)
-    np.cumsum(run_lengths[:-1], out=starts[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, run_lengths)
+        keys += graph.indices[positions]
+        return unique_edges(keys, num_nodes)

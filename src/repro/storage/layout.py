@@ -15,7 +15,7 @@ import numpy as np
 
 from ..config import PAGE_BYTES
 from ..errors import ConfigError
-from ..utils import ceil_div
+from ..utils import ceil_div, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class PageLayout:
         ):
             # Aligned fast path: a page holds a whole number of vectors.
             per_page = self.page_bytes // self.feature_bytes
-            return np.unique(node_ids // per_page)
+            return sorted_unique(node_ids // per_page)
         # General byte-range mapping: a vector may straddle a page boundary
         # (e.g. 3072 B features on 4 KB pages) or span several pages.
         start = node_ids * self.feature_bytes
@@ -85,7 +85,7 @@ class PageLayout:
         offsets = np.arange(max_span, dtype=np.int64)
         candidates = first[:, None] + offsets[None, :]
         valid = candidates <= last[:, None]
-        return np.unique(candidates[valid])
+        return sorted_unique(candidates[valid])
 
     def first_page_of(self, node_ids: np.ndarray) -> np.ndarray:
         """First page of each node (per-node, not deduplicated)."""

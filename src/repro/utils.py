@@ -1,4 +1,4 @@
-"""Small shared helpers: RNG normalization and human-readable formatting."""
+"""Small shared helpers: RNG normalization, sorted sets, readable formatting."""
 
 from __future__ import annotations
 
@@ -130,6 +130,25 @@ def splitmix64_uniform(values: np.ndarray, salt: int = 0) -> np.ndarray:
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return (x >> np.uint64(40)).astype(np.float64) / float(1 << 24)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D integer array, always a new array.
+
+    Equal to ``np.unique(values)`` without its hash table: the sort is
+    skipped when the input is already non-decreasing (a grown frontier, the
+    page ids of sorted nodes), and duplicates go with one adjacent-compare
+    mask.
+    """
+    values = np.asarray(values)
+    if len(values) < 2:
+        return values.copy()
+    if not (values[1:] >= values[:-1]).all():
+        values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -1,6 +1,8 @@
 """Unit tests for the checkpoint subsystem: snapshots, store, state dicts."""
 
 import os
+import pickle
+import zlib
 
 import numpy as np
 import pytest
@@ -41,6 +43,46 @@ class TestSnapshotFormat:
         path = str(tmp_path / "snap.bin")
         write_snapshot(path, {"x": 1})
         assert os.listdir(tmp_path) == ["snap.bin"]
+
+    def test_streamed_bytes_equal_header_plus_pickle_dumps(self, tmp_path):
+        """Streaming changed how the file is produced, not the file."""
+        rng = np.random.default_rng(0)
+        payload = {
+            # above pickle's 64 KiB frame size: written as PickleBuffer
+            # chunks, 2-D / Fortran / strided so ``len`` != byte length
+            "matrix": rng.random((300, 200)),
+            "fortran": np.asfortranarray(rng.random((200, 300))),
+            "strided": rng.random((400, 400))[::2, ::3],
+            "ids": np.arange(200_000),
+            "small": np.arange(5, dtype=np.int8),
+            "text": "x" * 100_000,
+            "nested": {"raw": [b"b" * 70_000, bytearray(b"q" * 80_000)]},
+        }
+        path = str(tmp_path / "snap.bin")
+        written = write_snapshot(path, payload)
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        header = _HEADER.pack(
+            SNAPSHOT_MAGIC, SNAPSHOT_VERSION, zlib.crc32(body), len(body)
+        )
+        assert open(path, "rb").read() == header + body
+        assert written == len(header) + len(body)
+        np.testing.assert_array_equal(
+            read_snapshot(path)["strided"], payload["strided"]
+        )
+
+    def test_unpicklable_payload_leaves_nothing_behind(self, tmp_path):
+        class Unpicklable:
+            def __reduce__(self):
+                raise RuntimeError("no")
+
+        path = str(tmp_path / "snap.bin")
+        write_snapshot(path, {"x": 1})
+        # The large array is on disk before the reducer fails mid-stream.
+        payload = {"big": np.arange(1_000_000), "bad": Unpicklable()}
+        with pytest.raises(CheckpointError, match="not picklable"):
+            write_snapshot(path, payload)
+        assert os.listdir(tmp_path) == ["snap.bin"]
+        assert read_snapshot(path) == {"x": 1}
 
     def test_detects_truncation(self, tmp_path):
         path = str(tmp_path / "snap.bin")

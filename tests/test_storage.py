@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError, StorageError
 from repro.storage.feature_store import FeatureStore
@@ -51,6 +52,28 @@ class TestPageLayout:
         layout = PageLayout(num_nodes=100, feature_bytes=8192)
         pages = layout.pages_for_nodes(np.array([0, 1]))
         assert list(pages) == [0, 1, 2, 3]
+
+    @given(
+        # aligned (8 per page), exact fit, straddling, multi-page, and a
+        # multi-page size that is not a whole number of pages
+        feature_bytes=st.sampled_from([512, 4096, 3072, 8192, 10000]),
+        nodes=st.lists(st.integers(0, 199), max_size=50),
+        presorted=st.booleans(),
+    )
+    def test_pages_for_nodes_is_the_union_of_byte_ranges(
+        self, feature_bytes, nodes, presorted
+    ):
+        layout = PageLayout(num_nodes=200, feature_bytes=feature_bytes)
+        if presorted:
+            nodes = sorted(nodes)
+        want = set()
+        for node in nodes:
+            first = node * feature_bytes // layout.page_bytes
+            last = ((node + 1) * feature_bytes - 1) // layout.page_bytes
+            want.update(range(first, last + 1))
+        pages = layout.pages_for_nodes(np.array(nodes, dtype=np.int64))
+        assert pages.dtype == np.int64
+        assert pages.tolist() == sorted(want)
 
     def test_pages_for_nodes_empty(self):
         layout = PageLayout(num_nodes=10, feature_bytes=4096)

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ConfigError
-from repro.utils import as_rng, ceil_div, format_bytes, format_rate, format_time
+from repro.utils import (
+    as_rng,
+    ceil_div,
+    format_bytes,
+    format_rate,
+    format_time,
+    sorted_unique,
+)
 
 
 class TestAsRng:
@@ -137,3 +146,44 @@ class TestCeilDiv:
     def test_negative_dividend_rejected(self):
         with pytest.raises(ConfigError):
             ceil_div(-1, 4)
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [1, 2, 3, 9],  # already sorted and distinct: nothing to do
+            [1, 1, 2, 2, 2, 9],  # sorted with repeats: mask only
+            [4, 4, 4, 4],
+            [9, 1, 4, 1, 9, 0],
+            [3, 2, 1],
+            [-5, 2, -5, 0],
+        ],
+    )
+    def test_matches_np_unique(self, values, dtype):
+        array = np.array(values, dtype=dtype)
+        before = array.copy()
+        got = sorted_unique(array)
+        np.testing.assert_array_equal(got, np.unique(array))
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(array, before)
+        assert not np.shares_memory(got, array)
+
+    @given(
+        hnp.arrays(
+            dtype=st.sampled_from([np.int32, np.int64]),
+            shape=st.integers(0, 60),
+            elements=st.integers(-20, 20),
+        ),
+        st.booleans(),
+    )
+    def test_property_matches_np_unique(self, array, presorted):
+        if presorted:
+            array = np.sort(array)
+        got = sorted_unique(array)
+        want = np.unique(array)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
