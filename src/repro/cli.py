@@ -1,84 +1,47 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+:data:`COMMANDS` is the command table — one entry per subcommand with
+its one-line help, its argument declarations and its handler — and
+``repro --help`` / ``repro <command> --help`` print it.  The five
+workload commands (``run``, ``train``, ``fleet``, ``fullgraph``,
+``serve``) share one run lifecycle, :class:`RunContext`; the read-only
+and storage commands are plain functions of their arguments.
 
-* ``datasets`` — print the dataset registry (Tables 2-3).
-* ``run`` — run one or all dataloaders on a scaled workload and print a
-  comparison (optionally JSON/CSV); ``--fault-plan plan.json`` injects
-  storage faults and reports the retry/fallback counters;
-  ``--checkpoint-dir`` switches to a supervised, crash-safe functional
-  training run (with ``--checkpoint-every`` cadence and ``--resume``).
-* ``figure`` — regenerate one paper figure/table by name.
-* ``train`` — functional GraphSAGE training through the GIDS loader, with
-  the same supervised checkpoint/resume flags.
-* ``serve`` — overload-protected online inference in modeled time: a
-  seeded open-loop arrival process (``--shape poisson|diurnal|bursty``)
-  drives per-request sample→fetch→aggregate through admission control,
-  priority load shedding, per-device circuit breakers, hedged reads and
-  brownout degradation (``--no-protection`` disables all five layers;
-  ``-o out.json`` writes the schema-v11 serving export).
-* ``trace`` — render a saved Chrome-trace JSON as an ASCII timeline;
-  ``--request <id>`` renders one request's causal chain instead
-  (``--request list`` enumerates the stamped trace ids).
-* ``top`` — render the latest line of a ``--stream`` snapshot JSONL as
-  a terminal frame, busiest counters first (``--follow`` to keep
-  refreshing).
-* ``profile`` — run a bench experiment under the simulator
-  self-profiler and report wall-clock seconds per modeled subsystem vs
-  modeled time (ROADMAP item 4; feeds ``BENCH_sim_overhead.json``).
-* ``ssd-model`` — print the Eq. 2-3 bandwidth model for an SSD.
-* ``scrub`` — sweep a workload's feature pages against their digests,
-  repairing storm-poisoned pages from the ground-truth store.
-* ``faults validate`` — parse a FaultPlan JSON, cross-check its event
-  windows against a planned iteration count and summarize it per device
-  (exit 0 when valid, 2 when not).
-* ``analyze`` — bottleneck attribution for a saved report JSON:
-  per-resource achieved-vs-peak utilization, a roofline-style verdict
-  naming the binding bottleneck, and the Eq. 2-3 what-if table.
-* ``compare`` — regression gate between two report JSONs (or one report
-  and a run history's noise band): per-metric deltas and a
-  regression/improvement/neutral verdict.  Exit 0 on neutral or
-  improvement, 3 on regression, 2 on malformed input.
-* ``history record`` / ``history list`` — append report summaries to the
-  local JSONL run history (keyed by config fingerprint + git revision)
-  and inspect the recorded trends.
-
-Analysis subcommands share exit-code conventions: 0 success, 1 runtime
-error, 2 malformed/unsupported input, and 3 (``compare`` only) a
-regression verdict.
-
-``run`` and ``train`` accept ``--verify-reads off|sample|full`` and
-``--scrub-iops N`` to enable the integrity layer (digest verification of
-storage-served pages, bounded re-read repair, quarantine and background
-scrubbing); a malformed ``--fault-plan`` file exits with status 2 and a
-one-line message.
-
-``run`` and ``train`` accept ``--trace out.json`` (plus ``--trace-detail
-stage|request``) to record the run's modeled-time telemetry as a Chrome
-trace-event file, loadable in ``chrome://tracing`` / Perfetto or rendered
-with the ``trace`` subcommand, and ``--alerts rules.json`` to evaluate
-declarative SLO rules against the finished run (fired rules print to
-stderr, land in the JSON export's ``alerts`` block and — when tracing —
-as instants on the ``alerts`` track).  ``repro --version`` prints the
-package version.
-
-The mission-control flags ride every workload command (``run``,
-``train``, ``serve``, ``fleet``, ``fullgraph``): ``--trace-cap N``
-bounds recorded events (drops are counted in
-``telemetry.dropped_events``), ``--stream snap.jsonl`` /
-``--prom metrics.prom`` / ``--snapshot-every S`` emit live modeled-time
-metric snapshots, and ``--blackbox box.json`` dumps the flight
-recorder's recent-event ring on a simulated crash, a fired SLO rule, or
-a violated fleet invariant.  See ``docs/OBSERVABILITY.md``.
+Which flags bring which plane up, the order of the end-of-run epilogue
+and the 0/1/2/3 exit-code contract are written down once, in
+``docs/API.md`` ("Run lifecycle and exit codes"); the telemetry flags
+are described in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
+import os
 import sys
+from typing import NoReturn
 
 from .bench.tables import render_table
+from .bench.workloads import get_workload
+from .checkpoint import CheckpointStore
 from .config import INTEL_OPTANE, SAMSUNG_980PRO, SSDSpec
+from .errors import (
+    ConfigError,
+    FaultError,
+    FaultPlanError,
+    ObservatoryError,
+    ReproError,
+)
+from .faults import FaultPlan
+from .observatory import SLOMonitor, load_alert_rules
+from .pipeline.export import EXPORT_SCHEMA_VERSION, observability_block
+from .telemetry import (
+    FlightRecorder,
+    MetricsSnapshotter,
+    Tracer,
+    write_chrome_trace,
+)
 from .utils import package_version
 
 _SSDS: dict[str, SSDSpec] = {
@@ -86,26 +49,57 @@ _SSDS: dict[str, SSDSpec] = {
     "980pro": SAMSUNG_980PRO,
 }
 
-#: figure/table name -> experiment function name in repro.bench.experiments.
-_EXPERIMENTS = {
-    "fig03": "fig03_request_rates",
-    "fig05": "fig05_breakdown",
-    "fig07": "fig07_sampling",
-    "fig08": "fig08_ssd_model",
-    "fig09": "fig09_accumulator",
-    "fig10": "fig10_cpu_buffer",
-    "fig11": "fig11_window_depth",
-    "fig12": "fig12_cache_sizes",
-    "fig13": "fig13_e2e_980pro",
-    "fig14": "fig14_e2e_optane",
-    "fig15": "fig15_ladies",
-    "table01": "table01_config",
-    "table02": "table02_datasets",
-    "table03": "table03_igb_microbench",
-    "table04": "table04_sizes",
-    "ablation-target": "ablation_accumulator_target",
-    "ablation-eviction": "ablation_eviction_policy",
-}
+
+def _fail(message: str) -> NoReturn:
+    """Reject bad input before anything runs: one ``error:`` line, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _dumps(doc) -> str:
+    """Strict, stable JSON: sorted keys, no ``NaN``/``Infinity`` tokens."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+# ----------------------------------------------------------------------
+# Flag families shared by the workload commands
+
+
+def _add_workload_args(
+    parser: argparse.ArgumentParser,
+    *,
+    dataset: str = "IGB-tiny",
+    scale: float | None,
+    ssd: str = "optane",
+    num_ssds: int = 1,
+) -> None:
+    """``--dataset/--scale/--ssd/--num-ssds``: what runs, on which array."""
+    default = "per-dataset" if scale is None else f"{scale:g}"
+    parser.add_argument("--dataset", default=dataset)
+    parser.add_argument("--scale", type=float, default=scale,
+                        help=f"dataset shrink factor (default: {default})")
+    parser.add_argument("--ssd", choices=sorted(_SSDS), default=ssd)
+    parser.add_argument("--num-ssds", type=int, default=num_ssds)
+
+
+def _add_fault_plan_arg(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--fault-plan", metavar="JSON_PATH", default=None, help=help
+    )
+
+
+def _add_export_args(
+    parser: argparse.ArgumentParser, what: str | None = None
+) -> None:
+    """``--format table|json`` and, given ``what`` it holds, ``-o``."""
+    parser.add_argument("--format", choices=["table", "json"],
+                        default="table")
+    if what is not None:
+        parser.add_argument(
+            "-o", "--output", metavar="JSON_PATH", default=None,
+            help=f"also write the schema-v{EXPORT_SCHEMA_VERSION} {what} "
+            "to this file",
+        )
 
 
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -131,7 +125,8 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trace_args(parser: argparse.ArgumentParser) -> None:
+def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
+    """The four surfaces that bring the tracer up, and their knobs."""
     parser.add_argument(
         "--trace",
         metavar="JSON_PATH",
@@ -156,9 +151,6 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
         "past the cap are dropped and counted in the "
         "'telemetry.dropped_events' metric",
     )
-
-
-def _add_stream_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stream",
         metavar="JSONL_PATH",
@@ -209,110 +201,6 @@ def _add_integrity_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_fault_plan(path: str):
-    """Load ``--fault-plan`` or exit 2 with a one-line message."""
-    from .errors import FaultPlanError
-    from .faults import FaultPlan
-
-    try:
-        return FaultPlan.from_json_file(path)
-    except FaultPlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _wants_telemetry(args: argparse.Namespace) -> bool:
-    """True when any tracing/streaming/flight-recorder flag is set."""
-    return any(
-        getattr(args, flag, None) is not None
-        for flag in ("trace", "stream", "prom", "blackbox")
-    )
-
-
-def _make_tracer(args: argparse.Namespace):
-    """Build the tracer behind ``--trace``/``--stream``/``--prom``/
-    ``--blackbox``, or ``None`` when no telemetry surface is requested.
-
-    Streaming and the flight recorder ride the tracer's metrics registry
-    and event feed, so any of the four flags brings the tracer up; only
-    ``--trace`` additionally writes the Chrome trace file at run end.
-    """
-    if not _wants_telemetry(args):
-        return None
-    from .telemetry import Tracer
-
-    kwargs = {}
-    cap = getattr(args, "trace_cap", None)
-    if cap is not None:
-        kwargs["max_events"] = cap
-    return Tracer(
-        enabled=True,
-        detail=args.trace_detail,
-        strict_tracks=True,
-        **kwargs,
-    )
-
-
-def _make_flight(args: argparse.Namespace, tracer):
-    """Arm the flight recorder behind ``--blackbox`` (needs a tracer)."""
-    if tracer is None or getattr(args, "blackbox", None) is None:
-        return None
-    from .telemetry import FlightRecorder
-
-    flight = FlightRecorder()
-    tracer.attach_flight(flight)
-    return flight
-
-
-def _make_snapshotter(args: argparse.Namespace, tracer, source, flight=None):
-    """Build the live-metrics snapshotter behind ``--stream``/``--prom``."""
-    stream = getattr(args, "stream", None)
-    prom = getattr(args, "prom", None)
-    if tracer is None or (stream is None and prom is None):
-        return None
-    if args.snapshot_every <= 0:
-        print("error: --snapshot-every must be positive", file=sys.stderr)
-        raise SystemExit(2)
-    from .telemetry import MetricsSnapshotter
-
-    return MetricsSnapshotter(
-        tracer.metrics,
-        every_s=args.snapshot_every,
-        jsonl_path=stream,
-        prom_path=prom,
-        source=source,
-        flight=flight,
-    )
-
-
-def _finish_snapshots(snapshotter, tracer) -> None:
-    """Take one final snapshot so the stream reflects the finished run."""
-    if snapshotter is not None and tracer is not None:
-        last = snapshotter.last_taken_s
-        snapshotter.take(max(tracer.clock_s, last if last is not None else 0.0))
-
-
-def _breach_blackbox(args, flight, alerts_block, at_s: float) -> None:
-    """Dump the flight recorder when SLO rules fired (``--blackbox``)."""
-    if flight is None or alerts_block is None or alerts_block["ok"]:
-        return
-    names = [f["name"] for f in alerts_block["fired"]]
-    flight.dump(
-        args.blackbox,
-        trigger=f"slo breach: {', '.join(names)}",
-        at_s=at_s,
-        context={"fired_rules": names},
-    )
-    print(f"wrote flight-recorder dump to {args.blackbox}", file=sys.stderr)
-
-
-def _write_trace(tracer, path: str) -> None:
-    from .telemetry import write_chrome_trace
-
-    events = write_chrome_trace(tracer, path)
-    print(f"wrote {events} trace events to {path}", file=sys.stderr)
-
-
 def _add_ha_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--replication",
@@ -341,27 +229,6 @@ def _add_ha_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _ha_kwargs(args: argparse.Namespace) -> dict:
-    """Validated HA constructor kwargs from the ``_add_ha_args`` flags."""
-    if args.replication < 1:
-        print("error: --replication must be >= 1", file=sys.stderr)
-        raise SystemExit(2)
-    if args.replication > 1 and args.parity:
-        print(
-            "error: choose --replication or --parity, not both",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    if args.rebuild_iops < 0:
-        print("error: --rebuild-iops must be non-negative", file=sys.stderr)
-        raise SystemExit(2)
-    return {
-        "replication": args.replication,
-        "parity": args.parity,
-        "rebuild_iops": args.rebuild_iops,
-    }
-
-
 def _add_alerts_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--alerts",
@@ -373,16 +240,46 @@ def _add_alerts_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_alert_rules(path: str):
-    """Load ``--alerts`` rules or exit 2 with a one-line message."""
-    from .errors import ObservatoryError
-    from .observatory import load_alert_rules
+def _ha_kwargs(args: argparse.Namespace) -> dict:
+    """Validated HA constructor kwargs from the ``_add_ha_args`` flags."""
+    if args.replication < 1:
+        _fail("--replication must be >= 1")
+    if args.replication > 1 and args.parity:
+        _fail("choose --replication or --parity, not both")
+    if not args.rebuild_iops >= 0:
+        _fail("--rebuild-iops must be non-negative")
+    return {
+        "replication": args.replication,
+        "parity": args.parity,
+        "rebuild_iops": args.rebuild_iops,
+    }
 
+
+def _integrity_kwargs(args: argparse.Namespace) -> dict:
+    """Validated loader kwargs from the ``_add_integrity_args`` flags."""
+    scrub_iops = getattr(args, "scrub_iops", 0.0)
+    if not scrub_iops >= 0:
+        _fail("--scrub-iops must be non-negative")
+    return {
+        "verify_reads": getattr(args, "verify_reads", "off"),
+        "scrub_iops": scrub_iops,
+    }
+
+
+def _load_fault_plan(path: str | None):
+    """Load a ``--fault-plan`` file (``None`` without one) or exit 2."""
+    if path is None:
+        return None
     try:
-        return load_alert_rules(path)
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        return FaultPlan.from_json_file(path)
+    except FaultPlanError as exc:
+        _fail(str(exc))
+
+
+def _resolve_workload(args: argparse.Namespace):
+    """``--dataset/--scale/--ssd/--num-ssds`` as (workload, system)."""
+    workload = get_workload(args.dataset, scale=args.scale)
+    return workload, workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
 
 
 def _print_alerts(loader_name: str, block: dict) -> None:
@@ -409,81 +306,220 @@ def _print_alerts(loader_name: str, block: dict) -> None:
         )
 
 
-def _load_report(path: str, loader: str | None = None) -> dict:
-    """Load and validate a report export, or exit 2 with a message.
+# ----------------------------------------------------------------------
+# The one run lifecycle
 
-    ``repro run --format json`` writes a JSON *array* of reports (one per
-    loader); ``loader`` selects one entry from such a file.  A single
-    report object passes through unchanged.
+
+class RunContext:
+    """One workload run's lifecycle, built once from the parsed args.
+
+    Construction is everything that happens before a driver exists: the
+    HA / integrity / checkpoint / telemetry flag families are validated,
+    the fault plan and alert rules loaded, ``--dataset/--scale/--ssd/
+    --num-ssds`` resolved into ``workload`` + ``system`` (``train``
+    models its own system and passes it in), and the tracer → flight
+    recorder → snapshotter triple brought up.  A command then builds its
+    driver from these fields, :meth:`attach`\\ es it, runs it, and hands
+    the result to :meth:`finish` — the single end-of-run epilogue.
     """
-    import json
 
-    from .errors import ObservatoryError
-    from .observatory import validate_summary
+    #: Any of these brings the tracer up: streaming and the flight
+    #: recorder ride its metrics registry and event feed.  Only
+    #: ``--trace`` additionally writes the Chrome trace file at run end.
+    TELEMETRY_FLAGS = ("trace", "stream", "prom", "blackbox")
 
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read report {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    if isinstance(payload, list):
-        if loader is not None:
-            payload = [
-                entry
-                for entry in payload
-                if isinstance(entry, dict) and entry.get("loader") == loader
-            ]
-            if len(payload) != 1:
-                print(
-                    f"error: {path!r} holds no report for loader "
-                    f"{loader!r}",
-                    file=sys.stderr,
-                )
-                raise SystemExit(2)
-            payload = payload[0]
-        elif len(payload) == 1:
-            payload = payload[0]
-        else:
-            names = [
-                entry.get("loader")
-                for entry in payload
-                if isinstance(entry, dict)
-            ]
+    def __init__(self, args, source: str, *, system=None) -> None:
+        self.args = args
+        self.ha = _ha_kwargs(args)
+        self.integrity = _integrity_kwargs(args)
+        if getattr(args, "checkpoint_every", 1) <= 0:
+            _fail("--checkpoint-every must be positive")
+        if args.trace_cap is not None and args.trace_cap <= 0:
+            _fail("--trace-cap must be positive")
+        if not (math.isfinite(args.snapshot_every)
+                and args.snapshot_every > 0):
+            _fail("--snapshot-every must be positive")
+        self.fault_plan = _load_fault_plan(args.fault_plan)
+        self.alert_rules = None
+        if getattr(args, "alerts", None) is not None:
+            try:
+                self.alert_rules = load_alert_rules(args.alerts)
+            except ObservatoryError as exc:
+                _fail(str(exc))
+        self.workload = None
+        if system is None:
+            self.workload, system = _resolve_workload(args)
+        self.system = system
+
+        self.tracer = self.flight = self.snapshotter = None
+        if all(getattr(args, flag) is None for flag in self.TELEMETRY_FLAGS):
+            return
+        cap = {} if args.trace_cap is None else {"max_events": args.trace_cap}
+        self.tracer = Tracer(
+            enabled=True, detail=args.trace_detail, strict_tracks=True, **cap
+        )
+        if args.blackbox is not None:
+            self.flight = FlightRecorder()
+            self.tracer.attach_flight(self.flight)
+        if args.stream is not None or args.prom is not None:
+            self.snapshotter = MetricsSnapshotter(
+                self.tracer.metrics,
+                every_s=args.snapshot_every,
+                jsonl_path=args.stream,
+                prom_path=args.prom,
+                source=source,
+                flight=self.flight,
+            )
+
+    def attach(self, driver):
+        """Wire the live-metrics snapshotter into ``driver``; returns it."""
+        driver.snapshotter = self.snapshotter
+        return driver
+
+    def checkpoint_store(self, **kwargs) -> CheckpointStore:
+        """The ``--checkpoint-dir`` store.
+
+        Without ``--resume``, snapshots left over from a previous
+        invocation are cleared so the run starts from iteration 0
+        (in-run crash recovery still resumes from the snapshots this
+        run writes).
+        """
+        args = self.args
+        store = CheckpointStore(args.checkpoint_dir, **kwargs)
+        stale = [] if args.resume else store.iterations()
+        if stale:
             print(
-                f"error: {path!r} holds {len(payload)} reports "
-                f"({names}); pick one with --loader",
+                f"note: clearing {len(stale)} old snapshot(s) from "
+                f"{args.checkpoint_dir} (pass --resume to continue them)",
                 file=sys.stderr,
             )
-            raise SystemExit(2)
-    try:
-        validate_summary(payload)
-    except ObservatoryError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    return payload
+            for iteration in stale:
+                os.unlink(store.path_for(iteration))
+        return store
+
+    def dump_blackbox(self, trigger: str, at_s: float, context=None) -> None:
+        """Dump the flight recorder's ring (a no-op without ``--blackbox``)."""
+        if self.flight is None:
+            return
+        self.flight.dump(
+            self.args.blackbox, trigger=trigger, at_s=at_s, context=context
+        )
+        print(
+            f"wrote flight-recorder dump to {self.args.blackbox}",
+            file=sys.stderr,
+        )
+
+    def finish(
+        self, report, driver=None, *, name=None, registry=None, incident=None
+    ) -> dict:
+        """The end-of-run epilogue, in its one canonical order.
+
+        SLO alerts are evaluated first, so fired instants land in the
+        trace and the flight ring; then the final metric snapshot; then
+        the black-box dump (on a fired rule, or on ``incident`` — a
+        ``(trigger, at_s, context)`` the workload detected itself); then
+        the Chrome trace file.  Returns the export blocks every
+        ``report_to_dict``-style exporter takes: ``tracer``, ``system``,
+        ``alerts``, ``storage_ha`` (from ``driver``) and
+        ``observability``.
+
+        ``report`` is ``None`` for serving, which has no ``RunReport``:
+        rules are then evaluated against ``registry`` under ``name``
+        (report-scoped rules are listed as missing).  Call once per
+        finished report — only an untraced ``run --loader all`` has more
+        than one.
+        """
+        args, tracer = self.args, self.tracer
+        alerts = None
+        if self.alert_rules is not None:
+            monitor = SLOMonitor(self.alert_rules, tracer=tracer)
+            alerts = monitor.evaluate(report, registry)
+            _print_alerts(name or report.loader_name, alerts)
+        if self.snapshotter is not None:
+            last = self.snapshotter.last_taken_s
+            self.snapshotter.take(
+                max(tracer.clock_s, last if last is not None else 0.0)
+            )
+        if self.flight is not None and alerts is not None and not alerts["ok"]:
+            names = [fired["name"] for fired in alerts["fired"]]
+            self.dump_blackbox(
+                f"slo breach: {', '.join(names)}",
+                tracer.clock_s,
+                {"fired_rules": names},
+            )
+        if incident is not None:
+            self.dump_blackbox(*incident)
+        if tracer is not None and args.trace is not None:
+            events = write_chrome_trace(tracer, args.trace)
+            print(
+                f"wrote {events} trace events to {args.trace}",
+                file=sys.stderr,
+            )
+        storage_ha = getattr(driver, "storage_ha", None)
+        return {
+            "tracer": tracer,
+            "system": self.system,
+            "alerts": alerts,
+            "storage_ha": (
+                None if storage_ha is None else storage_ha.summary_block()
+            ),
+            "observability": observability_block(
+                tracer=tracer, snapshotter=self.snapshotter,
+                flight=self.flight,
+            ),
+        }
+
+    def emit(self, text: str) -> bool:
+        """Write ``text`` to ``-o`` and, under ``--format json``, stdout.
+
+        Returns True when stdout was taken, so the caller skips its table.
+        """
+        output = getattr(self.args, "output", None)
+        if output is not None:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        if self.args.format == "json":
+            print(text)
+        return self.args.format == "json"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="GIDS reproduction (PVLDB 17(6), 2024)",
+# ----------------------------------------------------------------------
+# Workload commands: build the driver, run it, render the table
+
+
+def _pipeline_factory(make_loader, feature_dim, hidden_dim, classes, **model):
+    """A zero-argument ``loader + GraphSAGE -> TrainingPipeline`` builder.
+
+    The supervisor calls it once per (re)start attempt, so the loader is
+    built fresh each time while the context's tracer carries over.
+    """
+    from .pipeline.runner import TrainingPipeline
+    from .training.graphsage import GraphSAGE
+
+    def factory() -> TrainingPipeline:
+        loader = make_loader()
+        net = GraphSAGE(feature_dim, hidden_dim, classes, seed=0, **model)
+        return TrainingPipeline(loader, net, num_classes=classes)
+
+    return factory
+
+
+def _supervise(ctx: RunContext, pipeline_factory):
+    """Run ``pipeline_factory`` under the ``--checkpoint-*`` supervisor."""
+    from .checkpoint import RunSupervisor, SupervisorConfig
+
+    config = SupervisorConfig(checkpoint_every=ctx.args.checkpoint_every)
+    supervisor = RunSupervisor(
+        pipeline_factory,
+        ctx.checkpoint_store(keep=config.keep_snapshots),
+        config=config,
+        blackbox_path=ctx.args.blackbox,
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"repro {package_version()}",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    return supervisor.run(ctx.args.iterations)
 
-    sub.add_parser("datasets", help="list the dataset registry")
 
-    run = sub.add_parser("run", help="compare dataloaders on a workload")
-    run.add_argument("--dataset", default="IGB-Full")
-    run.add_argument("--scale", type=float, default=None,
-                     help="dataset shrink factor (default: per-dataset)")
-    run.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    run.add_argument("--num-ssds", type=int, default=1)
+def _args_run(run: argparse.ArgumentParser) -> None:
+    _add_workload_args(run, dataset="IGB-Full", scale=None)
     run.add_argument(
         "--loader",
         choices=["gids", "bam", "mmap", "ginex", "all"],
@@ -492,684 +528,110 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iterations", type=int, default=40)
     run.add_argument("--format", choices=["table", "json", "csv"],
                      default="table")
-    run.add_argument(
-        "--fault-plan",
-        metavar="JSON_PATH",
-        default=None,
-        help="inject storage faults from a FaultPlan JSON file "
+    _add_fault_plan_arg(
+        run,
+        "inject storage faults from a FaultPlan JSON file "
         "(read failures, tail spikes, device dropout, PCIe degradation, "
         "simulated process crashes)",
     )
     _add_checkpoint_args(run)
-    _add_trace_args(run)
-    _add_stream_args(run)
+    _add_telemetry_args(run)
     _add_integrity_args(run)
     _add_ha_args(run)
     _add_alerts_arg(run)
-
-    figure = sub.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("name", choices=sorted(_EXPERIMENTS))
-
-    train = sub.add_parser("train", help="functional GraphSAGE training")
-    train.add_argument("--dataset", default="IGB-tiny")
-    train.add_argument("--scale", type=float, default=0.1)
-    train.add_argument("--iterations", type=int, default=60)
-    train.add_argument("--classes", type=int, default=8)
-    train.add_argument("--hidden-dim", type=int, default=64)
-    train.add_argument("--batch-size", type=int, default=256)
-    train.add_argument(
-        "--fault-plan",
-        metavar="JSON_PATH",
-        default=None,
-        help="inject storage faults / crash events from a FaultPlan JSON "
-        "file",
-    )
-    _add_checkpoint_args(train)
-    _add_trace_args(train)
-    _add_stream_args(train)
-    _add_integrity_args(train)
-    _add_ha_args(train)
-    _add_alerts_arg(train)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="elastic multi-GPU sharded training in modeled time",
-    )
-    fleet.add_argument("--dataset", default="IGB-tiny")
-    fleet.add_argument("--scale", type=float, default=0.05,
-                       help="dataset shrink factor (default: 0.05)")
-    fleet.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    fleet.add_argument("--num-ssds", type=int, default=1)
-    fleet.add_argument("--gpus", type=int, default=4,
-                       help="data-parallel width (default: 4)")
-    fleet.add_argument("--batch-size", type=int, default=32)
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument(
-        "--shard-mode", choices=["partition", "hash"], default="partition",
-        help="seed sharding: graph-partition-aware (default) or "
-        "rendezvous hash",
-    )
-    fleet.add_argument(
-        "--no-peer-cache", action="store_true",
-        help="disable the peer-cache tier (every local miss pays the "
-        "shared SSD array: the contention baseline)",
-    )
-    fleet.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="FaultPlan JSON; its worker events (gpu:<k> "
-        "dropout/recovery/straggle) drive fleet elasticity, its device "
-        "events degrade the shared SSD array",
-    )
-    fleet.add_argument(
-        "--chaos", action="store_true",
-        help="sweep the chaos scenarios (dropout, straggler, storm...) "
-        "and assert the fleet invariants instead of one epoch",
-    )
-    _add_trace_args(fleet)
-    _add_stream_args(fleet)
-    _add_ha_args(fleet)
-    fleet.add_argument("--format", choices=["table", "json"],
-                       default="table")
-    fleet.add_argument(
-        "-o", "--output", metavar="JSON_PATH", default=None,
-        help="also write the schema-v11 run export (with the fleet block) "
-        "to this file",
-    )
-
-    fullgraph = sub.add_parser(
-        "fullgraph",
-        help="full-graph training as partition sweeps with activation "
-        "offload",
-    )
-    fullgraph.add_argument("--dataset", default="IGB-tiny")
-    fullgraph.add_argument("--scale", type=float, default=0.01,
-                           help="dataset shrink factor (default: 0.01)")
-    fullgraph.add_argument("--ssd", choices=sorted(_SSDS), default="980pro")
-    fullgraph.add_argument("--num-ssds", type=int, default=1)
-    fullgraph.add_argument("--epochs", type=int, default=5,
-                           help="sweep epochs to run (default: 5)")
-    fullgraph.add_argument(
-        "--target-acc", type=float, default=None, metavar="FRAC",
-        help="stop early once eval accuracy reaches FRAC (epochs becomes "
-        "the cap)",
-    )
-    fullgraph.add_argument("--classes", type=int, default=8)
-    fullgraph.add_argument("--hidden-dim", type=int, default=32)
-    fullgraph.add_argument("--layers", type=int, default=2)
-    fullgraph.add_argument(
-        "--aggregator", choices=["mean", "gcn", "pool"], default="mean",
-    )
-    fullgraph.add_argument(
-        "--partitions", type=int, default=None, metavar="P",
-        help="force the partition count instead of letting the memory "
-        "planner choose",
-    )
-    fullgraph.add_argument(
-        "--hbm-mb", type=float, default=None, metavar="MB",
-        help="modeled HBM budget in MiB (default: the GPU spec's full "
-        "memory; small values force the activation-offload regime)",
-    )
-    fullgraph.add_argument(
-        "--no-overlap", action="store_true",
-        help="serialize spill/reload I/O with sweep compute instead of "
-        "overlapping them",
-    )
-    fullgraph.add_argument(
-        "--steps", type=int, default=None, metavar="N",
-        help="run at most N partition steps this invocation (kill/resume "
-        "drills; pair with --checkpoint-dir)",
-    )
-    fullgraph.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="inject storage faults from a FaultPlan JSON file; spill "
-        "pages ride the same failure/retry/corruption process as feature "
-        "pages",
-    )
-    _add_checkpoint_args(fullgraph)
-    _add_trace_args(fullgraph)
-    _add_stream_args(fullgraph)
-    fullgraph.add_argument(
-        "--verify-reads", choices=["off", "sample", "full"], default="off",
-        help="verify reloaded spill pages against their digests: 'off' "
-        "(default), 'sample', or 'full'",
-    )
-    _add_ha_args(fullgraph)
-    fullgraph.add_argument("--format", choices=["table", "json"],
-                           default="table")
-    fullgraph.add_argument(
-        "-o", "--output", metavar="JSON_PATH", default=None,
-        help="also write the schema-v11 run export (with the fullgraph "
-        "block) to this file",
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="overload-protected online inference in modeled time",
-    )
-    serve.add_argument("--dataset", default="IGB-tiny")
-    serve.add_argument("--scale", type=float, default=0.1,
-                       help="dataset shrink factor (default: 0.1)")
-    serve.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    serve.add_argument("--num-ssds", type=int, default=1)
-    serve.add_argument("--requests", type=int, default=2000,
-                       help="arrivals to generate (default: 2000)")
-    serve.add_argument(
-        "--shape", choices=["poisson", "diurnal", "bursty"],
-        default="poisson",
-        help="arrival shape (default: poisson steady state)",
-    )
-    serve.add_argument("--rate", type=float, default=2000.0,
-                       help="baseline offered rate in req/s (default: 2000)")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="arrival-trace seed (default: 0)")
-    serve.add_argument(
-        "--priority-mix", default="0.2,0.6,0.2", metavar="HI,NORM,LOW",
-        help="high/normal/low traffic fractions (default: 0.2,0.6,0.2)",
-    )
-    serve.add_argument("--deadline-ms", type=float, default=50.0,
-                       help="per-request deadline (default: 50 ms)")
-    serve.add_argument(
-        "--slo-p99-ms", type=float, default=50.0,
-        help="p99 objective driving brownout degradation (default: 50 ms)",
-    )
-    serve.add_argument(
-        "--no-protection", action="store_true",
-        help="disable every protection layer (shows the unprotected "
-        "latency collapse past saturation)",
-    )
-    serve.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="inject storage faults from a FaultPlan JSON file (device "
-        "dropouts exercise the per-device circuit breakers)",
-    )
-    _add_ha_args(serve)
-    serve.add_argument("--format", choices=["table", "json"],
-                       default="table")
-    serve.add_argument(
-        "-o", "--output", metavar="JSON_PATH", default=None,
-        help="also write the schema-v11 serving export to this file",
-    )
-    _add_trace_args(serve)
-    _add_stream_args(serve)
-    _add_alerts_arg(serve)
-
-    scrub = sub.add_parser(
-        "scrub",
-        help="sweep a workload's feature pages against their digests",
-    )
-    scrub.add_argument("--dataset", default="IGB-tiny")
-    scrub.add_argument("--scale", type=float, default=0.1,
-                       help="dataset shrink factor (default: 0.1)")
-    scrub.add_argument("--num-ssds", type=int, default=1)
-    scrub.add_argument(
-        "--scrub-iops", type=float, default=1e6, metavar="N",
-        help="page reads per modeled second for the sweep (default: 1e6)",
-    )
-    scrub.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="FaultPlan JSON whose corruption storms poison the media; "
-        "omitted means a clean sweep",
-    )
-    scrub.add_argument(
-        "--at-time", type=float, default=None, metavar="SECONDS",
-        help="simulated time of the sweep (default: just after the last "
-        "corruption storm in the plan)",
-    )
-
-    faults = sub.add_parser(
-        "faults", help="fault-plan tooling (validate)"
-    )
-    faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-    validate = faults_sub.add_parser(
-        "validate",
-        help="parse a FaultPlan JSON and cross-check its event windows",
-    )
-    validate.add_argument("plan", help="path to the FaultPlan JSON file")
-    validate.add_argument(
-        "--iterations", type=int, default=None, metavar="N",
-        help="planned run length; crash events beyond it are flagged",
-    )
-    validate.add_argument(
-        "--fleet-size", type=int, default=None, metavar="N",
-        help="planned fleet width; worker events targeting gpu:<k> with "
-        "k >= N are flagged",
-    )
-    validate.add_argument(
-        "--num-ssds", type=int, default=None, metavar="N",
-        help="planned SSD-array width; device events targeting device "
-        "k >= N are flagged, as is a plan that drops every device with "
-        "no recovery (a full-array wipe nothing can serve through)",
-    )
-
-    storage = sub.add_parser(
-        "storage",
-        help="storage-HA drill: device health and rebuild report",
-    )
-    storage.add_argument("--dataset", default="IGB-tiny")
-    storage.add_argument("--scale", type=float, default=0.05,
-                         help="dataset shrink factor (default: 0.05)")
-    storage.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    storage.add_argument("--num-ssds", type=int, default=4)
-    storage.add_argument(
-        "--fault-plan", metavar="JSON_PATH", default=None,
-        help="FaultPlan JSON whose device events (dropout / recovery / "
-        "fail_slow) drive the health state machine",
-    )
-    storage.add_argument(
-        "--duration", type=float, default=1.0, metavar="SECONDS",
-        help="simulated observation window (default: 1.0 s)",
-    )
-    storage.add_argument(
-        "--steps", type=int, default=50, metavar="N",
-        help="health observations across the window (default: 50)",
-    )
-    _add_ha_args(storage)
-    storage.add_argument("--format", choices=["table", "json"],
-                         default="table")
-
-    trace = sub.add_parser(
-        "trace", help="render a saved Chrome trace as an ASCII timeline"
-    )
-    trace.add_argument("path", help="trace JSON written by --trace")
-    trace.add_argument(
-        "--width",
-        type=int,
-        default=72,
-        metavar="COLS",
-        help="timeline width in characters (default: 72)",
-    )
-    trace.add_argument(
-        "--json",
-        action="store_true",
-        help="print a machine-readable summary (per-track seconds, event "
-        "counts, metrics) instead of the ASCII timeline",
-    )
-    trace.add_argument(
-        "--request",
-        metavar="TRACE_ID",
-        default=None,
-        help="render one causal chain (e.g. req-000042) from a trace "
-        "recorded with --trace-detail request; pass 'list' to enumerate "
-        "the trace ids present",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="terminal view of a live metric-snapshot stream (--stream)",
-    )
-    top.add_argument("path", help="snapshot JSONL written by --stream")
-    top.add_argument(
-        "--follow",
-        action="store_true",
-        help="keep polling the file for new snapshots until interrupted",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="wall-clock poll interval with --follow (default: 1.0)",
-    )
-    top.add_argument(
-        "--metrics",
-        type=int,
-        default=12,
-        metavar="N",
-        help="show the N busiest counters/gauges (default: 12)",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="self-profile the simulator: wall-clock overhead vs modeled "
-        "time per subsystem",
-    )
-    profile.add_argument(
-        "--experiment",
-        choices=sorted(_EXPERIMENTS),
-        default="fig13",
-        help="bench experiment to profile (default: fig13, the e2e "
-        "980 Pro comparison)",
-    )
-    profile.add_argument(
-        "--json",
-        action="store_true",
-        help="print the profile document as JSON instead of the table",
-    )
-    profile.add_argument(
-        "-o", "--output", metavar="JSON_PATH", default=None,
-        help="also write the profile document to this file (e.g. "
-        "BENCH_sim_overhead.json)",
-    )
-
-    ssd = sub.add_parser("ssd-model", help="Eq. 2-3 bandwidth model")
-    ssd.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
-    ssd.add_argument("--num-ssds", type=int, default=1)
-    ssd.add_argument("--target", type=float, default=0.95)
-    ssd.add_argument(
-        "--json",
-        action="store_true",
-        help="print the model points as JSON instead of a table",
-    )
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="bottleneck attribution for a saved report JSON",
-    )
-    analyze.add_argument("report", help="report JSON from run --format json")
-    analyze.add_argument(
-        "--loader",
-        default=None,
-        help="pick one report out of a multi-loader export",
-    )
-    analyze.add_argument(
-        "--ssd",
-        choices=sorted(_SSDS),
-        default="optane",
-        help="fallback hardware specs for reports without an embedded "
-        "attribution block (default: optane)",
-    )
-    analyze.add_argument("--num-ssds", type=int, default=1)
-    analyze.add_argument(
-        "--json",
-        action="store_true",
-        help="print the attribution block as JSON",
-    )
-
-    compare = sub.add_parser(
-        "compare",
-        help="regression gate: compare reports or a report vs the history",
-    )
-    compare.add_argument(
-        "reports",
-        nargs="+",
-        metavar="REPORT",
-        help="BASELINE CANDIDATE report JSONs, or just CANDIDATE with "
-        "--history",
-    )
-    compare.add_argument(
-        "--history",
-        metavar="DIR",
-        default=None,
-        help="compare against the noise band of same-fingerprint records "
-        "in this run-history directory instead of a baseline file",
-    )
-    compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        metavar="FRACTION",
-        help="relative tolerance before a delta counts (default: 0.05)",
-    )
-    compare.add_argument(
-        "--sigma",
-        type=float,
-        default=3.0,
-        metavar="N",
-        help="history noise-band width in standard deviations "
-        "(default: 3.0)",
-    )
-    compare.add_argument(
-        "--loader",
-        default=None,
-        help="pick one report out of multi-loader exports",
-    )
-    compare.add_argument(
-        "--json",
-        action="store_true",
-        help="print the comparison result as JSON",
-    )
-
-    history = sub.add_parser(
-        "history", help="record and inspect the local run history"
-    )
-    history_sub = history.add_subparsers(
-        dest="history_command", required=True
-    )
-    record = history_sub.add_parser(
-        "record", help="append a report summary to the run history"
-    )
-    record.add_argument("report", help="report JSON from run --format json")
-    record.add_argument(
-        "--dir",
-        default=".repro-history",
-        metavar="DIR",
-        help="history directory (default: .repro-history)",
-    )
-    record.add_argument(
-        "--label",
-        default=None,
-        help="workload label folded into the config fingerprint",
-    )
-    record.add_argument(
-        "--loader",
-        default=None,
-        help="pick one report out of a multi-loader export",
-    )
-    hist_list = history_sub.add_parser(
-        "list", help="list recorded fingerprints or one trend"
-    )
-    hist_list.add_argument(
-        "--dir",
-        default=".repro-history",
-        metavar="DIR",
-        help="history directory (default: .repro-history)",
-    )
-    hist_list.add_argument(
-        "--fingerprint",
-        default=None,
-        help="show the individual records of one config fingerprint",
-    )
-    hist_list.add_argument(
-        "--json",
-        action="store_true",
-        help="print records as JSON",
-    )
-    return parser
-
-
-def _cmd_datasets() -> int:
-    from .graph.datasets import DATASETS
-
-    rows = []
-    for spec in DATASETS.values():
-        rows.append(
-            [
-                spec.name,
-                "hetero" if spec.heterogeneous else "homo",
-                f"{spec.num_nodes:,}",
-                f"{spec.num_edges:,}",
-                spec.feature_dim,
-                f"{spec.total_bytes / 1e9:.1f} GB",
-            ]
-        )
-    print(
-        render_table(
-            ["dataset", "type", "nodes", "edges", "dim", "computed size"],
-            rows,
-            title="Dataset registry (Tables 2-3 of the paper)",
-        )
-    )
-    return 0
-
-
-def _make_supervisor(args: argparse.Namespace, pipeline_factory):
-    """Build the run supervisor behind the ``--checkpoint-*`` flags.
-
-    Without ``--resume``, snapshots left over from a previous invocation
-    are cleared so the run starts from iteration 0 (in-run crash recovery
-    still resumes from the snapshots this run writes).
-    """
-    from .checkpoint import CheckpointStore, RunSupervisor, SupervisorConfig
-
-    config = SupervisorConfig(checkpoint_every=args.checkpoint_every)
-    store = CheckpointStore(
-        args.checkpoint_dir, keep=config.keep_snapshots
-    )
-    if not args.resume:
-        stale = store.iterations()
-        if stale:
-            print(
-                f"note: clearing {len(stale)} old snapshot(s) from "
-                f"{args.checkpoint_dir} (pass --resume to continue them)",
-                file=sys.stderr,
-            )
-            import os
-
-            for iteration in stale:
-                os.unlink(store.path_for(iteration))
-    return RunSupervisor(
-        pipeline_factory,
-        store,
-        config=config,
-        blackbox_path=getattr(args, "blackbox", None),
-    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .baselines.ginex import GinexLoader
     from .baselines.mmap_loader import DGLMmapLoader
-    from .bench.workloads import get_workload
     from .core.bam import BaMDataLoader
     from .core.gids import GIDSDataLoader
     from .pipeline.export import report_to_json, reports_to_comparison_csv
 
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
+    ctx = RunContext(args, "run")
+    # Only the GIDS-family loaders carry the planes; the baselines are
+    # neither instrumented nor redundant nor checkpointable.
+    instrumented = {"gids": GIDSDataLoader, "bam": BaMDataLoader}
+    ha_on = args.replication > 1 or args.parity or args.rebuild_iops > 0
+    if ha_on and args.loader not in (*instrumented, "all"):
+        raise ConfigError(
+            "--replication/--parity/--rebuild-iops require the gids or bam "
+            "loader"
+        )
+    if ctx.tracer is not None and args.loader not in instrumented:
+        raise ConfigError(
+            "--trace/--stream/--prom/--blackbox require --loader gids or "
+            "bam (the baseline loaders are not instrumented)"
+        )
+    if args.checkpoint_dir is not None and args.loader not in instrumented:
+        raise ConfigError(
+            "--checkpoint-dir requires --loader gids or bam (the baseline "
+            "loaders cannot be checkpointed mid-run)"
+        )
+
+    workload, system = ctx.workload, ctx.system
     config = workload.loader_config()
     common = dict(
         batch_size=workload.batch_size, fanouts=workload.fanouts, seed=1
     )
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
-    ha = _ha_kwargs(args)
-    ha_on = (
-        ha["replication"] > 1 or ha["parity"] or ha["rebuild_iops"] > 0
-    )
-    if ha_on and args.loader not in ("gids", "bam", "all"):
-        print(
-            "error: --replication/--parity/--rebuild-iops require the "
-            "gids or bam loader",
-            file=sys.stderr,
-        )
-        return 2
-    alert_rules = None
-    if args.alerts is not None:
-        alert_rules = _load_alert_rules(args.alerts)
 
-    if _wants_telemetry(args) and args.loader not in ("gids", "bam"):
-        print(
-            "error: --trace/--stream/--prom/--blackbox require --loader "
-            "gids or bam (the baseline loaders are not instrumented)",
-            file=sys.stderr,
+    def instrumented_loader(kind: str):
+        extra = {"hot_nodes": workload.hot_nodes} if kind == "gids" else {}
+        return ctx.attach(
+            instrumented[kind](
+                workload.dataset, system, config, fault_plan=ctx.fault_plan,
+                tracer=ctx.tracer, **ctx.integrity, **ctx.ha, **common,
+                **extra,
+            )
         )
-        return 2
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "run", flight=flight)
 
     if args.checkpoint_dir is not None:
-        return _cmd_run_supervised(
-            args, workload, system, config, common, fault_plan, tracer,
-            alert_rules, flight=flight, snapshotter=snapshotter,
-        )
+        return _run_supervised(ctx, lambda: instrumented_loader(args.loader))
 
-    heterogeneous = workload.dataset.hetero is not None
     selected = (
         ["gids", "bam", "ginex", "mmap"]
         if args.loader == "all"
         else [args.loader]
     )
-    integrity = dict(
-        verify_reads=args.verify_reads, scrub_iops=args.scrub_iops
-    )
-    reports = []
-    ha_blocks: list = []
+    reports, loaders = [], []
     for kind in selected:
-        if kind == "gids":
-            loader = GIDSDataLoader(
-                workload.dataset, system, config,
-                hot_nodes=workload.hot_nodes, fault_plan=fault_plan,
-                tracer=tracer, **integrity, **ha, **common,
-            )
-            loader.snapshotter = snapshotter
-            reports.append(loader.run(args.iterations, warmup=10))
-            ha_blocks.append(
-                loader.storage_ha.summary_block()
-                if loader.storage_ha is not None
-                else None
-            )
-        elif kind == "bam":
-            loader = BaMDataLoader(
-                workload.dataset, system, config, fault_plan=fault_plan,
-                tracer=tracer, **integrity, **ha, **common,
-            )
-            loader.snapshotter = snapshotter
-            reports.append(loader.run(args.iterations, warmup=10))
-            ha_blocks.append(
-                loader.storage_ha.summary_block()
-                if loader.storage_ha is not None
-                else None
-            )
+        warmup = 150
+        if kind in instrumented:
+            loader, warmup = instrumented_loader(kind), 10
         elif kind == "ginex":
-            if heterogeneous:
+            if workload.dataset.hetero is not None:
                 print(
                     "note: Ginex supports only homogeneous graphs; skipped",
                     file=sys.stderr,
                 )
                 continue
             loader = GinexLoader(
-                workload.dataset, system, fault_plan=fault_plan,
+                workload.dataset, system, fault_plan=ctx.fault_plan,
                 verify_reads=args.verify_reads, **common,
             )
-            reports.append(loader.run(args.iterations, warmup=150))
-            ha_blocks.append(None)
         else:
-            if fault_plan is not None:
+            if ctx.fault_plan is not None:
                 print(
                     "note: the mmap loader has no fault-injection path; "
                     "running it healthy",
                     file=sys.stderr,
                 )
             loader = DGLMmapLoader(workload.dataset, system, **common)
-            reports.append(loader.run(args.iterations, warmup=150))
-            ha_blocks.append(None)
+        reports.append(loader.run(args.iterations, warmup=warmup))
+        loaders.append(loader)
 
     if not reports:
         print("no loader could run on this workload", file=sys.stderr)
         return 1
-    alerts_blocks: list = [None] * len(reports)
-    if alert_rules is not None:
-        from .observatory import SLOMonitor
-
-        # Evaluate before writing the trace so fired instants land in it.
-        monitor = SLOMonitor(alert_rules, tracer=tracer)
-        alerts_blocks = [monitor.evaluate(r) for r in reports]
-        for report, block in zip(reports, alerts_blocks):
-            _print_alerts(report.loader_name, block)
-    _finish_snapshots(snapshotter, tracer)
-    if tracer is not None and alerts_blocks and flight is not None:
-        _breach_blackbox(args, flight, alerts_blocks[0], tracer.clock_s)
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
+    blocks = [
+        ctx.finish(report, loader) for report, loader in zip(reports, loaders)
+    ]
     if args.format == "json":
-        from .pipeline.export import observability_block
-
-        # --trace implies a single traced loader, so the tracer (when
-        # present) belongs to the one report in the list.
-        obs = observability_block(
-            tracer=tracer, snapshotter=snapshotter, flight=flight
-        )
         print(
             "["
             + ",\n".join(
-                report_to_json(
-                    r, tracer=tracer, system=system, alerts=block,
-                    storage_ha=ha_block, observability=obs,
-                )
-                for r, block, ha_block in zip(
-                    reports, alerts_blocks, ha_blocks
-                )
+                report_to_json(report, **block)
+                for report, block in zip(reports, blocks)
             )
             + "]"
         )
@@ -1198,80 +660,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run_supervised(
-    args, workload, system, config, common, fault_plan, tracer=None,
-    alert_rules=None, flight=None, snapshotter=None,
-) -> int:
+def _run_supervised(ctx: RunContext, make_loader) -> int:
     """``run --checkpoint-dir``: crash-safe supervised functional training.
 
     Snapshot/resume requires the stateful GIDS-family loaders; the run
     report covers every trained iteration (no warmup split) and the JSON
-    export carries the ``checkpoint_summary`` block.  The tracer (if any)
-    is created once out here and re-attached on every restart attempt:
+    export carries the ``checkpoint_summary`` block.  The context's
+    tracer is created once and re-attached on every restart attempt:
     restoring a snapshot restores the trace recorded up to it, so a
     killed-and-resumed run still emits one seamless trace.
     """
-    from .core.bam import BaMDataLoader
-    from .core.gids import GIDSDataLoader
     from .pipeline.export import report_to_json
-    from .pipeline.runner import TrainingPipeline
-    from .training.graphsage import GraphSAGE
 
-    loader_cls = {"gids": GIDSDataLoader, "bam": BaMDataLoader}.get(
-        args.loader
+    args, workload = ctx.args, ctx.workload
+    outcome = _supervise(
+        ctx,
+        _pipeline_factory(
+            make_loader, workload.dataset.feature_dim, 32, 8,
+            num_layers=len(workload.fanouts),
+        ),
     )
-    if loader_cls is None:
-        print(
-            "error: --checkpoint-dir requires --loader gids or bam "
-            "(the baseline loaders cannot be checkpointed mid-run)",
-            file=sys.stderr,
-        )
-        return 2
-
-    def pipeline_factory() -> TrainingPipeline:
-        kwargs = dict(common)
-        if loader_cls is GIDSDataLoader:
-            kwargs["hot_nodes"] = workload.hot_nodes
-        loader = loader_cls(
-            workload.dataset, system, config,
-            fault_plan=fault_plan, tracer=tracer,
-            verify_reads=args.verify_reads, scrub_iops=args.scrub_iops,
-            **_ha_kwargs(args), **kwargs,
-        )
-        loader.snapshotter = snapshotter
-        model = GraphSAGE(
-            workload.dataset.feature_dim, 32, 8, num_layers=len(
-                workload.fanouts
-            ), seed=0,
-        )
-        return TrainingPipeline(loader, model, num_classes=8)
-
-    supervisor = _make_supervisor(args, pipeline_factory)
-    outcome = supervisor.run(args.iterations)
     summary = outcome.summary
-    alerts_block = None
-    if alert_rules is not None:
-        from .observatory import SLOMonitor
-
-        monitor = SLOMonitor(alert_rules, tracer=tracer)
-        alerts_block = monitor.evaluate(outcome.report)
-        _print_alerts(outcome.report.loader_name, alerts_block)
-    _finish_snapshots(snapshotter, tracer)
-    if tracer is not None:
-        _breach_blackbox(args, flight, alerts_block, tracer.clock_s)
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
+    # The loader is rebuilt on every restart attempt, so no driver outlives
+    # the run: the supervised export has never carried a storage_ha block.
+    blocks = ctx.finish(outcome.report)
 
     if args.format == "json":
-        from .pipeline.export import observability_block
-
         print(
             report_to_json(
-                outcome.report, checkpoint_summary=summary, tracer=tracer,
-                system=system, alerts=alerts_block,
-                observability=observability_block(
-                    tracer=tracer, snapshotter=snapshotter, flight=flight
-                ),
+                outcome.report, checkpoint_summary=summary, **blocks
             )
         )
     else:
@@ -1298,20 +715,28 @@ def _cmd_run_supervised(
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from .bench import experiments
-
-    fn = getattr(experiments, _EXPERIMENTS[args.name])
-    print(fn().render())
-    return 0
+def _args_train(train: argparse.ArgumentParser) -> None:
+    train.add_argument("--dataset", default="IGB-tiny")
+    train.add_argument("--scale", type=float, default=0.1)
+    train.add_argument("--iterations", type=int, default=60)
+    train.add_argument("--classes", type=int, default=8)
+    train.add_argument("--hidden-dim", type=int, default=64)
+    train.add_argument("--batch-size", type=int, default=256)
+    _add_fault_plan_arg(
+        train,
+        "inject storage faults / crash events from a FaultPlan JSON file",
+    )
+    _add_checkpoint_args(train)
+    _add_telemetry_args(train)
+    _add_integrity_args(train)
+    _add_ha_args(train)
+    _add_alerts_arg(train)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from .config import LoaderConfig, SystemConfig
     from .core.gids import GIDSDataLoader
     from .graph.datasets import load_scaled
-    from .pipeline.runner import TrainingPipeline
-    from .training.graphsage import GraphSAGE
 
     dataset = load_scaled(args.dataset, args.scale, seed=0)
     system = SystemConfig(
@@ -1322,52 +747,32 @@ def _cmd_train(args: argparse.Namespace) -> int:
         cpu_buffer_fraction=0.10,
         window_depth=4,
     )
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
-    alert_rules = None
-    if args.alerts is not None:
-        alert_rules = _load_alert_rules(args.alerts)
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "train", flight=flight)
+    ctx = RunContext(args, "train", system=system)
 
-    def pipeline_factory() -> TrainingPipeline:
-        loader = GIDSDataLoader(
-            dataset, system, config, batch_size=args.batch_size,
-            fanouts=(5, 5), seed=1, fault_plan=fault_plan, tracer=tracer,
-            verify_reads=args.verify_reads, scrub_iops=args.scrub_iops,
-            **_ha_kwargs(args),
+    def make_loader() -> GIDSDataLoader:
+        return ctx.attach(
+            GIDSDataLoader(
+                dataset, system, config, batch_size=args.batch_size,
+                fanouts=(5, 5), seed=1, fault_plan=ctx.fault_plan,
+                tracer=ctx.tracer, **ctx.integrity, **ctx.ha,
+            )
         )
-        loader.snapshotter = snapshotter
-        model = GraphSAGE(
-            dataset.feature_dim, args.hidden_dim, args.classes,
-            num_layers=2, lr=0.05, seed=0,
-        )
-        return TrainingPipeline(loader, model, num_classes=args.classes)
 
+    pipeline_factory = _pipeline_factory(
+        make_loader, dataset.feature_dim, args.hidden_dim, args.classes,
+        num_layers=2, lr=0.05,
+    )
+    summary = None
     if args.checkpoint_dir is not None:
-        supervisor = _make_supervisor(args, pipeline_factory)
-        outcome = supervisor.run(args.iterations)
-        result = outcome.result
-        summary = outcome.summary
-        report = outcome.report
+        outcome = _supervise(ctx, pipeline_factory)
+        result, summary, report = (
+            outcome.result, outcome.summary, outcome.report
+        )
     else:
         pipeline = pipeline_factory()
         result = pipeline.train(args.iterations)
-        summary = None
         report = pipeline.report
-    if alert_rules is not None:
-        from .observatory import SLOMonitor
-
-        monitor = SLOMonitor(alert_rules, tracer=tracer)
-        alerts_block = monitor.evaluate(report)
-        _print_alerts(report.loader_name, alerts_block)
-        if tracer is not None:
-            _breach_blackbox(args, flight, alerts_block, tracer.clock_s)
-    _finish_snapshots(snapshotter, tracer)
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
+    ctx.finish(report)
     first = sum(result.losses[:5]) / 5
     last = sum(result.losses[-5:]) / 5
     print(f"trained {result.num_steps} steps: loss {first:.4f} -> {last:.4f}")
@@ -1391,51 +796,62 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _args_fleet(fleet: argparse.ArgumentParser) -> None:
+    _add_workload_args(fleet, scale=0.05)
+    fleet.add_argument("--gpus", type=int, default=4,
+                       help="data-parallel width (default: 4)")
+    fleet.add_argument("--batch-size", type=int, default=32)
+    fleet.add_argument("--seed", type=int, default=0)
+    fleet.add_argument(
+        "--shard-mode", choices=["partition", "hash"], default="partition",
+        help="seed sharding: graph-partition-aware (default) or "
+        "rendezvous hash",
+    )
+    fleet.add_argument(
+        "--no-peer-cache", action="store_true",
+        help="disable the peer-cache tier (every local miss pays the "
+        "shared SSD array: the contention baseline)",
+    )
+    _add_fault_plan_arg(
+        fleet,
+        "FaultPlan JSON; its worker events (gpu:<k> "
+        "dropout/recovery/straggle) drive fleet elasticity, its device "
+        "events degrade the shared SSD array",
+    )
+    fleet.add_argument(
+        "--chaos", action="store_true",
+        help="sweep the chaos scenarios (dropout, straggler, storm...) "
+        "and assert the fleet invariants instead of one epoch",
+    )
+    _add_telemetry_args(fleet)
+    _add_ha_args(fleet)
+    _add_export_args(fleet, "run export (with the fleet block)")
+
+
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """``fleet``: an elastic multi-GPU epoch (or the chaos sweep)."""
-    import json
-
-    from .bench.workloads import get_workload
     from .core.fleet import (
         ElasticFleetTrainer,
         FleetConfig,
         check_invariants,
         run_chaos_suite,
     )
-    from .errors import ReproError
     from .pipeline.export import report_to_dict
 
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
-    dataset = workload.dataset
-
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "fleet", flight=flight)
+    ctx = RunContext(args, "fleet")
+    dataset, system = ctx.workload.dataset, ctx.system
 
     if args.chaos:
-        if fault_plan is not None:
+        if ctx.fault_plan is not None:
             print(
                 "note: --chaos sweeps its own fault plans; --fault-plan "
                 "is ignored",
                 file=sys.stderr,
             )
-        try:
-            suite = run_chaos_suite(
-                dataset, system, num_gpus=args.gpus, seed=args.seed
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(suite, fh, indent=2, sort_keys=True)
-        if args.format == "json":
-            print(json.dumps(suite, indent=2, sort_keys=True))
-        else:
+        suite = run_chaos_suite(
+            dataset, system, num_gpus=args.gpus, seed=args.seed
+        )
+        if not ctx.emit(json.dumps(suite, indent=2, sort_keys=True)):
             rows = [
                 [
                     name,
@@ -1462,64 +878,39 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    try:
-        fleet_config = FleetConfig(
-            num_gpus=args.gpus,
-            batch_size=args.batch_size,
-            shard_mode=args.shard_mode,
-            peer_cache=not args.no_peer_cache,
-        )
-        trainer = ElasticFleetTrainer(
+    fleet_config = FleetConfig(
+        num_gpus=args.gpus,
+        batch_size=args.batch_size,
+        shard_mode=args.shard_mode,
+        peer_cache=not args.no_peer_cache,
+    )
+    trainer = ctx.attach(
+        ElasticFleetTrainer(
             dataset,
             system,
             fleet_config,
             seed=args.seed,
-            fault_plan=fault_plan,
-            fanouts=workload.fanouts,
-            tracer=tracer,
-            **_ha_kwargs(args),
+            fault_plan=ctx.fault_plan,
+            fanouts=ctx.workload.fanouts,
+            tracer=ctx.tracer,
+            **ctx.ha,
         )
-        trainer.snapshotter = snapshotter
-        result = trainer.run_epoch()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    )
+    result = trainer.run_epoch()
 
     violations = check_invariants(dataset, result)
-    _finish_snapshots(snapshotter, tracer)
-    if violations and flight is not None:
-        flight.dump(
-            args.blackbox,
-            trigger=f"invariant violation: {'; '.join(violations)}",
-            at_s=trainer.clock_s,
-            context={"violations": list(violations)},
+    incident = None
+    if violations:
+        incident = (
+            f"invariant violation: {'; '.join(violations)}",
+            trainer.clock_s,
+            {"violations": list(violations)},
         )
-        print(
-            f"wrote flight-recorder dump to {args.blackbox}",
-            file=sys.stderr,
-        )
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
-    from .pipeline.export import observability_block
-
+    blocks = ctx.finish(result.report, trainer, incident=incident)
     summary = report_to_dict(
-        result.report, system=system, fleet=result.fleet_block(),
-        tracer=tracer,
-        storage_ha=(
-            trainer.storage_ha.summary_block()
-            if trainer.storage_ha is not None
-            else None
-        ),
-        observability=observability_block(
-            tracer=tracer, snapshotter=snapshotter, flight=flight
-        ),
+        result.report, fleet=result.fleet_block(), **blocks
     )
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-    if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
-    else:
+    if not ctx.emit(_dumps(summary)):
         rows = [
             [
                 f"gpu:{w['worker']}",
@@ -1557,26 +948,72 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
+def _args_fullgraph(fullgraph: argparse.ArgumentParser) -> None:
+    _add_workload_args(fullgraph, scale=0.01, ssd="980pro")
+    fullgraph.add_argument("--epochs", type=int, default=5,
+                           help="sweep epochs to run (default: 5)")
+    fullgraph.add_argument(
+        "--target-acc", type=float, default=None, metavar="FRAC",
+        help="stop early once eval accuracy reaches FRAC (epochs becomes "
+        "the cap)",
+    )
+    fullgraph.add_argument("--classes", type=int, default=8)
+    fullgraph.add_argument("--hidden-dim", type=int, default=32)
+    fullgraph.add_argument("--layers", type=int, default=2)
+    fullgraph.add_argument(
+        "--aggregator", choices=["mean", "gcn", "pool"], default="mean",
+    )
+    fullgraph.add_argument(
+        "--partitions", type=int, default=None, metavar="P",
+        help="force the partition count instead of letting the memory "
+        "planner choose",
+    )
+    fullgraph.add_argument(
+        "--hbm-mb", type=float, default=None, metavar="MB",
+        help="modeled HBM budget in MiB (default: the GPU spec's full "
+        "memory; small values force the activation-offload regime)",
+    )
+    fullgraph.add_argument(
+        "--no-overlap", action="store_true",
+        help="serialize spill/reload I/O with sweep compute instead of "
+        "overlapping them",
+    )
+    fullgraph.add_argument(
+        "--steps", type=int, default=None, metavar="N",
+        help="run at most N partition steps this invocation (kill/resume "
+        "drills; pair with --checkpoint-dir)",
+    )
+    _add_fault_plan_arg(
+        fullgraph,
+        "inject storage faults from a FaultPlan JSON file; spill "
+        "pages ride the same failure/retry/corruption process as feature "
+        "pages",
+    )
+    _add_checkpoint_args(fullgraph)
+    _add_telemetry_args(fullgraph)
+    fullgraph.add_argument(
+        "--verify-reads", choices=["off", "sample", "full"], default="off",
+        help="verify reloaded spill pages against their digests: 'off' "
+        "(default), 'sample', or 'full'",
+    )
+    _add_ha_args(fullgraph)
+    _add_export_args(fullgraph, "run export (with the fullgraph block)")
+
+
 def _cmd_fullgraph(args: argparse.Namespace) -> int:
     """``fullgraph``: sweep epochs over partitions with modeled offload."""
-    import json
-
-    from .bench.workloads import get_workload
-    from .checkpoint import CheckpointStore
-    from .errors import ReproError
     from .fullgraph import FullGraphConfig, FullGraphTrainer
     from .pipeline.export import report_to_dict
     from .utils import format_time
 
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
-    dataset = workload.dataset
+    ctx = RunContext(args, "fullgraph")
+    tracer = ctx.tracer
 
     fault_injector = None
-    if args.fault_plan is not None:
+    if ctx.fault_plan is not None:
         from .faults import FaultInjector
 
-        fault_injector = FaultInjector(_load_fault_plan(args.fault_plan))
+        fault_injector = FaultInjector(ctx.fault_plan)
     verifier = None
     if args.verify_reads != "off":
         from .integrity import CorruptionLedger, ReadVerifier
@@ -1586,9 +1023,6 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             mode=args.verify_reads,
         )
 
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "fullgraph", flight=flight)
     trainer = None
     try:
         config = FullGraphConfig(
@@ -1601,45 +1035,32 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             ),
             num_partitions=args.partitions,
             io_overlap=not args.no_overlap,
-            **_ha_kwargs(args),
+            **ctx.ha,
         )
-        trainer = FullGraphTrainer(
-            dataset,
-            system,
-            config,
-            tracer=tracer,
-            fault_injector=fault_injector,
-            verifier=verifier,
+        trainer = ctx.attach(
+            FullGraphTrainer(
+                ctx.workload.dataset,
+                ctx.system,
+                config,
+                tracer=tracer,
+                fault_injector=fault_injector,
+                verifier=verifier,
+            )
         )
-        trainer.snapshotter = snapshotter
 
         store = None
         if args.checkpoint_dir is not None:
-            store = CheckpointStore(args.checkpoint_dir)
-            if args.resume:
-                loaded = store.load_latest()
-                if loaded is not None:
-                    trainer.load_state_dict(loaded.payload["trainer"])
-                    if tracer is not None and "tracer" in loaded.payload:
-                        tracer.load_state_dict(loaded.payload["tracer"])
-                    print(
-                        f"resumed from step {loaded.iteration} "
-                        f"({loaded.path})",
-                        file=sys.stderr,
-                    )
-            else:
-                stale = store.iterations()
-                if stale:
-                    import os
-
-                    print(
-                        f"note: clearing {len(stale)} old snapshot(s) "
-                        f"from {args.checkpoint_dir} (pass --resume to "
-                        "continue them)",
-                        file=sys.stderr,
-                    )
-                    for iteration in stale:
-                        os.unlink(store.path_for(iteration))
+            store = ctx.checkpoint_store()
+            loaded = store.load_latest() if args.resume else None
+            if loaded is not None:
+                trainer.load_state_dict(loaded.payload["trainer"])
+                if tracer is not None and "tracer" in loaded.payload:
+                    tracer.load_state_dict(loaded.payload["tracer"])
+                print(
+                    f"resumed from step {loaded.iteration} "
+                    f"({loaded.path})",
+                    file=sys.stderr,
+                )
 
         total_steps = args.epochs * trainer.steps_per_epoch
         done = (
@@ -1649,7 +1070,6 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
         budget = max(0, total_steps - done)
         if args.steps is not None:
             budget = min(budget, args.steps)
-        every = max(1, args.checkpoint_every)
         ran = 0
         while ran < budget:
             if args.target_acc is not None and (
@@ -1657,7 +1077,9 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                 and trainer.accuracies[-1] >= args.target_acc
             ):
                 break
-            chunk = min(every, budget - ran) if store else budget - ran
+            chunk = budget - ran
+            if store is not None:
+                chunk = min(args.checkpoint_every, chunk)
             trainer.run_steps(chunk)
             ran += chunk
             if store is not None:
@@ -1666,46 +1088,25 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                     payload["tracer"] = tracer.state_dict()
                 store.save(done + ran, payload)
         result = trainer.result(target_accuracy=args.target_acc)
-    except ReproError as exc:
-        from .errors import FaultError
-
-        if isinstance(exc, FaultError) and flight is not None:
-            now = trainer.clock_s if trainer is not None else 0.0
-            flight.note(
+    except FaultError as exc:
+        # A fault the storage stack could not absorb: leave the black box
+        # behind, crash site last, before main() reports the error.
+        now = trainer.clock_s if trainer is not None else 0.0
+        if ctx.flight is not None:
+            ctx.flight.note(
                 "crash", type(exc).__name__, "alerts", now,
                 detail={"message": str(exc)},
             )
-            flight.dump(
-                args.blackbox,
-                trigger=f"{type(exc).__name__}: {exc}",
-                at_s=now,
-            )
-            print(
-                f"wrote flight-recorder dump to {args.blackbox}",
-                file=sys.stderr,
-            )
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        ctx.dump_blackbox(f"{type(exc).__name__}: {exc}", now)
+        raise
 
-    from .pipeline.export import observability_block
-
-    _finish_snapshots(snapshotter, tracer)
+    # The fullgraph block carries the run's redundancy accounting itself;
+    # this export has never had a separate storage_ha block.
+    blocks = ctx.finish(result.report)
     summary = report_to_dict(
-        result.report,
-        tracer=tracer,
-        system=system,
-        fullgraph=result.block,
-        observability=observability_block(
-            tracer=tracer, snapshotter=snapshotter, flight=flight
-        ),
+        result.report, fullgraph=result.block, **blocks
     )
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
-    if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
+    if ctx.emit(_dumps(summary)):
         return 0
 
     block = result.block
@@ -1773,99 +1174,99 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
     return 0
 
 
+def _args_serve(serve: argparse.ArgumentParser) -> None:
+    _add_workload_args(serve, scale=0.1)
+    serve.add_argument("--requests", type=int, default=2000,
+                       help="arrivals to generate (default: 2000)")
+    serve.add_argument(
+        "--shape", choices=["poisson", "diurnal", "bursty"],
+        default="poisson",
+        help="arrival shape (default: poisson steady state)",
+    )
+    serve.add_argument("--rate", type=float, default=2000.0,
+                       help="baseline offered rate in req/s (default: 2000)")
+    serve.add_argument("--seed", type=int, default=0,
+                       help="arrival-trace seed (default: 0)")
+    serve.add_argument(
+        "--priority-mix", default="0.2,0.6,0.2", metavar="HI,NORM,LOW",
+        help="high/normal/low traffic fractions (default: 0.2,0.6,0.2)",
+    )
+    serve.add_argument("--deadline-ms", type=float, default=50.0,
+                       help="per-request deadline (default: 50 ms)")
+    serve.add_argument(
+        "--slo-p99-ms", type=float, default=50.0,
+        help="p99 objective driving brownout degradation (default: 50 ms)",
+    )
+    serve.add_argument(
+        "--no-protection", action="store_true",
+        help="disable every protection layer (shows the unprotected "
+        "latency collapse past saturation)",
+    )
+    _add_fault_plan_arg(
+        serve,
+        "inject storage faults from a FaultPlan JSON file (device "
+        "dropouts exercise the per-device circuit breakers)",
+    )
+    _add_ha_args(serve)
+    _add_export_args(serve, "serving export")
+    _add_telemetry_args(serve)
+    _add_alerts_arg(serve)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: an overload-protected online inference run."""
-    import json
-
-    from .bench.workloads import get_workload
-    from .errors import ConfigError
     from .serving import PRIORITIES, ArrivalConfig, InferenceServer, ServingConfig
     from .utils import format_rate, format_time
 
     try:
         mix = tuple(float(p) for p in args.priority_mix.split(","))
-        arrival = ArrivalConfig(
-            shape=args.shape,
-            rate=args.rate,
-            seed=args.seed,
-            priority_mix=mix,
-            deadline_s=args.deadline_ms / 1e3,
-        )
-        serving = ServingConfig(
-            protection=not args.no_protection,
-            slo_p99_s=args.slo_p99_ms / 1e3,
-        )
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.requests <= 0:
-        print("error: --requests must be positive", file=sys.stderr)
-        return 2
-
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
-    alert_rules = None
-    if args.alerts is not None:
-        alert_rules = _load_alert_rules(args.alerts)
-    tracer = _make_tracer(args)
-    flight = _make_flight(args, tracer)
-    snapshotter = _make_snapshotter(args, tracer, "serve", flight=flight)
-
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
-    server = InferenceServer(
-        workload.dataset,
-        system,
-        workload.loader_config(),
-        arrival=arrival,
-        serving=serving,
-        fanouts=workload.fanouts,
-        hot_nodes=workload.hot_nodes,
-        seed=1,
-        fault_plan=fault_plan,
-        tracer=tracer,
-        **_ha_kwargs(args),
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    arrival = ArrivalConfig(
+        shape=args.shape,
+        rate=args.rate,
+        seed=args.seed,
+        priority_mix=mix,
+        deadline_s=args.deadline_ms / 1e3,
     )
-    server.snapshotter = snapshotter
+    serving = ServingConfig(
+        protection=not args.no_protection,
+        slo_p99_s=args.slo_p99_ms / 1e3,
+    )
+    if args.requests <= 0:
+        raise ConfigError("--requests must be positive")
+
+    ctx = RunContext(args, "serve")
+    workload = ctx.workload
+    server = ctx.attach(
+        InferenceServer(
+            workload.dataset,
+            ctx.system,
+            workload.loader_config(),
+            arrival=arrival,
+            serving=serving,
+            fanouts=workload.fanouts,
+            hot_nodes=workload.hot_nodes,
+            seed=1,
+            fault_plan=ctx.fault_plan,
+            tracer=ctx.tracer,
+            **ctx.ha,
+        )
+    )
     server.serve(args.requests)
     server.drain()
     report = server.report()
-    _finish_snapshots(snapshotter, tracer)
-
-    alerts_block = None
-    if alert_rules is not None:
-        from .observatory import SLOMonitor
-
-        # Serving has no RunReport: rules are evaluated against the
-        # metrics registry (report-scoped rules are listed as missing).
-        monitor = SLOMonitor(alert_rules, tracer=tracer)
-        alerts_block = monitor.evaluate(None, server.registry)
-        _print_alerts(server.name, alerts_block)
-        if tracer is not None:
-            _breach_blackbox(args, flight, alerts_block, tracer.clock_s)
-    from .pipeline.export import observability_block
-
-    summary = report.export_dict(
-        tracer=tracer, system=system, alerts=alerts_block,
-        storage_ha=(
-            server.storage_ha.summary_block()
-            if server.storage_ha is not None
-            else None
-        ),
-        observability=observability_block(
-            tracer=tracer, snapshotter=snapshotter, flight=flight
-        ),
+    # Serving has no RunReport: rules are evaluated against the metrics
+    # registry (report-scoped rules are listed as missing).
+    blocks = ctx.finish(
+        None, server, name=server.name, registry=server.registry
     )
-    if tracer is not None and args.trace is not None:
-        _write_trace(tracer, args.trace)
+    json_printed = ctx.emit(
+        json.dumps(report.export_dict(**blocks), indent=2)
+    )
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
         print(f"wrote serving export to {args.output}", file=sys.stderr)
-
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
+    if json_printed:
         return 0
 
     stats = report.stats
@@ -1928,6 +1329,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# Storage commands: scrub, fault-plan validation, HA drill, Eq. 2-3 model
+
+
+def _args_scrub(scrub: argparse.ArgumentParser) -> None:
+    scrub.add_argument("--dataset", default="IGB-tiny")
+    scrub.add_argument("--scale", type=float, default=0.1,
+                       help="dataset shrink factor (default: 0.1)")
+    scrub.add_argument("--num-ssds", type=int, default=1)
+    scrub.add_argument(
+        "--scrub-iops", type=float, default=1e6, metavar="N",
+        help="page reads per modeled second for the sweep (default: 1e6)",
+    )
+    _add_fault_plan_arg(
+        scrub,
+        "FaultPlan JSON whose corruption storms poison the media; "
+        "omitted means a clean sweep",
+    )
+    scrub.add_argument(
+        "--at-time", type=float, default=None, metavar="SECONDS",
+        help="simulated time of the sweep (default: just after the last "
+        "corruption storm in the plan)",
+    )
+
+
 def _cmd_scrub(args: argparse.Namespace) -> int:
     """``scrub``: one offline integrity sweep over a workload's pages."""
     from .faults.injector import FaultInjector
@@ -1935,12 +1361,9 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
     from .integrity import CorruptionLedger, PageChecksummer, Scrubber
     from .storage.feature_store import FeatureStore
 
-    if args.scrub_iops <= 0:
-        print("error: --scrub-iops must be positive", file=sys.stderr)
-        return 2
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = _load_fault_plan(args.fault_plan)
+    if not args.scrub_iops > 0:
+        raise ConfigError("--scrub-iops must be positive")
+    fault_plan = _load_fault_plan(args.fault_plan)
 
     dataset = load_scaled(args.dataset, args.scale, seed=0)
     store = FeatureStore(dataset.num_nodes, dataset.feature_dim)
@@ -1991,6 +1414,39 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
     return 0
 
 
+def _args_faults_validate(validate: argparse.ArgumentParser) -> None:
+    validate.add_argument("plan", help="path to the FaultPlan JSON file")
+    validate.add_argument(
+        "--iterations", type=int, default=None, metavar="N",
+        help="planned run length; crash events beyond it are flagged",
+    )
+    validate.add_argument(
+        "--fleet-size", type=int, default=None, metavar="N",
+        help="planned fleet width; worker events targeting gpu:<k> with "
+        "k >= N are flagged",
+    )
+    validate.add_argument(
+        "--num-ssds", type=int, default=None, metavar="N",
+        help="planned SSD-array width; device events targeting device "
+        "k >= N are flagged, as is a plan that drops every device with "
+        "no recovery (a full-array wipe nothing can serve through)",
+    )
+
+
+def _all_down_at_end(events, member: str, width: int) -> bool:
+    """True when dropouts, net of later recoveries, leave all ``width``
+    members (``event.<member>``) down once the plan's timeline ends."""
+    down: set[int] = set()
+    for event in sorted(
+        events, key=lambda e: (e.at_time_s, getattr(e, member))
+    ):
+        if event.kind == "dropout":
+            down.add(getattr(event, member))
+        elif event.kind == "recovery":
+            down.discard(getattr(event, member))
+    return len(down) >= width
+
+
 def _cmd_faults_validate(args: argparse.Namespace) -> int:
     """``faults validate``: parse a plan and cross-check its events."""
     plan = _load_fault_plan(args.plan)  # exits 2 on a malformed plan
@@ -2005,8 +1461,7 @@ def _cmd_faults_validate(args: argparse.Namespace) -> int:
                 )
     if args.fleet_size is not None:
         if args.fleet_size <= 0:
-            print("error: --fleet-size must be positive", file=sys.stderr)
-            return 2
+            raise ConfigError("--fleet-size must be positive")
         for event in plan.worker_events:
             if event.worker >= args.fleet_size:
                 problems.append(
@@ -2016,26 +1471,14 @@ def _cmd_faults_validate(args: argparse.Namespace) -> int:
                 )
         # A dropout with no later recovery strands the shard only if it
         # empties the whole fleet; flag the unrecoverable full wipe.
-        dropped: set[int] = set()
-        wiped = False
-        for event in sorted(
-            plan.worker_events, key=lambda e: (e.at_time_s, e.worker)
-        ):
-            if event.kind == "dropout":
-                dropped.add(event.worker)
-            elif event.kind == "recovery":
-                dropped.discard(event.worker)
-            if len(dropped) >= args.fleet_size:
-                wiped = True
-        if wiped and dropped and len(dropped) >= args.fleet_size:
+        if _all_down_at_end(plan.worker_events, "worker", args.fleet_size):
             problems.append(
                 f"the plan drops all {args.fleet_size} workers with no "
                 "recovery: the fleet would stall with batches unassigned"
             )
     if args.num_ssds is not None:
         if args.num_ssds <= 0:
-            print("error: --num-ssds must be positive", file=sys.stderr)
-            return 2
+            raise ConfigError("--num-ssds must be positive")
         for event in plan.device_events:
             if event.device >= args.num_ssds:
                 problems.append(
@@ -2053,20 +1496,8 @@ def _cmd_faults_validate(args: argparse.Namespace) -> int:
         # A full-array wipe with no recovery leaves nothing to serve (or
         # rebuild) from; with redundancy a partial wipe is survivable,
         # but an all-devices-down plan cannot be routed around.
-        down: set[int] = set()
-        all_down = False
-        for event in sorted(
-            plan.device_events, key=lambda e: (e.at_time_s, e.device)
-        ):
-            if event.device >= args.num_ssds:
-                continue
-            if event.kind == "dropout":
-                down.add(event.device)
-            elif event.kind == "recovery":
-                down.discard(event.device)
-            if len(down) >= args.num_ssds:
-                all_down = True
-        if all_down and down and len(down) >= args.num_ssds:
+        in_range = [e for e in plan.device_events if e.device < args.num_ssds]
+        if _all_down_at_end(in_range, "device", args.num_ssds):
             problems.append(
                 f"the plan drops all {args.num_ssds} devices with no "
                 "recovery: no replica or parity group survives to serve "
@@ -2123,6 +1554,25 @@ def _cmd_faults_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _args_storage(storage: argparse.ArgumentParser) -> None:
+    _add_workload_args(storage, scale=0.05, num_ssds=4)
+    _add_fault_plan_arg(
+        storage,
+        "FaultPlan JSON whose device events (dropout / recovery / "
+        "fail_slow) drive the health state machine",
+    )
+    storage.add_argument(
+        "--duration", type=float, default=1.0, metavar="SECONDS",
+        help="simulated observation window (default: 1.0 s)",
+    )
+    storage.add_argument(
+        "--steps", type=int, default=50, metavar="N",
+        help="health observations across the window (default: 50)",
+    )
+    _add_ha_args(storage)
+    _add_export_args(storage)
+
+
 def _cmd_storage(args: argparse.Namespace) -> int:
     """``storage``: a stepped device health / rebuild drill.
 
@@ -2131,56 +1581,39 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     tell fail-slow from a blip), granting the rebuilder its budget each
     tick, then prints the per-device health table and rebuild progress.
     """
-    import json
-
-    from .bench.workloads import get_workload
     from .core.readpath import StorageStack
-    from .errors import ReproError
     from .storage_ha import StorageHA
 
-    if args.num_ssds <= 0:
-        print("error: --num-ssds must be positive", file=sys.stderr)
-        return 2
-    if args.duration <= 0:
-        print("error: --duration must be positive", file=sys.stderr)
-        return 2
-    if args.steps <= 0:
-        print("error: --steps must be positive", file=sys.stderr)
-        return 2
-    ha_kwargs = _ha_kwargs(args)
-
-    workload = get_workload(args.dataset, scale=args.scale)
-    system = workload.system(_SSDS[args.ssd], num_ssds=args.num_ssds)
-
-    device_plan = None
-    if args.fault_plan is not None:
-        plan = _load_fault_plan(args.fault_plan)
-        if plan.device_events:
-            device_plan = plan
-        else:
-            print(
-                "note: the plan has no device events; the array stays "
-                "healthy",
-                file=sys.stderr,
+    for flag in ("num_ssds", "duration", "steps"):
+        if getattr(args, flag) <= 0:
+            raise ConfigError(
+                f"--{flag.replace('_', '-')} must be positive"
             )
-    try:
-        stack = StorageStack(
-            workload.dataset,
-            system,
-            fault_plan=device_plan,
-            page_bytes=system.ssd.page_bytes,
-            **ha_kwargs,
+    ha_kwargs = _ha_kwargs(args)
+    workload, system = _resolve_workload(args)
+
+    plan = _load_fault_plan(args.fault_plan)
+    if plan is not None and not plan.device_events:
+        print(
+            "note: the plan has no device events; the array stays "
+            "healthy",
+            file=sys.stderr,
         )
-        # The drill reports device health even for an unprotected array.
-        ha = stack.storage_ha or StorageHA(
-            num_devices=system.num_ssds,
-            base_latency_s=system.ssd.read_latency_s,
-            total_pages=stack.layout.total_pages,
-            fault_array=stack.fault_array,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        plan = None
+    stack = StorageStack(
+        workload.dataset,
+        system,
+        fault_plan=plan,
+        page_bytes=system.ssd.page_bytes,
+        **ha_kwargs,
+    )
+    # The drill reports device health even for an unprotected array.
+    ha = stack.storage_ha or StorageHA(
+        num_devices=system.num_ssds,
+        base_latency_s=system.ssd.read_latency_s,
+        total_pages=stack.layout.total_pages,
+        fault_array=stack.fault_array,
+    )
 
     dt = args.duration / args.steps
     now = 0.0
@@ -2193,7 +1626,7 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     block["observed_seconds"] = args.duration
     block["observations"] = args.steps
     if args.format == "json":
-        print(json.dumps(block, indent=2, sort_keys=True, allow_nan=False))
+        print(_dumps(block))
         return 0
 
     ewma = ha.health.ewma_latencies()
@@ -2241,10 +1674,199 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     return 0
 
 
+def _args_ssd_model(ssd: argparse.ArgumentParser) -> None:
+    ssd.add_argument("--ssd", choices=sorted(_SSDS), default="optane")
+    ssd.add_argument("--num-ssds", type=int, default=1)
+    ssd.add_argument("--target", type=float, default=0.95)
+    ssd.add_argument(
+        "--json",
+        action="store_true",
+        help="print the model points as JSON instead of a table",
+    )
+
+
+def _cmd_ssd_model(args: argparse.Namespace) -> int:
+    from .sim.ssd import SSDArray
+
+    array = SSDArray(_SSDS[args.ssd], args.num_ssds)
+    points = [
+        {
+            "overlapping": n,
+            "iops": array.achieved_iops(n),
+            "bandwidth_bytes": array.achieved_bandwidth(n),
+        }
+        for n in (32, 128, 512, 2048, 8192, 32768)
+    ]
+    required = array.required_overlapping(args.target)
+    if args.json:
+        print(
+            _dumps(
+                {
+                    "ssd": array.spec.name,
+                    "num_ssds": array.num_ssds,
+                    "peak_iops": array.peak_iops,
+                    "peak_bandwidth_bytes": array.peak_bandwidth,
+                    "target": args.target,
+                    "required_overlapping": required,
+                    "points": points,
+                }
+            )
+        )
+        return 0
+    rows = [
+        [
+            p["overlapping"],
+            f"{p['iops'] / 1e6:.3f}",
+            f"{p['bandwidth_bytes'] / 1e9:.2f}",
+        ]
+        for p in points
+    ]
+    print(
+        render_table(
+            ["overlapping", "MIOPS", "GB/s"],
+            rows,
+            title=f"{array.spec.name} x{array.num_ssds}",
+        )
+    )
+    print(
+        f"{required} overlapping accesses reach "
+        f"{args.target:.0%} of peak"
+    )
+    return 0
+
+
+# ----------------------------------------------------------------------
+# Read-only commands: registries, figures and saved-artifact analysis
+
+#: figure/table name -> experiment function name in repro.bench.experiments.
+_EXPERIMENTS = {
+    "fig03": "fig03_request_rates",
+    "fig05": "fig05_breakdown",
+    "fig07": "fig07_sampling",
+    "fig08": "fig08_ssd_model",
+    "fig09": "fig09_accumulator",
+    "fig10": "fig10_cpu_buffer",
+    "fig11": "fig11_window_depth",
+    "fig12": "fig12_cache_sizes",
+    "fig13": "fig13_e2e_980pro",
+    "fig14": "fig14_e2e_optane",
+    "fig15": "fig15_ladies",
+    "table01": "table01_config",
+    "table02": "table02_datasets",
+    "table03": "table03_igb_microbench",
+    "table04": "table04_sizes",
+    "ablation-target": "ablation_accumulator_target",
+    "ablation-eviction": "ablation_eviction_policy",
+}
+
+
+def _load_report(path: str, loader: str | None = None) -> dict:
+    """Load and validate a report export, or exit 2 with a message.
+
+    ``repro run --format json`` writes a JSON *array* of reports (one per
+    loader); ``loader`` selects one entry from such a file.  A single
+    report object passes through unchanged.
+    """
+    from .observatory import validate_summary
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as exc:
+        _fail(f"cannot read report {path!r}: {exc}")
+    if isinstance(payload, list):
+        if loader is not None:
+            payload = [
+                entry
+                for entry in payload
+                if isinstance(entry, dict) and entry.get("loader") == loader
+            ]
+            if len(payload) != 1:
+                _fail(f"{path!r} holds no report for loader {loader!r}")
+            payload = payload[0]
+        elif len(payload) == 1:
+            payload = payload[0]
+        else:
+            names = [
+                entry.get("loader")
+                for entry in payload
+                if isinstance(entry, dict)
+            ]
+            _fail(
+                f"{path!r} holds {len(payload)} reports ({names}); pick "
+                "one with --loader"
+            )
+    try:
+        validate_summary(payload)
+    except ObservatoryError as exc:
+        _fail(f"{path}: {exc}")
+    return payload
+
+
+def _cmd_datasets(args: argparse.Namespace) -> int:
+    from .graph.datasets import DATASETS
+
+    rows = []
+    for spec in DATASETS.values():
+        rows.append(
+            [
+                spec.name,
+                "hetero" if spec.heterogeneous else "homo",
+                f"{spec.num_nodes:,}",
+                f"{spec.num_edges:,}",
+                spec.feature_dim,
+                f"{spec.total_bytes / 1e9:.1f} GB",
+            ]
+        )
+    print(
+        render_table(
+            ["dataset", "type", "nodes", "edges", "dim", "computed size"],
+            rows,
+            title="Dataset registry (Tables 2-3 of the paper)",
+        )
+    )
+    return 0
+
+
+def _args_figure(figure: argparse.ArgumentParser) -> None:
+    figure.add_argument("name", choices=sorted(_EXPERIMENTS))
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    from .bench import experiments
+
+    fn = getattr(experiments, _EXPERIMENTS[args.name])
+    print(fn().render())
+    return 0
+
+
+def _args_trace(trace: argparse.ArgumentParser) -> None:
+    trace.add_argument("path", help="trace JSON written by --trace")
+    trace.add_argument(
+        "--width",
+        type=int,
+        default=72,
+        metavar="COLS",
+        help="timeline width in characters (default: 72)",
+    )
+    trace.add_argument(
+        "--json",
+        action="store_true",
+        help="print a machine-readable summary (per-track seconds, event "
+        "counts, metrics) instead of the ASCII timeline",
+    )
+    trace.add_argument(
+        "--request",
+        metavar="TRACE_ID",
+        default=None,
+        help="render one causal chain (e.g. req-000042) from a trace "
+        "recorded with --trace-detail request; pass 'list' to enumerate "
+        "the trace ids present",
+    )
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: render a saved Chrome-trace file as an ASCII timeline."""
-    import json
-
     from .errors import TelemetryError
     from .telemetry import (
         render_trace,
@@ -2259,10 +1881,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: cannot read trace {args.path!r}: {exc}",
               file=sys.stderr)
         return 1
-    if args.request is not None:
-        from .telemetry import list_trace_ids, render_request_trace
+    try:
+        if args.request is not None:
+            from .telemetry import list_trace_ids, render_request_trace
 
-        try:
             validate_chrome_trace(trace)
             if args.request == "list":
                 ids = list_trace_ids(trace)
@@ -2277,20 +1899,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     print(trace_id)
             else:
                 print(render_request_trace(trace, args.request))
-        except TelemetryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return 0
-    try:
-        if args.json:
-            print(
-                json.dumps(
-                    summarize_chrome_trace(trace),
-                    indent=2,
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            )
+        elif args.json:
+            print(_dumps(summarize_chrome_trace(trace)))
         else:
             validate_chrome_trace(trace)
             print(render_trace(trace, width=args.width))
@@ -2340,6 +1950,29 @@ def _render_top(snapshots: list[dict], max_metrics: int) -> str:
     return "\n".join(lines)
 
 
+def _args_top(top: argparse.ArgumentParser) -> None:
+    top.add_argument("path", help="snapshot JSONL written by --stream")
+    top.add_argument(
+        "--follow",
+        action="store_true",
+        help="keep polling the file for new snapshots until interrupted",
+    )
+    top.add_argument(
+        "--interval",
+        type=float,
+        default=1.0,
+        metavar="SECONDS",
+        help="wall-clock poll interval with --follow (default: 1.0)",
+    )
+    top.add_argument(
+        "--metrics",
+        type=int,
+        default=12,
+        metavar="N",
+        help="show the N busiest counters/gauges (default: 12)",
+    )
+
+
 def _cmd_top(args: argparse.Namespace) -> int:
     """``top``: terminal view of a ``--stream`` snapshot JSONL file."""
     import time
@@ -2376,107 +2009,30 @@ def _cmd_top(args: argparse.Namespace) -> int:
             return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """``profile``: wall-clock-vs-modeled self-profile of one experiment."""
-    import json
-    import time
-
-    from .bench import experiments
-    from .telemetry import SimProfiler, render_profile
-
-    fn = getattr(experiments, _EXPERIMENTS[args.experiment])
-    profiler = SimProfiler()
-    start = time.perf_counter()
-    with profiler:
-        result = fn()
-    wall_s = time.perf_counter() - start
-
-    # Modeled seconds the experiment simulated: sum every loader seconds
-    # value its extras carry (the e2e experiments' common shape).
-    modeled_s = 0.0
-    for dataset_block in (result.extras or {}).values():
-        if isinstance(dataset_block, dict):
-            for value in dataset_block.values():
-                if isinstance(value, (int, float)):
-                    modeled_s += float(value)
-    doc = profiler.report(
-        modeled_s=modeled_s or None,
-        baseline_wall_s=wall_s,
-        workload=f"bench_{_EXPERIMENTS[args.experiment]}",
+def _args_analyze(analyze: argparse.ArgumentParser) -> None:
+    analyze.add_argument("report", help="report JSON from run --format json")
+    analyze.add_argument(
+        "--loader",
+        default=None,
+        help="pick one report out of a multi-loader export",
     )
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True,
-                      allow_nan=False)
-            handle.write("\n")
-        print(f"wrote profile to {args.output}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
-    else:
-        print(render_profile(doc))
-    return 0
-
-
-def _cmd_ssd_model(args: argparse.Namespace) -> int:
-    from .sim.ssd import SSDArray
-
-    array = SSDArray(_SSDS[args.ssd], args.num_ssds)
-    points = [
-        {
-            "overlapping": n,
-            "iops": array.achieved_iops(n),
-            "bandwidth_bytes": array.achieved_bandwidth(n),
-        }
-        for n in (32, 128, 512, 2048, 8192, 32768)
-    ]
-    required = array.required_overlapping(args.target)
-    if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "ssd": array.spec.name,
-                    "num_ssds": array.num_ssds,
-                    "peak_iops": array.peak_iops,
-                    "peak_bandwidth_bytes": array.peak_bandwidth,
-                    "target": args.target,
-                    "required_overlapping": required,
-                    "points": points,
-                },
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
-        return 0
-    rows = [
-        [
-            p["overlapping"],
-            f"{p['iops'] / 1e6:.3f}",
-            f"{p['bandwidth_bytes'] / 1e9:.2f}",
-        ]
-        for p in points
-    ]
-    print(
-        render_table(
-            ["overlapping", "MIOPS", "GB/s"],
-            rows,
-            title=f"{array.spec.name} x{array.num_ssds}",
-        )
+    analyze.add_argument(
+        "--ssd",
+        choices=sorted(_SSDS),
+        default="optane",
+        help="fallback hardware specs for reports without an embedded "
+        "attribution block (default: optane)",
     )
-    print(
-        f"{required} overlapping accesses reach "
-        f"{args.target:.0%} of peak"
+    analyze.add_argument("--num-ssds", type=int, default=1)
+    analyze.add_argument(
+        "--json",
+        action="store_true",
+        help="print the attribution block as JSON",
     )
-    return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """``analyze``: bottleneck attribution for a saved report export."""
-    import json
-
-    from .errors import ObservatoryError
     from .observatory import attribute_summary, system_spec_block
 
     summary = _load_report(args.report, loader=args.loader)
@@ -2492,13 +2048,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"{specs['ssd']} x{specs['num_ssds']} (--ssd/--num-ssds)",
             file=sys.stderr,
         )
-    try:
-        block = attribute_summary(summary, specs)
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    block = attribute_summary(summary, specs)
     if args.json:
-        print(json.dumps(block, indent=2, sort_keys=True, allow_nan=False))
+        print(_dumps(block))
         return 0
 
     rows = [
@@ -2558,55 +2110,82 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _args_compare(compare: argparse.ArgumentParser) -> None:
+    compare.add_argument(
+        "reports",
+        nargs="+",
+        metavar="REPORT",
+        help="BASELINE CANDIDATE report JSONs, or just CANDIDATE with "
+        "--history",
+    )
+    compare.add_argument(
+        "--history",
+        metavar="DIR",
+        default=None,
+        help="compare against the noise band of same-fingerprint records "
+        "in this run-history directory instead of a baseline file",
+    )
+    compare.add_argument(
+        "--threshold",
+        type=float,
+        default=0.05,
+        metavar="FRACTION",
+        help="relative tolerance before a delta counts (default: 0.05)",
+    )
+    compare.add_argument(
+        "--sigma",
+        type=float,
+        default=3.0,
+        metavar="N",
+        help="history noise-band width in standard deviations "
+        "(default: 3.0)",
+    )
+    compare.add_argument(
+        "--loader",
+        default=None,
+        help="pick one report out of multi-loader exports",
+    )
+    compare.add_argument(
+        "--json",
+        action="store_true",
+        help="print the comparison result as JSON",
+    )
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     """``compare``: regression gate between reports or vs the history."""
-    import json
-
-    from .errors import ObservatoryError
     from .observatory import (
         RunHistory,
         compare_summaries,
         compare_to_history,
     )
 
-    try:
-        if args.history is not None:
-            if len(args.reports) != 1:
-                print(
-                    "error: --history takes exactly one CANDIDATE report",
-                    file=sys.stderr,
-                )
-                return 2
-            candidate = _load_report(args.reports[0], loader=args.loader)
-            result = compare_to_history(
-                candidate,
-                RunHistory(args.history),
-                sigma=args.sigma,
-                threshold=args.threshold,
+    if args.history is not None:
+        if len(args.reports) != 1:
+            raise ObservatoryError(
+                "--history takes exactly one CANDIDATE report"
             )
-        else:
-            if len(args.reports) != 2:
-                print(
-                    "error: compare takes BASELINE and CANDIDATE reports "
-                    "(or one CANDIDATE with --history)",
-                    file=sys.stderr,
-                )
-                return 2
-            baseline = _load_report(args.reports[0], loader=args.loader)
-            candidate = _load_report(args.reports[1], loader=args.loader)
-            result = compare_summaries(
-                baseline, candidate, threshold=args.threshold
+        candidate = _load_report(args.reports[0], loader=args.loader)
+        result = compare_to_history(
+            candidate,
+            RunHistory(args.history),
+            sigma=args.sigma,
+            threshold=args.threshold,
+        )
+    else:
+        if len(args.reports) != 2:
+            raise ObservatoryError(
+                "compare takes BASELINE and CANDIDATE reports (or one "
+                "CANDIDATE with --history)"
             )
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        baseline = _load_report(args.reports[0], loader=args.loader)
+        candidate = _load_report(args.reports[1], loader=args.loader)
+        result = compare_summaries(
+            baseline, candidate, threshold=args.threshold
+        )
 
     if args.json:
-        print(
-            json.dumps(
-                result.to_dict(), indent=2, sort_keys=True, allow_nan=False
-            )
-        )
+        print(_dumps(result.to_dict()))
         return result.exit_code
 
     def fmt(value: float | None) -> str:
@@ -2641,17 +2220,35 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
+def _args_history_record(record: argparse.ArgumentParser) -> None:
+    record.add_argument("report", help="report JSON from run --format json")
+    record.add_argument(
+        "--dir",
+        default=".repro-history",
+        metavar="DIR",
+        help="history directory (default: .repro-history)",
+    )
+    record.add_argument(
+        "--label",
+        default=None,
+        help="workload label folded into the config fingerprint",
+    )
+    record.add_argument(
+        "--loader",
+        default=None,
+        help="pick one report out of a multi-loader export",
+    )
+
+
 def _cmd_history_record(args: argparse.Namespace) -> int:
     """``history record``: append one report summary to the history."""
-    from .errors import ObservatoryError
     from .observatory import RunHistory
 
     summary = _load_report(args.report, loader=args.loader)
     try:
         record = RunHistory(args.dir).append(summary, label=args.label)
-    except (ObservatoryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        raise ObservatoryError(str(exc)) from exc
     e2e = record.e2e_seconds
     print(
         f"recorded {record.loader} run as fingerprint "
@@ -2662,28 +2259,33 @@ def _cmd_history_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _args_history_list(hist_list: argparse.ArgumentParser) -> None:
+    hist_list.add_argument(
+        "--dir",
+        default=".repro-history",
+        metavar="DIR",
+        help="history directory (default: .repro-history)",
+    )
+    hist_list.add_argument(
+        "--fingerprint",
+        default=None,
+        help="show the individual records of one config fingerprint",
+    )
+    hist_list.add_argument(
+        "--json",
+        action="store_true",
+        help="print records as JSON",
+    )
+
+
 def _cmd_history_list(args: argparse.Namespace) -> int:
     """``history list``: show recorded fingerprints or one trend."""
-    import json
-
-    from .errors import ObservatoryError
     from .observatory import RunHistory
 
     history = RunHistory(args.dir)
-    try:
-        records = history.records(args.fingerprint)
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = history.records(args.fingerprint)
     if args.json:
-        print(
-            json.dumps(
-                [record.to_dict() for record in records],
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
+        print(_dumps([record.to_dict() for record in records]))
         return 0
     if not records:
         print(f"history at {history.path} holds no records")
@@ -2733,51 +2335,92 @@ def _cmd_history_list(args: argparse.Namespace) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# Command table and entry point
+
+#: name -> (help, add_args, handler).  ``add_args`` is ``None`` for a
+#: flagless command; a dict in the handler slot is a nested command
+#: group (its own table).
+COMMANDS: dict[str, tuple] = {
+    "datasets": ("list the dataset registry", None, _cmd_datasets),
+    "run": ("compare dataloaders on a workload", _args_run, _cmd_run),
+    "figure": ("regenerate one paper figure", _args_figure, _cmd_figure),
+    "train": ("functional GraphSAGE training", _args_train, _cmd_train),
+    "fleet": ("elastic multi-GPU sharded training in modeled time",
+              _args_fleet, _cmd_fleet),
+    "fullgraph": ("full-graph training as partition sweeps with activation "
+                  "offload", _args_fullgraph, _cmd_fullgraph),
+    "serve": ("overload-protected online inference in modeled time",
+              _args_serve, _cmd_serve),
+    "scrub": ("sweep a workload's feature pages against their digests",
+              _args_scrub, _cmd_scrub),
+    "faults": ("fault-plan tooling (validate)", None, {
+        "validate": ("parse a FaultPlan JSON and cross-check its event "
+                     "windows", _args_faults_validate, _cmd_faults_validate),
+    }),
+    "storage": ("storage-HA drill: device health and rebuild report",
+                _args_storage, _cmd_storage),
+    "trace": ("render a saved Chrome trace as an ASCII timeline",
+              _args_trace, _cmd_trace),
+    "top": ("terminal view of a live metric-snapshot stream (--stream)",
+            _args_top, _cmd_top),
+    "ssd-model": ("Eq. 2-3 bandwidth model", _args_ssd_model, _cmd_ssd_model),
+    "analyze": ("bottleneck attribution for a saved report JSON",
+                _args_analyze, _cmd_analyze),
+    "compare": ("regression gate: compare reports or a report vs the history",
+                _args_compare, _cmd_compare),
+    "history": ("record and inspect the local run history", None, {
+        "record": ("append a report summary to the run history",
+                   _args_history_record, _cmd_history_record),
+        "list": ("list recorded fingerprints or one trend",
+                 _args_history_list, _cmd_history_list),
+    }),
+}
+
+
+def _add_commands(
+    parser: argparse.ArgumentParser, table: dict, dest: str
+) -> None:
+    """One subparser per table entry, recursing into command groups."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, add_args, handler) in table.items():
+        child = sub.add_parser(name, help=help_text)
+        if add_args is not None:
+            add_args(child)
+        if isinstance(handler, dict):
+            _add_commands(child, handler, f"{name}_command")
+        else:
+            child.set_defaults(handler=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="GIDS reproduction (PVLDB 17(6), 2024)",
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"repro {package_version()}",
+    )
+    _add_commands(parser, COMMANDS, "command")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Every typed error a command lets escape ends here as one ``error:``
+    line: exit 2 for bad input or configuration, exit 1 for the runtime
+    :class:`~repro.errors.FaultError` family (a fault the run could not
+    absorb — a plan *file* that does not parse is configuration).
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "datasets":
-        return _cmd_datasets()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "fullgraph":
-        return _cmd_fullgraph(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "scrub":
-        return _cmd_scrub(args)
-    if args.command == "storage":
-        return _cmd_storage(args)
-    if args.command == "faults":
-        if args.faults_command == "validate":
-            return _cmd_faults_validate(args)
-        raise AssertionError(
-            f"unhandled faults command {args.faults_command!r}"
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        runtime = isinstance(exc, FaultError) and not isinstance(
+            exc, ConfigError
         )
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "ssd-model":
-        return _cmd_ssd_model(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "history":
-        if args.history_command == "record":
-            return _cmd_history_record(args)
-        if args.history_command == "list":
-            return _cmd_history_list(args)
-        raise AssertionError(
-            f"unhandled history command {args.history_command!r}"
-        )
-    raise AssertionError(f"unhandled command {args.command!r}")
+        return 1 if runtime else 2

@@ -514,11 +514,11 @@ class ElasticFleetTrainer:
     def _remaining_batches(self) -> int:
         return sum(len(w.queue) for w in self.workers)
 
-    def _instant(self, name: str, **args) -> None:
+    def _instant(self, name: str, *, at_s: float, **args) -> None:
+        """Mirror one elasticity event record (it carries its own
+        ``at_s``) onto the fleet-events lane."""
         if self.tracer is not None:
-            self.tracer.instant(
-                name, FLEET_EVENTS_TRACK, at_s=self.clock_s, **args
-            )
+            self.tracer.instant(name, FLEET_EVENTS_TRACK, at_s=at_s, **args)
 
     def _fire_due_events(self) -> None:
         while (

@@ -18,9 +18,7 @@ The streaming/forensics pieces:
 * :class:`MetricsSnapshotter` — periodic modeled-time registry
   snapshots to JSONL + Prometheus text exposition (``repro top``);
 * :class:`FlightRecorder` — bounded ring of recent events dumped as
-  ``blackbox.json`` on crash / SLO breach / invariant violation;
-* :class:`SimProfiler` — wall-clock-vs-modeled-time self-profiler
-  behind ``repro profile`` (the one deliberate wall-clock consumer).
+  ``blackbox.json`` on crash / SLO breach / invariant violation.
 
 And the exporters — Chrome trace-event JSON (``chrome://tracing`` /
 Perfetto) with causal flow events, an ASCII lane renderer for
@@ -36,7 +34,6 @@ from .prometheus import (
     prometheus_name,
     to_prometheus_text,
 )
-from .profiler import PROFILE_SCHEMA, SimProfiler, render_profile
 from .snapshot import SNAPSHOT_SCHEMA, MetricsSnapshotter, read_snapshots
 from .tracer import DETAIL_LEVELS, Instant, Span, Tracer
 from .tracks import (
@@ -82,11 +79,9 @@ __all__ = [
     "KNOWN_TRACKS",
     "MetricsRegistry",
     "MetricsSnapshotter",
-    "PROFILE_SCHEMA",
     "SERVING_TRACK",
     "SNAPSHOT_SCHEMA",
     "STAGE_TRACKS",
-    "SimProfiler",
     "Span",
     "TRACKS",
     "TraceContext",
@@ -97,7 +92,6 @@ __all__ = [
     "parse_prometheus_text",
     "prometheus_name",
     "read_snapshots",
-    "render_profile",
     "render_request_trace",
     "render_trace",
     "request_trace_id",

@@ -79,3 +79,75 @@ class TestCommands:
         )
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
+
+
+_TINY = ["--dataset", "IGB-tiny", "--scale", "0.02"]
+_GIDS = ["run", *_TINY, "--loader", "gids", "--iterations", "3"]
+_TRAIN = ["train", *_TINY, "--iterations", "3", "--hidden-dim", "16"]
+
+#: Hostile invocations that used to end in a traceback (exit 1) or, for
+#: the negative scrub budget, in a silently accepted run (exit 0).
+HOSTILE = {
+    "zero-iterations": _GIDS + ["--iterations", "0"],
+    "zero-ssds": _GIDS + ["--num-ssds", "0"],
+    "unknown-dataset": ["run", "--dataset", "NOPE"],
+    "zero-trace-cap": _GIDS + ["--trace", "t.json", "--trace-cap", "0"],
+    "nan-scale": _TRAIN + ["--scale", "nan"],
+    "zero-checkpoint-cadence": (
+        _TRAIN + ["--checkpoint-dir", "d", "--checkpoint-every", "0"]
+    ),
+    "nan-snapshot-cadence": (
+        _TRAIN + ["--stream", "s.jsonl", "--snapshot-every", "nan"]
+    ),
+    "negative-scrub-budget": _GIDS + ["--scrub-iops", "-5"],
+    # "ckpt" holds snapshots of a model with a different --hidden-dim.
+    "resume-skewed-checkpoint": (
+        _TRAIN + ["--checkpoint-dir", "ckpt", "--resume"]
+    ),
+}
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_exits_two_with_one_error_line(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        if name == "resume-skewed-checkpoint":
+            assert main(
+                _TRAIN + ["--hidden-dim", "8", "--checkpoint-dir", "ckpt",
+                          "--checkpoint-every", "2"]
+            ) == 0
+            capsys.readouterr()
+        try:
+            code = main(HOSTILE[name])
+        except SystemExit as exc:  # pre-flight rejections exit like argparse
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scrub-iops", "-5"],
+            ["--snapshot-every", "inf"],
+            ["--trace-cap", "-1"],
+            ["--checkpoint-every", "-3"],
+        ],
+    )
+    def test_flag_families_are_validated_for_every_workload(self, flags):
+        # One validator per family, in RunContext: the same bad value is
+        # rejected wherever the family's flags exist.
+        parser = build_parser()
+        for command in ("run", "train", "fleet", "fullgraph", "serve"):
+            try:
+                parser.parse_args([command, *flags])
+            except SystemExit:
+                continue  # this command does not carry the family
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, *flags])
+            assert excinfo.value.code == 2

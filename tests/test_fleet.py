@@ -28,6 +28,7 @@ from repro.core.fleet import (
 from repro.errors import CheckpointError, ConfigError
 from repro.faults.plan import FaultPlan, WorkerEvent
 from repro.graph.datasets import load_scaled
+from repro.pipeline.export import EXPORT_SCHEMA_VERSION
 from repro.telemetry import Tracer
 from repro.training.graphsage import GraphSAGE, average_gradients
 
@@ -194,6 +195,22 @@ class TestHealthyEpoch:
         trainer.run_epoch()
         tracks = {span.track for span in tracer.spans}
         assert any(t.startswith("fleet.gpu") for t in tracks)
+
+    def test_traced_elasticity_events_land_on_the_events_lane(self):
+        """A traced run used to die in a TypeError on its first worker
+        event: the event record's ``at_s`` collided with the tracer's."""
+        plan = FaultPlan(
+            worker_events=(
+                WorkerEvent(worker="gpu:1", kind="dropout", at_time_s=0.0),
+            )
+        )
+        tracer = Tracer()
+        traced = run_fleet(make_fleet(), fault_plan=plan, tracer=tracer)
+        names = [i.name for i in tracer.instants if i.track == "fleet.events"]
+        assert "fleet.dropout" in names and "fleet.rebalance" in names
+        # Tracing observes; it never changes the schedule.
+        untraced = run_fleet(make_fleet(), fault_plan=plan)
+        assert traced.schedule == untraced.schedule
 
 
 class TestPeerCacheTier:
@@ -556,7 +573,7 @@ class TestFleetCLI:
         ]) == 0
         capsys.readouterr()
         doc = json.loads(out_path.read_text())
-        assert doc["schema_version"] == 11
+        assert doc["schema_version"] == EXPORT_SCHEMA_VERSION
         assert doc["fleet"]["num_gpus"] == 2
         assert len(doc["fleet"]["workers"]) == 2
         rows = {r["scenario"] for r in doc["attribution"]["what_if"]}

@@ -584,8 +584,7 @@ class TestExport:
 
     def test_schema_v9_with_fullgraph_block(self, exported):
         _, result, summary = exported
-        assert EXPORT_SCHEMA_VERSION == 11
-        assert summary["schema_version"] == 11
+        assert summary["schema_version"] == EXPORT_SCHEMA_VERSION
         block = summary["fullgraph"]
         assert block["epochs_completed"] == 2
         assert block["epoch_losses"] == result.losses

@@ -432,11 +432,11 @@ class TestGIDSIntegrityAcceptance:
 
 class TestExportAndCLI:
     def test_export_carries_integrity_summary(self):
-        from repro.pipeline.export import report_to_dict
+        from repro.pipeline.export import EXPORT_SCHEMA_VERSION, report_to_dict
 
         loader = _loader(_corrupt_plan(), verify_reads="full")
         record = report_to_dict(loader.run(10))
-        assert record["schema_version"] == 11
+        assert record["schema_version"] == EXPORT_SCHEMA_VERSION
         block = record["integrity_summary"]
         assert block["consistent"]
         assert block["corrupt_detected"] == (

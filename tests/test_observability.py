@@ -1,6 +1,6 @@
 """Mission-control observability tests: causal tracing, streaming,
-flight recorder, profiler, and the property tests the exposition and
-snapshot formats are contractually bound to (ISSUE 10).
+flight recorder, and the property tests the exposition and snapshot
+formats are contractually bound to (ISSUE 10).
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
     MetricsSnapshotter,
-    SimProfiler,
     TraceContext,
     Tracer,
     declare_track,
@@ -25,7 +24,6 @@ from repro.telemetry import (
     parse_prometheus_text,
     prometheus_name,
     read_snapshots,
-    render_profile,
     render_request_trace,
     request_trace_id,
     require_known_track,
@@ -456,55 +454,6 @@ class TestFlightRecorder:
             FlightRecorder(capacity=0)
 
 
-class TestSimProfiler:
-    """Tentpole (d): wall-vs-modeled self-profiling, zero modeled impact."""
-
-    @staticmethod
-    def _run_workload():
-        from repro.config import SAMSUNG_980PRO
-        from repro.sim.ssd import SSDArray
-
-        array = SSDArray(SAMSUNG_980PRO, 2)
-        return sum(array.batch_service_time(100) for _ in range(50))
-
-    def test_profile_attributes_subsystems(self):
-        baseline = self._run_workload()
-        profiler = SimProfiler()
-        with profiler:
-            modeled = self._run_workload()
-        # Shims never touch modeled time.
-        assert modeled == baseline
-        assert profiler.calls["ssd"] == 50
-        doc = profiler.report(modeled_s=modeled, workload="unit")
-        assert doc["schema"] == "repro.sim.profile/v1"
-        assert doc["subsystems"]["ssd"]["calls"] == 50
-        assert doc["wall_accounted_s"] <= doc["wall_total_s"]
-        assert doc["modeled_per_wall"] > 0
-        text = render_profile(doc)
-        assert "ssd" in text and "modeled" in text
-
-    def test_shims_are_restored(self):
-        from repro.sim.ssd import SSDArray
-
-        original = SSDArray.batch_service_time
-        with SimProfiler():
-            assert SSDArray.batch_service_time is not original
-        assert SSDArray.batch_service_time is original
-
-    def test_reentry_rejected(self):
-        profiler = SimProfiler()
-        with profiler:
-            with pytest.raises(TelemetryError):
-                profiler.__enter__()
-
-    def test_overhead_ratio(self):
-        profiler = SimProfiler()
-        with profiler:
-            self._run_workload()
-        doc = profiler.report(baseline_wall_s=profiler.total_wall_s)
-        assert doc["profiling_overhead_ratio"] == pytest.approx(0.0)
-
-
 class TestObservabilityExport:
     """Satellite 6: the v11 ``observability`` block."""
 
@@ -560,14 +509,14 @@ class TestObservabilityExport:
         summary = report_to_dict(
             report, observability={"dropped_events": 0}
         )
-        assert summary["schema_version"] == 11
+        assert summary["schema_version"] == EXPORT_SCHEMA_VERSION
         assert summary["observability"] == {"dropped_events": 0}
         # Omitting the block keeps the key present but null.
         assert report_to_dict(report)["observability"] is None
 
 
 class TestTopAndProfileCli:
-    """CLI surfaces: ``repro top`` one-shot and the profile renderer."""
+    """CLI surfaces: ``repro top`` one-shot and ``trace --request``."""
 
     def _write_stream(self, path):
         registry = MetricsRegistry()

@@ -279,7 +279,7 @@ class TestExportIntegration:
         )
         report = loader.run(8, warmup=2)
         summary = report_to_dict(report, system=system)
-        assert summary["schema_version"] == 11
+        assert summary["schema_version"] == EXPORT_SCHEMA_VERSION
         block = summary["attribution"]
         counters = report.counters
         agg = report.stage_totals.aggregation

@@ -13,6 +13,7 @@ from repro.errors import CheckpointError, ConfigError, ServingError
 from repro.faults import Budget, DeviceEvent, FaultInjector, FaultPlan, RetryPolicy
 from repro.graph.datasets import load_scaled
 from repro.observatory import AlertRule, SLOMonitor, validate_summary
+from repro.pipeline.export import EXPORT_SCHEMA_VERSION
 from repro.serving import (
     ADMIT,
     CLOSED,
@@ -528,7 +529,7 @@ class TestServerEndToEnd:
             tracer=tracer, system=_SYSTEM
         )
         validate_summary(summary)
-        assert summary["schema_version"] == 11
+        assert summary["schema_version"] == EXPORT_SCHEMA_VERSION
         assert summary["loader"] == "GIDS-serve"
         assert summary["serving"]["requests"]["offered"]["total"] == 150
         assert summary["attribution"] is not None

@@ -14,6 +14,7 @@ from repro.cli import main
 from repro.config import LoaderConfig, SystemConfig
 from repro.core import GIDSDataLoader
 from repro.faults import FaultPlan
+from repro.pipeline.export import EXPORT_SCHEMA_VERSION
 from repro.telemetry import Tracer, validate_chrome_trace
 
 
@@ -245,7 +246,7 @@ class TestCLITracing:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)[0]
-        assert payload["schema_version"] == 11
+        assert payload["schema_version"] == EXPORT_SCHEMA_VERSION
         assert payload["repro_version"]
         telemetry = payload["telemetry"]
         for track, value in telemetry["track_seconds"].items():
