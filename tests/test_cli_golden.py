@@ -399,7 +399,8 @@ def _regenerate(names: list[str]) -> None:
         with tempfile.TemporaryDirectory() as scratch:
             record = run_case(name, Path(scratch))
         if artifact:
-            golden["cases"][name]["files"][artifact] = record["files"][artifact]
+            files = golden["cases"][name]["files"]
+            files[artifact] = record["files"][artifact]
         else:
             golden["cases"][name] = record
         print(f"generated {selector}", file=sys.stderr)
