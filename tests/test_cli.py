@@ -84,6 +84,7 @@ class TestCommands:
 _TINY = ["--dataset", "IGB-tiny", "--scale", "0.02"]
 _GIDS = ["run", *_TINY, "--loader", "gids", "--iterations", "3"]
 _TRAIN = ["train", *_TINY, "--iterations", "3", "--hidden-dim", "16"]
+_WORKLOADS = ("run", "train", "fleet", "fullgraph", "serve")
 
 #: Hostile invocations that used to end in a traceback (exit 1) or, for
 #: the negative scrub budget, in a silently accepted run (exit 0).
@@ -131,23 +132,21 @@ class TestHostileInput:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, commands",
         [
-            ["--scrub-iops", "-5"],
-            ["--snapshot-every", "inf"],
-            ["--trace-cap", "-1"],
-            ["--checkpoint-every", "-3"],
+            (["--scrub-iops", "-5"], ("run", "train")),
+            (["--checkpoint-every", "-3"], ("run", "train", "fullgraph")),
+            (["--snapshot-every", "inf"], _WORKLOADS),
+            (["--trace-cap", "-1"], _WORKLOADS),
+            (["--rebuild-iops", "nan"], _WORKLOADS),
         ],
     )
-    def test_flag_families_are_validated_for_every_workload(self, flags):
+    def test_flag_families_are_validated_for_every_workload(
+        self, flags, commands
+    ):
         # One validator per family, in RunContext: the same bad value is
-        # rejected wherever the family's flags exist.
-        parser = build_parser()
-        for command in ("run", "train", "fleet", "fullgraph", "serve"):
-            try:
-                parser.parse_args([command, *flags])
-            except SystemExit:
-                continue  # this command does not carry the family
+        # rejected by every command that carries the family's flags.
+        for command in commands:
             with pytest.raises(SystemExit) as excinfo:
                 main([command, *flags])
             assert excinfo.value.code == 2
