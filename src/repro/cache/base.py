@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..state import StateRecord, scalar
+
 
 @dataclass
-class CacheStats:
+class CacheStats(StateRecord):
     """Hit/miss accounting common to every cache tier.
 
     ``bypasses`` counts accesses that missed *and* could not be admitted
@@ -18,6 +20,11 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     bypasses: int = 0
+
+    STATE = tuple(
+        scalar(name, int)
+        for name in ("hits", "misses", "evictions", "bypasses")
+    )
 
     @property
     def accesses(self) -> int:

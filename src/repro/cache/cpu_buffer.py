@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CapacityError, CheckpointError, ConfigError
+from ..errors import CapacityError, ConfigError
+from ..state import Stateful, guard
 
 
-class ConstantCPUBuffer:
+class ConstantCPUBuffer(Stateful):
     """A static node-feature buffer resident in CPU memory.
 
     Args:
@@ -73,32 +74,15 @@ class ConstantCPUBuffer:
         view.flags.writeable = False
         return view
 
-    def state_dict(self) -> dict:
-        """Snapshot of the pinned-node set.
-
-        The buffer is static, so the snapshot exists for *validation*: a
-        resumed run rebuilt from the same configuration must pin exactly the
-        same nodes, otherwise redirect decisions (and therefore every modeled
-        time downstream) would silently diverge.
-        """
-        return {
-            "num_nodes": self.num_nodes,
-            "feature_bytes": self.feature_bytes,
-            "resident_ids": self._resident_ids.copy(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Check a snapshot against this buffer's (reconstructed) contents."""
-        if state.get("num_nodes") != self.num_nodes or state.get(
-            "feature_bytes"
-        ) != self.feature_bytes:
-            raise CheckpointError("CPU buffer geometry does not match checkpoint")
-        restored = np.asarray(state["resident_ids"], dtype=np.int64)
-        if not np.array_equal(restored, self._resident_ids):
-            raise CheckpointError(
-                "CPU buffer hot-node set does not match the checkpoint; "
-                "the loader was rebuilt with a different configuration"
-            )
+    # The buffer is static, so its snapshot exists for *validation*: a
+    # resumed run rebuilt from the same configuration must pin exactly the
+    # same nodes, otherwise redirect decisions (and therefore every modeled
+    # time downstream) would silently diverge.
+    STATE = (
+        guard("num_nodes"),
+        guard("feature_bytes"),
+        guard("resident_ids", "_resident_ids"),
+    )
 
     def contains(self, node_ids: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``node_ids`` are served from the buffer."""

@@ -33,6 +33,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from ..errors import CheckpointError, ConfigError
+from ..state import Stateful, child, custom, guard, rng_state
 from ..utils import as_rng
 from .base import CacheStats
 
@@ -67,7 +68,7 @@ def _repeat_free_prefix(pages: np.ndarray) -> int:
     return int(order[1:][again].min())
 
 
-class GPUSoftwareCache:
+class GPUSoftwareCache(Stateful):
     """A fully associative page cache with pinning and random/LRU eviction.
 
     Args:
@@ -516,28 +517,14 @@ class GPUSoftwareCache:
         self.access(pages)
         self.stats = saved
 
-    def state_dict(self) -> dict:
-        """Full snapshot: residency, pinning, eviction order, RNG, stats.
-
-        Captures everything needed for a resumed run to make bit-identical
-        eviction decisions: the reuse/pending counters as (page ids, counts)
-        array pairs, the evictable population in its exact order (which the
-        random policy indexes into and the LRU policy reads recency from),
-        and the eviction RNG state.
-        """
+    def _lines_to_state(self) -> dict:
+        """The reuse/pending counters as (page ids, counts) array pairs and
+        the evictable population in its exact order, which the random policy
+        indexes into and the LRU policy reads recency from."""
         resident = np.flatnonzero(self._reuse >= 0)
         waiting = np.flatnonzero(self._pending > 0)
         evictable = self._evictable
         return {
-            "policy": self.policy,
-            "capacity_lines": self.capacity_lines,
-            "rng": self._rng.bit_generator.state,
-            "stats": {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "evictions": self.stats.evictions,
-                "bypasses": self.stats.bypasses,
-            },
             "resident_pages": resident,
             "resident_counts": self._reuse[resident],
             "pending_pages": waiting,
@@ -547,23 +534,8 @@ class GPUSoftwareCache:
             ),
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`.
-
-        Also accepts the layout written before the state moved to arrays
-        (``reuse``/``pending`` dicts keyed by page id, one ``evictable`` and
-        one ``lru`` list).
-        """
-        if state.get("policy") != self.policy:
-            raise CheckpointError(
-                f"checkpoint eviction policy {state.get('policy')!r} does "
-                f"not match cache policy {self.policy!r}"
-            )
-        if state.get("capacity_lines") != self.capacity_lines:
-            raise CheckpointError(
-                f"checkpoint cache capacity {state.get('capacity_lines')} "
-                f"does not match configured {self.capacity_lines}"
-            )
+    def _lines_from_state(self, state: dict) -> None:
+        """Rebuild the tables from either layout and check them."""
         if "reuse" in state:
             resident, reuse = state["reuse"].keys(), state["reuse"].values()
             waiting, pending = (
@@ -587,15 +559,6 @@ class GPUSoftwareCache:
                 f"{len(reuse)} counts and {len(waiting)} pending pages with "
                 f"{len(pending)} counts"
             )
-
-        self._rng.bit_generator.state = state["rng"]
-        stats = state["stats"]
-        self.stats = CacheStats(
-            hits=int(stats["hits"]),
-            misses=int(stats["misses"]),
-            evictions=int(stats["evictions"]),
-            bypasses=int(stats["bypasses"]),
-        )
         ids = np.concatenate((resident, waiting, evictable, [-1]))
         size = int(ids.max()) + 1
         self._reuse = np.full(size, -1, dtype=np.int32)
@@ -614,6 +577,27 @@ class GPUSoftwareCache:
             raise CheckpointError(
                 f"cache snapshot is inconsistent: {exc}"
             ) from exc
+
+    #: Everything a resumed run needs to make bit-identical eviction
+    #: decisions: residency, pinning, eviction order, RNG, stats.  The
+    #: ``legacy`` keys are the layout written before the state moved to
+    #: arrays (``reuse``/``pending`` dicts keyed by page id, one
+    #: ``evictable`` and one ``lru`` list).
+    STATE = (
+        guard("policy"),
+        guard("capacity_lines"),
+        rng_state(),
+        child("stats", cls=CacheStats),
+        custom(
+            (
+                "resident_pages", "resident_counts",
+                "pending_pages", "pending_counts", "evictable",
+            ),
+            _lines_to_state,
+            _lines_from_state,
+            legacy=("reuse", "pending", "evictable", "lru"),
+        ),
+    )
 
     def check_invariants(self) -> None:
         """Raise if internal bookkeeping is inconsistent (used by tests)."""

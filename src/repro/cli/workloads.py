@@ -543,6 +543,7 @@ def _args_fullgraph(fullgraph: argparse.ArgumentParser) -> None:
 
 def _cmd_fullgraph(args: argparse.Namespace) -> int:
     """``fullgraph``: sweep epochs over partitions with modeled offload."""
+    from .. import state
     from ..fullgraph import FullGraphConfig, FullGraphTrainer
     from ..pipeline.export import report_to_dict
     from ..utils import format_time
@@ -594,6 +595,9 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             store = ctx.checkpoint_store()
             loaded = store.load_latest() if args.resume else None
             if loaded is not None:
+                # Snapshots written before the plan guards lack the entry.
+                if "plan" in loaded.payload:
+                    state.load(trainer, loaded.payload["plan"], trainer.PLAN)
                 trainer.load_state_dict(loaded.payload["trainer"])
                 if tracer is not None and "tracer" in loaded.payload:
                     tracer.load_state_dict(loaded.payload["tracer"])
@@ -624,7 +628,10 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             trainer.run_steps(chunk)
             ran += chunk
             if store is not None:
-                payload = {"trainer": trainer.state_dict()}
+                payload = {
+                    "plan": state.save(trainer, trainer.PLAN),
+                    "trainer": trainer.state_dict(),
+                }
                 if tracer is not None:
                     payload["tracer"] = tracer.state_dict()
                 store.save(done + ran, payload)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import CheckpointError, ConfigError
+from ..errors import ConfigError
 from ..sim.ssd import SSDArray
+from ..state import Stateful, guard, scalar
 
 
 @dataclass
-class DynamicAccessAccumulator:
+class DynamicAccessAccumulator(Stateful):
     """Tracks the iteration-merging threshold for one SSD array.
 
     Args:
@@ -121,22 +122,10 @@ class DynamicAccessAccumulator:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot of the adaptive phase state (smoothed redirect fraction)."""
-        return {
-            "target_fraction": self.target_fraction,
-            "max_merged_iterations": self.max_merged_iterations,
-            "redirect_fraction": self._redirect_fraction,
-            "observed": self._observed,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the phase state captured by :meth:`state_dict`."""
-        if state.get("target_fraction") != self.target_fraction or state.get(
-            "max_merged_iterations"
-        ) != self.max_merged_iterations:
-            raise CheckpointError(
-                "accumulator configuration does not match the checkpoint"
-            )
-        self._redirect_fraction = float(state["redirect_fraction"])
-        self._observed = bool(state["observed"])
+    #: The adaptive phase state (smoothed redirect fraction).
+    STATE = (
+        guard("target_fraction"),
+        guard("max_merged_iterations"),
+        scalar("redirect_fraction", float, attr="_redirect_fraction"),
+        scalar("observed", bool, attr="_observed"),
+    )

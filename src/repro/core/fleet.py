@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from ..config import SystemConfig
-from ..errors import CheckpointError, ConfigError, PipelineError
+from ..errors import ConfigError, PipelineError
 from ..faults.plan import FaultPlan, WorkerEvent
 from ..graph.datasets import ScaledDataset
 from ..pipeline.metrics import (
@@ -59,6 +59,18 @@ from ..serving.breaker import BreakerBoard
 from ..serving.config import ServingConfig
 from ..sim.counters import TransferCounters
 from ..sim.ssd import SSDArray
+from ..state import (
+    Stateful,
+    child,
+    children,
+    each,
+    group,
+    guard,
+    mapping,
+    records,
+    scalar,
+    seq,
+)
 from ..storage.feature_store import FeatureStore
 from ..training.graphsage import (
     GraphSAGE,
@@ -185,7 +197,7 @@ class FleetConfig:
         )
 
 
-class _Worker:
+class _Worker(Stateful):
     """One modeled GPU worker: cache, queue, health, counters."""
 
     def __init__(self, index: int, cache_lines: int, seed: int) -> None:
@@ -229,42 +241,22 @@ class _Worker:
     def name(self) -> str:
         return f"gpu:{self.index}"
 
-    def state_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "generation": self.generation,
-            "active": self.active,
-            "slow_factor": self.slow_factor,
-            "queue": [int(b) for b in self.queue],
-            "skew_streak": self.skew_streak,
-            "times_stolen_from": self.times_stolen_from,
-            "last_step_s": self.last_step_s,
-            "counters": dict(self.counters),
-            "cache": self.cache.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if int(state["index"]) != self.index:
-            raise CheckpointError(
-                f"worker snapshot index {state['index']} loaded into "
-                f"worker {self.index}"
-            )
-        self.generation = int(state["generation"])
-        self.active = bool(state["active"])
-        self.slow_factor = float(state["slow_factor"])
-        self.queue = deque(int(b) for b in state["queue"])
-        self.skew_streak = int(state["skew_streak"])
-        self.times_stolen_from = int(state["times_stolen_from"])
-        last = state["last_step_s"]
-        self.last_step_s = None if last is None else float(last)
-        counters = dict(state["counters"])
-        counters["busy_s"] = float(counters["busy_s"])
-        for key in self.counters:
-            if key != "busy_s":
-                counters[key] = int(counters[key])
-        self.counters = counters
-        self.cache = self._fresh_cache()
-        self.cache.load_state_dict(state["cache"])
+    STATE = (
+        guard("index"),
+        scalar("generation", int),
+        scalar("active", bool),
+        scalar("slow_factor", float),
+        seq("queue", int, into=deque, save=each(int)),
+        scalar("skew_streak", int),
+        scalar("times_stolen_from", int),
+        scalar("last_step_s", float, optional=True),
+        mapping(
+            "counters",
+            lambda count: float(count) if isinstance(count, float) else int(count),
+        ),
+        # Built for the restored generation, then filled.
+        child("cache", fresh=lambda self: self._fresh_cache()),
+    )
 
 
 @dataclass(frozen=True)
@@ -342,7 +334,7 @@ class FleetResult:
         }
 
 
-class ElasticFleetTrainer:
+class ElasticFleetTrainer(Stateful):
     """Data-parallel GraphSAGE training over an elastic modeled GPU fleet.
 
     Args:
@@ -1007,105 +999,42 @@ class ElasticFleetTrainer:
     # ------------------------------------------------------------------
     # Coordinated checkpoint (consistent cut at the step barrier)
 
-    def state_dict(self) -> dict:
-        """A consistent cut across every worker and shared component."""
-        return {
-            "fleet": {
-                "num_gpus": self.fleet.num_gpus,
-                "batch_size": self.fleet.batch_size,
-                "shard_mode": self.fleet.shard_mode,
-                "peer_cache": self.fleet.peer_cache,
-                "seed": self.seed,
-                "num_batches": len(self.batches),
-                "seed_checksum": int(
-                    sum(int(b.sum()) for b in self.batches)
-                ),
-            },
-            "clock_s": self.clock_s,
-            "step_index": self.step_index,
-            "event_cursor": self._event_cursor,
-            "losses": list(self.losses),
-            "schedule": [
-                [[int(w), int(b)] for w, b in step]
-                for step in self.schedule
-            ],
-            "rebalance_events": [dict(e) for e in self.rebalance_events],
-            "steal_events": [dict(e) for e in self.steal_events],
-            "fired_events": [dict(e) for e in self.fired_events],
-            "model": self.model.state_dict(),
-            "workers": [w.state_dict() for w in self.workers],
-            "breakers": self.breakers.state_dict(),
-            "fault_array": (
-                None
-                if self.fault_array is None
-                else self.fault_array.state_dict()
-            ),
-            "storage_ha": (
-                None
-                if self.storage_ha is None
-                else self.storage_ha.state_dict()
-            ),
-            "report": self.report.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a cut captured by :meth:`state_dict`."""
-        meta = state.get("fleet")
-        if not isinstance(meta, dict):
-            raise CheckpointError("fleet snapshot missing 'fleet' block")
-        for key, current in (
-            ("num_gpus", self.fleet.num_gpus),
-            ("batch_size", self.fleet.batch_size),
-            ("shard_mode", self.fleet.shard_mode),
-            ("peer_cache", self.fleet.peer_cache),
-            ("seed", self.seed),
-            ("num_batches", len(self.batches)),
+    #: A consistent cut across every worker and shared component.
+    STATE = (
+        group(
+            "fleet",
             (
-                "seed_checksum",
-                int(sum(int(b.sum()) for b in self.batches)),
+                guard("num_gpus", "fleet.num_gpus"),
+                guard("batch_size", "fleet.batch_size"),
+                guard("shard_mode", "fleet.shard_mode"),
+                guard("peer_cache", "fleet.peer_cache"),
+                guard("seed"),
+                guard("num_batches", lambda self: len(self.batches)),
+                guard(
+                    "seed_checksum",
+                    lambda self: int(sum(int(b.sum()) for b in self.batches)),
+                ),
             ),
-        ):
-            if meta.get(key) != current:
-                raise CheckpointError(
-                    f"fleet snapshot {key}={meta.get(key)!r} does not "
-                    f"match this fleet's {key}={current!r}"
-                )
-        self.clock_s = float(state["clock_s"])
-        self.step_index = int(state["step_index"])
-        self._event_cursor = int(state["event_cursor"])
-        self.losses = [float(x) for x in state["losses"]]
-        self.schedule = [
-            [(int(w), int(b)) for w, b in step]
-            for step in state["schedule"]
-        ]
-        self.rebalance_events = [dict(e) for e in state["rebalance_events"]]
-        self.steal_events = [dict(e) for e in state["steal_events"]]
-        self.fired_events = [dict(e) for e in state["fired_events"]]
-        self.model.load_state_dict(state["model"])
-        worker_states = state["workers"]
-        if len(worker_states) != len(self.workers):
-            raise CheckpointError(
-                f"fleet snapshot has {len(worker_states)} workers, this "
-                f"fleet has {len(self.workers)}"
-            )
-        for worker, snapshot in zip(self.workers, worker_states):
-            worker.load_state_dict(snapshot)
-        self.breakers.load_state_dict(state["breakers"])
-        fault_state = state.get("fault_array")
-        if (fault_state is None) != (self.fault_array is None):
-            raise CheckpointError(
-                "fleet snapshot and trainer disagree on device-fault state"
-            )
-        if self.fault_array is not None:
-            self.fault_array.load_state_dict(fault_state)
-        ha_state = state.get("storage_ha")
-        if (ha_state is None) != (self.storage_ha is None):
-            raise CheckpointError(
-                "fleet snapshot and trainer disagree on storage-HA state"
-            )
-        if self.storage_ha is not None:
-            self.storage_ha.load_state_dict(ha_state)
-        self.report = RunReport.from_state_dict(state["report"])
+        ),
+        scalar("clock_s", float),
+        scalar("step_index", int),
+        scalar("event_cursor", int, attr="_event_cursor"),
+        seq("losses", float),
+        seq(
+            "schedule",
+            lambda step: [(int(w), int(b)) for w, b in step],
+            save=each(lambda step: [[int(w), int(b)] for w, b in step]),
+        ),
+        records("rebalance_events"),
+        records("steal_events"),
+        records("fired_events"),
+        child("model"),
+        children("workers"),
+        child("breakers"),
+        child("fault_array", optional=True),
+        child("storage_ha", optional=True),
+        child("report", cls=RunReport),
+    )
 
 
 def replay_schedule(

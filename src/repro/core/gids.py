@@ -27,7 +27,7 @@ import numpy as np
 
 from ..cache.gpu_cache import GPUSoftwareCache
 from ..config import LoaderConfig, SystemConfig
-from ..errors import CheckpointError, ConfigError
+from ..errors import ConfigError
 from ..faults import FaultPlan, FaultStats, RetryPolicy
 from ..graph.datasets import ScaledDataset
 from ..integrity import (
@@ -43,6 +43,17 @@ from ..sampling.minibatch import MiniBatch
 from ..sampling.neighbor import NeighborSampler
 from ..sampling.seeds import SeedBatchStream
 from ..sim.counters import TransferCounters
+from ..state import (
+    Stateful,
+    child,
+    each,
+    group,
+    guard,
+    rng_state,
+    save,
+    scalar,
+    seq,
+)
 from ..telemetry import Tracer
 from ..telemetry.context import TraceContext, step_trace_id
 from ..telemetry.tracks import INTEGRITY_TRACK
@@ -50,7 +61,7 @@ from ..utils import as_rng
 from . import readpath
 
 
-class GIDSDataLoader:
+class GIDSDataLoader(Stateful):
     """GPU-initiated direct-storage-access dataloader.
 
     Args:
@@ -853,137 +864,64 @@ class GIDSDataLoader:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot every piece of mutable loader state.
-
-        Captures the shared sampling RNG (which also drives the sampler and
-        the seed-stream shuffles), the seed stream's epoch position, the GPU
-        cache (contents, pinning counters, its private eviction RNG and
-        stats), the queued window entries, the accumulator's smoothed
-        redirect fraction, the simulated clock and — when fault injection is
-        active — the injector's stream position and the degradable array's
-        clock.  Restoring all of it into a freshly constructed loader with
-        identical arguments makes the continuation bit-identical to a run
-        that never stopped.
-        """
-        state = {
-            "loader_name": self.name,
-            "batch_size": self.batch_size,
-            "rng": self._rng.bit_generator.state,
-            "seed_stream": self._seed_stream.state_dict(),
-            "cache": self.cache.state_dict(),
-            "window": self.window.state_dict(),
-            "accumulator": (
-                None
-                if self.accumulator is None
-                else self.accumulator.state_dict()
-            ),
-            "cpu_buffer": (
-                None
-                if self.cpu_buffer is None
-                else self.cpu_buffer.state_dict()
-            ),
-            "sim_now_s": self._sim_now_s,
-            "faults": None,
-            "integrity": None,
-            "storage_ha": (
-                None
-                if self.storage_ha is None
-                else self.storage_ha.state_dict()
-            ),
-            "tracer": (
-                None if self.tracer is None else self.tracer.state_dict()
-            ),
-        }
-        if self.faults is not None:
-            state["faults"] = {
-                "injector": self.faults.state_dict(),
-                "array": self.fault_array.state_dict(),
-            }
-        if self.verifier is not None:
-            state["integrity"] = {
-                "ledger": self.ledger.state_dict(),
-                "verifier": self.verifier.state_dict(),
-                "scrubber": (
-                    None
-                    if self.scrubber is None
-                    else self.scrubber.state_dict()
+    #: Every piece of mutable loader state: the shared sampling RNG (which
+    #: also drives the sampler and the seed-stream shuffles), the seed
+    #: stream's epoch position, the GPU cache (contents, pinning counters,
+    #: its private eviction RNG and stats), the queued window entries, the
+    #: accumulator's smoothed redirect fraction, the simulated clock and —
+    #: when the planes are on — the injector's stream position, the
+    #: degradable array's clock, the ledger/verifier/scrubber and the HA
+    #: machine.  Restoring all of it into a freshly constructed loader with
+    #: identical arguments makes the continuation bit-identical to a run
+    #: that never stopped; a loader of another kind, batch size, cache
+    #: geometry, window depth or plane set is refused.
+    STATE = (
+        guard("loader_name", "name"),
+        guard("batch_size"),
+        rng_state(),
+        child("seed_stream", "_seed_stream"),
+        child("cache"),
+        child("window"),
+        child("accumulator", optional=True),
+        child("cpu_buffer", optional=True),
+        scalar("sim_now_s", float, attr="_sim_now_s"),
+        group(
+            "faults",
+            (child("injector", "faults"), child("array", "fault_array")),
+            when="faults",
+        ),
+        group(
+            "integrity",
+            (
+                child("ledger"),
+                child("verifier"),
+                child("scrubber", optional=True),
+                seq(
+                    "pending_corrupt",
+                    lambda pages: np.asarray(pages, dtype=np.int64),
+                    attr="_pending_corrupt",
+                    save=each(np.ndarray.tolist),
                 ),
-                "pending_corrupt": [
-                    [int(p) for p in pages]
-                    for pages in self._pending_corrupt
-                ],
-            }
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the state captured by :meth:`state_dict`.
-
-        The loader must have been constructed with the same dataset, system
-        and configuration as the one that produced the snapshot; structural
-        mismatches (loader kind, batch size, cache geometry, window depth,
-        fault support) raise :class:`~repro.errors.CheckpointError`.
-        """
-        if state.get("loader_name") != self.name:
-            raise CheckpointError(
-                f"checkpoint was written by loader "
-                f"{state.get('loader_name')!r}, not {self.name!r}"
-            )
-        if state.get("batch_size") != self.batch_size:
-            raise CheckpointError(
-                f"checkpoint batch size {state.get('batch_size')} does not "
-                f"match configured {self.batch_size}"
-            )
-        for attr, key in (
-            ("accumulator", "accumulator"),
-            ("cpu_buffer", "cpu_buffer"),
-            ("faults", "faults"),
-            ("verifier", "integrity"),
-            ("storage_ha", "storage_ha"),
-        ):
-            if (getattr(self, attr) is None) != (state.get(key) is None):
-                raise CheckpointError(
-                    f"checkpoint {key} state does not match the loader "
-                    f"configuration (one side has it disabled)"
-                )
-        self._rng.bit_generator.state = state["rng"]
-        self._seed_stream.load_state_dict(state["seed_stream"])
-        self.cache.load_state_dict(state["cache"])
-        self.window.load_state_dict(state["window"])
-        if self.accumulator is not None:
-            self.accumulator.load_state_dict(state["accumulator"])
-        if self.cpu_buffer is not None:
-            self.cpu_buffer.load_state_dict(state["cpu_buffer"])
-        self._sim_now_s = float(state["sim_now_s"])
-        if self.faults is not None:
-            self.faults.load_state_dict(state["faults"]["injector"])
-            self.fault_array.load_state_dict(state["faults"]["array"])
-        if self.storage_ha is not None:
-            self.storage_ha.load_state_dict(state["storage_ha"])
-        if self.verifier is not None:
-            integrity = state["integrity"]
-            self.ledger.load_state_dict(integrity["ledger"])
-            self.verifier.load_state_dict(integrity["verifier"])
-            if (self.scrubber is None) != (integrity["scrubber"] is None):
-                raise CheckpointError(
-                    "checkpoint scrubber state does not match the loader "
-                    "configuration (one side has scrubbing disabled)"
-                )
-            if self.scrubber is not None:
-                self.scrubber.load_state_dict(integrity["scrubber"])
-            self._pending_corrupt = [
-                np.asarray(pages, dtype=np.int64)
-                for pages in integrity["pending_corrupt"]
-            ]
+            ),
+            when="verifier",
+        ),
+        child("storage_ha", optional=True),
         # Tracer state is deliberately lenient: a checkpoint written
         # without tracing loads into a traced loader (the trace simply
         # starts at the resume point) and vice versa.  When both sides
         # carry state, the recorded spans resume seamlessly — events the
         # crashed run emitted *after* the snapshot are discarded with the
         # rest of its lost progress.
-        tracer_state = state.get("tracer")
-        if tracer_state is not None and self.tracer is not None:
-            self.tracer.load_state_dict(tracer_state)
+        child("tracer", lenient=True),
+    )
+
+    def state_dict(self) -> dict:
+        """Snapshot the loader through :attr:`STATE`.
+
+        Defined here, not inherited: ``benchmarks/e2e/tracing.py`` shims it
+        and accepts only a function found in this class's own namespace.
+        """
+        return save(self)
 
     def reset_caches(self) -> None:
         """Drop all cache and window state (fresh-run isolation)."""

@@ -21,12 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cache.gpu_cache import GPUSoftwareCache
-from ..errors import CheckpointError, ConfigError
+from ..errors import ConfigError
 from ..sampling.minibatch import MiniBatch
+from ..state import (
+    StateRecord,
+    Stateful,
+    array,
+    child,
+    children,
+    guard,
+    scalar,
+)
 
 
 @dataclass(frozen=True)
-class WindowEntry:
+class WindowEntry(StateRecord):
     """One pre-sampled iteration waiting in the window.
 
     ``payload`` carries loader-specific bookkeeping (e.g. redirect counts
@@ -37,8 +46,14 @@ class WindowEntry:
     pages: np.ndarray
     payload: object = None
 
+    STATE = (
+        child("batch", cls=MiniBatch),
+        array("pages", np.int64),
+        scalar("payload"),
+    )
 
-class WindowBuffer:
+
+class WindowBuffer(Stateful):
     """A FIFO of pre-sampled iterations wired to a GPU software cache.
 
     Args:
@@ -129,40 +144,11 @@ class WindowBuffer:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot the queued (pre-sampled, not yet aggregated) iterations.
-
-        The reuse units these entries registered live in the *cache's*
-        snapshot; only the FIFO contents are captured here.
-        """
-        return {
-            "depth": self.depth,
-            "entries": [
-                {
-                    "batch": entry.batch.state_dict(),
-                    "pages": entry.pages.copy(),
-                    "payload": entry.payload,
-                }
-                for entry in self._entries
-            ],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore queued entries *without* re-registering their reuse units.
-
-        The paired cache snapshot already holds the registration counts, so
-        pushing through :meth:`push` here would double-pin every page.
-        """
-        if state.get("depth") != self.depth:
-            raise CheckpointError(
-                f"checkpoint window depth {state.get('depth')} does not "
-                f"match configured {self.depth}"
-            )
-        self._entries = deque(
-            WindowEntry(
-                batch=MiniBatch.from_state_dict(entry["batch"]),
-                pages=np.asarray(entry["pages"], dtype=np.int64),
-                payload=entry["payload"],
-            )
-            for entry in state["entries"]
-        )
+    # Only the FIFO contents: the reuse units these entries registered live
+    # in the *cache's* snapshot.  They are therefore restored *without*
+    # going through :meth:`push` — the paired cache snapshot already holds
+    # the registration counts, and pushing would double-pin every page.
+    STATE = (
+        guard("depth"),
+        children("entries", "_entries", cls=WindowEntry, into=deque),
+    )

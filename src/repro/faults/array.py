@@ -16,12 +16,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import SSDSpec
-from ..errors import CheckpointError, FaultError
+from ..errors import FaultError
 from ..sim.ssd import SSDArray
+from ..state import Stateful, mapping, scalar
 from .injector import FaultInjector
 
 
-class FaultySSDArray:
+def _generation(gen) -> int:
+    if not isinstance(gen, int) or isinstance(gen, bool) or gen < 0:
+        raise ValueError("a clean generation is a non-negative int")
+    return gen
+
+
+class FaultySSDArray(Stateful):
     """Time-varying facade over a fixed SSD array.
 
     Args:
@@ -50,43 +57,23 @@ class FaultySSDArray:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot the clock and per-device clean generations."""
-        return {
-            "now_s": self.now_s,
-            "clean_generation": {
-                str(device): gen
-                for device, gen in sorted(self._clean_generation.items())
+    #: The clock and the per-device clean generations.
+    STATE = (
+        scalar(
+            "now_s", float,
+            check=lambda self, now_s: now_s < 0 and "the clock is negative",
+        ),
+        mapping(
+            "clean_generation", _generation, attr="_clean_generation",
+            name=int, late=True,
+            save=lambda clean: {
+                str(device): gen for device, gen in sorted(clean.items())
             },
-        }
+        ),
+    )
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the clock; the memoized effective array is invalidated."""
-        now_s = state.get("now_s")
-        if not isinstance(now_s, (int, float)) or now_s < 0:
-            raise CheckpointError(
-                f"invalid faulty-array clock in checkpoint: {now_s!r}"
-            )
-        clean = state.get("clean_generation", {})
-        if not isinstance(clean, dict):
-            raise CheckpointError(
-                f"invalid clean-generation map in checkpoint: {clean!r}"
-            )
-        restored: dict[int, int] = {}
-        for device, gen in clean.items():
-            try:
-                index = int(device)
-            except (TypeError, ValueError):
-                raise CheckpointError(
-                    f"invalid clean-generation device key: {device!r}"
-                ) from None
-            if not isinstance(gen, int) or isinstance(gen, bool) or gen < 0:
-                raise CheckpointError(
-                    f"invalid clean generation for device {index}: {gen!r}"
-                )
-            restored[index] = gen
-        self.now_s = float(now_s)
-        self._clean_generation = restored
+    def _state_loaded(self) -> None:
+        """The memoized effective array belongs to the old clock."""
         self._cache_key = None
         self._cache_array = None
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigError, RetryExhaustedError
+from ..errors import ConfigError, RetryExhaustedError
+from ..state import StateRecord, Stateful, child, guard, rng_state, scalar, seq
 from ..utils import splitmix64_uniform
 from .plan import (
     CORRUPT_BITFLIP,
@@ -29,7 +30,7 @@ _STORM_SALT_STRIDE = 0x51_7C_C1_B7_27_22_0A_95
 
 
 @dataclass
-class FaultStats:
+class FaultStats(StateRecord):
     """Cumulative fault/retry accounting kept by one injector."""
 
     injected_failures: int = 0
@@ -58,29 +59,13 @@ class FaultStats:
             if value:
                 registry.counter(f"{prefix}.{name}").inc(value)
 
-    def state_dict(self) -> dict:
-        """Plain-dict snapshot (checkpointable)."""
-        return {
-            "injected_failures": self.injected_failures,
-            "retries": self.retries,
-            "unrecovered": self.unrecovered,
-            "latency_spikes": self.latency_spikes,
-            "timeouts": self.timeouts,
-            "corruptions_emitted": self.corruptions_emitted,
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "FaultStats":
-        known = {
+    STATE = tuple(
+        scalar(name, int)
+        for name in (
             "injected_failures", "retries", "unrecovered",
             "latency_spikes", "timeouts", "corruptions_emitted",
-        }
-        unknown = set(state) - known
-        if unknown:
-            raise CheckpointError(
-                f"unknown fault-stats fields: {sorted(unknown)}"
-            )
-        return cls(**{name: int(value) for name, value in state.items()})
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,7 @@ class BatchFaultOutcome:
     timed_out: bool = False
 
 
-class FaultInjector:
+class FaultInjector(Stateful):
     """Stochastic fault source driven by a :class:`FaultPlan`.
 
     Args:
@@ -136,31 +121,17 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot the injector's stream position and cumulative stats.
-
-        The device-event schedule is pure plan data, rebuilt at
-        construction, so only the mutable pieces are captured.
-        """
-        return {
-            "seed": self.plan.seed,
-            "rng": self._rng.bit_generator.state,
-            "stats": self.stats.state_dict(),
-            "repaired_pages": sorted(self._repaired_pages),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the stream position captured by :meth:`state_dict`."""
-        if state.get("seed") != self.plan.seed:
-            raise CheckpointError(
-                f"fault plan seed {self.plan.seed} does not match "
-                f"checkpoint seed {state.get('seed')}"
-            )
-        self._rng.bit_generator.state = state["rng"]
-        self.stats = FaultStats.from_state_dict(state["stats"])
-        self._repaired_pages = {
-            int(p) for p in state.get("repaired_pages", ())
-        }
+    # The device-event schedule is pure plan data, rebuilt at construction,
+    # so only the stream position and the mutable pieces are captured.
+    STATE = (
+        guard("seed", lambda self: self.plan.seed),
+        rng_state(),
+        child("stats", cls=FaultStats),
+        seq(
+            "repaired_pages", int, attr="_repaired_pages", into=set,
+            save=sorted, late=True,
+        ),
+    )
 
     def retry_failed(self) -> bool:
         """Draw whether one retried command fails again."""

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigError
+from ..errors import ConfigError
+from ..state import Stateful, scalar
 from ..utils import require_finite
 
 
-class Budget:
+class Budget(Stateful):
     """A spendable cap on cumulative modeled attempt time.
 
     The cap is on *time*, not attempt count: a mechanism may issue as many
@@ -65,17 +66,7 @@ class Budget:
             "budget grant", extra_s, minimum=0.0
         )
 
-    def state_dict(self) -> dict:
-        return {"total_s": self.total_s, "spent_s": self.spent_s}
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - {"total_s", "spent_s"}
-        if unknown:
-            raise CheckpointError(
-                f"unknown budget fields: {sorted(unknown)}"
-            )
-        self.total_s = float(state["total_s"])
-        self.spent_s = float(state["spent_s"])
+    STATE = (scalar("total_s", float), scalar("spent_s", float))
 
 
 @dataclass(frozen=True)

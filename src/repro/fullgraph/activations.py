@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CheckpointError, FullGraphError
+from ..errors import FullGraphError
+from ..state import Stateful, guard, mapping, scalar
 
 #: Spilled activations are paged at the storage granularity.
 PAGE_BYTES = 4096
 
 
-class ActivationStore:
+class ActivationStore(Stateful):
     """Per-layer full-graph activation arrays with offload accounting.
 
     Args:
@@ -138,40 +139,22 @@ class ActivationStore:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "resident": self.resident,
-            "page_bytes": self.page_bytes,
-            "arrays": {
-                int(k): v.copy() for k, v in self._arrays.items()
-            },
-            "spilled_bytes": self.spilled_bytes,
-            "spill_pages": self.spill_pages,
-            "reloaded_bytes": self.reloaded_bytes,
-            "reload_pages": self.reload_pages,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if int(state.get("num_nodes", -1)) != self.num_nodes:
-            raise CheckpointError(
-                "activation store checkpoint is for a different graph"
+    STATE = (
+        guard("num_nodes"),
+        scalar("resident", bool),
+        scalar("page_bytes", int),
+        mapping(
+            "arrays", lambda block: np.asarray(block, dtype=np.float64).copy(),
+            attr="_arrays", name=int,
+            save=lambda arrays: {int(k): v.copy() for k, v in arrays.items()},
+            check=lambda self, arrays: any(
+                a.ndim != 2 or a.shape[0] != self.num_nodes
+                for a in arrays.values()
             )
-        self.resident = bool(state["resident"])
-        self.page_bytes = int(state["page_bytes"])
-        arrays = state.get("arrays")
-        if not isinstance(arrays, dict):
-            raise CheckpointError("activation checkpoint malformed")
-        self._arrays = {
-            int(k): np.asarray(v, dtype=np.float64).copy()
-            for k, v in arrays.items()
-        }
-        for arr in self._arrays.values():
-            if arr.ndim != 2 or arr.shape[0] != self.num_nodes:
-                raise CheckpointError(
-                    "activation array shape does not match the graph"
-                )
-        self.spilled_bytes = int(state["spilled_bytes"])
-        self.spill_pages = int(state["spill_pages"])
-        self.reloaded_bytes = int(state["reloaded_bytes"])
-        self.reload_pages = int(state["reload_pages"])
+            and "array shape does not match the graph",
+        ),
+        scalar("spilled_bytes", int),
+        scalar("spill_pages", int),
+        scalar("reloaded_bytes", int),
+        scalar("reload_pages", int),
+    )

@@ -26,18 +26,19 @@ run killed at *any* partition boundary resumes bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..core import readpath
-from ..errors import CheckpointError, ConfigError, FullGraphError
+from ..errors import ConfigError, FullGraphError
 from ..graph.partition import partition_graph
 from ..pipeline.metrics import IterationMetrics, RunReport, StageTimes
 from ..sim.counters import TransferCounters
 from ..sim.gpu import GPUModel
 from ..sim.ssd import SSDArray
+from ..state import Stateful, array, child, guard, scalar, seq
 from ..storage.feature_store import FeatureStore
 from ..storage_ha import make_placement
 from ..telemetry.context import TraceContext, step_trace_id
@@ -121,7 +122,7 @@ class FullGraphConfig:
 
 
 @dataclass
-class _Traffic:
+class _Traffic(Stateful):
     """Byte/second accumulators per traffic class (see docs/FULLGRAPH.md)."""
 
     feat_seq_bytes: int = 0
@@ -136,14 +137,22 @@ class _Traffic:
     act_spill_s: float = 0.0
     compute_s: float = 0.0
 
-    def state_dict(self) -> dict:
-        return dict(self.__dict__)
 
-    def load_state_dict(self, state: dict) -> None:
-        for key in self.__dict__:
-            setattr(
-                self, key, type(getattr(self, key))(state[key])
-            )
+# Plain counters: each field restores through the type of its default.
+_Traffic.STATE = tuple(
+    scalar(f.name, type(f.default)) for f in fields(_Traffic)
+)
+
+
+def _copied_grads(grads):
+    """The per-layer gradient sums of an open epoch (``None`` between
+    epochs), copied so snapshot and trainer never share a buffer."""
+    if grads is None:
+        return None
+    return [
+        {k: np.asarray(v, dtype=np.float64).copy() for k, v in g.items()}
+        for g in grads
+    ]
 
 
 @dataclass
@@ -168,7 +177,7 @@ class FullGraphResult:
         return self.accuracies[-1] if self.accuracies else None
 
 
-class FullGraphTrainer:
+class FullGraphTrainer(Stateful):
     """Runs full-graph epochs as partition sweeps under a memory plan.
 
     Args:
@@ -923,87 +932,55 @@ class FullGraphTrainer:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot everything needed for bit-identical resume."""
-        state = {
-            "loader": FULLGRAPH_LOADER_NAME,
-            "model": self.model.state_dict(),
-            "activations": self.activations.state_dict(),
-            "report": self.report.state_dict(),
-            "traffic": self.traffic.state_dict(),
-            "clock_s": self.clock_s,
-            "epochs_completed": self.epochs_completed,
-            "step_index": self.step_index,
-            "losses": list(self.losses),
-            "accuracies": list(self.accuracies),
-            "epoch_end_times_s": list(self.epoch_end_times_s),
-            "spill_page_cursor": self._spill_page_cursor,
-            "grads": (
-                None
-                if self._grads is None
-                else [
-                    {k: v.copy() for k, v in g.items()}
-                    for g in self._grads
-                ]
-            ),
-            "d_cur": None if self._d_cur is None else self._d_cur.copy(),
-            "d_prev": (
-                None if self._d_prev is None else self._d_prev.copy()
-            ),
-            "pending_loss": self._pending_loss,
-            "pending_accuracy": self._pending_accuracy,
-        }
-        if self.faults is not None:
-            state["faults"] = self.faults.state_dict()
-        if self.verifier is not None:
-            state["verifier"] = self.verifier.state_dict()
-            state["ledger"] = self.verifier.ledger.state_dict()
-        return state
+    #: Everything needed for bit-identical resume.  The fault injector, the
+    #: verifier and its ledger are left out of the snapshot when the run has
+    #: none; present on one side only, they refuse the snapshot.
+    STATE = (
+        guard("loader", lambda self: FULLGRAPH_LOADER_NAME),
+        child("model"),
+        child("activations"),
+        child("report", cls=RunReport),
+        child("traffic"),
+        scalar("clock_s", float),
+        scalar("epochs_completed", int),
+        scalar("step_index", int),
+        seq("losses", float),
+        seq("accuracies", float),
+        seq("epoch_end_times_s", float),
+        scalar("spill_page_cursor", int, attr="_spill_page_cursor"),
+        scalar("grads", _copied_grads, attr="_grads", save=_copied_grads),
+        array("d_cur", np.float64, attr="_d_cur", optional=True),
+        array("d_prev", np.float64, attr="_d_prev", optional=True),
+        scalar("pending_loss", attr="_pending_loss"),
+        scalar("pending_accuracy", attr="_pending_accuracy"),
+        child("faults", optional=True, omit=True),
+        child("verifier", optional=True, omit=True),
+        child(
+            "ledger", lambda self: self.verifier and self.verifier.ledger,
+            optional=True, omit=True,
+        ),
+    )
 
-    def load_state_dict(self, state: dict) -> None:
-        if state.get("loader") != FULLGRAPH_LOADER_NAME:
-            raise CheckpointError(
-                "snapshot does not come from a full-graph run"
-            )
-        self.model.load_state_dict(state["model"])
-        self.activations.load_state_dict(state["activations"])
-        self.report = RunReport.from_state_dict(state["report"])
-        self.traffic.load_state_dict(state["traffic"])
-        self.clock_s = float(state["clock_s"])
-        self.epochs_completed = int(state["epochs_completed"])
-        self.step_index = int(state["step_index"])
-        self.losses = [float(x) for x in state["losses"]]
-        self.accuracies = [float(x) for x in state["accuracies"]]
-        self.epoch_end_times_s = [
-            float(x) for x in state["epoch_end_times_s"]
-        ]
-        self._spill_page_cursor = int(state["spill_page_cursor"])
-        grads = state["grads"]
-        self._grads = (
-            None
-            if grads is None
-            else [
-                {
-                    k: np.asarray(v, dtype=np.float64).copy()
-                    for k, v in g.items()
-                }
-                for g in grads
-            ]
-        )
-        d_cur = state["d_cur"]
-        self._d_cur = (
-            None if d_cur is None else np.asarray(d_cur, np.float64).copy()
-        )
-        d_prev = state["d_prev"]
-        self._d_prev = (
-            None
-            if d_prev is None
-            else np.asarray(d_prev, np.float64).copy()
-        )
-        self._pending_loss = state["pending_loss"]
-        self._pending_accuracy = state["pending_accuracy"]
-        if self.faults is not None and "faults" in state:
-            self.faults.load_state_dict(state["faults"])
-        if self.verifier is not None and "verifier" in state:
-            self.verifier.load_state_dict(state["verifier"])
-            self.verifier.ledger.load_state_dict(state["ledger"])
+    #: The configuration a checkpoint must share with the live trainer and
+    #: that the state cannot show: a step cursor, activations and spill
+    #: accounting are only meaningful under the partition, residency and
+    #: redundancy they were produced with.  The layout of ``state_dict()``
+    #: is frozen (``tests/test_readpath_golden.py`` hashes it), so these
+    #: guards are saved *beside* the state, as the ``"plan"`` entry of the
+    #: checkpoint payload: ``save(trainer, trainer.PLAN)`` /
+    #: ``load(trainer, payload["plan"], trainer.PLAN)``.
+    PLAN = (
+        guard("num_partitions", lambda self: self.partition.num_parts),
+        guard("dims", "_dims"),
+        guard(
+            "activations_resident",
+            lambda self: self.plan.activations_resident,
+        ),
+        guard("hbm_budget_bytes"),
+        guard("partition_seed", lambda self: self.config.partition_seed),
+        guard(
+            "placement",
+            lambda self: self.placement
+            and (self.placement.mode, self.placement.storage_overhead_factor),
+        ),
+    )

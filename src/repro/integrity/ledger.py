@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CheckpointError, IntegrityError
+from ..errors import IntegrityError
+from ..state import Stateful, array, guard, seq
 
 #: Cap on retained detection-latency samples (oldest kept; the percentile
 #: summaries benchmarks compute are insensitive to the tail being dropped).
 MAX_LATENCY_SAMPLES = 100_000
 
 
-class CorruptionLedger:
+class CorruptionLedger(Stateful):
     """Per-device corruption accounting plus the page quarantine set.
 
     Args:
@@ -151,32 +152,17 @@ class CorruptionLedger:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Bit-exact snapshot of every count and the quarantine set."""
-        return {
-            "num_devices": self.num_devices,
-            "detected": self.detected.tolist(),
-            "repaired": self.repaired.tolist(),
-            "unrepairable": self.unrepairable.tolist(),
-            "quarantined": sorted(self._quarantined),
-            "detection_latencies": list(self.detection_latencies),
-        }
+    def _per_device(self, values):
+        return (
+            values.shape != (self.num_devices,) or (values < 0).any()
+        ) and "not a non-negative count per device"
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`."""
-        if state.get("num_devices") != self.num_devices:
-            raise CheckpointError(
-                f"ledger device count {state.get('num_devices')} does not "
-                f"match configured {self.num_devices}"
-            )
-        for name in ("detected", "repaired", "unrepairable"):
-            values = np.asarray(state[name], dtype=np.int64)
-            if values.shape != (self.num_devices,) or (values < 0).any():
-                raise CheckpointError(
-                    f"invalid ledger {name!r} vector in checkpoint"
-                )
-            setattr(self, name, values.copy())
-        self._quarantined = {int(p) for p in state["quarantined"]}
-        self.detection_latencies = [
-            float(x) for x in state["detection_latencies"]
-        ]
+    #: Bit-exact: every count and the quarantine set.
+    STATE = (
+        guard("num_devices"),
+        array("detected", np.int64, as_list=True, check=_per_device),
+        array("repaired", np.int64, as_list=True, check=_per_device),
+        array("unrepairable", np.int64, as_list=True, check=_per_device),
+        seq("quarantined", int, attr="_quarantined", into=set, save=sorted),
+        seq("detection_latencies", float),
+    )

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CheckpointError, IntegrityError
+from ..errors import IntegrityError
+from ..state import Stateful, scalar
 from .ledger import CorruptionLedger
 
 
@@ -37,7 +38,7 @@ class ScrubOutcome:
     released: int = 0
 
 
-class Scrubber:
+class Scrubber(Stateful):
     """Budgeted sequential sweep over the page space.
 
     Args:
@@ -130,17 +131,11 @@ class Scrubber:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        return {"cursor": self._cursor, "carry": self._carry}
-
-    def load_state_dict(self, state: dict) -> None:
-        cursor = state.get("cursor")
-        if (
-            not isinstance(cursor, int)
-            or not 0 <= cursor < self.total_pages
-        ):
-            raise CheckpointError(
-                f"invalid scrub cursor in checkpoint: {cursor!r}"
-            )
-        self._cursor = cursor
-        self._carry = float(state.get("carry", 0.0))
+    STATE = (
+        scalar(
+            "cursor", int, attr="_cursor",
+            check=lambda self, cursor: not 0 <= cursor < self.total_pages
+            and f"outside the {self.total_pages} scrubbed pages",
+        ),
+        scalar("carry", float, attr="_carry", late=True),
+    )

@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CheckpointError, IntegrityError, UnrepairablePageError
+from ..errors import IntegrityError, UnrepairablePageError
 from ..faults.plan import (
     CORRUPT_BITFLIP,
     CORRUPT_NONE,
     CORRUPT_PERSISTENT,
     CORRUPT_TORN,
 )
+from ..state import Stateful, guard, rng_state
 from .ledger import CorruptionLedger
 
 #: Recognised verify-on-read modes.
@@ -67,7 +68,7 @@ class VerifyOutcome:
         return len(self.quarantined_pages)
 
 
-class ReadVerifier:
+class ReadVerifier(Stateful):
     """Applies one verify mode to batches of storage-served pages.
 
     Args:
@@ -197,24 +198,6 @@ class ReadVerifier:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot the sampling stream (the verifier's only mutable state
-        beyond the ledger, which the loader checkpoints separately)."""
-        return {
-            "mode": self.mode,
-            "seed": self._seed,
-            "rng": self._rng.bit_generator.state,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if state.get("mode") != self.mode:
-            raise CheckpointError(
-                f"checkpoint verify mode {state.get('mode')!r} does not "
-                f"match configured {self.mode!r}"
-            )
-        if state.get("seed") != self._seed:
-            raise CheckpointError(
-                f"checkpoint verifier seed {state.get('seed')} does not "
-                f"match configured {self._seed}"
-            )
-        self._rng.bit_generator.state = state["rng"]
+    #: The sampling stream (the verifier's only mutable state beyond the
+    #: ledger, which the loader checkpoints separately).
+    STATE = (guard("mode"), guard("seed", "_seed"), rng_state())

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 from ..errors import PipelineError
 from ..sim.counters import TransferCounters
+from ..state import StateRecord, child, children, scalar
 
 #: Pipeline stage names in execution order.
 STAGES = ("sampling", "aggregation", "transfer", "training")
 
 
 @dataclass
-class StageTimes:
+class StageTimes(StateRecord):
     """Modeled seconds spent in each pipeline stage for one iteration."""
 
     sampling: float = 0.0
@@ -47,17 +48,11 @@ class StageTimes:
         self.transfer += other.transfer
         self.training += other.training
 
-    def state_dict(self) -> dict:
-        """Plain-dict snapshot (checkpointable)."""
-        return {stage: getattr(self, stage) for stage in STAGES}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "StageTimes":
-        return cls(**{stage: float(state[stage]) for stage in STAGES})
+    STATE = tuple(scalar(stage, float) for stage in STAGES)
 
 
 @dataclass
-class IterationMetrics:
+class IterationMetrics(StateRecord):
     """One training iteration's work and modeled time."""
 
     times: StageTimes
@@ -67,31 +62,18 @@ class IterationMetrics:
     num_edges: int
     counters: TransferCounters
 
-    def state_dict(self) -> dict:
-        """Plain-dict snapshot (checkpointable)."""
-        return {
-            "times": self.times.state_dict(),
-            "num_seeds": self.num_seeds,
-            "num_input_nodes": self.num_input_nodes,
-            "num_sampled": self.num_sampled,
-            "num_edges": self.num_edges,
-            "counters": self.counters.state_dict(),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "IterationMetrics":
-        return cls(
-            times=StageTimes.from_state_dict(state["times"]),
-            num_seeds=int(state["num_seeds"]),
-            num_input_nodes=int(state["num_input_nodes"]),
-            num_sampled=int(state["num_sampled"]),
-            num_edges=int(state["num_edges"]),
-            counters=TransferCounters.from_state_dict(state["counters"]),
-        )
+    STATE = (
+        child("times", cls=StageTimes),
+        scalar("num_seeds", int),
+        scalar("num_input_nodes", int),
+        scalar("num_sampled", int),
+        scalar("num_edges", int),
+        child("counters", cls=TransferCounters),
+    )
 
 
 @dataclass
-class RunReport:
+class RunReport(StateRecord):
     """Aggregated results of a measured training run.
 
     ``overlapped`` marks loaders whose data preparation runs ahead of
@@ -226,20 +208,8 @@ class RunReport:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Plain-dict snapshot of the whole report (checkpointable)."""
-        return {
-            "loader_name": self.loader_name,
-            "overlapped": self.overlapped,
-            "iterations": [it.state_dict() for it in self.iterations],
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "RunReport":
-        report = cls(
-            loader_name=str(state["loader_name"]),
-            overlapped=bool(state["overlapped"]),
-        )
-        for it in state["iterations"]:
-            report.append(IterationMetrics.from_state_dict(it))
-        return report
+    STATE = (
+        scalar("loader_name", str),
+        scalar("overlapped", bool),
+        children("iterations", cls=IterationMetrics),
+    )

@@ -24,8 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import CheckpointError, PipelineError
+from ..errors import PipelineError
 from ..sampling.minibatch import MiniBatch
+from ..state import Stateful, child, children, guard, scalar, seq
 from ..training.graphsage import GraphSAGE, synthetic_labels
 from .metrics import RunReport
 
@@ -49,7 +50,7 @@ class TrainingResult:
         return len(self.losses)
 
 
-class TrainingPipeline:
+class TrainingPipeline(Stateful):
     """Drives real GNN training through a dataloader.
 
     Args:
@@ -180,74 +181,28 @@ class TrainingPipeline:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot the whole training run (model, loader, progress).
+    #: The whole training run (model, loader, progress).  The loader must
+    #: carry the protocol itself (the GIDS family; the baseline loaders are
+    #: stateless generators and cannot be checkpointed mid-run), and the
+    #: pipeline must have been constructed over the same task (loader
+    #: configuration, model shape, class count, label seed) as the one that
+    #: produced the snapshot.
+    STATE = (
+        guard("num_classes"),
+        guard("label_seed"),
+        scalar("completed_steps", int),
+        seq(
+            "losses", float,
+            check=lambda self, losses: len(losses) != self.completed_steps
+            and f"{len(losses)} losses for {self.completed_steps} steps",
+        ),
+        child("model"),
+        child("loader"),
+        child("report", cls=RunReport),
+        children("pending", "_pending", cls=MiniBatch, into=deque),
+        child("last_batch", "_last_batch", cls=MiniBatch, optional=True),
+    )
 
-        Requires a loader with ``state_dict`` support (the GIDS family);
-        the baseline loaders are stateless generators and cannot be
-        checkpointed mid-run.
-        """
-        if not hasattr(self.loader, "state_dict"):
-            raise CheckpointError(
-                f"loader {type(self.loader).__name__} does not support "
-                "checkpointing"
-            )
-        return {
-            "num_classes": self.num_classes,
-            "label_seed": self.label_seed,
-            "completed_steps": self.completed_steps,
-            "losses": list(self.losses),
-            "model": self.model.state_dict(),
-            "loader": self.loader.state_dict(),
-            "report": self.report.state_dict(),
-            "pending": [b.state_dict() for b in self._pending],
-            "last_batch": (
-                None
-                if self._last_batch is None
-                else self._last_batch.state_dict()
-            ),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a run captured by :meth:`state_dict`.
-
-        The pipeline must have been constructed over the same task (loader
-        configuration, model shape, class count, label seed) as the one
-        that produced the snapshot.
-        """
-        if not hasattr(self.loader, "load_state_dict"):
-            raise CheckpointError(
-                f"loader {type(self.loader).__name__} does not support "
-                "checkpointing"
-            )
-        if state.get("num_classes") != self.num_classes:
-            raise CheckpointError(
-                f"checkpoint num_classes {state.get('num_classes')} does "
-                f"not match configured {self.num_classes}"
-            )
-        if state.get("label_seed") != self.label_seed:
-            raise CheckpointError(
-                f"checkpoint label_seed {state.get('label_seed')} does "
-                f"not match configured {self.label_seed}"
-            )
-        completed = int(state["completed_steps"])
-        losses = [float(x) for x in state["losses"]]
-        if len(losses) != completed:
-            raise CheckpointError(
-                f"checkpoint records {len(losses)} losses for "
-                f"{completed} completed steps"
-            )
-        self.model.load_state_dict(state["model"])
-        self.loader.load_state_dict(state["loader"])
-        self.completed_steps = completed
-        self.losses = losses
-        self.report = RunReport.from_state_dict(state["report"])
-        self._pending = deque(
-            MiniBatch.from_state_dict(b) for b in state["pending"]
-        )
-        last = state["last_batch"]
-        self._last_batch = (
-            None if last is None else MiniBatch.from_state_dict(last)
-        )
+    def _state_loaded(self) -> None:
         # Features are deterministic given the batch; re-fetched lazily.
         self._last_features = None

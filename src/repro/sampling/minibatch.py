@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SamplingError
+from ..state import StateRecord, array, children, scalar
 
 
 @dataclass(frozen=True)
-class SampledLayer:
+class SampledLayer(StateRecord):
     """One message-passing layer of a sampled subgraph.
 
     Edges are stored in COO form over *global* node ids: message flows from
@@ -19,6 +20,8 @@ class SampledLayer:
 
     src: np.ndarray
     dst: np.ndarray
+
+    STATE = (array("src", np.int64), array("dst", np.int64))
 
     def __post_init__(self) -> None:
         src = np.ascontiguousarray(self.src, dtype=np.int64)
@@ -34,7 +37,7 @@ class SampledLayer:
 
 
 @dataclass(frozen=True)
-class MiniBatch:
+class MiniBatch(StateRecord):
     """A sampled computational graph for one training iteration.
 
     Attributes:
@@ -79,30 +82,9 @@ class MiniBatch:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Plain-data snapshot of the sampled batch (checkpointable)."""
-        return {
-            "seeds": self.seeds.copy(),
-            "layers": [
-                {"src": layer.src.copy(), "dst": layer.dst.copy()}
-                for layer in self.layers
-            ],
-            "input_nodes": self.input_nodes.copy(),
-            "num_sampled": int(self.num_sampled),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "MiniBatch":
-        """Rebuild a batch captured by :meth:`state_dict`."""
-        return cls(
-            seeds=np.asarray(state["seeds"], dtype=np.int64),
-            layers=tuple(
-                SampledLayer(
-                    src=np.asarray(layer["src"], dtype=np.int64),
-                    dst=np.asarray(layer["dst"], dtype=np.int64),
-                )
-                for layer in state["layers"]
-            ),
-            input_nodes=np.asarray(state["input_nodes"], dtype=np.int64),
-            num_sampled=int(state["num_sampled"]),
-        )
+    STATE = (
+        array("seeds", np.int64),
+        children("layers", cls=SampledLayer, into=tuple),
+        array("input_nodes", np.int64),
+        scalar("num_sampled", int),
+    )

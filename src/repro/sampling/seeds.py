@@ -6,7 +6,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..errors import CheckpointError, SamplingError
+from ..errors import SamplingError
+from ..state import Stateful, array, guard, scalar
 from ..utils import as_rng
 
 
@@ -43,7 +44,7 @@ def epoch_seed_batches(
         yield batch
 
 
-class SeedBatchStream:
+class SeedBatchStream(Stateful):
     """Endless, *resumable* stream of shuffled seed batches.
 
     Behaves exactly like chaining :func:`epoch_seed_batches` epoch after
@@ -99,28 +100,10 @@ class SeedBatchStream:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Current epoch order and cursor (the RNG is captured by the owner)."""
-        return {
-            "batch_size": self._batch_size,
-            "num_train_ids": len(self._train_ids),
-            "order": None if self._order is None else self._order.copy(),
-            "pos": self._pos,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the epoch position captured by :meth:`state_dict`."""
-        if state.get("batch_size") != self._batch_size:
-            raise CheckpointError(
-                f"checkpoint batch size {state.get('batch_size')} does not "
-                f"match configured {self._batch_size}"
-            )
-        if state.get("num_train_ids") != len(self._train_ids):
-            raise CheckpointError(
-                "checkpoint training-set size does not match the dataset"
-            )
-        order = state["order"]
-        self._order = (
-            None if order is None else np.asarray(order, dtype=np.int64).copy()
-        )
-        self._pos = int(state["pos"])
+    #: Current epoch order and cursor (the RNG is captured by the owner).
+    STATE = (
+        guard("batch_size", "_batch_size"),
+        guard("num_train_ids", lambda self: len(self._train_ids)),
+        array("order", np.int64, attr="_order", optional=True),
+        scalar("pos", int, attr="_pos"),
+    )

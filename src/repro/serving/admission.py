@@ -21,7 +21,7 @@ Every verdict is counted, so the shed rate is a published metric.
 
 from __future__ import annotations
 
-from ..errors import CheckpointError
+from ..state import Stateful, child, scalar
 from .config import PRIORITIES, ServingConfig
 
 #: Admission verdicts.
@@ -34,8 +34,14 @@ REJECT_DEADLINE = "reject_deadline"
 _EWMA_ALPHA = 0.1
 
 
-class TokenBucket:
+class TokenBucket(Stateful):
     """Deterministic token bucket over modeled time, with tier reserves."""
+
+    STATE = (
+        scalar("rate", float, optional=True),
+        scalar("tokens", float),
+        scalar("last_refill_s", float),
+    )
 
     def __init__(
         self,
@@ -85,27 +91,14 @@ class TokenBucket:
         self.tokens -= 1.0
         return True
 
-    def state_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "tokens": self.tokens,
-            "last_refill_s": self.last_refill_s,
-        }
 
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - {"rate", "tokens", "last_refill_s"}
-        if unknown:
-            raise CheckpointError(
-                f"unknown token-bucket fields: {sorted(unknown)}"
-            )
-        rate = state["rate"]
-        self.rate = None if rate is None else float(rate)
-        self.tokens = float(state["tokens"])
-        self.last_refill_s = float(state["last_refill_s"])
-
-
-class AdmissionController:
+class AdmissionController(Stateful):
     """Applies the three admission gates and keeps the service estimate."""
+
+    STATE = (
+        child("bucket"),
+        scalar("service_estimate_s", float, optional=True),
+    )
 
     def __init__(self, config: ServingConfig) -> None:
         self.config = config
@@ -162,21 +155,3 @@ class AdmissionController:
             if predicted_latency > deadline_s:
                 return REJECT_DEADLINE
         return ADMIT
-
-    def state_dict(self) -> dict:
-        return {
-            "bucket": self.bucket.state_dict(),
-            "service_estimate_s": self.service_estimate_s,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - {"bucket", "service_estimate_s"}
-        if unknown:
-            raise CheckpointError(
-                f"unknown admission-controller fields: {sorted(unknown)}"
-            )
-        self.bucket.load_state_dict(state["bucket"])
-        estimate = state["service_estimate_s"]
-        self.service_estimate_s = (
-            None if estimate is None else float(estimate)
-        )

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CheckpointError, ServingError
+from ..errors import ServingError
+from ..state import Stateful, rng_state, scalar
 from .config import ArrivalConfig, PRIORITIES
 
 
@@ -54,7 +55,7 @@ class Request:
         )
 
 
-class ArrivalProcess:
+class ArrivalProcess(Stateful):
     """Generates the seeded request trace for one serving run.
 
     Args:
@@ -121,19 +122,8 @@ class ArrivalProcess:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        return {
-            "rng": self._rng.bit_generator.state,
-            "now_s": self._now_s,
-            "index": self._index,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - {"rng", "now_s", "index"}
-        if unknown:
-            raise CheckpointError(
-                f"unknown arrival-process fields: {sorted(unknown)}"
-            )
-        self._rng.bit_generator.state = state["rng"]
-        self._now_s = float(state["now_s"])
-        self._index = int(state["index"])
+    STATE = (
+        rng_state(),
+        scalar("now_s", float, attr="_now_s"),
+        scalar("index", int, attr="_index"),
+    )

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import CheckpointError, ServingError
+from ..errors import ServingError
+from ..state import Stateful, children, each, records, scalar, seq
 from ..telemetry.tracks import BREAKERS_TRACK
 from .config import ServingConfig
 
@@ -36,7 +37,7 @@ __all__ = ["BREAKERS_TRACK", "CLOSED", "OPEN", "HALF_OPEN",
            "CircuitBreaker", "BreakerBoard"]
 
 
-class CircuitBreaker:
+class CircuitBreaker(Stateful):
     """Sliding-window breaker for one device."""
 
     def __init__(self, device: int, config: ServingConfig) -> None:
@@ -109,36 +110,16 @@ class CircuitBreaker:
             self.opened_at_s = now_s
             self._transition(OPEN, now_s, tracer)
 
-    def state_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "window": [bool(b) for b in self.window],
-            "opened_at_s": self.opened_at_s,
-            "probe_successes": self.probe_successes,
-            "transitions": [dict(t) for t in self.transitions],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - {
-            "state", "window", "opened_at_s", "probe_successes",
-            "transitions",
-        }
-        if unknown:
-            raise CheckpointError(
-                f"unknown breaker fields: {sorted(unknown)}"
-            )
-        self.state = str(state["state"])
-        self.window = deque(
-            (bool(b) for b in state["window"]),
-            maxlen=self.config.breaker_window,
-        )
-        opened = state["opened_at_s"]
-        self.opened_at_s = None if opened is None else float(opened)
-        self.probe_successes = int(state["probe_successes"])
-        self.transitions = [dict(t) for t in state["transitions"]]
+    STATE = (
+        scalar("state", str),
+        seq("window", bool, save=each(bool), into=None),
+        scalar("opened_at_s", float, optional=True),
+        scalar("probe_successes", int),
+        records("transitions"),
+    )
 
 
-class BreakerBoard:
+class BreakerBoard(Stateful):
     """One breaker per device of the array."""
 
     def __init__(self, num_devices: int, config: ServingConfig) -> None:
@@ -166,22 +147,4 @@ class BreakerBoard:
         merged.sort(key=lambda t: (t["at_s"], t["device"]))
         return merged
 
-    def state_dict(self) -> dict:
-        return {
-            "breakers": [b.state_dict() for b in self.breakers],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - {"breakers"}
-        if unknown:
-            raise CheckpointError(
-                f"unknown breaker-board fields: {sorted(unknown)}"
-            )
-        entries = state["breakers"]
-        if len(entries) != len(self.breakers):
-            raise CheckpointError(
-                f"checkpoint has {len(entries)} breakers, array has "
-                f"{len(self.breakers)}"
-            )
-        for breaker, entry in zip(self.breakers, entries):
-            breaker.load_state_dict(entry)
+    STATE = (children("breakers"),)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import CheckpointError
 from ..observatory.slo import ALERTS_TRACK, AlertRule, SLOMonitor
+from ..state import Stateful, records, scalar, seq
 from .config import BrownoutLevel, ServingConfig
 
 
@@ -33,7 +33,7 @@ def _exact_percentile(values: list[float], p: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-class BrownoutController:
+class BrownoutController(Stateful):
     """Steps service quality down/up according to the SLO monitor."""
 
     def __init__(
@@ -137,33 +137,12 @@ class BrownoutController:
                 **args,
             )
 
-    def state_dict(self) -> dict:
-        return {
-            "level_index": self.level_index,
-            "violation_streak": self.violation_streak,
-            "healthy_streak": self.healthy_streak,
-            "transitions": [dict(t) for t in self.transitions],
-            "window": list(self._window),
-            "since_eval": self._since_eval,
-            "level_seconds": list(self.level_seconds),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - {
-            "level_index", "violation_streak", "healthy_streak",
-            "transitions", "window", "since_eval", "level_seconds",
-        }
-        if unknown:
-            raise CheckpointError(
-                f"unknown brownout-controller fields: {sorted(unknown)}"
-            )
-        self.level_index = int(state["level_index"])
-        self.violation_streak = int(state["violation_streak"])
-        self.healthy_streak = int(state["healthy_streak"])
-        self.transitions = [dict(t) for t in state["transitions"]]
-        self._window = deque(
-            (float(v) for v in state["window"]),
-            maxlen=self.config.brownout_window,
-        )
-        self._since_eval = int(state["since_eval"])
-        self.level_seconds = [float(v) for v in state["level_seconds"]]
+    STATE = (
+        scalar("level_index", int),
+        scalar("violation_streak", int),
+        scalar("healthy_streak", int),
+        records("transitions"),
+        seq("window", float, attr="_window", into=None),
+        scalar("since_eval", int, attr="_since_eval"),
+        seq("level_seconds", float),
+    )

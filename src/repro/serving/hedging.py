@@ -16,13 +16,13 @@ no matter how bursty the tail gets.
 
 from __future__ import annotations
 
-from ..errors import CheckpointError
 from ..faults.retry import Budget
+from ..state import Stateful, child, scalar
 from ..telemetry.metrics import Histogram
 from .config import ServingConfig
 
 
-class HedgePolicy:
+class HedgePolicy(Stateful):
     """Decides and accounts hedged reads for the serving storage path."""
 
     def __init__(self, config: ServingConfig) -> None:
@@ -68,21 +68,9 @@ class HedgePolicy:
         self.latency.observe(final)
         return final
 
-    def state_dict(self) -> dict:
-        return {
-            "latency": self.latency.state_dict(),
-            "budget": self.budget.state_dict(),
-            "issued": self.issued,
-            "won": self.won,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - {"latency", "budget", "issued", "won"}
-        if unknown:
-            raise CheckpointError(
-                f"unknown hedge-policy fields: {sorted(unknown)}"
-            )
-        self.latency.load_state_dict(state["latency"])
-        self.budget.load_state_dict(state["budget"])
-        self.issued = int(state["issued"])
-        self.won = int(state["won"])
+    STATE = (
+        child("latency"),
+        child("budget"),
+        scalar("issued", int),
+        scalar("won", int),
+    )

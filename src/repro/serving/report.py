@@ -13,8 +13,9 @@ flattens everything into the ``serving`` block of the versioned run export.
 
 from __future__ import annotations
 
-from ..errors import CheckpointError, ServingError
+from ..errors import ServingError
 from ..pipeline.export import _finite
+from ..state import Stateful, seq
 from ..utils import package_version
 from .config import PRIORITIES
 
@@ -41,7 +42,7 @@ def _percentile(values: list[float], p: float) -> float | None:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-class ServingStats:
+class ServingStats(Stateful):
     """Per-tier request ledger for one serving run."""
 
     def __init__(self) -> None:
@@ -90,23 +91,14 @@ class ServingStats:
         }
         return block
 
-    def state_dict(self) -> dict:
-        return {name: list(getattr(self, name)) for name in _TIER_FIELDS}
-
-    def load_state_dict(self, state: dict) -> None:
-        unknown = set(state) - set(_TIER_FIELDS)
-        if unknown:
-            raise CheckpointError(
-                f"unknown serving-stats fields: {sorted(unknown)}"
-            )
-        for name in _TIER_FIELDS:
-            values = [int(v) for v in state[name]]
-            if len(values) != len(PRIORITIES):
-                raise CheckpointError(
-                    f"serving-stats field {name!r} has {len(values)} tiers, "
-                    f"expected {len(PRIORITIES)}"
-                )
-            setattr(self, name, values)
+    STATE = tuple(
+        seq(
+            name, int,
+            check=lambda self, tiers: len(tiers) != len(PRIORITIES)
+            and f"expected {len(PRIORITIES)} tiers",
+        )
+        for name in _TIER_FIELDS
+    )
 
 
 class ServingReport:

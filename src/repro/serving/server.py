@@ -29,11 +29,12 @@ import numpy as np
 from ..cache.gpu_cache import GPUSoftwareCache
 from ..config import LoaderConfig, SystemConfig
 from ..core import readpath
-from ..errors import CheckpointError, ServingError
+from ..errors import ServingError
 from ..faults import FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
 from ..sampling.neighbor import NeighborSampler
 from ..sim.counters import TransferCounters
+from ..state import Stateful, child, each, mapping, rng_state, scalar, seq
 from ..telemetry import Tracer
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..utils import as_rng
@@ -61,7 +62,17 @@ _VERDICT_FIELDS = {
 }
 
 
-class InferenceServer:
+def _queue_entry(entry: dict) -> tuple[int, int, dict]:
+    """A stored request back in its ``(priority, index, request)`` slot."""
+    return int(entry["priority"]), int(entry["index"]), dict(entry)
+
+
+def _heap(entries: list) -> list:
+    heapq.heapify(entries)
+    return entries
+
+
+class InferenceServer(Stateful):
     """Online inference over the shared storage stack, in modeled time.
 
     Args:
@@ -686,104 +697,40 @@ class InferenceServer:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot every stateful component for bit-identical resume."""
-        state = {
-            "now_s": self._now_s,
-            "busy_until_s": self._busy_until_s,
-            "busy_s": self._busy_s,
-            "last_completion_s": self._last_completion_s,
-            "rng": self._rng.bit_generator.state,
-            "arrivals": self.arrivals.state_dict(),
-            "queue": [entry for _, _, entry in sorted(self._queue)],
-            "stats": self.stats.state_dict(),
-            "admission": self.admission.state_dict(),
-            "cache": self.cache.state_dict(),
-            "counters": self.counters.state_dict(),
-            "latencies": list(self._latencies),
-            "latency_priorities": list(self._latency_priorities),
-            "deadline_flags": [bool(f) for f in self._deadline_flags],
-            "latency_hist": self._latency_hist.state_dict(),
-            "stage_seconds": dict(self._stage_seconds),
-            "degraded_requests": self.degraded_requests,
-            "stale_requests": self.stale_requests,
-            "stale_pages": self.stale_pages,
-            "breakers": (
-                self.breakers.state_dict() if self.breakers else None
-            ),
-            "hedge": self.hedge.state_dict() if self.hedge else None,
-            "brownout": (
-                self.brownout.state_dict() if self.brownout else None
-            ),
-            "faults": self.faults.state_dict() if self.faults else None,
-            "fault_array": (
-                self.fault_array.state_dict() if self.fault_array else None
-            ),
-            "storage_ha": (
-                self.storage_ha.state_dict() if self.storage_ha else None
-            ),
-        }
-        if self.tracer is None:
-            state["registry"] = self.registry.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`."""
-        required = {
-            "now_s", "busy_until_s", "busy_s", "last_completion_s", "rng",
-            "arrivals", "queue", "stats", "admission", "cache", "counters",
-            "latencies", "latency_priorities", "deadline_flags",
-            "latency_hist", "stage_seconds", "degraded_requests",
-            "stale_requests", "stale_pages", "breakers", "hedge",
-            "brownout", "faults", "fault_array", "storage_ha",
-        }
-        missing = required - set(state)
-        if missing:
-            raise CheckpointError(
-                f"serving checkpoint is missing fields: {sorted(missing)}"
-            )
-        self._now_s = float(state["now_s"])
-        self._busy_until_s = float(state["busy_until_s"])
-        self._busy_s = float(state["busy_s"])
-        self._last_completion_s = float(state["last_completion_s"])
-        self._rng.bit_generator.state = state["rng"]
-        self.arrivals.load_state_dict(state["arrivals"])
-        self._queue = [
-            (int(e["priority"]), int(e["index"]), dict(e))
-            for e in state["queue"]
-        ]
-        heapq.heapify(self._queue)
-        self.stats.load_state_dict(state["stats"])
-        self.admission.load_state_dict(state["admission"])
-        self.cache.load_state_dict(state["cache"])
-        self.counters = TransferCounters.from_state_dict(state["counters"])
-        self._latencies = [float(v) for v in state["latencies"]]
-        self._latency_priorities = [
-            int(v) for v in state["latency_priorities"]
-        ]
-        self._deadline_flags = [bool(v) for v in state["deadline_flags"]]
-        self._latency_hist.load_state_dict(state["latency_hist"])
-        self._stage_seconds = {
-            k: float(v) for k, v in state["stage_seconds"].items()
-        }
-        self.degraded_requests = int(state["degraded_requests"])
-        self.stale_requests = int(state["stale_requests"])
-        self.stale_pages = int(state["stale_pages"])
-        for attr, key in (
-            (self.breakers, "breakers"),
-            (self.hedge, "hedge"),
-            (self.brownout, "brownout"),
-            (self.faults, "faults"),
-            (self.fault_array, "fault_array"),
-            (self.storage_ha, "storage_ha"),
-        ):
-            snapshot = state[key]
-            if (attr is None) != (snapshot is None):
-                raise CheckpointError(
-                    f"serving checkpoint {key!r} does not match the "
-                    "server's configuration"
-                )
-            if attr is not None:
-                attr.load_state_dict(snapshot)
-        if self.tracer is None and "registry" in state:
-            self.registry.load_state_dict(state["registry"])
+    #: Every stateful component, for bit-identical resume.
+    STATE = (
+        scalar("now_s", float, attr="_now_s"),
+        scalar("busy_until_s", float, attr="_busy_until_s"),
+        scalar("busy_s", float, attr="_busy_s"),
+        scalar("last_completion_s", float, attr="_last_completion_s"),
+        rng_state(),
+        child("arrivals"),
+        seq(
+            "queue", _queue_entry, attr="_queue", into=_heap,
+            save=lambda queue: [entry for _, _, entry in sorted(queue)],
+        ),
+        child("stats"),
+        child("admission"),
+        child("cache"),
+        child("counters", cls=TransferCounters),
+        seq("latencies", float, attr="_latencies"),
+        seq("latency_priorities", int, attr="_latency_priorities"),
+        seq("deadline_flags", bool, attr="_deadline_flags", save=each(bool)),
+        child("latency_hist", "_latency_hist"),
+        mapping("stage_seconds", float, attr="_stage_seconds"),
+        scalar("degraded_requests", int),
+        scalar("stale_requests", int),
+        scalar("stale_pages", int),
+        child("breakers", optional=True),
+        child("hedge", optional=True),
+        child("brownout", optional=True),
+        child("faults", optional=True),
+        child("fault_array", optional=True),
+        child("storage_ha", optional=True),
+        # With a tracer the registry is the tracer's and rides its state.
+        child(
+            "registry",
+            lambda self: self.registry if self.tracer is None else None,
+            omit=True, lenient=True,
+        ),
+    )

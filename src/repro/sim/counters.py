@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from ..errors import CheckpointError
+from ..state import StateRecord, scalar
 
 
 @dataclass
-class TransferCounters:
+class TransferCounters(StateRecord):
     """Mutable accumulator of data-movement statistics.
 
     The fault/resilience fields stay zero on healthy runs: ``storage_retries``
@@ -130,22 +130,9 @@ class TransferCounters:
             if value:
                 registry.counter(f"{prefix}.{f.name}").inc(value)
 
-    def state_dict(self) -> dict:
-        """Plain-dict snapshot (checkpointable; inverse of
-        :meth:`from_state_dict`)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "TransferCounters":
-        """Rebuild counters captured by :meth:`state_dict`.
-
-        Unknown keys are rejected so a stale checkpoint from a different
-        schema fails loudly instead of dropping counts silently.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = set(state) - known
-        if unknown:
-            raise CheckpointError(
-                f"unknown transfer-counter fields: {sorted(unknown)}"
-            )
-        return cls(**{name: int(value) for name, value in state.items()})
+# Every field is a count.  A snapshot from a different counter schema is
+# rejected instead of dropping or zero-filling counts silently.
+TransferCounters.STATE = tuple(
+    scalar(f.name, int) for f in fields(TransferCounters)
+)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..state import Stateful, child
 from .health import HA_TRACK, DeviceHealthMonitor
 from .placement import make_placement
 from .rebuild import Rebuilder, RebuildSweepOutcome
@@ -54,7 +54,7 @@ class HARouteOutcome:
         return self.reconstruct_reads - self.n_reconstruct
 
 
-class StorageHA:
+class StorageHA(Stateful):
     """Replication/parity, fail-slow health, and online rebuild in one.
 
     Args:
@@ -276,21 +276,7 @@ class StorageHA:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Everything mutable: health machine + rebuild progress.
-
-        The fault array's own clock/clean-generation state is owned (and
-        checkpointed) by whichever consumer owns the array.
-        """
-        return {
-            "health": self.health.state_dict(),
-            "rebuilder": self.rebuilder.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if set(state) != {"health", "rebuilder"}:
-            raise CheckpointError(
-                f"malformed storage-HA checkpoint keys: {sorted(state)}"
-            )
-        self.health.load_state_dict(state["health"])
-        self.rebuilder.load_state_dict(state["rebuilder"])
+    # Everything mutable: health machine + rebuild progress.  The fault
+    # array's own clock/clean-generation state is owned (and checkpointed)
+    # by whichever consumer owns the array.
+    STATE = (child("health"), child("rebuilder"))

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigError
+from ..errors import ConfigError
+from ..state import Stateful, array, records, seq
 from ..telemetry.tracks import HA_TRACK
 
 #: Every state the per-device machine can be in, in escalation order.
@@ -40,7 +41,7 @@ HEALTH_STATES = ("healthy", "suspect", "degraded", "dead", "rebuilding")
 __all__ = ["HA_TRACK", "HEALTH_STATES", "DeviceHealthMonitor"]
 
 
-class DeviceHealthMonitor:
+class DeviceHealthMonitor(Stateful):
     """EWMA latency-skew fail-slow detector over the array.
 
     Args:
@@ -196,40 +197,18 @@ class DeviceHealthMonitor:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        return {
-            "ewma": [float(value) for value in self._ewma],
-            "streak": [int(value) for value in self._streak],
-            "states": list(self._states),
-            "transitions": [dict(item) for item in self.transitions],
-        }
+    def _sized(self, values):
+        return len(values) != self.num_devices and "sized for a different array"
 
-    def load_state_dict(self, state: dict) -> None:
-        for key in ("ewma", "streak", "states", "transitions"):
-            if key not in state:
-                raise CheckpointError(
-                    f"health-monitor checkpoint missing key {key!r}"
-                )
-        unknown = set(state) - {"ewma", "streak", "states", "transitions"}
-        if unknown:
-            raise CheckpointError(
-                f"unknown health-monitor checkpoint keys: {sorted(unknown)}"
-            )
-        ewma = state["ewma"]
-        streak = state["streak"]
-        states = state["states"]
-        if (
-            len(ewma) != self.num_devices
-            or len(streak) != self.num_devices
-            or len(states) != self.num_devices
-        ):
-            raise CheckpointError(
-                "health-monitor checkpoint sized for a different array"
-            )
-        for name in states:
-            if name not in HEALTH_STATES:
-                raise CheckpointError(f"unknown health state {name!r}")
-        self._ewma = np.array([float(value) for value in ewma])
-        self._streak = np.array([int(value) for value in streak], dtype=np.int64)
-        self._states = list(states)
-        self.transitions = [dict(item) for item in state["transitions"]]
+    def _named(self, states):
+        unknown = [name for name in states if name not in HEALTH_STATES]
+        return self._sized(states) or (
+            unknown and f"unknown health state {unknown[0]!r}"
+        )
+
+    STATE = (
+        array("ewma", np.float64, attr="_ewma", as_list=True, check=_sized),
+        array("streak", np.int64, attr="_streak", as_list=True, check=_sized),
+        seq("states", attr="_states", check=_named),
+        records("transitions"),
+    )

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigError
+from ..errors import ConfigError
+from ..state import Stateful, records, scalar, seq
 
 _JOB_KINDS = ("reprotect", "restore")
 
@@ -46,7 +47,7 @@ class RebuildSweepOutcome:
     completed_jobs: list = field(default_factory=list)
 
 
-class Rebuilder:
+class Rebuilder(Stateful):
     """Budgeted background restoration of redundancy after device incidents.
 
     Args:
@@ -199,52 +200,21 @@ class Rebuilder:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        return {
-            "carry": self._carry,
-            "jobs": [dict(job) for job in self._jobs],
-            "seen_dropouts": list(self._seen_dropouts),
-            "pages_rebuilt_total": self.pages_rebuilt_total,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        expected = {"carry", "jobs", "seen_dropouts", "pages_rebuilt_total"}
-        missing = expected - set(state)
-        if missing:
-            raise CheckpointError(
-                f"rebuilder checkpoint missing keys: {sorted(missing)}"
-            )
-        unknown = set(state) - expected
-        if unknown:
-            raise CheckpointError(
-                f"unknown rebuilder checkpoint keys: {sorted(unknown)}"
-            )
-        carry = state["carry"]
-        if not isinstance(carry, (int, float)) or carry < 0:
-            raise CheckpointError(f"invalid rebuild carry: {carry!r}")
-        seen = state["seen_dropouts"]
-        if len(seen) != self.placement.num_devices:
-            raise CheckpointError(
-                "rebuilder checkpoint sized for a different array"
-            )
-        jobs = []
-        for job in state["jobs"]:
-            if set(job) != {
-                "device",
-                "kind",
-                "generation",
-                "pages_total",
-                "pages_done",
-            }:
-                raise CheckpointError(
-                    f"malformed rebuild job in checkpoint: {job!r}"
-                )
-            if job["kind"] not in _JOB_KINDS:
-                raise CheckpointError(
-                    f"unknown rebuild job kind {job['kind']!r}"
-                )
-            jobs.append(dict(job))
-        self._carry = float(carry)
-        self._jobs = jobs
-        self._seen_dropouts = [int(value) for value in seen]
-        self.pages_rebuilt_total = int(state["pages_rebuilt_total"])
+    STATE = (
+        scalar(
+            "carry", float, attr="_carry",
+            check=lambda self, carry: carry < 0 and "negative rebuild carry",
+        ),
+        records(
+            "jobs", attr="_jobs",
+            keys=("device", "kind", "generation", "pages_total", "pages_done"),
+            check=lambda self, job: job["kind"] not in _JOB_KINDS
+            and f"unknown rebuild job kind {job['kind']!r}",
+        ),
+        seq(
+            "seen_dropouts", int, attr="_seen_dropouts",
+            check=lambda self, seen: len(seen) != self.placement.num_devices
+            and "sized for a different array",
+        ),
+        scalar("pages_rebuilt_total", int),
+    )

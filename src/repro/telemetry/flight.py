@@ -20,12 +20,13 @@ from __future__ import annotations
 import json
 
 from ..errors import TelemetryError
+from ..state import Stateful, guard, records, scalar
 
 #: Schema tag written into every ``blackbox.json``.
 BLACKBOX_SCHEMA = "repro.blackbox/v1"
 
 
-class FlightRecorder:
+class FlightRecorder(Stateful):
     """Bounded ring buffer of recent telemetry events.
 
     Attach to a tracer (``tracer.attach_flight(recorder)``) and every
@@ -125,27 +126,11 @@ class FlightRecorder:
             "dumps": self.dumps,
         }
 
-    def state_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "entries": [dict(entry) for entry in self.entries],
-            "noted_total": self.noted_total,
-            "trigger": self.trigger,
-            "dumps": self.dumps,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        required = {"capacity", "entries", "noted_total", "trigger", "dumps"}
-        if not required.issubset(state):
-            raise TelemetryError(
-                f"malformed flight-recorder state keys: {sorted(state)}"
-            )
-        if int(state["capacity"]) != self.capacity:
-            raise TelemetryError(
-                f"flight-recorder capacity {self.capacity} does not match "
-                f"checkpoint capacity {state['capacity']}"
-            )
-        self.entries = [dict(entry) for entry in state["entries"]]
-        self.noted_total = int(state["noted_total"])
-        self.trigger = state["trigger"]
-        self.dumps = int(state["dumps"])
+    STATE_ERROR = TelemetryError
+    STATE = (
+        guard("capacity"),
+        records("entries"),
+        scalar("noted_total", int),
+        scalar("trigger"),
+        scalar("dumps", int),
+    )

@@ -18,9 +18,10 @@ import math
 from bisect import bisect_left
 
 from ..errors import TelemetryError
+from ..state import Stateful, guard, scalar, seq
 
 
-class Counter:
+class Counter(Stateful):
     """A monotonically increasing count."""
 
     kind = "counter"
@@ -39,14 +40,11 @@ class Counter:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 
-    def state_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.value = state["value"]
+    STATE_ERROR = TelemetryError
+    STATE = (guard("kind"), scalar("value"))
 
 
-class Gauge:
+class Gauge(Stateful):
     """A point-in-time value that can move in either direction."""
 
     kind = "gauge"
@@ -65,14 +63,11 @@ class Gauge:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 
-    def state_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.value = float(state["value"])
+    STATE_ERROR = TelemetryError
+    STATE = (guard("kind"), scalar("value", float))
 
 
-class Histogram:
+class Histogram(Stateful):
     """Fixed log-spaced buckets with approximate percentiles.
 
     Bucket upper bounds are ``lo * 10**(k / buckets_per_decade)`` up to
@@ -175,40 +170,22 @@ class Histogram:
             "p99": self.percentile(99),
         }
 
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lo": self.lo,
-            "hi": self.hi,
-            "buckets_per_decade": self.buckets_per_decade,
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if (
-            state.get("lo") != self.lo
-            or state.get("hi") != self.hi
-            or state.get("buckets_per_decade") != self.buckets_per_decade
-        ):
-            raise TelemetryError(
-                f"histogram {self.name!r} bucket layout does not match the "
-                "checkpoint"
-            )
-        counts = [int(c) for c in state["counts"]]
-        if len(counts) != len(self.counts):
-            raise TelemetryError(
-                f"histogram {self.name!r} bucket count does not match the "
-                "checkpoint"
-            )
-        self.counts = counts
-        self.count = int(state["count"])
-        self.sum = float(state["sum"])
-        self.min = float(state["min"])
-        self.max = float(state["max"])
+    STATE_ERROR = TelemetryError
+    STATE = (
+        guard("kind"),
+        guard("lo"),
+        guard("hi"),
+        guard("buckets_per_decade"),
+        seq(
+            "counts", int,
+            check=lambda self, counts: len(counts) != len(self.counts)
+            and "bucket count does not match the layout",
+        ),
+        scalar("count", int),
+        scalar("sum", float),
+        scalar("min", float),
+        scalar("max", float),
+    )
 
 
 class MetricsRegistry:
@@ -274,21 +251,23 @@ class MetricsRegistry:
 
     def load_state_dict(self, state: dict) -> None:
         for name, metric_state in state.items():
-            kind = metric_state.get("kind")
-            if kind == "counter":
-                self.counter(name).load_state_dict(metric_state)
-            elif kind == "gauge":
-                self.gauge(name).load_state_dict(metric_state)
+            kind = (
+                metric_state.get("kind")
+                if isinstance(metric_state, dict)
+                else None
+            )
+            if kind in ("counter", "gauge"):
+                metric = getattr(self, kind)(name)
             elif kind == "histogram":
-                self.histogram(
+                # Created with the stored layout; a stored entry without
+                # one is reported by the histogram's own table.
+                layout = ("lo", "hi", "buckets_per_decade")
+                metric = self.histogram(
                     name,
-                    lo=float(metric_state["lo"]),
-                    hi=float(metric_state["hi"]),
-                    buckets_per_decade=int(
-                        metric_state["buckets_per_decade"]
-                    ),
-                ).load_state_dict(metric_state)
+                    **{k: metric_state[k] for k in layout if k in metric_state},
+                )
             else:
                 raise TelemetryError(
                     f"unknown metric kind {kind!r} for {name!r}"
                 )
+            metric.load_state_dict(metric_state)

@@ -26,6 +26,7 @@ import json
 import os
 
 from ..errors import TelemetryError
+from ..state import Stateful, mapping, scalar
 from .metrics import MetricsRegistry
 from .prometheus import to_prometheus_text
 
@@ -33,7 +34,7 @@ from .prometheus import to_prometheus_text
 SNAPSHOT_SCHEMA = "repro.metrics.snapshot/v1"
 
 
-class MetricsSnapshotter:
+class MetricsSnapshotter(Stateful):
     """Emit periodic modeled-time snapshots of a metrics registry.
 
     Args:
@@ -142,28 +143,15 @@ class MetricsSnapshotter:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "next_due_s": self.next_due_s,
-            "last_taken_s": self.last_taken_s,
-            "last_counters": dict(self._last_counters),
-        }
+    STATE_ERROR = TelemetryError
+    STATE = (
+        scalar("seq", int),
+        scalar("next_due_s", float),
+        scalar("last_taken_s", float, optional=True),
+        mapping("last_counters", attr="_last_counters"),
+    )
 
-    def load_state_dict(self, state: dict) -> None:
-        required = {"seq", "next_due_s", "last_taken_s", "last_counters"}
-        if not required.issubset(state):
-            raise TelemetryError(
-                f"malformed snapshotter state keys: {sorted(state)}"
-            )
-        self.seq = int(state["seq"])
-        self.next_due_s = float(state["next_due_s"])
-        last = state["last_taken_s"]
-        self.last_taken_s = None if last is None else float(last)
-        self._last_counters = dict(state["last_counters"])
-        self._rewind_jsonl()
-
-    def _rewind_jsonl(self) -> None:
+    def _state_loaded(self) -> None:
         """Drop JSONL lines a killed run wrote after this checkpoint.
 
         Keeping them would replay the post-checkpoint window twice and

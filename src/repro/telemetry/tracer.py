@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import TelemetryError
+from ..state import Stateful, child, guard, scalar, seq
 from .context import TraceContext, _ActiveContext
 from .metrics import MetricsRegistry
 from .tracks import STAGE_TRACKS, TRACKS, require_known_track
@@ -168,7 +169,19 @@ class _OpenSpan:
         return False
 
 
-class Tracer:
+def _event_loader(cls):
+    """Decoder of one stored event: a row, or the per-event dict
+    (``to_dict``) that snapshots held before rows."""
+
+    def decode(event):
+        if isinstance(event, dict):
+            return cls.from_dict(event)
+        return cls(*event[:-1], dict(event[-1]))
+
+    return decode
+
+
+class Tracer(Stateful):
     """Collects modeled-time spans, instants and metrics for one run.
 
     Args:
@@ -387,61 +400,34 @@ class Tracer:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot of everything recorded so far (checkpointable).
-
-        Events are one row each — ``(name, track, start_s, duration_s,
-        args)`` per span, ``(name, track, at_s, args)`` per instant — that
-        share the recorded ``args`` dicts: a request-detail trace is saved
-        at every checkpoint, and a dict plus a copied ``args`` per event was
-        most of what a snapshot allocated.  When a flight recorder is
-        attached its ring rides along under a ``"flight"`` key.
-        """
-        state = {
-            "detail": self.detail,
-            "clock_s": self.clock_s,
-            "iteration": self.iteration,
-            "truncated": self.truncated,
-            "spans": [
+    STATE_ERROR = TelemetryError
+    #: Everything recorded so far.  Events are one row each — ``(name,
+    #: track, start_s, duration_s, args)`` per span, ``(name, track, at_s,
+    #: args)`` per instant — that share the recorded ``args`` dicts: a
+    #: request-detail trace is saved at every checkpoint, and a dict plus a
+    #: copied ``args`` per event was most of what a snapshot allocated.
+    #: The detail level is a guard: a ``request``-detail snapshot resumed at
+    #: ``stage`` detail (or vice versa) would splice two incompatible
+    #: granularities into one file.  An attached flight recorder's ring
+    #: rides along under ``"flight"``.
+    STATE = (
+        guard("detail"),
+        scalar("clock_s", float),
+        scalar("iteration", int),
+        scalar("truncated", bool),
+        seq(
+            "spans", _event_loader(Span),
+            save=lambda spans: [
                 (s.name, s.track, s.start_s, s.duration_s, s.args)
-                for s in self.spans
+                for s in spans
             ],
-            "instants": [
-                (i.name, i.track, i.at_s, i.args) for i in self.instants
+        ),
+        seq(
+            "instants", _event_loader(Instant),
+            save=lambda instants: [
+                (i.name, i.track, i.at_s, i.args) for i in instants
             ],
-            "metrics": self.metrics.state_dict(),
-        }
-        if self.flight is not None:
-            state["flight"] = self.flight.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the recording captured by :meth:`state_dict`.
-
-        The detail level must match: a ``request``-detail snapshot resumed
-        at ``stage`` detail (or vice versa) would splice two incompatible
-        granularities into one file.  Events may be rows or the per-event
-        dicts (:meth:`Span.to_dict`) that snapshots held before.
-        """
-        if state.get("detail") != self.detail:
-            raise TelemetryError(
-                f"checkpoint trace detail {state.get('detail')!r} does not "
-                f"match configured {self.detail!r}"
-            )
-        self.clock_s = float(state["clock_s"])
-        self.iteration = int(state["iteration"])
-        self.truncated = bool(state["truncated"])
-        self.spans = [
-            Span.from_dict(s) if isinstance(s, dict)
-            else Span(*s[:-1], dict(s[-1]))
-            for s in state["spans"]
-        ]
-        self.instants = [
-            Instant.from_dict(i) if isinstance(i, dict)
-            else Instant(*i[:-1], dict(i[-1]))
-            for i in state["instants"]
-        ]
-        self.metrics = MetricsRegistry()
-        self.metrics.load_state_dict(state["metrics"])
-        if self.flight is not None and "flight" in state:
-            self.flight.load_state_dict(state["flight"])
+        ),
+        child("metrics", fresh=lambda self: MetricsRegistry()),
+        child("flight", omit=True, lenient=True),
+    )

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigError
+from ..errors import ConfigError
 from ..sampling.minibatch import MiniBatch
+from ..state import Stateful, array, children, guard, scalar
 from ..storage.feature_store import FeatureStore
 from ..utils import as_rng
 
@@ -31,9 +32,24 @@ from ..utils import as_rng
 AGGREGATORS = ("mean", "gcn", "pool")
 
 
+def _tensor(name: str):
+    """A float64 tensor that must come back in the shape the model has."""
+
+    def reshaped(self, restored):
+        shape = getattr(self, name).shape
+        return restored.shape != shape and f"expected shape {shape}"
+
+    return array(name, np.float64, check=reshaped)
+
+
 @dataclass
-class _LayerParams:
+class _LayerParams(Stateful):
     """One layer's parameters and their SGD momentum buffers."""
+
+    STATE = tuple(
+        _tensor(name)
+        for name in ("w_self", "w_neigh", "bias", "m_self", "m_neigh", "m_bias")
+    )
 
     w_self: np.ndarray
     w_neigh: np.ndarray
@@ -48,7 +64,7 @@ class _LayerParams:
         self.m_bias = np.zeros_like(self.bias)
 
 
-class GraphSAGE:
+class GraphSAGE(Stateful):
     """A GraphSAGE node classifier trained with momentum SGD.
 
     Args:
@@ -411,61 +427,17 @@ class GraphSAGE:
     # ------------------------------------------------------------------
     # Checkpointing
 
-    def state_dict(self) -> dict:
-        """Snapshot of all weights and SGD momentum buffers.
-
-        The returned arrays are copies: mutating the model afterwards does
-        not invalidate a snapshot already captured.
-        """
-        return {
-            "num_layers": self.num_layers,
-            "aggregator": self.aggregator,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "layers": [
-                {
-                    "w_self": p.w_self.copy(),
-                    "w_neigh": p.w_neigh.copy(),
-                    "bias": p.bias.copy(),
-                    "m_self": p.m_self.copy(),
-                    "m_neigh": p.m_neigh.copy(),
-                    "m_bias": p.m_bias.copy(),
-                }
-                for p in self.layers
-            ],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore weights and optimizer moments captured by :meth:`state_dict`."""
-        if state.get("num_layers") != self.num_layers:
-            raise CheckpointError(
-                f"checkpoint has {state.get('num_layers')} layers, model has "
-                f"{self.num_layers}"
-            )
-        if state.get("aggregator") != self.aggregator:
-            raise CheckpointError(
-                f"checkpoint aggregator {state.get('aggregator')!r} does not "
-                f"match model aggregator {self.aggregator!r}"
-            )
-        layer_states = state.get("layers")
-        if not isinstance(layer_states, list) or len(layer_states) != len(
-            self.layers
-        ):
-            raise CheckpointError("checkpoint layer list malformed")
-        for params, saved in zip(self.layers, layer_states):
-            for name in (
-                "w_self", "w_neigh", "bias", "m_self", "m_neigh", "m_bias"
-            ):
-                current = getattr(params, name)
-                restored = np.asarray(saved[name], dtype=np.float64)
-                if restored.shape != current.shape:
-                    raise CheckpointError(
-                        f"checkpoint tensor {name} has shape "
-                        f"{restored.shape}, expected {current.shape}"
-                    )
-                setattr(params, name, restored.copy())
-        self.lr = float(state.get("lr", self.lr))
-        self.momentum = float(state.get("momentum", self.momentum))
+    #: All weights and SGD momentum buffers (copied, so mutating the model
+    #: afterwards does not invalidate a snapshot already captured).  ``lr``
+    #: and ``momentum`` joined the layout late: a snapshot without them
+    #: keeps the constructor's.
+    STATE = (
+        guard("num_layers"),
+        guard("aggregator"),
+        scalar("lr", float, late=True),
+        scalar("momentum", float, late=True),
+        children("layers"),
+    )
 
 
 def average_gradients(grads_list: list[list[dict]]) -> list[dict]:

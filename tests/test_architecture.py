@@ -1,4 +1,4 @@
-"""Structure tests: one read path, one CLI run lifecycle.
+"""Structure tests: one read path, one CLI run lifecycle, one state codec.
 
 Walks ``src/repro`` with :mod:`ast` and asserts that the calls which make
 up the feature-read sequence — cache probe, HA routing, fault resolution,
@@ -12,11 +12,19 @@ snapshotter triple, SLO evaluation, the observability block, the trace
 file, the stale-snapshot sweep — each have exactly one call site
 (``RunContext``), and that every command in the table parses, has a
 handler and answers ``--help``.
+
+The third group keeps checkpoint state in one codec: what a load does
+about unknown, missing or one-sided snapshot keys is decided in
+``state.py`` only, every class that restores itself declares a table
+there, and the benchmark's shim table still finds each method it wraps
+on the class it names.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,3 +171,165 @@ def test_typed_errors_exit_in_one_place():
                 if "ReproError" in ast.unparse(node.type):
                     handlers.append(f"{rel}:{node.lineno}")
     assert len(handlers) == 1, handlers
+
+
+# ----------------------------------------------------------------------
+# One checkpoint-state codec
+
+CODEC = "state.py"
+RESTORERS = ("load_state_dict", "from_state_dict")
+
+#: ``file::Class`` -> why it restores itself by hand instead of declaring
+#: a table.  Entries are only ever removed.
+HAND_WRITTEN_RESTORERS = {
+    "telemetry/metrics.py::MetricsRegistry": (
+        "dynamic keys: one entry per registered metric name; each entry "
+        "is restored through its instrument's own table"
+    ),
+}
+
+
+def _parsed_sources():
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        yield rel, ast.parse(path.read_text(encoding="utf-8"), filename=rel)
+
+
+def _is_set_call(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
+
+
+def _is_none_test(node) -> bool:
+    return (
+        isinstance(node, ast.Compare)
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None
+    )
+
+
+def _skew_decision(node) -> str | None:
+    """Name the hand-rolled skew check ``node`` is, if it is one."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        if _is_set_call(node.left) or _is_set_call(node.right):
+            return "key-set difference"
+    if isinstance(node, ast.Compare) and len(node.ops) == 1:
+        sides = (node.left, node.comparators[0])
+        if isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
+            if any(_is_set_call(side) for side in sides):
+                return "key-set comparison"
+            if all(_is_none_test(side) for side in sides):
+                return "None-symmetry test"
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("issubset", "issuperset")
+    ):
+        return "key-subset test"
+    return None
+
+
+def _uses_the_codec(tree) -> bool:
+    return any(
+        isinstance(node, ast.ImportFrom)
+        and node.module is not None
+        and node.module.split(".")[-1] == "state"
+        for node in ast.walk(tree)
+    )
+
+
+def test_skew_is_decided_in_the_codec_only():
+    """No table-bearing module, and no hand-written restorer, compares
+    key sets or tests one-sidedness itself."""
+    strays = []
+    for rel, tree in _parsed_sources():
+        if rel == CODEC:
+            continue
+        if _uses_the_codec(tree):
+            scopes = [tree]
+        else:
+            scopes = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name in RESTORERS
+            ]
+        for scope in scopes:
+            for node in ast.walk(scope):
+                what = _skew_decision(node)
+                if what is not None:
+                    strays.append(f"{rel}:{node.lineno} ({what})")
+    assert not strays, (
+        "what a load does about unknown, missing or one-sided keys "
+        f"belongs to {CODEC}; found {', '.join(strays)}"
+    )
+    codec = ast.parse((SRC / CODEC).read_text(encoding="utf-8"))
+    assert any(_skew_decision(node) for node in ast.walk(codec)), (
+        f"{CODEC} no longer holds the policy; update this test"
+    )
+
+
+def _owns_a_table(tree, cls: ast.ClassDef) -> bool:
+    def assigns_state(targets) -> bool:
+        return any(
+            (isinstance(t, ast.Name) and t.id == "STATE")
+            or (
+                isinstance(t, ast.Attribute)
+                and t.attr == "STATE"
+                and isinstance(t.value, ast.Name)
+                and t.value.id == cls.name
+            )
+            for t in targets
+        )
+
+    return any(
+        isinstance(node, ast.Assign) and assigns_state(node.targets)
+        for node in (*cls.body, *tree.body)
+    )
+
+
+def test_every_restorer_owns_a_table():
+    by_hand = set()
+    for rel, tree in _parsed_sources():
+        if rel == CODEC:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            restores = any(
+                isinstance(node, ast.FunctionDef) and node.name in RESTORERS
+                for node in cls.body
+            )
+            if restores and not _owns_a_table(tree, cls):
+                by_hand.add(f"{rel}::{cls.name}")
+    new = sorted(by_hand - set(HAND_WRITTEN_RESTORERS))
+    assert not new, (
+        f"{', '.join(new)} restore a snapshot by hand; declare a STATE "
+        f"table (see {CODEC}) instead"
+    )
+    stale = sorted(set(HAND_WRITTEN_RESTORERS) - by_hand)
+    assert not stale, f"{stale} now own a table; drop them from the list"
+    assert len(HAND_WRITTEN_RESTORERS) <= 1, "the list only shrinks"
+
+
+def test_benchmark_shim_table_still_installs(monkeypatch):
+    """``benchmarks/e2e/tracing.py`` wraps ~50 ``(class, method)`` pairs
+    and refuses any that is inherited or generated.  Installing it here
+    turns a method moved off its class into a tier-1 failure instead of a
+    failed benchmark run (``benchmarks/e2e`` is outside ``testpaths``)."""
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "benchmarks" / "e2e"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    try:
+        recorder = tracing.install()  # RuntimeError: a pair has moved
+        wrapped = recorder.wrapped
+        recorder.uninstall()
+    finally:
+        sys.modules.pop("tracing", None)
+    assert len(wrapped) >= 50
+    for owner, attr, original in wrapped:
+        assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"

@@ -84,6 +84,9 @@ class TestCommands:
 _TINY = ["--dataset", "IGB-tiny", "--scale", "0.02"]
 _GIDS = ["run", *_TINY, "--loader", "gids", "--iterations", "3"]
 _TRAIN = ["train", *_TINY, "--iterations", "3", "--hidden-dim", "16"]
+_SWEEP = [
+    "fullgraph", *_TINY, "--hbm-mb", "4", "--checkpoint-dir", "ckpt",
+]
 _WORKLOADS = ("run", "train", "fleet", "fullgraph", "serve")
 
 #: Hostile invocations that used to end in a traceback (exit 1) or, for
@@ -105,6 +108,25 @@ HOSTILE = {
     "resume-skewed-checkpoint": (
         _TRAIN + ["--checkpoint-dir", "ckpt", "--resume"]
     ),
+    # "ckpt" holds a sweep over the 48 partitions the planner picked; both
+    # of these used to resume it (exit 0) under another configuration.
+    "fullgraph-resume-other-partitions": (
+        _SWEEP + ["--partitions", "32", "--resume"]
+    ),
+    "fullgraph-resume-other-planes": (
+        _SWEEP + ["--fault-plan", "p.json", "--verify-reads", "full",
+                  "--resume"]
+    ),
+}
+
+#: The run that fills "ckpt" before a hostile ``--resume``.
+_WRITES_CKPT = {
+    "resume-skewed-checkpoint": (
+        _TRAIN + ["--hidden-dim", "8", "--checkpoint-dir", "ckpt",
+                  "--checkpoint-every", "2"]
+    ),
+    "fullgraph-resume-other-partitions": _SWEEP + ["--steps", "10"],
+    "fullgraph-resume-other-planes": _SWEEP + ["--steps", "10"],
 }
 
 
@@ -114,11 +136,9 @@ class TestHostileInput:
         self, name, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        if name == "resume-skewed-checkpoint":
-            assert main(
-                _TRAIN + ["--hidden-dim", "8", "--checkpoint-dir", "ckpt",
-                          "--checkpoint-every", "2"]
-            ) == 0
+        (tmp_path / "p.json").write_text('{"seed": 1}')
+        if name in _WRITES_CKPT:
+            assert main(_WRITES_CKPT[name]) == 0
             capsys.readouterr()
         try:
             code = main(HOSTILE[name])

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import repro
 from repro.errors import TelemetryError
 from repro.faults.injector import FaultStats
 from repro.sim.counters import TransferCounters
@@ -409,6 +413,43 @@ class TestChromeTrace:
         count = write_chrome_trace(traced_run(), str(path))
         loaded = json.loads(path.read_text())
         assert validate_chrome_trace(loaded) == count
+
+    def test_lane_ids_do_not_follow_the_hash_seed(self):
+        """Ad-hoc lanes are numbered in first-seen order (spans, then
+        instants), not in the iteration order of a set of their names."""
+        script = (
+            "import json\n"
+            "from repro.telemetry import Tracer, to_chrome_trace\n"
+            "tracer = Tracer(detail='request')\n"
+            "tracer.record('a', 'fleet.gpu1', start_s=0.0, duration_s=1.0)\n"
+            "tracer.record('b', 'adhoc.lane', start_s=1.0, duration_s=1.0)\n"
+            "tracer.instant('c', 'fleet.gpu0', at_s=0.5)\n"
+            "tracer.record('d', 'ssd', start_s=0.0, duration_s=1.0)\n"
+            "print(json.dumps(to_chrome_trace(tracer), sort_keys=True))\n"
+        )
+        exports = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.path.dirname(
+                        os.path.dirname(repro.__file__)
+                    ),
+                },
+                capture_output=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("1", "2", "3")
+        ]
+        assert exports[0] == exports[1] == exports[2]
+        lanes = [
+            e["args"]["name"]
+            for e in json.loads(exports[0])["traceEvents"]
+            if e["name"] == "thread_name"
+        ]
+        assert lanes == ["ssd", "fleet.gpu1", "adhoc.lane", "fleet.gpu0"]
 
     @pytest.mark.parametrize(
         "document",
