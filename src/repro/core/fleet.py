@@ -250,10 +250,7 @@ class _Worker(Stateful):
         scalar("skew_streak", int),
         scalar("times_stolen_from", int),
         scalar("last_step_s", float, optional=True),
-        mapping(
-            "counters",
-            lambda count: float(count) if isinstance(count, float) else int(count),
-        ),
+        mapping("counters"),
         # Built for the restored generation, then filled.
         child("cache", fresh=lambda self: self._fresh_cache()),
     )

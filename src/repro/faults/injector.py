@@ -10,7 +10,7 @@ numbers at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,13 +59,8 @@ class FaultStats(StateRecord):
             if value:
                 registry.counter(f"{prefix}.{name}").inc(value)
 
-    STATE = tuple(
-        scalar(name, int)
-        for name in (
-            "injected_failures", "retries", "unrecovered",
-            "latency_spikes", "timeouts", "corruptions_emitted",
-        )
-    )
+
+FaultStats.STATE = tuple(scalar(f.name, int) for f in fields(FaultStats))
 
 
 @dataclass(frozen=True)

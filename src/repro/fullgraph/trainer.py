@@ -145,10 +145,8 @@ _Traffic.STATE = tuple(
 
 
 def _copied_grads(grads):
-    """The per-layer gradient sums of an open epoch (``None`` between
-    epochs), copied so snapshot and trainer never share a buffer."""
-    if grads is None:
-        return None
+    """The per-layer gradient sums of an open epoch, copied so snapshot
+    and trainer never share a buffer."""
     return [
         {k: np.asarray(v, dtype=np.float64).copy() for k, v in g.items()}
         for g in grads
@@ -948,7 +946,10 @@ class FullGraphTrainer(Stateful):
         seq("accuracies", float),
         seq("epoch_end_times_s", float),
         scalar("spill_page_cursor", int, attr="_spill_page_cursor"),
-        scalar("grads", _copied_grads, attr="_grads", save=_copied_grads),
+        scalar(  # None between epochs
+            "grads", _copied_grads, attr="_grads", save=_copied_grads,
+            optional=True,
+        ),
         array("d_cur", np.float64, attr="_d_cur", optional=True),
         array("d_prev", np.float64, attr="_d_prev", optional=True),
         scalar("pending_loss", attr="_pending_loss"),

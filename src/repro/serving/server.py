@@ -67,11 +67,6 @@ def _queue_entry(entry: dict) -> tuple[int, int, dict]:
     return int(entry["priority"]), int(entry["index"]), dict(entry)
 
 
-def _heap(entries: list) -> list:
-    heapq.heapify(entries)
-    return entries
-
-
 class InferenceServer(Stateful):
     """Online inference over the shared storage stack, in modeled time.
 
@@ -705,8 +700,9 @@ class InferenceServer(Stateful):
         scalar("last_completion_s", float, attr="_last_completion_s"),
         rng_state(),
         child("arrivals"),
+        # Stored in sorted order, which is already heap order.
         seq(
-            "queue", _queue_entry, attr="_queue", into=_heap,
+            "queue", _queue_entry, attr="_queue",
             save=lambda queue: [entry for _, _, entry in sorted(queue)],
         ),
         child("stats"),

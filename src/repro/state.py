@@ -1,14 +1,11 @@
 """The checkpoint-state codec: per-class field tables, one skew policy.
 
 Every stateful class declares ``STATE``, a tuple of fields built by the
-constructors below (:func:`scalar`, :func:`seq`, :func:`array`,
-:func:`records`, :func:`mapping`, :func:`rng_state`, :func:`guard`,
-:func:`child`, :func:`children`, :func:`group`, :func:`custom`), one per
-snapshot key and in snapshot order, and inherits ``state_dict`` /
-``load_state_dict`` from :class:`Stateful` (or ``state_dict`` /
-``from_state_dict`` from :class:`StateRecord`).  :func:`save` and
-:func:`load` read the table, so what happens when a snapshot and the live
-object disagree is decided here and nowhere else:
+constructors below, one per snapshot key and in snapshot order, and
+inherits ``state_dict`` / ``load_state_dict`` from :class:`Stateful` (or
+``state_dict`` / ``from_state_dict`` from :class:`StateRecord`).
+:func:`save` and :func:`load` read the table, so what happens when a
+snapshot and the live object disagree is decided here and nowhere else:
 
 * a key the table does not declare, or a declared key that is absent
   (``late`` keys, which older snapshots lack, and the keys of ``omit``
@@ -26,8 +23,10 @@ can import it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import attrgetter
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -37,42 +36,41 @@ from .errors import CheckpointError
 _OMIT = object()
 
 
+@dataclass
 class Field:
     """One table entry: the snapshot key(s) it owns and how they move.
 
-    ``save(obj)`` returns the value to store (a dict of them for a
-    multi-key :func:`custom`); ``load(obj, value, fail)`` puts a stored
-    value back, calling ``fail(message)`` to raise the table's error.
+    ``save(obj)`` returns the value to store (a dict of them when ``key``
+    is a tuple); ``load(obj, value, fail)`` puts a stored value back,
+    calling ``fail(message)`` to raise the table's error.
 
     A ``late`` key was added to the layout after snapshots were already
     being written: a snapshot without it leaves the live value alone.  An
-    ``omit`` key is left out, rather than stored as ``None``, while its
-    component is absent.  ``optional`` (a live component that both sides
-    must have or lack), ``lenient`` and ``fields`` describe :func:`child` /
+    ``omit`` key may be absent because its component was: it loads as
+    ``None``.  ``legacy`` names the keys an older layout of a multi-key
+    entry used.  ``optional`` (a live component that both sides must have
+    or lack), ``lenient`` and ``fields`` describe :func:`child` /
     :func:`group` entries to readers of the table (the skew sweep in
     ``tests/test_state_tables.py``).
     """
 
-    def __init__(self, kind, key, save, load, *, late=False, omit=False,
-                 legacy=(), optional=False, lenient=False, fields=()):
-        self.kind = kind
-        self.key = key
-        self.keys = key if isinstance(key, tuple) else (key,)
-        self.save = save
-        self.load = load
-        self.late = late
-        self.omit = omit
-        self.legacy = tuple(legacy)
-        self.optional = optional
-        self.lenient = lenient
-        self.fields = fields
+    kind: str
+    key: str | tuple
+    save: Callable
+    load: Callable
+    late: bool = False
+    omit: bool = False
+    legacy: tuple = ()
+    optional: bool = False
+    lenient: bool = False
+    fields: tuple = ()
 
     def keys_of(self, state: dict) -> tuple:
         """The keys this entry owns in ``state``: its legacy layout's when
         the snapshot was written with that one."""
         if self.legacy and self.legacy[0] in state:
             return self.legacy
-        return self.keys
+        return self.key if isinstance(self.key, tuple) else (self.key,)
 
 
 def save(obj, fields=None) -> dict:
@@ -80,7 +78,7 @@ def save(obj, fields=None) -> dict:
     state = {}
     for field in type(obj).STATE if fields is None else fields:
         value = field.save(obj)
-        if field.key is field.keys:
+        if isinstance(field.key, tuple):
             state.update(value)
         elif value is not _OMIT:
             state[field.key] = value
@@ -92,68 +90,61 @@ def load(obj, state, fields=None, *, owner=None) -> None:
 
     ``owner`` names the class in errors and supplies the table and error
     type when ``obj`` is not an instance of it (:class:`StateRecord`).
+    After its own table an object's ``_state_loaded()``, if it defines
+    one, rebuilds what it derives from the restored fields.
     """
     owner = type(obj) if owner is None else owner
-    error = getattr(owner, "STATE_ERROR", CheckpointError)
 
     def fail(message: str):
-        raise error(f"{owner.__name__} snapshot {message}")
+        raise owner.STATE_ERROR(f"{owner.__name__} snapshot {message}")
 
     _load_fields(obj, owner.STATE if fields is None else fields, state, fail)
-    loaded = getattr(obj, "_state_loaded", None)
-    if loaded is not None:
-        loaded()
+    if fields is None and hasattr(obj, "_state_loaded"):
+        obj._state_loaded()
 
 
 def _load_fields(obj, fields, state, fail) -> None:
     if not isinstance(state, dict):
         fail(f"is not a mapping: {_brief(state)}")
-    expected, required = set(), set()
-    for field in fields:
-        expected.update(field.keys_of(state))
-        if not (field.late or field.omit):
-            required.update(field.keys_of(state))
-    missing, unknown = required - set(state), set(state) - expected
-    if missing or unknown:
+    owned = [(field, field.keys_of(state)) for field in fields]
+    expected = [key for _, keys in owned for key in keys]
+    missing = [
+        key for field, keys in owned if not (field.late or field.omit)
+        for key in keys if key not in state
+    ]
+    if missing or len(state) != sum(key in state for key in expected):
+        unknown = set(state) - set(expected)
         fail(
             f"is malformed: missing keys {sorted(missing)}, "
             f"unknown keys {sorted(unknown, key=str)}"
         )
-    for field in fields:
-        if field.key is field.keys:
-            field.load(
-                obj, {key: state[key] for key in field.keys_of(state)}, fail
-            )
-        elif field.key in state or not field.late:
-            field.load(obj, state.get(field.key), fail)
+    for field, keys in owned:
+        if field.key in state:
+            field.load(obj, state[field.key], fail)
+        elif isinstance(field.key, tuple):
+            field.load(obj, {key: state[key] for key in keys}, fail)
+        elif not field.late:  # the key of an absent component
+            field.load(obj, None, fail)
 
 
-class Stateful:
-    """``state_dict`` / ``load_state_dict`` read off the class's table.
-
-    A class may define ``_state_loaded()`` to rebuild what it derives from
-    the restored fields.
-    """
-
+class _Tabled:
     STATE: tuple = ()
     STATE_ERROR = CheckpointError
 
     def state_dict(self) -> dict:
         return save(self)
+
+
+class Stateful(_Tabled):
+    """``state_dict`` / ``load_state_dict`` read off the class's table."""
 
     def load_state_dict(self, state: dict) -> None:
         load(self, state)
 
 
-class StateRecord:
+class StateRecord(_Tabled):
     """A value class rebuilt from its snapshot: ``from_state_dict`` hands
     the decoded fields to the constructor by attribute name."""
-
-    STATE: tuple = ()
-    STATE_ERROR = CheckpointError
-
-    def state_dict(self) -> dict:
-        return save(self)
 
     @classmethod
     def from_state_dict(cls, state: dict):
@@ -178,24 +169,43 @@ def _getter(source):
     return source if callable(source) else attrgetter(source)
 
 
-def _put(obj, attr, key, value, convert, check, fail) -> None:
-    """Convert, check and assign one plain value."""
-    try:
-        value = convert(value)
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
-        fail(f"cannot restore {key!r} from {_brief(value)}: {exc!r}")
-    reason = check(obj, value) if check is not None else None
-    if reason:
-        fail(f"has an invalid {key!r} ({_brief(value)}): {reason}")
-    setattr(obj, attr, value)
-
-
 def _one_sided(key, stored: bool, live: bool) -> str:
     return (
         f"{'has' if stored else 'lacks'} {key!r} state and the live object "
         f"{'has' if live else 'lacks'} it: it was written under a different "
         "configuration"
     )
+
+
+def _plain(kind, key, attr, encode, decode, check=None, late=False,
+           optional=False) -> Field:
+    """An attribute stored as ``encode(value)`` and put back as
+    ``decode(obj, stored)`` (as is, either way, when that is ``None``).
+
+    ``None`` is stored as ``None`` and, when ``optional``, comes back as
+    ``None``.  A ``decode`` that cannot convert what it is given, and a
+    ``check(obj, value)`` that returns a reason string, both end in the
+    typed error.
+    """
+    attr = attr or key
+    get = attrgetter(attr)
+
+    def save(obj):
+        value = get(obj)
+        return None if value is None else encode(value)
+
+    def load(obj, value, fail):
+        if decode is not None and not (optional and value is None):
+            try:
+                value = decode(obj, value)
+            except (TypeError, ValueError, KeyError, AttributeError) as exc:
+                fail(f"cannot restore {key!r} from {_brief(value)}: {exc!r}")
+        reason = check(obj, value) if check is not None else None
+        if reason:
+            fail(f"has an invalid {key!r} ({_brief(value)}): {reason}")
+        setattr(obj, attr, value)
+
+    return Field(kind, key, get if encode is None else save, load, late=late)
 
 
 def each(item):
@@ -206,26 +216,9 @@ def each(item):
 def scalar(key, cast=None, *, attr=None, optional=False, late=False,
            check=None, save=None) -> Field:
     """A plain value, stored as is (or as ``save(value)``) and passed
-    through ``cast`` on load.
-
-    ``optional`` lets ``None`` through uncast; ``check(obj, value)``
-    returns a reason string when the cast value is unacceptable.
-    """
-    attr = attr or key
-    get = attrgetter(attr)
-
-    def convert(value):
-        if cast is None or (optional and value is None):
-            return value
-        return cast(value)
-
-    def load(obj, value, fail):
-        _put(obj, attr, key, value, convert, check, fail)
-
-    return Field(
-        "scalar", key,
-        get if save is None else lambda obj: save(get(obj)), load, late=late,
-    )
+    through ``cast`` on load; ``optional`` lets ``None`` through uncast."""
+    decode = None if cast is None else lambda obj, stored: cast(stored)
+    return _plain("scalar", key, attr, save, decode, check, late, optional)
 
 
 def seq(key, item=None, *, attr=None, into=list, save=list, late=False,
@@ -236,48 +229,33 @@ def seq(key, item=None, *, attr=None, into=list, save=list, late=False,
     stored)``, or with ``into=None`` by refilling the live container in
     place (a bounded deque keeps its ``maxlen``).
     """
-    attr = attr or key
 
-    def load(obj, value, fail):
-        def convert(stored):
-            items = list(stored) if item is None else [item(x) for x in stored]
-            if into is not None:
-                return into(items)
-            live = getattr(obj, attr)
-            live.clear()
-            live.extend(items)
-            return live
+    def decode(obj, stored):
+        items = list(stored) if item is None else [item(x) for x in stored]
+        if into is not None:
+            return into(items)
+        live = getattr(obj, attr or key)
+        live.clear()
+        live.extend(items)
+        return live
 
-        _put(obj, attr, key, value, convert, check, fail)
-
-    return Field(
-        "seq", key, lambda obj: save(getattr(obj, attr)), load, late=late
-    )
+    return _plain("seq", key, attr, save, decode, check, late)
 
 
 def array(key, dtype, *, attr=None, optional=False, as_list=False,
           check=None) -> Field:
     """A numpy array, stored as a copy (``tolist()`` when ``as_list``)."""
-    attr = attr or key
 
-    def save(obj):
-        value = getattr(obj, attr)
-        if value is None:
-            return None
+    def encode(value):
         return value.tolist() if as_list else value.copy()
 
-    def convert(value):
-        if optional and value is None:
-            return None
+    def decode(obj, stored):
         # asarray first: on an unpickled array it swaps the pickle's own
         # dtype object for numpy's shared one, which later snapshots of a
         # resumed run would otherwise serialize a second time.
-        return np.asarray(value, dtype=dtype).copy()
+        return np.asarray(stored, dtype=dtype).copy()
 
-    def load(obj, value, fail):
-        _put(obj, attr, key, value, convert, check, fail)
-
-    return Field("array", key, save, load)
+    return _plain("array", key, attr, encode, decode, check, False, optional)
 
 
 def records(key, *, attr=None, keys=None, check=None) -> Field:
@@ -286,29 +264,21 @@ def records(key, *, attr=None, keys=None, check=None) -> Field:
     With ``keys`` every record must carry exactly those; ``check(obj,
     record)`` returns a reason string for a record it rejects.
     """
-    attr = attr or key
 
-    def load(obj, value, fail):
-        def convert(stored):
-            rows = [dict(row) for row in stored]
-            for row in rows if keys is not None else ():
-                missing, unknown = set(keys) - set(row), set(row) - set(keys)
-                if missing or unknown:
-                    fail(
-                        f"is malformed: {key!r} record {_brief(row)} has "
-                        f"missing keys {sorted(missing)}, unknown keys "
-                        f"{sorted(unknown, key=str)}"
-                    )
-            return rows
+    def copies(rows):
+        return [dict(row) for row in rows]
 
-        def first_reason(obj, rows):
-            return next(filter(None, (check(obj, row) for row in rows)), None)
+    def rejected(obj, rows):
+        for row in rows:
+            if keys is not None and set(row) != set(keys):
+                return f"malformed record {_brief(row)}: keys are not {keys}"
+            reason = check(obj, row) if check is not None else None
+            if reason:
+                return reason
 
-        _put(obj, attr, key, value, convert, check and first_reason, fail)
-
-    return Field(
-        "records", key,
-        lambda obj: [dict(row) for row in getattr(obj, attr)], load,
+    return _plain(
+        "records", key, attr, copies, lambda obj, stored: copies(stored),
+        rejected if keys is not None or check is not None else None,
     )
 
 
@@ -316,20 +286,14 @@ def mapping(key, cast=None, *, attr=None, name=None, save=dict,
             late=False, check=None) -> Field:
     """A flat dict, stored as ``save(mapping)``; on load its values pass
     through ``cast`` and its keys through ``name``."""
-    attr = attr or key
 
-    def convert(stored):
+    def decode(obj, stored):
         return {
             (k if name is None else name(k)): (v if cast is None else cast(v))
             for k, v in stored.items()
         }
 
-    def load(obj, value, fail):
-        _put(obj, attr, key, value, convert, check, fail)
-
-    return Field(
-        "mapping", key, lambda obj: save(getattr(obj, attr)), load, late=late
-    )
+    return _plain("mapping", key, attr, save, decode, check, late)
 
 
 def rng_state(key="rng", attr="_rng") -> Field:
@@ -373,27 +337,32 @@ def guard(key, get=None) -> Field:
     return Field("guard", key, save, load)
 
 
-def _unsupported(component, key) -> str:
-    return (
-        f"cannot hold {key!r}: {type(component).__name__} does not support "
-        "checkpointing"
-    )
-
-
 def child(key, attr=None, *, cls=None, fresh=None, optional=False,
           omit=False, lenient=False) -> Field:
     """A component with its own table, stored as its ``state_dict()``.
 
-    By default the live component restores itself (``fresh(obj)`` first
-    replaces it by a blank one); with ``cls`` the attribute is rebuilt by
-    ``cls.from_state_dict``.  An ``optional`` component may be ``None`` —
-    stored as ``None``, or left out of the snapshot with ``omit`` — and one
-    present on one side only is an error, unless ``lenient``: then it is
-    restored only when both sides have it.  Lenient is for telemetry
+    With ``cls`` the attribute is a value, rebuilt by
+    ``cls.from_state_dict`` (``None`` stays ``None`` when ``optional``).
+    Otherwise the live component restores itself, ``fresh(obj)`` first
+    replacing it by a blank one.  An ``optional`` component may be ``None``
+    — stored as ``None``, or left out of the snapshot with ``omit`` — and
+    one present on one side only is an error, unless ``lenient``: then it
+    is restored only when both sides have it.  Lenient is for telemetry
     riders, which observe the run without steering it.
     """
-    attr = attr or key
-    get = _getter(attr)
+    if cls is not None:
+        return _plain(
+            "child", key, attr, lambda value: value.state_dict(),
+            lambda obj, stored: cls.from_state_dict(stored),
+            optional=optional,
+        )
+    get = _getter(attr or key)
+
+    def unsupported(component) -> str:
+        return (
+            f"cannot hold {key!r}: {type(component).__name__} does not "
+            "support checkpointing"
+        )
 
     def save(obj):
         component = get(obj)
@@ -401,32 +370,26 @@ def child(key, attr=None, *, cls=None, fresh=None, optional=False,
             return _OMIT if omit else None
         if not hasattr(component, "state_dict"):
             raise CheckpointError(
-                f"{type(obj).__name__} snapshot {_unsupported(component, key)}"
+                f"{type(obj).__name__} snapshot {unsupported(component)}"
             )
         return component.state_dict()
 
     def load(obj, value, fail):
-        if cls is not None:
-            rebuilt = (
-                None if optional and value is None
-                else cls.from_state_dict(value)
-            )
-            return setattr(obj, attr, rebuilt)
         if fresh is not None:
-            setattr(obj, attr, fresh(obj))
+            setattr(obj, attr or key, fresh(obj))
         live = get(obj)
         if lenient and (value is None or live is None):
-            return None
+            return
         if (value is None) != (live is None):
             fail(_one_sided(key, value is not None, live is not None))
         if live is not None:
             if not hasattr(live, "load_state_dict"):
-                fail(_unsupported(live, key))
+                fail(unsupported(live))
             live.load_state_dict(value)
 
     return Field(
         "child", key, save, load, omit=omit or lenient,
-        optional=(optional and cls is None) or lenient, lenient=lenient,
+        optional=optional or lenient, lenient=lenient,
     )
 
 
@@ -434,19 +397,21 @@ def children(key, attr=None, *, cls=None, into=list) -> Field:
     """A list of components.
 
     The live ones restore themselves and their number must match; with
-    ``cls`` the list is rebuilt, ``into(cls.from_state_dict(s) for s in
-    stored)``, at whatever length was stored.
+    ``cls`` the list is a value, rebuilt as ``into(cls.from_state_dict(s)
+    for s in stored)`` at whatever length was stored.
     """
-    attr = attr or key
+
+    def encode(components):
+        return [component.state_dict() for component in components]
+
+    if cls is not None:
+        return _plain(
+            "children", key, attr, encode,
+            lambda obj, stored: into(cls.from_state_dict(s) for s in stored),
+        )
 
     def load(obj, value, fail):
-        if cls is not None:
-            return _put(
-                obj, attr, key, value,
-                lambda stored: into(cls.from_state_dict(s) for s in stored),
-                None, fail,
-            )
-        live = getattr(obj, attr)
+        live = getattr(obj, attr or key)
         if not isinstance(value, (list, tuple)) or len(value) != len(live):
             fail(
                 f"holds {_brief(value)} under {key!r}, the live object has "
@@ -456,8 +421,7 @@ def children(key, attr=None, *, cls=None, into=list) -> Field:
             component.load_state_dict(stored)
 
     return Field(
-        "children", key,
-        lambda obj: [c.state_dict() for c in getattr(obj, attr)], load,
+        "children", key, lambda obj: encode(getattr(obj, attr or key)), load
     )
 
 
@@ -491,7 +455,7 @@ def group(key, fields, *, when=None) -> Field:
     )
 
 
-def custom(key, save, load, *, legacy=(), late=False) -> Field:
+def custom(key, save, load, *, legacy=()) -> Field:
     """The explicit hook for a layout no other kind describes.
 
     ``save(obj)`` returns the stored value and ``load(obj, value)`` puts it
@@ -501,7 +465,6 @@ def custom(key, save, load, *, legacy=(), late=False) -> Field:
     ``load`` then receives whichever set the snapshot carries.
     """
     return Field(
-        "custom", key, save,
-        lambda obj, value, fail: load(obj, value),
-        legacy=legacy, late=late,
+        "custom", key, save, lambda obj, value, fail: load(obj, value),
+        legacy=tuple(legacy),
     )

@@ -36,13 +36,10 @@ def _track_order(tracks) -> list[str]:
 
 def to_chrome_trace(tracer: Tracer) -> dict:
     """Convert a tracer's recording into a Chrome trace-event document."""
-    # An ordered collection (spans, then instants): a set would number the
-    # non-canonical lanes in hash order, i.e. by PYTHONHASHSEED.
+    # Ordered (spans, then instants): a set would number the non-canonical
+    # lanes in hash order, i.e. by PYTHONHASHSEED.
     tracks = _track_order(
-        dict.fromkeys(
-            [s.track for s in tracer.spans]
-            + [i.track for i in tracer.instants]
-        )
+        dict.fromkeys(e.track for e in (*tracer.spans, *tracer.instants))
     )
     tids = {track: index for index, track in enumerate(tracks)}
     events: list[dict] = [

@@ -250,24 +250,18 @@ class MetricsRegistry:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        for name, metric_state in state.items():
-            kind = (
-                metric_state.get("kind")
-                if isinstance(metric_state, dict)
-                else None
-            )
-            if kind in ("counter", "gauge"):
-                metric = getattr(self, kind)(name)
-            elif kind == "histogram":
-                # Created with the stored layout; a stored entry without
-                # one is reported by the histogram's own table.
-                layout = ("lo", "hi", "buckets_per_decade")
-                metric = self.histogram(
-                    name,
-                    **{k: metric_state[k] for k in layout if k in metric_state},
-                )
-            else:
+        for name, stored in state.items():
+            kind = stored.get("kind") if isinstance(stored, dict) else None
+            if kind not in ("counter", "gauge", "histogram"):
                 raise TelemetryError(
                     f"unknown metric kind {kind!r} for {name!r}"
                 )
-            metric.load_state_dict(metric_state)
+            # A histogram is created with the stored layout; an entry that
+            # lacks part of it is reported by the histogram's own table.
+            layout = ("lo", "hi", "buckets_per_decade")
+            created = getattr(self, kind)(
+                name,
+                **{k: stored[k] for k in layout if k in stored}
+                if kind == "histogram" else {},
+            )
+            created.load_state_dict(stored)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..errors import TelemetryError
 from ..state import Stateful, child, guard, scalar, seq
@@ -169,16 +170,12 @@ class _OpenSpan:
         return False
 
 
-def _event_loader(cls):
-    """Decoder of one stored event: a row, or the per-event dict
-    (``to_dict``) that snapshots held before rows."""
-
-    def decode(event):
-        if isinstance(event, dict):
-            return cls.from_dict(event)
-        return cls(*event[:-1], dict(event[-1]))
-
-    return decode
+def _event(cls, stored):
+    """One stored event back as a ``cls``: from its row, or from the
+    per-event dict (``to_dict``) that snapshots held before rows."""
+    if isinstance(stored, dict):
+        return cls.from_dict(stored)
+    return cls(*stored[:-1], dict(stored[-1]))
 
 
 class Tracer(Stateful):
@@ -416,14 +413,14 @@ class Tracer(Stateful):
         scalar("iteration", int),
         scalar("truncated", bool),
         seq(
-            "spans", _event_loader(Span),
+            "spans", partial(_event, Span),
             save=lambda spans: [
                 (s.name, s.track, s.start_s, s.duration_s, s.args)
                 for s in spans
             ],
         ),
         seq(
-            "instants", _event_loader(Instant),
+            "instants", partial(_event, Instant),
             save=lambda instants: [
                 (i.name, i.track, i.at_s, i.args) for i in instants
             ],

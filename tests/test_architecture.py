@@ -59,12 +59,20 @@ STACK_CONSTRUCTORS = {
 }
 
 
+#: ``(path relative to src/repro, parsed module)`` of every source file.
+SOURCES = [
+    (
+        path.relative_to(SRC).as_posix(),
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+    )
+    for path in sorted(SRC.rglob("*.py"))
+]
+
+
 def _calls() -> list[tuple[str, str, int]]:
     """Every ``(called name, file, line)`` in the package."""
     found = []
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC).as_posix()
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=rel)
+    for rel, tree in SOURCES:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -189,12 +197,6 @@ HAND_WRITTEN_RESTORERS = {
 }
 
 
-def _parsed_sources():
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC).as_posix()
-        yield rel, ast.parse(path.read_text(encoding="utf-8"), filename=rel)
-
-
 def _is_set_call(node) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -247,7 +249,7 @@ def test_skew_is_decided_in_the_codec_only():
     """No table-bearing module, and no hand-written restorer, compares
     key sets or tests one-sidedness itself."""
     strays = []
-    for rel, tree in _parsed_sources():
+    for rel, tree in SOURCES:
         if rel == CODEC:
             continue
         if _uses_the_codec(tree):
@@ -267,7 +269,7 @@ def test_skew_is_decided_in_the_codec_only():
         "what a load does about unknown, missing or one-sided keys "
         f"belongs to {CODEC}; found {', '.join(strays)}"
     )
-    codec = ast.parse((SRC / CODEC).read_text(encoding="utf-8"))
+    codec = dict(SOURCES)[CODEC]
     assert any(_skew_decision(node) for node in ast.walk(codec)), (
         f"{CODEC} no longer holds the policy; update this test"
     )
@@ -294,7 +296,7 @@ def _owns_a_table(tree, cls: ast.ClassDef) -> bool:
 
 def test_every_restorer_owns_a_table():
     by_hand = set()
-    for rel, tree in _parsed_sources():
+    for rel, tree in SOURCES:
         if rel == CODEC:
             continue
         for cls in ast.walk(tree):

@@ -53,6 +53,7 @@ from repro.pipeline.runner import TrainingPipeline
 from repro.serving import ArrivalConfig, InferenceServer, ServingConfig
 from repro.telemetry import FlightRecorder, MetricsSnapshotter, Tracer
 from repro.training.graphsage import GraphSAGE
+from tests.test_readpath_golden import _canonical
 
 DATA = Path(__file__).parent / "data"
 
@@ -195,18 +196,6 @@ def instances() -> dict[type, object]:
 
 #: What a load must never die of: the policy's errors are typed.
 _UNTYPED = (KeyError, TypeError, AttributeError, IndexError, ValueError)
-
-
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [str(obj.dtype), list(obj.shape), obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
 
 
 def _text(state) -> str:
