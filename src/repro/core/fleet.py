@@ -75,7 +75,8 @@ from ..storage.feature_store import FeatureStore
 from ..training.graphsage import (
     GraphSAGE,
     average_gradients,
-    synthetic_labels,
+    label_projection,
+    project_labels,
 )
 from ..telemetry.context import TraceContext, step_trace_id
 from ..telemetry.tracks import (
@@ -440,6 +441,9 @@ class ElasticFleetTrainer(Stateful):
             num_layers=len(self.fanouts),
             lr=lr,
             seed=seed,
+        )
+        self._label_projection = label_projection(
+            dataset.feature_dim, num_classes, seed=label_seed
         )
 
         cache_lines = int(gpu_cache_bytes // self.layout.page_bytes)
@@ -810,12 +814,8 @@ class ElasticFleetTrainer(Stateful):
             io_s = (peer_s + ssd_s + transfer_s + hbm_s) * worker.slow_factor
             elapsed = sampling_s + io_s + training_s
 
-            features = self.store.fetch(minibatch.input_nodes)
-            labels = synthetic_labels(
-                self.store,
-                minibatch.seeds,
-                self.num_classes,
-                seed=self.label_seed,
+            features, labels = _batch_inputs(
+                self.store, minibatch, self._label_projection
             )
             loss, grads = self.model.gradients(minibatch, features, labels)
             grads_list.append(grads)
@@ -1034,6 +1034,17 @@ class ElasticFleetTrainer(Stateful):
     )
 
 
+def _batch_inputs(store: FeatureStore, minibatch, projection: np.ndarray):
+    """Input features of one sampled batch and the labels of its seeds.
+
+    The seeds are among the (sorted) input nodes, so their labels come
+    from the rows just fetched rather than a second fetch.
+    """
+    features = store.fetch(minibatch.input_nodes)
+    seed_rows = np.searchsorted(minibatch.input_nodes, minibatch.seeds)
+    return features, project_labels(features[seed_rows], projection)
+
+
 def replay_schedule(
     dataset: ScaledDataset, result: FleetResult
 ) -> list[float]:
@@ -1056,6 +1067,11 @@ def replay_schedule(
         seed=int(cfg["seed"]),
     )
     store = FeatureStore(dataset.num_nodes, dataset.feature_dim)
+    projection = label_projection(
+        dataset.feature_dim,
+        int(cfg["num_classes"]),
+        seed=int(cfg["label_seed"]),
+    )
     fanouts = tuple(int(f) for f in cfg["fanouts"])
     seed = int(cfg["seed"])
     losses = []
@@ -1066,13 +1082,7 @@ def replay_schedule(
             rng = np.random.default_rng([seed, 0x5A3B1E, batch_index])
             sampler = NeighborSampler(dataset.graph, fanouts, seed=rng)
             minibatch = sampler.sample(result.batches[batch_index])
-            features = store.fetch(minibatch.input_nodes)
-            labels = synthetic_labels(
-                store,
-                minibatch.seeds,
-                int(cfg["num_classes"]),
-                seed=int(cfg["label_seed"]),
-            )
+            features, labels = _batch_inputs(store, minibatch, projection)
             loss, grads = model.gradients(minibatch, features, labels)
             grads_list.append(grads)
             step_losses.append(loss)

@@ -11,7 +11,9 @@ already-final values, never a stale one.
 The scheduler precomputes, per partition, the member rows, the halo
 (boundary in-neighbors) and the in-edge block in CSR order — keeping the
 per-destination edge order identical to the monolithic forward, which is
-what makes sweep results independent of the partition count.
+what makes sweep results independent of the partition count — and the
+block's :class:`~repro.training.scatter.BlockPlan`: the graph is static, so
+the index sorts behind aggregation happen here once, not in every step.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from ..errors import FullGraphError
 from ..graph.csr import CSRGraph
 from ..graph.partition import PartitionResult
+from ..training.scatter import BlockPlan
 
 #: Sweep phases in schedule order.
 PHASES = ("forward", "backward")
@@ -71,6 +74,7 @@ class PartitionSweepScheduler:
         self._halos: list[np.ndarray] = []
         self._block_src: list[np.ndarray] = []
         self._block_dst: list[np.ndarray] = []
+        self._block_plan: list[BlockPlan] = []
         for p in range(partition.num_parts):
             # Boolean-mask selection preserves CSR order, so each
             # destination sees its in-edges in exactly the monolithic
@@ -80,6 +84,11 @@ class PartitionSweepScheduler:
             self._halos.append(partition.halo_nodes(graph, p))
             self._block_src.append(src[sel])
             self._block_dst.append(dst[sel])
+            self._block_plan.append(
+                BlockPlan.of_partition(
+                    self._members[p], self._block_src[p], self._block_dst[p]
+                )
+            )
         self._steps = self._build_steps()
 
     # ------------------------------------------------------------------
@@ -128,6 +137,11 @@ class PartitionSweepScheduler:
     def block_edges(self, part: int) -> tuple[np.ndarray, np.ndarray]:
         """Global ``(src, dst)`` in-edges with every dst inside ``part``."""
         return self._block_src[part], self._block_dst[part]
+
+    def block_plan(self, part: int) -> BlockPlan:
+        """Aggregation index plan of :meth:`block_edges` over
+        :meth:`members`, built once at construction."""
+        return self._block_plan[part]
 
     def visitation_counts(self) -> np.ndarray:
         """How often each node is computed in one layer sweep.

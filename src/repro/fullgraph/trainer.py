@@ -46,8 +46,9 @@ from ..telemetry.tracks import FULLGRAPH_TRACK
 from ..training.graphsage import (
     AGGREGATORS,
     GraphSAGE,
+    label_projection,
+    project_labels,
     softmax_cross_entropy,
-    synthetic_labels,
 )
 from .activations import ActivationStore
 from .planner import (
@@ -282,11 +283,11 @@ class FullGraphTrainer(Stateful):
         self._features = self.store.fetch(
             np.arange(n, dtype=np.int64)
         ).astype(np.float64)
-        self._labels = synthetic_labels(
-            self.store,
-            np.arange(n, dtype=np.int64),
-            cfg.num_classes,
-            seed=cfg.label_seed,
+        self._labels = project_labels(
+            self._features,
+            label_projection(
+                dataset.feature_dim, cfg.num_classes, seed=cfg.label_seed
+            ),
         )
         ids = np.asarray(dataset.train_ids, dtype=np.int64)
         if not len(ids):
@@ -570,7 +571,9 @@ class FullGraphTrainer(Stateful):
 
         if not self.activations.has(li):
             self.activations.allocate(li, d_out)
-        out = self.model.layer_forward_block(li, h_prev, rows, src, dst)
+        out = self.model.layer_forward_block(
+            li, h_prev, rows, src, dst, sched.block_plan(p)
+        )
         spilled = self.activations.write_rows(li, rows, out)
         if spilled:
             spill_s = self._seq_write(spilled, counters)
@@ -615,7 +618,12 @@ class FullGraphTrainer(Stateful):
             self._d_cur[self.train_seeds] = dlogits
             self._grads = self.model.zero_gradients()
 
-        if self._d_prev is None:
+        if li == 0:
+            # No input gradient at layer 0: it would be with respect to
+            # the features, and nothing reads one.  Assigned, not assumed:
+            # an older snapshot restores a buffer here.
+            self._d_prev = None
+        elif self._d_prev is None:
             self._d_prev = np.zeros((n, d_in))
 
         # Reload this block's inputs (and halo) for recomputed aggregation.
@@ -686,6 +694,7 @@ class FullGraphTrainer(Stateful):
             self._d_cur[rows],
             self._d_prev,
             self._grads[li],
+            sched.block_plan(p),
         )
 
         compute_s = 2.0 * self.gpu.training_time(len(rows) + len(src))

@@ -28,14 +28,20 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
+#: Rows generated per pass of :meth:`FeatureStore._synthetic`: the uint64
+#: hash state of a request is never larger than this many rows.
+_CHUNK_ROWS = 1024
+
+
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 input."""
-    x = (x + _SPLITMIX_GAMMA).astype(np.uint64)
-    x ^= x >> np.uint64(30)
+    """Vectorized splitmix64 finalizer, in place over a uint64 array."""
+    shifted = np.empty_like(x)
+    x += _SPLITMIX_GAMMA
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
     x *= _MIX_1
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= _MIX_2
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     return x
 
 
@@ -142,15 +148,18 @@ class FeatureStore:
 
     def _synthetic(self, node_ids: np.ndarray) -> np.ndarray:
         """Deterministic hash-derived features in [-1, 1)."""
-        if len(node_ids) == 0:
-            return np.empty((0, self.feature_dim), dtype=np.float32)
-        cols = np.arange(self.feature_dim, dtype=np.uint64)[None, :]
-        base = node_ids.astype(np.uint64)[:, None] * np.uint64(
-            self.feature_dim
-        )
-        mixed = _splitmix64(base + cols + self._seed)
-        # Top 24 bits -> uniform float32 in [0, 1), then center on zero.
-        unit = (mixed >> np.uint64(40)).astype(np.float32) / np.float32(
-            1 << 24
-        )
-        return (unit * 2.0 - 1.0).astype(np.float32)
+        out = np.empty((len(node_ids), self.feature_dim), dtype=np.float32)
+        cols = np.arange(self.feature_dim, dtype=np.uint64) + self._seed
+        for lo in range(0, len(node_ids), _CHUNK_ROWS):
+            ids = node_ids[lo:lo + _CHUNK_ROWS].astype(np.uint64)
+            mixed = _splitmix64(
+                ids[:, None] * np.uint64(self.feature_dim) + cols
+            )
+            # Top 24 bits -> uniform float32 in [0, 1), then center on zero.
+            mixed >>= np.uint64(40)
+            unit = out[lo:lo + _CHUNK_ROWS]
+            unit[...] = mixed
+            unit /= np.float32(1 << 24)
+            unit *= np.float32(2.0)
+            unit -= np.float32(1.0)
+        return out

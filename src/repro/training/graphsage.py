@@ -27,6 +27,7 @@ from ..sampling.minibatch import MiniBatch
 from ..state import Stateful, array, children, guard, scalar
 from ..storage.feature_store import FeatureStore
 from ..utils import as_rng
+from .scatter import BlockPlan, scatter
 
 #: Supported neighbor aggregators.
 AGGREGATORS = ("mean", "gcn", "pool")
@@ -141,16 +142,19 @@ class GraphSAGE(Stateful):
         h = features
         caches = []
         for li, (layer, params) in enumerate(zip(batch.layers, self.layers)):
-            src_idx = np.searchsorted(nodes, layer.src)
-            dst_idx = np.searchsorted(nodes, layer.dst)
-            agg, agg_cache = self._aggregate(h, src_idx, dst_idx, len(nodes))
+            plan = BlockPlan(
+                np.searchsorted(nodes, layer.src),
+                np.searchsorted(nodes, layer.dst),
+                len(nodes),
+            )
+            agg, agg_cache = self._aggregate(h, h, plan)
             if self.aggregator == "gcn":
                 z = agg @ params.w_neigh + params.bias
             else:
                 z = h @ params.w_self + agg @ params.w_neigh + params.bias
             is_last = li == self.num_layers - 1
             out = z if is_last else np.maximum(z, 0.0)
-            caches.append((h, agg, z, src_idx, dst_idx, agg_cache))
+            caches.append((h, agg, z, plan, agg_cache))
             h = out
         seed_idx = np.searchsorted(nodes, batch.seeds)
         logits = h[seed_idx]
@@ -187,24 +191,27 @@ class GraphSAGE(Stateful):
         d_h[seed_idx] = dlogits
         for li in range(self.num_layers - 1, -1, -1):
             params = self.layers[li]
-            h, agg, z, src_idx, dst_idx, agg_cache = caches[li]
+            h, agg, z, plan, agg_cache = caches[li]
             is_last = li == self.num_layers - 1
             dz = d_h if is_last else d_h * (z > 0.0)
-            g_neigh = agg.T @ dz
-            g_bias = dz.sum(axis=0)
-            d_agg = dz @ params.w_neigh.T
-            if self.aggregator == "gcn":
-                g_self = np.zeros_like(params.w_self)
-                d_h = np.zeros_like(h)
-            else:
-                g_self = h.T @ dz
-                d_h = dz @ params.w_self.T
-            self._aggregate_backward(
-                d_agg, d_h, h, agg, src_idx, dst_idx, agg_cache
-            )
+            gcn = self.aggregator == "gcn"
             grads[li] = {
-                "w_self": g_self, "w_neigh": g_neigh, "bias": g_bias
+                "w_self": np.zeros_like(params.w_self) if gcn else h.T @ dz,
+                "w_neigh": agg.T @ dz,
+                "bias": dz.sum(axis=0),
             }
+            if li == 0:
+                # The input layer's d_h would be a gradient with respect
+                # to the features, which nothing reads.
+                break
+            d_agg = dz @ params.w_neigh.T
+            if gcn:
+                d_h = np.zeros_like(h)
+                # Self path: every node contributes itself once.
+                d_h += d_agg / agg_cache[:, None]
+            else:
+                d_h = dz @ params.w_self.T
+            self._aggregate_backward(d_agg, d_h, h, agg, plan, agg_cache)
         return loss, grads
 
     def apply_gradients(self, grads: list[dict]) -> None:
@@ -243,6 +250,7 @@ class GraphSAGE(Stateful):
         rows: np.ndarray,
         src: np.ndarray,
         dst: np.ndarray,
+        plan: BlockPlan | None = None,
     ) -> np.ndarray:
         """Layer ``li`` outputs for one partition of a full-graph sweep.
 
@@ -253,6 +261,9 @@ class GraphSAGE(Stateful):
                 rows plus its halo, but indexing stays global.
             rows: sorted global node ids computed by this step.
             src/dst: global-id in-edges with every ``dst`` in ``rows``.
+            plan: ``BlockPlan.of_partition(rows, src, dst)`` when the
+                caller keeps one (a static graph's blocks never change);
+                built here otherwise.
 
         Returns:
             ``len(rows) x d_out`` block of the layer's output.  Because a
@@ -262,16 +273,14 @@ class GraphSAGE(Stateful):
         """
         params = self.layers[li]
         h_prev = np.asarray(h_prev, dtype=np.float64)
-        local_dst = np.searchsorted(rows, dst)
-        agg, _ = self._aggregate_block(h_prev, rows, src, local_dst)
+        if plan is None:
+            plan = BlockPlan.of_partition(rows, src, dst)
+        own = h_prev[rows]
+        agg, _ = self._aggregate(h_prev, own, plan)
         if self.aggregator == "gcn":
             z = agg @ params.w_neigh + params.bias
         else:
-            z = (
-                h_prev[rows] @ params.w_self
-                + agg @ params.w_neigh
-                + params.bias
-            )
+            z = own @ params.w_self + agg @ params.w_neigh + params.bias
         is_last = li == self.num_layers - 1
         return z if is_last else np.maximum(z, 0.0)
 
@@ -284,8 +293,9 @@ class GraphSAGE(Stateful):
         src: np.ndarray,
         dst: np.ndarray,
         d_out: np.ndarray,
-        d_h_prev: np.ndarray,
+        d_h_prev: np.ndarray | None,
         grads: dict,
+        plan: BlockPlan | None = None,
     ) -> None:
         """Backward of :meth:`layer_forward_block` for one partition.
 
@@ -293,7 +303,10 @@ class GraphSAGE(Stateful):
         (``w_self``/``w_neigh``/``bias`` arrays, summed across partitions)
         and scatters input-side gradients into the full-graph buffer
         ``d_h_prev`` — including the halo rows owned by other partitions,
-        which is the backward half of the halo exchange.
+        which is the backward half of the halo exchange.  Pass
+        ``d_h_prev=None`` when nothing reads the input gradient (layer 0:
+        it would be a gradient with respect to the features) and only the
+        parameter gradients are computed.
 
         ``h_out_rows`` is this block's forward output (for the ReLU mask);
         pass ``None`` for the last layer, whose activation is linear.
@@ -303,23 +316,25 @@ class GraphSAGE(Stateful):
         """
         params = self.layers[li]
         h_prev = np.asarray(h_prev, dtype=np.float64)
-        local_dst = np.searchsorted(rows, dst)
+        if plan is None:
+            plan = BlockPlan.of_partition(rows, src, dst)
         dz = d_out if h_out_rows is None else d_out * (h_out_rows > 0.0)
-        agg, agg_cache = self._aggregate_block(h_prev, rows, src, local_dst)
+        own = h_prev[rows]
+        agg, agg_cache = self._aggregate(h_prev, own, plan)
         grads["w_neigh"] += agg.T @ dz
         grads["bias"] += dz.sum(axis=0)
-        d_agg = dz @ params.w_neigh.T
-        if self.aggregator == "gcn":
-            counts = agg_cache
-            d_h_prev[rows] += d_agg / counts[:, None]
-            if len(src):
-                scaled = d_agg[local_dst] / counts[local_dst][:, None]
-                np.add.at(d_h_prev, src, scaled)
+        gcn = self.aggregator == "gcn"
+        if not gcn:
+            grads["w_self"] += own.T @ dz
+        if d_h_prev is None:
             return
-        grads["w_self"] += h_prev[rows].T @ dz
-        d_h_prev[rows] += dz @ params.w_self.T
+        d_agg = dz @ params.w_neigh.T
+        if gcn:
+            d_h_prev[rows] += d_agg / agg_cache[:, None]
+        else:
+            d_h_prev[rows] += dz @ params.w_self.T
         self._aggregate_backward(
-            d_agg, d_h_prev, h_prev, agg, src, local_dst, agg_cache
+            d_agg, d_h_prev, h_prev, agg, plan, agg_cache
         )
 
     def zero_gradients(self) -> list[dict]:
@@ -333,80 +348,54 @@ class GraphSAGE(Stateful):
             for p in self.layers
         ]
 
-    def _aggregate_block(self, h_prev, rows, src, local_dst):
-        """Aggregation over a partition block; global src, local dst."""
-        n = len(rows)
-        if self.aggregator == "gcn":
-            # The GCN aggregate seeds with the block's own rows, which the
-            # shared kernel cannot express with a full-graph ``h``.
-            agg = h_prev[rows].copy()
-            counts = np.ones(n)
-            if len(src):
-                np.add.at(agg, local_dst, h_prev[src])
-                np.add.at(counts, local_dst, 1.0)
-            agg /= counts[:, None]
-            return agg, counts
-        return self._aggregate(h_prev, src, local_dst, n)
-
     # ------------------------------------------------------------------
     # Aggregators
 
-    def _aggregate(self, h, src_idx, dst_idx, n):
-        """Neighbor aggregation; returns ``(agg, backward cache)``."""
+    def _aggregate(self, h, own, plan):
+        """Neighbor aggregation over one block.
+
+        ``h`` holds the representations ``plan.src`` indexes and ``own``
+        the block's output rows' own representations (``h`` itself for a
+        mini-batch block, ``h[rows]`` for a partition of the full graph).
+        Returns ``(agg, backward cache)``.
+        """
         if self.aggregator == "mean":
-            agg = np.zeros((n, h.shape[1]))
-            counts = np.zeros(n)
-            if len(src_idx):
-                np.add.at(agg, dst_idx, h[src_idx])
-                np.add.at(counts, dst_idx, 1.0)
-            safe = np.maximum(counts, 1.0)
+            agg = np.zeros((plan.num_dst, h.shape[1]))
+            scatter(np.add, agg, plan.into_dst, h, plan.src)
+            safe = np.maximum(plan.counts, 1.0)
             agg /= safe[:, None]
             return agg, safe
         if self.aggregator == "gcn":
-            agg = h.copy()
-            counts = np.ones(n)
-            if len(src_idx):
-                np.add.at(agg, dst_idx, h[src_idx])
-                np.add.at(counts, dst_idx, 1.0)
+            agg = own.copy()
+            scatter(np.add, agg, plan.into_dst, h, plan.src)
+            counts = plan.counts + 1.0
             agg /= counts[:, None]
             return agg, counts
         # pool: element-wise max over neighbors; empty neighborhoods
         # aggregate to zero.
-        agg = np.full((n, h.shape[1]), -np.inf)
-        if len(src_idx):
-            np.maximum.at(agg, dst_idx, h[src_idx])
+        agg = np.full((plan.num_dst, h.shape[1]), -np.inf)
+        scatter(np.maximum, agg, plan.into_dst, h, plan.src)
         empty = np.isinf(agg).all(axis=1)
         agg[empty] = 0.0
         return agg, empty
 
     def _aggregate_backward(
-        self, d_agg, d_h, h, agg, src_idx, dst_idx, agg_cache
+        self, d_agg, d_h, h, agg, plan, agg_cache
     ) -> None:
-        """Route aggregate gradients back to node representations."""
-        if self.aggregator == "mean":
-            counts = agg_cache
-            if len(src_idx):
-                scaled = d_agg[dst_idx] / counts[dst_idx][:, None]
-                np.add.at(d_h, src_idx, scaled)
-            return
-        if self.aggregator == "gcn":
-            counts = agg_cache
-            # Self path: every node contributes itself once.
-            d_h += d_agg / counts[:, None]
-            if len(src_idx):
-                scaled = d_agg[dst_idx] / counts[dst_idx][:, None]
-                np.add.at(d_h, src_idx, scaled)
+        """Route aggregate gradients back along the edges into ``d_h``
+        (the caller has already added the self path)."""
+        if self.aggregator in ("mean", "gcn"):
+            scaled = d_agg / agg_cache[:, None]  # agg_cache: row counts
+            scatter(np.add, d_h, plan.into_src, scaled, plan.dst)
             return
         # pool: the gradient flows to the arg-max source(s) per dimension,
         # split evenly among ties (the exact subgradient).
-        if not len(src_idx):
-            return
-        winners = h[src_idx] == agg[dst_idx]
+        winners = h[plan.src] == agg[plan.dst]
         tie_counts = np.zeros_like(agg)
-        np.add.at(tie_counts, dst_idx, winners.astype(np.float64))
+        scatter(np.add, tie_counts, plan.into_dst, winners.astype(np.float64))
         safe_ties = np.maximum(tie_counts, 1.0)
-        routed = winners * (d_agg[dst_idx] / safe_ties[dst_idx])
-        np.add.at(d_h, src_idx, routed)
+        routed = winners * (d_agg / safe_ties)[plan.dst]
+        scatter(np.add, d_h, plan.into_src, routed)
 
     # ------------------------------------------------------------------
 
@@ -465,6 +454,22 @@ def average_gradients(grads_list: list[list[dict]]) -> list[dict]:
     return averaged
 
 
+def label_projection(
+    feature_dim: int, num_classes: int, *, seed: int = 0
+) -> np.ndarray:
+    """The fixed random linear map behind :func:`synthetic_labels`."""
+    if num_classes <= 0:
+        raise ConfigError("num_classes must be positive")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((feature_dim, num_classes))
+
+
+def project_labels(features: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    """Labels of nodes whose feature rows are already in hand."""
+    feats = np.asarray(features, dtype=np.float64)
+    return np.argmax(feats @ projection, axis=1).astype(np.int64)
+
+
 def synthetic_labels(
     store: FeatureStore,
     node_ids: np.ndarray,
@@ -476,15 +481,13 @@ def synthetic_labels(
 
     The label of a node is the argmax of a fixed random linear projection of
     its feature vector, so a capable model can fit the mapping — giving the
-    training examples a real, decreasing loss signal.
+    training examples a real, decreasing loss signal.  A caller that holds
+    the feature rows, or labels many batches, draws the
+    :func:`label_projection` once and calls :func:`project_labels`.
     """
-    if num_classes <= 0:
-        raise ConfigError("num_classes must be positive")
+    projection = label_projection(store.feature_dim, num_classes, seed=seed)
     node_ids = np.asarray(node_ids, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    projection = rng.standard_normal((store.feature_dim, num_classes))
-    feats = store.fetch(node_ids).astype(np.float64)
-    return np.argmax(feats @ projection, axis=1).astype(np.int64)
+    return project_labels(store.fetch(node_ids), projection)
 
 
 def softmax_cross_entropy(

@@ -20,7 +20,8 @@ from repro import (
 
 
 # CI's regression-gate job runs tests/test_cache_gpu_differential.py and
-# tests/test_sampler_differential.py with
+# tests/test_sampler_differential.py, and the test job's training-kernels
+# step tests/test_graphsage_differential.py, with
 # ``--hypothesis-profile=differential --hypothesis-seed=0``.
 settings.register_profile("differential", max_examples=500, deadline=None)
 

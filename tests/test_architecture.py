@@ -18,12 +18,18 @@ about unknown, missing or one-sided snapshot keys is decided in
 ``state.py`` only, every class that restores itself declares a table
 there, and the benchmark's shim table still finds each method it wraps
 on the class it names.
+
+The fourth keeps aggregation in one kernel: under ``training/`` a
+``ufunc.at`` call exists only as the tail of ``scatter.scatter``, that
+helper knows no aggregator, and the ``GraphSAGE`` methods the benchmark
+shims stay plain functions on the class.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -335,3 +341,65 @@ def test_benchmark_shim_table_still_installs(monkeypatch):
     assert len(wrapped) >= 50
     for owner, attr, original in wrapped:
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
+
+
+# ----------------------------------------------------------------------
+# One aggregation kernel
+
+SCATTER = "training/scatter.py"
+
+
+def _training_trees():
+    for path in sorted((SRC / "training").glob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        yield rel, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_ufunc_at_is_the_scatter_helpers_tail_only():
+    """Twelve ``np.add.at`` / ``np.maximum.at`` sites became one: an
+    aggregator that scatters by hand again fails here."""
+    sites = []
+    for rel, tree in _training_trees():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "at"
+                ):
+                    sites.append((rel, function.name))
+    assert sites == [(SCATTER, "scatter")]
+
+
+def test_scatter_helper_has_no_aggregator_branch():
+    """No name, attribute or string literal of ``scatter.py`` is an
+    aggregator: what differs per aggregator stays in ``graphsage.py``."""
+    from repro.training.graphsage import AGGREGATORS
+
+    tree = ast.parse((SRC / SCATTER).read_text(encoding="utf-8"))
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.add(node.value)
+    assert not words & {*AGGREGATORS, "aggregator"}
+
+
+def test_shimmed_graphsage_methods_are_plain_functions():
+    """``benchmarks/e2e/tracing.py`` wraps these by name and refuses
+    anything but a function defined on the class / in the module."""
+    from repro.training import graphsage
+
+    for name in (
+        "gradients",
+        "apply_gradients",
+        "layer_forward_block",
+        "layer_backward_block",
+    ):
+        assert inspect.isfunction(vars(graphsage.GraphSAGE).get(name)), name
+    assert inspect.isfunction(vars(graphsage).get("average_gradients"))

@@ -550,6 +550,30 @@ class TestGradientSplit:
             assert np.array_equal(a.w_neigh, b.w_neigh)
             assert np.array_equal(a.bias, b.bias)
 
+    def test_batch_inputs_label_the_seeds_from_the_fetched_rows(self):
+        """One fetch per worker-step: the seeds' labels come from rows of
+        the input-node fetch, and equal a fetch of their own."""
+        from repro.core.fleet import _batch_inputs
+        from repro.sampling.neighbor import NeighborSampler
+        from repro.storage.feature_store import FeatureStore
+        from repro.training.graphsage import (
+            label_projection,
+            synthetic_labels,
+        )
+
+        store = FeatureStore(_DATASET.num_nodes, _DATASET.feature_dim)
+        sampler = NeighborSampler(_DATASET.graph, (4, 4), seed=0)
+        # Unsorted, repeated seeds: a stolen or rebalanced batch.
+        seeds = np.asarray(_DATASET.train_ids[:8])[[5, 0, 3, 3, 7]]
+        batch = sampler.sample(seeds)
+        features, labels = _batch_inputs(
+            store, batch, label_projection(_DATASET.feature_dim, 8, seed=2)
+        )
+        assert np.array_equal(features, store.fetch(batch.input_nodes))
+        assert np.array_equal(
+            labels, synthetic_labels(store, batch.seeds, 8, seed=2)
+        )
+
     def test_average_gradients_validates(self):
         with pytest.raises(ConfigError):
             average_gradients([])

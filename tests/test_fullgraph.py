@@ -35,6 +35,7 @@ from repro.integrity import CorruptionLedger, ReadVerifier
 from repro.pipeline.export import EXPORT_SCHEMA_VERSION, report_to_dict
 from repro.sampling.minibatch import MiniBatch, SampledLayer
 from repro.training.graphsage import GraphSAGE
+from tests.test_readpath_golden import _sha
 
 #: Budget that fits a few partitions but not the activation arrays, so
 #: the offload path is exercised (see the planner sizing in the tests).
@@ -450,6 +451,48 @@ class TestKillResume:
         counters = expected.report.counters
         assert counters.injected_faults > 0
         assert counters.verified_pages > 0
+
+    @pytest.mark.parametrize("kill_step", [13, 14, 15])
+    def test_no_input_gradient_in_the_layer0_backward_window(
+        self, dataset, system, baseline, kill_step
+    ):
+        """Layer 0's input gradient would be a gradient with respect to
+        the features; nothing reads one, so none is held or snapshotted."""
+        base_trainer, base = baseline
+        assert base_trainer.scheduler.step(kill_step - 1).layer == 0
+        assert base_trainer.scheduler.step(kill_step - 1).phase == "backward"
+        victim = FullGraphTrainer(dataset, system, make_config())
+        victim.run_steps(kill_step)
+        state = victim.state_dict()
+        assert state["d_prev"] is None
+        assert state["d_cur"].shape == (dataset.num_nodes, 8)
+
+        resumed = FullGraphTrainer(dataset, system, make_config())
+        resumed.load_state_dict(state)
+        resumed.run_steps(2 * base_trainer.steps_per_epoch - kill_step)
+        assert resumed.losses == base.losses
+        assert _sha(resumed.state_dict()) == _sha(base_trainer.state_dict())
+
+    def test_older_snapshot_with_an_input_gradient_still_resumes(
+        self, dataset, system, baseline
+    ):
+        """Snapshots written before the buffer was dropped carry an
+        ``(n, d_in)`` array under ``d_prev`` in that window."""
+        base_trainer, _ = baseline
+        victim = FullGraphTrainer(dataset, system, make_config())
+        victim.run_steps(13)
+        state = victim.state_dict()
+        rng = np.random.default_rng(0)
+        state["d_prev"] = rng.standard_normal(
+            (dataset.num_nodes, dataset.feature_dim)
+        )
+
+        resumed = FullGraphTrainer(dataset, system, make_config())
+        resumed.load_state_dict(state)
+        resumed.run_steps(1)
+        assert resumed.state_dict()["d_prev"] is None  # dropped, not kept
+        resumed.run_steps(2 * base_trainer.steps_per_epoch - 14)
+        assert _sha(resumed.state_dict()) == _sha(base_trainer.state_dict())
 
     def test_wrong_loader_snapshot_rejected(self, dataset, system):
         trainer = FullGraphTrainer(dataset, system, make_config())

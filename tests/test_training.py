@@ -7,7 +7,12 @@ from repro.errors import ConfigError
 from repro.graph.generators import power_law_graph
 from repro.sampling.neighbor import NeighborSampler
 from repro.storage.feature_store import FeatureStore
-from repro.training.graphsage import GraphSAGE, synthetic_labels
+from repro.training.graphsage import (
+    GraphSAGE,
+    label_projection,
+    project_labels,
+    synthetic_labels,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +169,21 @@ class TestSyntheticLabels:
         _, _, store, _, _ = setup
         with pytest.raises(ConfigError):
             synthetic_labels(store, np.arange(5), 0)
+
+    def test_rows_in_hand_give_the_same_labels(self, setup):
+        """Projection drawn once + features already fetched == the one-call
+        form; the values are those of the commit before the split."""
+        _, _, store, _, _ = setup
+        ids = np.arange(40)[::-1]
+        labels = project_labels(
+            store.fetch(ids), label_projection(16, 5, seed=1)
+        )
+        assert np.array_equal(labels, synthetic_labels(store, ids, 5, seed=1))
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [
+            3, 0, 2, 0, 2, 3, 4, 4, 4, 3, 4, 3, 0, 3, 4, 4, 3, 4, 4, 3,
+            1, 4, 4, 0, 4, 0, 1, 4, 1, 3, 4, 0, 2, 1, 0, 4, 3, 0, 0, 4,
+        ]
 
 
 class TestConstruction:
