@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import CheckpointError, ConfigError
 from ..state import Stateful, child, custom, guard, rng_state
+from ..telemetry.tracer import ensure_tracer
 from ..utils import as_rng
 from .base import CacheStats
 
@@ -95,11 +96,11 @@ class GPUSoftwareCache(Stateful):
         self.policy = policy
         self._rng = as_rng(seed)
         self.stats = CacheStats()
-        #: Optional telemetry tracer (attached by the owning loader, never
+        #: Telemetry tracer (the owning loader attaches its own; never
         #: checkpointed here — the loader snapshots it).  Only consulted at
-        #: request detail, so untraced caches pay one ``is None`` check per
+        #: request detail, so untraced caches pay one attribute test per
         #: run of pages.
-        self.tracer = None
+        self.tracer = ensure_tracer()
 
         # Future-reuse counter per page id; -1 = not resident.
         self._reuse = np.full(0, -1, dtype=np.int32)
@@ -205,7 +206,7 @@ class GPUSoftwareCache(Stateful):
 
     def _trace_instants(self, name: str, pages: Iterable[int]) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.want_request_detail:
+        if tracer.want_request_detail:
             for page in pages:
                 tracer.instant(name, "gpu.cache", page=page)
 

@@ -44,21 +44,24 @@ def _args_scrub(scrub: argparse.ArgumentParser) -> None:
 
 def _cmd_scrub(args: argparse.Namespace) -> int:
     """``scrub``: one offline integrity sweep over a workload's pages."""
-    from ..faults.injector import FaultInjector
+    from ..config import SystemConfig
+    from ..core.readpath import StorageStack
     from ..graph.datasets import load_scaled
-    from ..integrity import CorruptionLedger, PageChecksummer, Scrubber
-    from ..storage.feature_store import FeatureStore
 
     if not args.scrub_iops > 0:
         raise ConfigError("--scrub-iops must be positive")
     fault_plan = _load_fault_plan(args.fault_plan)
 
-    dataset = load_scaled(args.dataset, args.scale, seed=0)
-    store = FeatureStore(dataset.num_nodes, dataset.feature_dim)
-    total_pages = store.layout.total_pages
-    injector = None
-    if fault_plan is not None and not fault_plan.is_null():
-        injector = FaultInjector(fault_plan)
+    # ``--scrub-iops > 0`` is what brings the stack's integrity plane up;
+    # the sweep is driven by hand below, at one chosen instant.
+    stack = StorageStack(
+        load_scaled(args.dataset, args.scale, seed=0),
+        SystemConfig(num_ssds=args.num_ssds),
+        fault_plan=fault_plan,
+        scrub_iops=args.scrub_iops,
+    )
+    ledger, scrubber = stack.ledger, stack.scrubber
+    total_pages = stack.layout.total_pages
 
     at_time = args.at_time
     if at_time is None:
@@ -67,15 +70,6 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
         storms = () if fault_plan is None else fault_plan.corruption_events
         at_time = max((e.at_time_s for e in storms), default=0.0) + 1e-9
 
-    ledger = CorruptionLedger(num_devices=args.num_ssds)
-    scrubber = Scrubber(
-        total_pages=total_pages,
-        iops_budget=args.scrub_iops,
-        ledger=ledger,
-        injector=injector,
-        num_devices=args.num_ssds,
-        checksummer=PageChecksummer(store),
-    )
     # Grant exactly one full pass worth of budget (+1 page of slack so
     # float truncation cannot round the last page away).
     outcome = scrubber.sweep((total_pages + 1) / args.scrub_iops, at_time)

@@ -544,6 +544,7 @@ def _args_fullgraph(fullgraph: argparse.ArgumentParser) -> None:
 def _cmd_fullgraph(args: argparse.Namespace) -> int:
     """``fullgraph``: sweep epochs over partitions with modeled offload."""
     from .. import state
+    from ..core.readpath import StorageStack
     from ..fullgraph import FullGraphConfig, FullGraphTrainer
     from ..pipeline.export import report_to_dict
     from ..utils import format_time
@@ -551,19 +552,16 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
     ctx = RunContext(args, "fullgraph")
     tracer = ctx.tracer
 
-    fault_injector = None
-    if ctx.fault_plan is not None:
-        from ..faults import FaultInjector
-
-        fault_injector = FaultInjector(ctx.fault_plan)
-    verifier = None
-    if args.verify_reads != "off":
-        from ..integrity import CorruptionLedger, ReadVerifier
-
-        verifier = ReadVerifier(
-            CorruptionLedger(num_devices=args.num_ssds),
-            mode=args.verify_reads,
-        )
+    # The injector and the verifier exist under the stack's one rule (a
+    # corrupting plan brings the verifier up even with ``--verify-reads
+    # off``, seeded by the plan); the sweep takes only those two handles.
+    stack = StorageStack(
+        ctx.workload.dataset,
+        ctx.system,
+        fault_plan=ctx.fault_plan,
+        verify_reads=args.verify_reads,
+        page_bytes=ctx.system.ssd.page_bytes,
+    )
 
     trainer = None
     try:
@@ -585,8 +583,8 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                 ctx.system,
                 config,
                 tracer=tracer,
-                fault_injector=fault_injector,
-                verifier=verifier,
+                fault_injector=stack.faults,
+                verifier=stack.verifier,
             )
         )
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigError
 from ..sim.ssd import SSDArray
 from ..state import Stateful, guard, scalar
+from ..telemetry.tracer import Tracer, ensure_tracer
 
 
 @dataclass
@@ -44,10 +45,12 @@ class DynamicAccessAccumulator(Stateful):
 
     _redirect_fraction: float = field(default=0.0, init=False)
     _observed: bool = field(default=False, init=False)
-    #: Optional telemetry tracer (attached by the owning loader; excluded
+    #: Telemetry tracer (the owning loader attaches its own; excluded
     #: from comparison/repr so instrumented accumulators still compare
     #: equal to untraced ones).
-    tracer: object = field(default=None, init=False, compare=False, repr=False)
+    tracer: Tracer = field(
+        default_factory=ensure_tracer, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_fraction < 1.0:
@@ -103,7 +106,7 @@ class DynamicAccessAccumulator(Stateful):
                 alpha * sample + (1.0 - alpha) * self._redirect_fraction
             )
         tracer = self.tracer
-        if tracer is not None and tracer.want_request_detail:
+        if tracer.want_request_detail:
             tracer.instant(
                 "accumulator.observe",
                 "accumulator",

@@ -78,6 +78,7 @@ from ..training.graphsage import (
     label_projection,
     project_labels,
 )
+from ..telemetry.tracer import ensure_tracer
 from ..telemetry.context import TraceContext, step_trace_id
 from ..telemetry.tracks import (
     FLEET_ALLREDUCE_TRACK,
@@ -384,7 +385,7 @@ class ElasticFleetTrainer(Stateful):
         self.num_classes = num_classes
         self.lr = lr
         self.label_seed = label_seed
-        self.tracer = tracer
+        self.tracer = tracer = ensure_tracer(tracer)
         #: optional live :class:`~repro.telemetry.snapshot
         #: .MetricsSnapshotter`, polled at each global-step barrier.
         self.snapshotter = None
@@ -510,7 +511,7 @@ class ElasticFleetTrainer(Stateful):
     def _instant(self, name: str, *, at_s: float, **args) -> None:
         """Mirror one elasticity event record (it carries its own
         ``at_s``) onto the fleet-events lane."""
-        if self.tracer is not None:
+        if self.tracer.enabled:
             self.tracer.instant(name, FLEET_EVENTS_TRACK, at_s=at_s, **args)
 
     def _fire_due_events(self) -> None:
@@ -658,7 +659,7 @@ class ElasticFleetTrainer(Stateful):
         """Serve one batch's pages through cache -> peers -> SSD."""
         page_bytes = self.layout.page_bytes
         counters = TransferCounters()
-        remaining = readpath.probe(worker.cache, pages, counters, page_bytes)
+        remaining = readpath.probe(self.stack, worker.cache, pages, counters)
         hbm_s = self.gpu.hbm_read_time(counters.gpu_cache_bytes)
 
         peer_s = 0.0
@@ -708,27 +709,21 @@ class ElasticFleetTrainer(Stateful):
                     remaining = remaining[~found]
 
         n_ssd = len(remaining)
-        shared = self.stack.advance(self.clock_s)
-        if self.fault_array is not None:
-            shared = shared.effective()
+        shared = self.stack.advance(self.clock_s).effective()
         array = self._contended.get((shared, n_active))
         if array is None:
             array = self._contended[shared, n_active] = dc_replace(
                 shared, spec=contended_ssd(shared.spec, n_active)
             )
-        if self.storage_ha is None:
-            counters.storage_requests += n_ssd
-            counters.storage_bytes += n_ssd * page_bytes
-        else:
-            # Pages behind an unavailable device come off replicas
-            # (counted) or cost parity member reads (added to device
-            # service).  The fleet models no CPU-mirror tier: a page with
-            # no live copy still queues on the shared array.
-            lost = readpath.route(self.stack, remaining, counters).n_lost
-            counters.storage_requests += lost
-            counters.storage_bytes += lost * page_bytes
-            counters.fallback_requests -= lost
-            counters.fallback_bytes -= lost * page_bytes
+        # Pages behind an unavailable device come off replicas (counted)
+        # or cost parity member reads (added to device service).  The
+        # fleet models no CPU-mirror tier: a page with no live copy still
+        # queues on the shared array.
+        lost = readpath.route(self.stack, remaining, counters).n_lost
+        counters.storage_requests += lost
+        counters.storage_bytes += lost * page_bytes
+        counters.fallback_requests -= lost
+        counters.fallback_bytes -= lost * page_bytes
         n_service = (
             n_ssd + counters.reconstruct_reads - counters.parity_reconstructs
         )
@@ -752,7 +747,7 @@ class ElasticFleetTrainer(Stateful):
 
     def _run_step(self) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.want_request_detail:
+        if tracer.want_request_detail:
             # Root one causal chain per global step: breaker probes, HA
             # routing, rebalance/steal instants and the per-GPU step spans
             # all land in the same trace.
@@ -863,7 +858,7 @@ class ElasticFleetTrainer(Stateful):
         self.schedule.append(assignments)
 
         step_time = max(step_times.values()) + allreduce_s
-        if self.tracer is not None:
+        if self.tracer.enabled:
             for worker, minibatch, times, batch_index, elapsed in work_stats:
                 self.tracer.record(
                     "fleet.step",
@@ -908,7 +903,7 @@ class ElasticFleetTrainer(Stateful):
             )
         )
 
-        self.stack.rebuild_sweep(
+        self.stack.background(
             step_time, self.clock_s + step_time, counters
         )
 

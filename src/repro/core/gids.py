@@ -28,16 +28,15 @@ import numpy as np
 from ..cache.gpu_cache import GPUSoftwareCache
 from ..config import LoaderConfig, SystemConfig
 from ..errors import ConfigError
-from ..faults import FaultPlan, FaultStats, RetryPolicy
+from ..faults import FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
-from ..integrity import (
-    VERIFY_BANDWIDTH_BYTES_PER_S,
-    CorruptionLedger,
-    PageChecksummer,
-    ReadVerifier,
-    Scrubber,
+from ..integrity import VERIFY_BANDWIDTH_BYTES_PER_S
+from ..pipeline.metrics import (
+    STAGES,
+    IterationMetrics,
+    RunReport,
+    StageTimes,
 )
-from ..pipeline.metrics import IterationMetrics, RunReport, StageTimes
 from ..sampling.ladies import LadiesSampler
 from ..sampling.minibatch import MiniBatch
 from ..sampling.neighbor import NeighborSampler
@@ -54,11 +53,13 @@ from ..state import (
     scalar,
     seq,
 )
-from ..telemetry import Tracer
 from ..telemetry.context import TraceContext, step_trace_id
-from ..telemetry.tracks import INTEGRITY_TRACK
+from ..telemetry.tracer import Tracer, ensure_tracer
+from ..telemetry.tracks import INTEGRITY_TRACK, STAGE_TRACKS
 from ..utils import as_rng
 from . import readpath
+from .accumulator import DynamicAccessAccumulator
+from .window import WindowBuffer
 
 
 class GIDSDataLoader(Stateful):
@@ -120,8 +121,9 @@ class GIDSDataLoader(Stateful):
             ``"request"`` detail, per-resource spans for the SSD batch,
             PCIe ingress, HBM reads, CPU-buffer redirects and fault
             resolution) and publishes transfer counters into the tracer's
-            metrics registry.  ``None`` (the default) records nothing and
-            costs nothing.
+            metrics registry.  Absent (the default), the loader holds a
+            private disabled tracer: nothing is recorded and no call is made
+            into it.
     """
 
     name = "GIDS"
@@ -158,16 +160,16 @@ class GIDSDataLoader(Stateful):
         self.config = config if config is not None else LoaderConfig()
         self.batch_size = batch_size
         self.framework_overhead_s = framework_overhead_s
-        self.tracer = tracer
+        self.tracer = tracer = ensure_tracer(tracer)
         #: optional live :class:`~repro.telemetry.snapshot
         #: .MetricsSnapshotter`, polled at each group boundary.
         self.snapshotter = None
         self._rng = as_rng(seed)
 
         # The storage stack is strictly pay-for-what-you-use: with no fault
-        # plan (or a null one) and the redundancy defaults, none of the
-        # fault/HA branches of the read path ever fire and the modeled
-        # times are bit-identical to a loader without those planes.
+        # plan (or a null one), the redundancy defaults and integrity off,
+        # the stack hands out the bare stages and the modeled times are
+        # bit-identical to a loader without those planes.
         self.fault_plan = fault_plan
         self.stack = readpath.StorageStack(
             dataset,
@@ -177,6 +179,9 @@ class GIDSDataLoader(Stateful):
             replication=replication,
             parity=parity,
             rebuild_iops=rebuild_iops,
+            verify_reads=verify_reads,
+            verify_sample_rate=verify_sample_rate,
+            scrub_iops=scrub_iops,
             tracer=tracer,
             features=features,
         )
@@ -188,44 +193,14 @@ class GIDSDataLoader(Stateful):
         self.faults = self.stack.faults
         self.fault_array = self.stack.fault_array
         self.storage_ha = self.stack.storage_ha
+        self.ledger = self.stack.ledger
+        self.verifier = self.stack.verifier
+        self.scrubber = self.stack.scrubber
         self._sim_now_s = 0.0
-
-        # Integrity machinery follows the same pay-for-what-you-use rule:
-        # it exists only when something can corrupt reads or the caller
-        # asked for verification/scrubbing, and verify ``"off"``/``"full"``
-        # consume no random numbers (only ``"sample"`` draws, from its own
-        # stream).  With none of that, the code paths below never fire.
-        self.verify_reads = verify_reads
-        self.scrub_iops = float(scrub_iops)
-        self.ledger: CorruptionLedger | None = None
-        self.checksummer: PageChecksummer | None = None
-        self.verifier: ReadVerifier | None = None
-        self.scrubber: Scrubber | None = None
         # One entry per produced iteration: page ids whose corruption went
-        # undetected, consumed in order by :meth:`fetch_features`.
-        self._pending_corrupt: list[np.ndarray] = []
-        corruptible = (
-            fault_plan is not None and fault_plan.has_corruption
-        )
-        if verify_reads != "off" or scrub_iops > 0 or corruptible:
-            self.ledger = CorruptionLedger(num_devices=system.num_ssds)
-            self.checksummer = PageChecksummer(self.store)
-            self.verifier = ReadVerifier(
-                self.ledger,
-                mode=verify_reads,
-                sample_rate=verify_sample_rate,
-                seed=fault_plan.seed if fault_plan is not None else 0,
-                checksummer=self.checksummer,
-            )
-            if scrub_iops > 0:
-                self.scrubber = Scrubber(
-                    total_pages=self.layout.total_pages,
-                    iops_budget=scrub_iops,
-                    ledger=self.ledger,
-                    injector=self.faults,
-                    num_devices=system.num_ssds,
-                    checksummer=self.checksummer,
-                )
+        # undetected, queued by the stack's verify stage (never, without
+        # one) and consumed in order by :meth:`fetch_features`.
+        self._pending_corrupt = self.stack.undetected
 
         self.sampler = self._build_sampler(
             sampler_kind, fanouts, layer_sizes, hetero_fanouts
@@ -245,9 +220,6 @@ class GIDSDataLoader(Stateful):
         self.accumulator = self._build_accumulator()
         if self.accumulator is not None:
             self.accumulator.tracer = tracer
-
-        # Local import to avoid a cycle at module import time.
-        from .window import WindowBuffer
 
         self.window = WindowBuffer(
             self.cache, self.config.window_depth, tracer=tracer
@@ -292,14 +264,11 @@ class GIDSDataLoader(Stateful):
     def _build_accumulator(self):
         if not self.config.accumulator_enabled:
             return None
-        from .accumulator import DynamicAccessAccumulator
-
         # Under fault injection the accumulator sees the degradable array
         # view, so after a dropout it re-solves Eq. 2-3 against the
         # survivors' (lower) collective peak IOPS.
-        array = self.fault_array if self.fault_array is not None else self.ssd
         return DynamicAccessAccumulator(
-            array=array,
+            array=self.stack.array,
             target_fraction=self.config.accumulator_target,
             max_merged_iterations=self.config.max_merged_iterations,
         )
@@ -365,8 +334,7 @@ class GIDSDataLoader(Stateful):
         page_bytes = self.layout.page_bytes
         tracer = self.tracer
         group_start_s = self._sim_now_s
-        if tracer is not None:
-            tracer.clock_s = group_start_s
+        tracer.clock_s = group_start_s
         array = self.stack.advance(group_start_s)
 
         per_entry = [
@@ -374,27 +342,21 @@ class GIDSDataLoader(Stateful):
         ]
         total_storage_pages = sum(c.storage_requests for c in per_entry)
 
-        fault, n_spiked = readpath.charge(self.stack, per_entry)
-        fault_extra_time = 0.0
-        if self.faults is not None:
-            fault_extra_time = fault.backoff_s + array.tail_extra_time(
-                n_spiked
+        fault, spike_time = self.stack.charge(per_entry)
+        fault_extra_time = fault.backoff_s + spike_time
+        if tracer.want_request_detail and (
+            fault_extra_time > 0.0 or fault.injected_failures
+        ):
+            tracer.record(
+                "fault_resolution",
+                "faults",
+                start_s=group_start_s,
+                duration_s=fault_extra_time,
+                injected=fault.injected_failures,
+                retries=fault.retries,
+                unrecovered=fault.unrecovered,
+                timed_out=fault.timed_out,
             )
-            if (
-                tracer is not None
-                and tracer.want_request_detail
-                and (fault_extra_time > 0.0 or fault.injected_failures)
-            ):
-                tracer.record(
-                    "fault_resolution",
-                    "faults",
-                    start_s=group_start_s,
-                    duration_s=fault_extra_time,
-                    injected=fault.injected_failures,
-                    retries=fault.retries,
-                    unrecovered=fault.unrecovered,
-                    timed_out=fault.timed_out,
-                )
         # Retried commands and repair re-reads occupy device service
         # exactly like fresh ones; parity reconstruction issues k member
         # reads for each rebuilt page, and the extra k-1 do too.  Digest
@@ -427,7 +389,7 @@ class GIDSDataLoader(Stateful):
         )
         group_time = ingress_time + hbm_time
 
-        if tracer is not None and tracer.want_request_detail:
+        if tracer.want_request_detail:
             self._trace_group_resources(
                 tracer,
                 group_start_s,
@@ -495,33 +457,11 @@ class GIDSDataLoader(Stateful):
         # is the group's elapsed time and their traffic is accounted on
         # the group's last iteration.
         group_elapsed = sum(m.times.total for m in metrics)
-        last = metrics[-1].counters
-        if self.scrubber is not None:
-            scrub = self.scrubber.sweep(
-                group_elapsed, group_start_s + group_elapsed
-            )
-            if scrub.pages_scanned:
-                last.scrubbed_pages += scrub.pages_scanned
-                last.corrupt_detected += scrub.detected
-                last.corrupt_repaired += scrub.repaired
-                if tracer is not None and tracer.want_request_detail:
-                    tracer.instant(
-                        "scrub",
-                        INTEGRITY_TRACK,
-                        pages=scrub.pages_scanned,
-                        detected=scrub.detected,
-                        repaired=scrub.repaired,
-                        released=scrub.released,
-                    )
-        self.stack.rebuild_sweep(
-            group_elapsed, group_start_s + group_elapsed, last
+        self.stack.background(
+            group_elapsed, group_start_s + group_elapsed, metrics[-1].counters
         )
-        if (
-            tracer is not None
-            and tracer.want_request_detail
-            and (ha_extra_reads or any(
-                c.replica_redirects for c in per_entry
-            ))
+        if tracer.want_request_detail and (
+            ha_extra_reads or any(c.replica_redirects for c in per_entry)
         ):
             tracer.record(
                 "degraded_reads",
@@ -539,7 +479,7 @@ class GIDSDataLoader(Stateful):
                 ),
             )
 
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             self._trace_group_stages(tracer, group_start_s, metrics)
             tracer.metrics.histogram("ssd.batch_service_s").observe(
                 storage_time
@@ -549,42 +489,20 @@ class GIDSDataLoader(Stateful):
         # Advance the simulated clock so time-triggered device events
         # (dropout/recovery) fire at the right point of the run.
         self._sim_now_s += group_elapsed
-        if tracer is not None:
-            tracer.clock_s = self._sim_now_s
+        tracer.clock_s = self._sim_now_s
         return metrics
 
     def _serve_entry(self, entry, now_s: float) -> TransferCounters:
-        """Run one iteration's pages through probe -> route -> verify.
-
-        Every storage-served page (redirected replicas included) runs
-        through the corruption draw and the configured verify mode; pages
-        condemned this round get their good bytes over the CPU path.
-        """
-        page_bytes = self.layout.page_bytes
+        """Run one iteration's pages through the stack's entry stages:
+        probe -> route, then verify when there is a verifier."""
         n_buffer_nodes, _ = entry.payload
         counters = TransferCounters(
             cpu_buffer_requests=n_buffer_nodes,
             cpu_buffer_bytes=n_buffer_nodes * self.store.feature_bytes,
         )
-        miss_pages = readpath.probe(
-            self.cache, entry.pages, counters, page_bytes, self.ledger
-        )
-        routed = readpath.route(self.stack, miss_pages, counters)
-        if self.verifier is not None:
-            if routed.n_lost:
-                miss_pages = miss_pages[~routed.lost_mask]
-            outcome = readpath.verify(
-                self.verifier,
-                self.faults,
-                miss_pages,
-                counters,
-                now_s=now_s,
-                num_ssds=self.system.num_ssds,
-                page_bytes=page_bytes,
-                cache=self.cache,
-            )
-            counters.storage_bytes -= outcome.quarantined * page_bytes
-            self._pending_corrupt.append(outcome.undetected_pages)
+        stack, cache, pages = self.stack, self.cache, entry.pages
+        for stage in stack.entry_stages:
+            pages = stage(stack, cache, pages, counters, now_s)
         return counters
 
     def _trace_group_resources(
@@ -658,39 +576,20 @@ class GIDSDataLoader(Stateful):
         for m in metrics:
             t = m.times
             iteration = tracer.iteration
-            tracer.record(
-                "sampling",
-                "stage.sampling",
-                start_s=cursor,
-                duration_s=t.sampling,
-                iteration=iteration,
-            )
-            cursor += t.sampling
-            tracer.record(
-                "aggregation",
-                "stage.aggregation",
-                start_s=cursor,
-                duration_s=t.aggregation,
-                iteration=iteration,
-            )
-            cursor += t.aggregation
-            if t.transfer > 0.0:
+            # Shared constants, not names built per span: a snapshot
+            # pickles each distinct string object once.
+            for stage, lane in zip(STAGES, STAGE_TRACKS):
+                duration = getattr(t, stage)
+                if stage == "transfer" and not duration > 0.0:
+                    continue  # the loader folds transfer into aggregation
                 tracer.record(
-                    "transfer",
-                    "stage.transfer",
+                    stage,
+                    lane,
                     start_s=cursor,
-                    duration_s=t.transfer,
+                    duration_s=duration,
                     iteration=iteration,
                 )
-                cursor += t.transfer
-            tracer.record(
-                "training",
-                "stage.training",
-                start_s=cursor,
-                duration_s=t.training,
-                iteration=iteration,
-            )
-            cursor += t.training
+                cursor += duration
             tracer.iteration = iteration + 1
             tracer.metrics.histogram("iteration.total_s").observe(t.total)
             m.counters.publish(tracer.metrics)
@@ -711,59 +610,24 @@ class GIDSDataLoader(Stateful):
         if warmup:
             self._execute(warmup, report=None)
         self.cache.stats.reset()
-        if self.tracer is not None:
-            # Discard warmup spans/metrics so trace totals match the
-            # measured report exactly; the modeled clock keeps running.
-            self.tracer.reset()
-        fault_baseline = (
-            self.faults.stats.state_dict() if self.faults is not None else None
-        )
-        ledger_baseline = (
-            None if self.ledger is None else self._ledger_totals()
-        )
+        tracer = self.tracer
+        # Discard warmup spans/metrics so trace totals match the measured
+        # report exactly; the modeled clock keeps running.
+        tracer.reset()
+        plane_baseline = self.stack.plane_totals()
         report = RunReport(
             loader_name=self.name,
             overlapped=self.config.accumulator_enabled,
         )
         self._execute(num_iterations, report=report)
-        if (
-            self.tracer is not None
-            and self.tracer.enabled
-            and fault_baseline is not None
-        ):
-            # Publish only the measured-run delta so the fault counters in
-            # the registry agree with the report (warmup is excluded).
-            after = self.faults.stats.state_dict()
-            FaultStats(
-                **{k: after[k] - fault_baseline[k] for k in after}
-            ).publish(self.tracer.metrics)
-        if (
-            self.tracer is not None
-            and self.tracer.enabled
-            and ledger_baseline is not None
-        ):
-            for name, value in self._ledger_totals().items():
-                delta = value - ledger_baseline[name]
-                if delta:
-                    self.tracer.metrics.counter(
-                        f"integrity.{name}"
-                    ).inc(delta)
-            # Pages in quarantine is a level, not a total: the scrubber
-            # releases pages it repairs, so it can end below the warm-up's.
-            self.tracer.metrics.gauge("integrity.quarantined").set(
-                self.ledger.num_quarantined
-            )
+        if tracer.enabled:
+            # Only the measured run's delta, so the fault and integrity
+            # counters in the registry agree with the report.
+            self.stack.publish_since(plane_baseline, tracer.metrics)
         # Timing-only runs never fetch features, so drain the queue of
         # undetected-corruption markers instead of letting it grow.
         self._pending_corrupt.clear()
         return report
-
-    def _ledger_totals(self) -> dict[str, int]:
-        return {
-            "detected": self.ledger.total_detected,
-            "repaired": self.ledger.total_repaired,
-            "unrepairable": self.ledger.total_unrepairable,
-        }
 
     def _execute(self, n_iterations: int, report: RunReport | None) -> None:
         done = 0
@@ -791,7 +655,7 @@ class GIDSDataLoader(Stateful):
             raise ConfigError("remaining must be positive")
         group = self._next_group(remaining=remaining)
         tracer = self.tracer
-        if tracer is not None and tracer.want_request_detail:
+        if tracer.want_request_detail:
             # One causal chain per merged group, rooted at the first
             # iteration it serves: every span/instant the aggregation emits
             # (stages, HA redirects, fault retries) joins the same trace.
@@ -818,9 +682,7 @@ class GIDSDataLoader(Stateful):
         order :meth:`next_training_group` produced them.
         """
         feats = self.store.fetch(batch.input_nodes)
-        if self.verifier is None:
-            return feats
-        if not self._pending_corrupt:
+        if not self._pending_corrupt:  # always, without a verifier
             return feats
         bad_pages = self._pending_corrupt.pop(0)
         if len(bad_pages) == 0:
@@ -896,10 +758,11 @@ class GIDSDataLoader(Stateful):
                 child("ledger"),
                 child("verifier"),
                 child("scrubber", optional=True),
-                seq(
+                seq(  # refilled in place: the stack's queue, by alias
                     "pending_corrupt",
                     lambda pages: np.asarray(pages, dtype=np.int64),
                     attr="_pending_corrupt",
+                    into=None,
                     save=each(np.ndarray.tolist),
                 ),
             ),
@@ -912,7 +775,7 @@ class GIDSDataLoader(Stateful):
         # carry state, the recorded spans resume seamlessly — events the
         # crashed run emitted *after* the snapshot are discarded with the
         # rest of its lost progress.
-        child("tracer", lenient=True),
+        child("tracer", "tracer.recording", lenient=True),
     )
 
     def state_dict(self) -> dict:
@@ -933,8 +796,6 @@ class GIDSDataLoader(Stateful):
             seed=self._cache_rng,
         )
         self.cache.tracer = self.tracer
-        from .window import WindowBuffer
-
         self.window = WindowBuffer(
             self.cache, self.config.window_depth, tracer=self.tracer
         )

@@ -5,32 +5,40 @@ Eqs. 2-3).  Every workload in this repo — the training loader, the
 inference server, the elastic fleet and full-graph sweeps — reads feature
 or spill pages through it, so it exists exactly once, here, in two parts:
 
-* :class:`StorageStack` **builds** the storage side (feature store and
-  layout, SSD array, PCIe link, GPU model, fault injector and degradable
-  array view, storage HA, hot-node CPU buffer) and :meth:`advances
-  <StorageStack.advance>` it on the modeled clock.
+* :class:`StorageStack` **builds** the storage side — feature store and
+  layout, SSD array, PCIe link, GPU model, hot-node CPU buffer and the
+  optional planes: fault injection (injector + degradable array view),
+  storage HA, integrity (ledger, checksummer, verifier, scrubber) — and
+  **decides**, in its constructor, what each stage runs.
 * The **stages** are plain functions over pages and a
   :class:`~repro.sim.counters.TransferCounters`; each does its own
   accounting:
 
   ============ ========================================================
-  ``probe``    quarantine skip -> ``cache.access`` -> hit bytes
-  ``route``    ``StorageHA.route`` (or the unavailable-page mask) ->
-               storage / replica / parity / fallback split
+  ``probe``    ``cache.access`` -> hit bytes
+  ``route``    ``stack.router`` (``StorageHA.route``, the
+               unavailable-page mask, or all-direct) -> storage /
+               replica / parity / fallback split
   ``verify``   corruption draw -> ``ReadVerifier.process`` -> cache
-               invalidate (callers without a verifier skip the stage)
+               invalidate
   ``charge``   the failure/retry/spike process, drawn and counted once
                per storage batch and apportioned over its entries;
                exhausted reads re-routed to the fallback tier
   ``transfer`` ``pcie.ingress_time`` + ``hbm_read_time``
   ============ ========================================================
 
-A stage is present when its component exists: no verifier, no ``verify``;
-no fault plan, ``route`` and ``charge`` are pass-throughs that draw no
-random numbers.  What stays with each caller is *policy*: the loader's
-grouping and time apportioning, the server's breaker loop / device
-timeouts / hedging / brownout, the fleet's peer tier and SSD contention,
-the full-graph sweep's sequential pricing.  ``tests/test_architecture.py``
+Whether a plane is on is asked once, at construction, and answered by what
+the stack hands out: ``array``, ``router``, ``charge``, ``device_masks``,
+``entry_stages`` (probe -> route; with an integrity plane, the quarantine
+skip before and ``verify`` after) and the tuples behind ``advance``,
+``background`` and ``plane_totals``.  An absent plane is absent from the
+tuple — no null object, no call — so callers run what they were handed and
+never test a handle (the handles stay public, ``None`` when absent, for
+reports and tests), and a bare stack stays bit-identical to one built
+without the planes.  What stays with each caller is *policy*: the loader's
+grouping and time apportioning, the server's breaker loop / device timeouts
+/ hedging / brownout, the fleet's peer tier and SSD contention, the
+full-graph sweep's sequential pricing.  ``tests/test_architecture.py``
 keeps it that way.
 """
 
@@ -46,7 +54,12 @@ from ..faults import FaultInjector, FaultPlan, FaultySSDArray, RetryPolicy
 from ..faults.injector import BatchFaultOutcome
 from ..graph.datasets import ScaledDataset
 from ..graph.pagerank import hot_node_ranking
-from ..integrity import ReadVerifier
+from ..integrity import (
+    CorruptionLedger,
+    PageChecksummer,
+    ReadVerifier,
+    Scrubber,
+)
 from ..integrity.verifier import VerifyOutcome
 from ..sim.counters import TransferCounters
 from ..sim.gpu import GPUModel
@@ -55,6 +68,8 @@ from ..sim.ssd import SSDArray
 from ..storage.feature_store import FeatureStore
 from ..storage_ha import StorageHA
 from ..storage_ha.ha import HARouteOutcome
+from ..telemetry.tracer import Tracer, ensure_tracer
+from ..telemetry.tracks import INTEGRITY_TRACK
 
 
 def apportion(total: int, weights: list[int]) -> list[int]:
@@ -80,14 +95,26 @@ def apportion(total: int, weights: list[int]) -> list[int]:
     return out.tolist()
 
 
-class StorageStack:
-    """The storage side of the read path, built once per job.
+#: ``(outcome, spike_s)`` of a batch on a stack without fault injection.
+_UNCHARGED = (BatchFaultOutcome(), 0.0)
 
-    Every component is pay-for-what-you-use: with no (or a null) fault
-    plan there is no injector and no degradable array view; with the
-    redundancy defaults there is no :class:`~repro.storage_ha.StorageHA`.
-    Absent components make the matching stage a pass-through, which is
-    what keeps a bare run bit-identical to one built without the planes.
+
+def _uncharged(entries: list[TransferCounters]):
+    return _UNCHARGED
+
+
+def _all_direct(pages: np.ndarray, avoid=None) -> HARouteOutcome:
+    return HARouteOutcome(n_direct=len(pages))
+
+
+class StorageStack:
+    """The storage side of the read path, built and decided once per job.
+
+    Every plane is pay-for-what-you-use, under rules that live here and
+    nowhere else: no (or a null) fault plan, no injector and no degradable
+    array view; the redundancy defaults, no
+    :class:`~repro.storage_ha.StorageHA`; and an integrity plane only when
+    something can corrupt reads or verification / scrubbing was asked for.
 
     Args:
         dataset: the graph whose feature table is served.
@@ -97,7 +124,10 @@ class StorageStack:
         retry_policy: overrides the plan's embedded retry policy.
         replication / parity / rebuild_iops: storage-HA knobs; any
             non-default value builds the HA coordinator.
-        tracer: optional tracer handed to the HA layer.
+        verify_reads / verify_sample_rate / scrub_iops: integrity knobs
+            (see :class:`~repro.core.gids.GIDSDataLoader`); ``"sample"``
+            draws from its own stream, seeded by the plan.
+        tracer: optional tracer for the HA layer and the scrub sweep.
         features: optional materialized feature matrix.
         page_bytes: storage transfer granularity of the feature layout.
     """
@@ -112,11 +142,15 @@ class StorageStack:
         replication: int = 1,
         parity: bool = False,
         rebuild_iops: float = 0.0,
-        tracer=None,
+        verify_reads: str = "off",
+        verify_sample_rate: float = 0.1,
+        scrub_iops: float = 0.0,
+        tracer: Tracer | None = None,
         features: np.ndarray | None = None,
         page_bytes: int = PAGE_BYTES,
     ) -> None:
         self.system = system
+        self.tracer = ensure_tracer(tracer)
         self.store = FeatureStore(
             dataset.num_nodes,
             dataset.feature_dim,
@@ -124,13 +158,30 @@ class StorageStack:
             page_bytes=page_bytes,
         )
         self.layout = self.store.layout
+        self.page_bytes = self.layout.page_bytes
         self.ssd = SSDArray(system.ssd, system.num_ssds)
         self.pcie = PCIeLink(system.pcie)
         self.gpu = GPUModel(system.gpu)
 
-        self.faults: FaultInjector | None = None
-        self.fault_array: FaultySSDArray | None = None
-        if fault_plan is not None and not fault_plan.is_null():
+        # What a bare stack hands out; each plane built below replaces or
+        # extends its part.
+        #: The array a storage batch is charged against.
+        self.array = self.ssd
+        #: ``router(pages, avoid=None) -> HARouteOutcome``.
+        self.router = _all_direct
+        #: ``charge(entries) -> (BatchFaultOutcome, spike_s)``.
+        self.charge = _uncharged
+        #: ``device_masks() -> (active, stale)`` at the current time.
+        self.device_masks = self._healthy_masks
+        #: ``stage(stack, cache, pages, counters, now_s) -> pages``, run in
+        #: order over one entry's pages: each hands on what the next sees.
+        self.entry_stages: tuple = (probe, _route_entry)
+        # Behind advance(), background(), plane_totals(), publish_since().
+        self._ticks = self._sweeps = self._totals = self._levels = ()
+
+        self.faults = self.fault_array = None
+        degradable = fault_plan is not None and not fault_plan.is_null()
+        if degradable:
             self.faults = FaultInjector(fault_plan, retry_policy)
             self.fault_array = FaultySSDArray(self.ssd, self.faults)
             if fault_plan.pcie_degradation_factor > 1.0:
@@ -138,10 +189,14 @@ class StorageStack:
                     system.pcie,
                     degradation_factor=fault_plan.pcie_degradation_factor,
                 )
+            self.array = self.fault_array
+            self.router = self._route_unprotected
+            self.charge = self._charge
+            self.device_masks = self._degraded_masks
+            self._ticks = (self.fault_array.advance_to,)
+            self._totals = (("faults", self.faults.stats.state_dict),)
 
-        # With redundancy on but no fault machinery attached every route
-        # is an inert all-direct pass-through.
-        self.storage_ha: StorageHA | None = None
+        self.storage_ha = None
         if replication > 1 or parity or rebuild_iops > 0:
             self.storage_ha = StorageHA(
                 num_devices=system.num_ssds,
@@ -151,8 +206,47 @@ class StorageStack:
                 rebuild_iops=rebuild_iops,
                 total_pages=self.layout.total_pages,
                 fault_array=self.fault_array,
-                tracer=tracer,
+                tracer=self.tracer,
             )
+            self._sweeps = (self._rebuild_sweep,)
+            # With redundancy on but no fault machinery attached every
+            # route stays an inert all-direct pass-through.
+            if degradable:
+                self.router = self.storage_ha.route
+                self._ticks += (self.storage_ha.advance,)
+
+        self.ledger = self.checksummer = self.verifier = self.scrubber = None
+        #: One entry per verified batch: the page ids ``verify`` let
+        #: through corrupt, for whoever materializes the bytes.
+        self.undetected: list[np.ndarray] = []
+        corruptible = fault_plan is not None and fault_plan.has_corruption
+        if verify_reads != "off" or scrub_iops > 0 or corruptible:
+            self.ledger = CorruptionLedger(num_devices=system.num_ssds)
+            self.checksummer = PageChecksummer(self.store)
+            self.verifier = ReadVerifier(
+                self.ledger,
+                mode=verify_reads,
+                sample_rate=verify_sample_rate,
+                seed=fault_plan.seed if fault_plan is not None else 0,
+                checksummer=self.checksummer,
+            )
+            self.entry_stages = (
+                _skip_quarantined, probe, _route_entry, _verify_entry
+            )
+            self._totals += (("integrity", self.ledger.totals),)
+            self._levels = (
+                ("integrity.quarantined", lambda: self.ledger.num_quarantined),
+            )
+            if scrub_iops > 0:
+                self.scrubber = Scrubber(
+                    total_pages=self.layout.total_pages,
+                    iops_budget=scrub_iops,
+                    ledger=self.ledger,
+                    injector=self.faults,
+                    num_devices=system.num_ssds,
+                    checksummer=self.checksummer,
+                )
+                self._sweeps = (self._scrub_sweep,) + self._sweeps
 
     def build_cpu_buffer(
         self,
@@ -193,40 +287,113 @@ class StorageStack:
         )
 
     def advance(self, now_s: float):
-        """Move the stack to modeled ``now_s``; returns the array to charge.
+        """Move the stack to modeled ``now_s``; returns :attr:`array`.
 
-        Under fault injection that is the degradable view (time-triggered
-        device events fire here, and the HA health monitor takes one
-        observation); otherwise the healthy array.
+        Under fault injection time-triggered device events fire here, and
+        the HA health monitor takes one observation.
         """
-        if self.fault_array is None:
-            return self.ssd
-        self.fault_array.advance_to(now_s)
-        if self.storage_ha is not None:
-            self.storage_ha.advance(now_s)
-        return self.fault_array
+        for tick in self._ticks:
+            tick(now_s)
+        return self.array
 
-    def rebuild_sweep(
+    def background(
         self, elapsed_s: float, now_s: float, counters: TransferCounters
     ) -> None:
-        """Let the online rebuilder soak up ``elapsed_s`` of idle IOPS.
+        """Let the scrubber, then the rebuilder, soak up ``elapsed_s`` of
+        idle device IOPS.
 
-        The sweep overlaps the foreground work it follows (scrubber
-        economics): it costs no modeled time, only traffic.
+        The sweeps overlap the foreground work they follow: they cost no
+        modeled time, only traffic, accounted on ``counters``.
         """
-        if self.storage_ha is None:
-            return
+        for sweep in self._sweeps:
+            sweep(elapsed_s, now_s, counters)
+
+    def _scrub_sweep(self, elapsed_s, now_s, counters) -> None:
+        scrub = self.scrubber.sweep(elapsed_s, now_s)
+        if scrub.pages_scanned:
+            counters.scrubbed_pages += scrub.pages_scanned
+            counters.corrupt_detected += scrub.detected
+            counters.corrupt_repaired += scrub.repaired
+            if self.tracer.want_request_detail:
+                self.tracer.instant(
+                    "scrub",
+                    INTEGRITY_TRACK,
+                    pages=scrub.pages_scanned,
+                    detected=scrub.detected,
+                    repaired=scrub.repaired,
+                    released=scrub.released,
+                )
+
+    def _rebuild_sweep(self, elapsed_s, now_s, counters) -> None:
         sweep = self.storage_ha.background_sweep(elapsed_s, now_s)
         if sweep is not None and sweep.pages_rebuilt:
             counters.rebuild_pages += sweep.pages_rebuilt
 
-    def device_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(active, stale)`` per-device masks at the current time."""
-        if self.fault_array is None:
-            n = self.system.num_ssds
-            return np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    def plane_totals(self) -> dict[str, int]:
+        """Cumulative counters of the planes that exist, keyed by the
+        metric names a run publishes them under (``faults.*``,
+        ``integrity.*``)."""
+        return {
+            f"{plane}.{name}": total
+            for plane, read in self._totals
+            for name, total in read().items()
+        }
+
+    def publish_since(self, baseline: dict[str, int], registry) -> None:
+        """Publish what the planes counted since ``baseline`` (an earlier
+        :meth:`plane_totals`), so the registry agrees with a report that
+        excludes the warm-up.  Pages in quarantine is a level, not a
+        total: the scrubber releases the pages it repairs."""
+        for name, total in self.plane_totals().items():
+            if total != baseline[name]:
+                registry.counter(name).inc(total - baseline[name])
+        for name, level in self._levels:
+            registry.gauge(name).set(level())
+
+    # ------------------------------------------------------------------
+    # What the constructor chooses between
+
+    def _healthy_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.system.num_ssds
+        return np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+
+    def _degraded_masks(self) -> tuple[np.ndarray, np.ndarray]:
         active, _ = self.fault_array.device_states()
         return active, self.fault_array.stale_device_mask()
+
+    def _route_unprotected(self, pages, avoid=None) -> HARouteOutcome:
+        """No redundancy: unavailable pages are known-lost, skip storage."""
+        lost = self.fault_array.unavailable_page_mask(pages)
+        n_lost = int(lost.sum())
+        return HARouteOutcome(
+            n_direct=len(pages) - n_lost, n_lost=n_lost, lost_mask=lost
+        )
+
+    def _charge(
+        self, entries: list[TransferCounters]
+    ) -> tuple[BatchFaultOutcome, float]:
+        """Resolve one storage batch's faults; re-route what never arrived.
+
+        Reads that exhausted the retry policy (or its time budget) are
+        served by the fallback tier; their bytes never arrive from
+        storage.  Retried commands (``outcome.retries``) occupy device
+        service like fresh ones, which the caller prices; ``spike_s`` is
+        the elapsed-time cost of the batch's tail-latency requests.
+        """
+        n_requests = sum(c.storage_requests for c in entries)
+        outcome, n_spiked = draw_faults(self.faults, n_requests, entries)
+        if outcome.unrecovered:
+            page_bytes = self.page_bytes
+            weights = [c.storage_requests for c in entries]
+            for counters, unrecovered in zip(
+                entries, apportion(outcome.unrecovered, weights)
+            ):
+                counters.storage_bytes = max(
+                    0, counters.storage_bytes - unrecovered * page_bytes
+                )
+                counters.fallback_requests += unrecovered
+                counters.fallback_bytes += unrecovered * page_bytes
+        return outcome, self.fault_array.tail_extra_time(n_spiked)
 
 
 # ----------------------------------------------------------------------
@@ -234,31 +401,33 @@ class StorageStack:
 
 
 def probe(
+    stack: StorageStack,
     cache: GPUSoftwareCache,
     pages: np.ndarray,
     counters: TransferCounters,
-    page_bytes: int,
-    ledger=None,
+    now_s: float = 0.0,
 ) -> np.ndarray:
-    """Look ``pages`` up in the GPU software cache; returns the misses.
+    """Look ``pages`` up in the GPU software cache; returns the misses."""
+    hit_mask = cache.access(pages)
+    n_hits = int(hit_mask.sum())
+    counters.gpu_cache_hits += n_hits
+    counters.gpu_cache_bytes += n_hits * stack.page_bytes
+    return pages[~hit_mask]
 
-    Pages the ledger holds in quarantine never touch cache or storage:
-    their registered reuse units are released and they are served from the
-    fallback tier.
-    """
-    if ledger is not None and ledger.num_quarantined:
-        qmask = ledger.quarantined_mask(pages)
+
+def _skip_quarantined(stack, cache, pages, counters, now_s) -> np.ndarray:
+    """Entry stage before ``probe``, beside a ledger: quarantined pages
+    never touch cache or storage — their registered reuse units are
+    released and they are served from the fallback tier."""
+    if stack.ledger.num_quarantined:
+        qmask = stack.ledger.quarantined_mask(pages)
         if qmask.any():
             n_quarantine = int(qmask.sum())
             cache.forget_future(pages[qmask])
             pages = pages[~qmask]
             counters.fallback_requests += n_quarantine
-            counters.fallback_bytes += n_quarantine * page_bytes
-    hit_mask = cache.access(pages)
-    n_hits = int(hit_mask.sum())
-    counters.gpu_cache_hits += n_hits
-    counters.gpu_cache_bytes += n_hits * page_bytes
-    return pages[~hit_mask]
+            counters.fallback_bytes += n_quarantine * stack.page_bytes
+    return pages
 
 
 def route(
@@ -277,18 +446,8 @@ def route(
     fall back to the CPU mirror (``lost_mask`` marks them; it may be
     ``None`` when ``n_lost`` is zero).
     """
-    n = len(pages)
-    if stack.fault_array is None or n == 0:
-        out = HARouteOutcome(n_direct=n)
-    elif stack.storage_ha is not None:
-        out = stack.storage_ha.route(pages, avoid=avoid)
-    else:
-        lost = stack.fault_array.unavailable_page_mask(pages)
-        n_lost = int(lost.sum())
-        out = HARouteOutcome(
-            n_direct=n - n_lost, n_lost=n_lost, lost_mask=lost
-        )
-    page_bytes = stack.layout.page_bytes
+    out = stack.router(pages, avoid=avoid) if len(pages) else HARouteOutcome()
+    page_bytes = stack.page_bytes
     # Parity reconstruction issues k member reads for each rebuilt page;
     # their bytes cross the link like any other storage read.
     counters.storage_requests += out.n_storage
@@ -303,29 +462,37 @@ def route(
     return out
 
 
+def _route_entry(stack, cache, pages, counters, now_s) -> np.ndarray:
+    """``route`` as an entry stage: hands on the pages storage serves."""
+    routed = route(stack, pages, counters)
+    return pages[~routed.lost_mask] if routed.n_lost else pages
+
+
 def verify(
-    verifier: ReadVerifier,
-    faults: FaultInjector | None,
+    planes,
     pages: np.ndarray,
     counters: TransferCounters,
-    *,
     now_s: float,
-    num_ssds: int,
-    page_bytes: int,
     cache: GPUSoftwareCache | None = None,
 ) -> VerifyOutcome:
     """Run storage-served ``pages`` through the corruption draw and verifier.
 
+    ``planes`` is whoever holds the handles — a :class:`StorageStack`, or
+    the full-graph trainer, which prices its spill pages itself:
+    ``verifier``, ``faults`` (may be ``None``), ``system``, ``page_bytes``.
     Redirected pages are verified exactly like primary reads.  Pages
     condemned this round are re-served by the fallback tier and, when a
     ``cache`` is given, invalidated so unverified bytes are never admitted.
     """
+    faults = planes.faults
     origins = None
     if faults is not None and faults.plan.has_corruption and len(pages):
-        kinds, origins = faults.corruption_kinds(pages, now_s, num_ssds)
+        kinds, origins = faults.corruption_kinds(
+            pages, now_s, planes.system.num_ssds
+        )
     else:
         kinds = np.zeros(len(pages), dtype=np.uint8)
-    outcome = verifier.process(
+    outcome = planes.verifier.process(
         pages, kinds, now_s=now_s, origin_times=origins
     )
     quarantined = outcome.quarantined
@@ -338,15 +505,23 @@ def verify(
     counters.corrupt_quarantined += quarantined
     counters.integrity_rereads += outcome.rereads
     counters.fallback_requests += quarantined
-    counters.fallback_bytes += quarantined * page_bytes
+    counters.fallback_bytes += quarantined * planes.page_bytes
     return outcome
 
 
-_NO_FAULTS = (BatchFaultOutcome(), 0)
+def _verify_entry(stack, cache, pages, counters, now_s) -> np.ndarray:
+    """``verify`` as the last entry stage, over every storage-served page
+    (redirected replicas included): pages condemned this round get their
+    good bytes over the CPU path, and what slipped through is queued on
+    ``stack.undetected``."""
+    outcome = verify(stack, pages, counters, now_s, cache)
+    counters.storage_bytes -= outcome.quarantined * stack.page_bytes
+    stack.undetected.append(outcome.undetected_pages)
+    return outcome.undetected_pages
 
 
 def draw_faults(
-    faults: FaultInjector | None,
+    faults: FaultInjector,
     n_requests: int,
     entries: list[TransferCounters],
 ) -> tuple[BatchFaultOutcome, int]:
@@ -357,8 +532,6 @@ def draw_faults(
     and spikes are apportioned over the entries by their share of the
     batch's storage requests.
     """
-    if faults is None:
-        return _NO_FAULTS
     outcome = faults.resolve_batch(n_requests)
     n_spiked = faults.spike_count(n_requests)
     weights = [c.storage_requests for c in entries]
@@ -373,33 +546,6 @@ def draw_faults(
         counters.latency_spikes += spikes
     if outcome.timed_out and entries:
         entries[0].retry_timeouts += 1
-    return outcome, n_spiked
-
-
-def charge(
-    stack: StorageStack,
-    entries: list[TransferCounters],
-) -> tuple[BatchFaultOutcome, int]:
-    """Resolve one storage batch's faults and re-route what never arrived.
-
-    Reads that exhausted the retry policy (or its time budget) are served
-    by the fallback tier; their bytes never arrive from storage.  Retried
-    commands (``outcome.retries``) occupy device service like fresh ones,
-    which the caller prices.
-    """
-    n_requests = sum(c.storage_requests for c in entries)
-    outcome, n_spiked = draw_faults(stack.faults, n_requests, entries)
-    if outcome.unrecovered:
-        page_bytes = stack.layout.page_bytes
-        weights = [c.storage_requests for c in entries]
-        for counters, unrecovered in zip(
-            entries, apportion(outcome.unrecovered, weights)
-        ):
-            counters.storage_bytes = max(
-                0, counters.storage_bytes - unrecovered * page_bytes
-            )
-            counters.fallback_requests += unrecovered
-            counters.fallback_bytes += unrecovered * page_bytes
     return outcome, n_spiked
 
 

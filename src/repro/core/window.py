@@ -32,6 +32,7 @@ from ..state import (
     guard,
     scalar,
 )
+from ..telemetry.tracer import ensure_tracer
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class WindowBuffer(Stateful):
             raise ConfigError("window depth must be non-negative")
         self.cache = cache
         self.depth = depth
-        self.tracer = tracer
+        self.tracer = ensure_tracer(tracer)
         self._entries: deque[WindowEntry] = deque()
 
     def __len__(self) -> int:
@@ -97,7 +98,7 @@ class WindowBuffer(Stateful):
             self.cache.register_future(entry.pages)
         self._entries.append(entry)
         tracer = self.tracer
-        if tracer is not None and tracer.want_request_detail:
+        if tracer.want_request_detail:
             tracer.instant(
                 "window.pin",
                 "window",
@@ -116,7 +117,7 @@ class WindowBuffer(Stateful):
             raise ConfigError("window buffer is empty")
         entry = self._entries.popleft()
         tracer = self.tracer
-        if tracer is not None and tracer.want_request_detail:
+        if tracer.want_request_detail:
             tracer.instant(
                 "window.pop",
                 "window",
@@ -136,7 +137,7 @@ class WindowBuffer(Stateful):
             entry = self._entries.popleft()
             if self.depth > 0:
                 self.cache.forget_future(entry.pages)
-            if tracer is not None and tracer.want_request_detail:
+            if tracer.want_request_detail:
                 tracer.instant(
                     "window.unpin", "window", pages=int(entry.pages.size)
                 )

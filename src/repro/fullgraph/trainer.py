@@ -41,6 +41,7 @@ from ..sim.ssd import SSDArray
 from ..state import Stateful, array, child, guard, scalar, seq
 from ..storage.feature_store import FeatureStore
 from ..storage_ha import make_placement
+from ..telemetry.tracer import ensure_tracer
 from ..telemetry.context import TraceContext, step_trace_id
 from ..telemetry.tracks import FULLGRAPH_TRACK
 from ..training.graphsage import (
@@ -209,12 +210,21 @@ class FullGraphTrainer(Stateful):
         self.dataset = dataset
         self.system = system
         self.config = config or FullGraphConfig()
-        self.tracer = tracer
+        self.tracer = ensure_tracer(tracer)
         #: optional live :class:`~repro.telemetry.snapshot
         #: .MetricsSnapshotter`, polled after each sweep step.
         self.snapshotter = None
         self.faults = fault_injector
         self.verifier = verifier
+        # What a storage transfer pays beyond its streaming time, in draw
+        # order: the fault process, then (reads only) verify-on-read.  A
+        # plane the run was not given is absent from the tuples.
+        self._write_extras: tuple = ()
+        if self.faults is not None:
+            self._write_extras = (self._fault_extra,)
+        self._read_extras = self._write_extras
+        if self.verifier is not None:
+            self._read_extras += (self._verify_extra,)
         cfg = self.config
 
         n = dataset.num_nodes
@@ -261,10 +271,11 @@ class FullGraphTrainer(Stateful):
             raise FullGraphError(
                 "partition sweep would not touch every node exactly once"
             )
+        self.page_bytes = system.ssd.page_bytes
         self.activations = ActivationStore(
             n,
             resident=self.plan.activations_resident,
-            page_bytes=system.ssd.page_bytes,
+            page_bytes=self.page_bytes,
         )
 
         self.model = GraphSAGE(
@@ -369,8 +380,6 @@ class FullGraphTrainer(Stateful):
         sweep owns is how an exhausted read is made good and how the
         process is priced against sequential I/O.
         """
-        if self.faults is None or n_pages == 0:
-            return 0.0
         fault, n_spiked = readpath.draw_faults(
             self.faults, n_pages, [counters]
         )
@@ -388,14 +397,12 @@ class FullGraphTrainer(Stateful):
             else:
                 counters.replica_redirects += fault.unrecovered
             counters.reconstruct_reads += extra
-            counters.storage_bytes += extra * self.activations.page_bytes
+            counters.storage_bytes += extra * self.page_bytes
         elif fault.unrecovered:
             # Unserved spill pages are *recomputable*: the lost block is
             # regenerated from the layer below, accounted as fallback.
             counters.fallback_requests += fault.unrecovered
-            counters.fallback_bytes += (
-                fault.unrecovered * self.activations.page_bytes
-            )
+            counters.fallback_bytes += fault.unrecovered * self.page_bytes
         return (
             fault.backoff_s
             + (n_spiked + extra) * self.system.ssd.read_latency_s
@@ -404,21 +411,11 @@ class FullGraphTrainer(Stateful):
     def _verify_extra(self, n_pages: int, counters: TransferCounters) -> float:
         """Verify-on-read over reloaded spill pages (like feature pages);
         condemned pages are recomputed from the layer below."""
-        if self.verifier is None or n_pages == 0:
-            return 0.0
         pages = (
             np.arange(n_pages, dtype=np.int64) + self._spill_page_cursor
         )
         self._spill_page_cursor += n_pages
-        outcome = readpath.verify(
-            self.verifier,
-            self.faults,
-            pages,
-            counters,
-            now_s=self.clock_s,
-            num_ssds=self.system.num_ssds,
-            page_bytes=self.activations.page_bytes,
-        )
+        outcome = readpath.verify(self, pages, counters, self.clock_s)
         return outcome.rereads * self.system.ssd.read_latency_s
 
     def _seq_read(self, n_bytes: int, counters: TransferCounters) -> float:
@@ -433,8 +430,8 @@ class FullGraphTrainer(Stateful):
             self.array.sequential_read_time(n_bytes),
             n_bytes / self.system.pcie.bandwidth_bytes,
         )
-        t += self._fault_extra(pages, counters)
-        t += self._verify_extra(pages, counters)
+        for extra in self._read_extras:
+            t += extra(pages, counters)
         return t
 
     def _seq_write(self, n_bytes: int, counters: TransferCounters) -> float:
@@ -458,7 +455,8 @@ class FullGraphTrainer(Stateful):
             self.array.sequential_write_time(physical),
             n_bytes / self.system.pcie.bandwidth_bytes,
         )
-        t += self._fault_extra(pages, counters)
+        for extra in self._write_extras:
+            t += extra(pages, counters)
         return t
 
     def _random_read(self, n_bytes: int, counters: TransferCounters) -> float:
@@ -469,8 +467,8 @@ class FullGraphTrainer(Stateful):
         counters.storage_requests += pages
         counters.storage_bytes += n_bytes
         t = self.array.batch_service_time(pages)
-        t += self._fault_extra(pages, counters)
-        t += self._verify_extra(pages, counters)
+        for extra in self._read_extras:
+            t += extra(pages, counters)
         return t
 
     def _hbm(self, n_bytes: int) -> float:
@@ -531,6 +529,35 @@ class FullGraphTrainer(Stateful):
         if self.step_index == self.steps_per_epoch:
             self._finish_epoch()
 
+    def _load_inputs(self, li, rows, halo, counters):
+        """Stream one block's inputs and halo rows in — features at layer
+        0, the layer below's activations above it — and account the
+        traffic; returns ``(h_prev, input_s, halo_s)``."""
+        d_in = self._dims[li]
+        if li == 0:
+            part_bytes = len(rows) * d_in * FEATURE_BYTES
+            halo_bytes = len(halo) * d_in * FEATURE_BYTES
+            input_s = self._seq_read(part_bytes, counters)
+            halo_s = self._random_read(halo_bytes, counters)
+            self.traffic.feat_seq_bytes += part_bytes
+            self.traffic.feat_seq_s += input_s
+            self.traffic.feat_halo_bytes += halo_bytes
+            self.traffic.feat_halo_s += halo_s
+            return self._features, input_s, halo_s
+        _, row_bytes = self.activations.read_rows(li - 1, rows)
+        _, halo_bytes = self.activations.read_rows(li - 1, halo)
+        if row_bytes:
+            input_s = self._seq_read(row_bytes, counters)
+            halo_s = self._seq_read(halo_bytes, counters)
+        else:  # resident: HBM reads
+            input_s = self._hbm(len(rows) * d_in * ACTIVATION_BYTES)
+            halo_s = self._hbm(len(halo) * d_in * ACTIVATION_BYTES)
+        self.traffic.act_reload_bytes += row_bytes
+        self.traffic.act_reload_s += input_s
+        self.traffic.act_halo_bytes += halo_bytes
+        self.traffic.act_halo_s += halo_s
+        return self.activations.array(li - 1), input_s, halo_s
+
     def _forward_step(self, step) -> None:
         li, p = step.layer, step.part
         sched = self.scheduler
@@ -538,36 +565,8 @@ class FullGraphTrainer(Stateful):
         halo = sched.halo(p)
         src, dst = sched.block_edges(p)
         counters = TransferCounters()
-        d_in, d_out = self._dims[li], self._dims[li + 1]
-
-        if li == 0:
-            h_prev = self._features
-            part_bytes = len(rows) * d_in * FEATURE_BYTES
-            halo_bytes = len(halo) * d_in * FEATURE_BYTES
-            load_s = self._seq_read(part_bytes, counters)
-            halo_s = self._random_read(halo_bytes, counters)
-            self.traffic.feat_seq_bytes += part_bytes
-            self.traffic.feat_seq_s += load_s
-            self.traffic.feat_halo_bytes += halo_bytes
-            self.traffic.feat_halo_s += halo_s
-            reload_s = 0.0
-        else:
-            h_prev = self.activations.array(li - 1)
-            _, row_bytes = self.activations.read_rows(li - 1, rows)
-            _, halo_bytes = self.activations.read_rows(li - 1, halo)
-            if row_bytes:
-                reload_s = self._seq_read(row_bytes, counters)
-                halo_s = self._seq_read(halo_bytes, counters)
-            else:  # resident: HBM reads
-                reload_s = self._hbm(
-                    len(rows) * d_in * ACTIVATION_BYTES
-                )
-                halo_s = self._hbm(len(halo) * d_in * ACTIVATION_BYTES)
-            self.traffic.act_reload_bytes += row_bytes
-            self.traffic.act_reload_s += reload_s
-            self.traffic.act_halo_bytes += halo_bytes
-            self.traffic.act_halo_s += halo_s
-            load_s = 0.0
+        d_out = self._dims[li + 1]
+        h_prev, load_s, halo_s = self._load_inputs(li, rows, halo, counters)
 
         if not self.activations.has(li):
             self.activations.allocate(li, d_out)
@@ -586,7 +585,7 @@ class FullGraphTrainer(Stateful):
         self.traffic.compute_s += compute_s
         times = StageTimes(
             sampling=0.0,
-            aggregation=load_s + reload_s + spill_s,
+            aggregation=load_s + spill_s,
             transfer=halo_s,
             training=compute_s,
         )
@@ -627,32 +626,7 @@ class FullGraphTrainer(Stateful):
             self._d_prev = np.zeros((n, d_in))
 
         # Reload this block's inputs (and halo) for recomputed aggregation.
-        if li == 0:
-            h_prev = self._features
-            part_bytes = len(rows) * d_in * FEATURE_BYTES
-            halo_bytes = len(halo) * d_in * FEATURE_BYTES
-            reload_s = self._seq_read(part_bytes, counters)
-            halo_s = self._random_read(halo_bytes, counters)
-            self.traffic.feat_seq_bytes += part_bytes
-            self.traffic.feat_seq_s += reload_s
-            self.traffic.feat_halo_bytes += halo_bytes
-            self.traffic.feat_halo_s += halo_s
-        else:
-            h_prev = self.activations.array(li - 1)
-            _, row_bytes = self.activations.read_rows(li - 1, rows)
-            _, halo_bytes = self.activations.read_rows(li - 1, halo)
-            if row_bytes:
-                reload_s = self._seq_read(row_bytes, counters)
-                halo_s = self._seq_read(halo_bytes, counters)
-            else:
-                reload_s = self._hbm(
-                    len(rows) * d_in * ACTIVATION_BYTES
-                )
-                halo_s = self._hbm(len(halo) * d_in * ACTIVATION_BYTES)
-            self.traffic.act_reload_bytes += row_bytes
-            self.traffic.act_reload_s += reload_s
-            self.traffic.act_halo_bytes += halo_bytes
-            self.traffic.act_halo_s += halo_s
+        h_prev, reload_s, halo_s = self._load_inputs(li, rows, halo, counters)
 
         # Reload the block's own output for the ReLU mask (linear last
         # layer needs none).
@@ -728,7 +702,7 @@ class FullGraphTrainer(Stateful):
         self._pending_accuracy = None
         self.step_index = 0
         self.epochs_completed += 1
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.instant(
                 "epoch_complete",
                 FULLGRAPH_TRACK,
@@ -750,7 +724,7 @@ class FullGraphTrainer(Stateful):
         )
         self.report.append(metrics)
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             ctx = None
             if tracer.want_request_detail:
                 # One causal chain per sweep step ties the sweep span to

@@ -138,16 +138,13 @@ class CorruptionLedger(Stateful):
             for d in range(self.num_devices)
         ]
 
-    def publish(self, registry, prefix: str = "integrity") -> None:
-        """Add ledger totals into a telemetry metrics registry (adds once)."""
-        for name, value in (
-            ("detected", self.total_detected),
-            ("repaired", self.total_repaired),
-            ("unrepairable", self.total_unrepairable),
-            ("quarantined", self.num_quarantined),
-        ):
-            if value:
-                registry.counter(f"{prefix}.{name}").inc(value)
+    def totals(self) -> dict[str, int]:
+        """The array-wide counts a run publishes as ``integrity.*``."""
+        return {
+            "detected": self.total_detected,
+            "repaired": self.total_repaired,
+            "unrepairable": self.total_unrepairable,
+        }
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -83,6 +83,8 @@ class ReadVerifier(Stateful):
         checksummer: optional digest source; when attached, the digest of
             every *detected* page is materialized (and memoized) so the
             modeled mismatch corresponds to a real, recomputable digest.
+            Pages past its table — full-graph spill pages, which have no
+            ground truth in the feature store — are skipped.
     """
 
     def __init__(
@@ -164,7 +166,10 @@ class ReadVerifier(Stateful):
             if origin_times is not None:
                 latency = max(0.0, now_s - float(origin_times[idx]))
             self.ledger.record_detected(page, latency_s=latency)
-            if self.checksummer is not None:
+            if (
+                self.checksummer is not None
+                and page < self.checksummer.total_pages
+            ):
                 self.checksummer.digest(page)
             if kind in (CORRUPT_BITFLIP, CORRUPT_TORN):
                 # Transient: the device copy is fine, the read was not.

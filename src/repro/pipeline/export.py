@@ -227,37 +227,15 @@ def observability_block(
     return block
 
 
-def report_to_json(
-    report: RunReport,
-    *,
-    indent: int = 2,
-    checkpoint_summary: "object | None" = None,
-    tracer: "object | None" = None,
-    system: "object | None" = None,
-    alerts: "dict | None" = None,
-    fleet: "dict | None" = None,
-    fullgraph: "dict | None" = None,
-    storage_ha: "dict | None" = None,
-    observability: "dict | None" = None,
-) -> str:
-    """JSON rendering of :func:`report_to_dict`.
+def report_to_json(report: RunReport, *, indent: int = 2, **blocks) -> str:
+    """JSON rendering of :func:`report_to_dict`, which takes ``blocks``.
 
     ``allow_nan=False`` guarantees the output is strict JSON: any
     non-finite float that slipped past :func:`_finite` raises here
     instead of silently producing an unparseable document.
     """
     return json.dumps(
-        report_to_dict(
-            report,
-            checkpoint_summary=checkpoint_summary,
-            tracer=tracer,
-            system=system,
-            alerts=alerts,
-            fleet=fleet,
-            fullgraph=fullgraph,
-            storage_ha=storage_ha,
-            observability=observability,
-        ),
+        report_to_dict(report, **blocks),
         indent=indent,
         sort_keys=True,
         allow_nan=False,

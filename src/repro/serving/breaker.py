@@ -25,6 +25,7 @@ from collections import deque
 
 from ..errors import ServingError
 from ..state import Stateful, children, each, records, scalar, seq
+from ..telemetry import Tracer
 from ..telemetry.tracks import BREAKERS_TRACK
 from .config import ServingConfig
 
@@ -35,6 +36,10 @@ HALF_OPEN = "half-open"
 
 __all__ = ["BREAKERS_TRACK", "CLOSED", "OPEN", "HALF_OPEN",
            "CircuitBreaker", "BreakerBoard"]
+
+#: Default of the per-call ``tracer`` argument (drivers pass their own).
+#: Shared, which is safe because only its ``enabled`` switch is ever read.
+_UNTRACED = Tracer(enabled=False)
 
 
 class CircuitBreaker(Stateful):
@@ -50,7 +55,7 @@ class CircuitBreaker(Stateful):
         self.probe_successes = 0
         self.transitions: list[dict] = []
 
-    def _transition(self, state: str, now_s: float, tracer=None) -> None:
+    def _transition(self, state: str, now_s: float, tracer: Tracer) -> None:
         previous = self.state
         self.state = state
         entry = {
@@ -60,7 +65,7 @@ class CircuitBreaker(Stateful):
             "to": state,
         }
         self.transitions.append(entry)
-        if tracer is not None:
+        if tracer.enabled:
             tracer.instant(
                 f"breaker.{state}",
                 BREAKERS_TRACK,
@@ -69,7 +74,7 @@ class CircuitBreaker(Stateful):
                 previous=previous,
             )
 
-    def allows_storage(self, now_s: float, tracer=None) -> bool:
+    def allows_storage(self, now_s: float, tracer=_UNTRACED) -> bool:
         """May reads reach the device right now?  Advances open→half-open."""
         if self.state == OPEN:
             assert self.opened_at_s is not None
@@ -85,7 +90,7 @@ class CircuitBreaker(Stateful):
         return sum(self.window) / len(self.window)
 
     def record(
-        self, n_ok: int, n_failed: int, now_s: float, tracer=None
+        self, n_ok: int, n_failed: int, now_s: float, tracer=_UNTRACED
     ) -> None:
         """Feed page outcomes for this device and run the state machine."""
         if n_ok < 0 or n_failed < 0:

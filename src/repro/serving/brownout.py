@@ -23,6 +23,7 @@ from collections import deque
 
 from ..observatory.slo import ALERTS_TRACK, AlertRule, SLOMonitor
 from ..state import Stateful, records, scalar, seq
+from ..telemetry.tracer import ensure_tracer
 from .config import BrownoutLevel, ServingConfig
 
 
@@ -46,7 +47,7 @@ class BrownoutController(Stateful):
     ) -> None:
         self.config = config
         self.registry = registry
-        self.tracer = tracer
+        self.tracer = ensure_tracer(tracer)
         if monitor is None:
             monitor = SLOMonitor(
                 [
@@ -128,7 +129,7 @@ class BrownoutController(Stateful):
             "to_level": self.config.brownout_levels[new_index].name,
         }
         self.transitions.append(entry)
-        if self.tracer is not None:
+        if self.tracer.enabled:
             args = {k: v for k, v in entry.items() if k != "at_s"}
             self.tracer.instant(
                 "brownout.level",

@@ -35,8 +35,8 @@ from ..graph.datasets import ScaledDataset
 from ..sampling.neighbor import NeighborSampler
 from ..sim.counters import TransferCounters
 from ..state import Stateful, child, each, mapping, rng_state, scalar, seq
-from ..telemetry import Tracer
 from ..telemetry.metrics import Histogram, MetricsRegistry
+from ..telemetry.tracer import Tracer, ensure_tracer
 from ..utils import as_rng
 from .admission import (
     ADMIT,
@@ -127,7 +127,7 @@ class InferenceServer(Stateful):
         self.serving = serving if serving is not None else ServingConfig()
         self.fanouts = tuple(int(f) for f in fanouts)
         self.framework_overhead_s = float(framework_overhead_s)
-        self.tracer = tracer
+        self.tracer = tracer = ensure_tracer(tracer)
         self._rng = as_rng(seed)
 
         # --- shared storage stack --------------------------------------
@@ -150,6 +150,13 @@ class InferenceServer(Stateful):
         self.faults = self.stack.faults
         self.fault_array = self.stack.fault_array
         self.storage_ha = self.stack.storage_ha
+        # Pages behind an open breaker or a dead device go to a surviving
+        # copy when redundancy exists, to the CPU mirror otherwise.
+        self._reroute = (
+            self._reroute_to_mirror
+            if self.storage_ha is None
+            else self._reroute_to_copy
+        )
 
         cache_lines = int(
             self.config.gpu_cache_bytes // self.layout.page_bytes
@@ -177,9 +184,7 @@ class InferenceServer(Stateful):
         self.arrivals = ArrivalProcess(
             self.arrival_config, dataset.num_nodes
         )
-        self.registry: MetricsRegistry = (
-            tracer.metrics if tracer is not None else MetricsRegistry()
-        )
+        self.registry: MetricsRegistry = tracer.metrics
         protection = self.serving.protection
         self.admission = AdmissionController(self.serving)
         self.breakers = (
@@ -303,14 +308,13 @@ class InferenceServer(Stateful):
     def _serve_one(self, request: Request, start_s: float) -> None:
         tracer = self.tracer
         ctx = None
-        if tracer is not None and tracer.want_request_detail:
+        if tracer.want_request_detail:
             # Causal root: every span/instant recorded while the context
             # is active — cache tiers, breakers, HA redirects, retries —
             # is stamped with this request's trace id.
             ctx = TraceContext(
                 request_trace_id(request.index), origin="serve"
             )
-        if ctx is not None:
             with tracer.context(ctx):
                 tracer.instant(
                     "admission",
@@ -342,26 +346,25 @@ class InferenceServer(Stateful):
                 service_s
             )
             self.brownout.observe(latency, completion_s)
-        if self.tracer is not None:
-            self.tracer.clock_s = max(self.tracer.clock_s, completion_s)
-            if self.tracer.want_request_detail:
-                with self.tracer.context(ctx):
-                    self.tracer.record(
-                        f"request {request.index}",
-                        SERVING_TRACK,
-                        start_s=start_s,
-                        duration_s=service_s,
-                        priority=priority,
-                        latency_s=latency,
-                        deadline_met=met,
-                    )
-                    self.tracer.instant(
-                        "complete",
-                        SERVING_TRACK,
-                        at_s=completion_s,
-                        latency_s=latency,
-                        deadline_met=met,
-                    )
+        tracer.clock_s = max(tracer.clock_s, completion_s)
+        if ctx is not None:
+            with tracer.context(ctx):
+                tracer.record(
+                    f"request {request.index}",
+                    SERVING_TRACK,
+                    start_s=start_s,
+                    duration_s=service_s,
+                    priority=priority,
+                    latency_s=latency,
+                    deadline_met=met,
+                )
+                tracer.instant(
+                    "complete",
+                    SERVING_TRACK,
+                    at_s=completion_s,
+                    latency_s=latency,
+                    deadline_met=met,
+                )
         self._publish_gauges()
         if self.snapshotter is not None:
             self.snapshotter.poll(completion_s)
@@ -383,7 +386,7 @@ class InferenceServer(Stateful):
         sampling_s = self.gpu.sampling_time(
             batch.num_sampled, n_kernels=sampler.num_layers
         )
-        stamp = self.tracer is not None and self.tracer.want_request_detail
+        stamp = self.tracer.want_request_detail
         if stamp:
             self.tracer.record(
                 "sample",
@@ -405,9 +408,7 @@ class InferenceServer(Stateful):
 
         pages = self.layout.pages_for_nodes(nodes[~buffered])
         counters.page_faults += len(pages)
-        miss_pages = readpath.probe(
-            self.cache, pages, counters, self.layout.page_bytes
-        )
+        miss_pages = readpath.probe(self.stack, self.cache, pages, counters)
 
         storage_s = 0.0
         if level.cache_only:
@@ -487,39 +488,12 @@ class InferenceServer(Stateful):
         array = self.stack.advance(start_s)
         active, stale = self.stack.device_masks()
         timeout_s = 0.0
-        stamp = self.tracer is not None and self.tracer.want_request_detail
+        stamp = self.tracer.want_request_detail
 
         def reroute(pages_subset: np.ndarray, device: int) -> None:
-            """Send pages away from ``device``: replica first, mirror last."""
-            n_pages = len(pages_subset)
-            if self.storage_ha is None or n_pages == 0:
-                counters.fallback_requests += n_pages
-                counters.fallback_bytes += n_pages * page_bytes
-                if stamp and n_pages:
-                    self.tracer.instant(
-                        "fallback.mirror",
-                        "cpu.buffer",
-                        at_s=start_s,
-                        device=device,
-                        pages=n_pages,
-                    )
-                return
-            avoid = ~(active & ~stale)
-            avoid[device] = True
-            out = readpath.route(
-                self.stack, pages_subset, counters, avoid=avoid
+            self._reroute(
+                pages_subset, device, counters, start_s, active, stale
             )
-            if stamp:
-                self.tracer.instant(
-                    "ha.redirect",
-                    HA_TRACK,
-                    at_s=start_s,
-                    device=device,
-                    pages=n_pages,
-                    replica=out.n_replica,
-                    reconstruct=out.n_reconstruct,
-                    lost=out.n_lost,
-                )
 
         for device in np.unique(devices):
             device = int(device)
@@ -573,19 +547,16 @@ class InferenceServer(Stateful):
         latency = timeout_s
         base = 0.0
         if n_storage:
-            fault, n_spiked = readpath.charge(self.stack, [counters])
-            spike_s = 0.0
-            if self.faults is not None:
-                spike_s = array.tail_extra_time(n_spiked)
-                if stamp and (fault.retries or fault.unrecovered):
-                    self.tracer.instant(
-                        "retry",
-                        "faults",
-                        at_s=start_s + timeout_s,
-                        retries=fault.retries,
-                        backoff_s=fault.backoff_s,
-                        unrecovered=fault.unrecovered,
-                    )
+            fault, spike_s = self.stack.charge([counters])
+            if stamp and (fault.retries or fault.unrecovered):
+                self.tracer.instant(
+                    "retry",
+                    "faults",
+                    at_s=start_s + timeout_s,
+                    retries=fault.retries,
+                    backoff_s=fault.backoff_s,
+                    unrecovered=fault.unrecovered,
+                )
             # A read that exhausted its retries never completed on the
             # device: the server neither counts it as a storage request
             # nor charges it a service slot.
@@ -611,8 +582,46 @@ class InferenceServer(Stateful):
 
         # Rebuild rides the idle IOPS left behind by this request's
         # storage window.
-        self.stack.rebuild_sweep(latency, start_s + latency, counters)
+        self.stack.background(latency, start_s + latency, counters)
         return latency
+
+    def _reroute_to_mirror(
+        self, pages, device, counters, start_s, active, stale
+    ) -> None:
+        """No redundancy: pages kept off ``device`` come from the mirror."""
+        n_pages = len(pages)
+        counters.fallback_requests += n_pages
+        counters.fallback_bytes += n_pages * self.layout.page_bytes
+        if n_pages and self.tracer.want_request_detail:
+            self.tracer.instant(
+                "fallback.mirror",
+                "cpu.buffer",
+                at_s=start_s,
+                device=device,
+                pages=n_pages,
+            )
+
+    def _reroute_to_copy(
+        self, pages, device, counters, start_s, active, stale
+    ) -> None:
+        """Redundancy: route around ``device`` and whatever else is down;
+        only pages with no live copy left reach the mirror."""
+        if len(pages) == 0:
+            return
+        avoid = ~(active & ~stale)
+        avoid[device] = True
+        out = readpath.route(self.stack, pages, counters, avoid=avoid)
+        if self.tracer.want_request_detail:
+            self.tracer.instant(
+                "ha.redirect",
+                HA_TRACK,
+                at_s=start_s,
+                device=device,
+                pages=len(pages),
+                replica=out.n_replica,
+                reconstruct=out.n_reconstruct,
+                lost=out.n_lost,
+            )
 
     # ------------------------------------------------------------------
     # Metrics
@@ -723,10 +732,11 @@ class InferenceServer(Stateful):
         child("faults", optional=True),
         child("fault_array", optional=True),
         child("storage_ha", optional=True),
-        # With a tracer the registry is the tracer's and rides its state.
+        # The registry is the tracer's; only a recording tracer's state is
+        # saved (by whoever owns it), so an untraced server saves it here.
         child(
             "registry",
-            lambda self: self.registry if self.tracer is None else None,
+            lambda self: None if self.tracer.enabled else self.registry,
             omit=True, lenient=True,
         ),
     )

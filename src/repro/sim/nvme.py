@@ -23,6 +23,7 @@ import numpy as np
 
 from ..config import SSDSpec
 from ..errors import ConfigError
+from ..telemetry.tracer import ensure_tracer
 from ..utils import as_rng
 
 
@@ -85,7 +86,7 @@ class NVMeQueueSim:
         self.latency_cv = latency_cv
         self._rng = as_rng(seed)
         self.fault_injector = fault_injector
-        self.tracer = tracer
+        self.tracer = ensure_tracer(tracer)
         #: Commands that completed with CQ error status in the last run().
         self.last_cq_errors = 0
 
@@ -162,7 +163,7 @@ class NVMeQueueSim:
         elapsed = float(completion.max())
         iops = n_requests / elapsed
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.record(
                 "nvme_kernel",
                 "ssd",

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..config import GPUSpec, SSDSpec
 from ..errors import ConfigError
+from ..telemetry.tracer import ensure_tracer
 from ..utils import as_rng
 
 
@@ -66,6 +67,11 @@ class SSDArray:
     def peak_bandwidth(self) -> float:
         """Collective peak read bandwidth in bytes/s."""
         return self.peak_iops * self.spec.page_bytes
+
+    def effective(self) -> "SSDArray":
+        """The array as it serves right now — itself; the degradable
+        :class:`~repro.faults.array.FaultySSDArray` view answers too."""
+        return self
 
     def batch_service_time(self, n_requests: int) -> float:
         """Time for one kernel invocation to read ``n_requests`` pages.
@@ -210,7 +216,7 @@ class SSDMicrobench:
         self.latency_cv = latency_cv
         self._rng = as_rng(seed)
         self.fault_injector = fault_injector
-        self.tracer = tracer
+        self.tracer = ensure_tracer(tracer)
 
     def _draw_latencies(self, n: int) -> np.ndarray:
         """Lognormal service latencies with the configured mean and CV."""
@@ -265,7 +271,7 @@ class SSDMicrobench:
         elapsed = last_completion + self.gpu.kernel_termination_overhead_s
         iops = n_requests / elapsed
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.record(
                 "microbench_kernel",
                 "ssd",

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..state import Stateful, child
+from ..telemetry.tracer import ensure_tracer
 from .health import HA_TRACK, DeviceHealthMonitor
 from .placement import make_placement
 from .rebuild import Rebuilder, RebuildSweepOutcome
@@ -87,9 +88,9 @@ class StorageHA(Stateful):
             num_devices, replication=replication, parity=parity, seed=seed
         )
         self.fault_array = fault_array
-        self.tracer = tracer
+        self.tracer = ensure_tracer(tracer)
         self.health = DeviceHealthMonitor(
-            num_devices, base_latency_s, tracer=tracer
+            num_devices, base_latency_s, tracer=self.tracer
         )
         self.rebuilder = Rebuilder(self.placement, total_pages, rebuild_iops)
 
@@ -228,7 +229,7 @@ class StorageHA(Stateful):
         if self.fault_array is None:
             return None
         outcome = self.rebuilder.sweep(elapsed_s, self.fault_array)
-        if self.tracer is not None and outcome.pages_rebuilt:
+        if self.tracer.enabled and outcome.pages_rebuilt:
             self.tracer.instant(
                 "rebuild.sweep",
                 HA_TRACK,
@@ -237,7 +238,7 @@ class StorageHA(Stateful):
                 reads=outcome.read_requests,
                 writes=outcome.write_requests,
             )
-        if self.tracer is not None:
+        if self.tracer.enabled:
             for device, kind, generation in outcome.completed_jobs:
                 self.tracer.instant(
                     f"rebuild.{kind}.done",

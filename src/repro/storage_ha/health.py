@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..state import Stateful, array, records, seq
+from ..telemetry.tracer import ensure_tracer
 from ..telemetry.tracks import HA_TRACK
 
 #: Every state the per-device machine can be in, in escalation order.
@@ -85,7 +86,7 @@ class DeviceHealthMonitor(Stateful):
         self.suspect_skew = float(suspect_skew)
         self.degraded_skew = float(degraded_skew)
         self.patience = int(patience)
-        self.tracer = tracer
+        self.tracer = ensure_tracer(tracer)
         self._ewma = np.full(num_devices, float(base_latency_s))
         self._streak = np.zeros(num_devices, dtype=np.int64)
         self._states = ["healthy"] * num_devices
@@ -106,7 +107,7 @@ class DeviceHealthMonitor(Stateful):
             }
         )
         self._states[device] = state
-        if self.tracer is not None:
+        if self.tracer.enabled:
             self.tracer.instant(
                 f"health.{state}", HA_TRACK, at_s=now_s, device=device
             )

@@ -11,10 +11,13 @@ emits.
 
 Design constraints:
 
-* **Zero cost when disabled.**  Every recording entry point returns after a
-  single attribute check when ``enabled`` is false; loaders additionally
-  keep ``tracer=None`` as the default so untraced runs pay one ``is None``
-  test per group.
+* **Zero cost when disabled, and one off-state.**  ``Tracer(enabled=False)``
+  is the only "off": whoever holds a tracer holds one that is never
+  ``None`` (:func:`ensure_tracer` turns an absent argument into a private
+  disabled tracer), and guards its instrumentation with one attribute test
+  — ``if tracer.enabled:`` / ``if tracer.want_request_detail:`` — so an
+  untraced run makes no call into the tracer on any group, request or
+  step.  Both switches are fixed at construction.
 * **Deterministic.**  The tracer never reads the wall clock; identical runs
   produce byte-identical traces.
 * **Checkpointable.**  ``state_dict``/``load_state_dict`` round-trip the
@@ -212,6 +215,8 @@ class Tracer(Stateful):
             raise TelemetryError("max_events must be positive")
         self.enabled = enabled
         self.detail = detail
+        #: True when per-request/per-resource events should be recorded.
+        self.want_request_detail = enabled and detail == "request"
         self.max_events = max_events
         self.strict_tracks = strict_tracks
         #: Modeled-time cursor components advance instants against.
@@ -232,9 +237,11 @@ class Tracer(Stateful):
     # Recording
 
     @property
-    def want_request_detail(self) -> bool:
-        """True when per-request/per-resource events should be recorded."""
-        return self.enabled and self.detail == "request"
+    def recording(self) -> "Tracer | None":
+        """``self`` while enabled, else ``None`` — what a holder's
+        ``child("tracer", "tracer.recording", lenient=True)`` field saves,
+        so a disabled tracer leaves a snapshot as an absent one did."""
+        return self if self.enabled else None
 
     def _room(self) -> bool:
         if len(self.spans) + len(self.instants) >= self.max_events:
@@ -428,3 +435,9 @@ class Tracer(Stateful):
         child("metrics", fresh=lambda self: MetricsRegistry()),
         child("flight", omit=True, lenient=True),
     )
+
+
+def ensure_tracer(tracer: Tracer | None = None) -> Tracer:
+    """``tracer``, or a private disabled one when the caller passed none —
+    private because holders write to theirs (clock, iteration, metrics)."""
+    return Tracer(enabled=False) if tracer is None else tracer

@@ -3,8 +3,13 @@
 Walks ``src/repro`` with :mod:`ast` and asserts that the calls which make
 up the feature-read sequence — cache probe, HA routing, fault resolution,
 verification, PCIe ingress — and the constructors of the storage stack
-appear only in ``core/readpath.py`` (plus a short, named allow-list).  A
-workload that re-sequences the path by hand fails here by name.
+and its planes appear only in ``core/readpath.py`` (plus a short, named
+allow-list).  A workload that re-sequences the path by hand fails here by
+name — and so does one that goes back to asking, per group / request /
+step, whether a plane exists: ``StorageStack`` decides that once, so the
+read-path modules' ``<plane> is (not) None`` tests are pinned per module
+(they only shrink) and ``tracer is (not) None`` is gone from every layer
+that runs per step.
 
 The same walk, restricted to the CLI sources, asserts that the pieces of
 a run's lifecycle — fault-plan loading, the tracer / flight recorder /
@@ -58,10 +63,17 @@ STAGE_CALLS = {
 
 #: Constructor name -> files besides readpath.py that may call it.
 STACK_CONSTRUCTORS = {
+    # Ginex is the CPU-initiated baseline: its own (non-GIDS) read path.
+    "FaultInjector": {"baselines/ginex.py"},
     "FaultySSDArray": set(),
     # The `repro storage` drill reports health on an unprotected array.
     "StorageHA": {"cli/storage.py"},
     "ConstantCPUBuffer": set(),
+    # The integrity plane: one existence rule, one seeding rule.
+    "CorruptionLedger": set(),
+    "PageChecksummer": set(),
+    "ReadVerifier": set(),
+    "Scrubber": set(),
 }
 
 
@@ -114,6 +126,87 @@ def test_only_the_read_path_calls(name):
     assert not strays, (
         f"{name}() belongs to the one read path ({READPATH}); "
         f"found it re-sequenced in {', '.join(strays)}"
+    )
+
+
+# ----------------------------------------------------------------------
+# Planes are decided once
+
+#: A comparison ``<x> is None`` / ``<x> is not None`` is a *plane test*
+#: when the name or attribute on its left ends in one of these.
+PLANE_HANDLES = (
+    "tracer", "faults", "fault_array", "storage_ha", "verifier", "ledger",
+    "scrubber", "snapshotter", "registry", "checksummer", "flight",
+)
+
+#: Read-path module -> the plane tests it may hold (48 before the stack
+#: owned the question).  What is left: the snapshotter feed, one per
+#: driver, and three construction-time choices — the server's reroute
+#: target (storage_ha), the sweep's two storage-extra tuples (faults,
+#: verifier) — plus ``verify``'s own "is there an injector to draw
+#: corruption from".  Entries only shrink.
+PLANE_TESTS = {
+    "core/gids.py": 1,
+    "serving/server.py": 2,
+    "core/readpath.py": 1,
+    "core/fleet.py": 1,
+    "fullgraph/trainer.py": 3,
+}
+
+#: Where ``tracer is (not) None`` may not appear at all: everything that
+#: runs per group / request / step holds a tracer that is never ``None``.
+TRACER_NEVER_NONE = (
+    "cache/", "core/", "sim/", "storage_ha/", "fullgraph/",
+    "serving/server.py", "serving/breaker.py", "serving/brownout.py",
+)
+
+
+def _none_tests(tree, handles) -> list[tuple[int, str]]:
+    """``(line, source)`` of every ``<handle> is (not) None`` in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if not _is_none_test(node):
+            continue
+        left = node.left
+        name = (
+            left.attr if isinstance(left, ast.Attribute)
+            else left.id if isinstance(left, ast.Name)
+            else ""
+        )
+        if name.endswith(handles):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("rel", sorted(PLANE_TESTS))
+def test_plane_tests_only_shrink(rel):
+    sites = _none_tests(dict(SOURCES)[rel], PLANE_HANDLES)
+    assert len(sites) <= PLANE_TESTS[rel], (
+        f"{rel} asks {len(sites)} times whether a plane exists (pinned: "
+        f"{PLANE_TESTS[rel]}); StorageStack decides that at construction "
+        f"— run what it hands out: {sites}"
+    )
+
+
+def test_plane_tests_stay_under_ten():
+    assert sum(PLANE_TESTS.values()) <= 10
+    total = sum(
+        len(_none_tests(dict(SOURCES)[rel], PLANE_HANDLES))
+        for rel in PLANE_TESTS
+    )
+    assert total <= 10
+
+
+def test_the_tracer_is_never_none_where_it_runs_per_step():
+    strays = [
+        f"{rel}:{line} ({source})"
+        for rel, tree in SOURCES
+        if rel.startswith(TRACER_NEVER_NONE)
+        for line, source in _none_tests(tree, ("tracer",))
+    ]
+    assert not strays, (
+        "a disabled Tracer is the one off-state (telemetry.ensure_tracer); "
+        f"guard with `if tracer.enabled:` instead of {', '.join(strays)}"
     )
 
 

@@ -662,3 +662,59 @@ class TestExport:
         trainer, result, _ = exported
         bare = report_to_dict(result.report)
         assert bare["fullgraph"] is None
+
+
+class TestCLIIntegrityRule:
+    """``repro fullgraph`` gets its injector and verifier from
+    ``StorageStack``: one existence rule and one seeding rule for the
+    integrity plane, the loader's."""
+
+    @staticmethod
+    def _integrity(tmp_path, capsys, plan: dict, *flags: str) -> tuple:
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        code = main(
+            ["fullgraph", "--dataset", "IGB-tiny", "--scale", "0.002",
+             "--epochs", "1", "--hbm-mb", "4", "--format", "json",
+             "--fault-plan", str(path), *flags]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        return summary["integrity_summary"], summary["e2e_seconds"]
+
+    def test_corruption_plan_is_drawn_with_verify_off(self, tmp_path, capsys):
+        """A plan that can corrupt reads brings the verifier up even with
+        ``--verify-reads off``: every spill page read goes through the
+        corruption draw and is reported unverified.  (The hand-built copy
+        built none, so the storm was silently never drawn.)"""
+        storm = {
+            "seed": 11,
+            "corruption_events": [
+                {"device": 0, "at_time_s": 0.0, "page_fraction": 0.05}
+            ],
+        }
+        stormy, stormy_s = self._integrity(tmp_path, capsys, storm)
+        assert stormy["unverified_pages"] > 0
+        assert stormy["verified_pages"] == stormy["integrity_rereads"] == 0
+        # Mode "off" verifies nothing and re-reads nothing: time holds.
+        clean, clean_s = self._integrity(tmp_path, capsys, {"seed": 11})
+        assert clean["unverified_pages"] == 0
+        assert stormy_s == clean_s
+
+    def test_sample_stream_is_seeded_by_the_plan(self, tmp_path, capsys):
+        """``--verify-reads sample`` draws from the plan's seed, as the
+        loader's verifier does — it used to ignore it (seed 0 always)."""
+        sampled = [
+            self._integrity(
+                tmp_path, capsys, {"seed": seed, "bitflip_rate": 1e-4},
+                "--verify-reads", "sample",
+            )[0]
+            for seed in (1, 2)
+        ]
+        total = [s["verified_pages"] + s["unverified_pages"] for s in sampled]
+        assert total[0] == total[1] > 0
+        assert sampled[0]["verified_pages"] != sampled[1]["verified_pages"]

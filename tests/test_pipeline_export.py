@@ -58,6 +58,18 @@ class TestReportToDict:
         parsed = json.loads(report_to_json(report))
         assert parsed == report_to_dict(report)
 
+    def test_json_takes_every_block_the_dict_takes(self, report):
+        """``report_to_json`` forwards its blocks; ``serving=`` used to be
+        missing from a hand-copied list and raised ``TypeError``."""
+        blocks = {
+            "serving": {"completed": 7, "p99_s": 0.004},
+            "fleet": {"num_gpus": 2},
+            "alerts": {"ok": True, "fired": []},
+        }
+        parsed = json.loads(report_to_json(report, **blocks))
+        assert parsed == report_to_dict(report, **blocks)
+        assert parsed["serving"] == blocks["serving"]
+
 
 def degenerate_report(value: float) -> RunReport:
     """A report whose derived ratios/bandwidths are contaminated by

@@ -161,7 +161,9 @@ def _worlds() -> list[object]:
 
     snapshotter = MetricsSnapshotter(tracer.metrics, every_s=0.001)
     snapshotter.take(0.002)
-    return [pipeline, server, fleet, sweep, snapshotter]
+    # The recording tracer first: every untraced driver now holds a
+    # (blank) disabled one, and the sweep should get the one with events.
+    return [tracer, pipeline, server, fleet, sweep, snapshotter]
 
 
 def _harvest(roots) -> dict[type, object]:
