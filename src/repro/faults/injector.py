@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError, RetryExhaustedError
 from ..state import StateRecord, Stateful, child, guard, rng_state, scalar, seq
-from ..utils import splitmix64_uniform
+from ..utils import isin_set, splitmix64_uniform
 from .plan import (
     CORRUPT_BITFLIP,
     CORRUPT_PERSISTENT,
@@ -269,12 +269,7 @@ class FaultInjector(Stateful):
             origins[fresh] = storm.at_time_s
             mask |= hit
         if self._repaired_pages and mask.any():
-            repaired = np.fromiter(
-                (int(p) in self._repaired_pages for p in pages),
-                dtype=bool,
-                count=len(pages),
-            )
-            mask &= ~repaired
+            mask &= ~isin_set(pages, self._repaired_pages)
         return mask, origins
 
     def corruption_kinds(

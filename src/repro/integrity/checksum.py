@@ -70,13 +70,6 @@ class PageChecksummer:
             self._memo[page_id] = value
         return value
 
-    def digests(self, pages: np.ndarray) -> np.ndarray:
-        """Vector of digests for ``pages`` (uint32, in order)."""
-        pages = np.asarray(pages, dtype=np.int64)
-        return np.fromiter(
-            (self.digest(p) for p in pages), dtype=np.uint32, count=len(pages)
-        )
-
     def verify_payload(self, page_id: int, payload: np.ndarray) -> bool:
         """Whether ``payload`` matches the ground-truth digest of the page.
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import IntegrityError
 from ..state import Stateful, array, guard, seq
+from ..utils import isin_set
 
 #: Cap on retained detection-latency samples (oldest kept; the percentile
 #: summaries benchmarks compute are insensitive to the tail being dropped).
@@ -106,10 +107,7 @@ class CorruptionLedger(Stateful):
         pages = np.asarray(pages, dtype=np.int64)
         if not self._quarantined or len(pages) == 0:
             return np.zeros(len(pages), dtype=bool)
-        q = self._quarantined
-        return np.fromiter(
-            (int(p) in q for p in pages), dtype=bool, count=len(pages)
-        )
+        return isin_set(pages, self._quarantined)
 
     # ------------------------------------------------------------------
     # Reporting

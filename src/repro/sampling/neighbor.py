@@ -13,6 +13,9 @@ draws and the generator's multi-edges together, and the surviving keys
 decode to a block in ``(dst, src)`` order.  For high-degree rows the
 collision probability is negligible, so the block matches GraphSAGE's "up
 to k distinct neighbors" in all but a vanishing fraction of draws.
+
+A layer of only a few rows — a served request's one seed — does the same
+over Python lists instead: the array set-up costs more than the rows do.
 """
 
 from __future__ import annotations
@@ -29,6 +32,18 @@ from .frontier import (
     unique_edges,
 )
 from .minibatch import MiniBatch
+
+#: A layer of fewer candidate edges than this (frontier rows x fanout) is
+#: walked as Python lists: the array path costs 35-100 us of NumPy set-up
+#: whatever its size.  ``benchmarks/bench_sampler.py`` sweeps both paths at
+#: 5-160 edges on a sparse and a dense graph (``cutover_sweep`` in
+#: ``BENCH_sampler.json``): lists win at every point up to 40 edges
+#: (1.0-2.1x), the two are level at 80 (0.85-1.1x) and arrays win at 160
+#: (1.15-1.85x).  The test is on edges, not rows: a loader's 8 seeds x
+#: fanout 10 must stay on the array path, where a 16-row cutover cost
+#: ``loader-miss`` 9%.  A served request (one seed, fanouts 5/5) is 5 edges,
+#: then at most 30.
+_LIST_PATH_MAX_EDGES = 48
 
 
 class NeighborSampler:
@@ -72,6 +87,14 @@ class NeighborSampler:
         self, frontier: np.ndarray, fanout: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sample up to ``fanout`` in-neighbors of every frontier node."""
+        if len(frontier) * fanout < _LIST_PATH_MAX_EDGES:
+            return self._sample_layer_lists(frontier, fanout)
+        return self._sample_layer_arrays(frontier, fanout)
+
+    def _sample_layer_arrays(
+        self, frontier: np.ndarray, fanout: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A layer as whole-frontier array operations and one key sort."""
         graph = self.graph
         num_nodes = graph.num_nodes
         starts = graph.indptr[frontier]
@@ -97,3 +120,43 @@ class NeighborSampler:
 
         keys += graph.indices[positions]
         return unique_edges(keys, num_nodes)
+
+    def _sample_layer_lists(
+        self, frontier: np.ndarray, fanout: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The same layer for a handful of rows, walked as Python lists.
+
+        One ``integers`` call of the array path's shape and bounds, so the
+        generator advances identically; a set stands in for the key sort.
+        """
+        graph = self.graph
+        num_nodes = graph.num_nodes
+        starts = graph.indptr[frontier].tolist()
+        ends = graph.indptr[frontier + 1].tolist()
+        positions: list[int] = []
+        key_base: list[int] = []
+        big: list[tuple[int, int]] = []
+        big_degrees: list[int] = []
+        for node, start, end in zip(frontier.tolist(), starts, ends):
+            if end - start > fanout:
+                big.append((node * num_nodes, start))
+                big_degrees.append(end - start)
+            else:
+                positions.extend(range(start, end))
+                key_base.extend([node * num_nodes] * (end - start))
+        if big:
+            picks = self._rng.integers(
+                0,
+                np.array(big_degrees, dtype=np.int64)[:, None],
+                size=(len(big), fanout),
+            )
+            for (base, start), row in zip(big, picks.tolist()):
+                positions.extend([start + pick for pick in row])
+                key_base.extend([base] * fanout)
+        sources = graph.indices[positions].tolist()
+        keys = np.array(
+            sorted({base + src for base, src in zip(key_base, sources)}),
+            dtype=np.int64,
+        )
+        dst = keys // num_nodes
+        return keys - dst * num_nodes, dst

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ServingError
 from ..state import Stateful, rng_state, scalar
-from .config import ArrivalConfig, PRIORITIES
+from .config import ArrivalConfig
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,10 @@ class ArrivalProcess(Stateful):
         self.config = config
         self.num_nodes = int(num_nodes)
         self._rng = np.random.default_rng(config.seed)
+        # Generator.choice(n, p=mix) is this cdf searched with one
+        # random(); building it once skips choice's re-validation of p.
+        cdf = np.cumsum(np.asarray(config.priority_mix, dtype=np.float64))
+        self._priority_cdf = cdf / cdf[-1]
         self._now_s = 0.0
         self._index = 0
 
@@ -106,7 +110,7 @@ class ArrivalProcess(Stateful):
             if self._rng.random() < self.rate_at(self._now_s) / peak:
                 break
         priority = int(
-            self._rng.choice(len(PRIORITIES), p=list(cfg.priority_mix))
+            self._priority_cdf.searchsorted(self._rng.random(), side="right")
         )
         node = int(self._rng.integers(0, self.num_nodes))
         request = Request(

@@ -62,9 +62,10 @@ _VERDICT_FIELDS = {
 }
 
 
-def _queue_entry(entry: dict) -> tuple[int, int, dict]:
+def _queue_entry(entry: dict) -> tuple[int, int, Request]:
     """A stored request back in its ``(priority, index, request)`` slot."""
-    return int(entry["priority"]), int(entry["index"]), dict(entry)
+    request = Request.from_dict(entry)
+    return request.priority, request.index, request
 
 
 class InferenceServer(Stateful):
@@ -207,7 +208,7 @@ class InferenceServer(Stateful):
         self.snapshotter = None
         self.stats = ServingStats()
         self.counters = TransferCounters()
-        self._queue: list[tuple[int, int, dict]] = []  # (priority, idx, req)
+        self._queue: list[tuple[int, int, Request]] = []  # (priority, idx, _)
         self._now_s = 0.0
         self._busy_until_s = 0.0
         self._busy_s = 0.0
@@ -216,6 +217,7 @@ class InferenceServer(Stateful):
         self._latency_priorities: list[int] = []
         self._deadline_flags: list[bool] = []
         self._latency_hist = Histogram("serving.latency_s")
+        self._gauges = None  # handles, resolved at the first publish
         self._stage_seconds = {
             "sampling": 0.0,
             "aggregation": 0.0,
@@ -271,10 +273,7 @@ class InferenceServer(Stateful):
 
         if verdict == ADMIT:
             self.stats.count("admitted", priority)
-            heapq.heappush(
-                self._queue,
-                (priority, request.index, request.to_dict()),
-            )
+            heapq.heappush(self._queue, (priority, request.index, request))
         else:
             self.stats.count(_VERDICT_FIELDS[verdict], priority)
         self._publish_gauges()
@@ -287,13 +286,10 @@ class InferenceServer(Stateful):
     def _complete_until(self, horizon_s: float) -> None:
         """Serve queued requests whose service starts before ``horizon_s``."""
         while self._queue:
-            start_s = max(
-                self._busy_until_s, self._queue[0][2]["arrival_s"]
-            )
+            start_s = max(self._busy_until_s, self._queue[0][2].arrival_s)
             if start_s >= horizon_s:
                 break
-            _, _, entry = heapq.heappop(self._queue)
-            request = Request.from_dict(entry)
+            request = heapq.heappop(self._queue)[2]
             if self.serving.protection and self._expired(request, start_s):
                 # Dropped at dequeue: its deadline can no longer be met,
                 # so serving it would only delay everyone behind it.
@@ -365,7 +361,7 @@ class InferenceServer(Stateful):
                     latency_s=latency,
                     deadline_met=met,
                 )
-        self._publish_gauges()
+        self._publish_gauges(completed=True)
         if self.snapshotter is not None:
             self.snapshotter.poll(completion_s)
 
@@ -495,8 +491,8 @@ class InferenceServer(Stateful):
                 pages_subset, device, counters, start_s, active, stale
             )
 
-        for device in np.unique(devices):
-            device = int(device)
+        # At most num_ssds devices: a set, not np.unique's sort machinery.
+        for device in sorted(set(devices.tolist())):
             dev_pages = miss_pages[devices == device]
             n_dev = len(dev_pages)
             breaker = (
@@ -626,23 +622,32 @@ class InferenceServer(Stateful):
     # ------------------------------------------------------------------
     # Metrics
 
-    def _publish_gauges(self) -> None:
+    def _publish_gauges(self, completed: bool = False) -> None:
         registry = self.registry
-        p99 = self._latency_hist.percentile(99)
-        if p99 is not None:
-            registry.gauge("serving.p99").set(p99)
-        registry.gauge("serving.shed_fraction").set(
-            self.stats.shed_fraction
-        )
-        registry.gauge("serving.queue_depth").set(len(self._queue))
-        if self.breakers is not None:
-            registry.gauge("serving.breakers_open").set(
-                self.breakers.open_count
+        if self._gauges is None:
+            # Resolved at the first publish, not at construction, so the
+            # registry (it rides in the snapshot) gains them when it used to.
+            self._gauges = (
+                registry.gauge("serving.shed_fraction"),
+                registry.gauge("serving.queue_depth"),
+                registry.gauge("serving.breakers_open")
+                if self.breakers is not None else None,
+                registry.gauge("serving.brownout_level")
+                if self.brownout is not None else None,
             )
-        if self.brownout is not None:
-            registry.gauge("serving.brownout_level").set(
-                self.brownout.level_index
+        if completed:
+            # The only place the histogram's count moves, so the bucket walk
+            # runs once per completion and not once more per arrival.
+            registry.gauge("serving.p99").set(
+                self._latency_hist.percentile(99)
             )
+        shed, depth, breakers_open, level = self._gauges
+        shed.set(self.stats.shed_fraction)
+        depth.set(len(self._queue))
+        if breakers_open is not None:
+            breakers_open.set(self.breakers.open_count)
+        if level is not None:
+            level.set(self.brownout.level_index)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -712,7 +717,7 @@ class InferenceServer(Stateful):
         # Stored in sorted order, which is already heap order.
         seq(
             "queue", _queue_entry, attr="_queue",
-            save=lambda queue: [entry for _, _, entry in sorted(queue)],
+            save=lambda queue: [r.to_dict() for _, _, r in sorted(queue)],
         ),
         child("stats"),
         child("admission"),

@@ -107,13 +107,13 @@ class TransferCounters(StateRecord):
 
     def merge(self, other: "TransferCounters") -> None:
         """Add ``other``'s counts into this accumulator."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _FIELD_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def snapshot(self) -> "TransferCounters":
         """Return an independent copy of the current counts."""
         return TransferCounters(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
+            **{name: getattr(self, name) for name in _FIELD_NAMES}
         )
 
     def publish(self, registry, prefix: str = "transfer") -> None:
@@ -125,14 +125,15 @@ class TransferCounters(StateRecord):
         and the registry accumulates the run total; publish a cumulative
         snapshot at most once.  The existing accounting API is unchanged.
         """
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
             if value:
-                registry.counter(f"{prefix}.{f.name}").inc(value)
+                registry.counter(f"{prefix}.{name}").inc(value)
 
+
+# Resolved once: merge/publish run per iteration and per served request.
+_FIELD_NAMES = tuple(f.name for f in fields(TransferCounters))
 
 # Every field is a count.  A snapshot from a different counter schema is
 # rejected instead of dropping or zero-filling counts silently.
-TransferCounters.STATE = tuple(
-    scalar(f.name, int) for f in fields(TransferCounters)
-)
+TransferCounters.STATE = tuple(scalar(name, int) for name in _FIELD_NAMES)

@@ -151,6 +151,15 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def isin_set(values: np.ndarray, members: set[int]) -> np.ndarray:
+    """Boolean mask over ``values``: which are in the Python set ``members``.
+
+    One vectorised membership per call; a per-element ``v in members``
+    steps the interpreter once per value.
+    """
+    return np.isin(values, np.fromiter(members, np.int64, len(members)))
+
+
 def ceil_div(a: int, b: int) -> int:
     """Integer ceiling division for non-negative ``a`` and positive ``b``."""
     if b <= 0:

@@ -28,6 +28,13 @@ The fourth keeps aggregation in one kernel: under ``training/`` a
 ``ufunc.at`` call exists only as the tail of ``scatter.scatter``, that
 helper knows no aggregator, and the ``GraphSAGE`` methods the benchmark
 shims stay plain functions on the class.
+
+The fifth keeps per-request constants out of the serving path: no
+per-page generator feeding ``np.fromiter`` in ``faults/`` or
+``integrity/``, no ``dataclasses.fields()`` walk inside a
+``TransferCounters`` method, gauge handles looked up in one place in
+``serving/server.py``, and one sampler cutover constant whose comment
+and ``BENCH_sampler.json`` block name the sweep that chose it.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -496,3 +504,104 @@ def test_shimmed_graphsage_methods_are_plain_functions():
     ):
         assert inspect.isfunction(vars(graphsage.GraphSAGE).get(name)), name
     assert inspect.isfunction(vars(graphsage).get("average_gradients"))
+
+
+# ----------------------------------------------------------------------
+# No per-request constant on the serving path
+
+
+def _functions(tree):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _calls_named(tree, name):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+    ]
+
+
+def test_no_per_page_generator_feeds_fromiter_in_the_planes():
+    """``np.fromiter(<genexpr>)`` steps the interpreter once per page:
+    ``int(p) in set`` per page was 48% of a ``loader-planes`` profile.  A
+    page mask is one vectorised membership (``np.isin``)."""
+    strays = [
+        f"{rel}:{call.lineno}"
+        for rel, tree in SOURCES
+        if rel.startswith(("faults/", "integrity/"))
+        for call in _calls_named(tree, "fromiter")
+        if call.args and isinstance(call.args[0], ast.GeneratorExp)
+    ]
+    assert not strays, strays
+
+
+def test_transfer_counters_methods_do_not_walk_dataclass_fields():
+    """``merge`` / ``publish`` / ``snapshot`` run per iteration and per
+    served request; the field names are a module-level tuple."""
+    tree = dict(SOURCES)["sim/counters.py"]
+    (cls,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "TransferCounters"
+    ]
+    strays = [
+        f"{function.name}:{call.lineno}"
+        for function in _functions(cls)
+        for call in _calls_named(function, "fields")
+    ]
+    assert not strays, strays
+    assert _calls_named(tree, "fields"), "the module-level tuple is gone"
+
+
+def test_server_resolves_gauge_handles_in_one_place():
+    """``registry.gauge(name)`` is a dict lookup behind a closure; the
+    server does it where it resolves its handles and nowhere per step."""
+    tree = dict(SOURCES)["serving/server.py"]
+    owners = {
+        function.name
+        for function in _functions(tree)
+        if _calls_named(function, "gauge")
+    }
+    assert owners == {"_publish_gauges"}
+
+
+def test_the_sampler_cutover_is_one_documented_constant():
+    """One constant, one test of it, and the sweep that chose it named in
+    its comment and recorded in ``BENCH_sampler.json`` at that value."""
+    name = "_LIST_PATH_MAX_EDGES"
+    path = SRC / "sampling" / "neighbor.py"
+    assigned, read = [], []
+    for rel, tree in SOURCES:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == name:
+                (assigned if isinstance(node.ctx, ast.Store) else read).append(
+                    rel
+                )
+    assert assigned == ["sampling/neighbor.py"]
+    assert read == ["sampling/neighbor.py"]
+    (cutover,) = [
+        node for node in dict(SOURCES)["sampling/neighbor.py"].body
+        if isinstance(node, ast.Assign) and node.targets[0].id == name
+    ]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    comment = []
+    for line in reversed(lines[: cutover.lineno - 1]):
+        if not line.startswith("#"):
+            break
+        comment.append(line)
+    comment = " ".join(comment)
+    assert "bench_sampler.py" in comment and "cutover_sweep" in comment
+    artifact = json.loads(
+        (SRC.parent.parent / "BENCH_sampler.json").read_text()
+    )
+    sweep = artifact["cutover_sweep"]
+    assert sweep["list_path_below_edges"] == cutover.value.value
+    edges = {
+        point["edges"]
+        for block in sweep["graphs"].values()
+        for point in block["points"]
+    }
+    assert min(edges) < cutover.value.value < max(edges), "sweep misses it"

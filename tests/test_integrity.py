@@ -36,6 +36,7 @@ from repro.errors import (
     IntegrityError,
     UnrepairablePageError,
 )
+from repro.faults import FaultInjector
 from repro.faults.plan import (
     CORRUPT_BITFLIP,
     CORRUPT_NONE,
@@ -158,6 +159,71 @@ class TestLedger:
         ledger = CorruptionLedger(num_devices=2)
         with pytest.raises(CheckpointError):
             ledger.load_state_dict(CorruptionLedger(num_devices=3).state_dict())
+
+
+_PAGE = st.integers(min_value=0, max_value=95)
+_PAGE_LISTS = st.lists(_PAGE, max_size=40)
+
+
+class TestMembershipMasks:
+    """The two per-call page masks are one vectorised membership each; the
+    definition stays the set: empty set, empty ``pages``, repeated pages,
+    after ``release`` / ``mark_repaired`` and after a state round trip."""
+
+    @given(
+        ops=st.lists(st.tuples(st.booleans(), _PAGE), max_size=40),
+        pages=_PAGE_LISTS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_quarantined_mask_is_set_membership(self, ops, pages):
+        ledger = CorruptionLedger(num_devices=3)
+        model = set()
+        for quarantine, page in ops:
+            if quarantine:
+                ledger.record_unrepairable(page)
+                model.add(page)
+            else:
+                ledger.release(page)
+                model.discard(page)
+        restored = CorruptionLedger(num_devices=3)
+        restored.load_state_dict(json.loads(json.dumps(ledger.state_dict())))
+        want = [page in model for page in pages]
+        for subject in (ledger, restored):
+            mask = subject.quarantined_mask(np.asarray(pages, dtype=np.int64))
+            assert mask.dtype == bool and mask.shape == (len(pages),)
+            assert mask.tolist() == want
+            assert want == [subject.is_quarantined(p) for p in pages]
+
+    @given(
+        fraction=st.sampled_from([0.3, 1.0]),
+        repaired=_PAGE_LISTS,
+        pages=_PAGE_LISTS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_poisoned_mask_drops_exactly_the_repaired_pages(
+        self, fraction, repaired, pages
+    ):
+        plan = FaultPlan(
+            seed=5, corruption_events=(CorruptionEvent(1, 0.5, fraction),)
+        )
+        never_repaired, injector = FaultInjector(plan), FaultInjector(plan)
+        for page in repaired:
+            injector.mark_repaired(page)
+        restored = FaultInjector(plan)
+        restored.load_state_dict(injector.state_dict())
+        pages = np.asarray(pages, dtype=np.int64)
+        storm, storm_origins = never_repaired.poisoned_info(pages, 1.0, 2)
+        want = [
+            bool(hit) and page not in set(repaired)
+            for hit, page in zip(storm.tolist(), pages.tolist())
+        ]
+        for subject in (injector, restored):
+            mask, origins = subject.poisoned_info(pages, 1.0, 2)
+            assert mask.dtype == bool and mask.shape == (len(pages),)
+            assert mask.tolist() == want
+            np.testing.assert_array_equal(origins, storm_origins)
+        if fraction == 1.0:  # the storm's whole device, so the mask is
+            assert storm.tolist() == (pages % 2 == 1).tolist()  # not vacuous
 
 
 class TestVerifier:

@@ -81,6 +81,53 @@ class TestBoundedIntegerContract:
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
+class TestWeightedChoiceContract:
+    """What ``ArrivalProcess`` relies on when it draws a request's priority
+    from a cdf it builds once: ``rng.choice(n, p=p)`` is that cdf searched
+    (``side="right"``) with one ``rng.random()``, and consumes exactly that
+    one double.  NumPy does not promise this across versions; a change
+    fails here instead of as a moved arrival trace in every serving test."""
+
+    MIXES = [
+        (0.2, 0.6, 0.2),
+        (0.05, 0.25, 0.7),
+        (0.5, 0.0, 0.5),
+        (0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0),
+        (1 / 3, 1 / 3, 1 / 3),
+    ]
+
+    @staticmethod
+    def _cdf(mix):
+        cdf = np.cumsum(np.asarray(mix, dtype=np.float64))
+        return cdf / cdf[-1]
+
+    @pytest.mark.parametrize("mix", MIXES)
+    def test_choice_is_a_cdf_search_of_one_random(self, mix):
+        message = (
+            f"NumPy {np.__version__}: Generator.choice(n, p=p) is no longer "
+            "cdf.searchsorted(random(), side='right'); ArrivalProcess's "
+            "priority draw would change every arrival trace"
+        )
+        cdf = self._cdf(mix)
+        by_choice, by_search = as_rng(3), as_rng(3)
+        # One call per request, the way next_request draws: lock step.
+        for _ in range(2000):
+            want = int(by_choice.choice(len(mix), p=list(mix)))
+            got = int(cdf.searchsorted(by_search.random(), side="right"))
+            assert got == want, message
+            assert (
+                by_choice.bit_generator.state == by_search.bit_generator.state
+            ), message
+        # ... and 10**5 more in bulk from where the lock step ended.
+        bulk = by_choice.choice(len(mix), size=10**5, p=list(mix))
+        searched = cdf.searchsorted(by_search.random(10**5), side="right")
+        assert np.array_equal(bulk, searched), message
+        assert (
+            by_choice.bit_generator.state == by_search.bit_generator.state
+        ), message
+
+
 class TestFormatBytes:
     def test_bytes(self):
         assert format_bytes(512) == "512 B"
