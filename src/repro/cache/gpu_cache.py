@@ -123,6 +123,14 @@ class GPUSoftwareCache(Stateful):
     def __contains__(self, page: int) -> bool:
         return 0 <= page < len(self._reuse) and self._reuse[page] >= 0
 
+    def resident_mask(self, pages: np.ndarray) -> np.ndarray:
+        """``[page in self for page in pages]`` as one bool array."""
+        pages = np.asarray(pages, dtype=np.int64)
+        # Read as unsigned a negative id is huge: one test bounds both ends.
+        found = pages.view(np.uint64) < len(self._reuse)
+        found[found] = self._reuse[pages[found]] >= 0
+        return found
+
     @property
     def num_pinned(self) -> int:
         """Resident lines currently in the "USE" state."""

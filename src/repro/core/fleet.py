@@ -689,11 +689,7 @@ class ElasticFleetTrainer(Stateful):
                         0, len(remaining), self.clock_s, self.tracer
                     )
                     continue
-                found = np.fromiter(
-                    (int(p) in peer.cache for p in remaining),
-                    dtype=bool,
-                    count=len(remaining),
-                )
+                found = peer.cache.resident_mask(remaining)
                 n_found = int(found.sum())
                 breaker.record(
                     len(remaining), 0, self.clock_s, self.tracer

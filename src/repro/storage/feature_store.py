@@ -27,22 +27,9 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
-
 #: Rows generated per pass of :meth:`FeatureStore._synthetic`: the uint64
 #: hash state of a request is never larger than this many rows.
 _CHUNK_ROWS = 1024
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer, in place over a uint64 array."""
-    shifted = np.empty_like(x)
-    x += _SPLITMIX_GAMMA
-    x ^= np.right_shift(x, np.uint64(30), out=shifted)
-    x *= _MIX_1
-    x ^= np.right_shift(x, np.uint64(27), out=shifted)
-    x *= _MIX_2
-    x ^= np.right_shift(x, np.uint64(31), out=shifted)
-    return x
 
 
 class FeatureStore:
@@ -152,14 +139,22 @@ class FeatureStore:
         cols = np.arange(self.feature_dim, dtype=np.uint64) + self._seed
         for lo in range(0, len(node_ids), _CHUNK_ROWS):
             ids = node_ids[lo:lo + _CHUNK_ROWS].astype(np.uint64)
-            mixed = _splitmix64(
-                ids[:, None] * np.uint64(self.feature_dim) + cols
-            )
-            # Top 24 bits -> uniform float32 in [0, 1), then center on zero.
-            mixed >>= np.uint64(40)
+            # The splitmix64 finalizer, in place, short of its last
+            # ``x ^= x >> 31``: only bits 40-63 are kept, and that step
+            # cannot change them (they would come from bits 71-94).
+            x = ids[:, None] * np.uint64(self.feature_dim) + cols
+            shifted = np.empty_like(x)
+            x += _SPLITMIX_GAMMA
+            x ^= np.right_shift(x, np.uint64(30), out=shifted)
+            x *= _MIX_1
+            x ^= np.right_shift(x, np.uint64(27), out=shifted)
+            x *= _MIX_2
+            # Top 24 bits -> uniform float32 in [0, 1) -> [-1, 1): with
+            # the integer exact in float32, ``* 2**-23 - 1`` rounds once,
+            # as ``/ 2**24 * 2 - 1`` did.
+            x >>= np.uint64(40)
             unit = out[lo:lo + _CHUNK_ROWS]
-            unit[...] = mixed
-            unit /= np.float32(1 << 24)
-            unit *= np.float32(2.0)
+            unit[...] = x
+            unit *= np.float32(2.0**-23)
             unit -= np.float32(1.0)
         return out

@@ -11,6 +11,13 @@ does.  Floating-point addition is not associative, so the order is the
 contract: a segment reduction (``np.add.reduceat``) sums pairwise and is
 *not* bit-equal.
 
+The levels update a *prefix accumulator*: the rows that receive edges,
+most edges first, are gathered once into a contiguous ``acc``.  A row with
+more than ``k`` edges has a rank-``k`` edge, so rank ``k`` hits exactly
+``acc[:n_k]`` — each level is one in-place ufunc on a contiguous prefix,
+with no fancy-index write-back per level, and ``acc`` is written back to
+``out`` once.
+
 The ranks depend only on the index array, never on the values, so the
 sort passes live in a :class:`ScatterPlan` that static graphs build once
 (:class:`~repro.fullgraph.scheduler.PartitionSweepScheduler`) and sampled
@@ -34,29 +41,39 @@ class ScatterPlan:
     """The edges of one index array, ordered by rank.
 
     Attributes:
-        order: edge ids stable-sorted by rank — within a rank, and
-            therefore for every target row, in original array order.
+        rows: the distinct targets, by edge count descending, ties by row
+            id; rank ``k``'s targets are ``rows[:n_k]``.
+        order: edge ids by rank and, within a rank, by their target's
+            position in ``rows`` — so every target row still meets its
+            edges in original array order.
         targets: ``index[order]``.
         levels: ``(lo, hi)`` slice bounds of each rank within ``order``;
             level sizes never increase with rank.
     """
 
-    __slots__ = ("order", "targets", "levels")
+    __slots__ = ("rows", "order", "targets", "levels")
 
     def __init__(self, index: np.ndarray) -> None:
         index = np.asarray(index, dtype=np.int64)
         by_target = np.argsort(index, kind="stable")
         grouped = index[by_target]
-        positions = np.arange(len(index))
         is_start = np.ones(len(index), dtype=bool)
         is_start[1:] = grouped[1:] != grouped[:-1]
-        # Position of each edge's group start, carried forward.
-        group_start = np.maximum.accumulate(np.where(is_start, positions, 0))
-        rank = np.empty(len(index), dtype=np.int64)
-        rank[by_target] = positions - group_start
-        self.order = np.argsort(rank, kind="stable")
+        starts = np.flatnonzero(is_start)
+        group = np.cumsum(is_start) - 1
+        rank = np.arange(len(index)) - starts[group]
+        # Most edges first; the stable sort breaks ties by row id.
+        counts = np.diff(starts, append=len(index))
+        by_count = np.argsort(-counts, kind="stable")
+        self.rows = grouped[starts[by_count]]
+        slot = np.empty(len(starts), dtype=np.int64)
+        slot[by_count] = np.arange(len(starts))
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+        # A row's rank-k edge sits at the row's slot within level k.
+        self.order = np.empty(len(index), dtype=np.int64)
+        self.order[bounds[rank] + slot[group]] = by_target
         self.targets = index[self.order]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
+        bounds = bounds.tolist()
         self.levels = list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -74,28 +91,19 @@ def scatter(
     caller scattering gathered rows need not materialise the gather.
     """
     take = plan.order if rows is None else rows[plan.order]
-    targets = plan.targets
     width = math.prod(values.shape[1:])
+    acc = out[plan.rows]
     done = 0
     for lo, hi in plan.levels:
         if (hi - lo) * width < _MIN_LEVEL_ELEMENTS:
             break
-        _update(ufunc, out, targets[lo:hi], values[take[lo:hi]])
+        head = acc[: hi - lo]
+        ufunc(head, values[take[lo:hi]], out=head)
         done = hi
-    if done < len(targets):
+    out[plan.rows] = acc
+    if done < len(take):
         # Rank order keeps every row's remaining edges in array order.
-        ufunc.at(out, targets[done:], values[take[done:]])
-
-
-def _update(ufunc, out, targets, operand) -> None:
-    """``out[targets] = ufunc(out[targets], operand)`` for distinct targets.
-
-    Its own function so the gathered rows are freed before the next level
-    gathers: the allocator then hands back the same, cache-warm buffer.
-    """
-    current = out[targets]
-    ufunc(current, operand, out=current)
-    out[targets] = current
+        ufunc.at(out, plan.targets[done:], values[take[done:]])
 
 
 class BlockPlan:

@@ -25,12 +25,14 @@ there, and the benchmark's shim table still finds each method it wraps
 on the class it names.
 
 The fourth keeps aggregation in one kernel: under ``training/`` a
-``ufunc.at`` call exists only as the tail of ``scatter.scatter``, that
-helper knows no aggregator, and the ``GraphSAGE`` methods the benchmark
-shims stay plain functions on the class.
+``ufunc.at`` call exists only as the tail of ``scatter.scatter``, its rank
+levels update the prefix accumulator and never write into ``out`` (no
+per-level ``_update`` write-back comes back), that helper knows no
+aggregator, and the ``GraphSAGE`` methods the benchmark shims stay plain
+functions on the class.
 
 The fifth keeps per-request constants out of the serving path: no
-per-page generator feeding ``np.fromiter`` in ``faults/`` or
+per-page generator feeding ``np.fromiter`` in ``core/``, ``faults/`` or
 ``integrity/``, no ``dataclasses.fields()`` walk inside a
 ``TransferCounters`` method, gauge handles looked up in one place in
 ``serving/server.py``, and one sampler cutover constant whose comment
@@ -474,6 +476,43 @@ def test_ufunc_at_is_the_scatter_helpers_tail_only():
     assert sites == [(SCATTER, "scatter")]
 
 
+def _scatter_function():
+    tree = ast.parse((SRC / SCATTER).read_text(encoding="utf-8"))
+    (function,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "scatter"
+    ]
+    return tree, function
+
+
+def test_scatter_levels_write_the_accumulator_not_out():
+    """Each rank level is one ufunc on a prefix of the accumulator; the
+    gather / op / fancy-index write-back per level stays gone."""
+    tree, function = _scatter_function()
+    (loop,) = [node for node in function.body if isinstance(node, ast.For)]
+    stores = [
+        f"line {node.lineno}"
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "out"
+    ]
+    assert not stores, f"scatter's level loop writes into out: {stores}"
+    defined = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_update" not in defined
+    writes = [
+        node for node in ast.walk(function)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Subscript)
+        and ast.unparse(node.targets[0].value) == "out"
+    ]
+    assert len(writes) == 1, "one write-back of the accumulator"
+
+
 def test_scatter_helper_has_no_aggregator_branch():
     """No name, attribute or string literal of ``scatter.py`` is an
     aggregator: what differs per aggregator stays in ``graphsage.py``."""
@@ -527,12 +566,13 @@ def _calls_named(tree, name):
 
 def test_no_per_page_generator_feeds_fromiter_in_the_planes():
     """``np.fromiter(<genexpr>)`` steps the interpreter once per page:
-    ``int(p) in set`` per page was 48% of a ``loader-planes`` profile.  A
-    page mask is one vectorised membership (``np.isin``)."""
+    ``int(p) in set`` per page was 48% of a ``loader-planes`` profile, and
+    the fleet's peer probe paid the same per page.  A page mask is one
+    vectorised membership (``np.isin``, ``GPUSoftwareCache.resident_mask``)."""
     strays = [
         f"{rel}:{call.lineno}"
         for rel, tree in SOURCES
-        if rel.startswith(("faults/", "integrity/"))
+        if rel.startswith(("core/", "faults/", "integrity/"))
         for call in _calls_named(tree, "fromiter")
         if call.args and isinstance(call.args[0], ast.GeneratorExp)
     ]

@@ -41,6 +41,21 @@ class TestBasicCaching:
         results = {survivors(s) for s in range(6)}
         assert len(results) > 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_resident_mask_is_membership(self, seed):
+        """The fleet's peer probe: ``p in cache`` per page, vectorised —
+        ids past the state arrays, negative ids, repeats, pending pages."""
+        rng = np.random.default_rng(seed)
+        cache = GPUSoftwareCache(8, seed=seed)
+        assert not cache.resident_mask(np.array([0, 3, -1])).any()
+        cache.access(rng.integers(0, 40, 30))
+        cache.register_future(rng.integers(0, 60, 10))
+        pages = np.concatenate([rng.integers(-5, 80, 50), [-(2**62), 2**62]])
+        want = [int(p) in cache for p in pages]
+        assert cache.resident_mask(pages).tolist() == want
+        assert cache.resident_mask(pages[::2]).tolist() == want[::2]
+        assert cache.resident_mask(np.zeros(0, np.int64)).shape == (0,)
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigError):
             GPUSoftwareCache(-1)

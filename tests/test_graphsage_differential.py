@@ -3,24 +3,34 @@
 ``tests/oracles/graphsage_reference.py`` holds ``GraphSAGE``'s forward and
 backward bodies as they were while every aggregation was an ``np.add.at`` /
 ``np.maximum.at`` call.  Every example below builds a random edge block —
-duplicate edges, isolated rows, no edges at all, a hub row whose in-degree
-runs far past the point where peeling stops and the ``ufunc.at`` tail takes
-over, edges in no particular order — gives the model and its oracle the same
-parameters, and requires ``np.array_equal`` (never ``allclose``) logits,
+duplicate edges, isolated rows, rows no edge reaches, no edges at all, a
+hub row whose in-degree runs far past the point where peeling stops and the
+``ufunc.at`` tail takes over, edges in no particular order — gives the model
+and its oracle the same parameters, and requires bit-identical logits,
 loss, every parameter gradient, every block output and every input
 gradient, for all three aggregators, with a block plan passed and rebuilt.
 
-Feature magnitudes span eight decades, so a kernel that summed a row's
-edges in any other order would round differently and fail.
+"Bit-identical" is compared on the ``uint64`` view, never with
+``np.array_equal`` (which calls ``-0.0`` equal to ``0.0``) and never with
+``allclose``.  Feature magnitudes span eight decades, so a kernel that
+summed a row's edges in any other order would round differently and fail.
+The kernel-level property adds what the model never feeds it: ``±0.0`` and
+``±inf`` values, zero / non-zero / ``-inf`` initial outputs, hubs deeper
+than 64 rank levels, and blocks wholly peeled, wholly in the ``ufunc.at``
+tail and split between the two (Hypothesis events; ``find`` below shows the
+strategy reaches each).
 
 Tier 1 runs the default Hypothesis profile (~1 s); CI's ``training-kernels``
 step runs ``--hypothesis-profile=differential --hypothesis-seed=0`` (500
 examples, ~5 s).
 """
 
+from random import Random
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, event, example, find, given, settings
+from hypothesis import strategies as st
 
 from repro.sampling.minibatch import MiniBatch, SampledLayer
 from repro.training.graphsage import AGGREGATORS, GraphSAGE
@@ -33,7 +43,18 @@ from repro.training.scatter import (
 from tests.oracles.graphsage_reference import ReferenceGraphSAGE
 
 IN_DIM, HIDDEN, CLASSES = 32, 16, 4
-SHAPES = ("uniform", "multi", "hub", "empty")
+SHAPES = ("uniform", "multi", "hub", "gaps", "empty")
+
+
+def _bits(array) -> np.ndarray:
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_bits(got, want, what=""):
+    """Equal shapes and equal bit patterns (``-0.0`` is not ``0.0``)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    assert np.array_equal(_bits(got), _bits(want)), what
 
 
 def _edges(rng, shape, num_src, num_dst):
@@ -50,6 +71,8 @@ def _edges(rng, shape, num_src, num_dst):
         hub = int(rng.integers(0, 3 * _MIN_LEVEL_ELEMENTS // HIDDEN))
         src = np.concatenate([src, rng.integers(0, num_src, hub)])
         dst = np.concatenate([dst, np.full(hub, rng.integers(0, num_dst))])
+    if shape == "gaps":  # every other row receives nothing
+        dst -= dst % 2
     order = rng.permutation(len(src))
     return src[order], dst[order]
 
@@ -95,16 +118,16 @@ def test_minibatch_paths_match_the_oracle(case):
     labels = rng.integers(0, CLASSES, len(seeds))
     model, oracle = _models(aggregator, seed)
 
-    assert np.array_equal(
+    assert_same_bits(
         model.forward(batch, features), oracle.forward(batch, features)
     )
     loss, grads = model.gradients(batch, features, labels)
     want_loss, want_grads = oracle.gradients(batch, features, labels)
-    assert loss == want_loss
+    assert_same_bits(loss, want_loss)
     for got, want in zip(grads, want_grads):
         assert sorted(got) == sorted(want)
         for name in want:
-            assert np.array_equal(got[name], want[name]), name
+            assert_same_bits(got[name], want[name], name)
 
 
 @given(cases, st.booleans())
@@ -122,7 +145,7 @@ def test_block_paths_match_the_oracle(case, pass_plan):
     for li, d_in, d_out in ((0, IN_DIM, HIDDEN), (1, HIDDEN, CLASSES)):
         h_prev = _values(rng, (num_nodes, d_in))
         out = model.layer_forward_block(li, h_prev, rows, src, dst, plan)
-        assert np.array_equal(
+        assert_same_bits(
             out, oracle.layer_forward_block(li, h_prev, rows, src, dst)
         )
         h_out_rows = out if li == 0 else None  # last layer is linear
@@ -137,41 +160,154 @@ def test_block_paths_match_the_oracle(case, pass_plan):
         model.layer_backward_block(*block, got_d, got_g, plan)
         model.layer_backward_block(*block, None, skip_g, plan)
         oracle.layer_backward_block(*block, want_d, want_g)
-        assert np.array_equal(got_d, want_d)
+        assert_same_bits(got_d, want_d)
         for name in want_g:
-            assert np.array_equal(got_g[name], want_g[name]), name
+            assert_same_bits(got_g[name], want_g[name], name)
             # No input gradient asked for: same parameter gradients.
-            assert np.array_equal(skip_g[name], want_g[name]), name
+            assert_same_bits(skip_g[name], want_g[name], name)
 
 
-@given(
-    st.sampled_from(("uniform", "zipf")),
-    st.integers(0, 400),
-    st.integers(1, 40),
-    st.sampled_from((1, 3, 32, 300)),
-    st.sampled_from((np.add, np.maximum)),
-    st.booleans(),
-    st.integers(0, 2**16),
-)
-def test_scatter_equals_ufunc_at(
-    skew, num_edges, num_rows, width, ufunc, gathered, seed
-):
-    rng = np.random.default_rng(seed)
-    if skew == "zipf":
+#: Hub rows deeper than this many rank levels are asked for by name.
+DEEP_HUB = 64
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf])
+
+
+def _with_specials(rng, values):
+    """``values`` with about a quarter of its entries ``±0.0`` / ``±inf``."""
+    hit = rng.random(values.shape) < 0.25
+    values[hit] = rng.choice(SPECIALS, int(hit.sum()))
+    return values
+
+
+@st.composite
+def scatter_cases(draw):
+    return dict(
+        skew=draw(st.sampled_from(("uniform", "zipf", "gaps", "hub"))),
+        num_edges=draw(st.integers(0, 600)),
+        num_rows=draw(st.integers(1, 300)),
+        width=draw(st.sampled_from((1, 3, 32, 300))),
+        ufunc=draw(st.sampled_from((np.add, np.maximum))),
+        initial=draw(st.sampled_from(("zeros", "values", "-inf"))),
+        specials=draw(st.booleans()),
+        gathered=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def run_scatter(case) -> set[str]:
+    """``scatter`` against ``ufunc.at`` on one case; what the case reached."""
+    rng = np.random.default_rng(case["seed"])
+    num_edges, num_rows = case["num_edges"], case["num_rows"]
+    width = case["width"]
+    if case["skew"] == "zipf":
         index = np.minimum(rng.zipf(1.3, num_edges) - 1, num_rows - 1)
     else:
         index = rng.integers(0, num_rows, num_edges)
-    out = _values(rng, (num_rows, width))
+    if case["skew"] == "gaps":
+        index -= index % 3
+    if case["skew"] == "hub":
+        depth = int(rng.integers(DEEP_HUB + 1, 3 * DEEP_HUB))
+        index = np.concatenate([index, np.full(depth, num_rows // 2)])
+        index = index[rng.permutation(len(index))]
+    shape = (num_rows, width)
+    out = {
+        "zeros": lambda: np.zeros(shape),
+        "values": lambda: _values(rng, shape),
+        "-inf": lambda: np.full(shape, -np.inf),
+    }[case["initial"]]()
+    value_rows = 17 if case["gathered"] else len(index)
+    values = _values(rng, (value_rows, width))
+    if case["specials"]:
+        values = _with_specials(rng, values)
+    rows = rng.integers(0, 17, len(index)) if case["gathered"] else None
     want = out.copy()
-    if gathered:
-        values = _values(rng, (17, width))
-        rows = rng.integers(0, 17, num_edges)
-        ufunc.at(want, index, values[rows])
-    else:
-        values, rows = _values(rng, (num_edges, width)), None
-        ufunc.at(want, index, values)
-    scatter(ufunc, out, ScatterPlan(index), values, rows)
-    assert np.array_equal(out, want)
+    plan = ScatterPlan(index)
+    with np.errstate(invalid="ignore"):  # inf - inf is part of the case
+        case["ufunc"].at(want, index, values if rows is None else values[rows])
+        scatter(case["ufunc"], out, plan, values, rows)
+    assert_same_bits(out, want)
+
+    peeled = [
+        hi - lo for lo, hi in plan.levels
+        if (hi - lo) * width >= _MIN_LEVEL_ELEMENTS
+    ]
+    kinds = set()
+    if len(index):
+        kinds.add(
+            "all in the tail" if not peeled
+            else "all peeled" if len(peeled) == len(plan.levels)
+            else "peeled and tail"
+        )
+    if len(plan.levels) > DEEP_HUB:
+        kinds.add(f"a hub over {DEEP_HUB} levels")
+    if len(plan.rows) < num_rows:
+        kinds.add("rows without edges")
+    return kinds
+
+
+@given(scatter_cases())
+# A hub far past 64 levels, peeled at its head, finished in the tail.
+@example(dict(
+    skew="hub", num_edges=300, num_rows=40, width=32, ufunc=np.add,
+    initial="values", specials=True, gathered=True, seed=1,
+))
+# Signed zeros into signed zeros, and -inf under a max: nothing peeled.
+@example(dict(
+    skew="gaps", num_edges=50, num_rows=20, width=1, ufunc=np.add,
+    initial="values", specials=True, gathered=False, seed=2,
+))
+@example(dict(
+    skew="zipf", num_edges=200, num_rows=9, width=300, ufunc=np.maximum,
+    initial="-inf", specials=True, gathered=False, seed=3,
+))
+def test_scatter_equals_ufunc_at(case):
+    for kind in run_scatter(case):
+        event(kind)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "all in the tail",
+        "all peeled",
+        "peeled and tail",
+        f"a hub over {DEEP_HUB} levels",
+        "rows without edges",
+    ],
+)
+def test_the_scatter_strategy_reaches(kind):
+    """``find`` raises unless the strategy builds a case of each kind."""
+    find(
+        scatter_cases(),
+        lambda case: kind in run_scatter(case),
+        settings=settings(
+            max_examples=400, database=None, phases=[Phase.generate]
+        ),
+        random=Random(0),
+    )
+
+
+@given(
+    st.lists(st.integers(0, 30), max_size=300),
+    st.integers(0, 2**16),
+)
+def test_plan_rows_are_the_targets_by_edge_count(index, seed):
+    """``rows``: each distinct target once, most edges first, ties by id;
+    rank ``k`` hits exactly ``rows[:n_k]``, and every row still meets its
+    edges in array order."""
+    index = np.asarray(index, dtype=np.int64)
+    plan = ScatterPlan(index)
+    counts = np.bincount(index, minlength=31)
+    assert sorted(plan.rows.tolist()) == np.unique(index).tolist()
+    key = [(-counts[row], row) for row in plan.rows.tolist()]
+    assert key == sorted(key)
+    assert sorted(plan.order.tolist()) == list(range(len(index)))
+    assert np.array_equal(plan.targets, index[plan.order])
+    for lo, hi in plan.levels:
+        assert np.array_equal(plan.targets[lo:hi], plan.rows[: hi - lo])
+    for row in plan.rows.tolist():
+        edges = plan.order[plan.targets == row]
+        assert np.array_equal(edges, np.flatnonzero(index == row))
 
 
 def test_hub_block_peels_its_head_and_leaves_its_tail():
@@ -203,6 +339,6 @@ def test_gradients_skip_only_the_input_layer(aggregator):
     want_loss, want = ReferenceGraphSAGE(
         IN_DIM, HIDDEN, CLASSES, **kwargs
     ).gradients(batch, features, labels)
-    assert loss == want_loss
+    assert_same_bits(loss, want_loss)
     for name in want[0]:
-        assert np.array_equal(grads[0][name], want[0][name])
+        assert_same_bits(grads[0][name], want[0][name], name)
