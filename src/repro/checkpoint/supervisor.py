@@ -123,9 +123,9 @@ class RunSupervisor:
         config: lifecycle knobs.
         summary: optional pre-existing summary to accumulate into (so a
             CLI can thread one summary through several phases).
-        blackbox_path: optional path; when the run dies on a fault and the
-            pipeline's tracer carries a flight recorder, the recorder is
-            dumped there (crash noted last) before the restart logic runs.
+        blackbox_path: optional path; when the run dies on a fault, the
+            loader's tracer dumps its flight recorder there, if it has one
+            (crash noted last), before the restart logic runs.
 
     Crash events come from the pipeline loader's fault plan
     (``crash_events``); they are one-shot — the supervisor, which survives
@@ -251,27 +251,16 @@ class RunSupervisor:
         """Dump the flight recorder on a fatal fault, crash noted last."""
         if self.blackbox_path is None:
             return
-        tracer = getattr(pipeline.loader, "tracer", None)
-        flight = getattr(tracer, "flight", None)
-        if flight is None:
-            return
         now = self._loader_now(pipeline)
-        at_s = now if now is not None else 0.0
-        flight.note(
-            "crash",
-            type(exc).__name__,
-            "alerts",
-            at_s,
-            detail={"message": str(exc)},
-        )
-        flight.dump(
+        pipeline.loader.tracer.dump_flight(
             self.blackbox_path,
             trigger=f"{type(exc).__name__}: {exc}",
-            at_s=at_s,
+            at_s=now if now is not None else 0.0,
             context={
                 "completed_steps": int(pipeline.completed_steps),
                 "restarts_so_far": self.summary.restarts,
             },
+            crash=exc,
         )
 
     @staticmethod

@@ -22,7 +22,7 @@ from ..config import INTEL_OPTANE, SAMSUNG_980PRO, SSDSpec
 from ..errors import FaultPlanError, ObservatoryError
 from ..faults import FaultPlan
 from ..observatory import SLOMonitor, load_alert_rules
-from ..pipeline.export import EXPORT_SCHEMA_VERSION, observability_block
+from ..pipeline.export import EXPORT_SCHEMA_VERSION
 from ..telemetry import (
     FlightRecorder,
     MetricsSnapshotter,
@@ -296,15 +296,15 @@ class RunContext:
     HA / integrity / checkpoint / telemetry flag families are validated,
     the fault plan and alert rules loaded, ``--dataset/--scale/--ssd/
     --num-ssds`` resolved into ``workload`` + ``system`` (``train``
-    models its own system and passes it in), and the tracer → flight
-    recorder → snapshotter triple brought up.  A command then builds its
-    driver from these fields, :meth:`attach`\\ es it, runs it, and hands
-    the result to :meth:`finish` — the single end-of-run epilogue.
+    models its own system and passes it in), and the tracer built with
+    the sinks it owns.  A command then builds its driver from these
+    fields, runs it, and hands the result to :meth:`finish` — the single
+    end-of-run epilogue.
     """
 
-    #: Any of these brings the tracer up: streaming and the flight
-    #: recorder ride its metrics registry and event feed.  Only
-    #: ``--trace`` additionally writes the Chrome trace file at run end.
+    #: Any of these enables the tracer: streaming and the flight recorder
+    #: ride its metrics registry and event feed.  Only ``--trace``
+    #: additionally writes the Chrome trace file at run end.
     TELEMETRY_FLAGS = ("trace", "stream", "prom", "blackbox")
 
     def __init__(self, args, source: str, *, system=None) -> None:
@@ -330,30 +330,24 @@ class RunContext:
             self.workload, system = _resolve_workload(args)
         self.system = system
 
-        self.tracer = self.flight = self.snapshotter = None
-        if all(getattr(args, flag) is None for flag in self.TELEMETRY_FLAGS):
-            return
         cap = {} if args.trace_cap is None else {"max_events": args.trace_cap}
+        streamed = args.stream is not None or args.prom is not None
         self.tracer = Tracer(
-            enabled=True, detail=args.trace_detail, strict_tracks=True, **cap
-        )
-        if args.blackbox is not None:
-            self.flight = FlightRecorder()
-            self.tracer.attach_flight(self.flight)
-        if args.stream is not None or args.prom is not None:
-            self.snapshotter = MetricsSnapshotter(
-                self.tracer.metrics,
+            enabled=any(
+                getattr(args, flag) is not None
+                for flag in self.TELEMETRY_FLAGS
+            ),
+            detail=args.trace_detail,
+            strict_tracks=True,
+            flight=FlightRecorder() if args.blackbox is not None else None,
+            snapshotter=MetricsSnapshotter(
                 every_s=args.snapshot_every,
                 jsonl_path=args.stream,
                 prom_path=args.prom,
                 source=source,
-                flight=self.flight,
-            )
-
-    def attach(self, driver):
-        """Wire the live-metrics snapshotter into ``driver``; returns it."""
-        driver.snapshotter = self.snapshotter
-        return driver
+            ) if streamed else None,
+            **cap,
+        )
 
     def checkpoint_store(self, **kwargs) -> CheckpointStore:
         """The ``--checkpoint-dir`` store.
@@ -376,13 +370,16 @@ class RunContext:
                 os.unlink(store.path_for(iteration))
         return store
 
-    def dump_blackbox(self, trigger: str, at_s: float, context=None) -> None:
-        """Dump the flight recorder's ring (a no-op without ``--blackbox``)."""
-        if self.flight is None:
+    def dump_blackbox(
+        self, trigger: str, at_s: float, context=None, crash=None
+    ) -> None:
+        """Dump the flight recorder's ring (a no-op without ``--blackbox``);
+        a ``crash`` is noted into it first."""
+        if not self.tracer.dump_flight(
+            self.args.blackbox, trigger=trigger, at_s=at_s, context=context,
+            crash=crash,
+        ):
             return
-        self.flight.dump(
-            self.args.blackbox, trigger=trigger, at_s=at_s, context=context
-        )
         print(
             f"wrote flight-recorder dump to {self.args.blackbox}",
             file=sys.stderr,
@@ -414,12 +411,8 @@ class RunContext:
             monitor = SLOMonitor(self.alert_rules, tracer=tracer)
             alerts = monitor.evaluate(report, registry)
             _print_alerts(name or report.loader_name, alerts)
-        if self.snapshotter is not None:
-            last = self.snapshotter.last_taken_s
-            self.snapshotter.take(
-                max(tracer.clock_s, last if last is not None else 0.0)
-            )
-        if self.flight is not None and alerts is not None and not alerts["ok"]:
+        tracer.final_snapshot()
+        if alerts is not None and not alerts["ok"]:
             names = [fired["name"] for fired in alerts["fired"]]
             self.dump_blackbox(
                 f"slo breach: {', '.join(names)}",
@@ -428,7 +421,7 @@ class RunContext:
             )
         if incident is not None:
             self.dump_blackbox(*incident)
-        if tracer is not None and args.trace is not None:
+        if args.trace is not None:
             events = write_chrome_trace(tracer, args.trace)
             print(
                 f"wrote {events} trace events to {args.trace}",
@@ -442,10 +435,7 @@ class RunContext:
             "storage_ha": (
                 None if storage_ha is None else storage_ha.summary_block()
             ),
-            "observability": observability_block(
-                tracer=tracer, snapshotter=self.snapshotter,
-                flight=self.flight,
-            ),
+            "observability": tracer.observability_block(),
         }
 
     def emit(self, text: str) -> bool:

@@ -99,7 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "--replication/--parity/--rebuild-iops require the gids or bam "
             "loader"
         )
-    if ctx.tracer is not None and args.loader not in instrumented:
+    if ctx.tracer.enabled and args.loader not in instrumented:
         raise ConfigError(
             "--trace/--stream/--prom/--blackbox require --loader gids or "
             "bam (the baseline loaders are not instrumented)"
@@ -118,12 +118,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     def instrumented_loader(kind: str):
         extra = {"hot_nodes": workload.hot_nodes} if kind == "gids" else {}
-        return ctx.attach(
-            instrumented[kind](
-                workload.dataset, system, config, fault_plan=ctx.fault_plan,
-                tracer=ctx.tracer, **ctx.integrity, **ctx.ha, **common,
-                **extra,
-            )
+        return instrumented[kind](
+            workload.dataset, system, config, fault_plan=ctx.fault_plan,
+            tracer=ctx.tracer, **ctx.integrity, **ctx.ha, **common, **extra,
         )
 
     if args.checkpoint_dir is not None:
@@ -291,12 +288,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     ctx = RunContext(args, "train", system=system)
 
     def make_loader() -> GIDSDataLoader:
-        return ctx.attach(
-            GIDSDataLoader(
-                dataset, system, config, batch_size=args.batch_size,
-                fanouts=(5, 5), seed=1, fault_plan=ctx.fault_plan,
-                tracer=ctx.tracer, **ctx.integrity, **ctx.ha,
-            )
+        return GIDSDataLoader(
+            dataset, system, config, batch_size=args.batch_size,
+            fanouts=(5, 5), seed=1, fault_plan=ctx.fault_plan,
+            tracer=ctx.tracer, **ctx.integrity, **ctx.ha,
         )
 
     pipeline_factory = _pipeline_factory(
@@ -425,17 +420,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         shard_mode=args.shard_mode,
         peer_cache=not args.no_peer_cache,
     )
-    trainer = ctx.attach(
-        ElasticFleetTrainer(
-            dataset,
-            system,
-            fleet_config,
-            seed=args.seed,
-            fault_plan=ctx.fault_plan,
-            fanouts=ctx.workload.fanouts,
-            tracer=ctx.tracer,
-            **ctx.ha,
-        )
+    trainer = ElasticFleetTrainer(
+        dataset,
+        system,
+        fleet_config,
+        seed=args.seed,
+        fault_plan=ctx.fault_plan,
+        fanouts=ctx.workload.fanouts,
+        tracer=ctx.tracer,
+        **ctx.ha,
     )
     result = trainer.run_epoch()
 
@@ -577,15 +570,13 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             io_overlap=not args.no_overlap,
             **ctx.ha,
         )
-        trainer = ctx.attach(
-            FullGraphTrainer(
-                ctx.workload.dataset,
-                ctx.system,
-                config,
-                tracer=tracer,
-                fault_injector=stack.faults,
-                verifier=stack.verifier,
-            )
+        trainer = FullGraphTrainer(
+            ctx.workload.dataset,
+            ctx.system,
+            config,
+            tracer=tracer,
+            fault_injector=stack.faults,
+            verifier=stack.verifier,
         )
 
         store = None
@@ -597,7 +588,7 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                 if "plan" in loaded.payload:
                     state.load(trainer, loaded.payload["plan"], trainer.PLAN)
                 trainer.load_state_dict(loaded.payload["trainer"])
-                if tracer is not None and "tracer" in loaded.payload:
+                if tracer.enabled and "tracer" in loaded.payload:
                     tracer.load_state_dict(loaded.payload["tracer"])
                 print(
                     f"resumed from step {loaded.iteration} "
@@ -630,7 +621,7 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                     "plan": state.save(trainer, trainer.PLAN),
                     "trainer": trainer.state_dict(),
                 }
-                if tracer is not None:
+                if tracer.enabled:
                     payload["tracer"] = tracer.state_dict()
                 store.save(done + ran, payload)
         result = trainer.result(target_accuracy=args.target_acc)
@@ -638,12 +629,7 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
         # A fault the storage stack could not absorb: leave the black box
         # behind, crash site last, before main() reports the error.
         now = trainer.clock_s if trainer is not None else 0.0
-        if ctx.flight is not None:
-            ctx.flight.note(
-                "crash", type(exc).__name__, "alerts", now,
-                detail={"message": str(exc)},
-            )
-        ctx.dump_blackbox(f"{type(exc).__name__}: {exc}", now)
+        ctx.dump_blackbox(f"{type(exc).__name__}: {exc}", now, crash=exc)
         raise
 
     # The fullgraph block carries the run's redundancy accounting itself;
@@ -784,20 +770,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     ctx = RunContext(args, "serve")
     workload = ctx.workload
-    server = ctx.attach(
-        InferenceServer(
-            workload.dataset,
-            ctx.system,
-            workload.loader_config(),
-            arrival=arrival,
-            serving=serving,
-            fanouts=workload.fanouts,
-            hot_nodes=workload.hot_nodes,
-            seed=1,
-            fault_plan=ctx.fault_plan,
-            tracer=ctx.tracer,
-            **ctx.ha,
-        )
+    server = InferenceServer(
+        workload.dataset,
+        ctx.system,
+        workload.loader_config(),
+        arrival=arrival,
+        serving=serving,
+        fanouts=workload.fanouts,
+        hot_nodes=workload.hot_nodes,
+        seed=1,
+        fault_plan=ctx.fault_plan,
+        tracer=ctx.tracer,
+        **ctx.ha,
     )
     server.serve(args.requests)
     server.drain()

@@ -386,9 +386,6 @@ class ElasticFleetTrainer(Stateful):
         self.lr = lr
         self.label_seed = label_seed
         self.tracer = tracer = ensure_tracer(tracer)
-        #: optional live :class:`~repro.telemetry.snapshot
-        #: .MetricsSnapshotter`, polled at each global-step barrier.
-        self.snapshotter = None
         # Per-worker span lanes are dynamic; declare them so strict
         # tracers accept the fleet's tracks.
         for index in range(self.fleet.num_gpus):
@@ -754,8 +751,8 @@ class ElasticFleetTrainer(Stateful):
                 self._step_impl()
         else:
             self._step_impl()
-        if self.snapshotter is not None:
-            self.snapshotter.poll(self.clock_s)
+        if tracer.enabled:
+            tracer.poll(self.clock_s)
 
     def _step_impl(self) -> None:
         self._fire_due_events()

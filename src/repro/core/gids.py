@@ -161,9 +161,6 @@ class GIDSDataLoader(Stateful):
         self.batch_size = batch_size
         self.framework_overhead_s = framework_overhead_s
         self.tracer = tracer = ensure_tracer(tracer)
-        #: optional live :class:`~repro.telemetry.snapshot
-        #: .MetricsSnapshotter`, polled at each group boundary.
-        self.snapshotter = None
         self._rng = as_rng(seed)
 
         # The storage stack is strictly pay-for-what-you-use: with no fault
@@ -666,8 +663,8 @@ class GIDSDataLoader(Stateful):
                 metrics = self._aggregate_group(group)
         else:
             metrics = self._aggregate_group(group)
-        if self.snapshotter is not None:
-            self.snapshotter.poll(self._sim_now_s)
+        if tracer.enabled:
+            tracer.poll(self._sim_now_s)
         return [(entry.batch, m) for entry, m in zip(group, metrics)]
 
     def fetch_features(self, batch: MiniBatch) -> np.ndarray:

@@ -17,18 +17,7 @@ import numpy as np
 from ..config import SSDSpec
 from ..errors import ConfigError
 from ..graph.datasets import ScaledDataset
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: a high-quality stateless 64-bit mix."""
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(
-        0xFFFFFFFFFFFFFFFF
-    )
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(
-        0xFFFFFFFFFFFFFFFF
-    )
-    return x ^ (x >> np.uint64(31))
+from ..utils import splitmix64
 
 
 def _rendezvous_weights(
@@ -41,13 +30,13 @@ def _rendezvous_weights(
     any existing entry.  That is the property consistent (rendezvous)
     hashing is built on.
     """
-    ids = _splitmix64(
+    ids = splitmix64(
         train_ids.astype(np.uint64) ^ np.uint64(seed * 0x9E3779B9 + 1)
     )
-    shards = _splitmix64(
+    shards = splitmix64(
         np.arange(num_shards, dtype=np.uint64) + np.uint64(seed) * np.uint64(7919)
     )
-    return _splitmix64(ids[:, None] ^ shards[None, :])
+    return splitmix64(ids[:, None] ^ shards[None, :])
 
 
 def shard_train_ids(

@@ -211,9 +211,6 @@ class FullGraphTrainer(Stateful):
         self.system = system
         self.config = config or FullGraphConfig()
         self.tracer = ensure_tracer(tracer)
-        #: optional live :class:`~repro.telemetry.snapshot
-        #: .MetricsSnapshotter`, polled after each sweep step.
-        self.snapshotter = None
         self.faults = fault_injector
         self.verifier = verifier
         # What a storage transfer pays beyond its streaming time, in draw
@@ -723,6 +720,7 @@ class FullGraphTrainer(Stateful):
             counters=counters,
         )
         self.report.append(metrics)
+        self.clock_s += times.total
         tracer = self.tracer
         if tracer.enabled:
             ctx = None
@@ -781,9 +779,7 @@ class FullGraphTrainer(Stateful):
             tracer.advance(times.total)
             if ctx is not None:
                 ctx.__exit__(None, None, None)
-        self.clock_s += times.total
-        if self.snapshotter is not None:
-            self.snapshotter.poll(self.clock_s)
+            tracer.poll(self.clock_s)
 
     # ------------------------------------------------------------------
     # Results / export

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 from ..errors import ObservatoryError
 from ..pipeline.metrics import STAGES, RunReport
+from ..telemetry.tracer import ensure_tracer
 from ..telemetry.tracks import ALERTS_TRACK
 
 #: Comparison operators an alert rule may use.
@@ -245,24 +246,25 @@ class SLOMonitor:
     Args:
         rules: the rule set, typically from :func:`load_alert_rules`.
         tracer: optional :class:`~repro.telemetry.tracer.Tracer`; fired
-            rules additionally record instants on the ``alerts`` track.
+            rules additionally record instants on the ``alerts`` track of
+            an enabled one.
     """
 
     def __init__(self, rules, tracer=None) -> None:
         self.rules = list(rules)
-        self.tracer = tracer
+        self.tracer = ensure_tracer(tracer)
 
     def evaluate(self, report: RunReport | None, registry=None) -> dict:
         """Evaluate every rule; returns the ``alerts`` summary block.
 
-        ``registry`` defaults to the attached tracer's metrics registry, so
+        ``registry`` defaults to the tracer's metrics registry, so
         ``metrics.*`` rules work out of the box on traced runs.  ``report``
         may be ``None`` for registry-only evaluation (the serving layer's
         brownout controller runs mid-flight, before any
         :class:`~repro.pipeline.metrics.RunReport` exists); ``report.*``
         and ``iteration.*`` rules then resolve as missing.
         """
-        if registry is None and self.tracer is not None:
+        if registry is None:
             registry = self.tracer.metrics
         fired: list[dict] = []
         missing: list[str] = []
@@ -307,9 +309,7 @@ class SLOMonitor:
         # Place instants on the modeled timeline the stage spans occupy:
         # the tracer clock sits at the end of the run, so the traced region
         # started stage_totals.total seconds earlier.
-        at_s = 0.0
-        if self.tracer is not None:
-            at_s = max(0.0, self.tracer.clock_s - report.stage_totals.total)
+        at_s = max(0.0, self.tracer.clock_s - report.stage_totals.total)
         for index, metrics in enumerate(report.iterations):
             value = _iteration_metric(metrics, path)
             iteration_end = at_s + metrics.times.total
@@ -338,16 +338,15 @@ class SLOMonitor:
         at_s: float | None = None,
         **extra,
     ) -> None:
-        if self.tracer is None:
-            return
-        self.tracer.instant(
-            f"slo.{rule.name}",
-            ALERTS_TRACK,
-            at_s=at_s,
-            metric=rule.metric,
-            op=rule.op,
-            threshold=rule.threshold,
-            value=value,
-            severity=rule.severity,
-            **extra,
-        )
+        if self.tracer.enabled:
+            self.tracer.instant(
+                f"slo.{rule.name}",
+                ALERTS_TRACK,
+                at_s=at_s,
+                metric=rule.metric,
+                op=rule.op,
+                threshold=rule.threshold,
+                value=value,
+                severity=rule.severity,
+                **extra,
+            )

@@ -13,6 +13,7 @@ import json
 import math
 
 from ..errors import PipelineError
+from ..telemetry.tracer import Tracer, ensure_tracer
 from ..utils import package_version
 from .metrics import STAGES, RunReport
 
@@ -46,12 +47,11 @@ from .metrics import STAGES, RunReport
 #:     (placement mode, device health states and transitions, rebuild
 #:     progress from :meth:`~repro.storage_ha.StorageHA.summary_block`),
 #:     and the degraded-capacity rows of the attribution what-if table.
-#: v11: added the optional ``observability`` block (live metric-snapshot
-#:     cadence and file pointers from
-#:     :meth:`~repro.telemetry.snapshot.MetricsSnapshotter.export_block`,
-#:     the tracer's ``telemetry.dropped_events`` count, and the flight
-#:     recorder's :meth:`~repro.telemetry.flight.FlightRecorder
-#:     .export_block` with its last dump trigger).
+#: v11: added the optional ``observability`` block
+#:     (:meth:`~repro.telemetry.Tracer.observability_block`: live
+#:     metric-snapshot cadence and file pointers, the tracer's
+#:     ``telemetry.dropped_events`` count, and the flight recorder's state
+#:     with its last dump trigger).
 EXPORT_SCHEMA_VERSION = 11
 
 
@@ -69,11 +69,79 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+#: Key order of a run-report document; a key a document lacks is skipped
+#: (a serving export has no integrity, bandwidth, fleet or full-graph keys).
+_DOCUMENT_KEYS = (
+    "schema_version", "repro_version", "loader", "iterations", "overlapped",
+    "e2e_seconds", "seconds_per_iteration", "stage_seconds", "counters",
+    "faults", "integrity_summary", "gpu_cache_hit_ratio",
+    "redirect_fraction", "effective_aggregation_bandwidth",
+    "pcie_ingress_bandwidth", "total_input_nodes", "checkpoint_summary",
+    "telemetry", "attribution", "alerts", "serving", "fleet", "fullgraph",
+    "storage_ha", "observability",
+)
+
+
+def run_document(
+    counters, *, tracer: "Tracer | None" = None, system=None, **keys
+) -> dict:
+    """The versioned run-report document, for every exporter.
+
+    ``keys`` are the workload's own entries (loader, timings, optional
+    blocks); this adds the version stamps, the ``counters`` / ``faults``
+    blocks and cache/redirect ratios of ``counters``, the ``telemetry``
+    block of an enabled ``tracer`` and, given the ``system`` the run was
+    modeled on, the ``attribution`` block.  Keys come out in
+    :data:`_DOCUMENT_KEYS` order.
+    """
+    # Local import: the observatory analyzes the dicts this module emits,
+    # so the reverse dependency stays off the module level.
+    from ..observatory.attribution import attribute_summary, system_spec_block
+
+    tracer = ensure_tracer(tracer)
+    doc = {
+        **keys,
+        "schema_version": EXPORT_SCHEMA_VERSION,
+        "repro_version": package_version(),
+        "counters": {
+            "storage_requests": counters.storage_requests,
+            "storage_bytes": counters.storage_bytes,
+            "cpu_buffer_requests": counters.cpu_buffer_requests,
+            "cpu_buffer_bytes": counters.cpu_buffer_bytes,
+            "gpu_cache_hits": counters.gpu_cache_hits,
+            "gpu_cache_bytes": counters.gpu_cache_bytes,
+            "page_faults": counters.page_faults,
+            "page_cache_hits": counters.page_cache_hits,
+        },
+        "faults": {
+            "injected_faults": counters.injected_faults,
+            "storage_retries": counters.storage_retries,
+            "latency_spikes": counters.latency_spikes,
+            "fallback_requests": counters.fallback_requests,
+            "fallback_bytes": counters.fallback_bytes,
+            "fallback_fraction": _finite(counters.fallback_fraction),
+            "retry_timeouts": counters.retry_timeouts,
+            "replica_redirects": counters.replica_redirects,
+            "parity_reconstructs": counters.parity_reconstructs,
+            "reconstruct_reads": counters.reconstruct_reads,
+            "rebuild_pages": counters.rebuild_pages,
+        },
+        "gpu_cache_hit_ratio": _finite(counters.gpu_cache_hit_ratio),
+        "redirect_fraction": _finite(counters.redirect_fraction),
+        "telemetry": tracer.export_block() if tracer.enabled else None,
+        "attribution": None,
+    }
+    doc = {key: doc[key] for key in _DOCUMENT_KEYS if key in doc}
+    if system is not None:
+        doc["attribution"] = attribute_summary(doc, system_spec_block(system))
+    return doc
+
+
 def report_to_dict(
     report: RunReport,
     *,
     checkpoint_summary: "object | None" = None,
-    tracer: "object | None" = None,
+    tracer: "Tracer | None" = None,
     system: "object | None" = None,
     alerts: "dict | None" = None,
     serving: "dict | None" = None,
@@ -93,8 +161,8 @@ def report_to_dict(
             exports the block as ``None`` so the schema stays uniform.
         tracer: optional :class:`~repro.telemetry.Tracer` whose
             :meth:`~repro.telemetry.Tracer.export_block` becomes the
-            ``telemetry`` block; ``None`` (untraced runs) exports the
-            block as ``None``.
+            ``telemetry`` block; a disabled or absent one (untraced runs)
+            exports the block as ``None``.
         system: optional :class:`~repro.config.SystemConfig` the run was
             modeled on; when given, the export embeds the ``attribution``
             block (spec snapshot, per-resource utilization, bottleneck
@@ -122,109 +190,40 @@ def report_to_dict(
             rebuild progress); ``None`` (no redundancy) exports the
             block as ``None``.
         observability: optional ``observability`` block from
-            :func:`observability_block` (streamed/flight-recorded runs:
-            snapshot cadence and file pointers, dropped-event count,
-            flight-recorder state); ``None`` exports the block as
-            ``None``.
+            :meth:`~repro.telemetry.Tracer.observability_block`
+            (streamed/flight-recorded runs: snapshot cadence and file
+            pointers, dropped-event count, flight-recorder state); ``None``
+            exports the block as ``None``.
     """
-    # Local import: the observatory analyzes the dicts this module emits,
-    # so the reverse dependency stays off the module level.
-    from ..observatory.attribution import attribute_summary, system_spec_block
-
     totals = report.stage_totals
-    counters = report.counters
-    if checkpoint_summary is not None and hasattr(
-        checkpoint_summary, "to_dict"
-    ):
+    if hasattr(checkpoint_summary, "to_dict"):
         checkpoint_summary = checkpoint_summary.to_dict()
-    telemetry = None
-    if tracer is not None and getattr(tracer, "enabled", True):
-        telemetry = tracer.export_block()
-    summary = {
-        "schema_version": EXPORT_SCHEMA_VERSION,
-        "repro_version": package_version(),
-        "loader": report.loader_name,
-        "iterations": report.num_iterations,
-        "overlapped": report.overlapped,
-        "e2e_seconds": _finite(report.e2e_time),
-        "seconds_per_iteration": _finite(report.time_per_iteration()),
-        "stage_seconds": {
+    return run_document(
+        report.counters,
+        tracer=tracer,
+        system=system,
+        loader=report.loader_name,
+        iterations=report.num_iterations,
+        overlapped=report.overlapped,
+        e2e_seconds=_finite(report.e2e_time),
+        seconds_per_iteration=_finite(report.time_per_iteration()),
+        stage_seconds={
             stage: _finite(getattr(totals, stage)) for stage in STAGES
         },
-        "counters": {
-            "storage_requests": counters.storage_requests,
-            "storage_bytes": counters.storage_bytes,
-            "cpu_buffer_requests": counters.cpu_buffer_requests,
-            "cpu_buffer_bytes": counters.cpu_buffer_bytes,
-            "gpu_cache_hits": counters.gpu_cache_hits,
-            "gpu_cache_bytes": counters.gpu_cache_bytes,
-            "page_faults": counters.page_faults,
-            "page_cache_hits": counters.page_cache_hits,
-        },
-        "faults": {
-            "injected_faults": counters.injected_faults,
-            "storage_retries": counters.storage_retries,
-            "latency_spikes": counters.latency_spikes,
-            "fallback_requests": counters.fallback_requests,
-            "fallback_bytes": counters.fallback_bytes,
-            "fallback_fraction": _finite(counters.fallback_fraction),
-            "retry_timeouts": counters.retry_timeouts,
-            "replica_redirects": counters.replica_redirects,
-            "parity_reconstructs": counters.parity_reconstructs,
-            "reconstruct_reads": counters.reconstruct_reads,
-            "rebuild_pages": counters.rebuild_pages,
-        },
-        "integrity_summary": report.integrity_summary(),
-        "gpu_cache_hit_ratio": _finite(report.gpu_cache_hit_ratio),
-        "redirect_fraction": _finite(counters.redirect_fraction),
-        "effective_aggregation_bandwidth": _finite(
+        integrity_summary=report.integrity_summary(),
+        effective_aggregation_bandwidth=_finite(
             report.effective_aggregation_bandwidth
         ),
-        "pcie_ingress_bandwidth": _finite(report.pcie_ingress_bandwidth),
-        "total_input_nodes": report.total_input_nodes,
-        "checkpoint_summary": checkpoint_summary,
-        "telemetry": telemetry,
-        "attribution": None,
-        "alerts": alerts,
-        "serving": serving,
-        "fleet": fleet,
-        "fullgraph": fullgraph,
-        "storage_ha": storage_ha,
-        "observability": observability,
-    }
-    if system is not None:
-        summary["attribution"] = attribute_summary(
-            summary, system_spec_block(system)
-        )
-    return summary
-
-
-def observability_block(
-    *,
-    tracer: "object | None" = None,
-    snapshotter: "object | None" = None,
-    flight: "object | None" = None,
-) -> dict | None:
-    """Assemble the optional schema-v11 ``observability`` block.
-
-    Returns ``None`` when none of the mission-control surfaces were
-    active, so plain runs keep exporting ``"observability": null``.
-    """
-    if tracer is None and snapshotter is None and flight is None:
-        return None
-    dropped = 0
-    if tracer is not None:
-        metrics = getattr(tracer, "metrics", None)
-        if metrics is not None and "telemetry.dropped_events" in metrics:
-            dropped = int(
-                metrics.counter("telemetry.dropped_events").value
-            )
-    block: dict = {"dropped_events": dropped}
-    if snapshotter is not None:
-        block["snapshots"] = snapshotter.export_block()
-    if flight is not None:
-        block["flight_recorder"] = flight.export_block()
-    return block
+        pcie_ingress_bandwidth=_finite(report.pcie_ingress_bandwidth),
+        total_input_nodes=report.total_input_nodes,
+        checkpoint_summary=checkpoint_summary,
+        alerts=alerts,
+        serving=serving,
+        fleet=fleet,
+        fullgraph=fullgraph,
+        storage_ha=storage_ha,
+        observability=observability,
+    )
 
 
 def report_to_json(report: RunReport, *, indent: int = 2, **blocks) -> str:

@@ -14,9 +14,9 @@ flattens everything into the ``serving`` block of the versioned run export.
 from __future__ import annotations
 
 from ..errors import ServingError
-from ..pipeline.export import _finite
+from ..pipeline.export import _finite, run_document
+from ..pipeline.metrics import STAGES
 from ..state import Stateful, seq
-from ..utils import package_version
 from .config import PRIORITIES
 
 #: Ledger fields counted per priority tier.
@@ -242,74 +242,30 @@ class ServingReport:
     ) -> dict:
         """Full versioned run-report document for this serving run.
 
-        Shaped like :func:`repro.pipeline.export.report_to_dict` output —
-        same required keys — so ``repro analyze``, ``validate_summary``
-        and the history tooling accept serving exports unchanged.
+        Written by :func:`repro.pipeline.export.run_document`, the writer
+        of :func:`~repro.pipeline.export.report_to_dict` — same required
+        keys — so ``repro analyze``, ``validate_summary`` and the history
+        tooling accept serving exports unchanged.
         """
-        # Local import: pipeline.export ↔ observatory already share a
-        # deferred-import seam; serving joins it on the same side.
-        from ..observatory.attribution import (
-            attribute_summary,
-            system_spec_block,
-        )
-        from ..pipeline.export import EXPORT_SCHEMA_VERSION
-
-        counters = self.counters
         completed = self.stats.total("completed")
-        telemetry = None
-        if tracer is not None and getattr(tracer, "enabled", True):
-            telemetry = tracer.export_block()
-        summary = {
-            "schema_version": EXPORT_SCHEMA_VERSION,
-            "repro_version": package_version(),
-            "loader": "GIDS-serve",
-            "iterations": completed,
-            "overlapped": False,
-            "e2e_seconds": _finite(self.duration_s),
-            "seconds_per_iteration": _finite(
+        return run_document(
+            self.counters,
+            tracer=tracer,
+            system=system,
+            loader="GIDS-serve",
+            iterations=completed,
+            overlapped=False,
+            e2e_seconds=_finite(self.duration_s),
+            seconds_per_iteration=_finite(
                 self.duration_s / completed if completed else None
             ),
-            "stage_seconds": {
+            stage_seconds={
                 stage: _finite(self.stage_seconds.get(stage, 0.0))
-                for stage in (
-                    "sampling", "aggregation", "transfer", "training"
-                )
+                for stage in STAGES
             },
-            "counters": {
-                "storage_requests": counters.storage_requests,
-                "storage_bytes": counters.storage_bytes,
-                "cpu_buffer_requests": counters.cpu_buffer_requests,
-                "cpu_buffer_bytes": counters.cpu_buffer_bytes,
-                "gpu_cache_hits": counters.gpu_cache_hits,
-                "gpu_cache_bytes": counters.gpu_cache_bytes,
-                "page_faults": counters.page_faults,
-                "page_cache_hits": counters.page_cache_hits,
-            },
-            "faults": {
-                "injected_faults": counters.injected_faults,
-                "storage_retries": counters.storage_retries,
-                "latency_spikes": counters.latency_spikes,
-                "fallback_requests": counters.fallback_requests,
-                "fallback_bytes": counters.fallback_bytes,
-                "fallback_fraction": _finite(counters.fallback_fraction),
-                "retry_timeouts": counters.retry_timeouts,
-                "replica_redirects": counters.replica_redirects,
-                "parity_reconstructs": counters.parity_reconstructs,
-                "reconstruct_reads": counters.reconstruct_reads,
-                "rebuild_pages": counters.rebuild_pages,
-            },
-            "gpu_cache_hit_ratio": _finite(counters.gpu_cache_hit_ratio),
-            "redirect_fraction": _finite(counters.redirect_fraction),
-            "checkpoint_summary": None,
-            "telemetry": telemetry,
-            "attribution": None,
-            "alerts": alerts,
-            "serving": self.to_dict(),
-            "storage_ha": storage_ha,
-            "observability": observability,
-        }
-        if system is not None:
-            summary["attribution"] = attribute_summary(
-                summary, system_spec_block(system)
-            )
-        return summary
+            checkpoint_summary=None,
+            alerts=alerts,
+            serving=self.to_dict(),
+            storage_ha=storage_ha,
+            observability=observability,
+        )

@@ -203,9 +203,6 @@ class InferenceServer(Stateful):
         )
 
         # --- run state --------------------------------------------------
-        #: Optional live-metric streamer, polled after every completion
-        #: (attached by the CLI; ``None`` costs one attribute check).
-        self.snapshotter = None
         self.stats = ServingStats()
         self.counters = TransferCounters()
         self._queue: list[tuple[int, int, Request]] = []  # (priority, idx, _)
@@ -362,8 +359,8 @@ class InferenceServer(Stateful):
                     deadline_met=met,
                 )
         self._publish_gauges(completed=True)
-        if self.snapshotter is not None:
-            self.snapshotter.poll(completion_s)
+        if tracer.enabled:
+            tracer.poll(completion_s)
 
     # ------------------------------------------------------------------
     # Per-request service model

@@ -139,9 +139,10 @@ class FeatureStore:
         cols = np.arange(self.feature_dim, dtype=np.uint64) + self._seed
         for lo in range(0, len(node_ids), _CHUNK_ROWS):
             ids = node_ids[lo:lo + _CHUNK_ROWS].astype(np.uint64)
-            # The splitmix64 finalizer, in place, short of its last
+            # ``utils.splitmix64``, in place, short of its last
             # ``x ^= x >> 31``: only bits 40-63 are kept, and that step
-            # cannot change them (they would come from bits 71-94).
+            # cannot change them (they would come from bits 71-94).  The
+            # shared function's extra pass and copies cost the fetch path.
             x = ids[:, None] * np.uint64(self.feature_dim) + cols
             shifted = np.empty_like(x)
             x += _SPLITMIX_GAMMA

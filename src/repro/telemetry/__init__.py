@@ -13,7 +13,8 @@ The recording pieces (see ``docs/OBSERVABILITY.md``):
 * the track-name registry (:func:`declare_track`, :data:`KNOWN_TRACKS`)
   every lane name is declared in.
 
-The streaming/forensics pieces:
+The streaming/forensics pieces, sinks a tracer is built with
+(``Tracer(flight=..., snapshotter=...)``) and owns:
 
 * :class:`MetricsSnapshotter` — periodic modeled-time registry
   snapshots to JSONL + Prometheus text exposition (``repro top``);

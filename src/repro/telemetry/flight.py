@@ -4,11 +4,11 @@ The tracer keeps *everything* (up to its event cap); the flight recorder
 keeps only the last ``capacity`` happenings — spans, instants,
 breaker/brownout/storage-HA transitions (which already flow through the
 tracer as instants) and per-snapshot metric deltas — exactly the
-evidence needed to reconstruct the seconds before a failure.  It rides
-``state_dict()`` with the tracer so a restored run resumes with the same
-recent history, and it dumps ``blackbox.json`` when something goes
-wrong: a :class:`~repro.errors.SimulatedCrashError`, a fired SLO rule,
-or a violated invariant.
+evidence needed to reconstruct the seconds before a failure.  The tracer
+owns it and it rides the tracer's ``state_dict()``, so a restored run
+resumes with the same recent history, and it dumps ``blackbox.json``
+when something goes wrong: a :class:`~repro.errors.SimulatedCrashError`,
+a fired SLO rule, or a violated invariant.
 
 The ring is pure modeled-time data: identical runs produce identical
 rings, and the dump is deterministic except for the caller-supplied
@@ -29,10 +29,11 @@ BLACKBOX_SCHEMA = "repro.blackbox/v1"
 class FlightRecorder(Stateful):
     """Bounded ring buffer of recent telemetry events.
 
-    Attach to a tracer (``tracer.attach_flight(recorder)``) and every
-    span/instant the tracer records is noted automatically; other layers
-    may :meth:`note` domain events directly.  ``capacity`` bounds memory
-    and dump size — old entries fall off the front.
+    Give it to a tracer (``Tracer(flight=recorder)``) and every
+    span/instant the tracer records, and every metrics snapshot's counter
+    deltas, are noted automatically; ``Tracer.dump_flight`` writes it out.
+    ``capacity`` bounds memory and dump size — old entries fall off the
+    front.
     """
 
     def __init__(self, capacity: int = 256) -> None:

@@ -1,23 +1,28 @@
 """Live metric streaming: periodic modeled-time registry snapshots.
 
-A :class:`MetricsSnapshotter` watches a :class:`MetricsRegistry` and,
-every ``every_s`` *modeled* seconds, appends one JSON line to a
+A :class:`MetricsSnapshotter` is a sink its :class:`~repro.telemetry
+.tracer.Tracer` owns: every ``every_s`` *modeled* seconds it snapshots
+the tracer's *current* metrics registry, appends one JSON line to a
 snapshot file and rewrites a Prometheus text-exposition file — so a
 long ``repro serve`` or fleet run can be watched while it happens
 (``repro top`` tails the JSONL; any Prometheus scraper can read the
-exposition).  Workload loops call :meth:`poll` with their modeled
-clock; the snapshotter decides when a snapshot is due.
+exposition).  Workload loops call ``tracer.poll(now_s)`` with their
+modeled clock; the snapshotter decides when a snapshot is due.  It
+holds no registry or flight recorder of its own — the tracer hands
+both to :meth:`poll` / :meth:`take` — so a registry the tracer replaces
+(``Tracer.reset()`` at the warm-up boundary, a restore) is the one the
+next line shows.
 
 Determinism and kill/resume:
 
 * Snapshots are taken on the modeled clock, never the wall clock, so
   identical runs emit identical snapshot sequences.
 * The cadence state (``seq``, ``next_due_s``, last counter values)
-  rides ``state_dict()``.  On restore, :meth:`load_state_dict` rewinds
-  the JSONL file to the checkpointed sequence number — dropping lines
-  the killed run wrote after the checkpoint — so the finished file is
-  byte-identical to an uninterrupted run's and strictly monotone in
-  modeled time.
+  rides the tracer's ``state_dict()``.  On restore,
+  :meth:`load_state_dict` rewinds the JSONL file to the checkpointed
+  sequence number — dropping lines the killed run wrote after the
+  checkpoint — so the finished file is byte-identical to an
+  uninterrupted run's and strictly monotone in modeled time.
 """
 
 from __future__ import annotations
@@ -38,8 +43,6 @@ class MetricsSnapshotter(Stateful):
     """Emit periodic modeled-time snapshots of a metrics registry.
 
     Args:
-        registry: the live registry to snapshot (usually
-            ``tracer.metrics``).
         every_s: modeled-seconds cadence between snapshots.
         jsonl_path: append-mode snapshot stream (one JSON object per
             line), or ``None`` to skip.
@@ -47,28 +50,22 @@ class MetricsSnapshotter(Stateful):
             latest snapshot, or ``None`` to skip.
         source: workload label stamped into every line
             (``run``/``train``/``serve``/``fleet``/``fullgraph``).
-        flight: optional :class:`~repro.telemetry.flight.FlightRecorder`
-            fed one ``counter.deltas`` entry per snapshot.
     """
 
     def __init__(
         self,
-        registry: MetricsRegistry,
         *,
         every_s: float,
         jsonl_path: str | None = None,
         prom_path: str | None = None,
         source: str = "run",
-        flight=None,
     ) -> None:
         if every_s <= 0:
             raise TelemetryError("snapshot cadence every_s must be positive")
-        self.registry = registry
         self.every_s = float(every_s)
         self.jsonl_path = jsonl_path
         self.prom_path = prom_path
         self.source = source
-        self.flight = flight
         self.seq = 0
         self.next_due_s = 0.0
         self.last_taken_s: float | None = None
@@ -78,16 +75,23 @@ class MetricsSnapshotter(Stateful):
     # ------------------------------------------------------------------
     # Streaming
 
-    def poll(self, now_s: float) -> bool:
-        """Take a snapshot if one is due at modeled time ``now_s``."""
+    def poll(
+        self, now_s: float, registry: MetricsRegistry, flight=None
+    ) -> bool:
+        """Snapshot ``registry`` if one is due at modeled time ``now_s``."""
         if now_s < self.next_due_s:
             return False
-        self.take(now_s)
+        self.take(now_s, registry, flight)
         return True
 
-    def take(self, now_s: float) -> dict:
-        """Take one snapshot unconditionally and write the outputs."""
-        metrics = self.registry.to_dict()
+    def take(
+        self, now_s: float, registry: MetricsRegistry, flight=None
+    ) -> dict:
+        """Snapshot ``registry`` unconditionally and write the outputs.
+
+        ``flight``, when given, is noted one ``counter.deltas`` entry.
+        """
+        metrics = registry.to_dict()
         counters = {
             name: summary["value"]
             for name, summary in metrics.items()
@@ -118,14 +122,19 @@ class MetricsSnapshotter(Stateful):
                     f"# repro metrics exposition source={self.source} "
                     f"seq={self.seq} modeled_time_s={now_s!r}\n"
                 )
-                handle.write(to_prometheus_text(self.registry))
-        if self.flight is not None:
-            self.flight.note_metric_deltas(now_s, deltas)
+                handle.write(to_prometheus_text(registry))
+        if flight is not None:
+            flight.note_metric_deltas(now_s, deltas)
         self.seq += 1
         self.last_taken_s = float(now_s)
         self._last_counters = counters
         self.next_due_s = float(now_s) + self.every_s
         return line
+
+    def rebase(self) -> None:
+        """Measure the next line's deltas from zero: the registry it
+        reads was replaced by a blank one (``Tracer.reset()``)."""
+        self._last_counters = {}
 
     # ------------------------------------------------------------------
     # Reporting

@@ -23,6 +23,10 @@ Design constraints:
 * **Checkpointable.**  ``state_dict``/``load_state_dict`` round-trip the
   full recorded state through the PR 2 snapshot path so a killed-and-resumed
   run emits one seamless trace.
+* **One owner of the sinks.**  The flight recorder and the metrics
+  snapshotter are given to the tracer at construction and ride its state;
+  drivers hold only the tracer and call :meth:`Tracer.poll` where their
+  modeled clock advances.
 """
 
 from __future__ import annotations
@@ -196,6 +200,11 @@ class Tracer(Stateful):
         strict_tracks: reject spans/instants on tracks not declared in
             :mod:`repro.telemetry.tracks` (the CLI enables this; library
             users may record on ad-hoc lanes with the default ``False``).
+        flight: optional :class:`~repro.telemetry.flight.FlightRecorder`
+            fed every recorded event and every snapshot's counter deltas.
+        snapshotter: optional :class:`~repro.telemetry.snapshot
+            .MetricsSnapshotter` that :meth:`poll` drives over the tracer's
+            current registry.  Both sinks need an enabled tracer.
     """
 
     def __init__(
@@ -205,6 +214,8 @@ class Tracer(Stateful):
         detail: str = "stage",
         max_events: int = 200_000,
         strict_tracks: bool = False,
+        flight=None,
+        snapshotter=None,
     ) -> None:
         if detail not in DETAIL_LEVELS:
             raise TelemetryError(
@@ -213,6 +224,8 @@ class Tracer(Stateful):
             )
         if max_events <= 0:
             raise TelemetryError("max_events must be positive")
+        if not enabled and (flight is not None or snapshotter is not None):
+            raise TelemetryError("a disabled tracer feeds no sinks")
         self.enabled = enabled
         self.detail = detail
         #: True when per-request/per-resource events should be recorded.
@@ -230,8 +243,10 @@ class Tracer(Stateful):
         self.metrics = MetricsRegistry()
         #: Active causal context; events record its trace_id + sequence.
         self._context: TraceContext | None = None
-        #: Optional black-box flight recorder fed every recorded event.
-        self.flight = None
+        #: Black-box flight recorder fed every recorded event, or None.
+        self.flight = flight
+        #: Live-metrics snapshotter driven by :meth:`poll`, or None.
+        self.snapshotter = snapshotter
 
     # ------------------------------------------------------------------
     # Recording
@@ -279,10 +294,6 @@ class Tracer(Stateful):
         if ctx.parent is not None:
             stamped["trace_parent"] = ctx.parent
         return stamped
-
-    def attach_flight(self, flight) -> None:
-        """Feed every future recorded event into ``flight`` (ring buffer)."""
-        self.flight = flight
 
     def record(
         self,
@@ -360,13 +371,55 @@ class Tracer(Stateful):
 
         Loaders call this at the warmup/measurement boundary so trace
         totals match the measured :class:`~repro.pipeline.metrics.RunReport`
-        exactly (the same reset their cache statistics get).
+        exactly (the same reset their cache statistics get).  The stream
+        goes on over the blank registry, its counter deltas measured from
+        zero; the flight ring keeps the warm-up's last events.
         """
         self.spans.clear()
         self.instants.clear()
         self.truncated = False
         self.iteration = 0
         self.metrics = MetricsRegistry()
+        if self.snapshotter is not None:
+            self.snapshotter.rebase()
+
+    # ------------------------------------------------------------------
+    # Sinks
+
+    def poll(self, now_s: float) -> None:
+        """The driver's modeled clock reached ``now_s``: snapshot the
+        registry if the snapshotter is due.  Leaves :attr:`clock_s` alone;
+        drivers call it under ``if tracer.enabled:``."""
+        if self.snapshotter is not None:
+            self.snapshotter.poll(now_s, self.metrics, self.flight)
+
+    def final_snapshot(self) -> None:
+        """The end-of-run snapshot, at the later of the clock and the last
+        snapshot (a no-op without a snapshotter)."""
+        snapshotter = self.snapshotter
+        if snapshotter is not None:
+            now_s = max(self.clock_s, snapshotter.last_taken_s or 0.0)
+            snapshotter.take(now_s, self.metrics, self.flight)
+
+    def dump_flight(
+        self, path: str, *, trigger: str, at_s: float, context=None,
+        crash: Exception | None = None,
+    ) -> bool:
+        """Dump the flight ring to ``path``; False without a recorder.
+
+        A ``crash`` is noted into the ring first, so the dump's last entry
+        is the crash site.
+        """
+        flight = self.flight
+        if flight is None:
+            return False
+        if crash is not None:
+            flight.note(
+                "crash", type(crash).__name__, "alerts", at_s,
+                detail={"message": str(crash)},
+            )
+        flight.dump(path, trigger=trigger, at_s=at_s, context=context)
+        return True
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -401,6 +454,25 @@ class Tracer(Stateful):
             "metrics": self.metrics.to_dict(),
         }
 
+    def observability_block(self) -> dict | None:
+        """The export's schema-v11 ``observability`` block: the dropped-event
+        count and each sink's state; ``None`` on a disabled tracer."""
+        if not self.enabled:
+            return None
+        dropped = "telemetry.dropped_events"
+        block: dict = {
+            "dropped_events": (
+                int(self.metrics.counter(dropped).value)
+                if dropped in self.metrics
+                else 0
+            )
+        }
+        if self.snapshotter is not None:
+            block["snapshots"] = self.snapshotter.export_block()
+        if self.flight is not None:
+            block["flight_recorder"] = self.flight.export_block()
+        return block
+
     # ------------------------------------------------------------------
     # Checkpointing
 
@@ -412,8 +484,9 @@ class Tracer(Stateful):
     #: copied ``args`` per event was most of what a snapshot allocated.
     #: The detail level is a guard: a ``request``-detail snapshot resumed at
     #: ``stage`` detail (or vice versa) would splice two incompatible
-    #: granularities into one file.  An attached flight recorder's ring
-    #: rides along under ``"flight"``.
+    #: granularities into one file.  The sinks ride along: the flight
+    #: recorder's ring under ``"flight"``, the snapshotter's cadence under
+    #: ``"snapshotter"`` (restoring it rewinds the stream's JSONL).
     STATE = (
         guard("detail"),
         scalar("clock_s", float),
@@ -434,6 +507,7 @@ class Tracer(Stateful):
         ),
         child("metrics", fresh=lambda self: MetricsRegistry()),
         child("flight", omit=True, lenient=True),
+        child("snapshotter", omit=True, lenient=True),
     )
 
 

@@ -112,6 +112,18 @@ def package_version() -> str:
     return getattr(repro, "__version__", "0.0.0")
 
 
+def splitmix64(values: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of every value: a stateless, well-mixed
+    64-bit hash (a new ``uint64`` array; arithmetic wraps mod 2**64)."""
+    x = np.asarray(values, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def splitmix64_uniform(values: np.ndarray, salt: int = 0) -> np.ndarray:
     """Deterministic per-value uniforms in ``[0, 1)`` (vectorized).
 
@@ -120,15 +132,10 @@ def splitmix64_uniform(values: np.ndarray, salt: int = 0) -> np.ndarray:
     from it (e.g. which pages a corruption storm poisons) are reproducible
     without consuming anyone's random stream.
     """
-    x = np.asarray(values, dtype=np.uint64) + np.uint64(
-        salt & 0xFFFFFFFFFFFFFFFF
+    x = splitmix64(
+        np.asarray(values, dtype=np.uint64)
+        + np.uint64(salt & 0xFFFFFFFFFFFFFFFF)
     )
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
     return (x >> np.uint64(40)).astype(np.float64) / float(1 << 24)
 
 

@@ -9,12 +9,14 @@ name — and so does one that goes back to asking, per group / request /
 step, whether a plane exists: ``StorageStack`` decides that once, so the
 read-path modules' ``<plane> is (not) None`` tests are pinned per module
 (they only shrink) and ``tracer is (not) None`` is gone from every layer
-that runs per step.
+that runs per step, from the CLI and from the exporters.  The tracer owns
+its flight recorder and snapshotter: no module outside ``telemetry/``
+names a ``snapshotter`` attribute.
 
 The same walk, restricted to the CLI sources, asserts that the pieces of
-a run's lifecycle — fault-plan loading, the tracer / flight recorder /
-snapshotter triple, SLO evaluation, the observability block, the trace
-file, the stale-snapshot sweep — each have exactly one call site
+a run's lifecycle — fault-plan loading, the tracer and the two sinks it
+is built with, SLO evaluation, the observability block, the trace file,
+the stale-snapshot sweep — each have exactly one call site
 (``RunContext``), and that every command in the table parses, has a
 handler and answers ``--help``.
 
@@ -150,25 +152,31 @@ PLANE_HANDLES = (
 )
 
 #: Read-path module -> the plane tests it may hold (48 before the stack
-#: owned the question).  What is left: the snapshotter feed, one per
-#: driver, and three construction-time choices — the server's reroute
+#: owned the question, 8 before the tracer owned the snapshotter).  What
+#: is left: three construction-time choices — the server's reroute
 #: target (storage_ha), the sweep's two storage-extra tuples (faults,
 #: verifier) — plus ``verify``'s own "is there an injector to draw
 #: corruption from".  Entries only shrink.
 PLANE_TESTS = {
-    "core/gids.py": 1,
-    "serving/server.py": 2,
+    "core/gids.py": 0,
+    "serving/server.py": 1,
     "core/readpath.py": 1,
-    "core/fleet.py": 1,
-    "fullgraph/trainer.py": 3,
+    "core/fleet.py": 0,
+    "fullgraph/trainer.py": 2,
 }
 
 #: Where ``tracer is (not) None`` may not appear at all: everything that
-#: runs per group / request / step holds a tracer that is never ``None``.
+#: runs per group / request / step holds a tracer that is never ``None``,
+#: and so do the CLI, the exporters and the SLO monitor it is handed to.
 TRACER_NEVER_NONE = (
     "cache/", "core/", "sim/", "storage_ha/", "fullgraph/",
     "serving/server.py", "serving/breaker.py", "serving/brownout.py",
+    "cli/", "pipeline/export.py", "observatory/slo.py", "serving/report.py",
 )
+
+#: The handles a tracer owns: outside ``telemetry/`` nothing tests for
+#: them, probes for them with ``getattr`` or names a snapshotter.
+SINK_HANDLES = ("tracer", "flight", "snapshotter")
 
 
 def _none_tests(tree, handles) -> list[tuple[int, str]]:
@@ -198,13 +206,13 @@ def test_plane_tests_only_shrink(rel):
     )
 
 
-def test_plane_tests_stay_under_ten():
-    assert sum(PLANE_TESTS.values()) <= 10
+def test_plane_tests_stay_under_five():
+    assert sum(PLANE_TESTS.values()) <= 4
     total = sum(
         len(_none_tests(dict(SOURCES)[rel], PLANE_HANDLES))
         for rel in PLANE_TESTS
     )
-    assert total <= 10
+    assert total <= 4
 
 
 def test_the_tracer_is_never_none_where_it_runs_per_step():
@@ -218,6 +226,49 @@ def test_the_tracer_is_never_none_where_it_runs_per_step():
         "a disabled Tracer is the one off-state (telemetry.ensure_tracer); "
         f"guard with `if tracer.enabled:` instead of {', '.join(strays)}"
     )
+
+
+def _sink_probes(tree) -> list[tuple[int, str]]:
+    """``(line, source)`` of every ``<sink> is (not) None`` and every
+    ``getattr(x, "<sink>", ...)`` / ``getattr(<sink>, ...)`` in ``tree``."""
+    found = _none_tests(tree, SINK_HANDLES)
+    for call in _calls_named(tree, "getattr"):
+        target, name = call.args[0], call.args[1]
+        probed = (
+            isinstance(name, ast.Constant) and name.value in SINK_HANDLES
+        ) or ast.unparse(target).endswith(SINK_HANDLES)
+        if probed:
+            found.append((call.lineno, ast.unparse(call)))
+    return found
+
+
+def test_only_telemetry_asks_whether_a_sink_exists():
+    """The tracer owns its sinks: 24 ``is None`` tests and 4 ``getattr``
+    probes on tracer / flight / snapshotter handles lived outside
+    ``telemetry/`` before it did."""
+    strays = [
+        f"{rel}:{line} ({source})"
+        for rel, tree in SOURCES
+        if not rel.startswith("telemetry/")
+        for line, source in _sink_probes(tree)
+    ]
+    assert not strays, (
+        "ask the tracer (tracer.enabled, tracer.poll, tracer.dump_flight, "
+        f"tracer.observability_block) instead of {', '.join(strays)}"
+    )
+
+
+def test_no_snapshotter_attribute_outside_telemetry():
+    """Drivers hold only the tracer; ``tracer.poll(now_s)`` feeds the
+    snapshotter it was built with."""
+    strays = [
+        f"{rel}:{node.lineno}"
+        for rel, tree in SOURCES
+        if not rel.startswith("telemetry/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "snapshotter"
+    ]
+    assert not strays, strays
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,25 @@ option strings, dests, defaults, choices and help text.
 The golden file was generated at the commit *before* the six hand-rolled
 lifecycles were folded into ``RunContext`` (``repro profile`` was dropped
 from the option dump by hand when the subcommand was deleted).  The
-only entries regenerated since are the ``box.json`` digests of
-``train-planes`` and ``serve-planes-{table,json}``: the two black-box
-rings whose entry order now follows the canonical epilogue (alerts,
-final snapshot, black box) — ``train`` used to dump before its final
-snapshot, ``serve`` used to evaluate alerts after it.  Regenerate
-everything, named cases, or one artifact of a case, with::
+entries regenerated since:
+
+* the ``box.json`` digests of ``train-planes`` and
+  ``serve-planes-{table,json}``: the two black-box rings whose entry
+  order now follows the canonical epilogue (alerts, final snapshot,
+  black box) — ``train`` used to dump before its final snapshot,
+  ``serve`` used to evaluate alerts after it;
+* the ``snap.jsonl`` / ``metrics.prom`` / ``box.json`` digests of
+  ``run-{gids,bam}-planes-*``, ``train-supervised-planes`` and
+  ``train-resume-planes``, and the whole of
+  ``fullgraph-steps-resume-planes`` and ``run-supervised-planes-json``:
+  the stream used to keep the registry of the moment it was built, so it
+  froze at the warm-up reset and at every tracer restore.  Now it reads
+  the tracer's current registry, and its cadence rides the tracer's
+  checkpoint state.  The last two cases also move in their JSON: the
+  export's ``observability`` counts, and ``checkpoint_summary
+  .snapshot_bytes``, since each snapshot now carries that cadence.
+
+Regenerate everything, named cases, or one artifact of a case, with::
 
     PYTHONPATH=src python tests/test_cli_golden.py [case[:file] ...]
 """

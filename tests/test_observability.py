@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TelemetryError
-from repro.pipeline.export import EXPORT_SCHEMA_VERSION, observability_block
+from repro.pipeline.export import EXPORT_SCHEMA_VERSION
 from repro.telemetry import (
     BLACKBOX_SCHEMA,
     SNAPSHOT_SCHEMA,
@@ -155,7 +155,7 @@ class TestSnapshotStreamProperties:
             for index, dt in enumerate(steps):
                 clock[0] += dt
                 registry.counter("work.steps").inc()
-                snapshotter.poll(clock[0])
+                snapshotter.poll(clock[0], registry)
                 if checkpoint_at is not None and index == checkpoint_at:
                     state = (
                         snapshotter.state_dict(),
@@ -165,9 +165,7 @@ class TestSnapshotStreamProperties:
             return state
 
         registry = MetricsRegistry()
-        first = MetricsSnapshotter(
-            registry, every_s=cadence, jsonl_path=path
-        )
+        first = MetricsSnapshotter(every_s=cadence, jsonl_path=path)
         kill_at = min(kill_after, len(times) - 1)
         state = drive(registry=registry, snapshotter=first,
                       steps=times, checkpoint_at=kill_at - 1)
@@ -178,12 +176,10 @@ class TestSnapshotStreamProperties:
         clock[0] = resumed_clock
         registry2 = MetricsRegistry()
         registry2.load_state_dict(reg_state)
-        second = MetricsSnapshotter(
-            registry2, every_s=cadence, jsonl_path=path
-        )
+        second = MetricsSnapshotter(every_s=cadence, jsonl_path=path)
         second.load_state_dict(snap_state)
         drive(registry=registry2, snapshotter=second, steps=times[kill_at:])
-        second.take(clock[0])
+        second.take(clock[0], registry2)
 
         snapshots = read_snapshots(path)
         assert snapshots, "stream must hold at least the final snapshot"
@@ -202,15 +198,13 @@ class TestSnapshotStreamProperties:
 
         def run(path, kill):
             registry = MetricsRegistry()
-            snap = MetricsSnapshotter(
-                registry, every_s=0.01, jsonl_path=str(path)
-            )
+            snap = MetricsSnapshotter(every_s=0.01, jsonl_path=str(path))
             clock = 0.0
             state = None
             for step in range(10):
                 clock += 0.004
                 registry.counter("c").inc(step)
-                snap.poll(clock)
+                snap.poll(clock, registry)
                 if kill and step == 4:
                     state = (snap.state_dict(), registry.state_dict(), clock)
             if not kill:
@@ -220,14 +214,12 @@ class TestSnapshotStreamProperties:
             snap_state, reg_state, clock = state
             registry = MetricsRegistry()
             registry.load_state_dict(reg_state)
-            snap = MetricsSnapshotter(
-                registry, every_s=0.01, jsonl_path=str(path)
-            )
+            snap = MetricsSnapshotter(every_s=0.01, jsonl_path=str(path))
             snap.load_state_dict(snap_state)
             for step in range(5, 10):
                 clock += 0.004
                 registry.counter("c").inc(step)
-                snap.poll(clock)
+                snap.poll(clock, registry)
             return None
 
         clean = tmp_path / "clean.jsonl"
@@ -238,7 +230,7 @@ class TestSnapshotStreamProperties:
 
     def test_bad_cadence_rejected(self):
         with pytest.raises(TelemetryError):
-            MetricsSnapshotter(MetricsRegistry(), every_s=0.0)
+            MetricsSnapshotter(every_s=0.0)
 
     def test_read_snapshots_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -252,11 +244,9 @@ class TestSnapshotStreamProperties:
     def test_prom_file_rewritten_per_snapshot(self, tmp_path):
         prom = tmp_path / "metrics.prom"
         registry = MetricsRegistry()
-        snap = MetricsSnapshotter(
-            registry, every_s=0.01, prom_path=str(prom)
-        )
+        snap = MetricsSnapshotter(every_s=0.01, prom_path=str(prom))
         registry.counter("a.b").inc(3)
-        snap.take(0.02)
+        snap.take(0.02, registry)
         text = prom.read_text()
         assert text.startswith("# repro metrics exposition")
         parsed = parse_prometheus_text(text)
@@ -379,8 +369,7 @@ class TestTraceCap:
         assert len(tracer.spans) == 3
         assert tracer.truncated
         assert tracer.metrics.counter("telemetry.dropped_events").value == 7
-        block = observability_block(tracer=tracer)
-        assert block == {"dropped_events": 7}
+        assert tracer.observability_block() == {"dropped_events": 7}
 
     def test_cap_must_be_positive(self):
         with pytest.raises(TelemetryError):
@@ -406,9 +395,8 @@ class TestFlightRecorder:
         assert flight.noted_total == 5
 
     def test_tracer_feed(self):
-        tracer = Tracer(enabled=True)
         flight = FlightRecorder(capacity=8)
-        tracer.attach_flight(flight)
+        tracer = Tracer(enabled=True, flight=flight)
         tracer.record("s", "ssd", start_s=0.0, duration_s=0.5)
         tracer.instant("i", "alerts", at_s=0.5)
         kinds = [(e["kind"], e["name"]) for e in flight.entries]
@@ -430,15 +418,13 @@ class TestFlightRecorder:
         assert on_disk["entries"][-1]["kind"] == "crash"
 
     def test_state_roundtrip_rides_tracer(self):
-        tracer = Tracer(enabled=True)
         flight = FlightRecorder(capacity=4)
-        tracer.attach_flight(flight)
+        tracer = Tracer(enabled=True, flight=flight)
         tracer.record("s", "ssd", start_s=0.0, duration_s=0.5)
         state = tracer.state_dict()
         assert "flight" in state
 
-        restored = Tracer(enabled=True)
-        restored.attach_flight(FlightRecorder(capacity=4))
+        restored = Tracer(enabled=True, flight=FlightRecorder(capacity=4))
         restored.load_state_dict(state)
         assert restored.flight.entries == flight.entries
         assert restored.flight.noted_total == flight.noted_total
@@ -461,26 +447,25 @@ class TestObservabilityExport:
         assert EXPORT_SCHEMA_VERSION == 11
 
     def test_block_absent_without_telemetry(self):
-        assert observability_block() is None
+        assert Tracer(enabled=False).observability_block() is None
 
     def test_block_assembles_all_parts(self, tmp_path):
-        tracer = Tracer(enabled=True, max_events=1)
+        snap = MetricsSnapshotter(
+            every_s=0.01, jsonl_path=str(tmp_path / "s.jsonl")
+        )
+        tracer = Tracer(
+            enabled=True, max_events=1, flight=FlightRecorder(capacity=4),
+            snapshotter=snap,
+        )
         tracer.record("a", "ssd", start_s=0.0, duration_s=0.1)
         tracer.record("b", "ssd", start_s=0.1, duration_s=0.1)  # dropped
-        flight = FlightRecorder(capacity=4)
-        flight.note("span", "a", "ssd", 0.0)
-        snap = MetricsSnapshotter(
-            tracer.metrics, every_s=0.01,
-            jsonl_path=str(tmp_path / "s.jsonl"),
-        )
-        snap.take(0.02)
-        block = observability_block(
-            tracer=tracer, snapshotter=snap, flight=flight
-        )
+        tracer.poll(0.02)
+        block = tracer.observability_block()
         assert block["dropped_events"] == 1
         assert block["snapshots"]["snapshots"] == 1
         assert block["snapshots"]["jsonl"] is True
-        assert block["flight_recorder"]["entries"] == 1
+        # The span, then the snapshot's counter deltas.
+        assert block["flight_recorder"]["entries"] == 2
         assert block["flight_recorder"]["dumps"] == 0
 
     def test_report_to_dict_carries_block(self):
@@ -521,13 +506,13 @@ class TestTopAndProfileCli:
     def _write_stream(self, path):
         registry = MetricsRegistry()
         snap = MetricsSnapshotter(
-            registry, every_s=0.01, jsonl_path=str(path), source="serve"
+            every_s=0.01, jsonl_path=str(path), source="serve"
         )
         registry.counter("serving.completed").inc(5)
         registry.gauge("queue.depth").set(2.0)
-        snap.take(0.02)
+        snap.take(0.02, registry)
         registry.counter("serving.completed").inc(7)
-        snap.take(0.04)
+        snap.take(0.04, registry)
 
     def test_top_renders_latest_snapshot(self, tmp_path, capsys):
         from repro.cli import main

@@ -93,8 +93,12 @@ def _plan(**extra) -> FaultPlan:
 def _worlds() -> list[object]:
     """Small live workloads that, between them, hold every table."""
     dataset = load_scaled("IGB-tiny", 0.02, seed=3)
-    tracer = Tracer(detail="request")
-    tracer.attach_flight(FlightRecorder(capacity=16))
+    # The tracer owns both sinks; the loader's groups drive the stream.
+    tracer = Tracer(
+        detail="request",
+        flight=FlightRecorder(capacity=16),
+        snapshotter=MetricsSnapshotter(every_s=0.001),
+    )
     loader = GIDSDataLoader(
         dataset,
         SystemConfig(ssd=SAMSUNG_980PRO, num_ssds=4),
@@ -159,11 +163,9 @@ def _worlds() -> list[object]:
     )
     sweep.run_steps(5)  # mid-epoch: gradients and pending blocks are live
 
-    snapshotter = MetricsSnapshotter(tracer.metrics, every_s=0.001)
-    snapshotter.take(0.002)
     # The recording tracer first: every untraced driver now holds a
     # (blank) disabled one, and the sweep should get the one with events.
-    return [tracer, pipeline, server, fleet, sweep, snapshotter]
+    return [tracer, pipeline, server, fleet, sweep]
 
 
 def _harvest(roots) -> dict[type, object]:
