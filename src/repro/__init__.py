@@ -101,12 +101,6 @@ from .core import (
     DynamicAccessAccumulator,
     GIDSDataLoader,
     WindowBuffer,
-    WindowRecommendation,
-    best_window_depth,
-    expected_iops,
-    measure_window_depths,
-    recommend_window_depth,
-    required_overlapping_accesses,
 )
 from .baselines import DGLMmapLoader, GinexLoader, UVALoader
 from .cache import BeladyCache, ConstantCPUBuffer, GPUSoftwareCache
@@ -247,12 +241,6 @@ __all__ = [
     "DynamicAccessAccumulator",
     "GIDSDataLoader",
     "WindowBuffer",
-    "WindowRecommendation",
-    "best_window_depth",
-    "expected_iops",
-    "measure_window_depths",
-    "recommend_window_depth",
-    "required_overlapping_accesses",
     # baselines
     "DGLMmapLoader",
     "GinexLoader",

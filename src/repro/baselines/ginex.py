@@ -16,7 +16,7 @@ neighborhood sampling.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,20 +26,21 @@ from ..errors import ConfigError
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
 from ..integrity import VERIFY_BANDWIDTH_BYTES_PER_S, VERIFY_MODES
-from ..pipeline.metrics import IterationMetrics, RunReport, StageTimes
+from ..pipeline.loader import MiniBatchLoader
+from ..pipeline.metrics import IterationMetrics, StageTimes
 from ..sampling.minibatch import MiniBatch
-from ..sampling.neighbor import NeighborSampler
-from ..sampling.seeds import epoch_seed_batches
 from ..sim.counters import TransferCounters
 from ..sim.cpu import CPUModel
 from ..sim.gpu import GPUModel
 from ..sim.pcie import PCIeLink
 from ..storage.feature_store import FeatureStore
-from ..utils import as_rng
 
 
-class GinexLoader:
+class GinexLoader(MiniBatchLoader):
     """Super-batch Belady caching with pipelined CPU data preparation.
+
+    Each super-batch is one group of :meth:`next_training_group`; :meth:`run`
+    warms the Belady cache for 100 iterations by default.
 
     Args:
         dataset: the (scaled) graph dataset; must be homogeneous.
@@ -56,6 +57,7 @@ class GinexLoader:
     """
 
     name = "Ginex"
+    WARMUP = 100
 
     def __init__(
         self,
@@ -84,12 +86,9 @@ class GinexLoader:
             raise ConfigError("superbatch_size must be positive")
         if planning_rate <= 0:
             raise ConfigError("planning_rate must be positive")
-        self.dataset = dataset
-        self.system = system
-        self.batch_size = batch_size
+        super().__init__(dataset, system, batch_size=batch_size, seed=seed)
         self.superbatch_size = superbatch_size
         self.planning_rate = planning_rate
-        self._rng = as_rng(seed)
 
         self.store = FeatureStore(
             dataset.num_nodes, dataset.feature_dim, data=features
@@ -99,7 +98,7 @@ class GinexLoader:
         self._io_cpu = CPUModel(system.cpu, threads=io_threads)
         self.gpu = GPUModel(system.gpu)
         self.pcie = PCIeLink(system.pcie)
-        self.sampler = NeighborSampler(dataset.graph, fanouts, seed=self._rng)
+        self.sampler = self._build_sampler("neighbor", fanouts)
 
         free_bytes = max(
             0.0, system.usable_cpu_memory - dataset.structure_data_bytes
@@ -113,14 +112,12 @@ class GinexLoader:
             system.num_ssds,
             queue_depth_per_thread=io_queue_depth,
         )
-        self._seed_stream = self._seed_batches()
 
         # Fault injection mirrors the GPU-initiated loaders: CPU-issued
         # async reads suffer the same failure/spike rates and device
         # events; retries and backoff are charged to the aggregation stage.
         self.fault_plan = fault_plan
         self.faults: FaultInjector | None = None
-        self._sim_now_s = 0.0
         # Ginex's miss serving is aggregate (counts, not page ids), so its
         # integrity support is aggregate too: transient corruption (bit
         # flips, torn reads) is drawn binomially over the delivered reads
@@ -142,34 +139,26 @@ class GinexLoader:
                     degradation_factor=fault_plan.pcie_degradation_factor,
                 )
 
-    def _seed_batches(self) -> Iterator[np.ndarray]:
-        while True:
-            yield from epoch_seed_batches(
-                self.dataset.train_ids,
-                self.batch_size,
-                shuffle=True,
-                seed=self._rng,
-            )
-
-    def _superbatch(
-        self, n_batches: int
-    ) -> tuple[list[MiniBatch], list[IterationMetrics]]:
-        """Sample, plan and serve one super-batch of ``n_batches``."""
+    def next_training_group(
+        self, remaining: int
+    ) -> list[tuple[MiniBatch, IterationMetrics]]:
+        """Sample, plan and serve one super-batch of at most ``remaining``
+        mini-batches."""
         batches = [
-            self.sampler.sample(next(self._seed_stream))
-            for _ in range(n_batches)
+            self._sample()
+            for _ in range(min(self.superbatch_size, remaining))
         ]
         page_lists = [
             self.layout.pages_for_nodes(b.input_nodes) for b in batches
         ]
-        accesses = np.concatenate(page_lists) if page_lists else np.empty(0)
+        accesses = np.concatenate(page_lists)
         hits, misses = self.cache.process_superbatch(accesses)
 
         # Apportion super-batch hits/misses to iterations by page share.
         total_pages = max(1, len(accesses))
         planning_time_total = len(accesses) / self.planning_rate
 
-        metrics = []
+        pairs = []
         for batch, pages in zip(batches, page_lists):
             share = len(pages) / total_pages
             it_misses = int(round(misses * share))
@@ -195,18 +184,8 @@ class GinexLoader:
                 transfer=self.pcie.transfer_time(feature_bytes),
                 training=self.gpu.training_time(n_nodes),
             )
-            metrics.append(
-                IterationMetrics(
-                    times=times,
-                    num_seeds=len(batch.seeds),
-                    num_input_nodes=n_nodes,
-                    num_sampled=batch.num_sampled,
-                    num_edges=batch.num_edges,
-                    counters=counters,
-                )
-            )
-        self._sim_now_s += sum(m.times.total for m in metrics)
-        return batches, metrics
+            pairs.append((batch, self._metrics(batch, times, counters)))
+        return self._advance(pairs)
 
     def _serve_misses(self, it_misses: int) -> tuple[float, TransferCounters]:
         """Model feature I/O for one iteration's cache misses.
@@ -308,38 +287,7 @@ class GinexLoader:
         )
         return io_time, counters
 
-    def run(self, num_iterations: int, *, warmup: int = 100) -> RunReport:
-        """Warm the Belady cache, then measure ``num_iterations``."""
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
-        if warmup < 0:
-            raise ConfigError("warmup must be non-negative")
-        remaining = warmup
-        while remaining > 0:
-            n = min(self.superbatch_size, remaining)
-            self._superbatch(n)
-            remaining -= n
+    @contextmanager
+    def _measurement(self):
         self.cache.stats.reset()
-        report = RunReport(loader_name=self.name, overlapped=False)
-        remaining = num_iterations
-        while remaining > 0:
-            n = min(self.superbatch_size, remaining)
-            _, metrics = self._superbatch(n)
-            for m in metrics:
-                report.append(m)
-            remaining -= n
-        return report
-
-    def iter_batches(
-        self, num_iterations: int
-    ) -> Iterator[tuple[MiniBatch, np.ndarray]]:
-        """Yield ``(mini-batch, input feature matrix)`` pairs for training."""
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
-        remaining = num_iterations
-        while remaining > 0:
-            n = min(self.superbatch_size, remaining)
-            batches, _ = self._superbatch(n)
-            for batch in batches:
-                yield batch, self.store.fetch(batch.input_nodes)
-            remaining -= n
+        yield

@@ -15,31 +15,34 @@ baseline is competitive on ogbn-papers100M and MAG240M, Figs. 13-14).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..errors import ConfigError
 from ..graph.datasets import ScaledDataset
-from ..pipeline.metrics import IterationMetrics, RunReport, StageTimes
+from ..pipeline.loader import MiniBatchLoader
+from ..pipeline.metrics import IterationMetrics, StageTimes
 from ..sampling.minibatch import MiniBatch
-from ..sampling.neighbor import NeighborSampler
-from ..sampling.ladies import LadiesSampler
-from ..sampling.seeds import epoch_seed_batches
 from ..sim.counters import TransferCounters
 from ..sim.cpu import CPUModel
 from ..sim.gpu import GPUModel
 from ..sim.pagecache import PageCache
 from ..sim.pcie import PCIeLink
 from ..storage.feature_store import FeatureStore
-from ..utils import as_rng
 
 
-class DGLMmapLoader:
-    """CPU data preparation over memory-mapped feature files."""
+class DGLMmapLoader(MiniBatchLoader):
+    """CPU data preparation over memory-mapped feature files.
+
+    The paper warms the baseline for 1000 iterations; at our scaled dataset
+    sizes the page cache reaches steady state much sooner, so :meth:`run`
+    warms it for 100 by default.
+    """
 
     name = "DGL-mmap"
+    WARMUP = 100
 
     def __init__(
         self,
@@ -57,14 +60,11 @@ class DGLMmapLoader:
     ) -> None:
         if fault_threads <= 0:
             raise ConfigError("fault_threads must be positive")
-        self.dataset = dataset
-        self.system = system
-        self.batch_size = batch_size
+        super().__init__(dataset, system, batch_size=batch_size, seed=seed)
         # DGL's mmap path gathers with NumPy memmap fancy indexing, which
         # faults from a single thread; raise this to model a hand-threaded
         # gather.
         self.fault_threads = fault_threads
-        self._rng = as_rng(seed)
 
         self.store = FeatureStore(
             dataset.num_nodes, dataset.feature_dim, data=features
@@ -73,19 +73,7 @@ class DGLMmapLoader:
         self.cpu = CPUModel(system.cpu, threads=threads)
         self.gpu = GPUModel(system.gpu)
         self.pcie = PCIeLink(system.pcie)
-
-        if sampler_kind == "neighbor":
-            self.sampler = NeighborSampler(
-                dataset.graph, fanouts, seed=self._rng
-            )
-        elif sampler_kind == "ladies":
-            sizes = layer_sizes if layer_sizes is not None else (512,) * 3
-            self.sampler = LadiesSampler(dataset.graph, sizes, seed=self._rng)
-        else:
-            raise ConfigError(
-                f"unknown sampler kind {sampler_kind!r}; "
-                "expected 'neighbor' or 'ladies'"
-            )
+        self.sampler = self._build_sampler(sampler_kind, fanouts, layer_sizes)
 
         # The OS page cache gets whatever CPU memory the pinned structure
         # data leaves free.
@@ -95,20 +83,12 @@ class DGLMmapLoader:
         self.page_cache = PageCache(
             capacity_pages=int(free_bytes // self.layout.page_bytes)
         )
-        self._seed_stream = self._seed_batches()
 
-    def _seed_batches(self) -> Iterator[np.ndarray]:
-        while True:
-            yield from epoch_seed_batches(
-                self.dataset.train_ids,
-                self.batch_size,
-                shuffle=True,
-                seed=self._rng,
-            )
-
-    def _one_iteration(self) -> tuple[MiniBatch, IterationMetrics]:
-        seeds = next(self._seed_stream)
-        batch = self.sampler.sample(seeds)
+    def next_training_group(
+        self, remaining: int
+    ) -> list[tuple[MiniBatch, IterationMetrics]]:
+        """Sample one mini-batch and gather it through the page cache."""
+        batch = self._sample()
         nodes = batch.input_nodes
         pages = self.layout.pages_for_nodes(nodes)
         hits, misses = self.page_cache.access(pages)
@@ -129,56 +109,26 @@ class DGLMmapLoader:
             page_faults=misses,
             page_cache_hits=hits,
         )
-        metrics = IterationMetrics(
-            times=StageTimes(
-                sampling=sampling_time,
-                aggregation=aggregation_time,
-                transfer=transfer_time,
-                training=training_time,
-            ),
-            num_seeds=len(batch.seeds),
-            num_input_nodes=len(nodes),
-            num_sampled=batch.num_sampled,
-            num_edges=batch.num_edges,
-            counters=counters,
+        times = StageTimes(
+            sampling=sampling_time,
+            aggregation=aggregation_time,
+            transfer=transfer_time,
+            training=training_time,
         )
-        return batch, metrics
+        return self._advance([(batch, self._metrics(batch, times, counters))])
 
-    def run(self, num_iterations: int, *, warmup: int = 100) -> RunReport:
-        """Warm the OS page cache, then measure ``num_iterations``.
-
-        The paper warms the baseline for 1000 iterations; at our scaled
-        dataset sizes the page cache reaches steady state much sooner, so
-        100 warmup iterations are the default.
-        """
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
-        if warmup < 0:
-            raise ConfigError("warmup must be non-negative")
+    @contextmanager
+    def _measurement(self):
         if self.page_cache.capacity_pages >= self.layout.total_pages:
             # The whole feature file fits in the page cache: after the
             # paper's 1000-iteration warmup the OS has effectively loaded
             # it (sequential faults at device bandwidth), so the measured
             # window sees no faults — the behavior Figs. 13-14 report for
-            # ogbn-papers100M and MAG240M.
+            # ogbn-papers100M and MAG240M.  Nothing is ever evicted from a
+            # cache this large, so loading after the warm-up leaves the
+            # same resident set as loading before it.
             self.page_cache.access(
                 np.arange(self.layout.total_pages, dtype=np.int64)
             )
-        for _ in range(warmup):
-            self._one_iteration()
         self.page_cache.reset_stats()
-        report = RunReport(loader_name=self.name, overlapped=False)
-        for _ in range(num_iterations):
-            _, metrics = self._one_iteration()
-            report.append(metrics)
-        return report
-
-    def iter_batches(
-        self, num_iterations: int
-    ) -> Iterator[tuple[MiniBatch, np.ndarray]]:
-        """Yield ``(mini-batch, input feature matrix)`` pairs for training."""
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
-        for _ in range(num_iterations):
-            batch, _ = self._one_iteration()
-            yield batch, self.store.fetch(batch.input_nodes)
+        yield

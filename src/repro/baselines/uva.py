@@ -10,26 +10,26 @@ mirroring the hard limit that motivates GIDS.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from ..config import SystemConfig
-from ..errors import CapacityError, ConfigError
+from ..errors import CapacityError
 from ..graph.datasets import ScaledDataset
-from ..pipeline.metrics import IterationMetrics, RunReport, StageTimes
+from ..pipeline.loader import MiniBatchLoader
+from ..pipeline.metrics import IterationMetrics, StageTimes
 from ..sampling.minibatch import MiniBatch
-from ..sampling.neighbor import NeighborSampler
-from ..sampling.seeds import epoch_seed_batches
 from ..sim.counters import TransferCounters
 from ..sim.gpu import GPUModel
 from ..sim.pcie import PCIeLink
 from ..storage.feature_store import FeatureStore
-from ..utils import as_rng
 
 
-class UVALoader:
-    """GPU data preparation over CPU-pinned memory (no storage involved)."""
+class UVALoader(MiniBatchLoader):
+    """GPU data preparation over CPU-pinned memory (no storage involved).
+
+    UVA needs no cache warm-up, so :meth:`run` measures from the first
+    iteration by default.
+    """
 
     name = "DGL-UVA"
 
@@ -49,42 +49,27 @@ class UVALoader:
                 f"only {system.usable_cpu_memory:.0f} bytes of CPU memory are "
                 "usable; UVA requires the whole dataset in CPU memory"
             )
-        self.dataset = dataset
-        self.system = system
-        self.batch_size = batch_size
-        self._rng = as_rng(seed)
-
+        super().__init__(dataset, system, batch_size=batch_size, seed=seed)
         self.store = FeatureStore(
             dataset.num_nodes, dataset.feature_dim, data=features
         )
         self.gpu = GPUModel(system.gpu)
         self.pcie = PCIeLink(system.pcie)
-        self.sampler = NeighborSampler(dataset.graph, fanouts, seed=self._rng)
-        self._seed_stream = self._seed_batches()
+        self.sampler = self._build_sampler("neighbor", fanouts)
 
-    def _seed_batches(self) -> Iterator[np.ndarray]:
-        while True:
-            yield from epoch_seed_batches(
-                self.dataset.train_ids,
-                self.batch_size,
-                shuffle=True,
-                seed=self._rng,
-            )
-
-    def _one_iteration(self) -> tuple[MiniBatch, IterationMetrics]:
-        seeds = next(self._seed_stream)
-        batch = self.sampler.sample(seeds)
+    def next_training_group(
+        self, remaining: int
+    ) -> list[tuple[MiniBatch, IterationMetrics]]:
+        """Sample and serve one mini-batch."""
+        batch = self._sample()
         n_nodes = batch.num_input_nodes
         feature_bytes = n_nodes * self.store.feature_bytes
-
-        sampling_time = self.gpu.sampling_time(
-            batch.num_sampled, n_kernels=batch.num_layers
-        )
-        # Zero-copy gather streams features from pinned DRAM over PCIe.
-        aggregation_time = feature_bytes / self.pcie.cpu_path_bandwidth
         times = StageTimes(
-            sampling=sampling_time,
-            aggregation=aggregation_time,
+            sampling=self.gpu.sampling_time(
+                batch.num_sampled, n_kernels=batch.num_layers
+            ),
+            # Zero-copy gather streams features from pinned DRAM over PCIe.
+            aggregation=feature_bytes / self.pcie.cpu_path_bandwidth,
             transfer=0.0,
             training=self.gpu.training_time(n_nodes),
         )
@@ -92,36 +77,4 @@ class UVALoader:
             cpu_buffer_requests=n_nodes,
             cpu_buffer_bytes=feature_bytes,
         )
-        metrics = IterationMetrics(
-            times=times,
-            num_seeds=len(batch.seeds),
-            num_input_nodes=n_nodes,
-            num_sampled=batch.num_sampled,
-            num_edges=batch.num_edges,
-            counters=counters,
-        )
-        return batch, metrics
-
-    def run(self, num_iterations: int, *, warmup: int = 0) -> RunReport:
-        """Measure ``num_iterations`` (UVA needs no cache warmup)."""
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
-        if warmup < 0:
-            raise ConfigError("warmup must be non-negative")
-        for _ in range(warmup):
-            self._one_iteration()
-        report = RunReport(loader_name=self.name, overlapped=False)
-        for _ in range(num_iterations):
-            _, metrics = self._one_iteration()
-            report.append(metrics)
-        return report
-
-    def iter_batches(
-        self, num_iterations: int
-    ) -> Iterator[tuple[MiniBatch, np.ndarray]]:
-        """Yield ``(mini-batch, input feature matrix)`` pairs for training."""
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
-        for _ in range(num_iterations):
-            batch, _ = self._one_iteration()
-            yield batch, self.store.fetch(batch.input_nodes)
+        return self._advance([(batch, self._metrics(batch, times, counters))])

@@ -156,7 +156,7 @@ class RunSupervisor:
     # ------------------------------------------------------------------
 
     def _crash_iterations(self, pipeline: TrainingPipeline) -> set[int]:
-        plan = getattr(pipeline.loader, "fault_plan", None)
+        plan = pipeline.loader.fault_plan
         if plan is None:
             return set()
         return {event.at_iteration for event in plan.crash_events}
@@ -189,15 +189,13 @@ class RunSupervisor:
                     report=pipeline.report,
                     summary=self.summary,
                 )
-            watchdog_last = [self._loader_now(pipeline)]
+            watchdog_last = [pipeline.loader.sim_now_s]
 
             def on_step(pipe: TrainingPipeline) -> None:
                 step = pipe.completed_steps
-                now = self._loader_now(pipe)
+                now = pipe.loader.sim_now_s
                 if (
                     config.watchdog_stall_threshold_s is not None
-                    and now is not None
-                    and watchdog_last[0] is not None
                     and now - watchdog_last[0]
                     > config.watchdog_stall_threshold_s
                 ):
@@ -251,19 +249,13 @@ class RunSupervisor:
         """Dump the flight recorder on a fatal fault, crash noted last."""
         if self.blackbox_path is None:
             return
-        now = self._loader_now(pipeline)
         pipeline.loader.tracer.dump_flight(
             self.blackbox_path,
             trigger=f"{type(exc).__name__}: {exc}",
-            at_s=now if now is not None else 0.0,
+            at_s=pipeline.loader.sim_now_s,
             context={
                 "completed_steps": int(pipeline.completed_steps),
                 "restarts_so_far": self.summary.restarts,
             },
             crash=exc,
         )
-
-    @staticmethod
-    def _loader_now(pipeline: TrainingPipeline) -> float | None:
-        now = getattr(pipeline.loader, "sim_now_s", None)
-        return float(now) if now is not None else None

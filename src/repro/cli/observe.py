@@ -141,7 +141,11 @@ def _args_trace(trace: argparse.ArgumentParser) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """``trace``: render a saved Chrome-trace file as an ASCII timeline."""
+    """``trace``: render a saved Chrome-trace file as an ASCII timeline.
+
+    An unreadable or malformed file exits 2; a well-formed trace that
+    lacks what was asked for (causal chains, a request id, events) exits 1.
+    """
     from ..errors import TelemetryError
     from ..telemetry import (
         render_trace,
@@ -152,15 +156,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
             trace = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read trace {args.path!r}: {exc}",
-              file=sys.stderr)
-        return 1
+        validate_chrome_trace(trace)
+    except (OSError, ValueError, TelemetryError) as exc:
+        _fail(f"cannot read trace {args.path!r}: {exc}")
     try:
         if args.request is not None:
             from ..telemetry import list_trace_ids, render_request_trace
 
-            validate_chrome_trace(trace)
             if args.request == "list":
                 ids = list_trace_ids(trace)
                 if not ids:
@@ -177,7 +179,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         elif args.json:
             print(_dumps(summarize_chrome_trace(trace)))
         else:
-            validate_chrome_trace(trace)
             print(render_trace(trace, width=args.width))
     except TelemetryError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -249,7 +250,10 @@ def _args_top(top: argparse.ArgumentParser) -> None:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    """``top``: terminal view of a ``--stream`` snapshot JSONL file."""
+    """``top``: terminal view of a ``--stream`` snapshot JSONL file.
+
+    An unreadable or malformed stream exits 2; an empty one exits 1.
+    """
     import time
 
     from ..errors import TelemetryError
@@ -260,12 +264,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
         try:
             snapshots = read_snapshots(args.path)
         except OSError as exc:
-            print(f"error: cannot read {args.path!r}: {exc}",
-                  file=sys.stderr)
-            return 1
+            _fail(f"cannot read {args.path!r}: {exc}")
         except TelemetryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            _fail(str(exc))
         if not snapshots:
             if not args.follow:
                 print(f"error: {args.path!r} holds no snapshots",

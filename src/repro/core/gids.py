@@ -21,7 +21,7 @@ from the calibrated device models.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,16 +31,9 @@ from ..errors import ConfigError
 from ..faults import FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
 from ..integrity import VERIFY_BANDWIDTH_BYTES_PER_S
-from ..pipeline.metrics import (
-    STAGES,
-    IterationMetrics,
-    RunReport,
-    StageTimes,
-)
-from ..sampling.ladies import LadiesSampler
+from ..pipeline.loader import MiniBatchLoader
+from ..pipeline.metrics import STAGES, IterationMetrics, StageTimes
 from ..sampling.minibatch import MiniBatch
-from ..sampling.neighbor import NeighborSampler
-from ..sampling.seeds import SeedBatchStream
 from ..sim.counters import TransferCounters
 from ..state import (
     Stateful,
@@ -56,13 +49,12 @@ from ..state import (
 from ..telemetry.context import TraceContext, step_trace_id
 from ..telemetry.tracer import Tracer, ensure_tracer
 from ..telemetry.tracks import INTEGRITY_TRACK, STAGE_TRACKS
-from ..utils import as_rng
 from . import readpath
 from .accumulator import DynamicAccessAccumulator
 from .window import WindowBuffer
 
 
-class GIDSDataLoader(Stateful):
+class GIDSDataLoader(MiniBatchLoader, Stateful):
     """GPU-initiated direct-storage-access dataloader.
 
     Args:
@@ -127,6 +119,7 @@ class GIDSDataLoader(Stateful):
     """
 
     name = "GIDS"
+    WARMUP = 10
 
     def __init__(
         self,
@@ -155,13 +148,10 @@ class GIDSDataLoader(Stateful):
     ) -> None:
         if framework_overhead_s < 0:
             raise ConfigError("framework overhead must be non-negative")
-        self.dataset = dataset
-        self.system = system
+        super().__init__(dataset, system, batch_size=batch_size, seed=seed)
         self.config = config if config is not None else LoaderConfig()
-        self.batch_size = batch_size
         self.framework_overhead_s = framework_overhead_s
         self.tracer = tracer = ensure_tracer(tracer)
-        self._rng = as_rng(seed)
 
         # The storage stack is strictly pay-for-what-you-use: with no fault
         # plan (or a null one), the redundancy defaults and integrity off,
@@ -193,7 +183,6 @@ class GIDSDataLoader(Stateful):
         self.ledger = self.stack.ledger
         self.verifier = self.stack.verifier
         self.scrubber = self.stack.scrubber
-        self._sim_now_s = 0.0
         # One entry per produced iteration: page ids whose corruption went
         # undetected, queued by the stack's verify stage (never, without
         # one) and consumed in order by :meth:`fetch_features`.
@@ -221,42 +210,14 @@ class GIDSDataLoader(Stateful):
         self.window = WindowBuffer(
             self.cache, self.config.window_depth, tracer=tracer
         )
-        self._seed_stream = SeedBatchStream(
-            dataset.train_ids, batch_size, self._rng
-        )
+
+    @property
+    def overlapped(self) -> bool:
+        """The accumulator decouples data preparation from training."""
+        return self.config.accumulator_enabled
 
     # ------------------------------------------------------------------
     # Construction helpers
-
-    def _build_sampler(
-        self,
-        sampler_kind: str,
-        fanouts: tuple[int, ...],
-        layer_sizes: tuple[int, ...] | None,
-        hetero_fanouts: tuple[int | dict[str, int], ...] | None,
-    ):
-        if sampler_kind == "neighbor":
-            return NeighborSampler(
-                self.dataset.graph, fanouts, seed=self._rng
-            )
-        if sampler_kind == "ladies":
-            sizes = layer_sizes if layer_sizes is not None else (512,) * 3
-            return LadiesSampler(self.dataset.graph, sizes, seed=self._rng)
-        if sampler_kind == "hetero":
-            if self.dataset.hetero is None:
-                raise ConfigError(
-                    "the 'hetero' sampler requires a heterogeneous dataset"
-                )
-            from ..sampling.hetero_neighbor import HeteroNeighborSampler
-
-            typed = hetero_fanouts if hetero_fanouts is not None else fanouts
-            return HeteroNeighborSampler(
-                self.dataset.hetero, typed, seed=self._rng
-            )
-        raise ConfigError(
-            f"unknown sampler kind {sampler_kind!r}; "
-            "expected 'neighbor', 'ladies' or 'hetero'"
-        )
 
     def _build_accumulator(self):
         if not self.config.accumulator_enabled:
@@ -275,8 +236,7 @@ class GIDSDataLoader(Stateful):
 
     def _sample_next(self) -> None:
         """Sample one future iteration and push it into the window."""
-        seeds = self._seed_stream.next()
-        batch = self.sampler.sample(seeds)
+        batch = self._sample()
         nodes = batch.input_nodes
         if self.cpu_buffer is not None:
             buffered = self.cpu_buffer.contains(nodes)
@@ -439,16 +399,7 @@ class GIDSDataLoader(Stateful):
                     entry.batch.num_input_nodes
                 ),
             )
-            metrics.append(
-                IterationMetrics(
-                    times=times,
-                    num_seeds=len(entry.batch.seeds),
-                    num_input_nodes=entry.batch.num_input_nodes,
-                    num_sampled=entry.batch.num_sampled,
-                    num_edges=entry.batch.num_edges,
-                    counters=counters,
-                )
-            )
+            metrics.append(self._metrics(entry.batch, times, counters))
         # Background sweeps overlap the group they follow (they soak up
         # idle device IOPS), so they advance no modeled time; their budget
         # is the group's elapsed time and their traffic is accounted on
@@ -592,31 +543,17 @@ class GIDSDataLoader(Stateful):
             m.counters.publish(tracer.metrics)
 
     # ------------------------------------------------------------------
-    # Public API
+    # The loader contract (repro.pipeline.loader)
 
-    def run(self, num_iterations: int, *, warmup: int = 10) -> RunReport:
-        """Execute ``warmup`` unmeasured iterations, then measure a run.
-
-        Mirrors the paper's methodology (Section 4.1): caches stay warm
-        across the boundary, only statistics and timings reset.
-        """
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
-        if warmup < 0:
-            raise ConfigError("warmup must be non-negative")
-        if warmup:
-            self._execute(warmup, report=None)
+    @contextmanager
+    def _measurement(self):
         self.cache.stats.reset()
         tracer = self.tracer
         # Discard warmup spans/metrics so trace totals match the measured
         # report exactly; the modeled clock keeps running.
         tracer.reset()
         plane_baseline = self.stack.plane_totals()
-        report = RunReport(
-            loader_name=self.name,
-            overlapped=self.config.accumulator_enabled,
-        )
-        self._execute(num_iterations, report=report)
+        yield
         if tracer.enabled:
             # Only the measured run's delta, so the fault and integrity
             # counters in the registry agree with the report.
@@ -624,16 +561,6 @@ class GIDSDataLoader(Stateful):
         # Timing-only runs never fetch features, so drain the queue of
         # undetected-corruption markers instead of letting it grow.
         self._pending_corrupt.clear()
-        return report
-
-    def _execute(self, n_iterations: int, report: RunReport | None) -> None:
-        done = 0
-        while done < n_iterations:
-            pairs = self.next_training_group(n_iterations - done)
-            for _, metrics in pairs:
-                if report is not None:
-                    report.append(metrics)
-            done += len(pairs)
 
     def next_training_group(
         self, remaining: int
@@ -695,30 +622,6 @@ class GIDSDataLoader(Stateful):
             bits = raw.view(np.uint32) ^ np.uint32(0x8040_0000)
             feats[bad] = bits.view(raw.dtype)
         return feats
-
-    def iter_batches(
-        self, num_iterations: int
-    ) -> Iterator[tuple[MiniBatch, np.ndarray]]:
-        """Yield ``(mini-batch, input feature matrix)`` pairs for training.
-
-        The functional companion of :meth:`run`: features come from the
-        feature store (synthetic or materialized) in ``input_nodes`` order,
-        filtered through :meth:`fetch_features` so undetected corruption
-        shows up in the delivered matrices.
-        """
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
-        produced = 0
-        while produced < num_iterations:
-            pairs = self.next_training_group(num_iterations - produced)
-            for batch, _ in pairs:
-                yield batch, self.fetch_features(batch)
-                produced += 1
-
-    @property
-    def sim_now_s(self) -> float:
-        """Simulated time consumed so far (modeled seconds, monotonic)."""
-        return self._sim_now_s
 
     # ------------------------------------------------------------------
     # Checkpointing

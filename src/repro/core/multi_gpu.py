@@ -17,26 +17,38 @@ import numpy as np
 from ..config import SSDSpec
 from ..errors import ConfigError
 from ..graph.datasets import ScaledDataset
-from ..utils import splitmix64
+from ..utils import rendezvous_weights
 
 
-def _rendezvous_weights(
-    train_ids: np.ndarray, num_shards: int, seed: int
-) -> np.ndarray:
-    """Highest-random-weight matrix: ``weights[i, s]`` for id ``i``, shard ``s``.
+def _rebalance(assignment: np.ndarray, num_shards: int, rank):
+    """Largest-remainder rebalance of ``assignment`` (shard per id), in place.
 
-    Each entry is a pure hash of ``(seed, id, shard)`` — independent of
-    ``num_shards`` — so adding a shard adds a *column* without perturbing
-    any existing entry.  That is the property consistent (rendezvous)
-    hashing is built on.
+    Every shard gets ``n // k`` ids and the ``n % k`` shards with the
+    largest natural population absorb the remainder — deterministic (ties
+    broken by shard index) and minimizing moves.  Each overfull shard
+    sheds its excess members of lowest ``rank(members, shard)`` (stable),
+    leaving them ``-1``.  Returns the shed ids' positions, sorted, and
+    each shard's remaining room.
     """
-    ids = splitmix64(
-        train_ids.astype(np.uint64) ^ np.uint64(seed * 0x9E3779B9 + 1)
+    base, remainder = divmod(len(assignment), num_shards)
+    sizes = np.bincount(assignment, minlength=num_shards)
+    order = np.lexsort((np.arange(num_shards), -sizes))
+    capacity = np.full(num_shards, base, dtype=np.int64)
+    capacity[order[:remainder]] += 1
+
+    evicted: list[int] = []
+    for s in range(num_shards):
+        members = np.flatnonzero(assignment == s)
+        excess = len(members) - capacity[s]
+        if excess > 0:
+            lowest = np.argsort(rank(members, s), kind="stable")[:excess]
+            shed = members[lowest]
+            assignment[shed] = -1
+            evicted.extend(int(i) for i in shed)
+    room = capacity - np.bincount(
+        assignment[assignment >= 0], minlength=num_shards
     )
-    shards = splitmix64(
-        np.arange(num_shards, dtype=np.uint64) + np.uint64(seed) * np.uint64(7919)
-    )
-    return splitmix64(ids[:, None] ^ shards[None, :])
+    return sorted(evicted), room
 
 
 def shard_train_ids(
@@ -70,41 +82,20 @@ def shard_train_ids(
     if len(train_ids) < num_shards:
         raise ConfigError("fewer labeled nodes than shards")
 
-    n = len(train_ids)
-    weights = _rendezvous_weights(train_ids, num_shards, seed)
+    weights = rendezvous_weights(train_ids, num_shards, seed)
     assignment = np.argmax(weights, axis=1)
-
-    # Largest-remainder capacities: every shard gets n // k, and the r
-    # shards with the largest natural population absorb the remainder —
-    # deterministic (ties broken by shard index) and minimizing moves.
-    base, remainder = divmod(n, num_shards)
-    sizes = np.bincount(assignment, minlength=num_shards)
-    order = np.lexsort((np.arange(num_shards), -sizes))
-    capacity = np.full(num_shards, base, dtype=np.int64)
-    capacity[order[:remainder]] += 1
 
     # Overfull shards evict their weakest members (smallest rendezvous
     # weight for that shard); evicted ids re-home to their best shard with
     # room.  Everything is sorted, so the result is reproducible.
-    evicted: list[int] = []
-    for s in range(num_shards):
-        members = np.flatnonzero(assignment == s)
-        excess = len(members) - capacity[s]
-        if excess > 0:
-            member_weights = weights[members, s]
-            weakest = members[np.argsort(member_weights, kind="stable")][:excess]
-            assignment[weakest] = -1
-            evicted.extend(int(i) for i in weakest)
-
-    if evicted:
-        room = capacity - np.bincount(
-            assignment[assignment >= 0], minlength=num_shards
-        )
-        for i in sorted(evicted):
-            open_shards = np.flatnonzero(room > 0)
-            best = open_shards[np.argmax(weights[i, open_shards])]
-            assignment[i] = best
-            room[best] -= 1
+    evicted, room = _rebalance(
+        assignment, num_shards, lambda members, s: weights[members, s]
+    )
+    for i in evicted:
+        open_shards = np.flatnonzero(room > 0)
+        best = open_shards[np.argmax(weights[i, open_shards])]
+        assignment[i] = best
+        room[best] -= 1
 
     return [
         np.sort(train_ids[assignment == s]) for s in range(num_shards)
@@ -147,30 +138,14 @@ def partition_shards(
     )
     assignment = result.parts[train_ids].copy()
 
-    n = len(train_ids)
-    base, remainder = divmod(n, num_shards)
-    sizes = np.bincount(assignment, minlength=num_shards)
-    order = np.lexsort((np.arange(num_shards), -sizes))
-    capacity = np.full(num_shards, base, dtype=np.int64)
-    capacity[order[:remainder]] += 1
-
-    overflow: list[int] = []
-    for s in range(num_shards):
-        members = np.flatnonzero(assignment == s)
-        excess = len(members) - capacity[s]
-        if excess > 0:
-            # Shed the highest ids: deterministic, and BFS growth assigns
-            # ids in locality order so low ids are the partition core.
-            shed = np.sort(members)[-excess:]
-            assignment[shed] = -1
-            overflow.extend(int(i) for i in shed)
-    if overflow:
-        room = capacity - np.bincount(
-            assignment[assignment >= 0], minlength=num_shards
-        )
-        open_shards = [s for s in range(num_shards) for _ in range(room[s])]
-        for i, s in zip(sorted(overflow), open_shards):
-            assignment[i] = s
+    # Shed the highest ids: deterministic, and BFS growth assigns ids in
+    # locality order so low ids are the partition core.
+    overflow, room = _rebalance(
+        assignment, num_shards, lambda members, s: -members
+    )
+    open_shards = [s for s in range(num_shards) for _ in range(room[s])]
+    for i, s in zip(overflow, open_shards):
+        assignment[i] = s
 
     return [
         np.sort(train_ids[assignment == s]) for s in range(num_shards)

@@ -1,6 +1,8 @@
-"""End-to-end GNN training pipeline: runner and reporting."""
+"""End-to-end GNN training pipeline: the loader contract, runner and
+reporting."""
 
 from .metrics import IterationMetrics, RunReport, StageTimes
+from .loader import MiniBatchLoader
 from .runner import TrainingPipeline, TrainingResult
 from .export import (
     iterations_to_csv,
@@ -13,6 +15,7 @@ from .timeline import render_timeline
 __all__ = [
     "render_timeline",
     "IterationMetrics",
+    "MiniBatchLoader",
     "RunReport",
     "StageTimes",
     "TrainingPipeline",

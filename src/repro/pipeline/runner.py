@@ -54,10 +54,10 @@ class TrainingPipeline(Stateful):
     """Drives real GNN training through a dataloader.
 
     Args:
-        loader: any loader exposing ``iter_batches`` (GIDS, BaM, DGL-mmap,
-            Ginex, UVA).  Loaders that additionally expose
-            ``next_training_group`` (GIDS-family) get per-iteration modeled
-            metrics collected into :attr:`report` and support
+        loader: any :class:`~repro.pipeline.loader.MiniBatchLoader` (GIDS,
+            BaM, DGL-mmap, Ginex, UVA).  Every served iteration's modeled
+            metrics are collected into :attr:`report`; the loaders that
+            carry a state table (the GIDS family) also support
             checkpoint/resume.
         model: a :class:`GraphSAGE` whose layer count matches the sampler.
         num_classes: label space size for the synthetic node-classification
@@ -82,10 +82,8 @@ class TrainingPipeline(Stateful):
 
         self.completed_steps = 0
         self.losses: list[float] = []
-        config = getattr(loader, "config", None)
         self.report = RunReport(
-            loader_name=getattr(loader, "name", type(loader).__name__),
-            overlapped=bool(getattr(config, "accumulator_enabled", False)),
+            loader_name=loader.name, overlapped=loader.overlapped
         )
         # Aggregated-but-untrained mini-batches: the accumulator merges
         # several future iterations into one storage batch, so at any
@@ -125,30 +123,18 @@ class TrainingPipeline(Stateful):
         if num_iterations <= 0:
             raise PipelineError("num_iterations must be positive")
         target = self.completed_steps + num_iterations
-        use_groups = hasattr(self.loader, "next_training_group")
-        batch_iter = None
-        if not use_groups:
-            batch_iter = self.loader.iter_batches(num_iterations)
         while self.completed_steps < target:
-            if use_groups:
-                if not self._pending:
-                    pairs = self.loader.next_training_group(
-                        target - self.completed_steps
-                    )
-                    for batch, metrics in pairs:
-                        self.report.append(metrics)
-                        self._pending.append(batch)
-                batch = self._pending.popleft()
-                fetch = getattr(self.loader, "fetch_features", None)
-                if fetch is not None:
-                    # GIDS-family loaders own the integrity layer: the
-                    # delivered matrix reflects any corruption that slipped
-                    # past verification.
-                    features = fetch(batch)
-                else:
-                    features = self.loader.store.fetch(batch.input_nodes)
-            else:
-                batch, features = next(batch_iter)
+            if not self._pending:
+                pairs = self.loader.next_training_group(
+                    target - self.completed_steps
+                )
+                for batch, metrics in pairs:
+                    self.report.append(metrics)
+                    self._pending.append(batch)
+            batch = self._pending.popleft()
+            # The delivered matrix: under the GIDS family's integrity layer
+            # it reflects any corruption that slipped past verification.
+            features = self.loader.fetch_features(batch)
             labels = self._labels_for(batch.seeds)
             loss = self.model.train_step(batch, features, labels)
             self.losses.append(loss)
@@ -182,8 +168,8 @@ class TrainingPipeline(Stateful):
     # Checkpointing
 
     #: The whole training run (model, loader, progress).  The loader must
-    #: carry the protocol itself (the GIDS family; the baseline loaders are
-    #: stateless generators and cannot be checkpointed mid-run), and the
+    #: carry the protocol itself (the GIDS family; the baseline loaders
+    #: declare no state table and cannot be checkpointed mid-run), and the
     #: pipeline must have been constructed over the same task (loader
     #: configuration, model shape, class count, label seed) as the one that
     #: produced the snapshot.

@@ -8,7 +8,6 @@ wall-clock measurement of the Python process is ever reported.
 """
 
 from .ssd import SSDArray, SSDMicrobench
-from .nvme import NVMeQueueSim, QueuePairSpec
 from .pcie import PCIeLink
 from .cpu import CPUModel
 from .gpu import GPUModel
@@ -18,8 +17,6 @@ from .counters import TransferCounters
 __all__ = [
     "SSDArray",
     "SSDMicrobench",
-    "NVMeQueueSim",
-    "QueuePairSpec",
     "PCIeLink",
     "CPUModel",
     "GPUModel",

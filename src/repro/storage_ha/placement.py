@@ -30,15 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-
-
-def _copy_weights(pages: np.ndarray, num_devices: int, seed: int) -> np.ndarray:
-    """HRW weight matrix ``weights[i, d]`` for page ``i`` on device ``d``."""
-    # Local import: repro.core's package init pulls in the GIDS loader,
-    # which imports this module — binding at call time breaks the cycle.
-    from ..core.multi_gpu import _rendezvous_weights
-
-    return _rendezvous_weights(pages.astype(np.int64), num_devices, seed)
+from ..utils import rendezvous_weights
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ class ReplicatedPlacement:
         primary = pages % self.num_devices
         if self.replication_factor == 1:
             return primary[:, None]
-        weights = _copy_weights(pages, self.num_devices, self.seed)
+        weights = rendezvous_weights(pages, self.num_devices, self.seed)
         # The primary never competes for a replica slot.
         weights[np.arange(len(pages)), primary] = 0
         order = np.argsort(weights, axis=1, kind="stable")[:, ::-1]

@@ -124,6 +124,27 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
     return x
 
 
+def rendezvous_weights(
+    keys: np.ndarray, num_buckets: int, seed: int
+) -> np.ndarray:
+    """Highest-random-weight matrix: ``weights[i, b]`` for key ``i``, bucket ``b``.
+
+    Each entry is a pure hash of ``(seed, key, bucket)`` — independent of
+    ``num_buckets`` — so adding a bucket adds a *column* without perturbing
+    any existing entry.  That is the property consistent (rendezvous)
+    hashing is built on; the fleet shards training ids with it and storage
+    HA places page replicas with it.
+    """
+    ids = splitmix64(
+        keys.astype(np.uint64) ^ np.uint64(seed * 0x9E3779B9 + 1)
+    )
+    buckets = splitmix64(
+        np.arange(num_buckets, dtype=np.uint64)
+        + np.uint64(seed) * np.uint64(7919)
+    )
+    return splitmix64(ids[:, None] ^ buckets[None, :])
+
+
 def splitmix64_uniform(values: np.ndarray, salt: int = 0) -> np.ndarray:
     """Deterministic per-value uniforms in ``[0, 1)`` (vectorized).
 

@@ -39,6 +39,10 @@ per-page generator feeding ``np.fromiter`` in ``core/``, ``faults/`` or
 ``TransferCounters`` method, gauge handles looked up in one place in
 ``serving/server.py``, and one sampler cutover constant whose comment
 and ``BENCH_sampler.json`` block name the sweep that chose it.
+
+The sixth keeps one mini-batch loader contract: only ``MiniBatchLoader``
+defines the seed → sample → serve → report skeleton, and the training
+pipeline and run supervisor never probe the loader they step.
 """
 
 from __future__ import annotations
@@ -476,6 +480,85 @@ def test_every_restorer_owns_a_table():
     stale = sorted(set(HAND_WRITTEN_RESTORERS) - by_hand)
     assert not stale, f"{stale} now own a table; drop them from the list"
     assert len(HAND_WRITTEN_RESTORERS) <= 1, "the list only shrinks"
+
+
+# ----------------------------------------------------------------------
+# One mini-batch loader contract
+
+LOADER_BASE = "MiniBatchLoader"
+
+#: What every loader shares and only the base defines.
+LOADER_SKELETON = ("run", "iter_batches", "_seed_batches", "_build_sampler")
+
+#: Modules that step a loader and may not ask which protocol it speaks.
+LOADER_CALLERS = ("pipeline/runner.py", "checkpoint/supervisor.py")
+
+
+def _classes():
+    for rel, tree in SOURCES:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                yield rel, node
+
+
+def _methods(cls: ast.ClassDef) -> set[str]:
+    return {
+        node.name for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def _loader_classes() -> set[str]:
+    """Names of the base, its subclasses (to a fixpoint) and any class
+    that serves groups (``next_training_group``) without deriving from it."""
+    loaders = {LOADER_BASE}
+    grew = True
+    while grew:
+        grew = False
+        for _, cls in _classes():
+            bases = {ast.unparse(base).split(".")[-1] for base in cls.bases}
+            if cls.name not in loaders and (
+                bases & loaders or "next_training_group" in _methods(cls)
+            ):
+                loaders.add(cls.name)
+                grew = True
+    return loaders
+
+
+def test_the_loader_skeleton_exists_once():
+    """GIDS, BaM, Ginex, DGL-mmap and UVA share one seed -> sample -> serve
+    -> report loop; a loader that re-grows its own ``run``, batch iterator,
+    seed generator or sampler factory fails here by name."""
+    loaders = _loader_classes()
+    assert {"GIDSDataLoader", "BaMDataLoader", "GinexLoader",
+            "DGLMmapLoader", "UVALoader"} <= loaders
+    strays, base = [], None
+    for rel, cls in _classes():
+        if cls.name == LOADER_BASE:
+            base = _methods(cls)
+            continue
+        # ``run`` is a common verb elsewhere; the other three are not.
+        names = LOADER_SKELETON if cls.name in loaders else LOADER_SKELETON[1:]
+        strays += [
+            f"{rel}::{cls.name}.{name}"
+            for name in sorted(_methods(cls) & set(names))
+        ]
+    assert not strays, f"the loader skeleton belongs to {LOADER_BASE}: {strays}"
+    assert base is not None and {"run", "iter_batches", "_build_sampler"} <= base
+
+
+@pytest.mark.parametrize("rel", LOADER_CALLERS)
+def test_loader_callers_do_not_probe_the_loader(rel):
+    """Every loader speaks one contract, so the training pipeline and the
+    run supervisor ask it nothing through ``getattr`` / ``hasattr``."""
+    tree = dict(SOURCES)[rel]
+    probes = [
+        f"{rel}:{call.lineno} ({ast.unparse(call)})"
+        for name in ("getattr", "hasattr")
+        for call in _calls_named(tree, name)
+        if call.args and "loader" in ast.unparse(call.args[0])
+    ]
+    assert not probes, probes
 
 
 def test_benchmark_shim_table_still_installs(monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 from repro import (
     DGLMmapLoader,
     GinexLoader,
+    GraphSAGE,
     SystemConfig,
+    TrainingPipeline,
     UVALoader,
     load_scaled,
 )
@@ -120,6 +122,45 @@ class TestGinexLoader:
     def test_invalid_superbatch(self, small_dataset, tight_system):
         with pytest.raises(ConfigError):
             GinexLoader(small_dataset, tight_system, superbatch_size=0)
+
+
+class TestLoaderContract:
+    """The baselines speak the GIDS loader contract: training through
+    :class:`TrainingPipeline` reports what :meth:`run` measures."""
+
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (GinexLoader, {"superbatch_size": 4}),
+            (DGLMmapLoader, {}),
+            (UVALoader, {}),
+        ],
+        ids=["ginex", "mmap", "uva"],
+    )
+    def test_pipeline_report_equals_run(
+        self, cls, kwargs, small_dataset, tight_system
+    ):
+        system = SystemConfig() if cls is UVALoader else tight_system
+
+        def make():
+            return cls(
+                small_dataset, system, batch_size=32, fanouts=(4, 4),
+                seed=5, **kwargs,
+            )
+
+        pipeline = TrainingPipeline(
+            make(),
+            GraphSAGE(small_dataset.feature_dim, 8, 3, num_layers=2),
+            num_classes=3,
+        )
+        pipeline.train(11)
+        expected = make().run(11, warmup=0)
+        assert pipeline.report.num_iterations == 11
+        assert pipeline.report == expected
+
+    def test_default_warmups(self):
+        assert (UVALoader.WARMUP, DGLMmapLoader.WARMUP, GinexLoader.WARMUP) \
+            == (0, 100, 100)
 
 
 class TestUVALoader:

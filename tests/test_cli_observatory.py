@@ -243,10 +243,12 @@ class TestJsonFlags:
         assert block["span_count"] > 0
         assert "stage.aggregation" in block["tracks"]
 
-    def test_trace_json_malformed_exits_one(self, tmp_path, capsys):
+    def test_trace_json_malformed_exits_two(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
         path.write_text(json.dumps({"no": "events"}))
-        assert main(["trace", str(path), "--json"]) == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", str(path), "--json"])
+        assert excinfo.value.code == 2
         assert "error" in capsys.readouterr().err
 
 

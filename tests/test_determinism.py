@@ -19,7 +19,6 @@ from repro import (
     SystemConfig,
 )
 from repro.baselines.mmap_loader import DGLMmapLoader
-from repro.sim.nvme import NVMeQueueSim
 
 
 def assert_identical_reports(a, b):
@@ -104,16 +103,19 @@ class TestSimDeterminism:
         assert run() == run()
 
     def test_nvme_same_seed_identical_with_faults(self):
+        """CQ-error retries replay identically, down to the injector stats."""
         plan = FaultPlan(seed=4, read_failure_rate=0.1)
 
         def run():
-            sim = NVMeQueueSim(
-                INTEL_OPTANE, seed=4, fault_injector=FaultInjector(plan)
-            )
-            result = sim.run(2048)
-            return result, sim.last_cq_errors
+            injector = FaultInjector(plan)
+            result = SSDMicrobench(
+                INTEL_OPTANE, seed=4, fault_injector=injector
+            ).run(2048)
+            return result, injector.stats.state_dict()
 
-        assert run() == run()
+        first = run()
+        assert first[1]["retries"] > 0
+        assert run() == first
 
     def test_injector_stream_is_independent_of_global_state(self):
         """Fault draws must never read the global NumPy RNG."""

@@ -16,7 +16,6 @@ from repro import (
     SystemConfig,
 )
 from repro.errors import ConfigError, FaultError, RetryExhaustedError
-from repro.sim.nvme import NVMeQueueSim
 from repro.sim.pcie import PCIeLink
 from repro.config import PCIE_GEN4_X16
 
@@ -377,13 +376,28 @@ class TestMicrobenchInjection:
         assert a == b
 
     def test_nvme_cq_errors_counted(self):
+        """Every command completing with CQ error status is counted and
+        re-issued in its slot; retries that fail again count as well."""
         plan = FaultPlan(seed=3, read_failure_rate=0.2, retry_failure_rate=0.0)
         inj = FaultInjector(plan)
-        sim = NVMeQueueSim(INTEL_OPTANE, seed=0, fault_injector=inj)
-        healthy = NVMeQueueSim(INTEL_OPTANE, seed=0).run(2048)[0]
-        faulty = sim.run(2048)[0]
-        assert sim.last_cq_errors > 0
+        healthy = SSDMicrobench(INTEL_OPTANE, seed=0).run(2048)[0]
+        faulty = SSDMicrobench(
+            INTEL_OPTANE, seed=0, fault_injector=inj
+        ).run(2048)[0]
+        assert inj.stats.injected_failures > 0
+        assert inj.stats.retries == inj.stats.injected_failures
+        assert inj.stats.unrecovered == 0
         assert faulty > healthy
+
+        stubborn = FaultInjector(
+            FaultPlan(seed=3, read_failure_rate=0.2, retry_failure_rate=1.0),
+            RetryPolicy(max_retries=2),
+        )
+        SSDMicrobench(INTEL_OPTANE, seed=0, fault_injector=stubborn).run(2048)
+        first = stubborn.stats.unrecovered
+        assert first > 0
+        assert stubborn.stats.retries == 2 * first
+        assert stubborn.stats.injected_failures == 3 * first
 
 
 class TestLoaderIntegration:

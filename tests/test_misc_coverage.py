@@ -4,7 +4,6 @@ import pytest
 
 from repro.cli import main
 from repro.config import INTEL_OPTANE
-from repro.core.model import expected_bandwidth
 from repro.errors import ConfigError
 from repro.pipeline.metrics import RunReport
 from repro.sim.cpu import CPUModel
@@ -43,8 +42,11 @@ class TestCLICorners:
 class TestModelHelpers:
     def test_expected_bandwidth_collective(self):
         arr = SSDArray(INTEL_OPTANE, num_ssds=2)
-        bw = expected_bandwidth(arr, 4096)
-        assert bw == pytest.approx(arr.achieved_bandwidth(4096))
+        bw = arr.achieved_bandwidth(4096)
+        assert bw == pytest.approx(arr.achieved_iops(4096) * 4096)
+        assert bw == pytest.approx(
+            2 * SSDArray(INTEL_OPTANE).achieved_bandwidth(2048)
+        )
 
     def test_dram_read_time(self):
         cpu = CPUModel()

@@ -528,7 +528,16 @@ class TestTopAndProfileCli:
     def test_top_missing_file_fails(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["top", str(tmp_path / "nope.jsonl")]) == 1
+        garbage = tmp_path / "garbage.jsonl"
+        garbage.write_text("{not json\n")
+        for path in (tmp_path / "nope.jsonl", garbage):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["top", str(path)])
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["top", str(empty)]) == 1
 
     def test_trace_request_subcommand(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,4 +1,4 @@
-"""Property-based tests for loaders, typed sampling, and the NVMe sim."""
+"""Property-based tests for loaders, typed sampling, and the NVMe engine."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,7 @@ from repro.graph.datasets import load_scaled
 from repro.graph.generators import power_law_graph
 from repro.graph.hetero import stack_types
 from repro.sampling.hetero_neighbor import HeteroNeighborSampler
-from repro.sim.nvme import NVMeQueueSim, QueuePairSpec
+from repro.sim.ssd import SSDMicrobench
 
 # Shared fixtures built once (hypothesis re-runs the test body many times).
 _DATASET = load_scaled("IGB-tiny", 0.02, seed=5)
@@ -125,21 +125,30 @@ class TestHeteroSamplerProperties:
 
 
 class TestNVMeProperties:
+    """The event-driven NVMe engine (:class:`SSDMicrobench`)."""
+
     @given(
-        num_qp=st.integers(min_value=1, max_value=64),
-        depth=st.integers(min_value=1, max_value=512),
+        num_ssds=st.integers(min_value=1, max_value=4),
         n=st.integers(min_value=1, max_value=4096),
         latency_us=st.floats(min_value=5.0, max_value=500.0),
+        latency_cv=st.sampled_from([0.0, 0.25]),
     )
     @settings(max_examples=40, deadline=None)
     def test_iops_bounded_by_device_and_positive(
-        self, num_qp, depth, n, latency_us
+        self, num_ssds, n, latency_us, latency_cv
     ):
+        """Never faster than the devices' service slots allow: ``slots``
+        commands per SSD in flight, each taking the spec latency (the rated
+        peak, up to the rounding of internal parallelism to whole slots).
+        With constant latencies the bound holds for any request count."""
         spec = SSDSpec(
             name="hypo", read_latency_s=latency_us * 1e-6, peak_iops=1e6
         )
-        queues = QueuePairSpec(num_queue_pairs=num_qp, queue_depth=depth)
-        sim = NVMeQueueSim(spec, queues, latency_cv=0.0, seed=0)
-        elapsed, iops = sim.run(n)
-        assert elapsed > 0
-        assert 0 < iops <= spec.peak_iops * 1.01
+        bench = SSDMicrobench(
+            spec, num_ssds, latency_cv=latency_cv, seed=0
+        )
+        elapsed, iops = bench.run(n)
+        assert elapsed > 0 and iops > 0
+        if latency_cv == 0.0:
+            slots = max(1, round(spec.internal_parallelism))
+            assert iops <= num_ssds * slots / spec.read_latency_s * (1 + 1e-9)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines import DGLMmapLoader, GinexLoader, UVALoader
 from repro.config import (
     INTEL_OPTANE,
     SAMSUNG_980PRO,
@@ -187,6 +188,73 @@ def _run_loader(cls, iterations: int = 64, **kwargs) -> dict:
     out["state_sha256"] = _sha(loader.state_dict())
     out["trace"] = _trace_digest(tracer)
     return out
+
+
+# ----------------------------------------------------------------------
+# Baseline loaders (DGL-mmap, Ginex, UVA)
+
+
+def _run_baseline(cls, system: SystemConfig, **kwargs) -> dict:
+    """One baseline configuration, three ways: ``run()`` at the loader's
+    default warm-up, ``iter_batches`` and a ``TrainingPipeline``, each on a
+    fresh loader with the same seed."""
+    dataset = load_scaled("IGB-tiny", 0.05, seed=3)
+
+    def make():
+        return cls(dataset, system, batch_size=64, seed=2, **kwargs)
+
+    loader = make()
+    report = loader.run(24)
+    out = _report_digest(report.iterations)
+    out["loader_name"] = report.loader_name
+    out["overlapped"] = report.overlapped
+    faults = getattr(loader, "faults", None)
+    out["fault_stats"] = None if faults is None else faults.stats.state_dict()
+
+    digest = hashlib.sha256()
+    for batch, features in make().iter_batches(12):
+        for array in (batch.seeds, batch.input_nodes, features):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    out["features_sha256"] = digest.hexdigest()
+
+    from repro.pipeline.runner import TrainingPipeline
+    from repro.training.graphsage import GraphSAGE
+
+    pipeline = TrainingPipeline(
+        make(),
+        GraphSAGE(dataset.feature_dim, 8, 4, num_layers=2, seed=3),
+        num_classes=4,
+    )
+    out["losses"] = pipeline.train(12).losses
+    return out
+
+
+def _tight_system(num_ssds: int = 1) -> SystemConfig:
+    """Optane array whose CPU memory caches a sliver of the features, so
+    the measured iterations still miss after the default warm-up."""
+    dataset = load_scaled("IGB-tiny", 0.05, seed=3)
+    return SystemConfig(
+        ssd=INTEL_OPTANE,
+        num_ssds=num_ssds,
+        cpu_memory_limit_bytes=dataset.structure_data_bytes
+        + 0.15 * dataset.feature_data_bytes,
+    )
+
+
+def _ginex_plan() -> FaultPlan:
+    return FaultPlan(
+        seed=13,
+        read_failure_rate=0.03,
+        retry_failure_rate=0.5,
+        tail_latency_rate=0.02,
+        bitflip_rate=5e-3,
+        torn_page_rate=2e-3,
+        device_events=(
+            DeviceEvent(1, "dropout", 0.125),
+            DeviceEvent(1, "recovery", 0.14),
+        ),
+        pcie_degradation_factor=1.5,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -392,6 +460,27 @@ CASES = {
         verify="sample", parity=True
     ),
     "fullgraph-faults-bare": lambda: _run_fullgraph(verify=None),
+    "baseline-uva": lambda: _run_baseline(
+        UVALoader, SystemConfig(), fanouts=(5, 5)
+    ),
+    "baseline-mmap-neighbor": lambda: _run_baseline(
+        DGLMmapLoader, _tight_system(), fanouts=(5, 5)
+    ),
+    # Roomy memory: the whole feature file fits the page cache, so run()
+    # takes the preload branch.
+    "baseline-mmap-ladies": lambda: _run_baseline(
+        DGLMmapLoader, SystemConfig(),
+        sampler_kind="ladies", layer_sizes=(64, 64),
+    ),
+    "baseline-ginex": lambda: _run_baseline(
+        GinexLoader, _tight_system(), fanouts=(5, 5), superbatch_size=5
+    ),
+    "baseline-ginex-faults-verify-sample": lambda: _run_baseline(
+        GinexLoader, _tight_system(num_ssds=2), fanouts=(5, 5),
+        superbatch_size=5, fault_plan=_ginex_plan(),
+        retry_policy=_HARSH_RETRY, verify_reads="sample",
+        verify_sample_rate=0.5,
+    ),
 }
 
 #: Counters that must be non-zero in the golden, per case: the proof that
@@ -421,6 +510,14 @@ EXERCISED = {
         "parity_reconstructs", "unverified_pages",
     ),
     "fullgraph-faults-bare": ("fallback_requests",),
+    "baseline-uva": ("cpu_buffer_requests",),
+    "baseline-mmap-neighbor": ("page_faults", "page_cache_hits"),
+    "baseline-mmap-ladies": ("page_cache_hits",),
+    "baseline-ginex": ("storage_requests", "page_cache_hits"),
+    "baseline-ginex-faults-verify-sample": (
+        "storage_retries", "fallback_requests", "latency_spikes",
+        "verified_pages", "corrupt_detected",
+    ),
 }
 
 

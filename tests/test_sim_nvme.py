@@ -1,91 +1,49 @@
-"""Unit tests for the NVMe queue-pair mechanism simulation."""
+"""NVMe queue-level properties of the event-driven SSD engine.
+
+``SSDMicrobench`` is the single mechanism-level simulation of overlapping
+NVMe reads; these tests pin the device-level behaviour that the
+storage-access accumulator relies on.
+"""
 
 import pytest
 
-from repro.config import INTEL_OPTANE, SAMSUNG_980PRO
+from repro import FaultInjector, FaultPlan
+from repro.config import INTEL_OPTANE
 from repro.errors import ConfigError
-from repro.sim.nvme import NVMeQueueSim, QueuePairSpec
-from repro.sim.ssd import SSDArray
-
-
-class TestQueuePairSpec:
-    def test_defaults_valid(self):
-        spec = QueuePairSpec()
-        assert spec.num_queue_pairs > 0
-
-    def test_invalid_args(self):
-        with pytest.raises(ConfigError):
-            QueuePairSpec(num_queue_pairs=0)
-        with pytest.raises(ConfigError):
-            QueuePairSpec(queue_depth=0)
-        with pytest.raises(ConfigError):
-            QueuePairSpec(doorbell_batch=0)
-        with pytest.raises(ConfigError):
-            QueuePairSpec(submission_overhead_s=-1.0)
+from repro.sim.ssd import SSDArray, SSDMicrobench
 
 
 class TestNVMeQueueSim:
     def test_zero_requests(self):
-        sim = NVMeQueueSim(INTEL_OPTANE, seed=0)
+        """An empty kernel takes no time and never touches the injector."""
+        inj = FaultInjector(FaultPlan(seed=0, read_failure_rate=0.5))
+        before = inj.stats.state_dict()
+        sim = SSDMicrobench(INTEL_OPTANE, 2, seed=0, fault_injector=inj)
         assert sim.run(0) == (0.0, 0.0)
+        assert inj.stats.state_dict() == before
 
     def test_sustained_iops_near_device_peak(self):
-        """With enough queue pairs and depth, the mechanism-level sim must
-        reach the device's rated peak — the BaM design point."""
-        sim = NVMeQueueSim(INTEL_OPTANE, latency_cv=0.0, seed=0)
-        iops = sim.sustained_iops(16384)
+        """With enough overlapping reads in flight, the mechanism-level sim
+        must reach the device's rated peak — the BaM design point."""
+        sim = SSDMicrobench(INTEL_OPTANE, latency_cv=0.0, seed=0)
+        _, iops = sim.run(16384)
         assert iops == pytest.approx(INTEL_OPTANE.peak_iops, rel=0.10)
+        assert iops <= INTEL_OPTANE.peak_iops
 
     def test_agrees_with_phase_model_at_scale(self):
         """Mechanism-level and Eq. 2-3 phase model agree at high overlap
         (the regime the accumulator creates)."""
         arr = SSDArray(INTEL_OPTANE, t_init_extra_s=0.0, t_term_s=0.0)
-        sim = NVMeQueueSim(INTEL_OPTANE, latency_cv=0.0, seed=0)
+        sim = SSDMicrobench(INTEL_OPTANE, latency_cv=0.0, seed=0)
         n = 32768
         _, mech = sim.run(n)
         model = arr.achieved_iops(n)
         assert mech == pytest.approx(model, rel=0.10)
 
-    def test_single_queue_pair_is_submission_bound(self):
-        """One queue pair serializes submissions: throughput collapses to
-        the per-command submission rate."""
-        one = QueuePairSpec(num_queue_pairs=1, doorbell_batch=1)
-        sim = NVMeQueueSim(INTEL_OPTANE, one, latency_cv=0.0, seed=0)
-        iops = sim.sustained_iops(8192)
-        per_command = one.submission_overhead_s + one.doorbell_overhead_s
-        assert iops == pytest.approx(1.0 / per_command, rel=0.15)
-        assert iops < INTEL_OPTANE.peak_iops
-
-    def test_more_queue_pairs_helps_until_device_bound(self):
-        def iops(num_qp):
-            spec = QueuePairSpec(num_queue_pairs=num_qp)
-            return NVMeQueueSim(
-                INTEL_OPTANE, spec, latency_cv=0.0, seed=0
-            ).sustained_iops(8192)
-
-        assert iops(2) > iops(1)
-        assert iops(32) == pytest.approx(iops(64), rel=0.10)
-
-    def test_shallow_queues_limit_overlap(self):
-        """Tiny queue depth caps in-flight commands below the device's
-        internal parallelism, losing throughput on a high-latency device."""
-        shallow = QueuePairSpec(num_queue_pairs=1, queue_depth=4)
-        deep = QueuePairSpec(num_queue_pairs=1, queue_depth=4096)
-        slow = NVMeQueueSim(SAMSUNG_980PRO, shallow, latency_cv=0.0, seed=0)
-        fast = NVMeQueueSim(SAMSUNG_980PRO, deep, latency_cv=0.0, seed=0)
-        assert fast.sustained_iops(8192) > 2 * slow.sustained_iops(8192)
-
-    def test_doorbell_batching_helps(self):
-        unbatched = QueuePairSpec(num_queue_pairs=1, doorbell_batch=1)
-        batched = QueuePairSpec(num_queue_pairs=1, doorbell_batch=16)
-        a = NVMeQueueSim(INTEL_OPTANE, unbatched, latency_cv=0.0, seed=0)
-        b = NVMeQueueSim(INTEL_OPTANE, batched, latency_cv=0.0, seed=0)
-        assert b.sustained_iops(4096) > a.sustained_iops(4096)
-
     def test_negative_requests_rejected(self):
         with pytest.raises(ConfigError):
-            NVMeQueueSim(INTEL_OPTANE).run(-1)
+            SSDMicrobench(INTEL_OPTANE).run(-1)
 
     def test_invalid_cv(self):
         with pytest.raises(ConfigError):
-            NVMeQueueSim(INTEL_OPTANE, latency_cv=-0.1)
+            SSDMicrobench(INTEL_OPTANE, latency_cv=-0.1)

@@ -277,5 +277,9 @@ class TestCLITracing:
     def test_trace_subcommand_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": [{"name": "x"}]}')
-        assert main(["trace", str(bad)]) == 1
-        assert main(["trace", str(tmp_path / "missing.json")]) == 1
+        for path in (bad, tmp_path / "missing.json"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["trace", str(path)])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
