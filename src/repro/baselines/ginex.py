@@ -17,13 +17,15 @@ neighborhood sampling.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from ..cache.belady import BeladyCache
 from ..config import SystemConfig
+from ..core import readpath
 from ..errors import ConfigError
-from ..faults import FaultInjector, FaultPlan, RetryPolicy
+from ..faults import FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
 from ..integrity import VERIFY_BANDWIDTH_BYTES_PER_S, VERIFY_MODES
 from ..pipeline.loader import MiniBatchLoader
@@ -31,9 +33,6 @@ from ..pipeline.metrics import IterationMetrics, StageTimes
 from ..sampling.minibatch import MiniBatch
 from ..sim.counters import TransferCounters
 from ..sim.cpu import CPUModel
-from ..sim.gpu import GPUModel
-from ..sim.pcie import PCIeLink
-from ..storage.feature_store import FeatureStore
 
 
 class GinexLoader(MiniBatchLoader):
@@ -90,14 +89,21 @@ class GinexLoader(MiniBatchLoader):
         self.superbatch_size = superbatch_size
         self.planning_rate = planning_rate
 
-        self.store = FeatureStore(
-            dataset.num_nodes, dataset.feature_dim, data=features
+        # The store, the device models and the fault plane come from the
+        # one storage stack and its rules: no injector under no (or a null)
+        # plan, the degraded link under a PCIe-degradation plan.
+        # CPU-issued async reads suffer the same failure/spike rates and
+        # device events as GPU-initiated ones; retries and backoff are
+        # charged to the aggregation stage.
+        stack = readpath.StorageStack(
+            dataset, system, fault_plan=fault_plan,
+            retry_policy=retry_policy, features=features,
         )
-        self.layout = self.store.layout
+        self.store, self.layout = stack.store, stack.layout
+        self.gpu, self.pcie, self.faults = stack.gpu, stack.pcie, stack.faults
+        self.fault_plan = fault_plan
         self.cpu = CPUModel(system.cpu, threads=sample_threads)
         self._io_cpu = CPUModel(system.cpu, threads=io_threads)
-        self.gpu = GPUModel(system.gpu)
-        self.pcie = PCIeLink(system.pcie)
         self.sampler = self._build_sampler("neighbor", fanouts)
 
         free_bytes = max(
@@ -113,11 +119,6 @@ class GinexLoader(MiniBatchLoader):
             queue_depth_per_thread=io_queue_depth,
         )
 
-        # Fault injection mirrors the GPU-initiated loaders: CPU-issued
-        # async reads suffer the same failure/spike rates and device
-        # events; retries and backoff are charged to the aggregation stage.
-        self.fault_plan = fault_plan
-        self.faults: FaultInjector | None = None
         # Ginex's miss serving is aggregate (counts, not page ids), so its
         # integrity support is aggregate too: transient corruption (bit
         # flips, torn reads) is drawn binomially over the delivered reads
@@ -131,13 +132,6 @@ class GinexLoader(MiniBatchLoader):
             )
         self.verify_reads = verify_reads
         self.verify_sample_rate = float(verify_sample_rate)
-        if fault_plan is not None and not fault_plan.is_null():
-            self.faults = FaultInjector(fault_plan, retry_policy)
-            if fault_plan.pcie_degradation_factor > 1.0:
-                self.pcie = PCIeLink(
-                    system.pcie,
-                    degradation_factor=fault_plan.pcie_degradation_factor,
-                )
 
     def next_training_group(
         self, remaining: int
@@ -212,8 +206,10 @@ class GinexLoader(MiniBatchLoader):
             else int(round(it_misses * (1.0 - n_active / self.system.num_ssds)))
         )
         n_storage = it_misses - n_lost
-        outcome = self.faults.resolve_batch(n_storage)
-        n_spiked = self.faults.spike_count(n_storage)
+        counters = TransferCounters(storage_requests=n_storage)
+        outcome, n_spiked = readpath.draw_faults(
+            self.faults, n_storage, [counters]
+        )
         n_fallback = n_lost + outcome.unrecovered
         delivered = n_storage - outcome.unrecovered
 
@@ -270,22 +266,17 @@ class GinexLoader(MiniBatchLoader):
         integrity_on = self.verify_reads != "off" or plan.has_corruption
         unverified = delivered - verified if integrity_on else 0
 
-        counters = TransferCounters(
-            storage_requests=n_storage,
+        return io_time, replace(
+            counters,
             storage_bytes=delivered * page_bytes,
-            storage_retries=outcome.retries,
-            injected_faults=outcome.injected_failures,
-            latency_spikes=n_spiked,
             fallback_requests=n_fallback,
             fallback_bytes=n_fallback * page_bytes,
-            retry_timeouts=1 if outcome.timed_out else 0,
             verified_pages=verified,
             unverified_pages=unverified,
             corrupt_detected=detected,
             corrupt_repaired=detected,
             integrity_rereads=detected,
         )
-        return io_time, counters
 
     @contextmanager
     def _measurement(self):

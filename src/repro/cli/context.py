@@ -394,10 +394,11 @@ class RunContext:
         trace and the flight ring; then the final metric snapshot; then
         the black-box dump (on a fired rule, or on ``incident`` — a
         ``(trigger, at_s, context)`` the workload detected itself); then
-        the Chrome trace file.  Returns the export blocks every
-        ``report_to_dict``-style exporter takes: ``tracer``, ``system``,
-        ``alerts``, ``storage_ha`` (from ``driver``) and
-        ``observability``.
+        the Chrome trace file.  Returns the keywords every exporter
+        takes (``report_to_dict``, ``ServingReport.export_dict``): the
+        ``tracer`` and ``system``, and the lifecycle's blocks by
+        document-table row name (``alerts``, ``storage_ha`` from
+        ``driver``, ``observability``).
 
         ``report`` is ``None`` for serving, which has no ``RunReport``:
         rules are then evaluated against ``registry`` under ``name``

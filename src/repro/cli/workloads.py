@@ -791,9 +791,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     blocks = ctx.finish(
         None, server, name=server.name, registry=server.registry
     )
-    json_printed = ctx.emit(
-        json.dumps(report.export_dict(**blocks), indent=2)
-    )
+    json_printed = ctx.emit(_dumps(report.export_dict(**blocks)))
     if args.output is not None:
         print(f"wrote serving export to {args.output}", file=sys.stderr)
     if json_printed:

@@ -12,7 +12,7 @@ from .accumulator import DynamicAccessAccumulator
 from .window import WindowBuffer
 from .gids import GIDSDataLoader
 from .bam import BaMDataLoader
-from .multi_gpu import contended_ssd, partition_shards, shard_train_ids
+from ..sim.ssd import contended_ssd
 from .fleet import (
     CHAOS_SCENARIOS,
     ElasticFleetTrainer,
@@ -20,8 +20,10 @@ from .fleet import (
     FleetResult,
     InterconnectSpec,
     check_invariants,
+    partition_shards,
     replay_schedule,
     run_chaos_suite,
+    shard_train_ids,
 )
 
 __all__ = [

@@ -8,8 +8,9 @@ redundant storage reads.  This module builds that fleet in modeled time
 and, on top of it, the robustness a production fleet needs:
 
 * **Partition-aware sharding** — training seeds are split across GPUs
-  along graph partitions (:func:`~repro.core.multi_gpu.partition_shards`),
-  so each worker's cache sees a coherent neighborhood.
+  along graph partitions (:func:`partition_shards`; :func:`shard_train_ids`
+  is the rendezvous-hash alternative), so each worker's cache sees a
+  coherent neighborhood.
 * **Failure domains** — a :class:`~repro.faults.plan.WorkerEvent` dropout
   removes a worker mid-epoch; its remaining batches are re-assigned to the
   survivors deterministically, and a later recovery event re-admits the
@@ -58,7 +59,7 @@ from ..sampling.neighbor import NeighborSampler
 from ..serving.breaker import BreakerBoard
 from ..serving.config import ServingConfig
 from ..sim.counters import TransferCounters
-from ..sim.ssd import SSDArray
+from ..sim.ssd import SSDArray, contended_ssd
 from ..state import (
     Stateful,
     child,
@@ -85,11 +86,140 @@ from ..telemetry.tracks import (
     FLEET_EVENTS_TRACK,
     declare_track,
 )
+from ..utils import rendezvous_weights
 from . import readpath
-from .multi_gpu import contended_ssd, partition_shards, shard_train_ids
 
 #: Loader name fleet runs export under.
 FLEET_LOADER_NAME = "GIDS-fleet"
+
+
+def _rebalance(assignment: np.ndarray, num_shards: int, rank):
+    """Largest-remainder rebalance of ``assignment`` (shard per id), in place.
+
+    Every shard gets ``n // k`` ids and the ``n % k`` shards with the
+    largest natural population absorb the remainder — deterministic (ties
+    broken by shard index) and minimizing moves.  Each overfull shard
+    sheds its excess members of lowest ``rank(members, shard)`` (stable),
+    leaving them ``-1``.  Returns the shed ids' positions, sorted, and
+    each shard's remaining room.
+    """
+    base, remainder = divmod(len(assignment), num_shards)
+    sizes = np.bincount(assignment, minlength=num_shards)
+    order = np.lexsort((np.arange(num_shards), -sizes))
+    capacity = np.full(num_shards, base, dtype=np.int64)
+    capacity[order[:remainder]] += 1
+
+    evicted: list[int] = []
+    for s in range(num_shards):
+        members = np.flatnonzero(assignment == s)
+        excess = len(members) - capacity[s]
+        if excess > 0:
+            lowest = np.argsort(rank(members, s), kind="stable")[:excess]
+            shed = members[lowest]
+            assignment[shed] = -1
+            evicted.extend(int(i) for i in shed)
+    room = capacity - np.bincount(
+        assignment[assignment >= 0], minlength=num_shards
+    )
+    return sorted(evicted), room
+
+
+def shard_train_ids(
+    train_ids: np.ndarray, num_shards: int, *, seed: int = 0
+) -> list[np.ndarray]:
+    """Split labeled nodes into ``num_shards`` disjoint, balanced shards.
+
+    Assignment is rendezvous (highest-random-weight) hashing followed by a
+    deterministic largest-remainder rebalance, which gives two documented
+    properties:
+
+    * **Balance** — shard sizes differ by at most one, exactly: with
+      ``n = q * num_shards + r`` ids, ``r`` shards hold ``q + 1`` ids and
+      the rest hold ``q``.
+    * **Growth stability** — each id's shard preference is a pure hash of
+      ``(seed, id, shard)``, independent of ``num_shards``; growing the
+      fleet from ``k`` to ``k + 1`` shards therefore reassigns only
+      ``O(n / k)`` ids (those whose best shard becomes the new one, plus
+      rebalance spill), instead of the ``O(n)`` reshuffle a strided or
+      modular split suffers.  An elastic fleet that scales out keeps most
+      of every worker's cache warm.
+    """
+    if num_shards <= 0:
+        raise ConfigError("num_shards must be positive")
+    train_ids = np.asarray(train_ids, dtype=np.int64)
+    if len(train_ids) != len(np.unique(train_ids)):
+        raise ConfigError("train ids must be unique")
+    if len(train_ids) < num_shards:
+        raise ConfigError("fewer labeled nodes than shards")
+
+    weights = rendezvous_weights(train_ids, num_shards, seed)
+    assignment = np.argmax(weights, axis=1)
+
+    # Overfull shards evict their weakest members (smallest rendezvous
+    # weight for that shard); evicted ids re-home to their best shard with
+    # room.  Everything is sorted, so the result is reproducible.
+    evicted, room = _rebalance(
+        assignment, num_shards, lambda members, s: weights[members, s]
+    )
+    for i in evicted:
+        open_shards = np.flatnonzero(room > 0)
+        best = open_shards[np.argmax(weights[i, open_shards])]
+        assignment[i] = best
+        room[best] -= 1
+
+    return [
+        np.sort(train_ids[assignment == s]) for s in range(num_shards)
+    ]
+
+
+def partition_shards(
+    dataset: ScaledDataset,
+    num_shards: int,
+    *,
+    seed: int = 0,
+    refine_passes: int = 2,
+) -> list[np.ndarray]:
+    """Partition-aware seed sharding: co-locate neighboring seeds.
+
+    The graph is partitioned with :func:`~repro.graph.partition.partition_graph`
+    (seeded-BFS growth + boundary refinement) and each training seed goes
+    to the shard of its partition, so the seeds a GPU trains share
+    neighborhoods — which is exactly what makes its private cache and the
+    peer-cache tier effective (LSM-GNN's locality argument).  A final
+    largest-remainder rebalance moves boundary seeds (deterministically,
+    lowest ids first) so shard sizes still differ by at most one.
+    """
+    if num_shards <= 0:
+        raise ConfigError("num_shards must be positive")
+    train_ids = np.asarray(dataset.train_ids, dtype=np.int64)
+    if len(train_ids) < num_shards:
+        raise ConfigError("fewer labeled nodes than shards")
+    if num_shards == 1:
+        return [np.sort(train_ids)]
+    # Local import: graph.partition pulls in CSR machinery the plain
+    # hash-sharding path never needs.
+    from ..graph.partition import partition_graph
+
+    result = partition_graph(
+        dataset.graph,
+        num_shards,
+        refine_passes=refine_passes,
+        seed=seed,
+    )
+    assignment = result.parts[train_ids].copy()
+
+    # Shed the highest ids: deterministic, and BFS growth assigns ids in
+    # locality order so low ids are the partition core.
+    overflow, room = _rebalance(
+        assignment, num_shards, lambda members, s: -members
+    )
+    open_shards = [s for s in range(num_shards) for _ in range(room[s])]
+    for i, s in zip(overflow, open_shards):
+        assignment[i] = s
+
+    return [
+        np.sort(train_ids[assignment == s]) for s in range(num_shards)
+    ]
 
 
 @dataclass(frozen=True)

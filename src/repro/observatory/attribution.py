@@ -28,7 +28,7 @@ import math
 from ..config import SSDSpec, SystemConfig
 from ..errors import ObservatoryError
 from ..sim.pcie import PCIeLink
-from ..sim.ssd import SSDArray
+from ..sim.ssd import SSDArray, contended_ssd
 
 #: Resources attributed over the aggregation phase, in display order.
 AGGREGATION_RESOURCES = ("ssd", "pcie", "cpu.buffer", "gpu.hbm")
@@ -49,23 +49,25 @@ PEER_CACHE_ABSORPTION = 0.35
 #: Data-parallel widths the fleet what-if rows are computed for.
 FLEET_WHAT_IF_SIZES = (2, 4, 8)
 
-#: Keys every spec block must carry (the export embeds them so a saved
-#: report stays analyzable without the original :class:`SystemConfig`).
-_SPEC_KEYS = (
-    "ssd",
-    "ssd_read_latency_s",
-    "ssd_peak_iops",
-    "page_bytes",
-    "num_ssds",
-    "pcie_bandwidth",
-    "cpu_path_efficiency",
-    "hbm_bandwidth",
-    "training_consumption_rate",
-)
-
-#: Summary keys attribution reads; their absence means the input is not a
-#: run-report export.
-_SUMMARY_KEYS = ("loader", "iterations", "stage_seconds", "counters")
+#: Shape of every spec block (the export embeds one so a saved report
+#: stays analyzable without the original :class:`SystemConfig`): the SSD's
+#: name, then numbers.
+_SPECS = {
+    "ssd": str,
+    **dict.fromkeys(
+        (
+            "ssd_read_latency_s",
+            "ssd_peak_iops",
+            "page_bytes",
+            "num_ssds",
+            "pcie_bandwidth",
+            "cpu_path_efficiency",
+            "hbm_bandwidth",
+            "training_consumption_rate",
+        ),
+        (int, float),
+    ),
+}
 
 
 def system_spec_block(system: SystemConfig) -> dict:
@@ -90,24 +92,26 @@ def system_spec_block(system: SystemConfig) -> dict:
 
 
 def validate_summary(summary: object) -> dict:
-    """Check that ``summary`` looks like a run-report export; return it.
+    """Check that ``summary`` is a run-report export; return it.
 
-    Raises :class:`~repro.errors.ObservatoryError` on anything else: wrong
-    JSON shape, missing schema version, a schema newer than this code, or
-    missing required blocks.  Used by every CLI analysis entry point so
-    malformed inputs exit with a one-line message instead of a traceback.
+    Walks the document table (:data:`repro.pipeline.export.DOCUMENT`):
+    raises :class:`~repro.errors.ObservatoryError` on anything but an
+    object with a schema version no newer than this code's, every
+    required key and every present, non-null block in its row's shape.
+    Used by every CLI analysis entry point so malformed inputs exit with
+    a one-line message instead of a traceback.
     """
     # Local import: pipeline.export imports this module for the
     # ``attribution`` block, so the reverse import must stay off the
     # module level.
-    from ..pipeline.export import EXPORT_SCHEMA_VERSION
+    from ..pipeline.export import DOCUMENT, EXPORT_SCHEMA_VERSION, shape_error
 
     if not isinstance(summary, dict):
         raise ObservatoryError(
             f"expected a run-report object, got {type(summary).__name__}"
         )
     version = summary.get("schema_version")
-    if not isinstance(version, int):
+    if not isinstance(version, int) or isinstance(version, bool):
         raise ObservatoryError(
             "input is not a run-report export (no schema_version)"
         )
@@ -116,20 +120,29 @@ def validate_summary(summary: object) -> dict:
             f"report schema_version {version} is newer than the supported "
             f"{EXPORT_SCHEMA_VERSION}; upgrade repro to analyze it"
         )
-    missing = [key for key in _SUMMARY_KEYS if key not in summary]
+    missing = [
+        row.name
+        for row in DOCUMENT
+        if row.required and summary.get(row.name) is None
+    ]
     if missing:
         raise ObservatoryError(
             f"report export is missing required keys: {missing}"
         )
+    for row in DOCUMENT:
+        value = summary.get(row.name)
+        problem = value is not None and shape_error(value, row.shape, row.name)
+        if problem:
+            raise ObservatoryError(f"malformed report export: {problem}")
     return summary
 
 
 def _validate_specs(specs: dict) -> dict:
-    if not isinstance(specs, dict):
-        raise ObservatoryError("spec block must be an object")
-    missing = [key for key in _SPEC_KEYS if key not in specs]
-    if missing:
-        raise ObservatoryError(f"spec block is missing keys: {missing}")
+    from ..pipeline.export import shape_error
+
+    problem = shape_error(specs, _SPECS, "spec block")
+    if problem is not None:
+        raise ObservatoryError(problem)
     return specs
 
 
@@ -168,7 +181,22 @@ def attribute_summary(summary: dict, specs: dict) -> dict:
     """
     validate_summary(summary)
     _validate_specs(specs)
+    stage = summary["stage_seconds"]
+    resources = _resources(summary, specs)
+    bottleneck, verdict = _verdict(summary, stage, resources)
+    return {
+        "specs": dict(specs),
+        "resources": resources,
+        "stage_fractions": _stage_fractions(stage),
+        "bottleneck": bottleneck,
+        "verdict": verdict,
+        "what_if": _what_if_rows(summary, specs, resources),
+    }
 
+
+def _resources(summary: dict, specs: dict) -> dict:
+    """Achieved / peak / utilization per resource, over the run's
+    aggregation (training for ``gpu.training``) seconds."""
     counters = summary["counters"]
     faults = summary.get("faults") or {}
     stage = summary["stage_seconds"]
@@ -219,16 +247,7 @@ def attribute_summary(summary: dict, specs: dict) -> dict:
     }
     for entry in resources.values():
         entry["utilization"] = _ratio(entry["achieved"], entry["peak"])
-
-    bottleneck, verdict = _verdict(summary, stage, resources)
-    return {
-        "specs": dict(specs),
-        "resources": resources,
-        "stage_fractions": _stage_fractions(stage),
-        "bottleneck": bottleneck,
-        "verdict": verdict,
-        "what_if": what_if_table(summary, specs),
-    }
+    return resources
 
 
 def _stage_fractions(stage: dict) -> dict:
@@ -364,6 +383,24 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
     """
     validate_summary(summary)
     _validate_specs(specs)
+    return _what_if_rows(summary, specs, _resources(summary, specs))
+
+
+def _prediction(agg_s: float | None, e2e_s: float, base_e2e: float) -> dict:
+    """The predicted-time columns of a what-if row, against the run's
+    measured ``base_e2e``."""
+    delta = e2e_s - base_e2e
+    return {
+        "predicted_aggregation_seconds": _finite(agg_s),
+        "predicted_e2e_seconds": _finite(e2e_s),
+        "delta_seconds": _finite(delta),
+        "delta_fraction": _finite(delta / base_e2e if base_e2e > 0 else 0.0),
+    }
+
+
+def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
+    """:func:`what_if_table` of a validated summary whose
+    :func:`_resources` are ``resources``."""
     iterations = int(summary["iterations"])
     stage = summary["stage_seconds"]
     sampling_s = float(stage.get("sampling") or 0.0)
@@ -410,6 +447,14 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
         sampling_s + agg_s + transfer_s, train_s, overlapped
     )
 
+    def scaled(pred: float) -> tuple[float, float]:
+        """``(aggregation, e2e)`` seconds with the measured aggregation
+        scaled by ``pred`` over the base prediction."""
+        new_agg = agg_s * (pred / base_pred if base_pred > 0 else 1.0)
+        return new_agg, _combine_e2e(
+            sampling_s + new_agg + transfer_s, train_s, overlapped
+        )
+
     moved = CPU_BUFFER_ABSORPTION * pages
     scenarios = [
         (
@@ -440,27 +485,14 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
             predict(base_array, pages, storage_bytes, cpu_bytes, merge=2.0),
         ),
     ]
-
-    table = []
-    for name, description, pred in scenarios:
-        ratio = pred / base_pred if base_pred > 0 else 1.0
-        new_agg = agg_s * ratio
-        new_e2e = _combine_e2e(
-            sampling_s + new_agg + transfer_s, train_s, overlapped
-        )
-        delta = new_e2e - base_e2e
-        table.append(
-            {
-                "scenario": name,
-                "description": description,
-                "predicted_aggregation_seconds": _finite(new_agg),
-                "predicted_e2e_seconds": _finite(new_e2e),
-                "delta_seconds": _finite(delta),
-                "delta_fraction": _finite(
-                    delta / base_e2e if base_e2e > 0 else 0.0
-                ),
-            }
-        )
+    table = [
+        {
+            "scenario": name,
+            "description": description,
+            **_prediction(*scaled(pred), base_e2e),
+        }
+        for name, description, pred in scenarios
+    ]
 
     # Full-graph sweep runs carry their own memory-wall lever: the trainer
     # re-plans the sweep at double the HBM budget and re-prices activation
@@ -473,7 +505,6 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
         pred_e2e = what_if_hbm.get("predicted_e2e_seconds")
         if pred_e2e is not None:
             resident = bool(what_if_hbm.get("activations_resident"))
-            delta = float(pred_e2e) - base_e2e
             table.append(
                 {
                     "scenario": "2x HBM",
@@ -486,12 +517,7 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
                             else "activations still spill, epoch unchanged"
                         )
                     ),
-                    "predicted_aggregation_seconds": None,
-                    "predicted_e2e_seconds": _finite(float(pred_e2e)),
-                    "delta_seconds": _finite(delta),
-                    "delta_fraction": _finite(
-                        delta / base_e2e if base_e2e > 0 else 0.0
-                    ),
+                    **_prediction(None, float(pred_e2e), base_e2e),
                     "activations_resident": resident,
                     "speedup": _finite(what_if_hbm.get("speedup")),
                 }
@@ -499,26 +525,11 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
 
     # Capacity headroom at the binding aggregation resource: how far the
     # achieved request rate could scale before the busiest resource hits
-    # its peak.  Uses the run-total (not per-iteration) rates, mirroring
-    # the utilization math in :func:`attribute_summary`.
-    total_storage_bytes = int(counters["storage_bytes"])
-    total_cpu_bytes = int(counters["cpu_buffer_bytes"]) + int(
-        faults.get("fallback_bytes") or 0
+    # its peak (the run-total utilizations of :func:`_resources`).
+    bottleneck = max(
+        AGGREGATION_RESOURCES, key=lambda r: resources[r]["utilization"]
     )
-    total_hbm_bytes = int(counters["gpu_cache_bytes"])
-    utilizations = {
-        "ssd": _ratio(
-            _ratio(int(counters["storage_requests"]), agg_s),
-            float(specs["ssd_peak_iops"]) * num_ssds,
-        ),
-        "pcie": _ratio(
-            _ratio(total_storage_bytes + total_cpu_bytes, agg_s), pcie_bw
-        ),
-        "cpu.buffer": _ratio(_ratio(total_cpu_bytes, agg_s), cpu_path_bw),
-        "gpu.hbm": _ratio(_ratio(total_hbm_bytes, agg_s), hbm_bw),
-    }
-    bottleneck = max(utilizations, key=utilizations.get)
-    utilization = utilizations[bottleneck]
+    utilization = resources[bottleneck]["utilization"]
     total_requests = (
         int(counters["storage_requests"])
         + int(counters["cpu_buffer_requests"])
@@ -537,10 +548,7 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
                 f"{bottleneck} resource saturates (currently at "
                 f"{utilization:.1%})"
             ),
-            "predicted_aggregation_seconds": _finite(agg_s),
-            "predicted_e2e_seconds": _finite(base_e2e),
-            "delta_seconds": 0.0,
-            "delta_fraction": 0.0,
+            **_prediction(agg_s, base_e2e, base_e2e),
             "bottleneck": bottleneck,
             "utilization": _finite(utilization),
             "achieved_req_s": _finite(achieved_req_s),
@@ -555,44 +563,22 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
     # far from linear.  ``peer_cache_e2e_seconds`` repeats the solve with
     # PEER_CACHE_ABSORPTION of storage reads served from peer caches over
     # the interconnect instead of the SSD array.
-    for n in FLEET_WHAT_IF_SIZES:
-        shared = SSDArray(
-            SSDSpec(
-                name=str(specs["ssd"]),
-                read_latency_s=float(specs["ssd_read_latency_s"]),
-                peak_iops=float(specs["ssd_peak_iops"]) / n,
-                page_bytes=page_bytes,
-            ),
-            num_ssds,
-        )
-        ratio_n = (
-            predict(shared, pages, storage_bytes, cpu_bytes) / base_pred
-            if base_pred > 0
-            else 1.0
-        )
-        agg_n = agg_s * ratio_n / n
-        e2e_n = _combine_e2e(
+    def fleet_e2e(pred: float, n: int) -> tuple[float, float]:
+        """:func:`scaled` for ``n`` GPUs that split the run's work."""
+        agg_n = agg_s * (pred / base_pred if base_pred > 0 else 1.0) / n
+        return agg_n, _combine_e2e(
             (sampling_s + transfer_s) / n + agg_n, train_s / n, overlapped
         )
-        kept = 1.0 - PEER_CACHE_ABSORPTION
-        peer_ratio_n = (
-            predict(
-                shared,
-                pages * kept,
-                storage_bytes * kept,
-                cpu_bytes,
-            )
-            / base_pred
-            if base_pred > 0
-            else 1.0
+
+    kept = 1.0 - PEER_CACHE_ABSORPTION
+    for n in FLEET_WHAT_IF_SIZES:
+        shared = SSDArray(contended_ssd(base_array.spec, n), num_ssds)
+        agg_n, e2e_n = fleet_e2e(
+            predict(shared, pages, storage_bytes, cpu_bytes), n
         )
-        peer_agg_n = agg_s * peer_ratio_n / n
-        peer_e2e_n = _combine_e2e(
-            (sampling_s + transfer_s) / n + peer_agg_n,
-            train_s / n,
-            overlapped,
+        _, peer_e2e_n = fleet_e2e(
+            predict(shared, pages * kept, storage_bytes * kept, cpu_bytes), n
         )
-        delta = e2e_n - base_e2e
         table.append(
             {
                 "scenario": f"capacity @{n} GPUs",
@@ -603,12 +589,7 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
                     f"{PEER_CACHE_ABSORPTION:.0%} of storage reads"
                 ),
                 "num_gpus": n,
-                "predicted_aggregation_seconds": _finite(agg_n),
-                "predicted_e2e_seconds": _finite(e2e_n),
-                "delta_seconds": _finite(delta),
-                "delta_fraction": _finite(
-                    delta / base_e2e if base_e2e > 0 else 0.0
-                ),
+                **_prediction(agg_n, e2e_n, base_e2e),
                 "peer_cache_e2e_seconds": _finite(peer_e2e_n),
                 "speedup_vs_1gpu": _finite(
                     base_e2e / e2e_n if e2e_n > 0 else None
@@ -627,29 +608,19 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
     # redundancy overhead buys.
     if num_ssds >= 2:
         degraded_array = _ssd_array(specs, num_ssds - 1)
-        redundant_pred = predict(
-            degraded_array, pages, storage_bytes, cpu_bytes
-        )
         lost_share = 1.0 / num_ssds
         lost_pages = pages * lost_share
-        bare_pred = predict(
-            degraded_array,
-            pages - lost_pages,
-            storage_bytes - lost_pages * page_bytes,
-            cpu_bytes + lost_pages * page_bytes,
+        redundant_agg, redundant_e2e = scaled(
+            predict(degraded_array, pages, storage_bytes, cpu_bytes)
         )
-
-        def degraded_e2e(pred: float) -> float:
-            ratio = pred / base_pred if base_pred > 0 else 1.0
-            return _combine_e2e(
-                sampling_s + agg_s * ratio + transfer_s,
-                train_s,
-                overlapped,
+        _, bare_e2e = scaled(
+            predict(
+                degraded_array,
+                pages - lost_pages,
+                storage_bytes - lost_pages * page_bytes,
+                cpu_bytes + lost_pages * page_bytes,
             )
-
-        redundant_e2e = degraded_e2e(redundant_pred)
-        bare_e2e = degraded_e2e(bare_pred)
-        delta = redundant_e2e - base_e2e
+        )
         table.append(
             {
                 "scenario": "degraded capacity (1 SSD down)",
@@ -660,16 +631,7 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
                     f"device's {lost_share:.0%} of reads fall back to "
                     "the CPU mirror"
                 ),
-                "predicted_aggregation_seconds": _finite(
-                    agg_s * (redundant_pred / base_pred)
-                    if base_pred > 0
-                    else agg_s
-                ),
-                "predicted_e2e_seconds": _finite(redundant_e2e),
-                "delta_seconds": _finite(delta),
-                "delta_fraction": _finite(
-                    delta / base_e2e if base_e2e > 0 else 0.0
-                ),
+                **_prediction(redundant_agg, redundant_e2e, base_e2e),
                 "no_redundancy_e2e_seconds": _finite(bare_e2e),
                 "redundancy_benefit_seconds": _finite(
                     bare_e2e - redundant_e2e

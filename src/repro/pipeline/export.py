@@ -3,6 +3,12 @@
 Benchmark pipelines usually post-process loader measurements elsewhere
 (plotting, regression tracking); these helpers flatten a
 :class:`~repro.pipeline.metrics.RunReport` into stable, versioned records.
+
+The record's layout is one table, :data:`DOCUMENT`: one row per top-level
+key, in output order, with the schema version the key arrived in and the
+JSON shape readers rely on.  The writer (:func:`run_document`) walks it,
+and so does the one reader gate,
+:func:`~repro.observatory.attribution.validate_summary`.
 """
 
 from __future__ import annotations
@@ -11,48 +17,151 @@ import csv
 import io
 import json
 import math
+from typing import NamedTuple
 
 from ..errors import PipelineError
 from ..telemetry.tracer import Tracer, ensure_tracer
 from ..utils import package_version
 from .metrics import STAGES, RunReport
 
-#: Bump when the exported record layout changes.
-#: v2: added the ``faults`` block and NaN/inf-safe float serialization.
-#: v3: added the optional ``checkpoint_summary`` block (supervised runs).
-#: v4: added ``repro_version`` and the optional ``telemetry`` block
-#:     (traced runs: per-track span seconds and the metrics registry).
-#: v5: added the ``integrity_summary`` block (verify-on-read and scrubber
-#:     accounting; all-zero with ``consistent: true`` when the layer is
-#:     off).
-#: v6: added the optional ``attribution`` block (spec snapshot,
-#:     per-resource utilization, bottleneck verdict, what-if table; runs
-#:     exported with a ``system``) and the optional ``alerts`` block (SLO
-#:     evaluation results; runs exported with ``--alerts``).
-#: v7: added the optional ``serving`` block (``repro serve`` overload
-#:     accounting: offered/admitted/shed/rejected counts, latency
-#:     percentiles, breaker and brownout transitions) and the ``capacity``
-#:     row of the attribution what-if table.
-#: v8: added the optional ``fleet`` block (elastic multi-GPU runs:
-#:     per-worker counters, peer-cache hit ratio, rebalance/steal/worker
-#:     events, breaker transitions) and the per-fleet-size capacity rows
-#:     of the attribution what-if table.
-#: v9: added the optional ``fullgraph`` block (``repro fullgraph`` runs:
-#:     memory plan, partition edge-cut stats, per-class spill/reload
-#:     traffic, epoch loss/accuracy trajectories, 2x-HBM what-if) and the
-#:     ``2x HBM`` row of the attribution what-if table for such runs.
-#: v10: added the storage-HA counters (``replica_redirects``,
-#:     ``parity_reconstructs``, ``reconstruct_reads``, ``rebuild_pages``)
-#:     to the ``faults`` block, the optional ``storage_ha`` block
-#:     (placement mode, device health states and transitions, rebuild
-#:     progress from :meth:`~repro.storage_ha.StorageHA.summary_block`),
-#:     and the degraded-capacity rows of the attribution what-if table.
-#: v11: added the optional ``observability`` block
-#:     (:meth:`~repro.telemetry.Tracer.observability_block`: live
-#:     metric-snapshot cadence and file pointers, the tracer's
-#:     ``telemetry.dropped_events`` count, and the flight recorder's state
-#:     with its last dump trigger).
+#: Bump when the exported record layout changes; a new key also gets a
+#: :data:`DOCUMENT` row.
 EXPORT_SCHEMA_VERSION = 11
+
+#: A JSON number (``bool`` is never one).
+NUMBER = (int, float)
+#: A number, or ``null`` where :func:`_finite` dropped a NaN / infinity.
+OPT_NUMBER = (int, float, type(None))
+
+#: The ``counters`` block: these :class:`~repro.sim.counters.TransferCounters`
+#: fields, in order.
+_COUNTER_FIELDS = (
+    "storage_requests", "storage_bytes", "cpu_buffer_requests",
+    "cpu_buffer_bytes", "gpu_cache_hits", "gpu_cache_bytes", "page_faults",
+    "page_cache_hits",
+)
+
+#: The ``faults`` block (v10 appended the four storage-HA counters).
+_FAULT_FIELDS = (
+    "injected_faults", "storage_retries", "latency_spikes",
+    "fallback_requests", "fallback_bytes", "fallback_fraction",
+    "retry_timeouts", "replica_redirects", "parity_reconstructs",
+    "reconstruct_reads", "rebuild_pages",
+)
+
+
+class Block(NamedTuple):
+    """One top-level key of the run-report document."""
+
+    name: str
+    #: Schema version the key arrived in.
+    since: int
+    #: The JSON shape readers rely on (see :func:`shape_error`).
+    shape: object
+    #: Readers refuse a document without it.
+    required: bool = False
+    #: Only training exports carry it; a serving export has no such key.
+    training_only: bool = False
+
+
+#: The run-report document, in output order.
+DOCUMENT = (
+    Block("schema_version", 1, int, required=True),
+    Block("repro_version", 4, str),
+    Block("loader", 1, str, required=True),
+    Block("iterations", 1, int, required=True),
+    Block("overlapped", 1, bool),
+    Block("e2e_seconds", 1, NUMBER),
+    Block("seconds_per_iteration", 1, NUMBER),
+    Block("stage_seconds", 1, {str: OPT_NUMBER}, required=True),
+    Block("counters", 1, dict.fromkeys(_COUNTER_FIELDS, int), required=True),
+    Block("faults", 2, {str: OPT_NUMBER}),
+    # All-zero with ``consistent: true`` when the layer is off.
+    Block("integrity_summary", 5, dict, training_only=True),
+    Block("gpu_cache_hit_ratio", 1, NUMBER),
+    Block("redirect_fraction", 1, NUMBER),
+    Block("effective_aggregation_bandwidth", 1, NUMBER, training_only=True),
+    Block("pcie_ingress_bandwidth", 1, NUMBER, training_only=True),
+    Block("total_input_nodes", 1, int, training_only=True),
+    # CheckpointSummary of a supervised run.
+    Block("checkpoint_summary", 3, dict),
+    # Tracer.export_block: per-track span seconds and the metrics registry.
+    Block("telemetry", 4, dict),
+    # Spec snapshot, utilization, bottleneck verdict and what-if table; v7
+    # added the capacity row, v8 the per-fleet-size rows, v9 the 2x HBM
+    # row, v10 the degraded-capacity row.
+    Block("attribution", 6, {"specs": dict, "bottleneck": str}),
+    # SLOMonitor.evaluate of --alerts rules.
+    Block("alerts", 6, dict),
+    # ServingReport.to_dict: admission ledger, latency, breakers, brownout.
+    Block("serving", 7, dict),
+    # FleetResult.fleet_block: per-worker counters and elasticity events.
+    Block("fleet", 8, dict, training_only=True),
+    # FullGraphTrainer.fullgraph_block: plan, traffic, 2x-HBM what-if.
+    Block(
+        "fullgraph", 9,
+        {
+            "traffic": {str: OPT_NUMBER},
+            "what_if_2x_hbm": {
+                "predicted_e2e_seconds": OPT_NUMBER,
+                "activations_resident": bool,
+                "speedup": OPT_NUMBER,
+            },
+        },
+        training_only=True,
+    ),
+    # StorageHA.summary_block: placement, device health, rebuild progress.
+    Block("storage_ha", 10, dict),
+    # Tracer.observability_block: snapshot cadence, dropped events, flight
+    # recorder state.
+    Block("observability", 11, dict),
+)
+
+#: The rows a serving export walks.
+SERVING_ROWS = tuple(row for row in DOCUMENT if not row.training_only)
+
+_JSON_NAMES = {
+    dict: "an object", list: "an array", str: "a string",
+    bool: "a boolean", int: "an integer", float: "a number",
+    type(None): "null",
+}
+
+
+def shape_error(value, shape, where: str) -> str | None:
+    """Why ``value`` does not have ``shape``; ``None`` when it does.
+
+    A shape is a type or a tuple of types (a ``bool`` matches only
+    ``bool``), or a dict for a JSON object: each named key must be present
+    with its own shape, and the key ``str`` shapes every value.
+    """
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return f"{where} must be an object, got {_json_name(value)}"
+        missing = [key for key in shape if key is not str and key not in value]
+        if missing:
+            return f"{where} is missing keys: {missing}"
+        for key, inner in shape.items():
+            items = value.items() if key is str else [(key, value[key])]
+            for name, item in items:
+                problem = shape_error(item, inner, f"{where}.{name}")
+                if problem is not None:
+                    return problem
+        return None
+    types = shape if isinstance(shape, tuple) else (shape,)
+    if isinstance(value, types) and (
+        bool in types or not isinstance(value, bool)
+    ):
+        return None
+    wanted = [t for t in types if not (t is int and float in types)]
+    return (
+        f"{where} must be "
+        f"{' or '.join(_JSON_NAMES[t] for t in wanted)}, "
+        f"got {_json_name(value)}"
+    )
+
+
+def _json_name(value) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
 
 
 def _finite(value: float) -> float | None:
@@ -69,69 +178,58 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-#: Key order of a run-report document; a key a document lacks is skipped
-#: (a serving export has no integrity, bandwidth, fleet or full-graph keys).
-_DOCUMENT_KEYS = (
-    "schema_version", "repro_version", "loader", "iterations", "overlapped",
-    "e2e_seconds", "seconds_per_iteration", "stage_seconds", "counters",
-    "faults", "integrity_summary", "gpu_cache_hit_ratio",
-    "redirect_fraction", "effective_aggregation_bandwidth",
-    "pcie_ingress_bandwidth", "total_input_nodes", "checkpoint_summary",
-    "telemetry", "attribution", "alerts", "serving", "fleet", "fullgraph",
-    "storage_ha", "observability",
-)
-
-
 def run_document(
-    counters, *, tracer: "Tracer | None" = None, system=None, **keys
+    traffic,
+    rows: tuple,
+    blocks: dict,
+    *,
+    tracer: "Tracer | None" = None,
+    system=None,
+    **measured,
 ) -> dict:
     """The versioned run-report document, for every exporter.
 
-    ``keys`` are the workload's own entries (loader, timings, optional
-    blocks); this adds the version stamps, the ``counters`` / ``faults``
-    blocks and cache/redirect ratios of ``counters``, the ``telemetry``
+    Walks ``rows`` (:data:`DOCUMENT`, or :data:`SERVING_ROWS`).
+    ``measured`` are the workload's own entries (loader, timings);
+    ``blocks`` are the caller's optional blocks by row name — one with a
+    ``to_dict`` is exported as its dict, and a row given neither way is
+    ``null``.  This adds the version stamps, the ``counters`` / ``faults``
+    blocks and cache/redirect ratios of ``traffic`` (the run's
+    :class:`~repro.sim.counters.TransferCounters`), the ``telemetry``
     block of an enabled ``tracer`` and, given the ``system`` the run was
-    modeled on, the ``attribution`` block.  Keys come out in
-    :data:`_DOCUMENT_KEYS` order.
+    modeled on, the ``attribution`` block.
     """
     # Local import: the observatory analyzes the dicts this module emits,
     # so the reverse dependency stays off the module level.
     from ..observatory.attribution import attribute_summary, system_spec_block
 
     tracer = ensure_tracer(tracer)
-    doc = {
-        **keys,
+    faults = {name: getattr(traffic, name) for name in _FAULT_FIELDS}
+    faults["fallback_fraction"] = _finite(faults["fallback_fraction"])
+    written = {
+        **measured,
         "schema_version": EXPORT_SCHEMA_VERSION,
         "repro_version": package_version(),
-        "counters": {
-            "storage_requests": counters.storage_requests,
-            "storage_bytes": counters.storage_bytes,
-            "cpu_buffer_requests": counters.cpu_buffer_requests,
-            "cpu_buffer_bytes": counters.cpu_buffer_bytes,
-            "gpu_cache_hits": counters.gpu_cache_hits,
-            "gpu_cache_bytes": counters.gpu_cache_bytes,
-            "page_faults": counters.page_faults,
-            "page_cache_hits": counters.page_cache_hits,
-        },
-        "faults": {
-            "injected_faults": counters.injected_faults,
-            "storage_retries": counters.storage_retries,
-            "latency_spikes": counters.latency_spikes,
-            "fallback_requests": counters.fallback_requests,
-            "fallback_bytes": counters.fallback_bytes,
-            "fallback_fraction": _finite(counters.fallback_fraction),
-            "retry_timeouts": counters.retry_timeouts,
-            "replica_redirects": counters.replica_redirects,
-            "parity_reconstructs": counters.parity_reconstructs,
-            "reconstruct_reads": counters.reconstruct_reads,
-            "rebuild_pages": counters.rebuild_pages,
-        },
-        "gpu_cache_hit_ratio": _finite(counters.gpu_cache_hit_ratio),
-        "redirect_fraction": _finite(counters.redirect_fraction),
+        "counters": {n: getattr(traffic, n) for n in _COUNTER_FIELDS},
+        "faults": faults,
+        "gpu_cache_hit_ratio": _finite(traffic.gpu_cache_hit_ratio),
+        "redirect_fraction": _finite(traffic.redirect_fraction),
         "telemetry": tracer.export_block() if tracer.enabled else None,
         "attribution": None,
     }
-    doc = {key: doc[key] for key in _DOCUMENT_KEYS if key in doc}
+    names = [row.name for row in rows]
+    unknown = sorted(
+        name for name in blocks if name not in names or name in written
+    )
+    if unknown:
+        takes = [name for name in names if name not in written]
+        raise PipelineError(
+            f"unknown run-document block(s) {unknown}; this export takes "
+            f"{takes}"
+        )
+    for name, value in blocks.items():
+        written[name] = value.to_dict() if hasattr(value, "to_dict") else value
+    doc = {name: written.get(name) for name in names}
     if system is not None:
         doc["attribution"] = attribute_summary(doc, system_spec_block(system))
     return doc
@@ -140,66 +238,23 @@ def run_document(
 def report_to_dict(
     report: RunReport,
     *,
-    checkpoint_summary: "object | None" = None,
     tracer: "Tracer | None" = None,
     system: "object | None" = None,
-    alerts: "dict | None" = None,
-    serving: "dict | None" = None,
-    fleet: "dict | None" = None,
-    fullgraph: "dict | None" = None,
-    storage_ha: "dict | None" = None,
-    observability: "dict | None" = None,
+    **blocks,
 ) -> dict:
     """Flatten a run report into a JSON-serializable summary dict.
 
-    Args:
-        report: the measured run.
-        checkpoint_summary: optional
-            :class:`~repro.checkpoint.supervisor.CheckpointSummary` (or a
-            plain dict) from a supervised run; exported as the
-            ``checkpoint_summary`` block.  ``None`` (unsupervised runs)
-            exports the block as ``None`` so the schema stays uniform.
-        tracer: optional :class:`~repro.telemetry.Tracer` whose
-            :meth:`~repro.telemetry.Tracer.export_block` becomes the
-            ``telemetry`` block; a disabled or absent one (untraced runs)
-            exports the block as ``None``.
-        system: optional :class:`~repro.config.SystemConfig` the run was
-            modeled on; when given, the export embeds the ``attribution``
-            block (spec snapshot, per-resource utilization, bottleneck
-            verdict and what-if table) so the saved report is analyzable
-            offline.  ``None`` exports the block as ``None``.
-        alerts: optional ``alerts`` summary block from
-            :meth:`~repro.observatory.slo.SLOMonitor.evaluate`; ``None``
-            (no SLO evaluation) exports the block as ``None``.
-        serving: optional ``serving`` block from
-            :meth:`~repro.serving.report.ServingReport.to_dict`; ``None``
-            (training runs) exports the block as ``None``.
-        fleet: optional ``fleet`` block from
-            :meth:`~repro.core.fleet.FleetResult.fleet_block` (elastic
-            multi-GPU runs: per-worker counters, peer-cache hit ratio,
-            rebalance/steal/worker events, breaker transitions); ``None``
-            (single-GPU runs) exports the block as ``None``.
-        fullgraph: optional ``fullgraph`` block from
-            :meth:`~repro.fullgraph.FullGraphTrainer.fullgraph_block`
-            (partition-sweep runs: memory plan, edge-cut stats,
-            spill/reload traffic, epoch trajectories, 2x-HBM what-if);
-            ``None`` (mini-batch runs) exports the block as ``None``.
-        storage_ha: optional ``storage_ha`` block from
-            :meth:`~repro.storage_ha.StorageHA.summary_block` (redundant
-            runs: placement mode, device health states/transitions,
-            rebuild progress); ``None`` (no redundancy) exports the
-            block as ``None``.
-        observability: optional ``observability`` block from
-            :meth:`~repro.telemetry.Tracer.observability_block`
-            (streamed/flight-recorded runs: snapshot cadence and file
-            pointers, dropped-event count, flight-recorder state); ``None``
-            exports the block as ``None``.
+    ``blocks`` are the optional blocks by :data:`DOCUMENT` row name
+    (``checkpoint_summary``, ``alerts``, ``fleet``, ``fullgraph``, ...);
+    an absent one exports as ``None``.  An enabled ``tracer`` adds the
+    ``telemetry`` block, and the ``system`` the run was modeled on the
+    ``attribution`` block, so the saved report is analyzable offline.
     """
     totals = report.stage_totals
-    if hasattr(checkpoint_summary, "to_dict"):
-        checkpoint_summary = checkpoint_summary.to_dict()
     return run_document(
         report.counters,
+        DOCUMENT,
+        blocks,
         tracer=tracer,
         system=system,
         loader=report.loader_name,
@@ -216,13 +271,6 @@ def report_to_dict(
         ),
         pcie_ingress_bandwidth=_finite(report.pcie_ingress_bandwidth),
         total_input_nodes=report.total_input_nodes,
-        checkpoint_summary=checkpoint_summary,
-        alerts=alerts,
-        serving=serving,
-        fleet=fleet,
-        fullgraph=fullgraph,
-        storage_ha=storage_ha,
-        observability=observability,
     )
 
 

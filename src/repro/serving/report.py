@@ -14,7 +14,7 @@ flattens everything into the ``serving`` block of the versioned run export.
 from __future__ import annotations
 
 from ..errors import ServingError
-from ..pipeline.export import _finite, run_document
+from ..pipeline.export import SERVING_ROWS, _finite, run_document
 from ..pipeline.metrics import STAGES
 from ..state import Stateful, seq
 from .config import PRIORITIES
@@ -231,25 +231,21 @@ class ServingReport:
             },
         }
 
-    def export_dict(
-        self,
-        *,
-        tracer=None,
-        system=None,
-        alerts=None,
-        storage_ha=None,
-        observability=None,
-    ) -> dict:
+    def export_dict(self, *, tracer=None, system=None, **blocks) -> dict:
         """Full versioned run-report document for this serving run.
 
-        Written by :func:`repro.pipeline.export.run_document`, the writer
-        of :func:`~repro.pipeline.export.report_to_dict` — same required
+        Written by :func:`repro.pipeline.export.run_document` over the
+        document rows a serving run has (:data:`SERVING_ROWS`), taking
+        ``blocks`` by row name like
+        :func:`~repro.pipeline.export.report_to_dict` — same required
         keys — so ``repro analyze``, ``validate_summary`` and the history
         tooling accept serving exports unchanged.
         """
         completed = self.stats.total("completed")
         return run_document(
             self.counters,
+            SERVING_ROWS,
+            blocks,
             tracer=tracer,
             system=system,
             loader="GIDS-serve",
@@ -263,9 +259,5 @@ class ServingReport:
                 stage: _finite(self.stage_seconds.get(stage, 0.0))
                 for stage in STAGES
             },
-            checkpoint_summary=None,
-            alerts=alerts,
             serving=self.to_dict(),
-            storage_ha=storage_ha,
-            observability=observability,
         )

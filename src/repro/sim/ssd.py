@@ -1,6 +1,6 @@
 """SSD array model: analytic service times plus a discrete-event microbench.
 
-Two complementary views of the same devices:
+Complementary views of the same devices:
 
 * :class:`SSDArray` — closed-form service-time model used by the dataloaders.
   A feature-aggregation kernel issuing ``n`` page reads pays an initial phase
@@ -9,6 +9,10 @@ Two complementary views of the same devices:
   kernel cannot keep enough requests in flight the steady state never reaches
   peak IOPS, which is exactly the deficiency the dynamic storage access
   accumulator repairs.
+
+* :func:`contended_ssd` — one device as seen by each of several GPUs
+  sharing it (LSM-GNN's shared-SSD contention model), for the multi-GPU
+  fleet and the observatory's fleet what-if rows.
 
 * :class:`SSDMicrobench` — a discrete-event simulation of one kernel
   invocation with per-request service slots and stochastic latency.  It plays
@@ -179,6 +183,24 @@ class SSDArray:
         while n > 0 and self.achieved_iops(n) < target_iops:
             n += 1
         return n
+
+
+def contended_ssd(spec: SSDSpec, num_gpus: int) -> SSDSpec:
+    """The SSD as seen by one of ``num_gpus`` concurrently reading GPUs.
+
+    Fair sharing of the device's command throughput: each GPU observes
+    ``peak / num_gpus`` IOPS at unchanged latency.  This is the worst case
+    (all GPUs aggregating at once), which data-parallel training with
+    synchronized steps approximates well.
+    """
+    if num_gpus <= 0:
+        raise ConfigError("num_gpus must be positive")
+    return SSDSpec(
+        name=f"{spec.name} (shared by {num_gpus} GPUs)",
+        read_latency_s=spec.read_latency_s,
+        peak_iops=spec.peak_iops / num_gpus,
+        page_bytes=spec.page_bytes,
+    )
 
 
 class SSDMicrobench:

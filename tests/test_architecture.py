@@ -43,6 +43,10 @@ and ``BENCH_sampler.json`` block name the sweep that chose it.
 The sixth keeps one mini-batch loader contract: only ``MiniBatchLoader``
 defines the seed → sample → serve → report skeleton, and the training
 pipeline and run supervisor never probe the loader they step.
+
+The seventh keeps one run-report document table: no exporter names a
+document key as a parameter; blocks arrive as ``**blocks`` and are checked
+against ``pipeline/export.DOCUMENT``.
 """
 
 from __future__ import annotations
@@ -64,9 +68,8 @@ CLI = "cli/"
 
 #: Method name -> files besides readpath.py that may call it.
 STAGE_CALLS = {
-    # Ginex is the CPU-initiated baseline: its own (non-GIDS) read path.
-    "resolve_batch": {"baselines/ginex.py"},
-    "spike_count": {"baselines/ginex.py"},
+    "resolve_batch": set(),
+    "spike_count": set(),
     "corruption_kinds": set(),
     "unavailable_page_mask": set(),
     # StorageHA.unrepairable_count asks its own router.
@@ -79,8 +82,7 @@ STAGE_CALLS = {
 
 #: Constructor name -> files besides readpath.py that may call it.
 STACK_CONSTRUCTORS = {
-    # Ginex is the CPU-initiated baseline: its own (non-GIDS) read path.
-    "FaultInjector": {"baselines/ginex.py"},
+    "FaultInjector": set(),
     "FaultySSDArray": set(),
     # The `repro storage` drill reports health on an unprotected array.
     "StorageHA": {"cli/storage.py"},
@@ -779,3 +781,39 @@ def test_the_sampler_cutover_is_one_documented_constant():
         for point in block["points"]
     }
     assert min(edges) < cutover.value.value < max(edges), "sweep misses it"
+
+
+# ----------------------------------------------------------------------
+# One run-report document table
+
+#: File -> the functions in it that write a run-report document.
+EXPORTERS = {
+    "pipeline/export.py": ("run_document", "report_to_dict", "report_to_json"),
+    "serving/report.py": ("export_dict",),
+}
+
+
+def test_exporters_take_blocks_by_table_row_name():
+    """Ten block keywords lived on ``report_to_dict`` and five on
+    ``ServingReport.export_dict``; an exporter that names a document key
+    as a parameter again fails here by name."""
+    from repro.pipeline.export import DOCUMENT
+
+    rows = {row.name for row in DOCUMENT}
+    found = {}
+    for rel, names in EXPORTERS.items():
+        for node in ast.walk(dict(SOURCES)[rel]):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                args = node.args
+                params = {
+                    arg.arg
+                    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                }
+                found[f"{rel}::{node.name}"] = (params & rows, args.kwarg)
+    assert len(found) == sum(len(names) for names in EXPORTERS.values())
+    strays = {name: sorted(keys) for name, (keys, _) in found.items() if keys}
+    assert not strays, (
+        "document keys are DOCUMENT rows, passed as **blocks: "
+        f"{strays}"
+    )
+    assert all(kwarg is not None for _, kwarg in found.values())

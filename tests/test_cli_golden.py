@@ -30,7 +30,11 @@ entries regenerated since:
   the tracer's current registry, and its cadence rides the tracer's
   checkpoint state.  The last two cases also move in their JSON: the
   export's ``observability`` counts, and ``checkpoint_summary
-  .snapshot_bytes``, since each snapshot now carries that cadence.
+  .snapshot_bytes``, since each snapshot now carries that cadence;
+* the stdout digests of ``serve-json`` and ``serve-planes-json``: the
+  serving export is now dumped like every other export (sorted keys,
+  strict JSON).  Key order only — the parsed documents are unchanged,
+  and so is every ``out.json`` digest.
 
 Regenerate everything, named cases, or one artifact of a case, with::
 

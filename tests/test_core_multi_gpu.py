@@ -1,15 +1,14 @@
-"""Unit tests for the data-parallel sharding and contention helpers."""
+"""Unit tests for the data-parallel helpers: the fleet's seed sharding
+(``repro.core.fleet``) and the shared-SSD contention model
+(``repro.sim.ssd``)."""
 
 import numpy as np
 import pytest
 
 from repro.config import INTEL_OPTANE
-from repro.core.multi_gpu import (
-    contended_ssd,
-    partition_shards,
-    shard_train_ids,
-)
+from repro.core.fleet import partition_shards, shard_train_ids
 from repro.errors import ConfigError
+from repro.sim.ssd import contended_ssd
 
 
 class TestShardTrainIds:
