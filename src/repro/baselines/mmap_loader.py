@@ -20,6 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..config import SystemConfig
+from ..core import readpath
 from ..errors import ConfigError
 from ..graph.datasets import ScaledDataset
 from ..pipeline.loader import MiniBatchLoader
@@ -27,10 +28,7 @@ from ..pipeline.metrics import IterationMetrics, StageTimes
 from ..sampling.minibatch import MiniBatch
 from ..sim.counters import TransferCounters
 from ..sim.cpu import CPUModel
-from ..sim.gpu import GPUModel
 from ..sim.pagecache import PageCache
-from ..sim.pcie import PCIeLink
-from ..storage.feature_store import FeatureStore
 
 
 class DGLMmapLoader(MiniBatchLoader):
@@ -66,13 +64,10 @@ class DGLMmapLoader(MiniBatchLoader):
         # gather.
         self.fault_threads = fault_threads
 
-        self.store = FeatureStore(
-            dataset.num_nodes, dataset.feature_dim, data=features
-        )
-        self.layout = self.store.layout
+        stack = readpath.StorageStack(dataset, system, features=features)
+        self.store, self.layout = stack.store, stack.layout
+        self.gpu, self.pcie = stack.gpu, stack.pcie
         self.cpu = CPUModel(system.cpu, threads=threads)
-        self.gpu = GPUModel(system.gpu)
-        self.pcie = PCIeLink(system.pcie)
         self.sampler = self._build_sampler(sampler_kind, fanouts, layer_sizes)
 
         # The OS page cache gets whatever CPU memory the pinned structure

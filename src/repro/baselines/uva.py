@@ -13,15 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import SystemConfig
+from ..core import readpath
 from ..errors import CapacityError
 from ..graph.datasets import ScaledDataset
 from ..pipeline.loader import MiniBatchLoader
 from ..pipeline.metrics import IterationMetrics, StageTimes
 from ..sampling.minibatch import MiniBatch
 from ..sim.counters import TransferCounters
-from ..sim.gpu import GPUModel
-from ..sim.pcie import PCIeLink
-from ..storage.feature_store import FeatureStore
 
 
 class UVALoader(MiniBatchLoader):
@@ -50,11 +48,8 @@ class UVALoader(MiniBatchLoader):
                 "usable; UVA requires the whole dataset in CPU memory"
             )
         super().__init__(dataset, system, batch_size=batch_size, seed=seed)
-        self.store = FeatureStore(
-            dataset.num_nodes, dataset.feature_dim, data=features
-        )
-        self.gpu = GPUModel(system.gpu)
-        self.pcie = PCIeLink(system.pcie)
+        stack = readpath.StorageStack(dataset, system, features=features)
+        self.store, self.gpu, self.pcie = stack.store, stack.gpu, stack.pcie
         self.sampler = self._build_sampler("neighbor", fanouts)
 
     def next_training_group(

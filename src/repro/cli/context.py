@@ -14,12 +14,11 @@ import json
 import math
 import os
 import sys
-from typing import NoReturn
 
 from ..bench.workloads import get_workload
 from ..checkpoint import CheckpointStore
 from ..config import INTEL_OPTANE, SAMSUNG_980PRO, SSDSpec
-from ..errors import FaultPlanError, ObservatoryError
+from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..observatory import SLOMonitor, load_alert_rules
 from ..pipeline.export import EXPORT_SCHEMA_VERSION
@@ -35,12 +34,6 @@ _SSDS: dict[str, SSDSpec] = {
     "optane": INTEL_OPTANE,
     "980pro": SAMSUNG_980PRO,
 }
-
-
-def _fail(message: str) -> NoReturn:
-    """Reject bad input before anything runs: one ``error:`` line, exit 2."""
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
 
 
 def _dumps(doc) -> str:
@@ -226,11 +219,11 @@ def _add_alerts_arg(parser: argparse.ArgumentParser) -> None:
 def _ha_kwargs(args: argparse.Namespace) -> dict:
     """Validated HA constructor kwargs from the ``_add_ha_args`` flags."""
     if args.replication < 1:
-        _fail("--replication must be >= 1")
+        raise ConfigError("--replication must be >= 1")
     if args.replication > 1 and args.parity:
-        _fail("choose --replication or --parity, not both")
+        raise ConfigError("choose --replication or --parity, not both")
     if not args.rebuild_iops >= 0:
-        _fail("--rebuild-iops must be non-negative")
+        raise ConfigError("--rebuild-iops must be non-negative")
     return {
         "replication": args.replication,
         "parity": args.parity,
@@ -242,7 +235,7 @@ def _integrity_kwargs(args: argparse.Namespace) -> dict:
     """Validated loader kwargs from the ``_add_integrity_args`` flags."""
     scrub_iops = getattr(args, "scrub_iops", 0.0)
     if not scrub_iops >= 0:
-        _fail("--scrub-iops must be non-negative")
+        raise ConfigError("--scrub-iops must be non-negative")
     return {
         "verify_reads": getattr(args, "verify_reads", "off"),
         "scrub_iops": scrub_iops,
@@ -250,13 +243,9 @@ def _integrity_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _load_fault_plan(path: str | None):
-    """Load a ``--fault-plan`` file (``None`` without one) or exit 2."""
-    if path is None:
-        return None
-    try:
-        return FaultPlan.from_json_file(path)
-    except FaultPlanError as exc:
-        _fail(str(exc))
+    """Load a ``--fault-plan`` file (``None`` without one); a malformed or
+    unreadable one raises :class:`~repro.errors.FaultPlanError`."""
+    return None if path is None else FaultPlan.from_json_file(path)
 
 
 def _resolve_workload(args: argparse.Namespace):
@@ -312,19 +301,16 @@ class RunContext:
         self.ha = _ha_kwargs(args)
         self.integrity = _integrity_kwargs(args)
         if getattr(args, "checkpoint_every", 1) <= 0:
-            _fail("--checkpoint-every must be positive")
+            raise ConfigError("--checkpoint-every must be positive")
         if args.trace_cap is not None and args.trace_cap <= 0:
-            _fail("--trace-cap must be positive")
+            raise ConfigError("--trace-cap must be positive")
         if not (math.isfinite(args.snapshot_every)
                 and args.snapshot_every > 0):
-            _fail("--snapshot-every must be positive")
+            raise ConfigError("--snapshot-every must be positive")
         self.fault_plan = _load_fault_plan(args.fault_plan)
         self.alert_rules = None
         if getattr(args, "alerts", None) is not None:
-            try:
-                self.alert_rules = load_alert_rules(args.alerts)
-            except ObservatoryError as exc:
-                _fail(str(exc))
+            self.alert_rules = load_alert_rules(args.alerts)
         self.workload = None
         if system is None:
             self.workload, system = _resolve_workload(args)

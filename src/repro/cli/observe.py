@@ -9,8 +9,8 @@ import json
 import sys
 
 from ..bench.tables import render_table
-from ..errors import ObservatoryError
-from .context import _SSDS, _dumps, _fail
+from ..errors import ObservatoryError, TelemetryError
+from .context import _SSDS, _dumps
 
 
 #: figure/table name -> experiment function name in repro.bench.experiments.
@@ -36,7 +36,8 @@ _EXPERIMENTS = {
 
 
 def _load_report(path: str, loader: str | None = None) -> dict:
-    """Load and validate a report export, or exit 2 with a message.
+    """Load and validate a report export; an unreadable or malformed one
+    raises :class:`~repro.errors.ObservatoryError`.
 
     ``repro run --format json`` writes a JSON *array* of reports (one per
     loader); ``loader`` selects one entry from such a file.  A single
@@ -48,7 +49,7 @@ def _load_report(path: str, loader: str | None = None) -> dict:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     except (OSError, ValueError) as exc:
-        _fail(f"cannot read report {path!r}: {exc}")
+        raise ObservatoryError(f"cannot read report {path!r}: {exc}") from exc
     if isinstance(payload, list):
         if loader is not None:
             payload = [
@@ -57,7 +58,9 @@ def _load_report(path: str, loader: str | None = None) -> dict:
                 if isinstance(entry, dict) and entry.get("loader") == loader
             ]
             if len(payload) != 1:
-                _fail(f"{path!r} holds no report for loader {loader!r}")
+                raise ObservatoryError(
+                    f"{path!r} holds no report for loader {loader!r}"
+                )
             payload = payload[0]
         elif len(payload) == 1:
             payload = payload[0]
@@ -67,14 +70,14 @@ def _load_report(path: str, loader: str | None = None) -> dict:
                 for entry in payload
                 if isinstance(entry, dict)
             ]
-            _fail(
+            raise ObservatoryError(
                 f"{path!r} holds {len(payload)} reports ({names}); pick "
                 "one with --loader"
             )
     try:
         validate_summary(payload)
     except ObservatoryError as exc:
-        _fail(f"{path}: {exc}")
+        raise ObservatoryError(f"{path}: {exc}") from exc
     return payload
 
 
@@ -146,7 +149,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     An unreadable or malformed file exits 2; a well-formed trace that
     lacks what was asked for (causal chains, a request id, events) exits 1.
     """
-    from ..errors import TelemetryError
     from ..telemetry import (
         render_trace,
         summarize_chrome_trace,
@@ -158,7 +160,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             trace = json.load(fh)
         validate_chrome_trace(trace)
     except (OSError, ValueError, TelemetryError) as exc:
-        _fail(f"cannot read trace {args.path!r}: {exc}")
+        raise TelemetryError(
+            f"cannot read trace {args.path!r}: {exc}"
+        ) from exc
     try:
         if args.request is not None:
             from ..telemetry import list_trace_ids, render_request_trace
@@ -256,7 +260,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """
     import time
 
-    from ..errors import TelemetryError
     from ..telemetry import read_snapshots
 
     last_seq = None
@@ -264,9 +267,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         try:
             snapshots = read_snapshots(args.path)
         except OSError as exc:
-            _fail(f"cannot read {args.path!r}: {exc}")
-        except TelemetryError as exc:
-            _fail(str(exc))
+            raise TelemetryError(f"cannot read {args.path!r}: {exc}") from exc
         if not snapshots:
             if not args.follow:
                 print(f"error: {args.path!r} holds no snapshots",

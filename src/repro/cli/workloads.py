@@ -537,24 +537,12 @@ def _args_fullgraph(fullgraph: argparse.ArgumentParser) -> None:
 def _cmd_fullgraph(args: argparse.Namespace) -> int:
     """``fullgraph``: sweep epochs over partitions with modeled offload."""
     from .. import state
-    from ..core.readpath import StorageStack
     from ..fullgraph import FullGraphConfig, FullGraphTrainer
     from ..pipeline.export import report_to_dict
     from ..utils import format_time
 
     ctx = RunContext(args, "fullgraph")
     tracer = ctx.tracer
-
-    # The injector and the verifier exist under the stack's one rule (a
-    # corrupting plan brings the verifier up even with ``--verify-reads
-    # off``, seeded by the plan); the sweep takes only those two handles.
-    stack = StorageStack(
-        ctx.workload.dataset,
-        ctx.system,
-        fault_plan=ctx.fault_plan,
-        verify_reads=args.verify_reads,
-        page_bytes=ctx.system.ssd.page_bytes,
-    )
 
     trainer = None
     try:
@@ -568,15 +556,15 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             ),
             num_partitions=args.partitions,
             io_overlap=not args.no_overlap,
-            **ctx.ha,
         )
         trainer = FullGraphTrainer(
             ctx.workload.dataset,
             ctx.system,
             config,
+            fault_plan=ctx.fault_plan,
+            verify_reads=args.verify_reads,
             tracer=tracer,
-            fault_injector=stack.faults,
-            verifier=stack.verifier,
+            **ctx.ha,
         )
 
         store = None

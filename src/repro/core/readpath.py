@@ -123,7 +123,9 @@ class StorageStack:
             the plan swaps in the degraded link.
         retry_policy: overrides the plan's embedded retry policy.
         replication / parity / rebuild_iops: storage-HA knobs; any
-            non-default value builds the HA coordinator.
+            non-default value builds the HA coordinator.  A replication
+            factor below 1 or a negative (or NaN) rebuild budget is a
+            :class:`~repro.errors.ConfigError`.
         verify_reads / verify_sample_rate / scrub_iops: integrity knobs
             (see :class:`~repro.core.gids.GIDSDataLoader`); ``"sample"``
             draws from its own stream, seeded by the plan.
@@ -149,6 +151,10 @@ class StorageStack:
         features: np.ndarray | None = None,
         page_bytes: int = PAGE_BYTES,
     ) -> None:
+        if replication < 1:
+            raise ConfigError("replication factor must be >= 1")
+        if not rebuild_iops >= 0:
+            raise ConfigError("rebuild IOPS budget must be non-negative")
         self.system = system
         self.tracer = ensure_tracer(tracer)
         self.store = FeatureStore(
@@ -329,6 +335,14 @@ class StorageStack:
         if sweep is not None and sweep.pages_rebuilt:
             counters.rebuild_pages += sweep.pages_rebuilt
 
+    @property
+    def planes(self) -> tuple[str, ...]:
+        """The per-read planes built, in draw order — ``"faults"`` (the
+        failure/retry/spike process), then ``"integrity"`` (corruption
+        draw and verify-on-read) — named as :meth:`plane_totals` prefixes
+        them."""
+        return tuple(plane for plane, _ in self._totals)
+
     def plane_totals(self) -> dict[str, int]:
         """Cumulative counters of the planes that exist, keyed by the
         metric names a run publishes them under (``faults.*``,
@@ -469,7 +483,7 @@ def _route_entry(stack, cache, pages, counters, now_s) -> np.ndarray:
 
 
 def verify(
-    planes,
+    stack: StorageStack,
     pages: np.ndarray,
     counters: TransferCounters,
     now_s: float,
@@ -477,22 +491,21 @@ def verify(
 ) -> VerifyOutcome:
     """Run storage-served ``pages`` through the corruption draw and verifier.
 
-    ``planes`` is whoever holds the handles — a :class:`StorageStack`, or
-    the full-graph trainer, which prices its spill pages itself:
-    ``verifier``, ``faults`` (may be ``None``), ``system``, ``page_bytes``.
-    Redirected pages are verified exactly like primary reads.  Pages
-    condemned this round are re-served by the fallback tier and, when a
-    ``cache`` is given, invalidated so unverified bytes are never admitted.
+    ``stack`` has an integrity plane.  Redirected pages are verified
+    exactly like primary reads, and so are full-graph spill pages, which
+    the sweep prices itself.  Pages condemned this round are re-served by
+    the fallback tier and, when a ``cache`` is given, invalidated so
+    unverified bytes are never admitted.
     """
-    faults = planes.faults
+    faults = stack.faults
     origins = None
     if faults is not None and faults.plan.has_corruption and len(pages):
         kinds, origins = faults.corruption_kinds(
-            pages, now_s, planes.system.num_ssds
+            pages, now_s, stack.system.num_ssds
         )
     else:
         kinds = np.zeros(len(pages), dtype=np.uint8)
-    outcome = planes.verifier.process(
+    outcome = stack.verifier.process(
         pages, kinds, now_s=now_s, origin_times=origins
     )
     quarantined = outcome.quarantined
@@ -505,7 +518,7 @@ def verify(
     counters.corrupt_quarantined += quarantined
     counters.integrity_rereads += outcome.rereads
     counters.fallback_requests += quarantined
-    counters.fallback_bytes += quarantined * planes.page_bytes
+    counters.fallback_bytes += quarantined * stack.page_bytes
     return outcome
 
 

@@ -36,12 +36,7 @@ from ..errors import ConfigError, FullGraphError
 from ..graph.partition import partition_graph
 from ..pipeline.metrics import IterationMetrics, RunReport, StageTimes
 from ..sim.counters import TransferCounters
-from ..sim.gpu import GPUModel
-from ..sim.ssd import SSDArray
 from ..state import Stateful, array, child, guard, scalar, seq
-from ..storage.feature_store import FeatureStore
-from ..storage_ha import make_placement
-from ..telemetry.tracer import ensure_tracer
 from ..telemetry.context import TraceContext, step_trace_id
 from ..telemetry.tracks import FULLGRAPH_TRACK
 from ..training.graphsage import (
@@ -92,23 +87,8 @@ class FullGraphConfig:
     partition_seed: int = 0
     label_seed: int = 1
     refine_passes: int = 2
-    #: Storage redundancy for the spill/feature array: keep ``replication``
-    #: copies of every page (writes charge the extra copies) or one parity
-    #: page per ``num_ssds - 1`` data pages.  Lost spill pages are then
-    #: re-served from the surviving copy instead of recomputed.
-    replication: int = 1
-    parity: bool = False
-    #: Background rebuild budget (IOPS) — accepted for CLI symmetry; the
-    #: sweep has no idle device time, so it only gates redundancy on.
-    rebuild_iops: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.replication < 1:
-            raise ConfigError("replication factor must be >= 1")
-        if self.replication > 1 and self.parity:
-            raise ConfigError("choose replication or parity, not both")
-        if self.rebuild_iops < 0:
-            raise ConfigError("rebuild IOPS budget must be non-negative")
         if min(self.hidden_dim, self.num_classes, self.num_layers) <= 0:
             raise ConfigError("model dimensions must be positive")
         if self.aggregator not in AGGREGATORS:
@@ -180,21 +160,24 @@ class FullGraphResult:
 class FullGraphTrainer(Stateful):
     """Runs full-graph epochs as partition sweeps under a memory plan.
 
+    The storage side is one :class:`~repro.core.readpath.StorageStack`,
+    built from the same plane keywords GIDS, BaM, the server and the fleet
+    take (see there): spill pages go through the *same* failure/retry/
+    spike process as feature pages, reloaded spill pages are verified on
+    read exactly like them (quarantined pages are recomputed, counted as
+    fallbacks), and the placement prices spill writes and lost reads.
+
     Args:
         dataset: scaled graph replica (structure + feature geometry).
         system: modeled hardware; storage prices the sweeps.
         config: sweep/model knobs.
+        fault_plan / verify_reads / replication / parity / rebuild_iops:
+            the stack's plane keywords.  The sweep has no idle device
+            time, so a rebuild budget only brings the placement up; it
+            holds no second copy.
         tracer: optional telemetry tracer (``sweep``/``halo``/``spill``/
             ``reload`` spans land on the stage lanes and a ``fullgraph``
             track).
-        fault_injector: optional
-            :class:`~repro.faults.injector.FaultInjector`; spill pages go
-            through the *same* failure/retry/spike process as feature
-            pages.
-        verifier: optional
-            :class:`~repro.integrity.verifier.ReadVerifier`; reloaded
-            spill pages are verified on read exactly like feature pages
-            (quarantined pages are recomputed, counted as fallbacks).
     """
 
     def __init__(
@@ -203,45 +186,60 @@ class FullGraphTrainer(Stateful):
         system: SystemConfig,
         config: FullGraphConfig | None = None,
         *,
+        fault_plan=None,
+        verify_reads: str = "off",
+        replication: int = 1,
+        parity: bool = False,
+        rebuild_iops: float = 0.0,
         tracer=None,
-        fault_injector=None,
-        verifier=None,
     ) -> None:
         self.dataset = dataset
         self.system = system
         self.config = config or FullGraphConfig()
-        self.tracer = ensure_tracer(tracer)
-        self.faults = fault_injector
-        self.verifier = verifier
-        # What a storage transfer pays beyond its streaming time, in draw
-        # order: the fault process, then (reads only) verify-on-read.  A
-        # plane the run was not given is absent from the tuples.
-        self._write_extras: tuple = ()
-        if self.faults is not None:
-            self._write_extras = (self._fault_extra,)
-        self._read_extras = self._write_extras
-        if self.verifier is not None:
-            self._read_extras += (self._verify_extra,)
         cfg = self.config
 
         n = dataset.num_nodes
         if cfg.num_layers > n:
             raise FullGraphError("more layers than nodes")
-        self.gpu = GPUModel(system.gpu)
-        self.array = SSDArray(spec=system.ssd, num_ssds=system.num_ssds)
-        self.store = FeatureStore(n, dataset.feature_dim)
+        self.stack = stack = readpath.StorageStack(
+            dataset,
+            system,
+            fault_plan=fault_plan,
+            verify_reads=verify_reads,
+            replication=replication,
+            parity=parity,
+            rebuild_iops=rebuild_iops,
+            tracer=tracer,
+            page_bytes=system.ssd.page_bytes,
+        )
+        self.tracer = stack.tracer
+        self.store, self.gpu = stack.store, stack.gpu
+        # The sweep streams at the healthy array's rates: it does not
+        # follow device events.
+        self.ssd = stack.ssd
+        self.faults, self.verifier = stack.faults, stack.verifier
+        # What a storage transfer pays beyond its streaming time, for the
+        # planes the stack built, in its draw order: the fault process,
+        # then (reads only) verify-on-read.
+        extras = {"faults": self._fault_extra, "integrity": self._verify_extra}
+        self._read_extras = tuple(extras[plane] for plane in stack.planes)
+        self._write_extras = tuple(
+            extras[plane] for plane in stack.planes if plane == "faults"
+        )
 
-        # Storage redundancy (placement only — the sweep is sequential, so
-        # degraded reads are a re-serve from the surviving copy rather
-        # than a routed per-page redirect).
-        self.placement = None
-        if cfg.replication > 1 or cfg.parity or cfg.rebuild_iops > 0:
-            self.placement = make_placement(
-                system.num_ssds,
-                replication=cfg.replication,
-                parity=cfg.parity,
-                seed=cfg.partition_seed,
-            )
+        # The sweep is sequential, so redundancy is placement only: it
+        # prices a spilled byte and decides how a read the retry policy
+        # gave up on is made good.  A rebuild budget alone places one copy.
+        ha = stack.storage_ha
+        self.placement = ha and ha.placement
+        self._spill_write_factor = (
+            self.placement.storage_overhead_factor if self.placement else 1.0
+        )
+        self._serve_lost = (
+            self._reread_from_copy
+            if self._spill_write_factor > 1
+            else self._recompute
+        )
 
         self.hbm_budget_bytes = (
             float(cfg.hbm_budget_bytes)
@@ -380,30 +378,31 @@ class FullGraphTrainer(Stateful):
         fault, n_spiked = readpath.draw_faults(
             self.faults, n_pages, [counters]
         )
-        extra = 0
-        if fault.unrecovered and self.placement is not None:
-            # Redundancy holds a second copy (or parity group) of every
-            # page: the unserved pages are re-read from the surviving
-            # copy at one extra device read each instead of being
-            # recomputed from the layer below.
-            extra = (
-                fault.unrecovered * self.placement.reconstruct_reads_per_page
-            )
-            if self.placement.mode == "parity":
-                counters.parity_reconstructs += fault.unrecovered
-            else:
-                counters.replica_redirects += fault.unrecovered
-            counters.reconstruct_reads += extra
-            counters.storage_bytes += extra * self.page_bytes
-        elif fault.unrecovered:
-            # Unserved spill pages are *recomputable*: the lost block is
-            # regenerated from the layer below, accounted as fallback.
-            counters.fallback_requests += fault.unrecovered
-            counters.fallback_bytes += fault.unrecovered * self.page_bytes
+        extra = self._serve_lost(fault.unrecovered, counters)
         return (
             fault.backoff_s
             + (n_spiked + extra) * self.system.ssd.read_latency_s
         )
+
+    def _reread_from_copy(self, n_lost: int, counters) -> int:
+        """The placement holds a second copy (or a parity group) of every
+        page: unserved pages are re-read from the surviving copy instead
+        of being recomputed; returns the extra device reads."""
+        extra = n_lost * self.placement.reconstruct_reads_per_page
+        if self.placement.mode == "parity":
+            counters.parity_reconstructs += n_lost
+        else:
+            counters.replica_redirects += n_lost
+        counters.reconstruct_reads += extra
+        counters.storage_bytes += extra * self.page_bytes
+        return extra
+
+    def _recompute(self, n_lost: int, counters) -> int:
+        """Unserved spill pages are *recomputable*: the lost block is
+        regenerated from the layer below, accounted as fallback."""
+        counters.fallback_requests += n_lost
+        counters.fallback_bytes += n_lost * self.page_bytes
+        return 0
 
     def _verify_extra(self, n_pages: int, counters: TransferCounters) -> float:
         """Verify-on-read over reloaded spill pages (like feature pages);
@@ -412,7 +411,7 @@ class FullGraphTrainer(Stateful):
             np.arange(n_pages, dtype=np.int64) + self._spill_page_cursor
         )
         self._spill_page_cursor += n_pages
-        outcome = readpath.verify(self, pages, counters, self.clock_s)
+        outcome = readpath.verify(self.stack, pages, counters, self.clock_s)
         return outcome.rereads * self.system.ssd.read_latency_s
 
     def _seq_read(self, n_bytes: int, counters: TransferCounters) -> float:
@@ -424,7 +423,7 @@ class FullGraphTrainer(Stateful):
         counters.storage_requests += pages
         counters.storage_bytes += n_bytes
         t = max(
-            self.array.sequential_read_time(n_bytes),
+            self.ssd.sequential_read_time(n_bytes),
             n_bytes / self.system.pcie.bandwidth_bytes,
         )
         for extra in self._read_extras:
@@ -434,22 +433,18 @@ class FullGraphTrainer(Stateful):
     def _seq_write(self, n_bytes: int, counters: TransferCounters) -> float:
         """Sequential spill write (posted; no verify on the write side).
 
-        With redundancy on, every logical byte lands as
+        Every logical byte lands as the placement's
         ``storage_overhead_factor`` physical bytes (the extra replica or
         the amortized parity page), charged at the same streaming rate.
         """
         if n_bytes == 0:
             return 0.0
-        physical = n_bytes
-        if self.placement is not None:
-            physical = int(
-                round(n_bytes * self.placement.storage_overhead_factor)
-            )
+        physical = int(round(n_bytes * self._spill_write_factor))
         pages = self.activations.pages_for(n_bytes)
         counters.storage_requests += pages
         counters.storage_bytes += physical
         t = max(
-            self.array.sequential_write_time(physical),
+            self.ssd.sequential_write_time(physical),
             n_bytes / self.system.pcie.bandwidth_bytes,
         )
         for extra in self._write_extras:
@@ -463,7 +458,7 @@ class FullGraphTrainer(Stateful):
         pages = self.activations.pages_for(n_bytes)
         counters.storage_requests += pages
         counters.storage_bytes += n_bytes
-        t = self.array.batch_service_time(pages)
+        t = self.ssd.batch_service_time(pages)
         for extra in self._read_extras:
             t += extra(pages, counters)
         return t
@@ -895,8 +890,8 @@ class FullGraphTrainer(Stateful):
                 "reload_pages": self.activations.reload_pages,
             },
             "sequential": {
-                "read_bandwidth": self.array.seq_read_bandwidth,
-                "write_bandwidth": self.array.seq_write_bandwidth,
+                "read_bandwidth": self.ssd.seq_read_bandwidth,
+                "write_bandwidth": self.ssd.seq_write_bandwidth,
             },
             "epoch_losses": list(self.losses),
             "epoch_accuracies": list(self.accuracies),

@@ -56,6 +56,15 @@ def write_report(tmp_path, name, summary) -> str:
     return str(path)
 
 
+def rejected(capsys, argv) -> str:
+    """``repro <argv>`` exits 2 through ``main()``'s one handler; returns
+    its one ``error:`` line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestAnalyzeExitCodes:
     def test_valid_report_exits_zero(self, tmp_path, capsys):
         path = write_report(tmp_path, "r.json", summary_dict())
@@ -72,34 +81,28 @@ class TestAnalyzeExitCodes:
             "ssd", "pcie", "cpu.buffer", "gpu.hbm", "gpu.training"
         }
 
-    def test_missing_file_exits_two(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(tmp_path / "nope.json")])
-        assert excinfo.value.code == 2
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        assert "cannot read report" in rejected(
+            capsys, ["analyze", str(tmp_path / "nope.json")]
+        )
 
-    def test_malformed_json_exits_two(self, tmp_path):
+    def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(path)])
-        assert excinfo.value.code == 2
+        assert "cannot read report" in rejected(
+            capsys, ["analyze", str(path)]
+        )
 
     def test_schema_version_mismatch_exits_two(self, tmp_path, capsys):
         summary = summary_dict()
         summary["schema_version"] = 99
         path = write_report(tmp_path, "future.json", summary)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", path])
-        assert excinfo.value.code == 2
-        assert "newer" in capsys.readouterr().err
+        assert "newer" in rejected(capsys, ["analyze", path])
 
     def test_multi_loader_export_needs_loader_flag(self, tmp_path, capsys):
         payload = [summary_dict(), summary_dict(loader="BaM")]
         path = write_report(tmp_path, "all.json", payload)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", path])
-        assert excinfo.value.code == 2
-        assert "--loader" in capsys.readouterr().err
+        assert "--loader" in rejected(capsys, ["analyze", path])
         assert main(["analyze", path, "--loader", "BaM"]) == 0
 
 
@@ -127,13 +130,11 @@ class TestCompareExitCodes:
         assert result["verdict"] == "improvement"
         assert result["mode"] == "baseline"
 
-    def test_malformed_candidate_exits_two(self, tmp_path):
+    def test_malformed_candidate_exits_two(self, tmp_path, capsys):
         a = write_report(tmp_path, "a.json", summary_dict())
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compare", a, str(bad)])
-        assert excinfo.value.code == 2
+        assert str(bad) in rejected(capsys, ["compare", a, str(bad)])
 
     def test_wrong_report_count_exits_two(self, tmp_path, capsys):
         a = write_report(tmp_path, "a.json", summary_dict())
@@ -206,12 +207,12 @@ class TestHistoryExitCodes:
         assert main(["history", "list", "--dir", str(tmp_path)]) == 0
         assert "no records" in capsys.readouterr().out
 
-    def test_record_malformed_report_exits_two(self, tmp_path):
+    def test_record_malformed_report_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["history", "record", str(bad), "--dir", str(tmp_path)])
-        assert excinfo.value.code == 2
+        rejected(
+            capsys, ["history", "record", str(bad), "--dir", str(tmp_path)]
+        )
 
     def test_list_corrupt_history_exits_two(self, tmp_path, capsys):
         hist = tmp_path / "hist"
@@ -246,24 +247,20 @@ class TestJsonFlags:
     def test_trace_json_malformed_exits_two(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
         path.write_text(json.dumps({"no": "events"}))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", str(path), "--json"])
-        assert excinfo.value.code == 2
-        assert "error" in capsys.readouterr().err
+        assert "cannot read trace" in rejected(
+            capsys, ["trace", str(path), "--json"]
+        )
 
 
 class TestRunAlerts:
     def test_bad_rules_file_exits_two_before_running(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"
         rules.write_text("{not json")
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "run", "--dataset", "IGB-tiny", "--scale", "0.05",
-                "--loader", "gids", "--iterations", "5",
-                "--alerts", str(rules),
-            ])
-        assert excinfo.value.code == 2
-        assert "error" in capsys.readouterr().err
+        assert str(rules) in rejected(capsys, [
+            "run", "--dataset", "IGB-tiny", "--scale", "0.05",
+            "--loader", "gids", "--iterations", "5",
+            "--alerts", str(rules),
+        ])
 
     def test_alerts_land_in_json_export(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"
@@ -332,12 +329,10 @@ class TestFaultsValidateExitCodes:
         assert main(["faults", "validate", str(path)]) == 0
         assert "plan is valid" in capsys.readouterr().out
 
-    def test_malformed_plan_exits_two(self, tmp_path):
+    def test_malformed_plan_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["faults", "validate", str(path)])
-        assert excinfo.value.code == 2
+        assert str(path) in rejected(capsys, ["faults", "validate", str(path)])
 
 
 class TestEndToEndRegressionGate:

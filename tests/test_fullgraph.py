@@ -20,7 +20,7 @@ from repro.errors import (
     ConfigError,
     FullGraphError,
 )
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.fullgraph import (
     ActivationStore,
     FullGraphConfig,
@@ -31,7 +31,6 @@ from repro.fullgraph import (
 from repro.graph.csr import from_coo
 from repro.graph.generators import power_law_graph
 from repro.graph.partition import halo_nodes, partition_graph
-from repro.integrity import CorruptionLedger, ReadVerifier
 from repro.pipeline.export import EXPORT_SCHEMA_VERSION, report_to_dict
 from repro.sampling.minibatch import MiniBatch, SampledLayer
 from repro.training.graphsage import GraphSAGE
@@ -431,10 +430,8 @@ class TestKillResume:
                 dataset,
                 system,
                 make_config(),
-                fault_injector=FaultInjector(plan),
-                verifier=ReadVerifier(
-                    CorruptionLedger(num_devices=1), mode="sample"
-                ),
+                fault_plan=plan,
+                verify_reads="sample",
             )
 
         straight = build()
@@ -542,10 +539,8 @@ class TestOffloadAccounting:
             dataset,
             system,
             make_config(),
-            fault_injector=FaultInjector(
-                FaultPlan(seed=2, read_failure_rate=0.2,
-                          tail_latency_rate=0.2)
-            ),
+            fault_plan=FaultPlan(seed=2, read_failure_rate=0.2,
+                                 tail_latency_rate=0.2),
         )
         a = clean.run_epochs(1)
         b = faulty.run_epochs(1)
@@ -559,12 +554,8 @@ class TestOffloadAccounting:
             dataset,
             system,
             make_config(),
-            fault_injector=FaultInjector(
-                FaultPlan(seed=3, bitflip_rate=0.3)
-            ),
-            verifier=ReadVerifier(
-                CorruptionLedger(num_devices=1), mode="full"
-            ),
+            fault_plan=FaultPlan(seed=3, bitflip_rate=0.3),
+            verify_reads="full",
         )
         result = trainer.run_epochs(1)
         counters = result.report.counters

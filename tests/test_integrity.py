@@ -517,14 +517,16 @@ class TestExportAndCLI:
         assert main(["faults", "validate", str(path)]) == 0
         assert "plan is valid" in capsys.readouterr().out
 
-    def test_cli_faults_validate_rejects_malformed_plan(self, tmp_path):
+    def test_cli_faults_validate_rejects_malformed_plan(
+        self, tmp_path, capsys
+    ):
         from repro.cli import main
 
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["faults", "validate", str(path)])
-        assert excinfo.value.code == 2
+        assert main(["faults", "validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid fault plan") and str(path) in err
 
     def test_cli_faults_validate_flags_unreachable_crash(self, tmp_path):
         from repro.cli import main

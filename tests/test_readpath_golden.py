@@ -11,10 +11,14 @@ counters, fault and ledger totals, the SHA-256 of the full ``state_dict``
 and of the recorded trace — against ``tests/data/readpath_golden.json``.
 
 The golden file was generated at the commit *before* the read path was
-extracted into ``repro.core.readpath``; regenerate it only for a change
-that is meant to move modeled numbers::
+extracted into ``repro.core.readpath``; the three ``fullgraph-faults-*``
+entries were regenerated when the sweep started taking its planes from a
+``StorageStack`` (its verifier seeded by the plan and backed by the
+checksummer, as ``repro fullgraph``'s already was).  Regenerate only for a
+change that is meant to move modeled numbers, and only the cases it
+moves::
 
-    PYTHONPATH=src python tests/test_readpath_golden.py
+    PYTHONPATH=src python tests/test_readpath_golden.py [case ...]
 """
 
 from __future__ import annotations
@@ -36,11 +40,10 @@ from repro.config import (
 from repro.core.bam import BaMDataLoader
 from repro.core.fleet import ElasticFleetTrainer, FleetConfig
 from repro.core.gids import GIDSDataLoader
-from repro.faults import DeviceEvent, FaultInjector, FaultPlan, RetryPolicy
+from repro.faults import DeviceEvent, FaultPlan, RetryPolicy
 from repro.faults.plan import CorruptionEvent
 from repro.fullgraph import FullGraphConfig, FullGraphTrainer
 from repro.graph.datasets import load_scaled
-from repro.integrity import CorruptionLedger, ReadVerifier
 from repro.serving import ArrivalConfig, InferenceServer, ServingConfig
 from repro.sim.counters import TransferCounters
 from repro.telemetry import Tracer
@@ -375,7 +378,7 @@ def _fleet_plan() -> FaultPlan:
 # Full-graph
 
 
-def _run_fullgraph(*, verify: str | None, **config) -> dict:
+def _run_fullgraph(**planes) -> dict:
     dataset = load_scaled("IGB-tiny", 0.001, seed=3)
     plan = FaultPlan(
         seed=11,
@@ -384,6 +387,7 @@ def _run_fullgraph(*, verify: str | None, **config) -> dict:
         tail_latency_rate=0.05,
         bitflip_rate=0.01,
         corruption_events=(CorruptionEvent(0, 0.0, 0.02),),
+        retry=_HARSH_RETRY,
     )
     tracer = Tracer(detail="request")
     trainer = FullGraphTrainer(
@@ -395,15 +399,10 @@ def _run_fullgraph(*, verify: str | None, **config) -> dict:
             num_layers=2,
             hbm_budget_bytes=6e6,
             num_partitions=4,
-            **config,
         ),
+        fault_plan=plan,
         tracer=tracer,
-        fault_injector=FaultInjector(plan, RetryPolicy(max_retries=1)),
-        verifier=(
-            None
-            if verify is None
-            else ReadVerifier(CorruptionLedger(num_devices=2), mode=verify)
-        ),
+        **planes,
     )
     trainer.run_steps(13)
     mid_state = _sha(trainer.state_dict())
@@ -454,12 +453,14 @@ CASES = {
         fault_plan=_fleet_plan(), rebuild_iops=1e6
     ),
     "fullgraph-faults-verify-replication": lambda: _run_fullgraph(
-        verify="full", replication=2
+        verify_reads="full", replication=2
     ),
     "fullgraph-faults-sample-parity": lambda: _run_fullgraph(
-        verify="sample", parity=True
+        verify_reads="sample", parity=True
     ),
-    "fullgraph-faults-bare": lambda: _run_fullgraph(verify=None),
+    # The plan corrupts reads, so the stack's integrity plane is up even
+    # with verification off: spill reloads are drawn and left unverified.
+    "fullgraph-faults-bare": lambda: _run_fullgraph(),
     "baseline-uva": lambda: _run_baseline(
         UVALoader, SystemConfig(), fanouts=(5, 5)
     ),
@@ -544,14 +545,19 @@ def test_golden_exercises_its_fork(case):
         assert counters[name] > 0, f"{case} never exercised {name}"
 
 
-def main() -> None:
-    golden = {name: _canonical(run()) for name, run in sorted(CASES.items())}
-    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+def main(names: list[str]) -> None:
+    """Rewrite the named cases (all of them without names), keeping every
+    other entry as it is."""
+    golden = _load_golden() if names else {}
+    for name in names or sorted(CASES):
+        golden[name] = _canonical(CASES[name]())
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN_PATH}")
+    print(f"wrote {len(names or CASES)} case(s) to {GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
-    main()
+    import sys
+
+    main(sys.argv[1:])

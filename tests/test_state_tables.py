@@ -44,11 +44,10 @@ from repro.config import (
 from repro.core.fleet import ElasticFleetTrainer, FleetConfig
 from repro.core.gids import GIDSDataLoader
 from repro.errors import CheckpointError
-from repro.faults import DeviceEvent, FaultInjector, FaultPlan
+from repro.faults import DeviceEvent, FaultPlan
 from repro.faults.plan import CorruptionEvent
 from repro.fullgraph import FullGraphConfig, FullGraphTrainer
 from repro.graph.datasets import load_scaled
-from repro.integrity import CorruptionLedger, ReadVerifier
 from repro.pipeline.runner import TrainingPipeline
 from repro.serving import ArrivalConfig, InferenceServer, ServingConfig
 from repro.telemetry import FlightRecorder, MetricsSnapshotter, Tracer
@@ -158,8 +157,8 @@ def _worlds() -> list[object]:
             hidden_dim=4, num_classes=3, hbm_budget_bytes=6e6,
             num_partitions=4,
         ),
-        fault_injector=FaultInjector(_plan()),
-        verifier=ReadVerifier(CorruptionLedger(num_devices=2), mode="full"),
+        fault_plan=_plan(),
+        verify_reads="full",
     )
     sweep.run_steps(5)  # mid-epoch: gradients and pending blocks are live
 

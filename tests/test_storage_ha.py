@@ -788,16 +788,15 @@ class TestStorageHACLI:
         assert len(payload["device_states"]) == 4
         assert "dead" in payload["device_states"]
 
-    def test_ha_flag_validation_exits_two(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["storage", "--replication", "0"])
-        assert excinfo.value.code == 2
-        with pytest.raises(SystemExit) as excinfo:
-            main(["storage", "--replication", "2", "--parity"])
-        assert excinfo.value.code == 2
-        with pytest.raises(SystemExit) as excinfo:
-            main(["storage", "--rebuild-iops", "-1"])
-        assert excinfo.value.code == 2
+    def test_ha_flag_validation_exits_two(self, capsys):
+        for flags in (
+            ["--replication", "0"],
+            ["--replication", "2", "--parity"],
+            ["--rebuild-iops", "-1"],
+        ):
+            assert main(["storage", *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and flags[0] in err
 
     def test_validate_flags_out_of_range_device(self, tmp_path, capsys):
         path = self._plan_path(

@@ -278,8 +278,6 @@ class TestCLITracing:
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": [{"name": "x"}]}')
         for path in (bad, tmp_path / "missing.json"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["trace", str(path)])
-            assert excinfo.value.code == 2
+            assert main(["trace", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1

@@ -23,11 +23,10 @@ from repro.config import (
 )
 from repro.core.fleet import ElasticFleetTrainer, FleetConfig
 from repro.core.gids import GIDSDataLoader
-from repro.faults import DeviceEvent, FaultInjector, FaultPlan, RetryPolicy
+from repro.faults import DeviceEvent, FaultPlan, RetryPolicy
 from repro.faults.plan import CorruptionEvent, WorkerEvent
 from repro.fullgraph import FullGraphConfig, FullGraphTrainer
 from repro.graph.datasets import load_scaled
-from repro.integrity import CorruptionLedger, ReadVerifier
 from repro.serving import ArrivalConfig, InferenceServer, ServingConfig
 from repro.telemetry import Tracer
 from tests.test_readpath_golden import _report_digest, _sha
@@ -153,11 +152,12 @@ def _fullgraph(tracer):
         SystemConfig(ssd=SAMSUNG_980PRO, num_ssds=2),
         FullGraphConfig(
             hidden_dim=8, num_classes=4, hbm_budget_bytes=6e6,
-            num_partitions=4, replication=2,
+            num_partitions=4,
         ),
+        fault_plan=_plan(retry=RetryPolicy(max_retries=1)),
+        verify_reads="sample",
+        replication=2,
         tracer=tracer,
-        fault_injector=FaultInjector(_plan(), RetryPolicy(max_retries=1)),
-        verifier=ReadVerifier(CorruptionLedger(num_devices=2), mode="sample"),
     )
     trainer.run_steps(trainer.steps_per_epoch + 5)
     modeled = _report_digest(trainer.report.iterations)
