@@ -9,7 +9,8 @@ of the end-to-end benchmark aggregate over:
   budget), at the feature width (1,024) and the hidden width (32);
 * ``fleet-4gpu layer 0`` — the layer-0 blocks of the fleet's first
   sampled mini-batches (IGB-tiny@0.3, four seeds, fanouts 10/10), 1,024
-  wide.
+  wide: sources among the batch's input nodes, destinations among the
+  rows layer 1 reads (``graphsage.frontiers``).
 
 Each block is timed *forward* (neighbor rows into the block's rows, the
 ``into_dst`` plan, a fresh output per block) and *backward* (the block's
@@ -30,7 +31,14 @@ must leave bit-identical outputs (``uint64`` views):
 The ``min_level_sweep`` block times ``prefix`` at other values of
 ``_MIN_LEVEL_ELEMENTS`` (the level width below which the tail goes to
 ``ufunc.at``); the constant in ``training/scatter.py`` is read off it.
-``BENCH_training_kernels.json`` at the repo root records both.
+
+The ``gradients`` block times whole ``GraphSAGE.gradients`` calls on the
+same fleet mini-batches, with the float32 feature blocks and labels the
+fleet feeds them: ``fleet-4gpu gradient batch`` is host microseconds per
+call of the frontier-pruned model against the unpruned ``np.add.at``
+oracle (``tests/oracles/graphsage_reference.py``), whose losses and
+gradients it must match within 1e-9 relative.
+``BENCH_training_kernels.json`` at the repo root records all three.
 
     PYTHONPATH=src python benchmarks/bench_training_kernels.py
 """
@@ -41,6 +49,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -48,12 +57,20 @@ import numpy as np
 
 from repro.bench.tables import render_table
 from repro.config import INTEL_OPTANE, SAMSUNG_980PRO, SystemConfig
-from repro.core.fleet import ElasticFleetTrainer, FleetConfig
+from repro.core import fleet
 from repro.fullgraph import FullGraphConfig, FullGraphTrainer
 from repro.graph import datasets
 from repro.training import scatter as kernels
+from repro.training.graphsage import frontiers
 
 ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:  # the oracle lives with the tests
+    sys.path.insert(0, str(ROOT))
+
+from tests.oracles.graphsage_reference import (  # noqa: E402
+    ReferenceGraphSAGE,
+)
+
 ARTIFACT = ROOT / "BENCH_training_kernels.json"
 REPEATS = 5
 PARTITION_STRIDE = 4
@@ -99,7 +116,8 @@ def array_order(plan: kernels.ScatterPlan) -> np.ndarray:
     return plan.order[np.lexsort((plan.order, level))]
 
 
-def partition_blocks() -> tuple[int, list]:
+def partition_blocks() -> list:
+    """``(plan, num_nodes)`` of every ``PARTITION_STRIDE``-th partition."""
     dataset = datasets.load_scaled("IGB-tiny", 0.08, seed=0)
     trainer = FullGraphTrainer(
         dataset,
@@ -107,43 +125,57 @@ def partition_blocks() -> tuple[int, list]:
         FullGraphConfig(hbm_budget_bytes=10e6, partition_seed=0),
     )
     parts = range(0, trainer.partition.num_parts, PARTITION_STRIDE)
-    return dataset.num_nodes, [trainer.scheduler.block_plan(p) for p in parts]
+    return [(trainer.scheduler.block_plan(p), dataset.num_nodes) for p in parts]
 
 
-def fleet_blocks() -> list:
+def fleet_batches() -> tuple:
+    """The fleet's model and its first sampled mini-batches, each with the
+    features and labels the fleet trains it on."""
     dataset = datasets.load_scaled("IGB-tiny", 0.3, seed=0)
     rng = np.random.default_rng([0, 0xF1EE7])
     train_ids = rng.choice(dataset.num_nodes, size=4000, replace=False)
-    trainer = ElasticFleetTrainer(
+    trainer = fleet.ElasticFleetTrainer(
         dataclasses.replace(dataset, train_ids=np.sort(train_ids)),
         SystemConfig(ssd=INTEL_OPTANE, num_ssds=2),
-        FleetConfig(num_gpus=4, batch_size=4),
+        fleet.FleetConfig(num_gpus=4, batch_size=4),
         seed=0,
         fanouts=(10, 10),
     )
-    blocks = []
+    batches = []
     for i in range(FLEET_BATCHES):
         batch = trainer._sample_batch(i)
+        features, labels = fleet._batch_inputs(
+            trainer.store, batch, trainer._label_projection
+        )
+        batches.append((batch, features, labels))
+    return trainer.model, batches
+
+
+def fleet_blocks(batches) -> list:
+    """``(plan, num_sources)`` of each batch's layer-0 block, as
+    ``GraphSAGE`` builds it."""
+    blocks = []
+    for batch, _, _ in batches:
         nodes, layer = batch.input_nodes, batch.layers[0]
-        blocks.append(
+        rows = frontiers(batch)[0]
+        blocks.append((
             kernels.BlockPlan(
                 np.searchsorted(nodes, layer.src),
-                np.searchsorted(nodes, layer.dst),
-                len(nodes),
-            )
-        )
+                np.searchsorted(rows, layer.dst),
+                len(rows),
+            ),
+            len(nodes),
+        ))
     return blocks
 
 
-def forward(blocks, num_src, width, rng):
-    """``(calls, initial outputs)``: source rows into each block's rows."""
+def forward(blocks, shared, width, rng):
+    """``(calls, initial outputs)``: source rows into each block's rows; a
+    full-graph sweep's blocks read one shared source array."""
     calls, outs = [], []
-    shared = rng.standard_normal((num_src, width)) if num_src else None
-    for block in blocks:
-        values = (
-            shared if shared is not None
-            else rng.standard_normal((block.num_dst, width))
-        )
+    common = rng.standard_normal((blocks[0][1], width)) if shared else None
+    for block, num_src in blocks:
+        values = common if shared else rng.standard_normal((num_src, width))
         calls.append(
             Call(block.into_dst, block.dst, block.src, values, len(outs))
         )
@@ -151,16 +183,16 @@ def forward(blocks, num_src, width, rng):
     return calls, outs
 
 
-def backward(blocks, num_src, width, rng):
+def backward(blocks, shared, width, rng):
     """Each block's row gradients into its sources: one shared buffer for
-    a full-graph sweep (``num_src``), one per mini-batch block otherwise."""
+    a full-graph sweep, one per mini-batch block otherwise."""
     calls, outs = [], []
-    if num_src:
-        outs.append(rng.standard_normal((num_src, width)))
-    for block in blocks:
+    if shared:
+        outs.append(rng.standard_normal((blocks[0][1], width)))
+    for block, num_src in blocks:
         values = rng.standard_normal((block.num_dst, width))
-        if not num_src:
-            outs.append(rng.standard_normal((block.num_dst, width)))
+        if not shared:
+            outs.append(rng.standard_normal((num_src, width)))
         calls.append(
             Call(block.into_src, block.src, block.dst, values, len(outs) - 1)
         )
@@ -234,23 +266,73 @@ def bench_shape(calls, outs) -> dict:
     }
 
 
+def bench_gradients(model, batches) -> dict:
+    """Host us per ``gradients`` call, pruned model against the oracle
+    (min over passes; the two take turns inside every pass)."""
+    oracle = ReferenceGraphSAGE(
+        model.layers[0].w_self.shape[0],
+        model.layers[0].w_self.shape[1],
+        model.layers[-1].w_self.shape[1],
+        num_layers=model.num_layers,
+    )
+    oracle.layers = model.layers
+    named = {"pruned": model, "oracle": oracle}
+    best = dict.fromkeys(named, float("inf"))
+    for _ in range(REPEATS):
+        for name, net in named.items():
+            start = time.perf_counter()
+            for batch, features, labels in batches:
+                net.gradients(batch, features, labels)
+            elapsed = time.perf_counter() - start
+            best[name] = min(best[name], elapsed / len(batches) * 1e6)
+    worst = 0.0
+    for batch, features, labels in batches:
+        loss, grads = model.gradients(batch, features, labels)
+        want_loss, want = oracle.gradients(batch, features, labels)
+        worst = max(worst, abs(loss - want_loss) / abs(want_loss))
+        for got_layer, want_layer in zip(grads, want):
+            for name, array in want_layer.items():
+                scale = np.abs(array).max()
+                worst = max(
+                    worst, np.abs(got_layer[name] - array).max() / scale
+                )
+    if not worst <= 1e-9:
+        raise AssertionError(f"pruned gradients off the oracle by {worst}")
+    sizes = [
+        [batch.num_input_nodes, *(len(rows) for rows in frontiers(batch))]
+        for batch, _, _ in batches
+    ]
+    return {
+        "batches": len(batches),
+        "rows_per_layer": np.mean(sizes, axis=0).tolist(),
+        "pruned_us": best["pruned"],
+        "oracle_us": best["oracle"],
+        "speedup_vs_oracle": best["oracle"] / best["pruned"],
+        "max_relative_error": worst,
+    }
+
+
 def run_all() -> dict:
-    num_nodes, partitions = partition_blocks()
-    fleet = fleet_blocks()
+    partitions = partition_blocks()
+    model, batches = fleet_batches()
+    fleet_layer0 = fleet_blocks(batches)
     results = {}
     for direction in (forward, backward):
-        for name, blocks, num_src, width in (
-            ("fullgraph-spill layer 0", partitions, num_nodes, FEATURE_WIDTH),
-            ("fullgraph-spill hidden", partitions, num_nodes, HIDDEN_WIDTH),
-            ("fleet-4gpu layer 0", fleet, 0, FEATURE_WIDTH),
+        for name, blocks, shared, width in (
+            ("fullgraph-spill layer 0", partitions, True, FEATURE_WIDTH),
+            ("fullgraph-spill hidden", partitions, True, HIDDEN_WIDTH),
+            ("fleet-4gpu layer 0", fleet_layer0, False, FEATURE_WIDTH),
         ):
             calls, outs = direction(
-                blocks, num_src, width, np.random.default_rng(0)
+                blocks, shared, width, np.random.default_rng(0)
             )
             results[f"{name} {direction.__name__}"] = bench_shape(calls, outs)
     return {
         "min_level_elements": kernels._MIN_LEVEL_ELEMENTS,
         "shapes": results,
+        "gradients": {
+            "fleet-4gpu gradient batch": bench_gradients(model, batches),
+        },
     }
 
 
@@ -295,6 +377,25 @@ def report(results: dict) -> None:
             title="prefix [us per call] by _MIN_LEVEL_ELEMENTS (in the "
             f"tree: {results['min_level_elements']}; every value "
             "bit-identical)",
+        )
+    )
+    print(
+        render_table(
+            ["batch", "rows per layer", "pruned [us]", "oracle [us]",
+             "vs oracle", "max rel. error"],
+            [
+                [
+                    name,
+                    " / ".join(f"{rows:,.0f}" for rows in row["rows_per_layer"]),
+                    f"{row['pruned_us']:,.0f}",
+                    f"{row['oracle_us']:,.0f}",
+                    f"{row['speedup_vs_oracle']:.2f}x",
+                    f"{row['max_relative_error']:.1e}",
+                ]
+                for name, row in results["gradients"].items()
+            ],
+            title=f"One GraphSAGE.gradients call (min of {REPEATS} passes; "
+            "input nodes / layer-0 rows / seeds)",
         )
     )
     ARTIFACT.write_text(

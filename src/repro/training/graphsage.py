@@ -3,7 +3,10 @@
 Each layer combines a node's own representation with an aggregate of its
 sampled in-neighbors over the blocks of a
 :class:`~repro.sampling.minibatch.MiniBatch`; the final layer emits class
-logits for the seed nodes.  Three aggregators are provided:
+logits for the seed nodes.  The blocks are message-flow graphs, as in DGL:
+each layer computes only the rows the next one reads (:func:`frontiers`),
+so the last layer computes the seeds alone.  Three aggregators are
+provided:
 
 * ``"mean"`` — ``h' = act(h @ W_self + mean_neigh(h) @ W_neigh + b)``,
   the paper's GraphSAGE configuration;
@@ -23,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..sampling.minibatch import MiniBatch
+from ..sampling.minibatch import MiniBatch, SampledLayer
 from ..state import Stateful, array, children, guard, scalar
 from ..storage.feature_store import FeatureStore
-from ..utils import as_rng
+from ..utils import as_rng, sorted_unique
 from .scatter import BlockPlan, scatter
 
 #: Supported neighbor aggregators.
@@ -128,37 +131,45 @@ class GraphSAGE(Stateful):
         return logits
 
     def _forward_cached(self, batch: MiniBatch, features: np.ndarray):
+        """Logits of the seeds, computing each layer on its frontier only.
+
+        Layer ``l`` reads the rows layer ``l - 1`` computed (the batch's
+        input nodes for layer 0) and computes only the rows layer ``l + 1``
+        reads (:func:`frontiers`).  The layer-0 scatter reads the feature
+        block in its own dtype; only the block's own rows are cast to
+        float64, which is exact.
+        """
         if batch.num_layers != self.num_layers:
             raise ConfigError(
                 f"batch has {batch.num_layers} sampled layers, model expects "
                 f"{self.num_layers}"
             )
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] != batch.num_input_nodes:
+        h = np.asarray(features)
+        if h.dtype.kind != "f":
+            h = h.astype(np.float64)
+        if h.shape[0] != batch.num_input_nodes:
             raise ConfigError(
                 "features must have one row per input node of the batch"
             )
-        nodes = batch.input_nodes
-        h = features
+        prev = batch.input_nodes
         caches = []
-        for li, (layer, params) in enumerate(zip(batch.layers, self.layers)):
-            plan = BlockPlan(
-                np.searchsorted(nodes, layer.src),
-                np.searchsorted(nodes, layer.dst),
-                len(nodes),
-            )
-            agg, agg_cache = self._aggregate(h, h, plan)
+        for li, (layer, params, rows) in enumerate(
+            zip(batch.layers, self.layers, frontiers(batch))
+        ):
+            plan = _block_plan(layer, prev, rows, li)
+            own_idx = _positions(prev, rows, li, "frontier")
+            own = h[own_idx].astype(np.float64, copy=False)
+            agg, agg_cache = self._aggregate(h, own, plan)
             if self.aggregator == "gcn":
                 z = agg @ params.w_neigh + params.bias
             else:
-                z = h @ params.w_self + agg @ params.w_neigh + params.bias
+                z = own @ params.w_self + agg @ params.w_neigh + params.bias
             is_last = li == self.num_layers - 1
             out = z if is_last else np.maximum(z, 0.0)
-            caches.append((h, agg, z, plan, agg_cache))
-            h = out
-        seed_idx = np.searchsorted(nodes, batch.seeds)
-        logits = h[seed_idx]
-        return logits, (caches, seed_idx, h.shape)
+            caches.append((h, own, own_idx, agg, z, plan, agg_cache))
+            h, prev = out, rows
+        seed_idx = np.searchsorted(prev, batch.seeds)
+        return h[seed_idx], (caches, seed_idx, h.shape)
 
     def gradients(
         self,
@@ -191,12 +202,12 @@ class GraphSAGE(Stateful):
         d_h[seed_idx] = dlogits
         for li in range(self.num_layers - 1, -1, -1):
             params = self.layers[li]
-            h, agg, z, plan, agg_cache = caches[li]
+            h, own, own_idx, agg, z, plan, agg_cache = caches[li]
             is_last = li == self.num_layers - 1
             dz = d_h if is_last else d_h * (z > 0.0)
             gcn = self.aggregator == "gcn"
             grads[li] = {
-                "w_self": np.zeros_like(params.w_self) if gcn else h.T @ dz,
+                "w_self": np.zeros_like(params.w_self) if gcn else own.T @ dz,
                 "w_neigh": agg.T @ dz,
                 "bias": dz.sum(axis=0),
             }
@@ -205,12 +216,13 @@ class GraphSAGE(Stateful):
                 # to the features, which nothing reads.
                 break
             d_agg = dz @ params.w_neigh.T
+            # The input gradient lives on the previous frontier, ``h``'s rows.
+            d_h = np.zeros_like(h)
             if gcn:
-                d_h = np.zeros_like(h)
                 # Self path: every node contributes itself once.
-                d_h += d_agg / agg_cache[:, None]
+                d_h[own_idx] += d_agg / agg_cache[:, None]
             else:
-                d_h = dz @ params.w_self.T
+                d_h[own_idx] = dz @ params.w_self.T
             self._aggregate_backward(d_agg, d_h, h, agg, plan, agg_cache)
         return loss, grads
 
@@ -355,8 +367,10 @@ class GraphSAGE(Stateful):
         """Neighbor aggregation over one block.
 
         ``h`` holds the representations ``plan.src`` indexes and ``own``
-        the block's output rows' own representations (``h`` itself for a
-        mini-batch block, ``h[rows]`` for a partition of the full graph).
+        the block's output rows' own representations (``h`` at the
+        layer's frontier for a mini-batch block, ``h[rows]`` for a
+        partition of the full graph) in float64; ``h`` may be a float32
+        feature block, which the scatter widens exactly as it adds.
         Returns ``(agg, backward cache)``.
         """
         if self.aggregator == "mean":
@@ -427,6 +441,63 @@ class GraphSAGE(Stateful):
         scalar("momentum", float, late=True),
         children("layers"),
     )
+
+
+def frontiers(batch: MiniBatch) -> list[np.ndarray]:
+    """The sorted global ids each layer computes, input layer first.
+
+    DGL's message-flow-graph contract: the last layer computes the seeds,
+    and every other layer the rows the next layer reads — its own rows
+    (the self path) and the next block's sources.
+    """
+    rows = sorted_unique(batch.seeds)
+    out = [rows]
+    for layer in batch.layers[:0:-1]:
+        rows = sorted_unique(np.concatenate([rows, layer.src]))
+        out.append(rows)
+    return out[::-1]
+
+
+def _block_plan(
+    layer: SampledLayer, prev: np.ndarray, rows: np.ndarray, li: int
+) -> BlockPlan:
+    """Layer ``li``'s block indexed into the rows it reads (``prev``) and
+    the rows it computes (``rows``).
+
+    An edge whose ``dst`` is not among ``rows`` feeds a row nothing reads
+    (ClusterGCN's induced edges into unlabeled members): it is dropped,
+    which is exact — every kept row meets its edges in the block's order.
+    """
+    src, dst = layer.src, layer.dst
+    at = np.searchsorted(rows, dst)
+    kept = _found(rows, dst, at)
+    if not kept.all():
+        src, at = src[kept], at[kept]
+    return BlockPlan(_positions(prev, src, li, "src"), at, len(rows))
+
+
+def _found(ids: np.ndarray, wanted: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Which of ``wanted`` sit at their ``searchsorted`` position ``at``."""
+    if not len(ids):
+        return np.zeros(len(wanted), dtype=bool)
+    return ids[np.minimum(at, len(ids) - 1)] == wanted
+
+
+def _positions(
+    ids: np.ndarray, wanted: np.ndarray, li: int, what: str
+) -> np.ndarray:
+    """Positions of ``wanted`` in the sorted ``ids``, or :class:`ConfigError`
+    when one is missing (``searchsorted`` would silently pick a neighbor)."""
+    at = np.searchsorted(ids, wanted)
+    missing = wanted[~_found(ids, wanted, at)]
+    if len(missing):
+        raise ConfigError(
+            f"layer {li}: {len(missing)} {what} id(s), first "
+            f"{int(missing[0])}, are not among the rows the layer reads "
+            "(layer 0 reads the batch's input_nodes; every layer above "
+            "it, the rows the layer below computed)"
+        )
+    return at
 
 
 def average_gradients(grads_list: list[list[dict]]) -> list[dict]:

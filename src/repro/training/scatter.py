@@ -26,6 +26,7 @@ blocks build per block.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -126,8 +127,15 @@ class BlockPlan:
         )
         #: Forward: neighbor rows scatter into their destination.
         self.into_dst = ScatterPlan(self.dst)
-        #: Backward: output-row gradients scatter into their sources.
-        self.into_src = ScatterPlan(self.src)
+
+    @functools.cached_property
+    def into_src(self) -> ScatterPlan:
+        """Backward: output-row gradients scatter into their sources.
+
+        Built on first use — a mini-batch layer-0 block, whose input
+        gradient nothing reads, never sorts its sources.
+        """
+        return ScatterPlan(self.src)
 
     @classmethod
     def of_partition(

@@ -1,17 +1,22 @@
-"""Reference oracle: GraphSAGE's ``ufunc.at`` aggregation kernels.
+"""Reference oracle: GraphSAGE's ``ufunc.at`` kernels, every row computed.
 
 These are the forward/backward bodies of ``repro.training.GraphSAGE`` as
-they shipped in PRs 0-20 — twelve ``np.add.at`` / ``np.maximum.at`` call
-sites over the mini-batch and partition-block paths — kept verbatim as the
-*specification* of the rank-peeling kernels in
+they shipped before the rank-peeling kernels — twelve ``np.add.at`` /
+``np.maximum.at`` call sites over the mini-batch and partition-block paths
+— kept verbatim as the *specification* of the kernels in
 ``repro.training.scatter``: one edge at a time, in array order.
-``tests/test_graphsage_differential.py`` drives both with the same
-parameters and blocks and requires ``np.array_equal`` logits, losses,
-parameter gradients, block outputs and input gradients.
 
-The reference always computes the layer-0 input gradient the production
-code skips (nothing reads it), so ``layer_backward_block`` here requires a
-``d_h_prev`` buffer.
+The mini-batch path here is also the one *unpruned* forward/backward: it
+runs every layer over every input node (the shipped model computes only
+the rows the next layer reads) and always computes the layer-0 input
+gradient the production code skips (nothing reads it), so
+``layer_backward_block`` here requires a ``d_h_prev`` buffer.
+``tests/test_graphsage_differential.py`` drives both with the same
+parameters and blocks: partition blocks must match bit for bit, the
+pruned mini-batch path within a stated tolerance (bit for bit when it
+prunes no row), and a fleet's losses within 1e-9 relative of a replay
+through this class.  ``tests/test_fullgraph.py`` takes its mini-batch
+step as the unblocked full-graph step a sweep must reproduce.
 
 Test-only: nothing under ``src/`` may import this module.
 """

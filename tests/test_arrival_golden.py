@@ -7,9 +7,11 @@ requests, a SHA-256 over the first 2,000 and the generator state after
 them, all recorded at the commit *before* that change — so a trace that
 moves by one request, one bit of an arrival time or one consumed random
 number fails here and not as digest drift in every serving test.
-Regenerate only for a change that is meant to move the trace::
+Regenerate only for a change that is meant to move the trace, through the
+ledger's entry point (``tests/data/digest_ledger.json`` gets the row)::
 
-    PYTHONPATH=src python tests/test_arrival_golden.py
+    PYTHONPATH=src python -m tests.ledger --pr N --reason "why" \\
+        arrival_golden.json
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.serving import ArrivalConfig, ArrivalProcess
+from tests.ledger import canonical_text
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "arrival_golden.json"
 NUM_REQUESTS = 2000
@@ -76,9 +79,5 @@ def test_arrival_trace_matches_the_parent_commit(shape):
 
 def main() -> None:
     golden = {shape: record(config) for shape, config in CASES.items()}
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    GOLDEN_PATH.write_text(canonical_text(golden))
     print(f"wrote {len(golden)} shapes to {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    main()

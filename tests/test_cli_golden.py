@@ -36,9 +36,13 @@ entries regenerated since:
   strict JSON).  Key order only — the parsed documents are unchanged,
   and so is every ``out.json`` digest.
 
-Regenerate everything, named cases, or one artifact of a case, with::
+Every move since is a row of ``tests/data/digest_ledger.json``.
+Regenerate named cases, one artifact of a case, or the option dump
+(``cli_golden.json:parser``, for a change that adds or changes an option)
+through the ledger's entry point (it calls :func:`regenerate` below)::
 
-    PYTHONPATH=src python tests/test_cli_golden.py [case[:file] ...]
+    PYTHONPATH=src python -m tests.ledger --pr N --reason "why" \\
+        cli_golden.json:CASE[:FILE] ...
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from tests.ledger import canonical_text
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -407,26 +412,22 @@ def test_no_option_added_or_changed():
     assert json.loads(json.dumps(parser_dump())) == _golden()["parser"]
 
 
-def _regenerate(names: list[str]) -> None:
-    """Rewrite the golden file: everything, named cases, or — given
-    ``case:file`` — only one artifact's entry of a case."""
+def regenerate(names: list[str]) -> None:
+    """Rewrite the golden file: everything, named cases, the option dump
+    (``parser``), or — given ``case:file`` — only one artifact's entry of
+    a case."""
     golden = _golden() if names else {"cases": {}}
-    for selector in names or sorted(CASES):
+    for selector in names or [*sorted(CASES), "parser"]:
         name, _, artifact = selector.partition(":")
-        with tempfile.TemporaryDirectory() as scratch:
-            record = run_case(name, Path(scratch))
-        if artifact:
-            files = golden["cases"][name]["files"]
-            files[artifact] = record["files"][artifact]
+        if name == "parser":
+            golden["parser"] = parser_dump()
         else:
-            golden["cases"][name] = record
+            with tempfile.TemporaryDirectory() as scratch:
+                record = run_case(name, Path(scratch))
+            if artifact:
+                files = golden["cases"][name]["files"]
+                files[artifact] = record["files"][artifact]
+            else:
+                golden["cases"][name] = record
         print(f"generated {selector}", file=sys.stderr)
-    if not names:
-        golden["parser"] = parser_dump()
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-if __name__ == "__main__":
-    _regenerate(sys.argv[1:])
+    GOLDEN_PATH.write_text(canonical_text(golden), encoding="utf-8")

@@ -33,7 +33,7 @@ from repro.graph.generators import power_law_graph
 from repro.graph.partition import halo_nodes, partition_graph
 from repro.pipeline.export import EXPORT_SCHEMA_VERSION, report_to_dict
 from repro.sampling.minibatch import MiniBatch, SampledLayer
-from repro.training.graphsage import GraphSAGE
+from tests.oracles.graphsage_reference import ReferenceGraphSAGE
 from tests.test_readpath_golden import _sha
 
 #: Budget that fits a few partitions but not the activation arrays, so
@@ -288,7 +288,12 @@ class TestSweepProperties:
 
 
 def monolithic_reference(dataset, trainer, config):
-    """The unblocked full-graph gradient step on identical weights."""
+    """The unblocked full-graph gradient step on identical weights.
+
+    Every node is an input and every edge feeds every layer, but only the
+    training seeds reach the loss: the oracle's unpruned mini-batch step
+    computes every layer on every node, as the sweep does.
+    """
     graph = dataset.graph
     src = graph.indices
     dst = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
@@ -299,7 +304,7 @@ def monolithic_reference(dataset, trainer, config):
         input_nodes=np.arange(graph.num_nodes, dtype=np.int64),
         num_sampled=graph.num_nodes,
     )
-    model = GraphSAGE(
+    model = ReferenceGraphSAGE(
         dataset.feature_dim,
         config.hidden_dim,
         config.num_classes,

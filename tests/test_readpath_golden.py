@@ -14,11 +14,13 @@ The golden file was generated at the commit *before* the read path was
 extracted into ``repro.core.readpath``; the three ``fullgraph-faults-*``
 entries were regenerated when the sweep started taking its planes from a
 ``StorageStack`` (its verifier seeded by the plan and backed by the
-checksummer, as ``repro fullgraph``'s already was).  Regenerate only for a
-change that is meant to move modeled numbers, and only the cases it
-moves::
+checksummer, as ``repro fullgraph``'s already was).  Every move since is a
+row of ``tests/data/digest_ledger.json``.  Regenerate only for a change
+that is meant to move modeled numbers or losses, and only the cases it
+moves, through the ledger's entry point (it calls :func:`main` below)::
 
-    PYTHONPATH=src python tests/test_readpath_golden.py [case ...]
+    PYTHONPATH=src python -m tests.ledger --pr N --reason "why" \\
+        readpath_golden.json:CASE ...
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.graph.datasets import load_scaled
 from repro.serving import ArrivalConfig, InferenceServer, ServingConfig
 from repro.sim.counters import TransferCounters
 from repro.telemetry import Tracer
+from tests.ledger import canonical_text
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "readpath_golden.json"
 
@@ -551,13 +554,5 @@ def main(names: list[str]) -> None:
     golden = _load_golden() if names else {}
     for name in names or sorted(CASES):
         golden[name] = _canonical(CASES[name]())
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    GOLDEN_PATH.write_text(canonical_text(golden), encoding="utf-8")
     print(f"wrote {len(names or CASES)} case(s) to {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1:])

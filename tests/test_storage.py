@@ -124,39 +124,41 @@ class TestFeatureStore:
         assert abs(float(x.mean())) < 0.05
         assert 0.45 < float(x.std()) < 0.7  # uniform on [-1,1): std ~0.577
 
-    def test_synthetic_bytes_are_pinned(self):
-        """SHA-256 of generated bytes, computed at the commit before
-        ``_synthetic`` went in-place and chunked: whole chunks, a ragged
-        multi-chunk request of repeated unsorted ids, and page payloads."""
+    #: SHA-256 of generated bytes, computed at the commit before
+    #: ``_synthetic`` went in-place and chunked: whole chunks, a ragged
+    #: multi-chunk request of repeated unsorted ids, and page payloads.
+    SYNTHETIC_SHA256 = {
+        "wide rows": "49d2217f16e50ba38fffa5aa86f45b68"
+        "9021c336b814cdedd88b7438388f8bde",
+        "salted rows": "a308ead290754b234c2a9d526502ceac"
+        "790d0fb8d57bf2963ba2cb0b87b848da",
+        "wide pages": "2becb347bea83f4d94e4010c3274a58b"
+        "7fba166d0b4eb466e847624c39b3408e",
+        "salted pages": "780f887283581549f2940d2cb982a5f7"
+        "d1efc9ace7bfcb7de18af44a8e430cfc",
+    }
 
+    def test_synthetic_bytes_are_pinned(self):
         def sha(array):
             return hashlib.sha256(
                 np.ascontiguousarray(array).tobytes()
             ).hexdigest()
 
         wide = FeatureStore(8000, 1024)
-        assert sha(wide.fetch(np.arange(4096))) == (
-            "49d2217f16e50ba38fffa5aa86f45b68"
-            "9021c336b814cdedd88b7438388f8bde"
-        )
         salted = FeatureStore(5000, 100, seed=7)
         ids = np.random.default_rng(5).integers(0, 5000, 2500)
-        assert sha(salted.fetch(ids)) == (
-            "a308ead290754b234c2a9d526502ceac"
-            "790d0fb8d57bf2963ba2cb0b87b848da"
-        )
-        last = wide.layout.total_pages - 1
-        pages = [wide.page_payload(p) for p in (0, 1, 4097, last)]
-        assert sha(np.stack(pages)) == (
-            "2becb347bea83f4d94e4010c3274a58b"
-            "7fba166d0b4eb466e847624c39b3408e"
-        )
-        last = salted.layout.total_pages - 1
-        pages = [salted.page_payload(p) for p in (0, 3, last)]
-        assert sha(np.stack(pages)) == (
-            "780f887283581549f2940d2cb982a5f7"
-            "d1efc9ace7bfcb7de18af44a8e430cfc"
-        )
+        wide_pages = (0, 1, 4097, wide.layout.total_pages - 1)
+        salted_pages = (0, 3, salted.layout.total_pages - 1)
+        assert {
+            "wide rows": sha(wide.fetch(np.arange(4096))),
+            "salted rows": sha(salted.fetch(ids)),
+            "wide pages": sha(
+                np.stack([wide.page_payload(p) for p in wide_pages])
+            ),
+            "salted pages": sha(
+                np.stack([salted.page_payload(p) for p in salted_pages])
+            ),
+        } == self.SYNTHETIC_SHA256
 
     def test_materialized_roundtrip(self):
         data = np.random.default_rng(0).random((10, 4), dtype=np.float32)
