@@ -1,10 +1,10 @@
-"""Benchmark harness: workload construction and experiment functions.
+"""Benchmark harness: workloads, experiment functions and the band table.
 
 ``workloads`` builds scaled replicas of the paper's evaluation setups with
 all capacity ratios preserved; ``experiments`` contains one function per
-paper figure/table, each returning structured results and rendering the
-rows the paper reports.  The ``benchmarks/`` directory wraps these in
-pytest-benchmark entry points.
+paper figure/table, each returning the raw rows the paper reports;
+``conform`` names them and holds the bands their rows must fall in
+(``python -m repro.bench.conform``, ``repro figure NAME``).
 """
 
 from .workloads import Workload, get_workload

@@ -2,14 +2,16 @@
 
 Each function builds its workload through :func:`repro.bench.get_workload`
 (cached per process), runs the loaders involved, and returns an
-:class:`ExperimentResult` whose rows mirror the series the paper plots.
-``benchmarks/`` wraps these in pytest-benchmark entry points; the examples
-call them directly.
+:class:`ExperimentResult` whose rows hold the raw values of the series the
+paper plots.  :mod:`repro.bench.conform` names each experiment and holds the
+bands its rows must fall in; ``python -m repro.bench.conform`` runs them all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from dataclasses import replace as dc_replace
 
 import numpy as np
 
@@ -18,18 +20,22 @@ from ..baselines.mmap_loader import DGLMmapLoader
 from ..config import (
     INTEL_OPTANE,
     SAMSUNG_980PRO,
+    LoaderConfig,
     SSDSpec,
     SystemConfig,
 )
 from ..core.bam import BaMDataLoader
 from ..core.gids import GIDSDataLoader
 from ..graph.datasets import get_dataset_spec
+from ..sampling.neighbor import NeighborSampler
+from ..sampling.seeds import epoch_seed_batches
 from ..sim.cpu import CPUModel
 from ..sim.gpu import GPUModel
+from ..sim.pcie import PCIeLink
 from ..sim.ssd import SSDArray, SSDMicrobench
 from ..utils import format_bytes
 from .tables import render_table
-from .workloads import get_workload
+from .workloads import Workload, get_workload
 
 #: Iterations measured per loader run (the paper measures 100 at full
 #: scale; 40 keeps every benchmark in seconds at our scale).
@@ -38,27 +44,62 @@ MEASURE_ITERS = 40
 #: GIDS (Section 4.1); our page caches reach steady state sooner.
 WARMUP_BASELINE = 150
 WARMUP_GIDS = 10
+#: The four real-world datasets, in the order Figs. 5, 13 and 14 plot them.
+_E2E_DATASETS = ("ogbn-papers100M", "MAG240M", "IGB-Full", "IGBH-Full")
 
 
 @dataclass
 class ExperimentResult:
-    """Tabular result of one reproduced figure or table."""
+    """Tabular result of one reproduced figure or table.
+
+    ``rows`` hold raw values; ``formats`` gives one format spec per column
+    (``""`` for plain ``str``), and ``None`` renders as ``-``.  ``checks``
+    are the band outcomes :func:`repro.bench.conform.run` attaches; they
+    print under the table.
+    """
 
     experiment: str
     headers: list[str]
     rows: list[list[object]]
-    notes: str = ""
+    formats: Sequence[str] = ()
     extras: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
 
     def render(self) -> str:
-        table = render_table(self.headers, self.rows, title=self.experiment)
-        if self.notes:
-            table += f"\n  paper: {self.notes}"
+        formats = self.formats or [""] * len(self.headers)
+        cells = [
+            ["-" if value is None else format(value, spec)
+             for value, spec in zip(row, formats)]
+            for row in self.rows
+        ]
+        table = render_table(self.headers, cells, title=self.experiment)
+        if self.checks:
+            table += "\n" + render_table(
+                ["claim", "paper", "band", "measured", "verdict"],
+                [check.cells() for check in self.checks],
+            )
         return table
 
 
-def _fmt(value: float, digits: int = 2) -> str:
-    return f"{value:.{digits}f}"
+def _gids(
+    workload: Workload,
+    system: SystemConfig,
+    config: LoaderConfig,
+    *,
+    seed: int,
+    hot: bool = False,
+    **kwargs,
+) -> GIDSDataLoader:
+    """A GIDS loader on ``workload``'s replica at its batch size and fanouts
+    (``kwargs`` override them), given its hot nodes when ``hot``."""
+    kwargs = {
+        "batch_size": workload.batch_size, "fanouts": workload.fanouts,
+        **kwargs,
+    }
+    return GIDSDataLoader(
+        workload.dataset, system, config,
+        hot_nodes=workload.hot_nodes if hot else None, seed=seed, **kwargs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -70,37 +111,23 @@ def fig03_request_rates(
 ) -> ExperimentResult:
     """Data-preparation request rates on CPU vs GPU (IGB-small workload).
 
-    Real sampled batches provide the request stream; the calibrated rate
-    models convert generated work into requests/second.
+    The calibrated rate models give requests/second per source.
     """
-    workload = get_workload("IGB-small")
     gpu = GPUModel()
-    rows: list[list[object]] = []
-    for threads in thread_counts:
-        cpu = CPUModel(threads=threads)
-        rows.append(
-            [f"CPU ({threads} threads)", _fmt(cpu.request_rate / 1e6)]
-        )
-    rows.append(
-        ["GPU generation", _fmt(gpu.spec.request_generation_rate / 1e6)]
-    )
+    rows: list[list[object]] = [
+        [f"CPU ({threads} threads)", CPUModel(threads=threads).request_rate / 1e6]
+        for threads in thread_counts
+    ]
+    rows.append(["GPU generation", gpu.spec.request_generation_rate / 1e6])
     rows.append(
         ["GPU consumption (training)",
-         _fmt(gpu.spec.training_consumption_rate / 1e6)]
+         gpu.spec.training_consumption_rate / 1e6]
     )
-    cpu16 = CPUModel(threads=16)
     return ExperimentResult(
         experiment="Figure 3: feature-request rates (IGB-small)",
         headers=["source", "Mreq/s"],
         rows=rows,
-        notes="CPU plateaus at 4.1M req/s (16 threads); GPU generates 77M "
-        "and consumes 29M req/s",
-        extras={
-            "cpu_plateau": cpu16.request_rate,
-            "gpu_generation": gpu.spec.request_generation_rate,
-            "gpu_consumption": gpu.spec.training_consumption_rate,
-            "workload": workload.name,
-        },
+        formats=["", ".2f"],
     )
 
 
@@ -109,17 +136,11 @@ def fig03_request_rates(
 
 
 def fig05_breakdown(
-    dataset_names: tuple[str, ...] = (
-        "ogbn-papers100M",
-        "MAG240M",
-        "IGB-Full",
-        "IGBH-Full",
-    ),
+    dataset_names: tuple[str, ...] = _E2E_DATASETS,
     iters: int = MEASURE_ITERS,
 ) -> ExperimentResult:
     """Stage breakdown of the DGL-mmap baseline across the four datasets."""
     rows = []
-    extras = {}
     for name in dataset_names:
         workload = get_workload(name)
         system = workload.system(INTEL_OPTANE)
@@ -133,16 +154,11 @@ def fig05_breakdown(
         report = loader.run(iters, warmup=WARMUP_BASELINE)
         fractions = report.breakdown_fractions()
         rows.append(
-            [
-                name,
-                _fmt(100 * fractions["sampling"], 1),
-                _fmt(100 * fractions["aggregation"], 1),
-                _fmt(100 * fractions["transfer"], 1),
-                _fmt(100 * fractions["training"], 1),
-                _fmt(report.time_per_iteration() * 1e3, 2),
-            ]
+            [name]
+            + [100 * fractions[stage] for stage in (
+                "sampling", "aggregation", "transfer", "training")]
+            + [report.time_per_iteration() * 1e3]
         )
-        extras[name] = fractions
     return ExperimentResult(
         experiment="Figure 5: DGL-mmap training-time breakdown (%)",
         headers=[
@@ -150,9 +166,7 @@ def fig05_breakdown(
             "ms/iter",
         ],
         rows=rows,
-        notes="sampling + aggregation dominate; training is barely visible "
-        "for the larger-than-memory IGB-Full/IGBH-Full graphs",
-        extras=extras,
+        formats=["", ".1f", ".1f", ".1f", ".1f", ".2f"],
     )
 
 
@@ -168,41 +182,30 @@ def fig07_sampling(
     cpu = CPUModel(threads=16)
     gpu = GPUModel()
     rows = []
-    extras = {}
     for name in dataset_names:
         workload = get_workload(name)
-        sampler_work = []
-        from ..sampling.neighbor import NeighborSampler
-        from ..sampling.seeds import epoch_seed_batches
-
         sampler = NeighborSampler(
             workload.dataset.graph, workload.fanouts, seed=2
         )
         batches = epoch_seed_batches(
             workload.dataset.train_ids, workload.batch_size, seed=2
         )
-        for _, seeds in zip(range(iters), batches):
-            sampler_work.append(sampler.sample(seeds).num_sampled)
-        total = int(np.sum(sampler_work))
+        total = int(np.sum(
+            [sampler.sample(seeds).num_sampled
+             for _, seeds in zip(range(iters), batches)]
+        ))
         cpu_time = cpu.sampling_time(total)
         gpu_time = gpu.sampling_time(
             total, n_kernels=len(workload.fanouts) * iters
         )
         rows.append(
-            [
-                name,
-                _fmt(cpu_time * 1e3, 3),
-                _fmt(gpu_time * 1e3, 3),
-                _fmt(cpu_time / gpu_time, 2),
-            ]
+            [name, cpu_time * 1e3, gpu_time * 1e3, cpu_time / gpu_time]
         )
-        extras[name] = cpu_time / gpu_time
     return ExperimentResult(
         experiment="Figure 7: graph sampling time, CPU vs GPU",
         headers=["dataset", "CPU ms", "GPU ms", "GPU speedup"],
         rows=rows,
-        notes="GPU wins everywhere, >3x on IGB-medium",
-        extras=extras,
+        formats=["", ".3f", ".3f", ".2f"],
     )
 
 
@@ -216,36 +219,23 @@ def fig08_ssd_model(
 ) -> ExperimentResult:
     """Eq. 2-3 model vs event-driven measurement for both SSDs."""
     rows = []
-    extras = {}
     for spec in (INTEL_OPTANE, SAMSUNG_980PRO):
         arr = SSDArray(spec)
         bench = SSDMicrobench(spec, seed=0)
         measured = bench.sweep(list(overlaps), repeats=repeats)
+        required = arr.required_overlapping(0.95)
         for n, meas in zip(overlaps, measured):
             model = arr.achieved_iops(n)
             rows.append(
-                [
-                    spec.name,
-                    n,
-                    _fmt(model / 1e6, 3),
-                    _fmt(meas / 1e6, 3),
-                    _fmt(model * spec.page_bytes / 1e9, 2),
-                ]
+                [spec.name, n, model / 1e6, meas / 1e6,
+                 model * spec.page_bytes / 1e9, required]
             )
-        required = arr.required_overlapping(0.95)
-        extras[spec.name] = {
-            "required_95pct": required,
-            "model_iops": [arr.achieved_iops(n) for n in overlaps],
-            "measured_iops": measured,
-        }
     return ExperimentResult(
         experiment="Figure 8: SSD IOPS vs overlapping accesses",
         headers=["SSD", "overlapping", "model MIOPS", "measured MIOPS",
-                 "model GB/s"],
+                 "model GB/s", "95% overlap"],
         rows=rows,
-        notes="model tracks measurement; ~1k accesses reach 95% of peak on "
-        "Optane (paper: 812 model / 1024 measured)",
-        extras=extras,
+        formats=["", "", ".3f", ".3f", ".2f", ""],
     )
 
 
@@ -262,7 +252,6 @@ def fig09_accumulator(
     workload = get_workload("IGB-Full", fanouts=(5, 5))
     system = workload.system(INTEL_OPTANE, num_ssds=2)
     rows = []
-    extras = {}
     for batch_size in batch_sizes:
         row = [batch_size]
         for loader_name, gids_features in (("BaM", False), ("GIDS", True)):
@@ -272,31 +261,20 @@ def fig09_accumulator(
                     cpu_buffer_fraction=0.10 if gids_features else 0.0,
                     window_depth=8 if gids_features else 0,
                 )
-                loader = GIDSDataLoader(
-                    workload.dataset,
-                    system,
-                    config,
-                    batch_size=batch_size,
-                    fanouts=(5, 5),
-                    hot_nodes=workload.hot_nodes if gids_features else None,
-                    seed=3,
+                loader = _gids(
+                    workload, system, config, seed=3, hot=gids_features,
+                    batch_size=batch_size, fanouts=(5, 5),
                 )
                 loader.name = loader_name
                 report = loader.run(iters, warmup=WARMUP_GIDS)
-                bw = report.pcie_ingress_bandwidth / 1e9
-                row.append(_fmt(bw, 2))
-                extras[(loader_name, accumulate, batch_size)] = bw
+                row.append(report.pcie_ingress_bandwidth / 1e9)
         rows.append(row)
     return ExperimentResult(
         experiment="Figure 9: PCIe ingress bandwidth, GB/s "
         "(2x Intel Optane, fanout (5,5))",
-        headers=[
-            "batch", "BaM", "BaM+acc", "GIDS", "GIDS+acc",
-        ],
+        headers=["batch", "BaM", "BaM+acc", "GIDS", "GIDS+acc"],
         rows=rows,
-        notes="accumulator lifts BaM up to 1.25x and GIDS up to 1.95x, "
-        "most at the smallest batch",
-        extras=extras,
+        formats=["", ".2f", ".2f", ".2f", ".2f"],
     )
 
 
@@ -312,8 +290,6 @@ def fig10_cpu_buffer(
     metric (single SSD, window buffering off, as in Section 4.4)."""
     workload = get_workload("IGB-Full")
     system = workload.system(INTEL_OPTANE, num_ssds=1)
-    rows = []
-    extras = {}
 
     def run(fraction: float, metric: str) -> float:
         config = workload.loader_config(
@@ -321,42 +297,27 @@ def fig10_cpu_buffer(
             window_depth=0,
             hot_node_metric=metric,
         )
-        hot = workload.hot_nodes if metric == "reverse_pagerank" else None
-        loader = GIDSDataLoader(
-            workload.dataset,
-            system,
-            config,
-            batch_size=workload.batch_size,
-            fanouts=workload.fanouts,
-            hot_nodes=hot,
-            seed=4,
+        loader = _gids(
+            workload, system, config, seed=4,
+            hot=metric == "reverse_pagerank",
         )
         report = loader.run(iters, warmup=WARMUP_GIDS)
         return report.effective_aggregation_bandwidth / 1e9
 
     baseline = run(0.0, "reverse_pagerank")
-    rows.append(["no CPU buffer", "-", _fmt(baseline, 2), "1.00"])
-    extras["baseline"] = baseline
+    rows = [["no CPU buffer", None, baseline, baseline / baseline]]
     for fraction in fractions:
         for metric in ("random", "out_degree", "reverse_pagerank"):
             bw = run(fraction, metric)
             rows.append(
-                [
-                    f"{int(fraction * 100)}% buffer",
-                    metric,
-                    _fmt(bw, 2),
-                    _fmt(bw / baseline, 2),
-                ]
+                [f"{int(fraction * 100)}% buffer", metric, bw, bw / baseline]
             )
-            extras[(fraction, metric)] = bw
     return ExperimentResult(
         experiment="Figure 10: feature aggregation bandwidth with the "
         "constant CPU buffer (GB/s, 1x Optane)",
         headers=["buffer", "hot-node metric", "GB/s", "vs baseline"],
         rows=rows,
-        notes="paper: 6.6 -> 10.4 (10%) -> 23.4 GB/s (20% + reverse "
-        "PageRank), up to 3.53x",
-        extras=extras,
+        formats=["", "", ".2f", ".2f"],
     )
 
 
@@ -373,45 +334,26 @@ def fig11_window_depth(
     workload = get_workload("IGB-Full")
     system = workload.system(INTEL_OPTANE, num_ssds=1)
     rows = []
-    extras = {}
     base_hit = None
     base_time = None
     for depth in depths:
         config = workload.loader_config(
             window_depth=depth, cpu_buffer_fraction=0.0
         )
-        loader = GIDSDataLoader(
-            workload.dataset,
-            system,
-            config,
-            batch_size=workload.batch_size,
-            fanouts=workload.fanouts,
-            seed=5,
-        )
+        loader = _gids(workload, system, config, seed=5)
         report = loader.run(iters, warmup=2 * WARMUP_GIDS)
         hit = report.gpu_cache_hit_ratio
         agg = report.aggregation_time / iters
         if depth == depths[0]:
             base_hit, base_time = max(hit, 1e-9), agg
         rows.append(
-            [
-                depth,
-                _fmt(100 * hit, 2),
-                _fmt(hit / base_hit, 2),
-                _fmt(agg * 1e3, 3),
-                _fmt(base_time / agg, 3),
-            ]
+            [depth, 100 * hit, hit / base_hit, agg * 1e3, base_time / agg]
         )
-        extras[depth] = {"hit_ratio": hit, "agg_time": agg}
     return ExperimentResult(
         experiment="Figure 11: window buffering vs depth (8 GB-scaled cache)",
-        headers=[
-            "depth", "hit %", "hit vs depth0", "agg ms/iter", "agg speedup",
-        ],
+        headers=["depth", "hit %", "hit vs depth0", "agg ms/iter", "agg speedup"],
         rows=rows,
-        notes="paper: depth 4 -> 1.2x hit ratio / 1.04x time; depth 8 -> "
-        "2.19x hit ratio / 1.13x time",
-        extras=extras,
+        formats=["", ".2f", ".2f", ".3f", ".3f"],
     )
 
 
@@ -424,7 +366,6 @@ def fig12_cache_sizes(
     workload = get_workload("IGB-Full")
     system = workload.system(INTEL_OPTANE, num_ssds=1)
     rows = []
-    extras = {}
     for gb in cache_gb:
         cache_bytes = gb * 1e9 * workload.capacity_scale
         results = {}
@@ -434,41 +375,26 @@ def fig12_cache_sizes(
                 window_depth=window,
                 cpu_buffer_fraction=0.0,
             )
-            loader = GIDSDataLoader(
-                workload.dataset,
-                system,
-                config,
-                batch_size=workload.batch_size,
-                fanouts=workload.fanouts,
-                seed=6,
-            )
-            report = loader.run(iters, warmup=2 * WARMUP_GIDS)
-            results[window] = report
+            loader = _gids(workload, system, config, seed=6)
+            results[window] = loader.run(iters, warmup=2 * WARMUP_GIDS)
         base = results[0]
         buffered = results[depth]
-        speedup = base.aggregation_time / buffered.aggregation_time
         rows.append(
             [
                 f"{gb:.0f} GB",
-                _fmt(100 * base.gpu_cache_hit_ratio, 2),
-                _fmt(100 * buffered.gpu_cache_hit_ratio, 2),
-                _fmt(speedup, 3),
+                100 * base.gpu_cache_hit_ratio,
+                100 * buffered.gpu_cache_hit_ratio,
+                base.aggregation_time / buffered.aggregation_time,
+                base.aggregation_time / iters * 1e3,
+                buffered.aggregation_time / iters * 1e3,
             ]
         )
-        extras[gb] = {
-            "base_hit": base.gpu_cache_hit_ratio,
-            "window_hit": buffered.gpu_cache_hit_ratio,
-            "speedup": speedup,
-            "base_agg_time": base.aggregation_time,
-            "window_agg_time": buffered.aggregation_time,
-        }
     return ExperimentResult(
         experiment=f"Figure 12: window buffering (depth {depth}) vs cache size",
-        headers=["cache", "hit % (random)", "hit % (window)", "agg speedup"],
+        headers=["cache", "hit % (random)", "hit % (window)", "agg speedup",
+                 "agg ms/iter (random)", "agg ms/iter (window)"],
         rows=rows,
-        notes="paper: 1.20x / 1.18x / 1.12x at 4 / 8 / 16 GB; 4 GB + window "
-        "beats 16 GB without",
-        extras=extras,
+        formats=["", ".2f", ".2f", ".3f", ".3f", ".3f"],
     )
 
 
@@ -477,12 +403,12 @@ def fig12_cache_sizes(
 
 
 def _e2e_for_ssd(
+    figure: str,
     ssd: SSDSpec,
     dataset_names: tuple[str, ...],
     iters: int,
 ) -> ExperimentResult:
     rows = []
-    extras = {}
     for name in dataset_names:
         workload = get_workload(name)
         # IGBH-Full uses two SSDs in the paper (storage capacity).
@@ -492,10 +418,9 @@ def _e2e_for_ssd(
             batch_size=workload.batch_size, fanouts=workload.fanouts, seed=7
         )
         config = workload.loader_config()
-        gids = GIDSDataLoader(
-            workload.dataset, system, config,
-            hot_nodes=workload.hot_nodes, **common,
-        ).run(iters, warmup=WARMUP_GIDS)
+        gids = _gids(workload, system, config, seed=7, hot=True).run(
+            iters, warmup=WARMUP_GIDS
+        )
         bam = BaMDataLoader(
             workload.dataset, system, config, **common
         ).run(iters, warmup=WARMUP_GIDS)
@@ -514,62 +439,41 @@ def _e2e_for_ssd(
         rows.append(
             [
                 name,
-                _fmt(g * 1e3, 2),
-                _fmt(bam.e2e_time * 1e3, 2),
-                "-" if ginex_time is None else _fmt(ginex_time * 1e3, 2),
-                _fmt(mmap.e2e_time * 1e3, 2),
-                _fmt(mmap.e2e_time / g, 1),
-                "-" if ginex_time is None else _fmt(ginex_time / g, 1),
-                _fmt(bam.e2e_time / g, 2),
+                g * 1e3,
+                bam.e2e_time * 1e3,
+                None if ginex_time is None else ginex_time * 1e3,
+                mmap.e2e_time * 1e3,
+                mmap.e2e_time / g,
+                None if ginex_time is None else ginex_time / g,
+                bam.e2e_time / g,
             ]
         )
-        extras[name] = {
-            "GIDS": g,
-            "BaM": bam.e2e_time,
-            "Ginex": ginex_time,
-            "DGL-mmap": mmap.e2e_time,
-        }
     return ExperimentResult(
-        experiment=f"E2E training time for {MEASURE_ITERS} iterations, ms "
-        f"({ssd.name})",
+        experiment=f"{figure}: E2E training time for {MEASURE_ITERS} "
+        f"iterations, ms ({ssd.name})",
         headers=[
             "dataset", "GIDS", "BaM", "Ginex", "DGL-mmap",
             "vs mmap", "vs Ginex", "vs BaM",
         ],
         rows=rows,
-        extras=extras,
+        formats=["", ".2f", ".2f", ".2f", ".2f", ".1f", ".1f", ".2f"],
     )
 
 
 def fig13_e2e_980pro(
-    dataset_names: tuple[str, ...] = (
-        "ogbn-papers100M", "MAG240M", "IGB-Full", "IGBH-Full",
-    ),
+    dataset_names: tuple[str, ...] = _E2E_DATASETS,
     iters: int = MEASURE_ITERS,
 ) -> ExperimentResult:
     """End-to-end comparison on Samsung 980 Pro SSDs."""
-    result = _e2e_for_ssd(SAMSUNG_980PRO, dataset_names, iters)
-    result.experiment = "Figure 13: " + result.experiment
-    result.notes = (
-        "paper: GIDS up to 582x vs DGL-mmap, 10.6-37x vs Ginex, ~3.1x vs BaM"
-    )
-    return result
+    return _e2e_for_ssd("Figure 13", SAMSUNG_980PRO, dataset_names, iters)
 
 
 def fig14_e2e_optane(
-    dataset_names: tuple[str, ...] = (
-        "ogbn-papers100M", "MAG240M", "IGB-Full", "IGBH-Full",
-    ),
+    dataset_names: tuple[str, ...] = _E2E_DATASETS,
     iters: int = MEASURE_ITERS,
 ) -> ExperimentResult:
     """End-to-end comparison on Intel Optane SSDs."""
-    result = _e2e_for_ssd(INTEL_OPTANE, dataset_names, iters)
-    result.experiment = "Figure 14: " + result.experiment
-    result.notes = (
-        "paper: GIDS up to 17.3x vs DGL-mmap, ~10.6x vs Ginex, ~3.2x vs BaM;"
-        " smaller gains than 980 Pro because Optane latency is ~30x lower"
-    )
-    return result
+    return _e2e_for_ssd("Figure 14", INTEL_OPTANE, dataset_names, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +488,15 @@ def fig15_ladies(
     workload = get_workload("IGB-Full")
     system = workload.system(SAMSUNG_980PRO, num_ssds=1)
     rows = []
-    extras = {}
     for kind, kwargs in (
         ("neighborhood", dict(sampler_kind="neighbor", fanouts=workload.fanouts)),
         ("LADIES", dict(sampler_kind="ladies", layer_sizes=layer_sizes)),
     ):
         common = dict(batch_size=workload.batch_size, seed=8, **kwargs)
         config = workload.loader_config()
-        gids = GIDSDataLoader(
-            workload.dataset, system, config,
-            hot_nodes=workload.hot_nodes, **common,
-        ).run(iters, warmup=WARMUP_GIDS)
+        gids = _gids(workload, system, config, hot=True, **common).run(
+            iters, warmup=WARMUP_GIDS
+        )
         bam = BaMDataLoader(
             workload.dataset, system, config, **common
         ).run(iters, warmup=WARMUP_GIDS)
@@ -605,26 +507,19 @@ def fig15_ladies(
         rows.append(
             [
                 kind,
-                _fmt(g * 1e3, 2),
-                _fmt(bam.aggregation_time * 1e3, 2),
-                _fmt(mmap.aggregation_time * 1e3, 2),
-                _fmt(mmap.aggregation_time / g, 1),
-                _fmt(bam.aggregation_time / g, 2),
+                g * 1e3,
+                bam.aggregation_time * 1e3,
+                mmap.aggregation_time * 1e3,
+                mmap.aggregation_time / g,
+                bam.aggregation_time / g,
             ]
         )
-        extras[kind] = {
-            "GIDS": g,
-            "BaM": bam.aggregation_time,
-            "DGL-mmap": mmap.aggregation_time,
-        }
     return ExperimentResult(
         experiment="Figure 15: feature aggregation time, ms "
         "(Samsung 980 Pro)",
         headers=["sampling", "GIDS", "BaM", "DGL-mmap", "vs mmap", "vs BaM"],
         rows=rows,
-        notes="paper: with LADIES, GIDS is 412x faster than the DGL "
-        "dataloader and 1.92x faster than BaM",
-        extras=extras,
+        formats=["", ".2f", ".2f", ".2f", ".1f", ".2f"],
     )
 
 
@@ -665,8 +560,8 @@ def table02_datasets() -> ExperimentResult:
             [
                 name,
                 "heterogeneous" if spec.heterogeneous else "homogeneous",
-                f"{spec.num_nodes:,}",
-                f"{spec.num_edges:,}",
+                spec.num_nodes,
+                spec.num_edges,
                 spec.feature_dim,
             ]
         )
@@ -674,6 +569,7 @@ def table02_datasets() -> ExperimentResult:
         experiment="Table 2: real-world datasets",
         headers=["dataset", "type", "nodes", "edges", "feature dim"],
         rows=rows,
+        formats=["", "", ",", ",", ""],
     )
 
 
@@ -682,41 +578,31 @@ def table03_igb_microbench() -> ExperimentResult:
     rows = []
     for name in ("IGB-tiny", "IGB-small", "IGB-medium", "IGB-large"):
         spec = get_dataset_spec(name)
-        rows.append(
-            [name, f"{spec.num_nodes:,}", f"{spec.num_edges:,}",
-             spec.feature_dim]
-        )
+        rows.append([name, spec.num_nodes, spec.num_edges, spec.feature_dim])
     return ExperimentResult(
         experiment="Table 3: IGB micro-benchmark datasets",
         headers=["dataset", "nodes", "edges", "feature dim"],
         rows=rows,
+        formats=["", ",", ",", ""],
     )
 
 
 def table04_sizes() -> ExperimentResult:
     """Table 4: feature vs structure size split, full scale and scaled."""
     rows = []
-    extras = {}
     for name in ("ogbn-papers100M", "IGB-Full", "MAG240M", "IGBH-Full"):
         spec = get_dataset_spec(name)
-        feature_pct = 100 * spec.feature_data_bytes / spec.total_bytes
-        structure_pct = 100 * spec.structure_data_bytes / spec.total_bytes
         workload = get_workload(name)
         rows.append(
             [
                 name,
-                _fmt(spec.reported_feature_pct, 1),
-                _fmt(spec.reported_structure_pct, 1),
-                _fmt(feature_pct, 1),
+                spec.reported_feature_pct,
+                spec.reported_structure_pct,
+                100 * spec.feature_data_bytes / spec.total_bytes,
                 format_bytes(spec.reported_total_bytes),
                 format_bytes(workload.dataset.total_bytes),
             ]
         )
-        extras[name] = {
-            "feature_pct": feature_pct,
-            "structure_pct": structure_pct,
-            "reported_feature_pct": spec.reported_feature_pct,
-        }
     return ExperimentResult(
         experiment="Table 4: dataset size distribution",
         headers=[
@@ -724,9 +610,7 @@ def table04_sizes() -> ExperimentResult:
             "feature % (replica)", "full-scale size", "scaled replica",
         ],
         rows=rows,
-        notes="paper: features are 68-96% of each dataset; structure always "
-        "fits CPU memory",
-        extras=extras,
+        formats=["", ".1f", ".1f", ".1f", "", ""],
     )
 
 
@@ -742,36 +626,23 @@ def ablation_accumulator_target(
     workload = get_workload("IGB-Full")
     system = workload.system(INTEL_OPTANE, num_ssds=1)
     rows = []
-    extras = {}
     for target in targets:
         config = workload.loader_config(accumulator_target=target)
-        loader = GIDSDataLoader(
-            workload.dataset,
-            system,
-            config,
-            batch_size=workload.batch_size,
-            fanouts=workload.fanouts,
-            hot_nodes=workload.hot_nodes,
-            seed=9,
-        )
+        loader = _gids(workload, system, config, seed=9, hot=True)
         report = loader.run(iters, warmup=WARMUP_GIDS)
-        threshold = loader.accumulator.storage_threshold
         rows.append(
             [
-                _fmt(target, 2),
-                threshold,
-                _fmt(report.pcie_ingress_bandwidth / 1e9, 2),
-                _fmt(report.time_per_iteration() * 1e3, 3),
+                target,
+                loader.accumulator.storage_threshold,
+                report.pcie_ingress_bandwidth / 1e9,
+                report.time_per_iteration() * 1e3,
             ]
         )
-        extras[target] = report.time_per_iteration()
     return ExperimentResult(
         experiment="Ablation: accumulator target fraction",
         headers=["target", "storage threshold", "PCIe GB/s", "ms/iter"],
         rows=rows,
-        notes="higher targets merge more iterations; returns diminish near "
-        "peak while buffer memory grows",
-        extras=extras,
+        formats=[".2f", "", ".2f", ".3f"],
     )
 
 
@@ -783,43 +654,28 @@ def ablation_ssd_scaling(
     accumulator's threshold both scale with the SSD count."""
     workload = get_workload("IGB-Full")
     rows = []
-    extras = {}
     for num_ssds in ssd_counts:
         system = workload.system(INTEL_OPTANE, num_ssds=num_ssds)
         array = SSDArray(INTEL_OPTANE, num_ssds)
-        loader = GIDSDataLoader(
-            workload.dataset,
-            system,
-            workload.loader_config(),
-            batch_size=workload.batch_size,
-            fanouts=workload.fanouts,
-            hot_nodes=workload.hot_nodes,
-            seed=11,
+        loader = _gids(
+            workload, system, workload.loader_config(), seed=11, hot=True
         )
         report = loader.run(iters, warmup=WARMUP_GIDS)
-        threshold = array.required_overlapping(0.95)
         rows.append(
             [
                 num_ssds,
-                _fmt(array.peak_bandwidth / 1e9, 2),
-                threshold,
-                _fmt(report.pcie_ingress_bandwidth / 1e9, 2),
-                _fmt(report.time_per_iteration() * 1e3, 3),
+                array.peak_bandwidth / 1e9,
+                array.required_overlapping(0.95),
+                report.pcie_ingress_bandwidth / 1e9,
+                report.time_per_iteration() * 1e3,
             ]
         )
-        extras[num_ssds] = {
-            "threshold": threshold,
-            "ms_per_iter": report.time_per_iteration() * 1e3,
-            "pcie_gbps": report.pcie_ingress_bandwidth / 1e9,
-        }
     return ExperimentResult(
         experiment="Ablation: SSD count scaling (Intel Optane, GIDS)",
         headers=["SSDs", "peak GB/s", "95% threshold", "PCIe GB/s",
                  "ms/iter"],
         rows=rows,
-        notes="Section 3.2: the required overlap scales linearly with the "
-        "SSD count; collective bandwidth approaches the PCIe ceiling",
-        extras=extras,
+        formats=["", ".2f", "", ".2f", ".3f"],
     )
 
 
@@ -835,12 +691,9 @@ def ablation_feature_dimension(
     span pages.  The same sampled workload is served at every dimension so
     the page-count differences isolate the layout effect.
     """
-    from dataclasses import replace as dc_replace
-
     base = get_workload("IGB-Full")
     system = base.system(INTEL_OPTANE)
     rows = []
-    extras = {}
     for dim in dims:
         spec = dc_replace(base.dataset.spec, feature_dim=dim)
         dataset = type(base.dataset)(
@@ -853,15 +706,9 @@ def ablation_feature_dimension(
         )
         # The GPU cache keeps its byte size (hardware is fixed); what
         # changes with the dimension is how many vectors it can hold.
-        config = base.loader_config()
-        loader = GIDSDataLoader(
-            dataset,
-            system,
-            config,
-            batch_size=base.batch_size,
-            fanouts=base.fanouts,
-            hot_nodes=base.hot_nodes,
-            seed=13,
+        loader = _gids(
+            dc_replace(base, dataset=dataset), system, base.loader_config(),
+            seed=13, hot=True,
         )
         report = loader.run(iters, warmup=WARMUP_GIDS)
         nodes = report.total_input_nodes
@@ -871,24 +718,17 @@ def ablation_feature_dimension(
                 dim,
                 loader.layout.nodes_per_page,
                 loader.layout.pages_per_node,
-                _fmt(pages / max(1, nodes), 3),
-                _fmt(report.effective_aggregation_bandwidth / 1e9, 2),
-                _fmt(report.time_per_iteration() * 1e3, 3),
+                pages / max(1, nodes),
+                report.effective_aggregation_bandwidth / 1e9,
+                report.time_per_iteration() * 1e3,
             ]
         )
-        extras[dim] = {
-            "pages_per_requested_node": pages / max(1, nodes),
-            "ms_per_iter": report.time_per_iteration() * 1e3,
-        }
     return ExperimentResult(
         experiment="Ablation: feature dimension vs storage traffic",
         headers=["dim", "nodes/page", "pages/node", "storage pages per "
                  "requested node", "eff GB/s", "ms/iter"],
         rows=rows,
-        notes="vectors larger than a page double storage requests; "
-        "page-sharing at small dims helps only mildly because sparse "
-        "random node ids rarely co-reside on a page (Section 2.1 / 3.5)",
-        extras=extras,
+        formats=["", "", "", ".3f", ".2f", ".3f"],
     )
 
 
@@ -901,19 +741,13 @@ def ablation_structure_placement(
     workload: (1) structure reads are 8-16 B but storage moves 4 KB pages
     — massive I/O amplification; (2) those fine-grained random pages would
     pollute the GPU software cache.  We count the actual structure
-    accesses of the sampled iterations and model three placements:
-    pinned in CPU memory over UVA (GIDS's choice), fetched from storage,
-    and fetched from storage through the (shared) GPU cache.
+    accesses of the sampled iterations and model two placements: pinned
+    in CPU memory over UVA (GIDS's choice) and fetched from storage.
     """
     workload = get_workload("IGB-Full")
     dataset = workload.dataset
     system = workload.system(INTEL_OPTANE)
     array = SSDArray(INTEL_OPTANE)
-
-    from ..sampling.neighbor import NeighborSampler
-    from ..sampling.seeds import epoch_seed_batches
-    from ..sim.pcie import PCIeLink
-
     sampler = NeighborSampler(dataset.graph, workload.fanouts, seed=12)
     batches = epoch_seed_batches(
         dataset.train_ids, workload.batch_size, seed=12
@@ -946,41 +780,22 @@ def ablation_structure_placement(
     pcie = PCIeLink(system.pcie)
     uva_time = useful_bytes / pcie.cpu_path_bandwidth
     storage_time = array.batch_service_time(structure_pages)
+    structure_pct = 100 * dataset.structure_data_bytes / dataset.total_bytes
 
+    useful_mb = useful_bytes / 1e6
     rows = [
-        [
-            "pinned in CPU memory (UVA, GIDS)",
-            _fmt(useful_bytes / 1e6, 2),
-            _fmt(useful_bytes / 1e6, 2),
-            "1.0",
-            _fmt(uva_time * 1e3, 3),
-        ],
-        [
-            "stored on SSD",
-            _fmt(useful_bytes / 1e6, 2),
-            _fmt(page_bytes_moved / 1e6, 2),
-            _fmt(amplification, 1),
-            _fmt(storage_time * 1e3, 3),
-        ],
+        ["pinned in CPU memory (UVA, GIDS)", useful_mb, useful_mb, 1.0,
+         uva_time * 1e3, structure_pct],
+        ["stored on SSD", useful_mb, page_bytes_moved / 1e6, amplification,
+         storage_time * 1e3, structure_pct],
     ]
     return ExperimentResult(
         experiment="Ablation (Section 3.5): graph structure placement, "
         f"{iters} iterations",
         headers=["placement", "useful MB", "moved MB", "amplification",
-                 "time ms"],
+                 "time ms", "structure % of data"],
         rows=rows,
-        notes="structure access granularity (8-16 B) vs 4 KB pages makes "
-        "storage placement amplify I/O by orders of magnitude and would "
-        "pollute the GPU cache; pinning in CPU memory is cheap because "
-        "structure is ~5% of the dataset (Table 4)",
-        extras={
-            "amplification": amplification,
-            "uva_time": uva_time,
-            "storage_time": storage_time,
-            "structure_fraction": (
-                dataset.structure_data_bytes / dataset.total_bytes
-            ),
-        },
+        formats=["", ".2f", ".2f", ".1f", ".3f", ".2f"],
     )
 
 
@@ -989,34 +804,23 @@ def ablation_eviction_policy(iters: int = 60) -> ExperimentResult:
     workload = get_workload("IGB-Full")
     system = workload.system(INTEL_OPTANE, num_ssds=1)
     rows = []
-    extras = {}
     for policy in ("random", "lru"):
         config = workload.loader_config(cpu_buffer_fraction=0.0)
-        loader = GIDSDataLoader(
-            workload.dataset,
-            system,
-            config,
-            batch_size=workload.batch_size,
-            fanouts=workload.fanouts,
-            seed=10,
-        )
+        loader = _gids(workload, system, config, seed=10)
         loader.cache.policy = policy  # set before any access
         report = loader.run(iters, warmup=2 * WARMUP_GIDS)
         rows.append(
             [
                 policy,
-                _fmt(100 * report.gpu_cache_hit_ratio, 2),
-                _fmt(report.aggregation_time / iters * 1e3, 3),
+                100 * report.gpu_cache_hit_ratio,
+                report.aggregation_time / iters * 1e3,
             ]
         )
-        extras[policy] = report.gpu_cache_hit_ratio
     return ExperimentResult(
         experiment="Ablation: GPU cache eviction policy (window depth 8)",
         headers=["policy", "hit %", "agg ms/iter"],
         rows=rows,
-        notes="random eviction is what BaM ships; window buffering matters "
-        "more than the underlying policy",
-        extras=extras,
+        formats=["", ".2f", ".3f"],
     )
 
 
@@ -1035,44 +839,22 @@ def observatory_ssd_sweep(
 
     workload = get_workload("IGB-Full")
     rows = []
-    extras = {}
     for count in num_ssds:
         system = workload.system(SAMSUNG_980PRO, num_ssds=count)
-        loader = GIDSDataLoader(
-            workload.dataset,
-            system,
-            workload.loader_config(),
-            batch_size=workload.batch_size,
-            fanouts=workload.fanouts,
-            seed=1,
-        )
+        loader = _gids(workload, system, workload.loader_config(), seed=1)
         report = loader.run(iters, warmup=WARMUP_GIDS)
         summary = report_to_dict(report, system=system)
         block = summary["attribution"]
         resources = block["resources"]
         rows.append(
-            [
-                count,
-                block["bottleneck"],
-                _fmt(100 * resources["ssd"]["utilization"], 1),
-                _fmt(100 * resources["pcie"]["utilization"], 1),
-                _fmt(100 * resources["cpu.buffer"]["utilization"], 1),
-                _fmt(summary["e2e_seconds"] * 1e3, 2),
-            ]
+            [count, block["bottleneck"]]
+            + [100 * resources[name]["utilization"]
+               for name in ("ssd", "pcie", "cpu.buffer")]
+            + [summary["e2e_seconds"] * 1e3]
         )
-        extras[count] = {
-            "bottleneck": block["bottleneck"],
-            "e2e_seconds": summary["e2e_seconds"],
-            "ssd_utilization": resources["ssd"]["utilization"],
-            "pcie_utilization": resources["pcie"]["utilization"],
-        }
     return ExperimentResult(
         experiment="Observatory: bottleneck attribution vs SSD count",
-        headers=[
-            "SSDs", "bottleneck", "ssd %", "pcie %", "cpu.buf %", "E2E ms",
-        ],
+        headers=["SSDs", "bottleneck", "ssd %", "pcie %", "cpu.buf %", "E2E ms"],
         rows=rows,
-        notes="striping SSDs moves the binding constraint from the array "
-        "to the PCIe link; E2E time improves until the link saturates",
-        extras=extras,
+        formats=["", "", ".1f", ".1f", ".1f", ".2f"],
     )

@@ -21,7 +21,7 @@ from ..config import SAMSUNG_980PRO, SSDSpec
 from ..core.gids import GIDSDataLoader
 from ..training.evaluate import synthetic_task_accuracy
 from ..training.graphsage import GraphSAGE, synthetic_labels
-from .experiments import ExperimentResult, _fmt
+from .experiments import ExperimentResult
 from .workloads import get_workload
 
 
@@ -136,9 +136,9 @@ def time_to_accuracy(
         rows.append(
             [
                 trace.loader,
-                _fmt(trace.times_s[-1] * 1e3, 2),
-                _fmt(100 * trace.accuracies[-1], 1),
-                "-" if reached is None else _fmt(reached * 1e3, 2),
+                f"{trace.times_s[-1] * 1e3:.2f}",
+                f"{100 * trace.accuracies[-1]:.1f}",
+                "-" if reached is None else f"{reached * 1e3:.2f}",
             ]
         )
     gids, mmap = traces
@@ -150,8 +150,6 @@ def time_to_accuracy(
         experiment=f"Time-to-accuracy (target {target:.0%}, {ssd.name})",
         headers=["loader", "total ms", "final acc %", f"ms to {target:.0%}"],
         rows=rows,
-        notes="identical batch sequences -> identical per-step accuracy; "
-        "the gap is purely data-path time",
         extras={
             "traces": traces,
             "speedup": speedup,
@@ -239,9 +237,9 @@ def fullgraph_vs_minibatch(
         rows.append(
             [
                 trace.loader,
-                _fmt(trace.times_s[-1] * 1e3, 2),
-                _fmt(100 * trace.accuracies[-1], 1),
-                "-" if reached is None else _fmt(reached * 1e3, 2),
+                f"{trace.times_s[-1] * 1e3:.2f}",
+                f"{100 * trace.accuracies[-1]:.1f}",
+                "-" if reached is None else f"{reached * 1e3:.2f}",
             ]
         )
     t_mini, t_full = mini.time_to(target), full.time_to(target)
@@ -255,9 +253,6 @@ def fullgraph_vs_minibatch(
         ),
         headers=["arm", "total ms", "final acc %", f"ms to {target:.0%}"],
         rows=rows,
-        notes="same model geometry, labels, eval nodes and SSD; the "
-        "full-graph arm sweeps partitions with activation offload under "
-        f"a {hbm_budget_bytes / 2**20:.0f} MiB HBM budget",
         extras={
             "traces": [mini, full],
             "minibatch_time_to_target_s": t_mini,

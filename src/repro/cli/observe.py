@@ -13,28 +13,6 @@ from ..errors import ObservatoryError, TelemetryError
 from .context import _SSDS, _dumps
 
 
-#: figure/table name -> experiment function name in repro.bench.experiments.
-_EXPERIMENTS = {
-    "fig03": "fig03_request_rates",
-    "fig05": "fig05_breakdown",
-    "fig07": "fig07_sampling",
-    "fig08": "fig08_ssd_model",
-    "fig09": "fig09_accumulator",
-    "fig10": "fig10_cpu_buffer",
-    "fig11": "fig11_window_depth",
-    "fig12": "fig12_cache_sizes",
-    "fig13": "fig13_e2e_980pro",
-    "fig14": "fig14_e2e_optane",
-    "fig15": "fig15_ladies",
-    "table01": "table01_config",
-    "table02": "table02_datasets",
-    "table03": "table03_igb_microbench",
-    "table04": "table04_sizes",
-    "ablation-target": "ablation_accumulator_target",
-    "ablation-eviction": "ablation_eviction_policy",
-}
-
-
 def _load_report(path: str, loader: str | None = None) -> dict:
     """Load and validate a report export; an unreadable or malformed one
     raises :class:`~repro.errors.ObservatoryError`.
@@ -107,15 +85,18 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _args_figure(figure: argparse.ArgumentParser) -> None:
-    figure.add_argument("name", choices=sorted(_EXPERIMENTS))
+    from ..bench.conform import EXPERIMENTS
+
+    figure.add_argument("name", choices=sorted(EXPERIMENTS))
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from ..bench import experiments
+    """Print one experiment's table and bands; exit 1 on a red band."""
+    from ..bench.conform import run
 
-    fn = getattr(experiments, _EXPERIMENTS[args.name])
-    print(fn().render())
-    return 0
+    result = run(args.name)
+    print(result.render())
+    return 0 if all(check.passed for check in result.checks) else 1
 
 
 def _args_trace(trace: argparse.ArgumentParser) -> None:

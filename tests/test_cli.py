@@ -1,10 +1,17 @@
 """Unit tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _band_cells(out: str, claim: str) -> list[str]:
+    """The cells of ``claim``'s band line in a figure's output."""
+    line = next(line for line in out.splitlines() if line.startswith(claim))
+    return [cell.strip() for cell in line.split(" | ")]
 
 
 class TestParser:
@@ -67,7 +74,24 @@ class TestCommands:
 
     def test_figure_table(self, capsys):
         assert main(["figure", "table02"]) == 0
-        assert "Table 2" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Table 2" in out
+        assert _band_cells(out, "datasets listed") == [
+            "datasets listed", "4", "(3, 5)", "4", "PASS"
+        ]
+
+    def test_figure_exits_1_on_a_red_band(self, capsys, monkeypatch):
+        from repro.bench import conform
+
+        red = tuple(
+            dataclasses.replace(band, hi=4)
+            if band.experiment == "table02" else band
+            for band in conform.BANDS
+        )
+        monkeypatch.setattr(conform, "BANDS", red)
+        assert main(["figure", "table02"]) == 1
+        cells = _band_cells(capsys.readouterr().out, "datasets listed")
+        assert cells[2:] == ["(3, 4)", "4", "FAIL"]
 
     def test_train(self, capsys):
         code = main(
