@@ -51,7 +51,6 @@ from .errors import (
     StalledRunError,
     StorageError,
     TelemetryError,
-    UnrepairablePageError,
 )
 from .faults import (
     CorruptionEvent,
@@ -196,7 +195,6 @@ __all__ = [
     "StalledRunError",
     "StorageError",
     "TelemetryError",
-    "UnrepairablePageError",
     # fault injection & resilience
     "CorruptionEvent",
     "CrashEvent",

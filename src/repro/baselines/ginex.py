@@ -34,25 +34,32 @@ from ..sampling.minibatch import MiniBatch
 from ..sim.counters import TransferCounters
 from ..sim.cpu import CPUModel
 
+#: Mini-batches sampled ahead per super-batch.
+SUPERBATCH_SIZE = 8
+#: Accesses/s the CPU can plan Belady decisions for (changeset inspection
+#: plus metadata updates).
+PLANNING_RATE = 2e6
+#: CPU threads of the (pipelined) sampling stage.
+SAMPLE_THREADS = 16
+#: CPU threads of the feature I/O stage.  Ginex's pipeline dedicates a
+#: small pool to feature I/O (the other stages hold the remaining cores),
+#: which is what keeps its achieved storage IOPS far below the
+#: GPU-initiated path.
+IO_THREADS = 4
+#: Outstanding async reads per I/O thread.
+IO_QUEUE_DEPTH = 2
+
 
 class GinexLoader(MiniBatchLoader):
     """Super-batch Belady caching with pipelined CPU data preparation.
 
-    Each super-batch is one group of :meth:`next_training_group`; :meth:`run`
-    warms the Belady cache for 100 iterations by default.
+    Each super-batch (:data:`SUPERBATCH_SIZE` mini-batches) is one group of
+    :meth:`next_training_group`; :meth:`run` warms the Belady cache for 100
+    iterations by default.
 
     Args:
         dataset: the (scaled) graph dataset; must be homogeneous.
         system: hardware configuration.
-        superbatch_size: mini-batches sampled ahead per super-batch.
-        planning_rate: accesses/s the CPU can plan Belady decisions for
-            (changeset inspection + metadata updates).
-        sample_threads: CPU threads of the (pipelined) sampling stage.
-        io_threads: CPU threads of the feature I/O stage.  Ginex's pipeline
-            dedicates a small pool to feature I/O (the other stages hold the
-            remaining cores), which is what keeps its achieved storage IOPS
-            far below the GPU-initiated path.
-        io_queue_depth: outstanding async reads per I/O thread.
     """
 
     name = "Ginex"
@@ -65,11 +72,6 @@ class GinexLoader(MiniBatchLoader):
         *,
         batch_size: int = 1024,
         fanouts: tuple[int, ...] = (10, 5, 5),
-        superbatch_size: int = 8,
-        planning_rate: float = 2e6,
-        sample_threads: int = 16,
-        io_threads: int = 4,
-        io_queue_depth: int = 2,
         features: np.ndarray | None = None,
         seed: int | np.random.Generator | None = 0,
         fault_plan: FaultPlan | None = None,
@@ -81,13 +83,7 @@ class GinexLoader(MiniBatchLoader):
             raise ConfigError(
                 "Ginex supports only homogeneous graphs (Section 4.1)"
             )
-        if superbatch_size <= 0:
-            raise ConfigError("superbatch_size must be positive")
-        if planning_rate <= 0:
-            raise ConfigError("planning_rate must be positive")
         super().__init__(dataset, system, batch_size=batch_size, seed=seed)
-        self.superbatch_size = superbatch_size
-        self.planning_rate = planning_rate
 
         # The store, the device models and the fault plane come from the
         # one storage stack and its rules: no injector under no (or a null)
@@ -102,8 +98,8 @@ class GinexLoader(MiniBatchLoader):
         self.store, self.layout = stack.store, stack.layout
         self.gpu, self.pcie, self.faults = stack.gpu, stack.pcie, stack.faults
         self.fault_plan = fault_plan
-        self.cpu = CPUModel(system.cpu, threads=sample_threads)
-        self._io_cpu = CPUModel(system.cpu, threads=io_threads)
+        self.cpu = CPUModel(system.cpu, threads=SAMPLE_THREADS)
+        self._io_cpu = CPUModel(system.cpu, threads=IO_THREADS)
         self.sampler = self._build_sampler("neighbor", fanouts)
 
         free_bytes = max(
@@ -112,11 +108,10 @@ class GinexLoader(MiniBatchLoader):
         self.cache = BeladyCache(
             capacity_pages=int(free_bytes // self.layout.page_bytes)
         )
-        self._io_queue_depth = io_queue_depth
         self._io_rate = self._io_cpu.async_io_rate(
             system.ssd,
             system.num_ssds,
-            queue_depth_per_thread=io_queue_depth,
+            queue_depth_per_thread=IO_QUEUE_DEPTH,
         )
 
         # Ginex's miss serving is aggregate (counts, not page ids), so its
@@ -140,7 +135,7 @@ class GinexLoader(MiniBatchLoader):
         mini-batches."""
         batches = [
             self._sample()
-            for _ in range(min(self.superbatch_size, remaining))
+            for _ in range(min(SUPERBATCH_SIZE, remaining))
         ]
         page_lists = [
             self.layout.pages_for_nodes(b.input_nodes) for b in batches
@@ -150,7 +145,7 @@ class GinexLoader(MiniBatchLoader):
 
         # Apportion super-batch hits/misses to iterations by page share.
         total_pages = max(1, len(accesses))
-        planning_time_total = len(accesses) / self.planning_rate
+        planning_time_total = len(accesses) / PLANNING_RATE
 
         pairs = []
         for batch, pages in zip(batches, page_lists):
@@ -218,12 +213,12 @@ class GinexLoader(MiniBatchLoader):
             io_rate = self._io_cpu.async_io_rate(
                 self.system.ssd,
                 n_active,
-                queue_depth_per_thread=self._io_queue_depth,
+                queue_depth_per_thread=IO_QUEUE_DEPTH,
             )
             io_time += (n_storage + outcome.retries) / io_rate
             # A spiked read occupies one in-flight I/O slot for the extra
             # latencies; the window absorbs it across its whole depth.
-            in_flight = max(1, self._io_cpu.threads * self._io_queue_depth)
+            in_flight = max(1, self._io_cpu.threads * IO_QUEUE_DEPTH)
             io_time += (
                 n_spiked
                 * (self.faults.plan.tail_latency_multiplier - 1.0)

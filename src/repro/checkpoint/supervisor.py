@@ -8,14 +8,15 @@ the pipeline through its ``on_step`` hook (writing a snapshot every
 iterations via the loader's *modeled* clock, and — after a crash — builds
 a fresh pipeline, restores the latest snapshot that passes its integrity
 check (skipping corrupted ones), applies an exponential restart backoff,
-and continues.  Because every piece of run state round-trips through
-``state_dict``, the supervised run's losses, counters and report are
-bit-identical to an uninterrupted run of the same length.
+and continues — at most :data:`MAX_RESTARTS` times.  Because every piece
+of run state round-trips through ``state_dict``, the supervised run's
+losses, counters and report are bit-identical to an uninterrupted run of
+the same length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import (
@@ -29,6 +30,14 @@ from ..pipeline.metrics import RunReport
 from ..pipeline.runner import TrainingPipeline, TrainingResult
 from .store import CheckpointStore
 
+#: Restarts allowed before the run is declared dead with
+#: :class:`~repro.errors.RestartLimitError`.
+MAX_RESTARTS = 3
+#: Modeled wait before the first restart, and the growth factor of each
+#: successive one.
+RESTART_BACKOFF_BASE_S = 1.0
+RESTART_BACKOFF_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -37,37 +46,17 @@ class SupervisorConfig:
     Args:
         checkpoint_every: write a snapshot each time this many iterations
             complete (a final snapshot is always written at run end).
-        keep_snapshots: retained-snapshot ring size.
-        max_restarts: restarts allowed before the run is declared dead
-            with :class:`~repro.errors.RestartLimitError`.
-        restart_backoff_base_s: modeled wait before the first restart.
-        restart_backoff_multiplier: growth factor of successive backoffs.
         watchdog_stall_threshold_s: kill-and-restart an attempt when one
             iteration consumes more than this much *modeled* time; ``None``
             disables the watchdog.
-        resume: restore from the newest valid snapshot before (re)starting;
-            disabling gives every attempt a cold start.
     """
 
     checkpoint_every: int = 10
-    keep_snapshots: int = 3
-    max_restarts: int = 3
-    restart_backoff_base_s: float = 1.0
-    restart_backoff_multiplier: float = 2.0
     watchdog_stall_threshold_s: float | None = None
-    resume: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_every <= 0:
             raise ConfigError("checkpoint_every must be positive")
-        if self.keep_snapshots <= 0:
-            raise ConfigError("keep_snapshots must be positive")
-        if self.max_restarts < 0:
-            raise ConfigError("max_restarts must be non-negative")
-        if self.restart_backoff_base_s < 0:
-            raise ConfigError("restart backoff must be non-negative")
-        if self.restart_backoff_multiplier < 1.0:
-            raise ConfigError("restart backoff multiplier must be >= 1")
         if (
             self.watchdog_stall_threshold_s is not None
             and self.watchdog_stall_threshold_s <= 0
@@ -119,7 +108,8 @@ class RunSupervisor:
             start).  Construction-time RNG draws do not matter — the
             restored snapshot overwrites every stream.
         checkpoint_dir: where snapshots live (or a ready-made
-            :class:`CheckpointStore`).
+            :class:`CheckpointStore`; a directory gets the default
+            retained-snapshot ring).
         config: lifecycle knobs.
         summary: optional pre-existing summary to accumulate into (so a
             CLI can thread one summary through several phases).
@@ -146,9 +136,7 @@ class RunSupervisor:
         if isinstance(checkpoint_dir, CheckpointStore):
             self.store = checkpoint_dir
         else:
-            self.store = CheckpointStore(
-                checkpoint_dir, keep=self.config.keep_snapshots
-            )
+            self.store = CheckpointStore(checkpoint_dir)
         self.summary = summary if summary is not None else CheckpointSummary()
         self.blackbox_path = blackbox_path
         self._fired_crashes: set[int] = set()
@@ -177,12 +165,11 @@ class RunSupervisor:
         while True:
             pipeline = self.pipeline_factory()
             crash_at = self._crash_iterations(pipeline)
-            if config.resume:
-                loaded = self.store.load_latest()
-                if loaded is not None:
-                    pipeline.load_state_dict(loaded.payload)
-                    self.summary.restores += 1
-                    self.summary.corrupted_skipped += loaded.corrupted_skipped
+            loaded = self.store.load_latest()
+            if loaded is not None:
+                pipeline.load_state_dict(loaded.payload)
+                self.summary.restores += 1
+                self.summary.corrupted_skipped += loaded.corrupted_skipped
             if pipeline.completed_steps >= num_iterations:
                 return SupervisedRunResult(
                     result=pipeline.result(),
@@ -228,15 +215,15 @@ class RunSupervisor:
                     raise
                 self._dump_blackbox(pipeline, exc)
                 attempt += 1
-                if attempt > config.max_restarts:
+                if attempt > MAX_RESTARTS:
                     raise RestartLimitError(
-                        f"run still failing after {config.max_restarts} "
+                        f"run still failing after {MAX_RESTARTS} "
                         f"restarts: {exc}"
                     ) from exc
                 self.summary.restarts += 1
                 self.summary.backoff_s += (
-                    config.restart_backoff_base_s
-                    * config.restart_backoff_multiplier ** (attempt - 1)
+                    RESTART_BACKOFF_BASE_S
+                    * RESTART_BACKOFF_MULTIPLIER ** (attempt - 1)
                 )
                 continue
             return SupervisedRunResult(

@@ -49,14 +49,24 @@ def _supervise(ctx: RunContext, pipeline_factory):
     """Run ``pipeline_factory`` under the ``--checkpoint-*`` supervisor."""
     from ..checkpoint import RunSupervisor, SupervisorConfig
 
-    config = SupervisorConfig(checkpoint_every=ctx.args.checkpoint_every)
     supervisor = RunSupervisor(
         pipeline_factory,
-        ctx.checkpoint_store(keep=config.keep_snapshots),
-        config=config,
+        ctx.checkpoint_store(),
+        config=SupervisorConfig(checkpoint_every=ctx.args.checkpoint_every),
         blackbox_path=ctx.args.blackbox,
     )
     return supervisor.run(ctx.args.iterations)
+
+
+def _note_corruption_ignored(ctx: RunContext, command: str) -> None:
+    """``serve`` and ``fleet`` have no integrity plane: say so when the
+    plan asks for silent corruption, rather than drop it without a word."""
+    if ctx.fault_plan is not None and ctx.fault_plan.has_corruption:
+        print(
+            f"note: {command} has no integrity plane; the plan's silent "
+            "corruption is ignored",
+            file=sys.stderr,
+        )
 
 
 def _args_run(run: argparse.ArgumentParser) -> None:
@@ -211,17 +221,23 @@ def _run_supervised(ctx: RunContext, make_loader) -> int:
     from ..pipeline.export import report_to_json
 
     args, workload = ctx.args, ctx.workload
+    # The loader is rebuilt on every restart attempt; the last one built
+    # finished the run, so its storage stack is the one the export reports.
+    loaders = []
+
+    def make_and_keep_loader():
+        loaders.append(make_loader())
+        return loaders[-1]
+
     outcome = _supervise(
         ctx,
         _pipeline_factory(
-            make_loader, workload.dataset.feature_dim, 32, 8,
+            make_and_keep_loader, workload.dataset.feature_dim, 32, 8,
             num_layers=len(workload.fanouts),
         ),
     )
     summary = outcome.summary
-    # The loader is rebuilt on every restart attempt, so no driver outlives
-    # the run: the supervised export has never carried a storage_ha block.
-    blocks = ctx.finish(outcome.report)
+    blocks = ctx.finish(outcome.report, loaders[-1])
 
     if args.format == "json":
         print(
@@ -414,6 +430,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             return 1
         return 0
 
+    _note_corruption_ignored(ctx, "fleet")
     fleet_config = FleetConfig(
         num_gpus=args.gpus,
         batch_size=args.batch_size,
@@ -620,9 +637,7 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
         ctx.dump_blackbox(f"{type(exc).__name__}: {exc}", now, crash=exc)
         raise
 
-    # The fullgraph block carries the run's redundancy accounting itself;
-    # this export has never had a separate storage_ha block.
-    blocks = ctx.finish(result.report)
+    blocks = ctx.finish(result.report, trainer.stack)
     summary = report_to_dict(
         result.report, fullgraph=result.block, **blocks
     )
@@ -757,6 +772,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ConfigError("--requests must be positive")
 
     ctx = RunContext(args, "serve")
+    _note_corruption_ignored(ctx, "serve")
     workload = ctx.workload
     server = InferenceServer(
         workload.dataset,

@@ -42,7 +42,7 @@ rebalancing and work-stealing change *where* work runs, never *what* runs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from ..pipeline.metrics import (
 )
 from ..sampling.neighbor import NeighborSampler
 from ..serving.breaker import BreakerBoard
-from ..serving.config import ServingConfig
 from ..sim.counters import TransferCounters
 from ..sim.ssd import SSDArray, contended_ssd
 from ..state import (
@@ -253,6 +252,23 @@ class InterconnectSpec:
         return self.latency_s + n_bytes / self.bandwidth_bytes
 
 
+#: The peer-read link every fleet uses.
+NVLINK = InterconnectSpec()
+#: A worker whose step time exceeds the fleet median by this factor is
+#: suspect.
+STRAGGLER_THRESHOLD = 1.75
+#: Fraction of a flagged straggler's queued batches moved per steal.
+STEAL_FRACTION = 0.5
+#: Hard cap on how often one worker can be stolen from (keeps the
+#: rebalancer itself bounded).
+MAX_STEALS_PER_VICTIM = 2
+#: A peer whose I/O slowdown reaches this factor serves probes too slowly
+#: to count; probes into it fail and feed its breaker.
+PEER_SICK_FACTOR = 4.0
+#: Modeled open time of a peer's breaker before half-open probing.
+BREAKER_COOLDOWN_S = 0.02
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Knobs of the elastic fleet.
@@ -264,38 +280,18 @@ class FleetConfig:
             or ``"hash"`` (rendezvous-hash sharding).
         peer_cache: enable the peer-cache tier; off, every local cache
             miss goes to the shared SSD array (the contention baseline).
-        interconnect: the peer-read link model.
-        straggler_threshold: a worker whose step time exceeds the fleet
-            median by this factor is suspect.
         straggler_patience: consecutive suspect steps before the worker is
             flagged and stolen from.
-        steal_fraction: fraction of a flagged straggler's queued batches
-            moved per steal (bounded work-stealing).
-        max_steals_per_victim: hard cap on how often one worker can be
-            stolen from (keeps the rebalancer itself bounded).
-        peer_sick_factor: a peer whose I/O slowdown reaches this factor
-            serves probes too slowly to count; probes into it fail and
-            feed its breaker.
-        breaker_window / breaker_threshold / breaker_min_samples /
-        breaker_cooldown_s / breaker_probes: the PR 6 circuit-breaker
-            knobs, applied per peer.
+        breaker_min_samples: peer-read outcomes a peer's circuit breaker
+            needs before its failure ratio is trusted.
     """
 
     num_gpus: int = 2
     batch_size: int = 64
     shard_mode: str = "partition"
     peer_cache: bool = True
-    interconnect: InterconnectSpec = field(default_factory=InterconnectSpec)
-    straggler_threshold: float = 1.75
     straggler_patience: int = 3
-    steal_fraction: float = 0.5
-    max_steals_per_victim: int = 2
-    peer_sick_factor: float = 4.0
-    breaker_window: int = 64
-    breaker_threshold: float = 0.5
     breaker_min_samples: int = 8
-    breaker_cooldown_s: float = 0.02
-    breaker_probes: int = 3
 
     def __post_init__(self) -> None:
         if self.num_gpus <= 0:
@@ -307,26 +303,10 @@ class FleetConfig:
                 f"unknown shard_mode {self.shard_mode!r}; expected "
                 "'partition' or 'hash'"
             )
-        if self.straggler_threshold <= 1.0:
-            raise ConfigError("straggler_threshold must exceed 1")
         if self.straggler_patience <= 0:
             raise ConfigError("straggler_patience must be positive")
-        if not 0.0 < self.steal_fraction <= 1.0:
-            raise ConfigError("steal_fraction must be in (0, 1]")
-        if self.max_steals_per_victim < 0:
-            raise ConfigError("max_steals_per_victim must be non-negative")
-        if self.peer_sick_factor <= 1.0:
-            raise ConfigError("peer_sick_factor must exceed 1")
-
-    def breaker_config(self) -> ServingConfig:
-        """The serving config carrying this fleet's breaker knobs."""
-        return ServingConfig(
-            breaker_window=self.breaker_window,
-            breaker_threshold=self.breaker_threshold,
-            breaker_min_samples=self.breaker_min_samples,
-            breaker_cooldown_s=self.breaker_cooldown_s,
-            breaker_probes=self.breaker_probes,
-        )
+        if self.breaker_min_samples <= 0:
+            raise ConfigError("breaker_min_samples must be positive")
 
 
 class _Worker(Stateful):
@@ -580,7 +560,9 @@ class ElasticFleetTrainer(Stateful):
             for k in range(self.fleet.num_gpus)
         ]
         self.breakers = BreakerBoard(
-            self.fleet.num_gpus, self.fleet.breaker_config()
+            self.fleet.num_gpus,
+            min_samples=self.fleet.breaker_min_samples,
+            cooldown_s=BREAKER_COOLDOWN_S,
         )
 
         # ----- epoch schedule: shards -> fixed global batch list --------
@@ -737,16 +719,16 @@ class ElasticFleetTrainer(Stateful):
             return
         for index, elapsed in sorted(step_times.items()):
             worker = self.workers[index]
-            if elapsed > self.fleet.straggler_threshold * median:
+            if elapsed > STRAGGLER_THRESHOLD * median:
                 worker.skew_streak += 1
             else:
                 worker.skew_streak = 0
                 continue
             if worker.skew_streak < self.fleet.straggler_patience:
                 continue
-            if worker.times_stolen_from >= self.fleet.max_steals_per_victim:
+            if worker.times_stolen_from >= MAX_STEALS_PER_VICTIM:
                 continue
-            n_steal = int(len(worker.queue) * self.fleet.steal_fraction)
+            n_steal = int(len(worker.queue) * STEAL_FRACTION)
             if n_steal == 0:
                 continue
             fastest = min(
@@ -805,12 +787,12 @@ class ElasticFleetTrainer(Stateful):
                     continue  # open: short-circuit straight to SSD
                 sick = (
                     not peer.active
-                    or peer.slow_factor >= self.fleet.peer_sick_factor
+                    or peer.slow_factor >= PEER_SICK_FACTOR
                 )
                 if sick:
                     # The probe times out; the breaker learns the peer is
                     # gone and stops the fleet paying this again.
-                    peer_s += self.fleet.interconnect.probe_timeout_s
+                    peer_s += NVLINK.probe_timeout_s
                     worker.counters["peer_probe_failures"] += len(remaining)
                     breaker.record(
                         0, len(remaining), self.clock_s, self.tracer
@@ -823,7 +805,7 @@ class ElasticFleetTrainer(Stateful):
                 )
                 if n_found:
                     peer_s += (
-                        self.fleet.interconnect.transfer_time(
+                        NVLINK.transfer_time(
                             n_found * page_bytes
                         )
                         * peer.slow_factor
@@ -975,7 +957,7 @@ class ElasticFleetTrainer(Stateful):
                 * (n_active - 1)
                 / n_active
                 * self._param_bytes
-                / self.fleet.interconnect.bandwidth_bytes
+                / NVLINK.bandwidth_bytes
             )
         self.losses.append(float(np.mean(step_losses)))
         self.schedule.append(assignments)

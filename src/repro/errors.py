@@ -61,10 +61,6 @@ class IntegrityError(ReproError):
     """A data-integrity invariant was violated (digest mismatch, bad state)."""
 
 
-class UnrepairablePageError(IntegrityError):
-    """A corrupt page exhausted its repair budget with no fallback allowed."""
-
-
 class TelemetryError(ReproError):
     """A tracer, metric, or trace export was used or formed inconsistently."""
 

@@ -15,11 +15,10 @@ ground-truth digest.  Three modes trade confidence for modeled overhead:
 A detected mismatch is repaired by bounded re-read: transient corruption
 (an in-flight bit flip, a torn read racing a write) heals on the first
 re-read; persistent corruption (storm-poisoned media) never does, so after
-``max_rereads`` attempts the page is served from the fallback tier (the
+:data:`MAX_REREADS` attempts the page is served from the fallback tier (the
 constant CPU buffer mirror / ground-truth store) and *quarantined* — its
 device copy is no longer trusted, later reads skip storage entirely until
-the scrubber rewrites it.  With ``allow_fallback=False`` exhausted repair
-raises :class:`~repro.errors.UnrepairablePageError` instead.
+the scrubber rewrites it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import IntegrityError, UnrepairablePageError
+from ..errors import IntegrityError
 from ..faults.plan import (
     CORRUPT_BITFLIP,
     CORRUPT_NONE,
@@ -45,6 +44,9 @@ VERIFY_MODES = ("off", "sample", "full")
 #: hardware support on every modern GPU/CPU; 50 GB/s keeps ``full`` cheap
 #: but measurable (~80 ns per 4 KB page).
 VERIFY_BANDWIDTH_BYTES_PER_S = 50e9
+
+#: Repair budget (re-reads) per detected persistent corruption.
+MAX_REREADS = 2
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,6 @@ class ReadVerifier(Stateful):
         ledger: the loader's corruption ledger (mutated in place).
         mode: ``"off"``, ``"sample"`` or ``"full"``.
         sample_rate: per-page verify probability in ``"sample"`` mode.
-        max_rereads: repair budget per detected corruption.
-        allow_fallback: serve exhausted pages from the fallback tier
-            (otherwise raise :class:`UnrepairablePageError`).
         seed: seed of the sampling stream (only ``"sample"`` draws from it,
             so ``"off"``/``"full"`` verifiers consume no random numbers).
         checksummer: optional digest source; when attached, the digest of
@@ -93,8 +92,6 @@ class ReadVerifier(Stateful):
         *,
         mode: str = "full",
         sample_rate: float = 0.1,
-        max_rereads: int = 2,
-        allow_fallback: bool = True,
         seed: int = 0,
         checksummer=None,
     ) -> None:
@@ -104,13 +101,9 @@ class ReadVerifier(Stateful):
             )
         if not 0.0 < sample_rate <= 1.0 and mode == "sample":
             raise IntegrityError("sample_rate must be in (0, 1]")
-        if max_rereads < 1:
-            raise IntegrityError("max_rereads must be >= 1")
         self.ledger = ledger
         self.mode = mode
         self.sample_rate = float(sample_rate)
-        self.max_rereads = int(max_rereads)
-        self.allow_fallback = allow_fallback
         self.checksummer = checksummer
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed)
@@ -178,13 +171,7 @@ class ReadVerifier(Stateful):
                 self.ledger.record_repaired(page)
             elif kind == CORRUPT_PERSISTENT:
                 # Poisoned media: every re-read returns the same bad bytes.
-                rereads += self.max_rereads
-                if not self.allow_fallback:
-                    raise UnrepairablePageError(
-                        f"page {page} still corrupt after "
-                        f"{self.max_rereads} re-reads and fallback is "
-                        f"disabled"
-                    )
+                rereads += MAX_REREADS
                 self.ledger.record_unrepairable(page)
                 quarantined.append(page)
             else:

@@ -30,9 +30,6 @@ class ClusterSampler:
         clusters_per_batch: clusters unioned per mini-batch.
         num_layers: message-passing layers (the induced edge set is reused
             for each).
-        train_mask: optional boolean mask of labeled nodes; seeds are the
-            labeled nodes inside the chosen clusters (all members when
-            omitted).
         seed: RNG seed or generator.
     """
 
@@ -43,7 +40,6 @@ class ClusterSampler:
         *,
         clusters_per_batch: int = 1,
         num_layers: int = 3,
-        train_mask: np.ndarray | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         if len(partition.parts) != graph.num_nodes:
@@ -54,16 +50,11 @@ class ClusterSampler:
             raise SamplingError("clusters_per_batch exceeds the part count")
         if num_layers <= 0:
             raise SamplingError("num_layers must be positive")
-        if train_mask is not None:
-            train_mask = np.asarray(train_mask, dtype=bool)
-            if train_mask.shape != (graph.num_nodes,):
-                raise SamplingError("train_mask must cover every node")
         check_edge_keys(graph.num_nodes)
         self.graph = graph
         self.partition = partition
         self.clusters_per_batch = clusters_per_batch
         self.num_layers = num_layers
-        self.train_mask = train_mask
         self._rng = as_rng(seed)
 
     def sample(self, cluster_ids: np.ndarray | None = None) -> MiniBatch:
@@ -92,16 +83,11 @@ class ClusterSampler:
 
         src, dst = self._induced_edges(nodes, in_batch)
         layer = SampledLayer(src=src, dst=dst)
-        seeds = nodes
-        if self.train_mask is not None:
-            labeled = nodes[self.train_mask[nodes]]
-            if len(labeled):
-                seeds = labeled
         # Each layer reuses the induced subgraph; sampling work counts the
         # edge expansion once per layer (the cost ClusterGCN actually pays).
         num_sampled = len(nodes) + self.num_layers * layer.num_edges
         return MiniBatch(
-            seeds=seeds,
+            seeds=nodes,
             layers=tuple([layer] * self.num_layers),
             input_nodes=nodes,
             num_sampled=num_sampled,

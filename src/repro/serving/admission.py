@@ -2,13 +2,13 @@
 
 Three gates run in order at each arrival, cheapest first:
 
-1. **Token-bucket shedding with priority tiers.**  The bucket refills at a
-   configured (or capacity-adaptive) rate; a request costs one token, and
-   lower tiers need the bucket fuller than higher tiers — ``shed_reserve``
-   of the depth is kept for more important traffic — so as load climbs past
-   the refill rate, ``low`` sheds first, then ``normal``, and ``high`` only
-   when the bucket is truly dry.
-2. **Bounded queue.**  Overflow beyond ``queue_capacity`` is rejected
+1. **Token-bucket shedding with priority tiers.**  The bucket refills at
+   :data:`SHED_UTILIZATION` of the measured service rate; a request costs
+   one token, and lower tiers need the bucket fuller than higher tiers —
+   :data:`SHED_RESERVE` of the depth is kept for more important traffic —
+   so as load climbs past the refill rate, ``low`` sheds first, then
+   ``normal``, and ``high`` only when the bucket is truly dry.
+2. **Bounded queue.**  Overflow beyond :data:`QUEUE_CAPACITY` is rejected
    outright; an unbounded queue is exactly the failure mode this layer
    exists to prevent.
 3. **Deadline-aware early rejection.**  Using the running service-time
@@ -22,7 +22,7 @@ Every verdict is counted, so the shed rate is a published metric.
 from __future__ import annotations
 
 from ..state import Stateful, child, scalar
-from .config import PRIORITIES, ServingConfig
+from .config import PRIORITIES
 
 #: Admission verdicts.
 ADMIT = "admit"
@@ -33,9 +33,23 @@ REJECT_DEADLINE = "reject_deadline"
 #: EWMA smoothing for the service-time estimate.
 _EWMA_ALPHA = 0.1
 
+#: Bound on waiting requests (admission overflow rejects beyond it).
+QUEUE_CAPACITY = 64
+#: Token-bucket depth.
+SHED_BURST = 32.0
+#: Fraction of the bucket reserved for higher tiers.
+SHED_RESERVE = 0.3
+#: Fraction of the measured capacity the refill admits.
+SHED_UTILIZATION = 0.95
+
 
 class TokenBucket(Stateful):
-    """Deterministic token bucket over modeled time, with tier reserves."""
+    """Deterministic token bucket over modeled time, with tier reserves.
+
+    The refill tracks measured capacity: ``rate`` stays ``None`` — and the
+    bucket admits everything — until the server's first completed request
+    calibrates it through :meth:`set_rate`.
+    """
 
     STATE = (
         scalar("rate", float, optional=True),
@@ -43,16 +57,9 @@ class TokenBucket(Stateful):
         scalar("last_refill_s", float),
     )
 
-    def __init__(
-        self,
-        rate: float | None,
-        burst: float,
-        reserve: float,
-    ) -> None:
-        self.rate = rate  # None = adaptive (set_rate called by the server)
-        self.burst = float(burst)
-        self.reserve = float(reserve)
-        self.tokens = float(burst)
+    def __init__(self) -> None:
+        self.rate: float | None = None
+        self.tokens = SHED_BURST
         self.last_refill_s = 0.0
 
     def set_rate(self, rate: float) -> None:
@@ -64,28 +71,26 @@ class TokenBucket(Stateful):
             return
         if self.rate is not None:
             self.tokens = min(
-                self.burst,
+                SHED_BURST,
                 self.tokens + self.rate * (now_s - self.last_refill_s),
             )
         self.last_refill_s = now_s
 
-    def threshold(self, priority: int) -> float:
+    @staticmethod
+    def threshold(priority: int) -> float:
         """Bucket level required to admit the given tier.
 
         Tier 0 (``high``) needs one token; each lower tier additionally
         needs its share of the reserved headroom to still be present.
         """
-        tiers = len(PRIORITIES)
-        if tiers == 1:
-            return 1.0
-        depth = self.reserve * self.burst
-        return 1.0 + depth * priority / (tiers - 1)
+        depth = SHED_RESERVE * SHED_BURST
+        return 1.0 + depth * priority / (len(PRIORITIES) - 1)
 
     def try_take(self, priority: int, now_s: float) -> bool:
         """Refill to ``now_s`` and take one token if the tier may."""
         self.refill(now_s)
         if self.rate is None:
-            return True  # Adaptive bucket not calibrated yet: admit.
+            return True  # Not calibrated yet: admit.
         if self.tokens < self.threshold(priority):
             return False
         self.tokens -= 1.0
@@ -100,11 +105,8 @@ class AdmissionController(Stateful):
         scalar("service_estimate_s", float, optional=True),
     )
 
-    def __init__(self, config: ServingConfig) -> None:
-        self.config = config
-        self.bucket = TokenBucket(
-            config.shed_rate, config.shed_burst, config.shed_reserve
-        )
+    def __init__(self) -> None:
+        self.bucket = TokenBucket()
         #: EWMA of observed service times (None until the first completion).
         self.service_estimate_s: float | None = None
 
@@ -116,12 +118,10 @@ class AdmissionController(Stateful):
             self.service_estimate_s += _EWMA_ALPHA * (
                 float(service_s) - self.service_estimate_s
             )
-        if self.config.shed_rate is None and self.service_estimate_s > 0:
-            # Adaptive shedding: track measured capacity, admitting the
-            # configured utilization of it.
-            self.bucket.set_rate(
-                self.config.shed_utilization / self.service_estimate_s
-            )
+        if self.service_estimate_s > 0:
+            # Adaptive shedding: track measured capacity, admitting
+            # SHED_UTILIZATION of it.
+            self.bucket.set_rate(SHED_UTILIZATION / self.service_estimate_s)
 
     def decide(
         self,
@@ -144,14 +144,11 @@ class AdmissionController(Stateful):
         """
         if not self.bucket.try_take(priority, arrival_s):
             return SHED
-        if queue_len >= self.config.queue_capacity:
+        if queue_len >= QUEUE_CAPACITY:
             return REJECT_QUEUE
         estimate = self.service_estimate_s
         if estimate is not None:
             predicted_wait = backlog_s + queue_len * estimate
-            predicted_latency = (
-                predicted_wait * self.config.admission_safety + estimate
-            )
-            if predicted_latency > deadline_s:
+            if predicted_wait + estimate > deadline_s:
                 return REJECT_DEADLINE
         return ADMIT

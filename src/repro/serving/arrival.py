@@ -18,7 +18,12 @@ import numpy as np
 
 from ..errors import ServingError
 from ..state import Stateful, rng_state, scalar
-from .config import ArrivalConfig
+from .config import (
+    BURST_DURATION_S,
+    BURST_MULTIPLIER,
+    BURST_START_S,
+    ArrivalConfig,
+)
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,8 @@ class ArrivalProcess(Stateful):
             swing = math.sin(2.0 * math.pi * t_s / cfg.period_s)
             return cfg.rate * (1.0 + cfg.amplitude * swing)
         if cfg.shape == "bursty":
-            in_burst = (
-                cfg.burst_start_s
-                <= t_s
-                < cfg.burst_start_s + cfg.burst_duration_s
-            )
-            return cfg.rate * cfg.burst_multiplier if in_burst else cfg.rate
+            in_burst = BURST_START_S <= t_s < BURST_START_S + BURST_DURATION_S
+            return cfg.rate * BURST_MULTIPLIER if in_burst else cfg.rate
         return cfg.rate
 
     def next_request(self) -> Request:

@@ -11,8 +11,12 @@ serving SLO cannot afford.  Each device therefore gets a breaker:
   CPU-mirror fallback path, paying CPU-path bandwidth instead of a device
   timeout.  After a modeled cooldown the breaker goes **half-open**.
 * **half-open** — a limited number of probe pages are let through; a
-  failure re-opens (and restarts the cooldown), while ``probes``
+  failure re-opens (and restarts the cooldown), while :data:`PROBES`
   consecutive successes close the breaker again.
+
+The window, threshold and probe count are constants; the two values the
+serving and fleet callers set differently — the samples needed before the
+ratio is trusted and the open time — are constructor arguments.
 
 All transitions happen in modeled time, are recorded as telemetry instants
 on the ``serving.breakers`` track, and live in ``state_dict`` so a
@@ -27,7 +31,6 @@ from ..errors import ServingError
 from ..state import Stateful, children, each, records, scalar, seq
 from ..telemetry import Tracer
 from ..telemetry.tracks import BREAKERS_TRACK
-from .config import ServingConfig
 
 #: Breaker states.
 CLOSED = "closed"
@@ -37,6 +40,17 @@ HALF_OPEN = "half-open"
 __all__ = ["BREAKERS_TRACK", "CLOSED", "OPEN", "HALF_OPEN",
            "CircuitBreaker", "BreakerBoard"]
 
+#: Sliding window length (page outcomes) per device.
+WINDOW = 64
+#: Failure ratio over the window that opens the breaker.
+THRESHOLD = 0.5
+#: Consecutive successful probes that close a half-open breaker.
+PROBES = 3
+#: Serving's defaults for the two per-caller values: outcomes required
+#: before the ratio is trusted, and modeled open time before probing.
+MIN_SAMPLES = 8
+COOLDOWN_S = 0.05
+
 #: Default of the per-call ``tracer`` argument (drivers pass their own).
 #: Shared, which is safe because only its ``enabled`` switch is ever read.
 _UNTRACED = Tracer(enabled=False)
@@ -45,12 +59,19 @@ _UNTRACED = Tracer(enabled=False)
 class CircuitBreaker(Stateful):
     """Sliding-window breaker for one device."""
 
-    def __init__(self, device: int, config: ServingConfig) -> None:
+    def __init__(
+        self,
+        device: int,
+        *,
+        min_samples: int = MIN_SAMPLES,
+        cooldown_s: float = COOLDOWN_S,
+    ) -> None:
         self.device = device
-        self.config = config
+        self.min_samples = min_samples
+        self.cooldown_s = cooldown_s
         self.state = CLOSED
         #: Recent page outcomes, True = failure.
-        self.window: deque[bool] = deque(maxlen=config.breaker_window)
+        self.window: deque[bool] = deque(maxlen=WINDOW)
         self.opened_at_s: float | None = None
         self.probe_successes = 0
         self.transitions: list[dict] = []
@@ -78,7 +99,7 @@ class CircuitBreaker(Stateful):
         """May reads reach the device right now?  Advances open→half-open."""
         if self.state == OPEN:
             assert self.opened_at_s is not None
-            if now_s - self.opened_at_s >= self.config.breaker_cooldown_s:
+            if now_s - self.opened_at_s >= self.cooldown_s:
                 self.probe_successes = 0
                 self._transition(HALF_OPEN, now_s, tracer)
         return self.state != OPEN
@@ -101,7 +122,7 @@ class CircuitBreaker(Stateful):
                 self._transition(OPEN, now_s, tracer)
                 return
             self.probe_successes += n_ok
-            if self.probe_successes >= self.config.breaker_probes:
+            if self.probe_successes >= PROBES:
                 self.window.clear()
                 self._transition(CLOSED, now_s, tracer)
             return
@@ -109,8 +130,8 @@ class CircuitBreaker(Stateful):
             return
         self.window.extend([False] * n_ok + [True] * n_failed)
         if (
-            len(self.window) >= self.config.breaker_min_samples
-            and self.failure_ratio >= self.config.breaker_threshold
+            len(self.window) >= self.min_samples
+            and self.failure_ratio >= THRESHOLD
         ):
             self.opened_at_s = now_s
             self._transition(OPEN, now_s, tracer)
@@ -127,11 +148,18 @@ class CircuitBreaker(Stateful):
 class BreakerBoard(Stateful):
     """One breaker per device of the array."""
 
-    def __init__(self, num_devices: int, config: ServingConfig) -> None:
+    def __init__(
+        self,
+        num_devices: int,
+        *,
+        min_samples: int = MIN_SAMPLES,
+        cooldown_s: float = COOLDOWN_S,
+    ) -> None:
         if num_devices <= 0:
             raise ServingError("num_devices must be positive")
         self.breakers = tuple(
-            CircuitBreaker(d, config) for d in range(num_devices)
+            CircuitBreaker(d, min_samples=min_samples, cooldown_s=cooldown_s)
+            for d in range(num_devices)
         )
 
     def __getitem__(self, device: int) -> CircuitBreaker:

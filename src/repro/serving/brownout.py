@@ -10,9 +10,11 @@ blown *for someone*: the classic brownout trade.
 The trigger is literal SLO machinery, not a private heuristic: the
 controller publishes a sliding-window p99 gauge into a metrics registry and
 asks a :class:`~repro.observatory.slo.SLOMonitor` whether its rule
-(``metrics.serving.p99_window.value > slo_p99_s`` by default) fires.
-``brownout_step_down_after`` consecutive firing evaluations step down one
-level; ``brownout_step_up_after`` consecutive healthy ones step back up.
+(``metrics.serving.p99_window.value > slo_p99_s`` by default) fires every
+:data:`EVAL_EVERY` completions over the last :data:`WINDOW`.
+:data:`STEP_DOWN_AFTER` consecutive firing evaluations step down one level
+of :data:`~repro.serving.config.DEFAULT_BROWNOUT_LEVELS`;
+:data:`STEP_UP_AFTER` consecutive healthy ones step back up.
 Every transition is an instant named ``brownout.level`` on the telemetry
 ``alerts`` track and an entry in the exported transition log.
 """
@@ -24,7 +26,16 @@ from collections import deque
 from ..observatory.slo import ALERTS_TRACK, AlertRule, SLOMonitor
 from ..state import Stateful, records, scalar, seq
 from ..telemetry.tracer import ensure_tracer
-from .config import BrownoutLevel, ServingConfig
+from .config import DEFAULT_BROWNOUT_LEVELS, BrownoutLevel, ServingConfig
+
+#: Consecutive SLO-violating evaluations before stepping down a level.
+STEP_DOWN_AFTER = 2
+#: Consecutive healthy evaluations before stepping back up.
+STEP_UP_AFTER = 4
+#: Completed requests between controller evaluations.
+EVAL_EVERY = 16
+#: Completed requests in the sliding p99 window.
+WINDOW = 128
 
 
 def _exact_percentile(values: list[float], p: float) -> float:
@@ -65,14 +76,14 @@ class BrownoutController(Stateful):
         self.violation_streak = 0
         self.healthy_streak = 0
         self.transitions: list[dict] = []
-        self._window: deque[float] = deque(maxlen=config.brownout_window)
+        self._window: deque[float] = deque(maxlen=WINDOW)
         self._since_eval = 0
         #: Modeled seconds spent at each level (updated by the server).
-        self.level_seconds = [0.0] * len(config.brownout_levels)
+        self.level_seconds = [0.0] * len(DEFAULT_BROWNOUT_LEVELS)
 
     @property
     def level(self) -> BrownoutLevel:
-        return self.config.brownout_levels[self.level_index]
+        return DEFAULT_BROWNOUT_LEVELS[self.level_index]
 
     @property
     def degraded(self) -> bool:
@@ -87,7 +98,7 @@ class BrownoutController(Stateful):
         """Fold one completed request's latency in; maybe evaluate."""
         self._window.append(float(latency_s))
         self._since_eval += 1
-        if self._since_eval >= self.config.brownout_eval_every:
+        if self._since_eval >= EVAL_EVERY:
             self._since_eval = 0
             self.evaluate(now_s)
 
@@ -102,16 +113,15 @@ class BrownoutController(Stateful):
             self.violation_streak += 1
             self.healthy_streak = 0
             if (
-                self.violation_streak
-                >= self.config.brownout_step_down_after
-                and self.level_index < len(self.config.brownout_levels) - 1
+                self.violation_streak >= STEP_DOWN_AFTER
+                and self.level_index < len(DEFAULT_BROWNOUT_LEVELS) - 1
             ):
                 self._step(self.level_index + 1, now_s)
         else:
             self.healthy_streak += 1
             self.violation_streak = 0
             if (
-                self.healthy_streak >= self.config.brownout_step_up_after
+                self.healthy_streak >= STEP_UP_AFTER
                 and self.level_index > 0
             ):
                 self._step(self.level_index - 1, now_s)
@@ -125,8 +135,8 @@ class BrownoutController(Stateful):
             "at_s": now_s,
             "from": previous,
             "to": new_index,
-            "from_level": self.config.brownout_levels[previous].name,
-            "to_level": self.config.brownout_levels[new_index].name,
+            "from_level": DEFAULT_BROWNOUT_LEVELS[previous].name,
+            "to_level": DEFAULT_BROWNOUT_LEVELS[new_index].name,
         }
         self.transitions.append(entry)
         if self.tracer.enabled:

@@ -2,11 +2,13 @@
 
 Two frozen dataclasses: :class:`ArrivalConfig` describes the open-loop
 traffic (shape, rate, priority mix, deadlines), :class:`ServingConfig` the
-protection machinery wrapped around the shared storage stack.  Both follow
-the :class:`~repro.faults.retry.RetryPolicy` validation discipline —
-every numeric field goes through :func:`~repro.utils.require_finite`, so a
-NaN deadline or an infinite bucket rate fails construction with a
+protection switch and the p99 objective.  Both follow the
+:class:`~repro.faults.retry.RetryPolicy` validation discipline — every
+numeric field goes through :func:`~repro.utils.require_finite`, so a NaN
+deadline or an infinite objective fails construction with a
 :class:`~repro.errors.ConfigError` instead of silently disabling a guard.
+The protection layers' own tunables are module constants of the layer that
+uses them (``admission``, ``breaker``, ``hedging``, ``brownout``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ ARRIVAL_SHAPES = ("poisson", "diurnal", "bursty")
 #: Priority tiers, most important first.  Shedding walks them backwards.
 PRIORITIES = ("high", "normal", "low")
 
+#: The ``"bursty"`` flash crowd: ``rate`` is multiplied by
+#: ``BURST_MULTIPLIER`` from ``BURST_START_S`` for ``BURST_DURATION_S``.
+BURST_MULTIPLIER = 5.0
+BURST_START_S = 1.0
+BURST_DURATION_S = 1.0
+
 
 @dataclass(frozen=True)
 class ArrivalConfig:
@@ -31,8 +39,9 @@ class ArrivalConfig:
         shape: ``"poisson"`` (constant rate), ``"diurnal"`` (sinusoidal
             rate swing with period ``period_s`` and relative amplitude
             ``amplitude``) or ``"bursty"`` (flash crowd: ``rate`` is
-            multiplied by ``burst_multiplier`` during the window starting
-            at ``burst_start_s``).
+            multiplied by :data:`BURST_MULTIPLIER` during the
+            :data:`BURST_DURATION_S` window starting at
+            :data:`BURST_START_S`).
         rate: steady-state offered load in requests per modeled second.
         seed: RNG seed for interarrival draws, priority assignment and
             seed-node selection.  The stream is private to the arrival
@@ -49,9 +58,6 @@ class ArrivalConfig:
     deadline_s: float = 0.05
     period_s: float = 10.0
     amplitude: float = 0.5
-    burst_multiplier: float = 5.0
-    burst_start_s: float = 1.0
-    burst_duration_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.shape not in ARRIVAL_SHAPES:
@@ -81,16 +87,6 @@ class ArrivalConfig:
             "period_s", self.period_s, minimum=0.0, exclusive_minimum=True
         )
         require_finite("amplitude", self.amplitude, minimum=0.0, maximum=1.0)
-        require_finite(
-            "burst_multiplier", self.burst_multiplier, minimum=1.0
-        )
-        require_finite("burst_start_s", self.burst_start_s, minimum=0.0)
-        require_finite(
-            "burst_duration_s",
-            self.burst_duration_s,
-            minimum=0.0,
-            exclusive_minimum=True,
-        )
 
     @property
     def peak_rate(self) -> float:
@@ -98,7 +94,7 @@ class ArrivalConfig:
         if self.shape == "diurnal":
             return self.rate * (1.0 + self.amplitude)
         if self.shape == "bursty":
-            return self.rate * self.burst_multiplier
+            return self.rate * BURST_MULTIPLIER
         return self.rate
 
 
@@ -110,19 +106,8 @@ class BrownoutLevel:
     fanout_scale: float = 1.0
     cache_only: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("brownout level needs a non-empty name")
-        require_finite(
-            "fanout_scale",
-            self.fanout_scale,
-            minimum=0.0,
-            exclusive_minimum=True,
-            maximum=1.0,
-        )
 
-
-#: Default brownout ladder: full quality, reduced fanout, cache-only.
+#: The brownout ladder: full quality, reduced fanout, cache-only.
 DEFAULT_BROWNOUT_LEVELS = (
     BrownoutLevel("full", fanout_scale=1.0),
     BrownoutLevel("reduced-fanout", fanout_scale=0.5),
@@ -132,150 +117,21 @@ DEFAULT_BROWNOUT_LEVELS = (
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Knobs of the layered overload-protection subsystem.
-
-    ``protection`` is the master switch: off means an unbounded FIFO queue
-    with no shedding, breakers, hedging or brownout — the configuration
-    that produces the classic latency collapse past saturation.
+    """The two knobs of the layered overload-protection subsystem.
 
     Args:
-        queue_capacity: bound on waiting requests (admission overflow
-            rejects beyond it).
+        protection: the master switch.  Off means an unbounded FIFO queue
+            with no shedding, breakers, hedging or brownout — the
+            configuration that produces the classic latency collapse past
+            saturation.
         slo_p99_s: the p99 latency objective the brownout controller
             enforces.
-        shed_rate: token-bucket refill in requests per modeled second;
-            ``None`` adapts the refill to the measured service rate (the
-            bucket then tracks capacity instead of a fixed guess).
-        shed_burst: bucket depth in tokens.
-        shed_reserve: fraction of the bucket reserved for higher tiers —
-            ``low`` needs the bucket fuller than ``normal``, which needs it
-            fuller than ``high``, so load sheds bottom-up.
-        shed_utilization: target fraction of measured capacity the
-            adaptive refill admits (only used when ``shed_rate`` is None).
-        breaker_window: sliding window length (page outcomes) per device.
-        breaker_threshold: failure ratio over the window that opens the
-            breaker.
-        breaker_min_samples: outcomes required before the ratio is
-            trusted.
-        breaker_cooldown_s: modeled open time before half-open probing.
-        breaker_probes: consecutive successful probes that close it.
-        device_timeout_s: modeled cost of discovering a dead device the
-            hard way (a read into a dropped device times out); the cost an
-            open breaker short-circuits.
-        hedge_quantile: latency quantile (percent) after which a storage
-            read is hedged.
-        hedge_budget_fraction: cap on hedge amplification — the hedge
-            budget accrues this fraction of every request's base storage
-            time, and a duplicate read spends its own cost from it.
-        hedge_min_samples: storage reads observed before hedging arms.
-        brownout_step_down_after: consecutive SLO-violating evaluations
-            before stepping down a level.
-        brownout_step_up_after: consecutive healthy evaluations before
-            stepping back up.
-        brownout_eval_every: completed requests between controller
-            evaluations.
-        brownout_window: completed requests in the sliding p99 window.
-        admission_safety: multiplier on the predicted queue delay used for
-            deadline-aware early rejection (>1 = conservative).
     """
 
     protection: bool = True
-    queue_capacity: int = 64
     slo_p99_s: float = 0.05
-    shed_rate: float | None = None
-    shed_burst: float = 32.0
-    shed_reserve: float = 0.3
-    shed_utilization: float = 0.95
-    breaker_window: int = 64
-    breaker_threshold: float = 0.5
-    breaker_min_samples: int = 8
-    breaker_cooldown_s: float = 0.05
-    breaker_probes: int = 3
-    device_timeout_s: float = 0.01
-    hedge_quantile: float = 95.0
-    hedge_budget_fraction: float = 0.1
-    hedge_min_samples: int = 32
-    brownout_levels: tuple[BrownoutLevel, ...] = DEFAULT_BROWNOUT_LEVELS
-    brownout_step_down_after: int = 2
-    brownout_step_up_after: int = 4
-    brownout_eval_every: int = 16
-    brownout_window: int = 128
-    admission_safety: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.queue_capacity <= 0:
-            raise ConfigError("queue_capacity must be positive")
         require_finite(
             "slo_p99_s", self.slo_p99_s, minimum=0.0, exclusive_minimum=True
-        )
-        if self.shed_rate is not None:
-            require_finite(
-                "shed_rate",
-                self.shed_rate,
-                minimum=0.0,
-                exclusive_minimum=True,
-            )
-        require_finite(
-            "shed_burst", self.shed_burst, minimum=1.0
-        )
-        require_finite(
-            "shed_reserve", self.shed_reserve, minimum=0.0, maximum=1.0
-        )
-        require_finite(
-            "shed_utilization",
-            self.shed_utilization,
-            minimum=0.0,
-            exclusive_minimum=True,
-            maximum=1.0,
-        )
-        if self.breaker_window <= 0:
-            raise ConfigError("breaker_window must be positive")
-        require_finite(
-            "breaker_threshold",
-            self.breaker_threshold,
-            minimum=0.0,
-            exclusive_minimum=True,
-            maximum=1.0,
-        )
-        if self.breaker_min_samples <= 0:
-            raise ConfigError("breaker_min_samples must be positive")
-        require_finite(
-            "breaker_cooldown_s",
-            self.breaker_cooldown_s,
-            minimum=0.0,
-            exclusive_minimum=True,
-        )
-        if self.breaker_probes <= 0:
-            raise ConfigError("breaker_probes must be positive")
-        require_finite(
-            "device_timeout_s",
-            self.device_timeout_s,
-            minimum=0.0,
-            exclusive_minimum=True,
-        )
-        quantile = require_finite(
-            "hedge_quantile", self.hedge_quantile, maximum=100.0
-        )
-        if quantile <= 0.0:
-            raise ConfigError("hedge_quantile must be in (0, 100]")
-        require_finite(
-            "hedge_budget_fraction",
-            self.hedge_budget_fraction,
-            minimum=0.0,
-            maximum=1.0,
-        )
-        if self.hedge_min_samples <= 0:
-            raise ConfigError("hedge_min_samples must be positive")
-        if not self.brownout_levels:
-            raise ConfigError("at least one brownout level is required")
-        if self.brownout_step_down_after <= 0:
-            raise ConfigError("brownout_step_down_after must be positive")
-        if self.brownout_step_up_after <= 0:
-            raise ConfigError("brownout_step_up_after must be positive")
-        if self.brownout_eval_every <= 0:
-            raise ConfigError("brownout_eval_every must be positive")
-        if self.brownout_window <= 0:
-            raise ConfigError("brownout_window must be positive")
-        require_finite(
-            "admission_safety", self.admission_safety, minimum=1.0
         )

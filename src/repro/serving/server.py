@@ -46,9 +46,9 @@ from .admission import (
     AdmissionController,
 )
 from .arrival import ArrivalProcess, Request
-from .breaker import BreakerBoard, HALF_OPEN
+from .breaker import PROBES, BreakerBoard, HALF_OPEN
 from .brownout import BrownoutController
-from .config import ArrivalConfig, ServingConfig
+from .config import DEFAULT_BROWNOUT_LEVELS, ArrivalConfig, ServingConfig
 from .hedging import HedgePolicy
 from .report import ServingReport, ServingStats
 from ..telemetry.context import TraceContext, request_trace_id
@@ -60,6 +60,10 @@ _VERDICT_FIELDS = {
     REJECT_QUEUE: "rejected_queue",
     REJECT_DEADLINE: "rejected_deadline",
 }
+
+#: Modeled cost of discovering a dead device the hard way (a read into a
+#: dropped device times out); the cost an open breaker short-circuits.
+DEVICE_TIMEOUT_S = 0.01
 
 
 def _queue_entry(entry: dict) -> tuple[int, int, Request]:
@@ -178,7 +182,7 @@ class InferenceServer(Stateful):
                 self._scaled(level.fanout_scale),
                 seed=self._rng,
             )
-            for level in self.serving.brownout_levels
+            for level in DEFAULT_BROWNOUT_LEVELS
         )
 
         # --- traffic and protection ------------------------------------
@@ -187,13 +191,9 @@ class InferenceServer(Stateful):
         )
         self.registry: MetricsRegistry = tracer.metrics
         protection = self.serving.protection
-        self.admission = AdmissionController(self.serving)
-        self.breakers = (
-            BreakerBoard(system.num_ssds, self.serving)
-            if protection
-            else None
-        )
-        self.hedge = HedgePolicy(self.serving) if protection else None
+        self.admission = AdmissionController()
+        self.breakers = BreakerBoard(system.num_ssds) if protection else None
+        self.hedge = HedgePolicy() if protection else None
         self.brownout = (
             BrownoutController(
                 self.serving, self.registry, monitor=monitor, tracer=tracer
@@ -368,7 +368,7 @@ class InferenceServer(Stateful):
     def _service_time(self, request: Request, start_s: float) -> float:
         """Modeled service time of one request on the shared stack."""
         level_index = 0 if self.brownout is None else self.brownout.level_index
-        level = self.serving.brownout_levels[level_index]
+        level = DEFAULT_BROWNOUT_LEVELS[level_index]
         if level_index > 0:
             self.degraded_requests += 1
         sampler = self._samplers[level_index]
@@ -505,12 +505,12 @@ class InferenceServer(Stateful):
             n_probe = n_dev
             if breaker is not None and breaker.state == HALF_OPEN:
                 # Half-open: only probe traffic touches the device.
-                n_probe = min(n_dev, self.serving.breaker_probes)
+                n_probe = min(n_dev, PROBES)
                 reroute(dev_pages[n_probe:], device)
             if not active[device]:
                 # Dead device discovered the hard way: the probe times
                 # out, then reroutes.
-                timeout_s += self.serving.device_timeout_s
+                timeout_s += DEVICE_TIMEOUT_S
                 if stamp:
                     self.tracer.instant(
                         "device.timeout",
@@ -518,7 +518,7 @@ class InferenceServer(Stateful):
                         at_s=start_s,
                         device=device,
                         pages=int(n_probe),
-                        timeout_s=self.serving.device_timeout_s,
+                        timeout_s=DEVICE_TIMEOUT_S,
                     )
                 reroute(dev_pages[:n_probe], device)
                 if breaker is not None:
@@ -659,7 +659,7 @@ class InferenceServer(Stateful):
                 self.hedge.budget.spent_s if self.hedge else 0.0
             ),
         }
-        levels = self.serving.brownout_levels
+        levels = DEFAULT_BROWNOUT_LEVELS
         return ServingReport(
             stats=self.stats,
             latencies=list(self._latencies),

@@ -12,11 +12,12 @@ state machine::
 
     healthy -> suspect -> degraded -> dead -> rebuilding -> healthy
 
-* ``suspect`` — skew above ``suspect_skew`` for fewer than ``patience``
-  consecutive observations; no routing change yet (tail noise is real).
-* ``degraded`` — skew above ``degraded_skew`` once, or above
-  ``suspect_skew`` for ``patience`` observations in a row; the HA router
-  soft-redirects reads to replicas where one exists.
+* ``suspect`` — skew above :data:`SUSPECT_SKEW` for fewer than
+  :data:`PATIENCE` consecutive observations; no routing change yet (tail
+  noise is real).
+* ``degraded`` — skew above :data:`DEGRADED_SKEW` once, or above
+  :data:`SUSPECT_SKEW` for :data:`PATIENCE` observations in a row; the HA
+  router soft-redirects reads to replicas where one exists.
 * ``dead`` — the device dropped out of the array entirely.
 * ``rebuilding`` — the device answers (post-recovery) but holds stale
   pages until the online rebuilder marks it clean.
@@ -39,6 +40,15 @@ from ..telemetry.tracks import HA_TRACK
 #: Every state the per-device machine can be in, in escalation order.
 HEALTH_STATES = ("healthy", "suspect", "degraded", "dead", "rebuilding")
 
+#: EWMA weight of the newest latency observation.
+ALPHA = 0.3
+#: EWMA-over-median ratio that makes a device suspect.
+SUSPECT_SKEW = 1.5
+#: Ratio that degrades a device immediately.
+DEGRADED_SKEW = 3.0
+#: Consecutive suspect observations before degrading.
+PATIENCE = 3
+
 __all__ = ["HA_TRACK", "HEALTH_STATES", "DeviceHealthMonitor"]
 
 
@@ -48,10 +58,6 @@ class DeviceHealthMonitor(Stateful):
     Args:
         num_devices: SSDs in the array.
         base_latency_s: the device's rated read latency (EWMA seed).
-        alpha: EWMA weight of the newest observation.
-        suspect_skew: EWMA-over-median ratio that makes a device suspect.
-        degraded_skew: ratio that degrades a device immediately.
-        patience: consecutive suspect observations before degrading.
         tracer: optional tracer; state transitions become instants on the
             ``storage.ha`` track.
     """
@@ -61,31 +67,14 @@ class DeviceHealthMonitor(Stateful):
         num_devices: int,
         base_latency_s: float,
         *,
-        alpha: float = 0.3,
-        suspect_skew: float = 1.5,
-        degraded_skew: float = 3.0,
-        patience: int = 3,
         tracer=None,
     ) -> None:
         if num_devices < 1:
             raise ConfigError("health monitor needs at least one device")
         if base_latency_s <= 0:
             raise ConfigError("base latency must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"EWMA alpha must be in (0, 1], got {alpha}")
-        if not 1.0 < suspect_skew <= degraded_skew:
-            raise ConfigError(
-                "need 1 < suspect_skew <= degraded_skew, got "
-                f"{suspect_skew} / {degraded_skew}"
-            )
-        if patience < 1:
-            raise ConfigError("patience must be at least 1 observation")
         self.num_devices = num_devices
         self.base_latency_s = float(base_latency_s)
-        self.alpha = float(alpha)
-        self.suspect_skew = float(suspect_skew)
-        self.degraded_skew = float(degraded_skew)
-        self.patience = int(patience)
         self.tracer = ensure_tracer(tracer)
         self._ewma = np.full(num_devices, float(base_latency_s))
         self._streak = np.zeros(num_devices, dtype=np.int64)
@@ -137,8 +126,8 @@ class DeviceHealthMonitor(Stateful):
         measurable = live & ~stale
         latencies = self.base_latency_s * factors
         self._ewma[measurable] = (
-            self.alpha * latencies[measurable]
-            + (1.0 - self.alpha) * self._ewma[measurable]
+            ALPHA * latencies[measurable]
+            + (1.0 - ALPHA) * self._ewma[measurable]
         )
         median = (
             float(np.median(self._ewma[measurable]))
@@ -155,14 +144,14 @@ class DeviceHealthMonitor(Stateful):
                 self._streak[device] = 0
                 continue
             skew = self._ewma[device] / median if median > 0 else 1.0
-            if skew >= self.degraded_skew:
-                self._streak[device] = self.patience
+            if skew >= DEGRADED_SKEW:
+                self._streak[device] = PATIENCE
                 self._set_state(device, "degraded", now_s)
-            elif skew >= self.suspect_skew:
+            elif skew >= SUSPECT_SKEW:
                 self._streak[device] = min(
-                    self.patience, int(self._streak[device]) + 1
+                    PATIENCE, int(self._streak[device]) + 1
                 )
-                if self._streak[device] >= self.patience:
+                if self._streak[device] >= PATIENCE:
                     self._set_state(device, "degraded", now_s)
                 else:
                     self._set_state(device, "suspect", now_s)

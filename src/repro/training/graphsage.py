@@ -464,9 +464,9 @@ def _block_plan(
     """Layer ``li``'s block indexed into the rows it reads (``prev``) and
     the rows it computes (``rows``).
 
-    An edge whose ``dst`` is not among ``rows`` feeds a row nothing reads
-    (ClusterGCN's induced edges into unlabeled members): it is dropped,
-    which is exact — every kept row meets its edges in the block's order.
+    An edge whose ``dst`` is not among ``rows`` feeds a row nothing reads:
+    it is dropped, which is exact — every kept row meets its edges in the
+    block's order.
     """
     src, dst = layer.src, layer.dst
     at = np.searchsorted(rows, dst)

@@ -49,6 +49,11 @@ pipeline and run supervisor never probe the loader they step.
 The seventh keeps one run-report document table: no exporter names a
 document key as a parameter; blocks arrive as ``**blocks`` and are checked
 against ``pipeline/export.DOCUMENT``.
+
+The eighth is the knob census: every field of the workload configs and
+every parameter of the planes' tunable constructors is pinned by name, so
+a setting added later shows up in a diff — and needs a caller outside the
+tests, or it is a module constant.
 """
 
 from __future__ import annotations
@@ -861,3 +866,68 @@ def test_exporters_take_blocks_by_table_row_name():
         f"{strays}"
     )
     assert all(kwarg is not None for _, kwarg in found.values())
+
+
+# ----------------------------------------------------------------------
+# The knob census
+
+#: Config dataclass -> its fields, in order.
+CONFIG_FIELDS = {
+    "repro.serving:ServingConfig": ("protection", "slo_p99_s"),
+    "repro.core.fleet:FleetConfig": (
+        "num_gpus", "batch_size", "shard_mode", "peer_cache",
+        "straggler_patience", "breaker_min_samples",
+    ),
+    "repro.serving:ArrivalConfig": (
+        "shape", "rate", "seed", "priority_mix", "deadline_s", "period_s",
+        "amplitude",
+    ),
+    "repro.checkpoint:SupervisorConfig": (
+        "checkpoint_every", "watchdog_stall_threshold_s",
+    ),
+    "repro.fullgraph:FullGraphConfig": (
+        "hidden_dim", "num_classes", "num_layers", "aggregator", "lr",
+        "momentum", "hbm_budget_bytes", "num_partitions", "halo_fraction",
+        "io_overlap", "model_seed", "partition_seed", "label_seed",
+        "refine_passes",
+    ),
+}
+
+#: Constructor -> its parameters, in order.
+CONSTRUCTOR_PARAMETERS = {
+    "repro.baselines:GinexLoader": (
+        "dataset", "system", "batch_size", "fanouts", "features", "seed",
+        "fault_plan", "retry_policy", "verify_reads", "verify_sample_rate",
+    ),
+    "repro.integrity:ReadVerifier": (
+        "ledger", "mode", "sample_rate", "seed", "checksummer",
+    ),
+    "repro.storage_ha:DeviceHealthMonitor": (
+        "num_devices", "base_latency_s", "tracer",
+    ),
+    "repro.sampling:ClusterSampler": (
+        "graph", "partition", "clusters_per_batch", "num_layers", "seed",
+    ),
+}
+
+
+def _resolve(name: str):
+    module, _, attr = name.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+def test_every_knob_is_in_the_census():
+    """Fifty settings nothing but tests set became constants; a knob added
+    back — or a new one — fails here by name until the census lists it."""
+    import dataclasses
+
+    fields = {
+        name: tuple(f.name for f in dataclasses.fields(_resolve(name)))
+        for name in CONFIG_FIELDS
+    }
+    params = {
+        name: tuple(inspect.signature(_resolve(name)).parameters)
+        for name in CONSTRUCTOR_PARAMETERS
+    }
+    assert fields == CONFIG_FIELDS
+    assert params == CONSTRUCTOR_PARAMETERS

@@ -39,9 +39,7 @@ CASES = {
         seed=12, priority_mix=(0.05, 0.25, 0.7),
     ),
     "bursty": ArrivalConfig(
-        shape="bursty", rate=800.0, burst_multiplier=6.0,
-        burst_start_s=0.4, burst_duration_s=0.5, seed=13,
-        priority_mix=(0.5, 0.0, 0.5),
+        shape="bursty", rate=800.0, seed=13, priority_mix=(0.5, 0.0, 0.5),
     ),
 }
 

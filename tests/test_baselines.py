@@ -88,7 +88,6 @@ class TestGinexLoader:
             tight_system,
             batch_size=32,
             fanouts=(5, 5),
-            superbatch_size=4,
             seed=0,
         )
         report = loader.run(6, warmup=8)
@@ -110,7 +109,6 @@ class TestGinexLoader:
             tight_system,
             batch_size=32,
             fanouts=(5, 5),
-            superbatch_size=8,
             seed=3,
         )
         r_mmap = mmap.run(16, warmup=60)
@@ -118,10 +116,6 @@ class TestGinexLoader:
         miss_mmap = r_mmap.counters.page_faults
         miss_ginex = r_ginex.counters.storage_requests
         assert miss_ginex <= miss_mmap * 1.1
-
-    def test_invalid_superbatch(self, small_dataset, tight_system):
-        with pytest.raises(ConfigError):
-            GinexLoader(small_dataset, tight_system, superbatch_size=0)
 
 
 class TestLoaderContract:
@@ -131,7 +125,7 @@ class TestLoaderContract:
     @pytest.mark.parametrize(
         "cls, kwargs",
         [
-            (GinexLoader, {"superbatch_size": 4}),
+            (GinexLoader, {}),
             (DGLMmapLoader, {}),
             (UVALoader, {}),
         ],

@@ -9,6 +9,7 @@ from repro.checkpoint import (
     SupervisorConfig,
 )
 from repro.checkpoint.snapshot import _HEADER
+from repro.checkpoint.supervisor import MAX_RESTARTS
 from repro.config import INTEL_OPTANE, LoaderConfig, SystemConfig
 from repro.core.gids import GIDSDataLoader
 from repro.errors import RestartLimitError, SimulatedCrashError
@@ -152,18 +153,21 @@ class TestSupervisor:
         assert outcome.result.losses == ref_result.losses
 
     def test_restart_budget_exhausts(self, tmp_path):
+        # One crash more than the budget allows restarts for.
         plan = FaultPlan(
             crash_events=tuple(CrashEvent(i) for i in (2, 4, 6, 8))
         )
         supervisor = RunSupervisor(
             lambda: make_pipeline(plan),
             str(tmp_path),
-            config=SupervisorConfig(checkpoint_every=3, max_restarts=2),
+            config=SupervisorConfig(checkpoint_every=3),
         )
         with pytest.raises(RestartLimitError):
             supervisor.run(20)
-        assert supervisor.summary.restarts == 2
-        assert supervisor.summary.backoff_s > 0
+        assert supervisor.summary.crashes == MAX_RESTARTS + 1
+        assert supervisor.summary.restarts == MAX_RESTARTS
+        # Exponential backoff: 1 + 2 + 4 modeled seconds.
+        assert supervisor.summary.backoff_s == 7.0
 
     def test_crash_events_fire_once(self, tmp_path):
         plan = FaultPlan(crash_events=(CrashEvent(6),))
@@ -180,20 +184,19 @@ class TestSupervisor:
 
     def test_watchdog_flags_stalled_iteration(self, tmp_path):
         # Any real iteration consumes modeled time, so an absurdly small
-        # threshold trips the watchdog immediately; with no restart budget
-        # the run dies with RestartLimitError after recording the stall.
+        # threshold trips the watchdog immediately, on every attempt: the
+        # run dies with RestartLimitError once the restarts run out.
         supervisor = RunSupervisor(
             make_pipeline,
             str(tmp_path),
             config=SupervisorConfig(
                 checkpoint_every=4,
-                max_restarts=0,
                 watchdog_stall_threshold_s=1e-12,
             ),
         )
         with pytest.raises(RestartLimitError):
             supervisor.run(10)
-        assert supervisor.summary.watchdog_stalls == 1
+        assert supervisor.summary.watchdog_stalls == MAX_RESTARTS + 1
 
     def test_completed_run_resumes_to_noop(self, tmp_path):
         n = 10

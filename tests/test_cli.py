@@ -191,3 +191,63 @@ class TestHostileInput:
             assert main([command, *flags]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestPlaneBlocksAndNotes:
+    """Redundant runs export their ``storage_ha`` block on every path, and
+    a workload with no integrity plane says so when a plan corrupts."""
+
+    _HA = ["--num-ssds", "2", "--replication", "2", "--format", "json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fullgraph", "--dataset", "IGB-tiny", "--scale", "0.002",
+             "--epochs", "1", "--hbm-mb", "4"],
+            ["run", "--dataset", "IGB-tiny", "--scale", "0.02",
+             "--loader", "gids", "--iterations", "4",
+             "--checkpoint-dir", "ckpt"],
+        ],
+        ids=["fullgraph", "run-supervised"],
+    )
+    def test_redundant_export_carries_storage_ha(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + self._HA) == 0
+        block = json.loads(capsys.readouterr().out)["storage_ha"]
+        assert block["mode"] == "replication"
+        assert block["replication_factor"] == 2
+        assert block["device_states"] == ["healthy", "healthy"]
+
+    @pytest.mark.parametrize("corrupt", [True, False], ids=["corrupt", "clean"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--dataset", "IGB-tiny", "--scale", "0.02",
+             "--requests", "20"],
+            ["fleet", "--dataset", "IGB-tiny", "--scale", "0.02",
+             "--gpus", "2", "--batch-size", "8"],
+        ],
+        ids=["serve", "fleet"],
+    )
+    def test_ignored_corruption_is_noted(self, argv, corrupt, capsys, tmp_path):
+        plan = {"seed": 1, "read_failure_rate": 0.01}
+        if corrupt:
+            plan.update(
+                bitflip_rate=0.01,
+                corruption_events=[
+                    {"device": 0, "at_time_s": 0.0, "page_fraction": 0.5}
+                ],
+            )
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(argv + ["--fault-plan", str(path)]) == 0
+        noted = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "silent corruption is ignored" in line
+        ]
+        assert noted == (
+            [f"note: {argv[0]} has no integrity plane; the plan's silent "
+             "corruption is ignored"] if corrupt else []
+        )

@@ -17,6 +17,8 @@ from repro.checkpoint import CheckpointStore
 from repro.config import SystemConfig
 from repro.core.fleet import (
     CHAOS_SCENARIOS,
+    MAX_STEALS_PER_VICTIM,
+    STRAGGLER_THRESHOLD,
     ElasticFleetTrainer,
     FleetConfig,
     FleetResult,
@@ -123,9 +125,9 @@ class TestFleetConfig:
         with pytest.raises(ConfigError):
             FleetConfig(shard_mode="striped")
         with pytest.raises(ConfigError):
-            FleetConfig(straggler_threshold=1.0)
+            FleetConfig(straggler_patience=0)
         with pytest.raises(ConfigError):
-            FleetConfig(steal_fraction=0.0)
+            FleetConfig(breaker_min_samples=0)
         with pytest.raises(ConfigError):
             InterconnectSpec(bandwidth_bytes=0.0)
 
@@ -328,10 +330,10 @@ class TestStraggler:
         result = run_fleet(fleet, fault_plan=straggle_plan)
         assert check_invariants(_DATASET, result) == []
         assert result.steal_events
-        assert len(result.steal_events) <= fleet.max_steals_per_victim
+        assert len(result.steal_events) <= MAX_STEALS_PER_VICTIM
         for event in result.steal_events:
             assert event["from"] == 3
-            assert event["skew"] > fleet.straggler_threshold
+            assert event["skew"] > STRAGGLER_THRESHOLD
         stats = {w["worker"]: w for w in result.worker_stats}
         assert stats[3]["stolen_out"] > 0
 
@@ -342,7 +344,7 @@ class TestStraggler:
         assert result.epoch_time_s > healthy_result.epoch_time_s
 
     def test_sick_peer_short_circuits_to_ssd(self, healthy_result):
-        """A straggler above peer_sick_factor serves probes too slowly;
+        """A straggler above PEER_SICK_FACTOR serves probes too slowly;
         its peers' breakers open and reads go straight to SSD."""
         plan = FaultPlan(
             worker_events=(

@@ -596,8 +596,6 @@ class TestTrainerPlanning:
             FullGraphConfig(aggregator="sum")
         with pytest.raises(ConfigError):
             FullGraphConfig(hbm_budget_bytes=-1.0)
-        with pytest.raises(ConfigError):
-            FullGraphConfig(eval_nodes=0)
 
     def test_run_args_validated(self, dataset, system):
         trainer = FullGraphTrainer(dataset, system, make_config())

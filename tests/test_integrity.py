@@ -34,7 +34,6 @@ from repro import (
 from repro.errors import (
     CheckpointError,
     IntegrityError,
-    UnrepairablePageError,
 )
 from repro.faults import FaultInjector
 from repro.faults.plan import (
@@ -271,14 +270,6 @@ class TestVerifier:
         _, twin = self._fixtures("sample", sample_rate=0.5, seed=9)
         twin.load_state_dict(state)
         assert twin.process(pages, kinds).verified == first
-
-    def test_fallback_disabled_raises(self):
-        _, verifier = self._fixtures("full", allow_fallback=False)
-        with pytest.raises(UnrepairablePageError):
-            verifier.process(
-                np.array([7], dtype=np.int64),
-                np.array([CORRUPT_PERSISTENT], dtype=np.uint8),
-            )
 
 
 class TestScrubber:

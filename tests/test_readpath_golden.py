@@ -477,11 +477,11 @@ CASES = {
         sampler_kind="ladies", layer_sizes=(64, 64),
     ),
     "baseline-ginex": lambda: _run_baseline(
-        GinexLoader, _tight_system(), fanouts=(5, 5), superbatch_size=5
+        GinexLoader, _tight_system(), fanouts=(5, 5)
     ),
     "baseline-ginex-faults-verify-sample": lambda: _run_baseline(
         GinexLoader, _tight_system(num_ssds=2), fanouts=(5, 5),
-        superbatch_size=5, fault_plan=_ginex_plan(),
+        fault_plan=_ginex_plan(),
         retry_policy=_HARSH_RETRY, verify_reads="sample",
         verify_sample_rate=0.5,
     ),

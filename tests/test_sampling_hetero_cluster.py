@@ -122,16 +122,6 @@ class TestClusterSampler:
         chosen = np.unique(partition.parts[batch.input_nodes])
         assert len(chosen) == 2
 
-    def test_train_mask_restricts_seeds(self, setup):
-        graph, partition = setup
-        mask = np.zeros(graph.num_nodes, dtype=bool)
-        mask[::7] = True
-        sampler = ClusterSampler(
-            graph, partition, train_mask=mask, seed=0
-        )
-        batch = sampler.sample(np.array([0]))
-        assert np.all(mask[batch.seeds])
-
     def test_invalid_args(self, setup):
         graph, partition = setup
         with pytest.raises(SamplingError):

@@ -32,6 +32,8 @@ from repro.serving import (
     ServingStats,
     TokenBucket,
 )
+from repro.serving import admission, brownout, hedging
+from repro.serving.breaker import PROBES
 from repro.telemetry import Tracer
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -73,10 +75,6 @@ class TestConfigValidation:
     def test_rejects_non_finite_slo(self):
         with pytest.raises(ConfigError, match="slo_p99_s"):
             ServingConfig(slo_p99_s=float("inf"))
-
-    def test_rejects_nan_breaker_threshold(self):
-        with pytest.raises(ConfigError, match="breaker_threshold"):
-            ServingConfig(breaker_threshold=float("nan"))
 
     def test_retry_policy_rejects_non_finite_backoff(self):
         with pytest.raises(ConfigError, match="backoff_base_s"):
@@ -144,14 +142,11 @@ class TestArrivalProcess:
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_bursty_rate_lifts_inside_burst(self):
-        cfg = ArrivalConfig(
-            shape="bursty", rate=100.0, burst_multiplier=4.0,
-            burst_start_s=1.0, burst_duration_s=2.0,
-        )
-        proc = ArrivalProcess(cfg, 10)
+        # The flash crowd is 5x the rate over modeled seconds [1, 2).
+        proc = ArrivalProcess(ArrivalConfig(shape="bursty", rate=100.0), 10)
         assert proc.rate_at(0.5) == 100.0
-        assert proc.rate_at(2.0) == 400.0
-        assert proc.rate_at(3.5) == 100.0
+        assert proc.rate_at(1.0) == proc.rate_at(1.5) == 500.0
+        assert proc.rate_at(2.0) == 100.0
 
     def test_state_roundtrip_resumes_identically(self):
         a = ArrivalProcess(ArrivalConfig(shape="bursty", seed=4), 50)
@@ -173,7 +168,8 @@ class TestArrivalProcess:
 
 class TestTokenBucket:
     def test_low_priority_sheds_first(self):
-        bucket = TokenBucket(rate=10.0, burst=8.0, reserve=0.5)
+        bucket = TokenBucket()
+        bucket.set_rate(10.0)
         bucket.tokens = 2.0
         # Threshold grows with tier: high needs 1, low needs 1 + reserve.
         assert bucket.threshold(0) < bucket.threshold(2)
@@ -181,38 +177,41 @@ class TestTokenBucket:
         assert not bucket.try_take(2, now_s=0.0)
 
     def test_uncalibrated_adaptive_bucket_admits(self):
-        bucket = TokenBucket(rate=None, burst=4.0, reserve=0.3)
+        bucket = TokenBucket()
+        bucket.tokens = 0.0
         assert bucket.try_take(2, now_s=0.0)
 
     def test_refill_caps_at_burst(self):
-        bucket = TokenBucket(rate=100.0, burst=4.0, reserve=0.0)
+        bucket = TokenBucket()
+        bucket.set_rate(100.0)
         bucket.tokens = 0.0
         bucket.refill(10.0)
-        assert bucket.tokens == 4.0
+        assert bucket.tokens == admission.SHED_BURST
 
 
 class TestAdmission:
     def test_queue_bound_rejects(self):
-        ctrl = AdmissionController(ServingConfig(queue_capacity=2))
-        verdict = ctrl.decide(0, 0.0, 1.0, queue_len=2, backlog_s=0.0)
+        ctrl = AdmissionController()
+        verdict = ctrl.decide(
+            0, 0.0, 1.0, queue_len=admission.QUEUE_CAPACITY, backlog_s=0.0
+        )
         assert verdict == "reject_queue"
 
     def test_deadline_rejects_predicted_miss(self):
-        ctrl = AdmissionController(ServingConfig())
+        ctrl = AdmissionController()
         ctrl.observe_service(0.010)
         verdict = ctrl.decide(0, 0.0, 0.005, queue_len=3, backlog_s=0.01)
         assert verdict == "reject_deadline"
 
     def test_admits_when_feasible(self):
-        ctrl = AdmissionController(ServingConfig())
+        ctrl = AdmissionController()
         ctrl.observe_service(0.001)
         assert ctrl.decide(0, 1.0, 0.05, 0, 0.0) == ADMIT
 
 
 class TestCircuitBreaker:
     def test_opens_on_failure_ratio(self):
-        cfg = ServingConfig(breaker_min_samples=4, breaker_threshold=0.5)
-        breaker = CircuitBreaker(0, cfg)
+        breaker = CircuitBreaker(0, min_samples=4)
         breaker.record(2, 0, 0.0)
         assert breaker.state == CLOSED
         breaker.record(0, 4, 0.001)
@@ -220,27 +219,21 @@ class TestCircuitBreaker:
         assert not breaker.allows_storage(0.001)
 
     def test_half_open_after_cooldown_then_closes(self):
-        cfg = ServingConfig(
-            breaker_min_samples=2, breaker_threshold=0.5,
-            breaker_cooldown_s=0.1, breaker_probes=2,
-        )
-        breaker = CircuitBreaker(0, cfg)
+        breaker = CircuitBreaker(0, min_samples=2, cooldown_s=0.1)
         breaker.record(0, 2, 0.0)
         assert breaker.state == OPEN
         assert breaker.allows_storage(0.2)
         assert breaker.state == HALF_OPEN
-        breaker.record(2, 0, 0.2)
+        breaker.record(PROBES - 1, 0, 0.2)
+        assert breaker.state == HALF_OPEN
+        breaker.record(1, 0, 0.2)
         assert breaker.state == CLOSED
         assert [t["to"] for t in breaker.transitions] == [
             OPEN, HALF_OPEN, CLOSED,
         ]
 
     def test_half_open_failure_reopens(self):
-        cfg = ServingConfig(
-            breaker_min_samples=2, breaker_threshold=0.5,
-            breaker_cooldown_s=0.1,
-        )
-        breaker = CircuitBreaker(0, cfg)
+        breaker = CircuitBreaker(0, min_samples=2, cooldown_s=0.1)
         breaker.record(0, 2, 0.0)
         breaker.allows_storage(0.15)
         breaker.record(0, 1, 0.15)
@@ -253,8 +246,7 @@ class TestCircuitBreaker:
         from repro.serving import BREAKERS_TRACK
 
         tracer = Tracer(enabled=True, detail="request")
-        cfg = ServingConfig(breaker_min_samples=2, breaker_threshold=0.5)
-        breaker = CircuitBreaker(1, cfg)
+        breaker = CircuitBreaker(1, min_samples=2)
         breaker.record(0, 2, 0.5, tracer)
         marks = [i for i in tracer.instants if i.track == BREAKERS_TRACK]
         assert len(marks) == 1
@@ -262,33 +254,31 @@ class TestCircuitBreaker:
         assert marks[0].args["device"] == 1
 
     def test_board_state_roundtrip(self):
-        cfg = ServingConfig(breaker_min_samples=2, breaker_threshold=0.5)
-        board = BreakerBoard(3, cfg)
+        board = BreakerBoard(3, min_samples=2)
         board[1].record(0, 2, 0.0)
-        clone = BreakerBoard(3, cfg)
+        clone = BreakerBoard(3, min_samples=2)
         clone.load_state_dict(copy.deepcopy(board.state_dict()))
         assert clone[1].state == OPEN
         assert clone.open_count == 1
         assert clone.transitions() == board.transitions()
 
     def test_board_rejects_wrong_size_checkpoint(self):
-        cfg = ServingConfig()
-        board = BreakerBoard(2, cfg)
+        board = BreakerBoard(2)
         with pytest.raises(CheckpointError, match="breakers"):
-            BreakerBoard(3, cfg).load_state_dict(board.state_dict())
+            BreakerBoard(3).load_state_dict(board.state_dict())
 
 
 class TestHedging:
     def test_no_hedge_until_min_samples(self):
-        policy = HedgePolicy(ServingConfig(hedge_min_samples=16))
+        policy = HedgePolicy()
+        for _ in range(hedging.MIN_SAMPLES - 1):
+            policy.maybe_hedge(0.001, 0.001)
         assert policy.hedge_point_s is None
         assert policy.maybe_hedge(5.0, 0.001) == 5.0
         assert policy.issued == 0
 
     def test_hedge_clips_straggler(self):
-        policy = HedgePolicy(
-            ServingConfig(hedge_min_samples=8, hedge_budget_fraction=0.5)
-        )
+        policy = HedgePolicy()
         for _ in range(50):
             policy.maybe_hedge(0.001, 0.001)
         point = policy.hedge_point_s
@@ -298,39 +288,44 @@ class TestHedging:
         assert clipped == pytest.approx(point + 0.001)
 
     def test_budget_caps_amplification(self):
-        policy = HedgePolicy(
-            ServingConfig(hedge_min_samples=8, hedge_budget_fraction=0.1)
-        )
-        for _ in range(20):
+        policy = HedgePolicy()
+        for _ in range(40):
             policy.maybe_hedge(0.001, 0.001)
         # Stragglers forever: hedged device time can never exceed the
-        # configured fraction of accrued base time.
+        # budget's fraction of accrued base time.
         for _ in range(200):
             policy.maybe_hedge(1.0, 0.001)
-        total_base = 220 * 0.001
+        total_base = 240 * 0.001
         assert policy.issued * 0.001 <= (
-            policy.config.hedge_budget_fraction * total_base + 0.001
+            hedging.BUDGET_FRACTION * total_base + 0.001
         )
         assert policy.issued < 40
 
 
 class TestBrownout:
-    def _controller(self, **over):
-        cfg = ServingConfig(
-            slo_p99_s=0.01, brownout_eval_every=4, brownout_window=16,
-            brownout_step_down_after=2, brownout_step_up_after=2, **over,
-        )
+    #: Slow completions that fire the step-down rule often enough to step
+    #: down once; fast ones that flush the window (the controller keeps
+    #: stepping down meanwhile, to the bottom of the three-level ladder)
+    #: and then step back up twice.
+    SLOW = brownout.EVAL_EVERY * brownout.STEP_DOWN_AFTER
+    FAST = brownout.WINDOW + 2 * brownout.EVAL_EVERY * brownout.STEP_UP_AFTER
+
+    def _controller(self):
         registry = MetricsRegistry()
         tracer = Tracer(enabled=True)
-        return BrownoutController(cfg, registry, tracer=tracer), tracer
+        return BrownoutController(
+            ServingConfig(slo_p99_s=0.01), registry, tracer=tracer
+        ), tracer
 
     def test_steps_down_on_sustained_violation_then_recovers(self):
         ctrl, tracer = self._controller()
-        for i in range(16):
+        for i in range(self.SLOW - 1):
             ctrl.observe(0.05, now_s=float(i))
-        assert ctrl.level_index > 0
-        for i in range(32):
-            ctrl.observe(0.001, now_s=16.0 + i)
+        assert ctrl.level_index == 0
+        ctrl.observe(0.05, now_s=float(self.SLOW))
+        assert ctrl.level_index == 1
+        for i in range(self.FAST):
+            ctrl.observe(0.001, now_s=float(self.SLOW + 1 + i))
         assert ctrl.level_index == 0
         downs = [t for t in ctrl.transitions if t["to"] > t["from"]]
         ups = [t for t in ctrl.transitions if t["to"] < t["from"]]
@@ -340,7 +335,7 @@ class TestBrownout:
         from repro.observatory.slo import ALERTS_TRACK
 
         ctrl, tracer = self._controller()
-        for i in range(16):
+        for i in range(self.SLOW):
             ctrl.observe(0.05, now_s=float(i))
         marks = [
             i for i in tracer.instants

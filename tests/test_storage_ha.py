@@ -233,13 +233,6 @@ class TestDeviceHealthMonitor:
         [
             dict(num_devices=0, base_latency_s=_LAT),
             dict(num_devices=2, base_latency_s=0.0),
-            dict(num_devices=2, base_latency_s=_LAT, alpha=0.0),
-            dict(num_devices=2, base_latency_s=_LAT, suspect_skew=0.9),
-            dict(
-                num_devices=2, base_latency_s=_LAT,
-                suspect_skew=3.0, degraded_skew=2.0,
-            ),
-            dict(num_devices=2, base_latency_s=_LAT, patience=0),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

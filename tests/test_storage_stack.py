@@ -90,6 +90,13 @@ def test_rebuild_iops_alone_adds_no_replica_to_repro_fullgraph(
     assert faults["fallback_requests"] == faults["injected_faults"] > 0
     assert rebuild["e2e_seconds"] == bare["e2e_seconds"]
     assert round(rebuild["e2e_seconds"], 3) == 0.225
+    # The budget is the run's one redundancy setting, so it exports the
+    # storage_ha block, which places one copy; nothing else differs.
+    block = rebuild.pop("storage_ha")
+    assert bare.pop("storage_ha") is None
+    assert block["replication_factor"] == 1
+    assert block["storage_overhead_factor"] == 1.0
+    assert block["rebuild_iops_budget"] == 10.0
     assert rebuild == bare
 
 
