@@ -13,7 +13,8 @@ The scheduler precomputes, per partition, the member rows, the halo
 per-destination edge order identical to the monolithic forward, which is
 what makes sweep results independent of the partition count — and the
 block's :class:`~repro.training.scatter.BlockPlan`: the graph is static, so
-the index sorts behind aggregation happen here once, not in every step.
+the index sorts behind aggregation run once per block (on first use) and
+are kept, not redone in every step.
 """
 
 from __future__ import annotations

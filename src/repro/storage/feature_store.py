@@ -27,9 +27,16 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
-#: Rows generated per pass of :meth:`FeatureStore._synthetic`: the uint64
-#: hash state of a request is never larger than this many rows.
-_CHUNK_ROWS = 1024
+#: Elements hashed per block of :meth:`FeatureStore._synthetic` (32 rows
+#: at dim 1,024): the block's uint64 state, its shift scratch and its int32
+#: top bits stay in L2 however many rows a request asks for.  Chosen by the
+#: ``synthetic_fetch`` block-size sweep of
+#: ``benchmarks/bench_training_kernels.py`` (``BENCH_training_kernels.json``).
+_BLOCK_ELEMENTS = 1 << 15
+
+_SHIFT_1, _SHIFT_2, _TOP_24 = np.uint64(30), np.uint64(27), np.uint64(40)
+#: The kept top 24 bits ``k`` become ``(k - _HALF_RANGE) * _UNIT``.
+_HALF_RANGE, _UNIT = np.int32(1 << 23), np.float32(2.0**-23)
 
 
 class FeatureStore:
@@ -67,7 +74,11 @@ class FeatureStore:
         self.num_nodes = num_nodes
         self.feature_dim = feature_dim
         self._data = data
-        self._seed = np.uint64(seed)
+        #: ``column + seed + gamma`` per column: the part of the hash
+        #: input that is the same for every row.
+        self._columns = np.arange(feature_dim, dtype=np.uint64)
+        self._columns += np.uint64(seed)
+        self._columns += _SPLITMIX_GAMMA
         self.layout = PageLayout(
             num_nodes=num_nodes,
             feature_bytes=feature_dim * 4,
@@ -89,8 +100,18 @@ class FeatureStore:
         return self._data is not None
 
     def fetch(self, node_ids: np.ndarray) -> np.ndarray:
-        """Return the float32 feature matrix for ``node_ids`` (in order)."""
-        node_ids = np.asarray(node_ids, dtype=np.int64)
+        """Return the float32 feature matrix for ``node_ids`` (in order).
+
+        ``node_ids`` must be a 1-D array of integer ids in
+        ``[0, num_nodes)``; anything else — a 2-D array, float or bool ids
+        — is a :class:`~repro.errors.StorageError`, never a silent cast.
+        """
+        node_ids = np.asarray(node_ids)
+        if node_ids.ndim != 1 or node_ids.dtype.kind not in "iu":
+            raise StorageError(
+                "node ids must be a 1-D integer array, got "
+                f"{node_ids.ndim}-D {node_ids.dtype}"
+            )
         if len(node_ids) and (
             node_ids.min() < 0 or node_ids.max() >= self.num_nodes
         ):
@@ -134,28 +155,42 @@ class FeatureStore:
         return chunk.copy()
 
     def _synthetic(self, node_ids: np.ndarray) -> np.ndarray:
-        """Deterministic hash-derived features in [-1, 1)."""
-        out = np.empty((len(node_ids), self.feature_dim), dtype=np.float32)
-        cols = np.arange(self.feature_dim, dtype=np.uint64) + self._seed
-        for lo in range(0, len(node_ids), _CHUNK_ROWS):
-            ids = node_ids[lo:lo + _CHUNK_ROWS].astype(np.uint64)
-            # ``utils.splitmix64``, in place, short of its last
-            # ``x ^= x >> 31``: only bits 40-63 are kept, and that step
-            # cannot change them (they would come from bits 71-94).  The
-            # shared function's extra pass and copies cost the fetch path.
-            x = ids[:, None] * np.uint64(self.feature_dim) + cols
-            shifted = np.empty_like(x)
-            x += _SPLITMIX_GAMMA
-            x ^= np.right_shift(x, np.uint64(30), out=shifted)
+        """Deterministic hash-derived features in [-1, 1).
+
+        Hashes ``_BLOCK_ELEMENTS`` at a time through block buffers
+        allocated once per call, so no request builds uint64 temporaries
+        larger than one block.
+        """
+        n, dim = len(node_ids), self.feature_dim
+        out = np.empty((n, dim), dtype=np.float32)
+        rows = max(1, min(n, _BLOCK_ELEMENTS // dim))
+        state = np.empty((rows, dim), dtype=np.uint64)
+        shifted = np.empty_like(state)
+        top = np.empty((rows, dim), dtype=np.int32)
+        base = node_ids.astype(np.uint64)
+        base *= np.uint64(dim)
+        for lo in range(0, n, rows):
+            x, s, k = state, shifted, top
+            if lo + rows > n:
+                x, s, k = x[: n - lo], s[: n - lo], k[: n - lo]
+            unit = out[lo:lo + rows]
+            # ``utils.splitmix64`` of ``id * dim + column + seed``, in
+            # place, with the increment folded into the columns and short
+            # of its last ``x ^= x >> 31``: only bits 40-63 are kept, and
+            # that step cannot change them (they would come from bits
+            # 71-94).
+            np.add(base[lo:lo + rows, None], self._columns, out=x)
+            x ^= np.right_shift(x, _SHIFT_1, out=s)
             x *= _MIX_1
-            x ^= np.right_shift(x, np.uint64(27), out=shifted)
+            x ^= np.right_shift(x, _SHIFT_2, out=s)
             x *= _MIX_2
-            # Top 24 bits -> uniform float32 in [0, 1) -> [-1, 1): with
-            # the integer exact in float32, ``* 2**-23 - 1`` rounds once,
-            # as ``/ 2**24 * 2 - 1`` did.
-            x >>= np.uint64(40)
-            unit = out[lo:lo + _CHUNK_ROWS]
-            unit[...] = x
-            unit *= np.float32(2.0**-23)
-            unit -= np.float32(1.0)
+            # Top 24 bits ``k`` -> ``(k - 2**23) * 2**-23`` in [-1, 1),
+            # exact in int32 and in float32, so bit for bit the
+            # ``k * 2**-23 - 1`` the SHA-256 pin in the tests holds (that
+            # rounds once, to an exact result); int32 avoids numpy's slow
+            # uint64 -> float cast.
+            np.right_shift(x, _TOP_24, out=k, casting="unsafe")
+            k -= _HALF_RANGE
+            np.copyto(unit, k, casting="unsafe")
+            unit *= _UNIT
         return out

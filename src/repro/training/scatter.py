@@ -19,9 +19,17 @@ with no fancy-index write-back per level, and ``acc`` is written back to
 ``out`` once.
 
 The ranks depend only on the index array, never on the values, so the
-sort passes live in a :class:`ScatterPlan` that static graphs build once
-(:class:`~repro.fullgraph.scheduler.PartitionSweepScheduler`) and sampled
-blocks build per block.
+sort passes live in a :class:`ScatterPlan`, which sorts on first use and
+keeps the result: a static graph's blocks
+(:class:`~repro.fullgraph.scheduler.PartitionSweepScheduler`) sort once per
+run.  A sampled mini-batch block is used once or twice, and most of its
+blocks are small — a ``fleet-4gpu`` layer-1 block is about 20 edges x 32
+wide — so a scatter moving fewer than ``_PLAN_MIN_ELEMENTS`` never sorts:
+its edges go to the ``ufunc.at`` tail in array order, which *is* the
+contract.  The tail widens its values to the output's dtype first (exact,
+and what ``ufunc.at`` would do per element), because ``np.add.at`` of
+float32 rows into float64 takes numpy's casting path at about six times
+the cost per element.
 """
 
 from __future__ import annotations
@@ -37,11 +45,26 @@ import numpy as np
 #: they finish in a single ``ufunc.at`` over the remaining edges.
 _MIN_LEVEL_ELEMENTS = 256
 
+#: A scatter moving fewer elements (edges x width) than this skips the rank
+#: plan and runs as one ``ufunc.at`` tail.  Sorting an index costs tens of
+#: microseconds however small it is; ``ufunc.at`` costs about 8 ns per
+#: element.  The ``plan_crossover`` sweep of
+#: ``benchmarks/bench_training_kernels.py`` (``BENCH_training_kernels.json``)
+#: puts a use-once block's break-even between 5k and 10k elements at widths
+#: from 32 up, for float64 and float32 values alike; a static graph's plan
+#: is sorted once and reused, which moves its break-even lower, so the
+#: constant takes the low end.
+_PLAN_MIN_ELEMENTS = 4096
+
 
 class ScatterPlan:
     """The edges of one index array, ordered by rank.
 
+    Holds ``index`` until :func:`scatter` first needs the levels; the
+    sort then runs once and is kept.
+
     Attributes:
+        index: the index array (``int64``).
         rows: the distinct targets, by edge count descending, ties by row
             id; rank ``k``'s targets are ``rows[:n_k]``.
         order: edge ids by rank and, within a rank, by their target's
@@ -52,10 +75,12 @@ class ScatterPlan:
             level sizes never increase with rank.
     """
 
-    __slots__ = ("rows", "order", "targets", "levels")
-
     def __init__(self, index: np.ndarray) -> None:
-        index = np.asarray(index, dtype=np.int64)
+        self.index = np.asarray(index, dtype=np.int64)
+
+    @functools.cached_property
+    def _ranked(self) -> tuple:
+        index = self.index
         by_target = np.argsort(index, kind="stable")
         grouped = index[by_target]
         is_start = np.ones(len(index), dtype=bool)
@@ -66,16 +91,24 @@ class ScatterPlan:
         # Most edges first; the stable sort breaks ties by row id.
         counts = np.diff(starts, append=len(index))
         by_count = np.argsort(-counts, kind="stable")
-        self.rows = grouped[starts[by_count]]
+        rows = grouped[starts[by_count]]
         slot = np.empty(len(starts), dtype=np.int64)
         slot[by_count] = np.arange(len(starts))
         bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
         # A row's rank-k edge sits at the row's slot within level k.
-        self.order = np.empty(len(index), dtype=np.int64)
-        self.order[bounds[rank] + slot[group]] = by_target
-        self.targets = index[self.order]
+        order = np.empty(len(index), dtype=np.int64)
+        order[bounds[rank] + slot[group]] = by_target
         bounds = bounds.tolist()
-        self.levels = list(zip(bounds[:-1], bounds[1:]))
+        return rows, order, index[order], list(zip(bounds[:-1], bounds[1:]))
+
+    rows = property(lambda self: self._ranked[0])
+    order = property(lambda self: self._ranked[1])
+    targets = property(lambda self: self._ranked[2])
+    levels = property(lambda self: self._ranked[3])
+
+
+#: The accumulator rows of a scatter that skips its plan: none.
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 def scatter(
@@ -85,26 +118,37 @@ def scatter(
     values: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> None:
-    """``ufunc.at(out, index, values[rows])``, bit for bit.
+    """``ufunc.at(out, plan.index, values[rows])``, bit for bit.
 
-    ``plan`` is the :class:`ScatterPlan` of ``index``.  Edge ``e``
-    contributes ``values[rows[e]]`` (``values[e]`` without ``rows``), so a
-    caller scattering gathered rows need not materialise the gather.
+    Edge ``e`` contributes ``values[rows[e]]`` (``values[e]`` without
+    ``rows``), so a caller scattering gathered rows need not materialise
+    the gather.
     """
-    take = plan.order if rows is None else rows[plan.order]
     width = math.prod(values.shape[1:])
-    acc = out[plan.rows]
+    if len(plan.index) * width < _PLAN_MIN_ELEMENTS:
+        # No levels: the whole block is the tail, in array order.
+        targets, levels, ranked_rows = plan.index, (), _NO_ROWS
+        take = np.arange(len(targets)) if rows is None else rows
+    else:
+        targets, levels, ranked_rows = plan.targets, plan.levels, plan.rows
+        take = plan.order if rows is None else rows[plan.order]
+    acc = out[ranked_rows]
     done = 0
-    for lo, hi in plan.levels:
+    for lo, hi in levels:
         if (hi - lo) * width < _MIN_LEVEL_ELEMENTS:
             break
         head = acc[: hi - lo]
         ufunc(head, values[take[lo:hi]], out=head)
         done = hi
-    out[plan.rows] = acc
+    out[ranked_rows] = acc
     if done < len(take):
         # Rank order keeps every row's remaining edges in array order.
-        ufunc.at(out, plan.targets[done:], values[take[done:]])
+        tail = values[take[done:]]
+        ufunc.at(
+            out,
+            targets[done:],
+            tail.astype(np.result_type(out, tail), copy=False),
+        )
 
 
 class BlockPlan:
@@ -127,15 +171,10 @@ class BlockPlan:
         )
         #: Forward: neighbor rows scatter into their destination.
         self.into_dst = ScatterPlan(self.dst)
-
-    @functools.cached_property
-    def into_src(self) -> ScatterPlan:
-        """Backward: output-row gradients scatter into their sources.
-
-        Built on first use — a mini-batch layer-0 block, whose input
-        gradient nothing reads, never sorts its sources.
-        """
-        return ScatterPlan(self.src)
+        #: Backward: output-row gradients scatter into their sources (a
+        #: mini-batch layer-0 block, whose input gradient nothing reads,
+        #: never sorts them).
+        self.into_src = ScatterPlan(self.src)
 
     @classmethod
     def of_partition(

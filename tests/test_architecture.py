@@ -793,43 +793,85 @@ def test_server_resolves_gauge_handles_in_one_place():
     assert owners == {"_publish_gauges"}
 
 
-def test_the_sampler_cutover_is_one_documented_constant():
-    """One constant, one test of it, and the sweep that chose it named in
-    its comment and recorded in ``BENCH_sampler.json`` at that value."""
-    name = "_LIST_PATH_MAX_EDGES"
-    path = SRC / "sampling" / "neighbor.py"
+def _one_documented_constant(name, rel, bench, block, artifact):
+    """The value of a tuning constant assigned and read in ``rel`` only,
+    whose comment names the benchmark and the artifact block that chose
+    it; returns ``(value, that block)``."""
+    path = SRC / rel
     assigned, read = [], []
-    for rel, tree in SOURCES:
+    for source, tree in SOURCES:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id == name:
                 (assigned if isinstance(node.ctx, ast.Store) else read).append(
-                    rel
+                    source
                 )
-    assert assigned == ["sampling/neighbor.py"]
-    assert read == ["sampling/neighbor.py"]
-    (cutover,) = [
-        node for node in dict(SOURCES)["sampling/neighbor.py"].body
-        if isinstance(node, ast.Assign) and node.targets[0].id == name
+    assert assigned == [rel]
+    assert read == [rel]
+    (constant,) = [
+        node for node in dict(SOURCES)[rel].body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id == name
     ]
     lines = path.read_text(encoding="utf-8").splitlines()
     comment = []
-    for line in reversed(lines[: cutover.lineno - 1]):
+    for line in reversed(lines[: constant.lineno - 1]):
         if not line.startswith("#"):
             break
         comment.append(line)
     comment = " ".join(comment)
-    assert "bench_sampler.py" in comment and "cutover_sweep" in comment
-    artifact = json.loads(
-        (SRC.parent.parent / "BENCH_sampler.json").read_text()
+    assert bench in comment and block in comment
+    recorded = json.loads((SRC.parent.parent / artifact).read_text())
+    module = importlib.import_module("repro." + rel[:-3].replace("/", "."))
+    return getattr(module, name), recorded[block]
+
+
+def test_the_sampler_cutover_is_one_documented_constant():
+    """One constant, one test of it, and the sweep that chose it named in
+    its comment and recorded in ``BENCH_sampler.json`` at that value."""
+    cutover, sweep = _one_documented_constant(
+        "_LIST_PATH_MAX_EDGES", "sampling/neighbor.py", "bench_sampler.py",
+        "cutover_sweep", "BENCH_sampler.json",
     )
-    sweep = artifact["cutover_sweep"]
-    assert sweep["list_path_below_edges"] == cutover.value.value
+    assert sweep["list_path_below_edges"] == cutover
     edges = {
         point["edges"]
         for block in sweep["graphs"].values()
         for point in block["points"]
     }
-    assert min(edges) < cutover.value.value < max(edges), "sweep misses it"
+    assert min(edges) < cutover < max(edges), "sweep misses it"
+
+
+def test_the_scatter_plan_crossover_is_one_documented_constant():
+    """The element count below which ``scatter`` skips the rank plan: one
+    constant, and the sweep that chose it — both value dtypes, points on
+    both sides — recorded in ``BENCH_training_kernels.json`` at it."""
+    crossover, sweep = _one_documented_constant(
+        "_PLAN_MIN_ELEMENTS", "training/scatter.py",
+        "bench_training_kernels.py", "plan_crossover",
+        "BENCH_training_kernels.json",
+    )
+    assert sweep["plan_min_elements"] == crossover
+    for dtype in ("float64", "float32->float64"):
+        elements = {
+            point["elements"]
+            for point in sweep["points"]
+            if point["values"] == dtype
+        }
+        assert min(elements) < crossover < max(elements), dtype
+
+
+def test_the_feature_hash_block_is_one_documented_constant():
+    """``FeatureStore._synthetic``'s block size, and the sweep that chose
+    it recorded in ``BENCH_training_kernels.json`` at that value."""
+    block, fetch = _one_documented_constant(
+        "_BLOCK_ELEMENTS", "storage/feature_store.py",
+        "bench_training_kernels.py", "synthetic_fetch",
+        "BENCH_training_kernels.json",
+    )
+    assert fetch["block_elements"] == block
+    swept = {int(size) for size in fetch["block_sweep_us"]}
+    assert min(swept) < block < max(swept), "sweep misses it"
 
 
 # ----------------------------------------------------------------------

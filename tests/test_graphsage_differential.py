@@ -17,9 +17,11 @@ on the ``uint64`` view — never with ``np.array_equal`` (which calls
 span eight decades, so a kernel that summed a row's edges in any other
 order would round differently and fail.  The kernel-level property adds
 what the model never feeds it: ``±0.0`` and ``±inf`` values, zero /
-non-zero / ``-inf`` initial outputs, hubs deeper than 64 rank levels, and
-blocks wholly peeled, wholly in the ``ufunc.at`` tail and split between the
-two (Hypothesis events; ``find`` below shows the strategy reaches each).
+non-zero / ``-inf`` initial outputs, hubs deeper than 64 rank levels,
+float32 values into a float64 output, blocks too small to plan (the whole
+block a ``ufunc.at`` tail in array order) and, past that, blocks wholly
+peeled, wholly in the tail and split between the two (Hypothesis events;
+``find`` below shows the strategy reaches each).
 
 The mini-batch path computes each layer only on the rows the next layer
 reads, so its GEMMs run over fewer rows than the oracle's: it is held to
@@ -63,6 +65,7 @@ from repro.storage.feature_store import FeatureStore
 from repro.training.graphsage import AGGREGATORS, GraphSAGE, frontiers
 from repro.training.scatter import (
     _MIN_LEVEL_ELEMENTS,
+    _PLAN_MIN_ELEMENTS,
     BlockPlan,
     ScatterPlan,
     scatter,
@@ -256,6 +259,8 @@ def scatter_cases(draw):
         initial=draw(st.sampled_from(("zeros", "values", "-inf"))),
         specials=draw(st.booleans()),
         gathered=draw(st.booleans()),
+        # float32 values into a float64 output: layer 0's feature rows.
+        narrow=draw(st.booleans()),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -285,6 +290,8 @@ def run_scatter(case) -> set[str]:
     values = _values(rng, (value_rows, width))
     if case["specials"]:
         values = _with_specials(rng, values)
+    if case["narrow"]:
+        values = values.astype(np.float32)
     rows = rng.integers(0, 17, len(index)) if case["gathered"] else None
     want = out.copy()
     plan = ScatterPlan(index)
@@ -298,7 +305,9 @@ def run_scatter(case) -> set[str]:
         if (hi - lo) * width >= _MIN_LEVEL_ELEMENTS
     ]
     kinds = set()
-    if len(index):
+    if len(index) * width < _PLAN_MIN_ELEMENTS:
+        kinds.add("no plan: all in the tail in array order")
+    elif len(index):
         kinds.add(
             "all in the tail" if not peeled
             else "all peeled" if len(peeled) == len(plan.levels)
@@ -315,16 +324,25 @@ def run_scatter(case) -> set[str]:
 # A hub far past 64 levels, peeled at its head, finished in the tail.
 @example(dict(
     skew="hub", num_edges=300, num_rows=40, width=32, ufunc=np.add,
-    initial="values", specials=True, gathered=True, seed=1,
+    initial="values", specials=True, gathered=True, narrow=False, seed=1,
 ))
 # Signed zeros into signed zeros, and -inf under a max: nothing peeled.
 @example(dict(
     skew="gaps", num_edges=50, num_rows=20, width=1, ufunc=np.add,
-    initial="values", specials=True, gathered=False, seed=2,
+    initial="values", specials=True, gathered=False, narrow=False, seed=2,
 ))
 @example(dict(
     skew="zipf", num_edges=200, num_rows=9, width=300, ufunc=np.maximum,
-    initial="-inf", specials=True, gathered=False, seed=3,
+    initial="-inf", specials=True, gathered=False, narrow=False, seed=3,
+))
+# float32 rows into float64, below the plan crossover and past it.
+@example(dict(
+    skew="uniform", num_edges=20, num_rows=8, width=32, ufunc=np.add,
+    initial="values", specials=True, gathered=True, narrow=True, seed=4,
+))
+@example(dict(
+    skew="hub", num_edges=150, num_rows=30, width=300, ufunc=np.maximum,
+    initial="values", specials=True, gathered=True, narrow=True, seed=5,
 ))
 def test_scatter_equals_ufunc_at(case):
     for kind in run_scatter(case):
@@ -339,6 +357,7 @@ def test_scatter_equals_ufunc_at(case):
         "peeled and tail",
         f"a hub over {DEEP_HUB} levels",
         "rows without edges",
+        "no plan: all in the tail in array order",
     ],
 )
 def test_the_scatter_strategy_reaches(kind):

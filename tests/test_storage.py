@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError, StorageError
-from repro.storage.feature_store import FeatureStore
+from repro.storage.feature_store import _BLOCK_ELEMENTS, FeatureStore
 from repro.storage.layout import PageLayout
 
 
@@ -180,6 +180,67 @@ class TestFeatureStore:
     def test_fetch_empty(self):
         store = FeatureStore(10, 4)
         assert store.fetch(np.array([], dtype=np.int64)).shape == (0, 4)
+
+    @pytest.mark.parametrize("materialized", [False, True])
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.array([[1, 2], [3, 4]]),  # 2-D
+            np.array(3),  # 0-D
+            np.array([1.7, 2.2]),  # floats: never truncated to rows 1, 2
+            np.array([1.0, 2.0]),  # integral floats are floats too
+            np.array([True, False]),  # bools: never rows 1 and 0
+            np.array(["1", "2"]),
+            np.array([], dtype=np.float64),
+        ],
+        ids=["2-D", "0-D", "float", "integral float", "bool", "str",
+             "empty float"],
+    )
+    def test_fetch_rejects_anything_but_1d_integer_ids(self, ids, materialized):
+        data = np.zeros((10, 4), dtype=np.float32) if materialized else None
+        store = FeatureStore(10, 4, data=data)
+        with pytest.raises(StorageError, match="1-D integer"):
+            store.fetch(ids)
+
+    @pytest.mark.parametrize("materialized", [False, True])
+    def test_fetch_takes_every_integer_dtype(self, materialized):
+        data = (
+            np.arange(40, dtype=np.float32).reshape(10, 4)
+            if materialized else None
+        )
+        store = FeatureStore(10, 4, data=data)
+        want = store.fetch(np.array([7, 0, 7], dtype=np.int64))
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+            got = store.fetch(np.array([7, 0, 7], dtype=dtype))
+            assert got.tobytes() == want.tobytes()
+        assert store.fetch([7, 0, 7]).tobytes() == want.tobytes()
+
+    @given(
+        dim=st.sampled_from((1, 3, 100, 1024, 4096)),
+        # ``(blocks, extra rows)``: a few rows, or k blocks' rows +- 1.
+        length=st.one_of(
+            st.tuples(st.just(0), st.sampled_from((1, 2, 8))),
+            st.tuples(st.integers(1, 3), st.sampled_from((-1, 0, 1))),
+        ),
+        distinct=st.integers(1, 24),
+        seed=st.integers(0, 2**16),
+        salt=st.sampled_from((0, 7, 2**63 + 5)),
+    )
+    def test_fetch_is_its_rows_fetched_one_at_a_time(
+        self, dim, length, distinct, seed, salt
+    ):
+        """Across hash-block boundaries (``k`` blocks' rows, ``+- 1``) and
+        for a few rows, unsorted and repeated ids: each row equals that
+        row fetched alone."""
+        blocks, extra = length
+        n = blocks * max(1, _BLOCK_ELEMENTS // dim) + extra
+        rng = np.random.default_rng(seed)
+        store = FeatureStore(2**40, dim, seed=salt)
+        pool = rng.integers(0, 2**40, distinct)
+        ids = pool[rng.integers(0, distinct, n)]
+        alone = {int(i): store.fetch(np.array([i])) for i in pool}
+        want = np.concatenate([alone[int(i)] for i in ids])
+        assert store.fetch(ids).tobytes() == want.tobytes()
 
     def test_sizes(self):
         store = FeatureStore(10, 1024)
