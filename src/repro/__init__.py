@@ -93,7 +93,6 @@ from .graph import (
     power_law_graph,
     refine_partition,
     reverse_pagerank,
-    uniform_graph,
 )
 from .core import (
     BaMDataLoader,
@@ -101,14 +100,13 @@ from .core import (
     GIDSDataLoader,
     WindowBuffer,
 )
-from .baselines import DGLMmapLoader, GinexLoader, UVALoader
+from .baselines import DGLMmapLoader, GinexLoader
 from .cache import BeladyCache, ConstantCPUBuffer, GPUSoftwareCache
 from .pipeline import (
     RunReport,
     StageTimes,
     TrainingPipeline,
     TrainingResult,
-    iterations_to_csv,
     report_to_dict,
     report_to_json,
     reports_to_comparison_csv,
@@ -129,7 +127,6 @@ from .telemetry import (
     MetricsRegistry,
     Tracer,
     render_trace,
-    summarize,
     summarize_chrome_trace,
     to_chrome_trace,
     validate_chrome_trace,
@@ -147,7 +144,6 @@ from .observatory import (
     config_fingerprint,
     load_alert_rules,
     system_spec_block,
-    what_if_table,
 )
 from .serving import (
     ArrivalConfig,
@@ -233,7 +229,6 @@ __all__ = [
     "power_law_graph",
     "refine_partition",
     "reverse_pagerank",
-    "uniform_graph",
     # the GIDS core
     "BaMDataLoader",
     "DynamicAccessAccumulator",
@@ -242,7 +237,6 @@ __all__ = [
     # baselines
     "DGLMmapLoader",
     "GinexLoader",
-    "UVALoader",
     # caches
     "BeladyCache",
     "ConstantCPUBuffer",
@@ -252,7 +246,6 @@ __all__ = [
     "StageTimes",
     "TrainingPipeline",
     "TrainingResult",
-    "iterations_to_csv",
     "report_to_dict",
     "report_to_json",
     "reports_to_comparison_csv",
@@ -279,7 +272,6 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "render_trace",
-    "summarize",
     "summarize_chrome_trace",
     "to_chrome_trace",
     "validate_chrome_trace",
@@ -296,7 +288,6 @@ __all__ = [
     "config_fingerprint",
     "load_alert_rules",
     "system_spec_block",
-    "what_if_table",
     # serving
     "ArrivalConfig",
     "ArrivalProcess",

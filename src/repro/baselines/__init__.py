@@ -4,12 +4,9 @@
   memory-mapped feature files (the paper's primary baseline, Fig. 4).
 * :class:`GinexLoader` — Ginex-style super-batch Belady caching with
   pipelined CPU data preparation (Park et al., VLDB'22).
-* :class:`UVALoader` — DGL's UVA zero-copy loader, valid only when the
-  whole dataset fits in CPU memory (Section 2.3).
 """
 
 from .mmap_loader import DGLMmapLoader
 from .ginex import GinexLoader
-from .uva import UVALoader
 
-__all__ = ["DGLMmapLoader", "GinexLoader", "UVALoader"]
+__all__ = ["DGLMmapLoader", "GinexLoader"]

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..core import readpath
-from ..errors import ConfigError
 from ..graph.datasets import ScaledDataset
 from ..pipeline.loader import MiniBatchLoader
 from ..pipeline.metrics import IterationMetrics, StageTimes
@@ -29,6 +28,10 @@ from ..sampling.minibatch import MiniBatch
 from ..sim.counters import TransferCounters
 from ..sim.cpu import CPUModel
 from ..sim.pagecache import PageCache
+
+#: DGL's mmap path gathers with NumPy memmap fancy indexing, which faults
+#: from a single thread.
+FAULT_THREADS = 1
 
 
 class DGLMmapLoader(MiniBatchLoader):
@@ -52,17 +55,10 @@ class DGLMmapLoader(MiniBatchLoader):
         sampler_kind: str = "neighbor",
         layer_sizes: tuple[int, ...] | None = None,
         threads: int = 16,
-        fault_threads: int = 1,
         features: np.ndarray | None = None,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
-        if fault_threads <= 0:
-            raise ConfigError("fault_threads must be positive")
         super().__init__(dataset, system, batch_size=batch_size, seed=seed)
-        # DGL's mmap path gathers with NumPy memmap fancy indexing, which
-        # faults from a single thread; raise this to model a hand-threaded
-        # gather.
-        self.fault_threads = fault_threads
 
         stack = readpath.StorageStack(dataset, system, features=features)
         self.store, self.layout = stack.store, stack.layout
@@ -92,7 +88,7 @@ class DGLMmapLoader(MiniBatchLoader):
         aggregation_time = self.cpu.gather_time_resident(
             len(nodes)
         ) + self.cpu.fault_service_time(
-            misses, self.system.ssd, threads=self.fault_threads
+            misses, self.system.ssd, threads=FAULT_THREADS
         )
         feature_bytes = len(nodes) * self.store.feature_bytes
         transfer_time = self.pcie.transfer_time(feature_bytes)

@@ -96,11 +96,6 @@ class Workload:
         kwargs.update(overrides)
         return LoaderConfig(**kwargs)
 
-    @property
-    def fits_in_cpu_memory(self) -> bool:
-        """Whether the scaled dataset fits the scaled CPU memory limit."""
-        return self.dataset.total_bytes <= PAPER_CPU_MEMORY * self.capacity_scale
-
 
 def calibrate_batch_size(
     dataset: ScaledDataset,

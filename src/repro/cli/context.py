@@ -248,6 +248,42 @@ def _load_fault_plan(path: str | None):
     return None if path is None else FaultPlan.from_json_file(path)
 
 
+#: The parts of a fault plan, in the order notes name them, each with the
+#: test for whether a plan sets it.
+PLAN_PARTS = {
+    "read failures": lambda plan: plan.read_failure_rate > 0.0,
+    "tail spikes": lambda plan: plan.tail_latency_rate > 0.0,
+    "device events": lambda plan: bool(plan.device_events),
+    "PCIe degradation": lambda plan: plan.pcie_degradation_factor > 1.0,
+    "corruption": lambda plan: (
+        plan.bitflip_rate > 0.0 or plan.torn_page_rate > 0.0
+    ),
+    "corruption storms": lambda plan: bool(plan.corruption_events),
+    "crash events": lambda plan: bool(plan.crash_events),
+    "worker events": lambda plan: bool(plan.worker_events),
+}
+
+#: Driver -> the plan parts it does not model.  ``run`` / ``train`` model
+#: crash events only under ``--checkpoint-dir`` (the run supervisor
+#: consumes them); the fleet prices its PCIe and never draws per-read
+#: faults; the full-graph sweep prices spills against the healthy array
+#: and ``system.pcie``; Ginex needs per-page identity for storms; the
+#: mmap loader has no fault path at all.
+UNMODELED_PLAN_PARTS = {
+    "run": ("crash events", "worker events"),
+    "train": ("crash events", "worker events"),
+    "serve": ("corruption", "corruption storms", "crash events",
+              "worker events"),
+    "fleet": ("read failures", "tail spikes", "PCIe degradation",
+              "corruption", "corruption storms", "crash events"),
+    "fullgraph": ("device events", "PCIe degradation", "crash events",
+                  "worker events"),
+    "run --loader ginex": ("corruption storms", "crash events",
+                           "worker events"),
+    "run --loader mmap": tuple(PLAN_PARTS),
+}
+
+
 def _resolve_workload(args: argparse.Namespace):
     """``--dataset/--scale/--ssd/--num-ssds`` as (workload, system)."""
     workload = get_workload(args.dataset, scale=args.scale)
@@ -334,6 +370,24 @@ class RunContext:
             ) if streamed else None,
             **cap,
         )
+
+    def note_unmodeled(self, driver: str) -> None:
+        """One stderr note naming the parts of the fault plan that
+        ``driver`` (a :data:`UNMODELED_PLAN_PARTS` row) does not model;
+        nothing when it models every part the plan sets."""
+        plan = self.fault_plan
+        if plan is None:
+            return
+        unmodeled = UNMODELED_PLAN_PARTS[driver]
+        if driver in ("run", "train") and self.args.checkpoint_dir:
+            unmodeled = tuple(p for p in unmodeled if p != "crash events")
+        parts = [p for p in unmodeled if PLAN_PARTS[p](plan)]
+        if parts:
+            print(
+                f"note: {driver} does not model the plan's "
+                f"{', '.join(parts)}; they are ignored",
+                file=sys.stderr,
+            )
 
     def checkpoint_store(self, **kwargs) -> CheckpointStore:
         """The ``--checkpoint-dir`` store.

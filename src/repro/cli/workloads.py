@@ -58,17 +58,6 @@ def _supervise(ctx: RunContext, pipeline_factory):
     return supervisor.run(ctx.args.iterations)
 
 
-def _note_corruption_ignored(ctx: RunContext, command: str) -> None:
-    """``serve`` and ``fleet`` have no integrity plane: say so when the
-    plan asks for silent corruption, rather than drop it without a word."""
-    if ctx.fault_plan is not None and ctx.fault_plan.has_corruption:
-        print(
-            f"note: {command} has no integrity plane; the plan's silent "
-            "corruption is ignored",
-            file=sys.stderr,
-        )
-
-
 def _args_run(run: argparse.ArgumentParser) -> None:
     _add_workload_args(run, dataset="IGB-Full", scale=None)
     run.add_argument(
@@ -133,14 +122,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             tracer=ctx.tracer, **ctx.integrity, **ctx.ha, **common, **extra,
         )
 
-    if args.checkpoint_dir is not None:
-        return _run_supervised(ctx, lambda: instrumented_loader(args.loader))
-
     selected = (
         ["gids", "bam", "ginex", "mmap"]
         if args.loader == "all"
         else [args.loader]
     )
+    if set(selected) & set(instrumented):
+        ctx.note_unmodeled("run")
+    if args.checkpoint_dir is not None:
+        return _run_supervised(ctx, lambda: instrumented_loader(args.loader))
+
     reports, loaders = [], []
     for kind in selected:
         warmup = 150
@@ -153,17 +144,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
+            ctx.note_unmodeled("run --loader ginex")
             loader = GinexLoader(
                 workload.dataset, system, fault_plan=ctx.fault_plan,
                 verify_reads=args.verify_reads, **common,
             )
         else:
-            if ctx.fault_plan is not None:
-                print(
-                    "note: the mmap loader has no fault-injection path; "
-                    "running it healthy",
-                    file=sys.stderr,
-                )
+            ctx.note_unmodeled("run --loader mmap")
             loader = DGLMmapLoader(workload.dataset, system, **common)
         reports.append(loader.run(args.iterations, warmup=warmup))
         loaders.append(loader)
@@ -302,6 +289,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         window_depth=4,
     )
     ctx = RunContext(args, "train", system=system)
+    ctx.note_unmodeled("train")
 
     def make_loader() -> GIDSDataLoader:
         return GIDSDataLoader(
@@ -430,7 +418,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    _note_corruption_ignored(ctx, "fleet")
+    ctx.note_unmodeled("fleet")
     fleet_config = FleetConfig(
         num_gpus=args.gpus,
         batch_size=args.batch_size,
@@ -559,6 +547,7 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
     from ..utils import format_time
 
     ctx = RunContext(args, "fullgraph")
+    ctx.note_unmodeled("fullgraph")
     tracer = ctx.tracer
 
     trainer = None
@@ -772,7 +761,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ConfigError("--requests must be positive")
 
     ctx = RunContext(args, "serve")
-    _note_corruption_ignored(ctx, "serve")
+    ctx.note_unmodeled("serve")
     workload = ctx.workload
     server = InferenceServer(
         workload.dataset,

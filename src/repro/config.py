@@ -235,16 +235,6 @@ class SystemConfig:
             return self.cpu.memory_bytes
         return self.cpu_memory_limit_bytes
 
-    @property
-    def aggregate_ssd_iops(self) -> float:
-        """Collective peak IOPS of all attached SSDs."""
-        return self.ssd.peak_iops * self.num_ssds
-
-    @property
-    def aggregate_ssd_bandwidth(self) -> float:
-        """Collective peak read bandwidth of all attached SSDs, bytes/s."""
-        return self.ssd.peak_bandwidth * self.num_ssds
-
     def with_ssd(self, ssd: SSDSpec, num_ssds: int | None = None) -> "SystemConfig":
         """Return a copy of this system with a different storage setup."""
         return replace(

@@ -22,6 +22,9 @@ from ..sim.ssd import SSDArray
 from ..state import Stateful, guard, scalar
 from ..telemetry.tracer import Tracer, ensure_tracer
 
+#: Exponential smoothing factor for the observed redirect fraction.
+REDIRECT_SMOOTHING = 0.3
+
 
 @dataclass
 class DynamicAccessAccumulator(Stateful):
@@ -34,14 +37,11 @@ class DynamicAccessAccumulator(Stateful):
         max_merged_iterations: safety cap on run-ahead depth, bounding the
             mini-batch buffer memory (Section 3.2 warns against unbounded
             merging).
-        redirect_smoothing: exponential smoothing factor for the observed
-            redirect fraction.
     """
 
     array: SSDArray
     target_fraction: float = 0.95
     max_merged_iterations: int = 64
-    redirect_smoothing: float = 0.3
 
     _redirect_fraction: float = field(default=0.0, init=False)
     _observed: bool = field(default=False, init=False)
@@ -57,8 +57,6 @@ class DynamicAccessAccumulator(Stateful):
             raise ConfigError("target_fraction must be in (0, 1)")
         if self.max_merged_iterations <= 0:
             raise ConfigError("max_merged_iterations must be positive")
-        if not 0.0 < self.redirect_smoothing <= 1.0:
-            raise ConfigError("redirect_smoothing must be in (0, 1]")
 
     @property
     def storage_threshold(self) -> int:
@@ -101,9 +99,9 @@ class DynamicAccessAccumulator(Stateful):
             self._redirect_fraction = sample
             self._observed = True
         else:
-            alpha = self.redirect_smoothing
             self._redirect_fraction = (
-                alpha * sample + (1.0 - alpha) * self._redirect_fraction
+                REDIRECT_SMOOTHING * sample
+                + (1.0 - REDIRECT_SMOOTHING) * self._redirect_fraction
             )
         tracer = self.tracer
         if tracer.want_request_detail:

@@ -70,9 +70,6 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
         hetero_fanouts: per-layer typed fanouts for the ``"hetero"``
             sampler; each entry is an int or a ``{type: cap}`` dict.
             Defaults to ``fanouts`` applied uniformly to every type.
-        framework_overhead_s: fixed software cost per aggregation launch
-            (DGL dataloader plumbing, kernel setup) — the stop-and-go
-            boundary the accumulator amortizes away.
         features: optional materialized feature matrix (functional training).
         seed: RNG seed for sampling, shuffling and cache eviction.  The
             fault injector never shares this stream — fault draws come from
@@ -132,7 +129,6 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
         sampler_kind: str = "neighbor",
         layer_sizes: tuple[int, ...] | None = None,
         hetero_fanouts: tuple[int | dict[str, int], ...] | None = None,
-        framework_overhead_s: float = 150e-6,
         features: np.ndarray | None = None,
         hot_nodes: np.ndarray | None = None,
         seed: int | np.random.Generator | None = 0,
@@ -146,11 +142,8 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
         rebuild_iops: float = 0.0,
         tracer: Tracer | None = None,
     ) -> None:
-        if framework_overhead_s < 0:
-            raise ConfigError("framework overhead must be non-negative")
         super().__init__(dataset, system, batch_size=batch_size, seed=seed)
         self.config = config if config is not None else LoaderConfig()
-        self.framework_overhead_s = framework_overhead_s
         self.tracer = tracer = ensure_tracer(tracer)
 
         # The storage stack is strictly pay-for-what-you-use: with no fault
@@ -336,7 +329,7 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
         )
 
         storage_time = (
-            self.framework_overhead_s
+            readpath.FRAMEWORK_OVERHEAD_S
             + array.batch_service_time(service_requests)
             + fault_extra_time
             + integrity_extra_time
@@ -685,17 +678,3 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
         and accepts only a function found in this class's own namespace.
         """
         return save(self)
-
-    def reset_caches(self) -> None:
-        """Drop all cache and window state (fresh-run isolation)."""
-        self._pending_corrupt.clear()
-        self.window.drain()
-        self.cache = GPUSoftwareCache(
-            self.cache.capacity_lines,
-            policy=self.cache.policy,
-            seed=self._cache_rng,
-        )
-        self.cache.tracer = self.tracer
-        self.window = WindowBuffer(
-            self.cache, self.config.window_depth, tracer=self.tracer
-        )

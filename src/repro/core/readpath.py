@@ -95,6 +95,11 @@ def apportion(total: int, weights: list[int]) -> list[int]:
     return out.tolist()
 
 
+#: Fixed software cost of one aggregation launch (GIDS) or one served
+#: request (serving): DGL dataloader plumbing and kernel setup, the
+#: stop-and-go boundary the accumulator amortizes away.
+FRAMEWORK_OVERHEAD_S = 150e-6
+
 #: ``(outcome, spike_s)`` of a batch on a stack without fault injection.
 _UNCHARGED = (BatchFaultOutcome(), 0.0)
 

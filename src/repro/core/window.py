@@ -78,10 +78,6 @@ class WindowBuffer(Stateful):
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= max(self.depth, 1)
-
     def push(
         self, batch: MiniBatch, pages: np.ndarray, payload: object = None
     ) -> None:

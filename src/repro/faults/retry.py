@@ -43,10 +43,6 @@ class Budget(Stateful):
         self.total_s = require_finite("budget total_s", total_s, minimum=0.0)
         self.spent_s = 0.0
 
-    @property
-    def remaining_s(self) -> float:
-        return max(0.0, self.total_s - self.spent_s)
-
     def can_spend(self, cost_s: float) -> bool:
         """Would ``cost_s`` fit in the remaining allowance?"""
         if cost_s < 0:
@@ -128,14 +124,3 @@ class RetryPolicy:
             return base
         jitter = rng.uniform(-self.backoff_jitter, self.backoff_jitter)
         return base * (1.0 + jitter)
-
-    def max_backoff_total_s(self) -> float:
-        """Upper bound on backoff time one request can accumulate."""
-        total = 0.0
-        for attempt in range(1, self.max_retries + 1):
-            total += (
-                self.backoff_base_s
-                * self.backoff_multiplier ** (attempt - 1)
-                * (1.0 + self.backoff_jitter)
-            )
-        return total

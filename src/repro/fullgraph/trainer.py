@@ -152,10 +152,6 @@ class FullGraphResult:
     def final_loss(self) -> float | None:
         return self.losses[-1] if self.losses else None
 
-    @property
-    def final_accuracy(self) -> float | None:
-        return self.accuracies[-1] if self.accuracies else None
-
 
 class FullGraphTrainer(Stateful):
     """Runs full-graph epochs as partition sweeps under a memory plan.

@@ -8,7 +8,7 @@ paper's results.
 """
 
 from .csr import CSRGraph, from_coo
-from .generators import power_law_graph, uniform_graph
+from .generators import power_law_graph
 from .hetero import HeteroGraph
 from .datasets import (
     DATASETS,
@@ -18,7 +18,6 @@ from .datasets import (
     load_scaled,
 )
 from .pagerank import hot_node_ranking, pagerank, reverse_pagerank
-from .io import load_dataset, save_dataset
 from .partition import (
     PartitionResult,
     bfs_partition,
@@ -31,7 +30,6 @@ __all__ = [
     "CSRGraph",
     "from_coo",
     "power_law_graph",
-    "uniform_graph",
     "HeteroGraph",
     "DATASETS",
     "DatasetSpec",
@@ -41,8 +39,6 @@ __all__ = [
     "hot_node_ranking",
     "pagerank",
     "reverse_pagerank",
-    "load_dataset",
-    "save_dataset",
     "PartitionResult",
     "bfs_partition",
     "edge_cut",

@@ -84,10 +84,6 @@ class CSRGraph:
         view.flags.writeable = False
         return view
 
-    def has_edge(self, dst: int, src: int) -> bool:
-        """True if ``src`` appears in the adjacency list of ``dst``."""
-        return bool(np.isin(src, self.neighbors(dst)).item())
-
     def reverse(self) -> "CSRGraph":
         """Return the graph with every edge direction flipped.
 

@@ -11,7 +11,6 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -226,11 +225,6 @@ class ScaledDataset:
     @property
     def total_bytes(self) -> int:
         return self.feature_data_bytes + self.structure_data_bytes
-
-    @cached_property
-    def reversed_graph(self) -> CSRGraph:
-        """Out-edge orientation, used by reverse PageRank hot-node ranking."""
-        return self.graph.reverse()
 
 
 def load_scaled(

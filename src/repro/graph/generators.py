@@ -71,13 +71,3 @@ def power_law_graph(
         src = src[keep]
         dst = dst[keep]
     return from_coo(src, dst, num_nodes)
-
-
-def uniform_graph(
-    num_nodes: int,
-    num_edges: int,
-    *,
-    seed: int | np.random.Generator | None = None,
-) -> CSRGraph:
-    """Generate an Erdos-Renyi-style directed graph (no degree skew)."""
-    return power_law_graph(num_nodes, num_edges, skew=0.0, seed=seed)

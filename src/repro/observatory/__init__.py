@@ -19,7 +19,6 @@ from .attribution import (
     attribute_summary,
     system_spec_block,
     validate_summary,
-    what_if_table,
 )
 from .history import (
     DEFAULT_HISTORY_DIR,
@@ -76,5 +75,4 @@ __all__ = [
     "record_from_summary",
     "system_spec_block",
     "validate_summary",
-    "what_if_table",
 ]

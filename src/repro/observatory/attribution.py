@@ -346,8 +346,21 @@ def _verdict(
     )
 
 
-def what_if_table(summary: dict, specs: dict) -> list[dict]:
-    """Predict epoch-time deltas for the paper's three balancing levers.
+def _prediction(agg_s: float | None, e2e_s: float, base_e2e: float) -> dict:
+    """The predicted-time columns of a what-if row, against the run's
+    measured ``base_e2e``."""
+    delta = e2e_s - base_e2e
+    return {
+        "predicted_aggregation_seconds": _finite(agg_s),
+        "predicted_e2e_seconds": _finite(e2e_s),
+        "delta_seconds": _finite(delta),
+        "delta_fraction": _finite(delta / base_e2e if base_e2e > 0 else 0.0),
+    }
+
+
+def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
+    """Predict epoch-time deltas for the paper's three balancing levers
+    from a validated summary whose :func:`_resources` are ``resources``.
 
     Each scenario re-solves the Eq. 2-3 analytic SSD service model and the
     PCIe link-sharing formula at per-iteration granularity, then scales the
@@ -381,26 +394,6 @@ def what_if_table(summary: dict, specs: dict) -> list[dict]:
       variant sends the dead device's striping share to the CPU mirror;
       their gap is what the redundancy overhead buys during an outage.
     """
-    validate_summary(summary)
-    _validate_specs(specs)
-    return _what_if_rows(summary, specs, _resources(summary, specs))
-
-
-def _prediction(agg_s: float | None, e2e_s: float, base_e2e: float) -> dict:
-    """The predicted-time columns of a what-if row, against the run's
-    measured ``base_e2e``."""
-    delta = e2e_s - base_e2e
-    return {
-        "predicted_aggregation_seconds": _finite(agg_s),
-        "predicted_e2e_seconds": _finite(e2e_s),
-        "delta_seconds": _finite(delta),
-        "delta_fraction": _finite(delta / base_e2e if base_e2e > 0 else 0.0),
-    }
-
-
-def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
-    """:func:`what_if_table` of a validated summary whose
-    :func:`_resources` are ``resources``."""
     iterations = int(summary["iterations"])
     stage = summary["stage_seconds"]
     sampling_s = float(stage.get("sampling") or 0.0)

@@ -234,13 +234,6 @@ class RunHistory:
                     records.append(record)
         return records
 
-    def fingerprints(self) -> dict[str, int]:
-        """``{fingerprint: record count}`` over the whole store."""
-        counts: dict[str, int] = {}
-        for record in self.records():
-            counts[record.fingerprint] = counts.get(record.fingerprint, 0) + 1
-        return counts
-
     def noise_band(
         self, fingerprint: str, metric: str = "e2e_seconds"
     ) -> dict:

@@ -5,7 +5,6 @@ from .metrics import IterationMetrics, RunReport, StageTimes
 from .loader import MiniBatchLoader
 from .runner import TrainingPipeline, TrainingResult
 from .export import (
-    iterations_to_csv,
     report_to_dict,
     report_to_json,
     reports_to_comparison_csv,
@@ -20,7 +19,6 @@ __all__ = [
     "StageTimes",
     "TrainingPipeline",
     "TrainingResult",
-    "iterations_to_csv",
     "report_to_dict",
     "report_to_json",
     "reports_to_comparison_csv",

@@ -289,52 +289,6 @@ def report_to_json(report: RunReport, *, indent: int = 2, **blocks) -> str:
     )
 
 
-#: Column order of the per-iteration CSV export.
-_CSV_COLUMNS = (
-    "iteration",
-    "sampling_s",
-    "aggregation_s",
-    "transfer_s",
-    "training_s",
-    "num_seeds",
-    "num_input_nodes",
-    "num_sampled",
-    "num_edges",
-    "storage_requests",
-    "cpu_buffer_requests",
-    "gpu_cache_hits",
-    "page_faults",
-)
-
-
-def iterations_to_csv(report: RunReport) -> str:
-    """Per-iteration CSV (one row per measured training iteration)."""
-    if not report.iterations:
-        raise PipelineError("run report holds no iterations")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(_CSV_COLUMNS)
-    for index, it in enumerate(report.iterations):
-        writer.writerow(
-            [
-                index,
-                f"{it.times.sampling:.9f}",
-                f"{it.times.aggregation:.9f}",
-                f"{it.times.transfer:.9f}",
-                f"{it.times.training:.9f}",
-                it.num_seeds,
-                it.num_input_nodes,
-                it.num_sampled,
-                it.num_edges,
-                it.counters.storage_requests,
-                it.counters.cpu_buffer_requests,
-                it.counters.gpu_cache_hits,
-                it.counters.page_faults,
-            ]
-        )
-    return buffer.getvalue()
-
-
 def reports_to_comparison_csv(reports: list[RunReport]) -> str:
     """One summary row per loader, for side-by-side comparisons."""
     if not reports:

@@ -1,7 +1,7 @@
 """One mini-batch loader contract: seed → sample → serve → report.
 
-Every loader the paper compares (Figs. 13-15) — GIDS, BaM, Ginex, DGL-mmap
-and UVA — draws shuffled seed batches from one stream, samples their
+Every loader the paper compares (Figs. 13-15) — GIDS, BaM, Ginex and
+DGL-mmap — draws shuffled seed batches from one stream, samples their
 computational graphs with the same samplers and reports per-iteration
 modeled time the same way; they differ only in how a sampled batch's
 features are *served*.  :class:`MiniBatchLoader` owns everything they share,

@@ -143,16 +143,6 @@ class RunReport(StateRecord):
     def gpu_cache_hit_ratio(self) -> float:
         return self.counters.gpu_cache_hit_ratio
 
-    @property
-    def total_retries(self) -> int:
-        """Storage commands re-issued after injected failures."""
-        return self.counters.storage_retries
-
-    @property
-    def total_fallbacks(self) -> int:
-        """Reads served by the degraded-mode CPU/feature-store path."""
-        return self.counters.fallback_requests
-
     def resilience_summary(self) -> dict[str, float]:
         """Fault/retry/fallback view of the run (all zero when healthy)."""
         counters = self.counters

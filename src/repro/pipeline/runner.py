@@ -55,7 +55,7 @@ class TrainingPipeline(Stateful):
 
     Args:
         loader: any :class:`~repro.pipeline.loader.MiniBatchLoader` (GIDS,
-            BaM, DGL-mmap, Ginex, UVA).  Every served iteration's modeled
+            BaM, DGL-mmap, Ginex).  Every served iteration's modeled
             metrics are collected into :attr:`report`; the loaders that
             carry a state table (the GIDS family) also support
             checkpoint/resume.

@@ -53,25 +53,22 @@ class BrownoutController(Stateful):
         config: ServingConfig,
         registry,
         *,
-        monitor: SLOMonitor | None = None,
         tracer=None,
     ) -> None:
         self.config = config
         self.registry = registry
         self.tracer = ensure_tracer(tracer)
-        if monitor is None:
-            monitor = SLOMonitor(
-                [
-                    AlertRule(
-                        name="serving-p99",
-                        metric="metrics.serving.p99_window.value",
-                        op=">",
-                        threshold=config.slo_p99_s,
-                        severity="critical",
-                    )
-                ],
-            )
-        self.monitor = monitor
+        self.monitor = SLOMonitor(
+            [
+                AlertRule(
+                    name="serving-p99",
+                    metric="metrics.serving.p99_window.value",
+                    op=">",
+                    threshold=config.slo_p99_s,
+                    severity="critical",
+                )
+            ],
+        )
         self.level_index = 0
         self.violation_streak = 0
         self.healthy_streak = 0
@@ -88,11 +85,6 @@ class BrownoutController(Stateful):
     @property
     def degraded(self) -> bool:
         return self.level_index > 0
-
-    def scaled_fanouts(self, fanouts: tuple[int, ...]) -> tuple[int, ...]:
-        """The configured fanouts at the current quality level."""
-        scale = self.level.fanout_scale
-        return tuple(max(1, int(round(f * scale))) for f in fanouts)
 
     def observe(self, latency_s: float, now_s: float) -> None:
         """Fold one completed request's latency in; maybe evaluate."""

@@ -157,9 +157,6 @@ class ServingReport:
         """Exact latency percentile over admitted completed requests."""
         return _percentile(self.latencies, p)
 
-    def priority_deadline_misses(self, priority: int) -> int:
-        return self.stats.deadline_missed[priority]
-
     @property
     def goodput_req_s(self) -> float:
         """Deadline-meeting completions per modeled second."""

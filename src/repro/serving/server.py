@@ -29,6 +29,7 @@ import numpy as np
 from ..cache.gpu_cache import GPUSoftwareCache
 from ..config import LoaderConfig, SystemConfig
 from ..core import readpath
+from ..core.readpath import FRAMEWORK_OVERHEAD_S
 from ..errors import ServingError
 from ..faults import FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
@@ -84,7 +85,6 @@ class InferenceServer(Stateful):
         fanouts: full-quality sampling fanouts; brownout levels scale them.
         hot_nodes: optional precomputed hot-node ranking for the CPU
             buffer (computed from ``config.hot_node_metric`` otherwise).
-        framework_overhead_s: fixed software cost per served request.
         seed: RNG seed for sampling and cache eviction (the arrival
             process and fault injector each keep their own stream).
         fault_plan: optional fault scenario shared with the training path.
@@ -97,8 +97,6 @@ class InferenceServer(Stateful):
         tracer: optional telemetry tracer; breaker and brownout
             transitions become instants, and (at ``request`` detail) each
             served request records a span on the ``serving`` track.
-        monitor: optional SLO monitor override for the brownout
-            controller.
     """
 
     name = "GIDS-serve"
@@ -113,7 +111,6 @@ class InferenceServer(Stateful):
         serving: ServingConfig | None = None,
         fanouts: tuple[int, ...] = (10, 5, 5),
         hot_nodes: np.ndarray | None = None,
-        framework_overhead_s: float = 150e-6,
         seed: int | np.random.Generator | None = 0,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -121,7 +118,6 @@ class InferenceServer(Stateful):
         parity: bool = False,
         rebuild_iops: float = 0.0,
         tracer: Tracer | None = None,
-        monitor=None,
     ) -> None:
         self.dataset = dataset
         self.system = system
@@ -131,7 +127,6 @@ class InferenceServer(Stateful):
         )
         self.serving = serving if serving is not None else ServingConfig()
         self.fanouts = tuple(int(f) for f in fanouts)
-        self.framework_overhead_s = float(framework_overhead_s)
         self.tracer = tracer = ensure_tracer(tracer)
         self._rng = as_rng(seed)
 
@@ -196,7 +191,7 @@ class InferenceServer(Stateful):
         self.hedge = HedgePolicy() if protection else None
         self.brownout = (
             BrownoutController(
-                self.serving, self.registry, monitor=monitor, tracer=tracer
+                self.serving, self.registry, tracer=tracer
             )
             if protection
             else None
@@ -455,7 +450,7 @@ class InferenceServer(Stateful):
         self.counters.merge(counters)
         counters.publish(self.registry)
         return (
-            self.framework_overhead_s
+            FRAMEWORK_OVERHEAD_S
             + sampling_s
             + ingress_s
             + hbm_s

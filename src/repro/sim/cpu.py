@@ -115,9 +115,3 @@ class CPUModel:
         submit_bound = self.threads / submit_overhead_s
         device_bound = ssd.peak_iops * num_ssds
         return min(latency_bound, submit_bound, device_bound)
-
-    def dram_read_time(self, n_bytes: float) -> float:
-        """Time to stream ``n_bytes`` out of CPU DRAM."""
-        if n_bytes < 0:
-            raise ConfigError("byte count must be non-negative")
-        return n_bytes / self.spec.memory_bandwidth

@@ -95,10 +95,6 @@ class FeatureStore:
         """Bytes of the whole (conceptual) feature table."""
         return self.num_nodes * self.feature_bytes
 
-    @property
-    def is_materialized(self) -> bool:
-        return self._data is not None
-
     def fetch(self, node_ids: np.ndarray) -> np.ndarray:
         """Return the float32 feature matrix for ``node_ids`` (in order).
 

@@ -86,10 +86,3 @@ class PageLayout:
         candidates = first[:, None] + offsets[None, :]
         valid = candidates <= last[:, None]
         return sorted_unique(candidates[valid])
-
-    def first_page_of(self, node_ids: np.ndarray) -> np.ndarray:
-        """First page of each node (per-node, not deduplicated)."""
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        if self.feature_bytes <= self.page_bytes:
-            return node_ids // (self.page_bytes // self.feature_bytes)
-        return node_ids * self.feature_bytes // self.page_bytes

@@ -154,11 +154,6 @@ class ParityPlacement:
         parity = stripe % self.num_devices
         return index + (index >= parity)
 
-    def parity_device(self, pages: np.ndarray) -> np.ndarray:
-        """Device holding each page's stripe parity block."""
-        pages = np.asarray(pages, dtype=np.int64)
-        return (pages // self.k) % self.num_devices
-
     def copies(self, pages: np.ndarray) -> np.ndarray:
         """Single data copy per page — parity is not a readable copy."""
         return self.primary_device(pages)[:, None]

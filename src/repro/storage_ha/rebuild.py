@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..state import Stateful, records, scalar, seq
 
@@ -184,14 +182,6 @@ class Rebuilder(Stateful):
     def fully_redundant(self) -> bool:
         """True when no rebuild work is outstanding."""
         return not self._jobs
-
-    def rebuilding_mask(self) -> np.ndarray:
-        """Devices with an open restore job (being rewritten in place)."""
-        mask = np.zeros(self.placement.num_devices, dtype=bool)
-        for job in self._jobs:
-            if job["kind"] == "restore":
-                mask[job["device"]] = True
-        return mask
 
     def jobs_summary(self) -> list[dict]:
         """Open jobs with progress, oldest first (for reports/CLI)."""

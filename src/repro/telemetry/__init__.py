@@ -23,8 +23,8 @@ The streaming/forensics pieces, sinks a tracer is built with
 
 And the exporters — Chrome trace-event JSON (``chrome://tracing`` /
 Perfetto) with causal flow events, an ASCII lane renderer for
-``python -m repro trace``, a single-request causal renderer
-(``--request``), and a plain-text per-run summary.
+``python -m repro trace`` and a single-request causal renderer
+(``--request``).
 """
 
 from .context import TraceContext, request_trace_id, step_trace_id
@@ -49,14 +49,12 @@ from .tracks import (
     STAGE_TRACKS,
     TRACKS,
     declare_track,
-    is_known_track,
     require_known_track,
 )
 from .export import (
     list_trace_ids,
     render_request_trace,
     render_trace,
-    summarize,
     summarize_chrome_trace,
     to_chrome_trace,
     validate_chrome_trace,
@@ -88,7 +86,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "declare_track",
-    "is_known_track",
     "list_trace_ids",
     "parse_prometheus_text",
     "prometheus_name",
@@ -98,7 +95,6 @@ __all__ = [
     "request_trace_id",
     "require_known_track",
     "step_trace_id",
-    "summarize",
     "summarize_chrome_trace",
     "to_chrome_trace",
     "validate_chrome_trace",

@@ -56,10 +56,6 @@ class TraceContext:
         self._seq += 1
         return seq
 
-    @property
-    def events_stamped(self) -> int:
-        return self._seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceContext({self.trace_id!r}, origin={self.origin!r}, "

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, ASCII rendering, text summary.
+"""Trace exporters: Chrome trace-event JSON and ASCII rendering.
 
 The Chrome trace-event format (the JSON ``traceEvents`` array understood by
 ``chrome://tracing`` and Perfetto) maps cleanly onto the tracer's model:
@@ -452,45 +452,5 @@ def render_request_trace(trace: dict, trace_id: str) -> str:
             f"  [{seq:3d}] {when:>10} {lane.ljust(lane_width)} "
             f"{name.ljust(name_width)} {took:>8}"
             + (f"  {extras}" if extras else "")
-        )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Text summary
-
-
-def summarize(tracer: Tracer) -> str:
-    """Plain-text per-run summary: lane totals, metrics, percentiles."""
-    lines = [
-        f"telemetry summary (detail={tracer.detail}, "
-        f"clock {format_time(tracer.clock_s)}, "
-        f"{len(tracer.spans)} spans, {len(tracer.instants)} instants)"
-    ]
-    totals = tracer.track_totals()
-    if totals:
-        name_width = max(len(track) for track in totals)
-        for track, seconds in totals.items():
-            lines.append(
-                f"  {track.ljust(name_width)}  {format_time(seconds)}"
-            )
-    for name, summary in tracer.metrics.to_dict().items():
-        if summary["kind"] == "histogram":
-            if summary["count"] == 0:
-                # Empty histograms have no percentiles (they export null).
-                lines.append(f"  {name}: n=0")
-                continue
-            lines.append(
-                f"  {name}: n={summary['count']} "
-                f"mean={format_time(summary['mean'])} "
-                f"p50={format_time(summary['p50'])} "
-                f"p95={format_time(summary['p95'])} "
-                f"p99={format_time(summary['p99'])}"
-            )
-        else:
-            lines.append(f"  {name}: {summary['value']}")
-    if tracer.truncated:
-        lines.append(
-            "  warning: event cap reached; trace is truncated"
         )
     return "\n".join(lines)

@@ -279,10 +279,6 @@ class Tracer(Stateful):
         """
         return _ActiveContext(self, context)
 
-    @property
-    def active_context(self) -> TraceContext | None:
-        return self._context
-
     def _stamp(self, args: dict) -> dict:
         ctx = self._context
         if ctx is None:

@@ -63,11 +63,6 @@ def declare_track(name: str) -> str:
     return name
 
 
-def is_known_track(name: str) -> bool:
-    """True when ``name`` was declared via :func:`declare_track`."""
-    return name in KNOWN_TRACKS
-
-
 def require_known_track(name: str) -> str:
     """Assert ``name`` is a declared lane (strict tracers call this)."""
     if name not in KNOWN_TRACKS:

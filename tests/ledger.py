@@ -27,8 +27,11 @@ artifact that moved::
     PYTHONPATH=src python -m tests.ledger --pr N --reason "why" ARTIFACT ...
 
 A CLI case may be named down to one file (``cli_golden.json:CASE:FILE``);
-its row is still the case's.  Fixtures written by hand and in-test pins
-are not regenerated: edit them first, then name them to record the move.
+its row is still the case's.  A readpath case whose configuration is gone
+from ``CASES`` but whose entry is still in the golden may be named too: the
+entry is dropped and its row records ``"sha256": null``.  Fixtures written
+by hand and in-test pins are not regenerated: edit them first, then name
+them to record the move.
 """
 
 from __future__ import annotations
@@ -122,7 +125,10 @@ def parse(selectors: list[str]) -> tuple[dict[str, list[str]], list[str]]:
     from tests import test_cli_golden, test_readpath_golden
 
     known = {
-        "readpath_golden.json": set(test_readpath_golden.CASES),
+        "readpath_golden.json": {
+            *test_readpath_golden.CASES,
+            *keyed_entries("readpath_golden.json"),
+        },
         "cli_golden.json": {*test_cli_golden.CASES, "parser"},
     }
     entries: dict[str, list[str]] = {golden: [] for golden in KEYED}
@@ -172,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = load_rows()
     last = latest(rows)
     for artifact in dict.fromkeys(named):
-        sha = hashes[artifact]
+        sha = hashes.get(artifact)  # None: the entry was dropped
         if artifact in last and last[artifact]["sha256"] == sha:
             print(f"{artifact}: unchanged, no row written", file=sys.stderr)
             continue
@@ -180,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
             {"artifact": artifact, "sha256": sha, "pr": args.pr,
              "reason": args.reason}
         )
-        print(f"{artifact}: moved to {sha}", file=sys.stderr)
+        moved = "dropped" if sha is None else f"moved to {sha}"
+        print(f"{artifact}: {moved}", file=sys.stderr)
     write_rows(rows)
     return 0
 

@@ -50,18 +50,23 @@ The seventh keeps one run-report document table: no exporter names a
 document key as a parameter; blocks arrive as ``**blocks`` and are checked
 against ``pipeline/export.DOCUMENT``.
 
-The eighth is the knob census: every field of the workload configs and
-every parameter of the planes' tunable constructors is pinned by name, so
-a setting added later shows up in a diff — and needs a caller outside the
-tests, or it is a module constant.
+The eighth is the census: every field of the workload configs and every
+parameter of the planes' and drivers' tunable constructors is pinned by
+name, so a setting added later shows up in a diff — and needs a caller
+outside the tests, or it is a module constant.  Every public function,
+class and method of ``src/repro`` needs a caller too, and every optional
+parameter of the pinned constructors a setting: only :data:`TEST_ONLY`
+names what nothing but the tests reaches.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import importlib
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -577,12 +582,12 @@ def _loader_classes() -> set[str]:
 
 
 def test_the_loader_skeleton_exists_once():
-    """GIDS, BaM, Ginex, DGL-mmap and UVA share one seed -> sample -> serve
+    """GIDS, BaM, Ginex and DGL-mmap share one seed -> sample -> serve
     -> report loop; a loader that re-grows its own ``run``, batch iterator,
     seed generator or sampler factory fails here by name."""
     loaders = _loader_classes()
     assert {"GIDSDataLoader", "BaMDataLoader", "GinexLoader",
-            "DGLMmapLoader", "UVALoader"} <= loaders
+            "DGLMmapLoader"} <= loaders
     strays, base = [], None
     for rel, cls in _classes():
         if cls.name == LOADER_BASE:
@@ -933,6 +938,9 @@ CONFIG_FIELDS = {
         "io_overlap", "model_seed", "partition_seed", "label_seed",
         "refine_passes",
     ),
+    "repro.core:DynamicAccessAccumulator": (
+        "array", "target_fraction", "max_merged_iterations",
+    ),
 }
 
 #: Constructor -> its parameters, in order.
@@ -950,6 +958,22 @@ CONSTRUCTOR_PARAMETERS = {
     "repro.sampling:ClusterSampler": (
         "graph", "partition", "clusters_per_batch", "num_layers", "seed",
     ),
+    "repro.core:GIDSDataLoader": (
+        "dataset", "system", "config", "batch_size", "fanouts",
+        "sampler_kind", "layer_sizes", "hetero_fanouts", "features",
+        "hot_nodes", "seed", "fault_plan", "retry_policy", "verify_reads",
+        "verify_sample_rate", "scrub_iops", "replication", "parity",
+        "rebuild_iops", "tracer",
+    ),
+    "repro.serving:InferenceServer": (
+        "dataset", "system", "config", "arrival", "serving", "fanouts",
+        "hot_nodes", "seed", "fault_plan", "retry_policy", "replication",
+        "parity", "rebuild_iops", "tracer",
+    ),
+    "repro.baselines:DGLMmapLoader": (
+        "dataset", "system", "batch_size", "fanouts", "sampler_kind",
+        "layer_sizes", "threads", "features", "seed",
+    ),
 }
 
 
@@ -964,7 +988,9 @@ def test_every_knob_is_in_the_census():
     import dataclasses
 
     fields = {
-        name: tuple(f.name for f in dataclasses.fields(_resolve(name)))
+        name: tuple(
+            f.name for f in dataclasses.fields(_resolve(name)) if f.init
+        )
         for name in CONFIG_FIELDS
     }
     params = {
@@ -973,3 +999,183 @@ def test_every_knob_is_in_the_census():
     }
     assert fields == CONFIG_FIELDS
     assert params == CONSTRUCTOR_PARAMETERS
+
+
+# ----------------------------------------------------------------------
+# The name census
+
+ROOT = SRC.parent.parent
+#: Where a reference makes a name live.  Tests are not callers.
+CALLER_TREES = ("src/repro", "benchmarks", "examples")
+
+#: Public names nothing but the tests reaches, each kept for a reason.
+TEST_ONLY = {
+    # Constructor parameters.
+    "features": "the only way to train on real feature arrays; that "
+    "waits until datasets can be in the repository",
+    "verify_sample_rate": "the pinned sampled-verify goldens detect "
+    "corruption only at its test value of 0.5: another value moves "
+    "modeled artifacts",
+    "watchdog_stall_threshold_s": "the supervisor's only stall trigger; "
+    "the exported checkpoint_summary counts its watchdog_stalls, so the "
+    "path cannot go without changing the export",
+    # Observation points their tests need.
+    "verify_payload": "PageChecksummer's real CRC comparison, which the "
+    "tests use to prove detection",
+    "to_json": "FaultPlan's writer of a public input format",
+    "pending_reuse": "the GPU cache's window-pin state",
+    "num_pinned": "the GPU cache's window-pin state",
+    "num_pending": "the GPU cache's window-pin state",
+    "state_of": "DeviceHealthMonitor's per-device verdict",
+    "unrepairable_count": "StorageHA's lost-page count",
+    "with_ssd": "SystemConfig's storage swap",
+    "run_epochs": "FullGraphTrainer's multi-epoch sweep",
+}
+
+
+def _caller_modules():
+    """Every parsed module a caller may live in, tests excluded."""
+    trees = [tree for _, tree in SOURCES]
+    for top in CALLER_TREES[1:]:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name.startswith("test_") or path.name == "conftest.py":
+                continue
+            trees.append(ast.parse(path.read_text(encoding="utf-8")))
+    return trees
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _references() -> set[str]:
+    """Every identifier a caller names: ``Name`` and ``Attribute`` nodes,
+    keywords, identifier strings (``getattr`` / shim tables / state keys;
+    ``__all__`` lists are re-exports, not callers) and the words of the CI
+    workflow."""
+    names, skip = set(), set()
+    for tree in _caller_modules():
+        for node in ast.walk(tree):
+            if _is_all(node):
+                skip.update(id(n) for n in ast.walk(node.value))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.isidentifier()
+                and id(node) not in skip
+            ):
+                names.add(node.value)
+    for path in (ROOT / ".github").rglob("*.yml"):
+        names.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return names
+
+
+def _public_definitions():
+    """``(file, qualified name, name)`` of every public function, class
+    and method of the package (dunders and ``_private`` names excluded)."""
+    found = []
+
+    def visit(rel, body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found.append((rel, prefix + node.name, node.name))
+                if isinstance(node, ast.ClassDef):
+                    visit(rel, node.body, f"{prefix}{node.name}.")
+
+    for rel, tree in SOURCES:
+        visit(rel, tree.body, "")
+    return found
+
+
+def _defaulted(args) -> list[tuple[str, str]]:
+    """``(parameter, dumped default)`` of each parameter with a default."""
+    positional = [*args.posonlyargs, *args.args]
+    pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                     args.defaults))
+    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return [(arg.arg, ast.dump(default)) for arg, default in pairs]
+
+
+def _settings() -> set[str]:
+    """Every parameter a caller sets: a keyword, or a string key of a dict
+    literal (passed on as ``**kwargs``).  ``x=x`` inside a function whose
+    own ``x`` defaults to what another definition's ``x`` defaults to is
+    a pass-through under the callee's default, not a setting."""
+    shared = collections.Counter(
+        pair
+        for _, tree in SOURCES
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for pair in _defaulted(node.args)
+    )
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.FunctionDef):
+            own = dict(_defaulted(node.args))
+        elif isinstance(node, ast.keyword) and node.arg:
+            passed_through = (
+                isinstance(node.value, ast.Name)
+                and node.value.id == node.arg
+                and shared[node.arg, own.get(node.arg)] > 1
+            )
+            if not passed_through:
+                found.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            found.update(
+                key.value for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for tree in _caller_modules():
+        visit(tree, {})
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """A public function, class or method that only its own tests reach is
+    deleted, or named in :data:`TEST_ONLY` with the reason it stays."""
+    references = _references()
+    orphans = sorted(
+        f"{rel}:{qualified}"
+        for rel, qualified, name in _public_definitions()
+        if name not in references and name not in TEST_ONLY
+    )
+    assert not orphans, f"public names with no caller outside the tests: {orphans}"
+
+
+def test_every_optional_parameter_of_the_census_is_set():
+    """Each optional parameter of a pinned constructor or config is set
+    by a caller outside the tests (a pass-through under the same default
+    does not count), or named in :data:`TEST_ONLY`."""
+    settings = _settings()
+    unset = []
+    for name in [*CONFIG_FIELDS, *CONSTRUCTOR_PARAMETERS]:
+        for parameter in inspect.signature(_resolve(name)).parameters.values():
+            if (
+                parameter.default is not inspect.Parameter.empty
+                and parameter.name not in settings
+                and parameter.name not in TEST_ONLY
+            ):
+                unset.append(f"{name}({parameter.name})")
+    assert not unset, f"knobs only the tests set: {unset}"
+
+
+def test_test_only_names_still_exist():
+    """The allow-list cannot outlive what it names."""
+    defined = {name for _, _, name in _public_definitions()}
+    for names in [*CONFIG_FIELDS.values(), *CONSTRUCTOR_PARAMETERS.values()]:
+        defined.update(names)
+    assert set(TEST_ONLY) <= defined

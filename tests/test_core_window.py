@@ -77,10 +77,10 @@ class TestWindowBuffer:
 
     def test_is_full(self):
         window = WindowBuffer(GPUSoftwareCache(4, seed=0), depth=2)
-        assert not window.is_full
         window.push(make_batch(0), np.array([1]))
+        assert len(window) < window.depth
         window.push(make_batch(1), np.array([2]))
-        assert window.is_full
+        assert len(window) == window.depth
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ConfigError):

@@ -149,7 +149,10 @@ class TestRetryPolicy:
 
     def test_max_backoff_total_bounds_each_request(self, rng):
         policy = RetryPolicy(max_retries=4, backoff_jitter=0.1)
-        bound = policy.max_backoff_total_s()
+        bound = sum(
+            policy.backoff_s(a) * (1.0 + policy.backoff_jitter)
+            for a in range(1, policy.max_retries + 1)
+        )
         total = sum(policy.backoff_s(a, rng) for a in range(1, 5))
         assert total <= bound
 

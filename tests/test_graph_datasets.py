@@ -115,6 +115,3 @@ class TestLoadScaled:
             load_scaled("IGB-tiny", 0.0)
         with pytest.raises(DatasetError):
             load_scaled("IGB-tiny", 1.5)
-
-    def test_reversed_graph_cached(self, tiny_dataset):
-        assert tiny_dataset.reversed_graph is tiny_dataset.reversed_graph

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.generators import power_law_graph, uniform_graph
+from repro.graph.generators import power_law_graph
 
 
 class TestPowerLawGraph:
@@ -30,7 +30,7 @@ class TestPowerLawGraph:
 
     def test_skew_concentrates_sources(self):
         """Higher skew -> fewer distinct nodes account for most edges."""
-        flat = uniform_graph(2000, 20000, seed=1)
+        flat = power_law_graph(2000, 20000, skew=0.0, seed=1)
         skewed = power_law_graph(2000, 20000, skew=1.2, seed=1)
 
         def top_source_share(g, top=0.05):
@@ -60,7 +60,7 @@ class TestPowerLawGraph:
 
 class TestUniformGraph:
     def test_no_skew(self):
-        g = uniform_graph(500, 5000, seed=2)
+        g = power_law_graph(500, 5000, skew=0.0, seed=2)
         counts = np.bincount(g.indices, minlength=g.num_nodes)
         # Uniform sources: max in-degree contribution should be modest.
         assert counts.max() < 50

@@ -12,7 +12,7 @@ from repro import (
     SystemConfig,
 )
 from repro.baselines.mmap_loader import DGLMmapLoader
-from repro.pipeline.export import report_to_json, iterations_to_csv
+from repro.pipeline.export import report_to_json, reports_to_comparison_csv
 from repro.pipeline.timeline import render_timeline
 
 
@@ -114,8 +114,9 @@ class TestExportWithRealReports:
         assert payload["loader"] == "GIDS"
         assert payload["iterations"] == 4
         assert payload["e2e_seconds"] > 0
-        csv_text = iterations_to_csv(report)
-        assert csv_text.count("\n") == 5  # header + 4 rows
+        csv_text = reports_to_comparison_csv([report])
+        assert csv_text.count("\n") == 2  # header + one loader row
+        assert csv_text.splitlines()[1].startswith("GIDS,")
 
     def test_timeline_with_real_report(self, small_dataset, tight_system):
         loader = GIDSDataLoader(

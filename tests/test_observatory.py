@@ -28,7 +28,6 @@ from repro import (
     config_fingerprint,
     load_alert_rules,
     system_spec_block,
-    what_if_table,
 )
 from repro.core.gids import GIDSDataLoader
 from repro.observatory.history import record_from_summary
@@ -183,13 +182,17 @@ class TestAttributionScenarios:
         assert sum(block["stage_fractions"].values()) == pytest.approx(1.0)
 
 
+def what_if(summary, specs):
+    return attribute_summary(summary, specs)["what_if"]
+
+
 class TestWhatIf:
     def test_plus_one_ssd_helps_ssd_bound_run(self, optane_specs):
         n = 1_400_000
         summary = make_summary(
             storage_requests=n, storage_bytes=n * 4096, aggregation=1.0
         )
-        table = what_if_table(summary, optane_specs)
+        table = what_if(summary, optane_specs)
         assert [row["scenario"] for row in table] == [
             "+1 SSD",
             "+CPU buffer",
@@ -209,7 +212,7 @@ class TestWhatIf:
         summary = make_summary(
             storage_requests=n, storage_bytes=n * 4096, aggregation=1.0
         )
-        rows = what_if_table(summary, optane_specs)
+        rows = what_if(summary, optane_specs)
         row = next(r for r in rows if r["scenario"] == "capacity")
         assert row["bottleneck"] == "ssd"
         assert 0.0 < row["utilization"] <= 1.0 + 1e-9
@@ -223,7 +226,7 @@ class TestWhatIf:
 
     def test_empty_table_for_idle_run(self, optane_specs):
         summary = make_summary(aggregation=0.0)
-        assert what_if_table(summary, optane_specs) == []
+        assert what_if(summary, optane_specs) == []
 
     def test_deeper_window_amortizes_fixed_phases(self, optane_specs):
         # Small batches per iteration: T_init/T_term are a visible share,
@@ -234,7 +237,7 @@ class TestWhatIf:
             storage_bytes=32_000 * 4096,
             aggregation=1.0,
         )
-        table = what_if_table(summary, optane_specs)
+        table = what_if(summary, optane_specs)
         deeper = table[2]
         assert deeper["scenario"] == "2x window depth"
         assert deeper["predicted_aggregation_seconds"] < 1.0
@@ -354,7 +357,9 @@ class TestHistory:
         assert [r.git_rev for r in history.records(r1.fingerprint)] == [
             "aaa"
         ]
-        assert history.fingerprints()[r1.fingerprint] == 1
+        assert [r.fingerprint for r in history.records()].count(
+            r1.fingerprint
+        ) == 1
 
     def test_missing_file_is_empty(self, tmp_path):
         assert RunHistory(str(tmp_path / "nope")).records() == []

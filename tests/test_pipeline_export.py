@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.pipeline.export import (
-    iterations_to_csv,
     report_to_dict,
     report_to_json,
     reports_to_comparison_csv,
@@ -159,17 +158,6 @@ class TestFaultFields:
 
 
 class TestCSV:
-    def test_iterations_csv_shape(self, report):
-        rows = list(csv.reader(io.StringIO(iterations_to_csv(report))))
-        assert len(rows) == 4  # header + 3 iterations
-        header = rows[0]
-        assert header[0] == "iteration"
-        assert rows[1][header.index("num_input_nodes")] == "100"
-
-    def test_iterations_csv_empty_rejected(self):
-        with pytest.raises(PipelineError):
-            iterations_to_csv(RunReport("x"))
-
     def test_comparison_csv(self, report):
         other = RunReport("BaM")
         other.append(report.iterations[0])

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines import DGLMmapLoader, GinexLoader, UVALoader
+from repro.baselines import DGLMmapLoader, GinexLoader
 from repro.config import (
     INTEL_OPTANE,
     SAMSUNG_980PRO,
@@ -197,7 +197,7 @@ def _run_loader(cls, iterations: int = 64, **kwargs) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Baseline loaders (DGL-mmap, Ginex, UVA)
+# Baseline loaders (DGL-mmap, Ginex)
 
 
 def _run_baseline(cls, system: SystemConfig, **kwargs) -> dict:
@@ -464,9 +464,6 @@ CASES = {
     # The plan corrupts reads, so the stack's integrity plane is up even
     # with verification off: spill reloads are drawn and left unverified.
     "fullgraph-faults-bare": lambda: _run_fullgraph(),
-    "baseline-uva": lambda: _run_baseline(
-        UVALoader, SystemConfig(), fanouts=(5, 5)
-    ),
     "baseline-mmap-neighbor": lambda: _run_baseline(
         DGLMmapLoader, _tight_system(), fanouts=(5, 5)
     ),
@@ -514,7 +511,6 @@ EXERCISED = {
         "parity_reconstructs", "unverified_pages",
     ),
     "fullgraph-faults-bare": ("fallback_requests",),
-    "baseline-uva": ("cpu_buffer_requests",),
     "baseline-mmap-neighbor": ("page_faults", "page_cache_hits"),
     "baseline-mmap-ladies": ("page_cache_hits",),
     "baseline-ginex": ("storage_requests", "page_cache_hits"),
@@ -550,9 +546,13 @@ def test_golden_exercises_its_fork(case):
 
 def main(names: list[str]) -> None:
     """Rewrite the named cases (all of them without names), keeping every
-    other entry as it is."""
+    other entry as it is; a named case no longer in :data:`CASES` is
+    dropped."""
     golden = _load_golden() if names else {}
     for name in names or sorted(CASES):
-        golden[name] = _canonical(CASES[name]())
+        if name in CASES:
+            golden[name] = _canonical(CASES[name]())
+        else:
+            del golden[name]
     GOLDEN_PATH.write_text(canonical_text(golden), encoding="utf-8")
     print(f"wrote {len(names or CASES)} case(s) to {GOLDEN_PATH}")

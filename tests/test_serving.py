@@ -95,7 +95,7 @@ class TestBudget:
         assert budget.try_spend(0.6)
         assert not budget.try_spend(0.6)
         assert budget.try_spend(0.4)
-        assert budget.remaining_s == 0.0
+        assert budget.spent_s == budget.total_s
 
     def test_grant_extends(self):
         budget = Budget(0.0)
@@ -344,9 +344,9 @@ class TestBrownout:
         assert len(marks) == len(ctrl.transitions) > 0
 
     def test_scaled_fanouts_floor_at_one(self):
-        ctrl, _ = self._controller()
-        ctrl.level_index = 1  # reduced-fanout (scale 0.5)
-        assert ctrl.scaled_fanouts((10, 5, 1)) == (5, 2, 1)
+        server = make_server(fanouts=(10, 5, 1))
+        # One sampler per level; level 1 is reduced-fanout (scale 0.5).
+        assert server._samplers[1].fanouts == (5, 2, 1)
 
     def test_state_roundtrip(self):
         ctrl, _ = self._controller()

@@ -88,7 +88,7 @@ class TestPageLayout:
 
     def test_first_page_of(self):
         layout = PageLayout(num_nodes=100, feature_bytes=512)
-        assert list(layout.first_page_of(np.array([0, 8, 16]))) == [0, 1, 2]
+        assert list(layout.pages_for_nodes(np.array([0, 8, 16]))) == [0, 1, 2]
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigError):
@@ -163,7 +163,6 @@ class TestFeatureStore:
     def test_materialized_roundtrip(self):
         data = np.random.default_rng(0).random((10, 4), dtype=np.float32)
         store = FeatureStore(10, 4, data=data)
-        assert store.is_materialized
         assert np.array_equal(store.fetch(np.array([2, 5])), data[[2, 5]])
 
     def test_materialized_shape_checked(self):

@@ -131,17 +131,19 @@ class TestParityPlacement:
         placement = ParityPlacement(5)
         pages = np.arange(2000, dtype=np.int64)
         data = placement.primary_device(pages)
-        parity = placement.parity_device(pages)
+        parity = (pages // placement.k) % placement.num_devices
         assert ((data >= 0) & (data < 5)).all()
         assert (data != parity).all()
 
     def test_parity_rotates_across_stripes(self):
         placement = ParityPlacement(4)
         pages = np.arange(placement.k * 8, dtype=np.int64)
-        parity = placement.parity_device(pages)
-        assert (parity == (pages // placement.k) % 4).all()
-        # Rotation spreads parity over every device.
-        assert set(parity.tolist()) == {0, 1, 2, 3}
+        data = placement.primary_device(pages).reshape(8, placement.k)
+        # Each stripe leaves exactly one device for its parity block ...
+        parity = [set(range(4)) - set(row.tolist()) for row in data]
+        assert parity == [{stripe % 4} for stripe in range(8)]
+        # ... and the rotation spreads parity over every device.
+        assert set().union(*parity) == {0, 1, 2, 3}
 
     def test_pages_on_device_partitions_data(self):
         placement = ParityPlacement(4)

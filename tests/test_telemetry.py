@@ -26,7 +26,7 @@ from repro.telemetry import (
     Span,
     Tracer,
     render_trace,
-    summarize,
+    summarize_chrome_trace,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
@@ -141,7 +141,7 @@ class TestTruncation:
         tracer = Tracer(max_events=1)
         tracer.record("s", "ssd", start_s=0.0, duration_s=1.0)
         tracer.instant("i", "ssd")
-        assert "truncated" in summarize(tracer)
+        assert summarize_chrome_trace(to_chrome_trace(tracer))["truncated"]
         assert "truncated" in render_trace(to_chrome_trace(tracer))
 
 
@@ -496,7 +496,6 @@ class TestRenderTrace:
 
 class TestSummarize:
     def test_contains_tracks_and_percentiles(self):
-        text = summarize(traced_run())
-        assert "stage.sampling" in text
-        assert "iteration.total_s" in text
-        assert "p99" in text
+        summary = summarize_chrome_trace(to_chrome_trace(traced_run()))
+        assert "stage.sampling" in summary["tracks"]
+        assert summary["metrics"]["iteration.total_s"]["p99"] > 0
