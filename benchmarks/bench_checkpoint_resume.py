@@ -18,6 +18,7 @@ import time
 
 from repro import (
     INTEL_OPTANE,
+    CheckpointStore,
     CrashEvent,
     FaultPlan,
     GIDSDataLoader,
@@ -64,13 +65,13 @@ def sweep_cadence(tmp_root):
         directory = os.path.join(tmp_root, f"cadence-{cadence}")
         supervisor = RunSupervisor(
             _make_pipeline,
-            directory,
+            CheckpointStore(directory),
             config=SupervisorConfig(checkpoint_every=cadence),
         )
         start = time.perf_counter()
-        outcome = supervisor.run(ITERATIONS)
+        pipeline = supervisor.run(ITERATIONS)
         elapsed = time.perf_counter() - start
-        cells[cadence] = (outcome, elapsed)
+        cells[cadence] = (pipeline.losses, supervisor.summary, elapsed)
     return cells
 
 
@@ -81,8 +82,7 @@ def test_checkpoint_cadence_sweep(benchmark, tmp_path):
     baseline = None
     rows = []
     for cadence in CADENCES:
-        outcome, elapsed = cells[cadence]
-        summary = outcome.summary
+        losses, summary, elapsed = cells[cadence]
         per_snapshot = summary.snapshot_bytes / summary.snapshots_written
         rows.append(
             [
@@ -94,11 +94,11 @@ def test_checkpoint_cadence_sweep(benchmark, tmp_path):
             ]
         )
         if baseline is None:
-            baseline = outcome.result.losses
+            baseline = losses
         else:
             # Cadence is pure persistence policy: it must not perturb the
             # training trajectory in any way.
-            assert outcome.result.losses == baseline, cadence
+            assert losses == baseline, cadence
         assert summary.snapshots_written >= ITERATIONS // cadence
     print()
     print(
@@ -157,32 +157,32 @@ def run_crash_recovery(tmp_root):
     plan = FaultPlan(crash_events=(CrashEvent(9), CrashEvent(23)))
     supervisor = RunSupervisor(
         lambda: _make_pipeline(plan),
-        os.path.join(tmp_root, "crashes"),
+        CheckpointStore(os.path.join(tmp_root, "crashes")),
         config=SupervisorConfig(checkpoint_every=6),
     )
-    outcome = supervisor.run(ITERATIONS)
-    return ref_result, reference.report, outcome
+    pipeline = supervisor.run(ITERATIONS)
+    return ref_result, reference.report, pipeline, supervisor.summary
 
 
 def test_crash_recovery_bit_identical(benchmark, tmp_path):
-    ref_result, ref_report, outcome = benchmark.pedantic(
+    ref_result, ref_report, pipeline, summary = benchmark.pedantic(
         run_crash_recovery, args=(str(tmp_path),), rounds=1, iterations=1
     )
-    assert outcome.summary.crashes == 2
-    assert outcome.summary.restores == 2
-    assert outcome.result.losses == ref_result.losses
+    assert summary.crashes == 2
+    assert summary.restores == 2
+    assert pipeline.losses == ref_result.losses
     assert (
-        outcome.result.final_train_accuracy
+        pipeline.result().final_train_accuracy
         == ref_result.final_train_accuracy
     )
-    supervised = report_to_dict(outcome.report)
+    supervised = report_to_dict(pipeline.report)
     unsupervised = report_to_dict(ref_report)
     assert supervised == unsupervised
     print()
     print(
-        f"survived {outcome.summary.crashes} crashes with "
-        f"{outcome.summary.snapshots_written} snapshots "
-        f"({outcome.summary.snapshot_bytes / 1e6:.1f} MB), "
+        f"survived {summary.crashes} crashes with "
+        f"{summary.snapshots_written} snapshots "
+        f"({summary.snapshot_bytes / 1e6:.1f} MB), "
         f"losses bit-identical across "
-        f"{outcome.result.completed_iterations} iterations"
+        f"{pipeline.completed_steps} iterations"
     )

@@ -71,7 +71,6 @@ from .checkpoint import (
     CheckpointStore,
     CheckpointSummary,
     RunSupervisor,
-    SupervisedRunResult,
     SupervisorConfig,
     read_snapshot,
     write_snapshot,
@@ -208,7 +207,6 @@ __all__ = [
     "CheckpointStore",
     "CheckpointSummary",
     "RunSupervisor",
-    "SupervisedRunResult",
     "SupervisorConfig",
     "read_snapshot",
     "write_snapshot",

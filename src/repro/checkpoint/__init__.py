@@ -1,4 +1,4 @@
-"""Crash-safe checkpoint/resume and supervised runs for the GIDS pipeline.
+"""Crash-safe checkpoint/resume and supervised runs.
 
 Every stateful component of the stack exposes ``state_dict`` /
 ``load_state_dict`` (model weights + momentum, sampler and seed-stream RNG
@@ -13,9 +13,10 @@ This package adds the persistence and lifecycle layers on top:
   atomically-written on-disk format;
 * :mod:`~repro.checkpoint.store` — a retained-snapshot ring that loads the
   newest snapshot passing its integrity check, skipping corrupted ones;
-* :mod:`~repro.checkpoint.supervisor` — checkpoint cadence, simulated
-  crash events, a modeled-time watchdog and a bounded restart budget with
-  exponential backoff.
+* :mod:`~repro.checkpoint.supervisor` — the one checkpoint loop: cadence,
+  simulated crash events, a modeled-time watchdog and a bounded restart
+  budget with exponential backoff, around any driver (the loader training
+  pipeline, the full-graph sweep).
 """
 
 from .snapshot import (
@@ -28,7 +29,6 @@ from .store import CheckpointStore, LoadedSnapshot
 from .supervisor import (
     CheckpointSummary,
     RunSupervisor,
-    SupervisedRunResult,
     SupervisorConfig,
 )
 
@@ -39,7 +39,6 @@ __all__ = [
     "CheckpointSummary",
     "LoadedSnapshot",
     "RunSupervisor",
-    "SupervisedRunResult",
     "SupervisorConfig",
     "read_snapshot",
     "write_snapshot",

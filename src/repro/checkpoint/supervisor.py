@@ -1,23 +1,22 @@
 """Supervised run lifecycle: checkpoint cadence, crashes, watchdog, restarts.
 
 The :class:`RunSupervisor` plays the role of a cluster job manager around
-one functional training run.  It owns a :class:`CheckpointStore`, drives
-the pipeline through its ``on_step`` hook (writing a snapshot every
-``checkpoint_every`` completed iterations), injects the fault plan's
-:class:`~repro.faults.plan.CrashEvent` process deaths, watches for stalled
-iterations via the loader's *modeled* clock, and — after a crash — builds
-a fresh pipeline, restores the latest snapshot that passes its integrity
-check (skipping corrupted ones), applies an exponential restart backoff,
-and continues — at most :data:`MAX_RESTARTS` times.  Because every piece
-of run state round-trips through ``state_dict``, the supervised run's
-losses, counters and report are bit-identical to an uninterrupted run of
-the same length.
+one run of a :class:`Driver` (the loader ``TrainingPipeline`` or the
+``FullGraphTrainer``).  Through the driver's ``on_step`` hook it writes a
+snapshot every ``checkpoint_every`` steps and at the run's end, injects
+the fault plan's process deaths and watches the *modeled* clock for
+stalls; after a crash it builds a fresh driver, restores the newest
+snapshot that passes its integrity check, charges an exponential restart
+backoff and continues — at most :data:`MAX_RESTARTS` times.  Every piece
+of run state round-trips through the driver's checkpoint, so the
+supervised run's losses, counters and report are bit-identical to an
+uninterrupted run's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
+from typing import Callable, Protocol
 
 from ..errors import (
     ConfigError,
@@ -26,9 +25,7 @@ from ..errors import (
     SimulatedCrashError,
     StalledRunError,
 )
-from ..pipeline.metrics import RunReport
-from ..pipeline.runner import TrainingPipeline, TrainingResult
-from .store import CheckpointStore
+from .store import CheckpointStore, LoadedSnapshot
 
 #: Restarts allowed before the run is declared dead with
 #: :class:`~repro.errors.RestartLimitError`.
@@ -39,15 +36,43 @@ RESTART_BACKOFF_BASE_S = 1.0
 RESTART_BACKOFF_MULTIPLIER = 2.0
 
 
+class Driver(Protocol):
+    """What the supervisor drives.
+
+    ``completed_steps`` is the run's progress, ``clock_s`` its modeled
+    time (the watchdog's clock), ``crash_events`` its fault plan's
+    process deaths and ``tracer`` the telemetry the black box dumps.
+    ``checkpoint()`` / ``restore(payload)`` round-trip the whole run
+    through one snapshot payload.  ``run_until(step, on_step=)`` runs to
+    ``completed_steps == step``, calling ``on_step(self)`` after each
+    step (a true return ends the run there).  It is the one entry point,
+    and it runs whole groups of steps — the loader's accumulator sizes a
+    group by the steps left to ``step`` — so the supervisor never steps
+    one at a time.
+    """
+
+    completed_steps: int
+    clock_s: float
+    crash_events: tuple
+    tracer: object
+
+    def checkpoint(self) -> dict: ...
+
+    def restore(self, payload: dict) -> None: ...
+
+    def run_until(self, step: int, *, on_step=None) -> None: ...
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Knobs of the supervised run lifecycle.
 
     Args:
-        checkpoint_every: write a snapshot each time this many iterations
-            complete (a final snapshot is always written at run end).
+        checkpoint_every: write a snapshot each time the completed-step
+            count reaches a multiple of this (a final snapshot is always
+            written at run end).
         watchdog_stall_threshold_s: kill-and-restart an attempt when one
-            iteration consumes more than this much *modeled* time; ``None``
+            step consumes more than this much *modeled* time; ``None``
             disables the watchdog.
     """
 
@@ -78,109 +103,103 @@ class CheckpointSummary:
     backoff_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "snapshots_written": self.snapshots_written,
-            "snapshot_bytes": self.snapshot_bytes,
-            "restores": self.restores,
-            "corrupted_skipped": self.corrupted_skipped,
-            "crashes": self.crashes,
-            "watchdog_stalls": self.watchdog_stalls,
-            "restarts": self.restarts,
-            "backoff_s": self.backoff_s,
-        }
-
-
-@dataclass(frozen=True)
-class SupervisedRunResult:
-    """Outcome of a supervised run: training result + report + supervision."""
-
-    result: TrainingResult
-    report: RunReport
-    summary: CheckpointSummary
+        return asdict(self)
 
 
 class RunSupervisor:
-    """Keeps one training run alive across simulated crashes.
+    """Keeps one run alive across simulated crashes.
 
     Args:
-        pipeline_factory: builds a *fresh* pipeline with the run's exact
-            configuration; called once per attempt (the modeled process
-            start).  Construction-time RNG draws do not matter — the
-            restored snapshot overwrites every stream.
-        checkpoint_dir: where snapshots live (or a ready-made
-            :class:`CheckpointStore`; a directory gets the default
-            retained-snapshot ring).
+        driver_factory: builds a *fresh* :class:`Driver` with the run's
+            exact configuration; called once per attempt (the modeled
+            process start).  Construction-time RNG draws do not matter —
+            the restored snapshot overwrites every stream.
+        store: where snapshots live.
         config: lifecycle knobs.
-        summary: optional pre-existing summary to accumulate into (so a
-            CLI can thread one summary through several phases).
         blackbox_path: optional path; when the run dies on a fault, the
-            loader's tracer dumps its flight recorder there, if it has one
+            driver's tracer dumps its flight recorder there, if it has one
             (crash noted last), before the restart logic runs.
 
-    Crash events come from the pipeline loader's fault plan
-    (``crash_events``); they are one-shot — the supervisor, which survives
-    the modeled process death, remembers which have fired.
+    Crash events come from the driver's fault plan; they are one-shot —
+    the supervisor, which survives the modeled process death, remembers
+    which have fired.  :attr:`summary` counts what it did, and
+    :attr:`resumed_from` is the snapshot the first attempt continued from
+    (``None`` for a run that started at step 0).
     """
 
     def __init__(
         self,
-        pipeline_factory: Callable[[], TrainingPipeline],
-        checkpoint_dir: str | CheckpointStore,
+        driver_factory: Callable[[], Driver],
+        store: CheckpointStore,
         *,
         config: SupervisorConfig | None = None,
-        summary: CheckpointSummary | None = None,
         blackbox_path: str | None = None,
     ) -> None:
-        self.pipeline_factory = pipeline_factory
+        self.driver_factory = driver_factory
         self.config = config if config is not None else SupervisorConfig()
-        if isinstance(checkpoint_dir, CheckpointStore):
-            self.store = checkpoint_dir
-        else:
-            self.store = CheckpointStore(checkpoint_dir)
-        self.summary = summary if summary is not None else CheckpointSummary()
+        self.store = store
+        self.summary = CheckpointSummary()
         self.blackbox_path = blackbox_path
+        self.resumed_from: LoadedSnapshot | None = None
         self._fired_crashes: set[int] = set()
 
     # ------------------------------------------------------------------
 
-    def _crash_iterations(self, pipeline: TrainingPipeline) -> set[int]:
-        plan = pipeline.loader.fault_plan
-        if plan is None:
-            return set()
-        return {event.at_iteration for event in plan.crash_events}
+    def run(
+        self,
+        num_steps: int,
+        *,
+        stop: Callable[[Driver], bool] | None = None,
+        driver: Driver | None = None,
+    ) -> Driver:
+        """Run to ``num_steps`` completed steps, surviving crashes.
 
-    def run(self, num_iterations: int) -> SupervisedRunResult:
-        """Train ``num_iterations`` total iterations, surviving crashes.
+        Args:
+            num_steps: where the run ends.
+            stop: optional early end, checked after the restore and after
+                every step; where it holds the run ends as at
+                ``num_steps``, with a final snapshot.
+            driver: the first attempt's driver, when the caller already
+                built one; restarts always call the factory.
 
-        Returns the same losses/report an unsupervised
-        ``pipeline.train(num_iterations)`` would produce, plus the
-        :class:`CheckpointSummary`.  Raises
+        Returns the driver that finished the run: its losses and report
+        are what an uninterrupted run would have produced.  Raises
         :class:`~repro.errors.RestartLimitError` when the restart budget
         runs out before the run completes.
         """
-        if num_iterations <= 0:
-            raise ConfigError("num_iterations must be positive")
+        if num_steps <= 0:
+            raise ConfigError("num_steps must be positive")
         config = self.config
-        attempt = 0
+
+        def finished(d: Driver) -> bool:
+            return d.completed_steps >= num_steps or (
+                stop is not None and bool(stop(d))
+            )
+
+        attempt, start_trace = 0, None
         while True:
-            pipeline = self.pipeline_factory()
-            crash_at = self._crash_iterations(pipeline)
+            if driver is None:
+                driver = self.driver_factory()
             loaded = self.store.load_latest()
             if loaded is not None:
-                pipeline.load_state_dict(loaded.payload)
+                driver.restore(loaded.payload)
                 self.summary.restores += 1
                 self.summary.corrupted_skipped += loaded.corrupted_skipped
-            if pipeline.completed_steps >= num_iterations:
-                return SupervisedRunResult(
-                    result=pipeline.result(),
-                    report=pipeline.report,
-                    summary=self.summary,
-                )
-            watchdog_last = [pipeline.loader.sim_now_s]
+                if attempt == 0:
+                    self.resumed_from = loaded
+            elif start_trace is None:
+                start_trace = driver.tracer.state_dict()
+            else:
+                # No snapshot yet: the restart begins again at step 0, and
+                # so does the tracer, which outlives the dead driver.
+                driver.tracer.load_state_dict(start_trace)
+            if finished(driver):
+                return driver
+            crash_at = {event.at_iteration for event in driver.crash_events}
+            watchdog_last = [driver.clock_s]
 
-            def on_step(pipe: TrainingPipeline) -> None:
-                step = pipe.completed_steps
-                now = pipe.loader.sim_now_s
+            def on_step(d: Driver) -> bool:
+                step, now = d.completed_steps, d.clock_s
                 if (
                     config.watchdog_stall_threshold_s is not None
                     and now - watchdog_last[0]
@@ -194,8 +213,9 @@ class RunSupervisor:
                         f"{config.watchdog_stall_threshold_s:.3f})"
                     )
                 watchdog_last[0] = now
-                if step % config.checkpoint_every == 0 or step == num_iterations:
-                    written = self.store.save(step, pipe.state_dict())
+                done = finished(d)
+                if step % config.checkpoint_every == 0 or done:
+                    written = self.store.save(step, d.checkpoint())
                     self.summary.snapshots_written += 1
                     self.summary.snapshot_bytes += written
                 if step in crash_at and step not in self._fired_crashes:
@@ -204,16 +224,14 @@ class RunSupervisor:
                     raise SimulatedCrashError(
                         f"injected crash after iteration {step}"
                     )
+                return done
 
             try:
-                result = pipeline.train(
-                    num_iterations - pipeline.completed_steps,
-                    on_step=on_step,
-                )
+                driver.run_until(num_steps, on_step=on_step)
             except FaultError as exc:
                 if isinstance(exc, RestartLimitError):
                     raise
-                self._dump_blackbox(pipeline, exc)
+                self._dump_blackbox(driver, exc)
                 attempt += 1
                 if attempt > MAX_RESTARTS:
                     raise RestartLimitError(
@@ -225,23 +243,20 @@ class RunSupervisor:
                     RESTART_BACKOFF_BASE_S
                     * RESTART_BACKOFF_MULTIPLIER ** (attempt - 1)
                 )
+                driver = None
                 continue
-            return SupervisedRunResult(
-                result=result,
-                report=pipeline.report,
-                summary=self.summary,
-            )
+            return driver
 
-    def _dump_blackbox(self, pipeline: TrainingPipeline, exc: Exception) -> None:
+    def _dump_blackbox(self, driver: Driver, exc: Exception) -> None:
         """Dump the flight recorder on a fatal fault, crash noted last."""
         if self.blackbox_path is None:
             return
-        pipeline.loader.tracer.dump_flight(
+        driver.tracer.dump_flight(
             self.blackbox_path,
             trigger=f"{type(exc).__name__}: {exc}",
-            at_s=pipeline.loader.sim_now_s,
+            at_s=driver.clock_s,
             context={
-                "completed_steps": int(pipeline.completed_steps),
+                "completed_steps": int(driver.completed_steps),
                 "restarts_so_far": self.summary.restarts,
             },
             crash=exc,

@@ -263,12 +263,12 @@ PLAN_PARTS = {
     "worker events": lambda plan: bool(plan.worker_events),
 }
 
-#: Driver -> the plan parts it does not model.  ``run`` / ``train`` model
-#: crash events only under ``--checkpoint-dir`` (the run supervisor
-#: consumes them); the fleet prices its PCIe and never draws per-read
-#: faults; the full-graph sweep prices spills against the healthy array
-#: and ``system.pcie``; Ginex needs per-page identity for storms; the
-#: mmap loader has no fault path at all.
+#: Driver -> the plan parts it does not model.  The run supervisor models
+#: crash events, so every command that runs under ``--checkpoint-dir``
+#: models them (``note_unmodeled`` drops the part); the fleet prices its
+#: PCIe and never draws per-read faults; the full-graph sweep prices
+#: spills against the healthy array and ``system.pcie``; Ginex needs
+#: per-page identity for storms; the mmap loader has no fault path at all.
 UNMODELED_PLAN_PARTS = {
     "run": ("crash events", "worker events"),
     "train": ("crash events", "worker events"),
@@ -379,7 +379,7 @@ class RunContext:
         if plan is None:
             return
         unmodeled = UNMODELED_PLAN_PARTS[driver]
-        if driver in ("run", "train") and self.args.checkpoint_dir:
+        if getattr(self.args, "checkpoint_dir", None) is not None:
             unmodeled = tuple(p for p in unmodeled if p != "crash events")
         parts = [p for p in unmodeled if PLAN_PARTS[p](plan)]
         if parts:
@@ -389,7 +389,7 @@ class RunContext:
                 file=sys.stderr,
             )
 
-    def checkpoint_store(self, **kwargs) -> CheckpointStore:
+    def checkpoint_store(self) -> CheckpointStore:
         """The ``--checkpoint-dir`` store.
 
         Without ``--resume``, snapshots left over from a previous
@@ -398,7 +398,7 @@ class RunContext:
         run writes).
         """
         args = self.args
-        store = CheckpointStore(args.checkpoint_dir, **kwargs)
+        store = CheckpointStore(args.checkpoint_dir)
         stale = [] if args.resume else store.iterations()
         if stale:
             print(

@@ -32,7 +32,9 @@ def _pipeline_factory(make_loader, feature_dim, hidden_dim, classes, **model):
     """A zero-argument ``loader + GraphSAGE -> TrainingPipeline`` builder.
 
     The supervisor calls it once per (re)start attempt, so the loader is
-    built fresh each time while the context's tracer carries over.
+    built fresh each time while the context's tracer carries over:
+    restoring a snapshot restores the trace recorded up to it, so a
+    killed-and-resumed run still emits one seamless trace.
     """
     from ..pipeline.runner import TrainingPipeline
     from ..training.graphsage import GraphSAGE
@@ -45,17 +47,27 @@ def _pipeline_factory(make_loader, feature_dim, hidden_dim, classes, **model):
     return factory
 
 
-def _supervise(ctx: RunContext, pipeline_factory):
-    """Run ``pipeline_factory`` under the ``--checkpoint-*`` supervisor."""
+def _supervise(ctx: RunContext, driver_factory, num_steps: int, **run):
+    """Run ``driver_factory``'s driver to ``num_steps`` under the
+    ``--checkpoint-*`` supervisor (``run`` goes to
+    :meth:`~repro.checkpoint.RunSupervisor.run`); returns the driver that
+    finished and the supervision summary."""
     from ..checkpoint import RunSupervisor, SupervisorConfig
 
     supervisor = RunSupervisor(
-        pipeline_factory,
+        driver_factory,
         ctx.checkpoint_store(),
         config=SupervisorConfig(checkpoint_every=ctx.args.checkpoint_every),
         blackbox_path=ctx.args.blackbox,
     )
-    return supervisor.run(ctx.args.iterations)
+    driver = supervisor.run(num_steps, **run)
+    resumed = supervisor.resumed_from
+    if resumed is not None:
+        print(
+            f"resumed from step {resumed.iteration} ({resumed.path})",
+            file=sys.stderr,
+        )
+    return driver, supervisor.summary
 
 
 def _args_run(run: argparse.ArgumentParser) -> None:
@@ -196,47 +208,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_supervised(ctx: RunContext, make_loader) -> int:
-    """``run --checkpoint-dir``: crash-safe supervised functional training.
-
-    Snapshot/resume requires the stateful GIDS-family loaders; the run
-    report covers every trained iteration (no warmup split) and the JSON
-    export carries the ``checkpoint_summary`` block.  The context's
-    tracer is created once and re-attached on every restart attempt:
-    restoring a snapshot restores the trace recorded up to it, so a
-    killed-and-resumed run still emits one seamless trace.
-    """
+    """``run --checkpoint-dir``: crash-safe supervised functional training
+    on a GIDS-family loader.  The report covers every trained iteration
+    (no warmup split); the JSON export carries ``checkpoint_summary``."""
     from ..pipeline.export import report_to_json
 
     args, workload = ctx.args, ctx.workload
-    # The loader is rebuilt on every restart attempt; the last one built
-    # finished the run, so its storage stack is the one the export reports.
-    loaders = []
-
-    def make_and_keep_loader():
-        loaders.append(make_loader())
-        return loaders[-1]
-
-    outcome = _supervise(
+    pipeline, summary = _supervise(
         ctx,
         _pipeline_factory(
-            make_and_keep_loader, workload.dataset.feature_dim, 32, 8,
+            make_loader, workload.dataset.feature_dim, 32, 8,
             num_layers=len(workload.fanouts),
         ),
+        args.iterations,
     )
-    summary = outcome.summary
-    blocks = ctx.finish(outcome.report, loaders[-1])
+    report = pipeline.report
+    blocks = ctx.finish(report, pipeline.loader)
 
     if args.format == "json":
-        print(
-            report_to_json(
-                outcome.report, checkpoint_summary=summary, **blocks
-            )
-        )
+        print(report_to_json(report, checkpoint_summary=summary, **blocks))
     else:
-        report = outcome.report
         rows = [
-            ["completed iterations", outcome.result.completed_iterations],
-            ["final loss", f"{outcome.result.losses[-1]:.4f}"],
+            ["completed iterations", pipeline.completed_steps],
+            ["final loss", f"{pipeline.losses[-1]:.4f}"],
             ["E2E modeled ms", f"{report.e2e_time * 1e3:.2f}"],
             ["snapshots written", summary.snapshots_written],
             ["snapshot bytes", summary.snapshot_bytes],
@@ -302,16 +296,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         make_loader, dataset.feature_dim, args.hidden_dim, args.classes,
         num_layers=2, lr=0.05,
     )
-    summary = None
     if args.checkpoint_dir is not None:
-        outcome = _supervise(ctx, pipeline_factory)
-        result, summary, report = (
-            outcome.result, outcome.summary, outcome.report
-        )
+        pipeline, summary = _supervise(ctx, pipeline_factory, args.iterations)
     else:
-        pipeline = pipeline_factory()
-        result = pipeline.train(args.iterations)
-        report = pipeline.report
+        pipeline, summary = pipeline_factory(), None
+        pipeline.train(args.iterations)
+    result, report = pipeline.result(), pipeline.report
     ctx.finish(report)
     first = sum(result.losses[:5]) / 5
     last = sum(result.losses[-5:]) / 5
@@ -541,94 +531,70 @@ def _args_fullgraph(fullgraph: argparse.ArgumentParser) -> None:
 
 def _cmd_fullgraph(args: argparse.Namespace) -> int:
     """``fullgraph``: sweep epochs over partitions with modeled offload."""
-    from .. import state
     from ..fullgraph import FullGraphConfig, FullGraphTrainer
     from ..pipeline.export import report_to_dict
     from ..utils import format_time
 
+    if args.epochs <= 0:
+        raise ConfigError("--epochs must be positive")
     ctx = RunContext(args, "fullgraph")
     ctx.note_unmodeled("fullgraph")
-    tracer = ctx.tracer
+    config = FullGraphConfig(
+        hidden_dim=args.hidden_dim,
+        num_classes=args.classes,
+        num_layers=args.layers,
+        aggregator=args.aggregator,
+        hbm_budget_bytes=None if args.hbm_mb is None else args.hbm_mb * 2**20,
+        num_partitions=args.partitions,
+        io_overlap=not args.no_overlap,
+    )
 
-    trainer = None
-    try:
-        config = FullGraphConfig(
-            hidden_dim=args.hidden_dim,
-            num_classes=args.classes,
-            num_layers=args.layers,
-            aggregator=args.aggregator,
-            hbm_budget_bytes=(
-                None if args.hbm_mb is None else args.hbm_mb * 2**20
-            ),
-            num_partitions=args.partitions,
-            io_overlap=not args.no_overlap,
-        )
-        trainer = FullGraphTrainer(
+    def make_trainer() -> FullGraphTrainer:
+        return FullGraphTrainer(
             ctx.workload.dataset,
             ctx.system,
             config,
             fault_plan=ctx.fault_plan,
             verify_reads=args.verify_reads,
-            tracer=tracer,
+            tracer=ctx.tracer,
             **ctx.ha,
         )
 
-        store = None
-        if args.checkpoint_dir is not None:
-            store = ctx.checkpoint_store()
-            loaded = store.load_latest() if args.resume else None
-            if loaded is not None:
-                # Snapshots written before the plan guards lack the entry.
-                if "plan" in loaded.payload:
-                    state.load(trainer, loaded.payload["plan"], trainer.PLAN)
-                trainer.load_state_dict(loaded.payload["trainer"])
-                if tracer.enabled and "tracer" in loaded.payload:
-                    tracer.load_state_dict(loaded.payload["tracer"])
-                print(
-                    f"resumed from step {loaded.iteration} "
-                    f"({loaded.path})",
-                    file=sys.stderr,
-                )
+    # ``--steps`` counts from where the first check finds the run: at step
+    # 0, or where the resumed snapshot left it.
+    end = {}
 
-        total_steps = args.epochs * trainer.steps_per_epoch
-        done = (
-            trainer.epochs_completed * trainer.steps_per_epoch
-            + trainer.step_index
-        )
-        budget = max(0, total_steps - done)
+    def stop(trainer: FullGraphTrainer) -> bool:
         if args.steps is not None:
-            budget = min(budget, args.steps)
-        ran = 0
-        while ran < budget:
-            if args.target_acc is not None and (
-                trainer.accuracies
-                and trainer.accuracies[-1] >= args.target_acc
-            ):
-                break
-            chunk = budget - ran
-            if store is not None:
-                chunk = min(args.checkpoint_every, chunk)
-            trainer.run_steps(chunk)
-            ran += chunk
-            if store is not None:
-                payload = {
-                    "plan": state.save(trainer, trainer.PLAN),
-                    "trainer": trainer.state_dict(),
-                }
-                if tracer.enabled:
-                    payload["tracer"] = tracer.state_dict()
-                store.save(done + ran, payload)
-        result = trainer.result(target_accuracy=args.target_acc)
-    except FaultError as exc:
-        # A fault the storage stack could not absorb: leave the black box
-        # behind, crash site last, before main() reports the error.
-        now = trainer.clock_s if trainer is not None else 0.0
-        ctx.dump_blackbox(f"{type(exc).__name__}: {exc}", now, crash=exc)
-        raise
+            end.setdefault("step", trainer.completed_steps + args.steps)
+            if trainer.completed_steps >= end["step"]:
+                return True
+        return trainer.reached_accuracy(args.target_acc)
+
+    trainer = make_trainer()
+    total_steps = args.epochs * trainer.steps_per_epoch
+    supervision = None
+    if args.checkpoint_dir is not None:
+        trainer, supervision = _supervise(
+            ctx, make_trainer, total_steps, stop=stop, driver=trainer
+        )
+    else:
+        try:
+            if not stop(trainer):
+                trainer.run_until(total_steps, on_step=stop)
+        except FaultError as exc:
+            # A fault the storage stack could not absorb: leave the black
+            # box behind, crash site last, before main() reports the error.
+            ctx.dump_blackbox(
+                f"{type(exc).__name__}: {exc}", trainer.clock_s, crash=exc
+            )
+            raise
+    result = trainer.result(target_accuracy=args.target_acc)
 
     blocks = ctx.finish(result.report, trainer.stack)
     summary = report_to_dict(
-        result.report, fullgraph=result.block, **blocks
+        result.report, fullgraph=result.block,
+        checkpoint_summary=supervision, **blocks,
     )
     if ctx.emit(_dumps(summary)):
         return 0

@@ -1016,26 +1016,13 @@ class ElasticFleetTrainer(Stateful):
         self.step_index += 1
         self._detect_stragglers(step_times)
 
-    def run_epoch(
-        self,
-        *,
-        max_steps: int | None = None,
-        checkpoint_store=None,
-        checkpoint_every: int = 0,
-    ) -> FleetResult:
+    def run_epoch(self, *, max_steps: int | None = None) -> FleetResult:
         """Run (or resume) the epoch until every batch has been trained.
 
         Args:
             max_steps: stop after this many *additional* global steps
                 (used by kill/resume tests to interrupt mid-epoch).
-            checkpoint_store: optional
-                :class:`~repro.checkpoint.store.CheckpointStore`; when
-                given with ``checkpoint_every > 0``, a coordinated
-                snapshot of the whole fleet is written every that many
-                global steps — a consistent cut taken at the step barrier.
         """
-        if checkpoint_every < 0:
-            raise ConfigError("checkpoint_every must be non-negative")
         steps_done = 0
         guard = 0
         limit = 10 * max(1, len(self.batches)) + len(self._events) + 16
@@ -1053,12 +1040,6 @@ class ElasticFleetTrainer(Stateful):
             if self.step_index == before:
                 continue  # idled to an event boundary, no step executed
             steps_done += 1
-            if (
-                checkpoint_store is not None
-                and checkpoint_every > 0
-                and self.step_index % checkpoint_every == 0
-            ):
-                checkpoint_store.save(self.step_index, self.state_dict())
         return self.result()
 
     def result(self) -> FleetResult:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .. import state
 from ..config import SystemConfig
 from ..core import readpath
 from ..errors import ConfigError, FullGraphError
@@ -148,10 +149,6 @@ class FullGraphResult:
     time_to_target_s: float | None
     block: dict = field(default_factory=dict)
 
-    @property
-    def final_loss(self) -> float | None:
-        return self.losses[-1] if self.losses else None
-
 
 class FullGraphTrainer(Stateful):
     """Runs full-graph epochs as partition sweeps under a memory plan.
@@ -209,6 +206,7 @@ class FullGraphTrainer(Stateful):
             page_bytes=system.ssd.page_bytes,
         )
         self.tracer = stack.tracer
+        self.crash_events = fault_plan.crash_events if fault_plan else ()
         self.store, self.gpu = stack.store, stack.gpu
         # The sweep streams at the healthy array's rates: it does not
         # follow device events.
@@ -469,6 +467,10 @@ class FullGraphTrainer(Stateful):
     def steps_per_epoch(self) -> int:
         return self.scheduler.steps_per_epoch
 
+    @property
+    def completed_steps(self) -> int:
+        return self.epochs_completed * self.steps_per_epoch + self.step_index
+
     def run_steps(self, max_steps: int) -> int:
         """Advance up to ``max_steps`` partition steps; returns steps run."""
         if max_steps < 0:
@@ -477,16 +479,22 @@ class FullGraphTrainer(Stateful):
             self._step()
         return max_steps
 
-    def run_epochs(self, num_epochs: int) -> FullGraphResult:
-        """Run ``num_epochs`` full sweeps (continuing a partial epoch)."""
-        if num_epochs <= 0:
-            raise FullGraphError("num_epochs must be positive")
-        # Finishing an open partial epoch counts as the first epoch: the
-        # completion bumps ``epochs_completed``, so no cursor adjustment.
-        target_epoch = self.epochs_completed + num_epochs
-        while self.epochs_completed < target_epoch:
+    def run_until(self, step: int, *, on_step=None) -> None:
+        """Sweep until ``completed_steps == step``, calling ``on_step(self)``
+        after each partition step; a true return ends the run there."""
+        while self.completed_steps < step:
             self._step()
-        return self.result()
+            if on_step is not None and on_step(self):
+                return
+
+    def reached_accuracy(self, target: float | None) -> bool:
+        """The ``--target-acc`` stop rule: the last finished epoch's eval
+        accuracy reached ``target``."""
+        return (
+            target is not None
+            and bool(self.accuracies)
+            and self.accuracies[-1] >= target
+        )
 
     def run_to_accuracy(
         self, target: float, *, max_epochs: int = 50
@@ -496,14 +504,13 @@ class FullGraphTrainer(Stateful):
             raise FullGraphError("target accuracy must be in (0, 1]")
         if max_epochs <= 0:
             raise FullGraphError("max_epochs must be positive")
-        while self.epochs_completed < max_epochs and not (
-            self.accuracies and self.accuracies[-1] >= target
-        ):
-            self._step()
-            # Only epoch boundaries can change accuracy; skip mid-epoch
-            # checks by running the epoch out.
-            while self.step_index:
-                self._step()
+        # Only epoch boundaries change accuracy, so the rule ends a run at
+        # the end of the first epoch that reaches the target.
+        if not self.reached_accuracy(target):
+            self.run_until(
+                max_epochs * self.steps_per_epoch,
+                on_step=lambda trainer: trainer.reached_accuracy(target),
+            )
         return self.result(target_accuracy=target)
 
     def _step(self) -> None:
@@ -900,6 +907,26 @@ class FullGraphTrainer(Stateful):
     # ------------------------------------------------------------------
     # Checkpointing
 
+    def checkpoint(self) -> dict:
+        """The checkpoint payload: the :data:`PLAN` guards, the trainer's
+        state and, when tracing, the tracer's."""
+        payload = {
+            "plan": state.save(self, self.PLAN),
+            "trainer": self.state_dict(),
+        }
+        if self.tracer.enabled:
+            payload["tracer"] = self.tracer.state_dict()
+        return payload
+
+    def restore(self, payload: dict) -> None:
+        """Continue from a :meth:`checkpoint` payload."""
+        # Snapshots written before the plan guards lack the entry.
+        if "plan" in payload:
+            state.load(self, payload["plan"], self.PLAN)
+        self.load_state_dict(payload["trainer"])
+        if self.tracer.enabled and "tracer" in payload:
+            self.tracer.load_state_dict(payload["tracer"])
+
     #: Everything needed for bit-identical resume.  The fault injector, the
     #: verifier and its ledger are left out of the snapshot when the run has
     #: none; present on one side only, they refuse the snapshot.
@@ -938,8 +965,7 @@ class FullGraphTrainer(Stateful):
     #: redundancy they were produced with.  The layout of ``state_dict()``
     #: is frozen (``tests/test_readpath_golden.py`` hashes it), so these
     #: guards are saved *beside* the state, as the ``"plan"`` entry of the
-    #: checkpoint payload: ``save(trainer, trainer.PLAN)`` /
-    #: ``load(trainer, payload["plan"], trainer.PLAN)``.
+    #: :meth:`checkpoint` payload.
     PLAN = (
         guard("num_partitions", lambda self: self.partition.num_parts),
         guard("dims", "_dims"),

@@ -8,8 +8,8 @@ loaders agree on the workload they serve.
 
 The pipeline is *stateful and resumable*: it keeps the completed-step
 count, loss history, run report and the queue of already-aggregated but
-not-yet-trained mini-batches as instance state, and :meth:`train` runs a
-requested number of *additional* steps.  A loss is appended only after its
+not-yet-trained mini-batches as instance state, and :meth:`run_until`
+trains to a completed-step count.  A loss is appended only after its
 training step has fully completed, so an interruption at any point can
 never record a half-applied step; together with
 :meth:`state_dict`/:meth:`load_state_dict` this is what makes crash-safe
@@ -33,17 +33,10 @@ from .metrics import RunReport
 
 @dataclass
 class TrainingResult:
-    """Losses and accuracy of a functional training run.
-
-    ``completed_iterations`` counts the steps whose weight updates fully
-    applied — always equal to ``len(losses)``, surfaced explicitly so
-    supervised runs can report how far a (possibly interrupted and
-    resumed) run actually got.
-    """
+    """Losses and accuracy of a functional training run."""
 
     losses: list[float] = field(default_factory=list)
     final_train_accuracy: float = 0.0
-    completed_iterations: int = 0
 
     @property
     def num_steps(self) -> int:
@@ -100,33 +93,33 @@ class TrainingPipeline(Stateful):
             seed=self.label_seed,
         )
 
-    def train(
-        self,
-        num_iterations: int,
-        *,
-        on_step: Callable[["TrainingPipeline"], None] | None = None,
-    ) -> TrainingResult:
-        """Run ``num_iterations`` *additional* training steps.
-
-        Each step becomes visible (loss appended, ``completed_steps``
-        advanced) only after :meth:`GraphSAGE.train_step` has returned, so
-        an exception at any point — including one raised by ``on_step`` —
-        leaves the pipeline consistent at the last completed step.
-
-        Args:
-            num_iterations: steps to run on top of ``completed_steps``.
-            on_step: optional hook called after every completed step with
-                the pipeline itself; the run supervisor uses it for
-                checkpoint cadence, crash events and the watchdog.  An
-                exception raised here propagates out of ``train``.
-        """
+    def train(self, num_iterations: int) -> TrainingResult:
+        """Run ``num_iterations`` *additional* training steps."""
         if num_iterations <= 0:
             raise PipelineError("num_iterations must be positive")
-        target = self.completed_steps + num_iterations
-        while self.completed_steps < target:
+        self.run_until(self.completed_steps + num_iterations)
+        return self.result()
+
+    def run_until(
+        self,
+        step: int,
+        *,
+        on_step: Callable[["TrainingPipeline"], bool | None] | None = None,
+    ) -> None:
+        """Train until ``completed_steps == step``, calling
+        ``on_step(self)`` after each step; a true return ends the run there.
+
+        The accumulator caps each storage group at the steps left to
+        ``step``.  Each step becomes visible (loss appended,
+        ``completed_steps`` advanced) only after
+        :meth:`GraphSAGE.train_step` has returned, so an exception at any
+        point — including one raised by ``on_step`` — leaves the pipeline
+        consistent at the last completed step.
+        """
+        while self.completed_steps < step:
             if not self._pending:
                 pairs = self.loader.next_training_group(
-                    target - self.completed_steps
+                    step - self.completed_steps
                 )
                 for batch, metrics in pairs:
                     self.report.append(metrics)
@@ -141,16 +134,12 @@ class TrainingPipeline(Stateful):
             self.completed_steps += 1
             self._last_batch = batch
             self._last_features = features
-            if on_step is not None:
-                on_step(self)
-        return self.result()
+            if on_step is not None and on_step(self):
+                return
 
     def result(self) -> TrainingResult:
         """The run's outcome so far (losses, step count, train accuracy)."""
-        result = TrainingResult(
-            losses=list(self.losses),
-            completed_iterations=self.completed_steps,
-        )
+        result = TrainingResult(losses=list(self.losses))
         if self._last_batch is not None:
             features = self._last_features
             if features is None:
@@ -163,6 +152,28 @@ class TrainingPipeline(Stateful):
                 np.mean(predictions == labels)
             )
         return result
+
+    # ------------------------------------------------------------------
+    # The run supervisor's driver protocol
+
+    @property
+    def clock_s(self) -> float:
+        return self.loader.sim_now_s
+
+    @property
+    def tracer(self):
+        return self.loader.tracer
+
+    @property
+    def crash_events(self) -> tuple:
+        plan = self.loader.fault_plan
+        return () if plan is None else plan.crash_events
+
+    def checkpoint(self) -> dict:
+        return self.state_dict()
+
+    def restore(self, payload: dict) -> None:
+        self.load_state_dict(payload)
 
     # ------------------------------------------------------------------
     # Checkpointing

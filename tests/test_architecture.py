@@ -44,7 +44,9 @@ and ``BENCH_sampler.json`` block name the sweep that chose it.
 
 The sixth keeps one mini-batch loader contract: only ``MiniBatchLoader``
 defines the seed → sample → serve → report skeleton, and the training
-pipeline and run supervisor never probe the loader they step.
+pipeline and run supervisor never probe the loader they step.  It also
+keeps one checkpoint loop: only the run supervisor saves or loads
+snapshots, and it knows its drivers by their protocol alone.
 
 The seventh keeps one run-report document table: no exporter names a
 document key as a parameter; blocks arrive as ``**blocks`` and are checked
@@ -637,6 +639,66 @@ def test_benchmark_shim_table_still_installs(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# One checkpoint loop
+
+SUPERVISOR = "checkpoint/supervisor.py"
+
+#: The drivers the supervisor runs, and the other stepping drivers.
+DRIVERS = {"TrainingPipeline", "FullGraphTrainer", "ElasticFleetTrainer",
+           "InferenceServer"}
+
+
+def _store_calls(tree) -> list[ast.Call]:
+    """``CheckpointStore.load_latest()`` / ``.save(iteration, payload)``
+    calls; ``state.save(obj, table)`` is the state codec, not the store."""
+    return [
+        call for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and (
+            call.func.attr == "load_latest"
+            or (
+                call.func.attr == "save"
+                and len(call.args) == 2
+                and ast.unparse(call.func.value) != "state"
+            )
+        )
+    ]
+
+
+def test_only_the_supervisor_saves_and_loads_checkpoints():
+    """Cadence, crash restarts and resume are one loop,
+    ``RunSupervisor.run``: a command or driver that writes or loads
+    snapshots itself has re-forked it, and fails here by name."""
+    strays = [
+        f"{rel}:{call.lineno} ({ast.unparse(call)})"
+        for rel, tree in SOURCES
+        if rel != SUPERVISOR
+        for call in _store_calls(tree)
+    ]
+    assert not strays, strays
+    assert len(_store_calls(dict(SOURCES)[SUPERVISOR])) == 2
+
+
+def test_the_supervisor_knows_its_drivers_only_by_the_protocol():
+    """No driver or loader class is imported into the supervisor, and it
+    reads no ``.loader``: what it needs is the ``Driver`` protocol."""
+    tree = dict(SOURCES)[SUPERVISOR]
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & (DRIVERS | _loader_classes())
+    reads = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "loader"
+    ]
+    assert not reads, reads
+
+
+# ----------------------------------------------------------------------
 # One aggregation kernel
 
 SCATTER = "training/scatter.py"
@@ -1016,9 +1078,10 @@ TEST_ONLY = {
     "verify_sample_rate": "the pinned sampled-verify goldens detect "
     "corruption only at its test value of 0.5: another value moves "
     "modeled artifacts",
-    "watchdog_stall_threshold_s": "the supervisor's only stall trigger; "
-    "the exported checkpoint_summary counts its watchdog_stalls, so the "
-    "path cannot go without changing the export",
+    "watchdog_stall_threshold_s": "the supervisor's only stall trigger, "
+    "on the driver's modeled clock for every driver; the exported "
+    "checkpoint_summary counts its watchdog_stalls, so the path cannot go "
+    "without changing the export",
     # Observation points their tests need.
     "verify_payload": "PageChecksummer's real CRC comparison, which the "
     "tests use to prove detection",
@@ -1029,7 +1092,6 @@ TEST_ONLY = {
     "state_of": "DeviceHealthMonitor's per-device verdict",
     "unrepairable_count": "StorageHA's lost-page count",
     "with_ssd": "SystemConfig's storage swap",
-    "run_epochs": "FullGraphTrainer's multi-epoch sweep",
 }
 
 

@@ -10,10 +10,16 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.snapshot import _HEADER
 from repro.checkpoint.supervisor import MAX_RESTARTS
-from repro.config import INTEL_OPTANE, LoaderConfig, SystemConfig
+from repro.config import (
+    INTEL_OPTANE,
+    SAMSUNG_980PRO,
+    LoaderConfig,
+    SystemConfig,
+)
 from repro.core.gids import GIDSDataLoader
 from repro.errors import RestartLimitError, SimulatedCrashError
 from repro.faults import CrashEvent, FaultPlan
+from repro.fullgraph import FullGraphConfig, FullGraphTrainer
 from repro.graph.datasets import load_scaled
 from repro.pipeline.export import report_to_dict
 from repro.pipeline.runner import TrainingPipeline
@@ -40,6 +46,17 @@ def make_pipeline(fault_plan=None):
     return TrainingPipeline(loader, model, num_classes=8)
 
 
+def make_fullgraph():
+    return FullGraphTrainer(
+        load_scaled("IGB-tiny", 0.001, seed=3),
+        SystemConfig(ssd=SAMSUNG_980PRO, num_ssds=1),
+        FullGraphConfig(
+            hidden_dim=8, num_classes=4, hbm_budget_bytes=6e6,
+            num_partitions=4,
+        ),
+    )
+
+
 def reference_run(num_iterations, fault_plan=None):
     pipeline = make_pipeline(fault_plan)
     result = pipeline.train(num_iterations)
@@ -61,7 +78,7 @@ def killed_and_resumed(num_iterations, kill_at, fault_plan=None):
 
     first = make_pipeline(fault_plan)
     with pytest.raises(Killed):
-        first.train(num_iterations, on_step=kill_hook)
+        first.run_until(num_iterations, on_step=kill_hook)
 
     second = make_pipeline(fault_plan)
     second.load_state_dict(snapshot)
@@ -87,7 +104,7 @@ class TestKillResumeProperty:
         result, report = killed_and_resumed(num_iterations, kill_at, plan)
         assert result.losses == ref_result.losses
         assert result.final_train_accuracy == ref_result.final_train_accuracy
-        assert result.completed_iterations == num_iterations
+        assert result.num_steps == num_iterations
         assert repr(report.state_dict()) == repr(ref_report.state_dict())
 
 
@@ -98,24 +115,25 @@ class TestSupervisor:
         plan = FaultPlan(crash_events=(CrashEvent(5), CrashEvent(16)))
         supervisor = RunSupervisor(
             lambda: make_pipeline(plan),
-            str(tmp_path),
+            CheckpointStore(str(tmp_path)),
             config=SupervisorConfig(checkpoint_every=4),
         )
-        outcome = supervisor.run(n)
-        assert outcome.result.losses == ref_result.losses
+        pipeline = supervisor.run(n)
+        summary = supervisor.summary
+        assert pipeline.losses == ref_result.losses
         assert (
-            outcome.result.final_train_accuracy
+            pipeline.result().final_train_accuracy
             == ref_result.final_train_accuracy
         )
-        assert outcome.summary.crashes == 2
-        assert outcome.summary.restarts == 2
-        assert outcome.summary.restores == 2
-        assert outcome.summary.snapshots_written > 0
-        assert outcome.summary.snapshot_bytes > 0
+        assert summary.crashes == 2
+        assert summary.restarts == 2
+        assert summary.restores == 2
+        assert summary.snapshots_written > 0
+        assert summary.snapshot_bytes > 0
         # The exported report matches the uninterrupted run except for the
         # checkpoint_summary block describing the supervision itself.
         supervised = report_to_dict(
-            outcome.report, checkpoint_summary=outcome.summary
+            pipeline.report, checkpoint_summary=summary
         )
         unsupervised = report_to_dict(ref_report)
         supervised.pop("checkpoint_summary")
@@ -136,7 +154,7 @@ class TestSupervisor:
                 raise SimulatedCrashError("test kill")
 
         with pytest.raises(SimulatedCrashError):
-            pipeline.train(n, on_step=hook)
+            pipeline.run_until(n, on_step=hook)
         assert store.iterations() == [4, 8, 12]
         with open(store.path_for(12), "r+b") as handle:
             handle.seek(_HEADER.size + 8)
@@ -147,10 +165,10 @@ class TestSupervisor:
             store,
             config=SupervisorConfig(checkpoint_every=4),
         )
-        outcome = supervisor.run(n)
-        assert outcome.summary.corrupted_skipped == 1
-        assert outcome.summary.restores == 1
-        assert outcome.result.losses == ref_result.losses
+        pipeline = supervisor.run(n)
+        assert supervisor.summary.corrupted_skipped == 1
+        assert supervisor.summary.restores == 1
+        assert pipeline.losses == ref_result.losses
 
     def test_restart_budget_exhausts(self, tmp_path):
         # One crash more than the budget allows restarts for.
@@ -159,7 +177,7 @@ class TestSupervisor:
         )
         supervisor = RunSupervisor(
             lambda: make_pipeline(plan),
-            str(tmp_path),
+            CheckpointStore(str(tmp_path)),
             config=SupervisorConfig(checkpoint_every=3),
         )
         with pytest.raises(RestartLimitError):
@@ -173,22 +191,26 @@ class TestSupervisor:
         plan = FaultPlan(crash_events=(CrashEvent(6),))
         supervisor = RunSupervisor(
             lambda: make_pipeline(plan),
-            str(tmp_path),
+            CheckpointStore(str(tmp_path)),
             # cadence > crash point: the restart replays from scratch and
             # passes iteration 6 again, which must not re-crash
             config=SupervisorConfig(checkpoint_every=50),
         )
-        outcome = supervisor.run(12)
-        assert outcome.summary.crashes == 1
-        assert outcome.result.completed_iterations == 12
+        pipeline = supervisor.run(12)
+        assert supervisor.summary.crashes == 1
+        assert pipeline.completed_steps == 12
 
-    def test_watchdog_flags_stalled_iteration(self, tmp_path):
-        # Any real iteration consumes modeled time, so an absurdly small
+    @pytest.mark.parametrize(
+        "factory", [make_pipeline, make_fullgraph],
+        ids=["pipeline", "fullgraph"],
+    )
+    def test_watchdog_flags_stalled_iteration(self, factory, tmp_path):
+        # Any real step consumes modeled time, so an absurdly small
         # threshold trips the watchdog immediately, on every attempt: the
         # run dies with RestartLimitError once the restarts run out.
         supervisor = RunSupervisor(
-            make_pipeline,
-            str(tmp_path),
+            factory,
+            CheckpointStore(str(tmp_path)),
             config=SupervisorConfig(
                 checkpoint_every=4,
                 watchdog_stall_threshold_s=1e-12,
@@ -202,17 +224,17 @@ class TestSupervisor:
         n = 10
         supervisor = RunSupervisor(
             make_pipeline,
-            str(tmp_path),
+            CheckpointStore(str(tmp_path)),
             config=SupervisorConfig(checkpoint_every=5),
         )
         first = supervisor.run(n)
         again = RunSupervisor(
             make_pipeline,
-            str(tmp_path),
+            CheckpointStore(str(tmp_path)),
             config=SupervisorConfig(checkpoint_every=5),
         ).run(n)
-        assert again.result.losses == first.result.losses
-        assert again.result.completed_iterations == n
+        assert again.losses == first.losses
+        assert again.completed_steps == n
 
 
 class TestInterruptedStepNeverRecorded:

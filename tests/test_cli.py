@@ -128,6 +128,7 @@ HOSTILE = {
         _TRAIN + ["--stream", "s.jsonl", "--snapshot-every", "nan"]
     ),
     "negative-scrub-budget": _GIDS + ["--scrub-iops", "-5"],
+    "fullgraph-zero-epochs": _SWEEP + ["--epochs", "0"],
     # "ckpt" holds snapshots of a model with a different --hidden-dim.
     "resume-skewed-checkpoint": (
         _TRAIN + ["--checkpoint-dir", "ckpt", "--resume"]
@@ -301,6 +302,13 @@ _UNMODELED = {
                   "fullgraph",
                   ("device events", "PCIe degradation", "crash events",
                    "worker events")),
+    "fullgraph-supervised": (
+        ["fullgraph", "--dataset", "IGB-tiny", "--scale", "0.002",
+         "--epochs", "1", "--hbm-mb", "4", "--format", "json",
+         "--checkpoint-dir", "ckpt"],
+        "fullgraph",
+        ("device events", "PCIe degradation", "worker events"),
+    ),
     "ginex": (_RUN + ["--loader", "ginex"], "run --loader ginex",
               ("corruption storms", "crash events", "worker events")),
     "mmap": (_RUN + ["--loader", "mmap"], "run --loader mmap",
@@ -343,3 +351,167 @@ def test_a_fully_modeled_plan_prints_no_note(
     argv, _, unmodeled = _UNMODELED[driver]
     modeled = [part for part in _PLAN_PARTS if part not in unmodeled]
     assert _plan_notes(argv, modeled, tmp_path, monkeypatch, capsys) == []
+
+
+# ----------------------------------------------------------------------
+# One checkpoint loop: every supervised command runs through
+# RunSupervisor.run
+
+_FULLGRAPH = ["fullgraph", "--dataset", "IGB-tiny", "--scale", "0.002",
+              "--hbm-mb", "4"]
+
+#: Driver -> a supervised invocation of it (``--checkpoint-dir`` added).
+_SUPERVISED = {
+    "pipeline": ["run", *_TINY, "--loader", "gids", "--iterations", "9"],
+    "fullgraph": _FULLGRAPH + ["--epochs", "1"],
+}
+
+
+def _without_summary(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if k != "checkpoint_summary"}
+
+
+@pytest.mark.parametrize(
+    "crash_at", [2, 5], ids=["before-first-snapshot", "after-a-snapshot"]
+)
+@pytest.mark.parametrize("driver", sorted(_SUPERVISED))
+def test_a_crash_changes_nothing_but_the_checkpoint_summary(
+    driver, crash_at, tmp_path, monkeypatch, capsys
+):
+    """A crash kills the driver, the supervisor restores the snapshot of
+    step 3 (or, before it, starts over) in a fresh one, and the run ends as
+    if nothing happened: export, table, trace file and metric stream are
+    the uninterrupted run's."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "crash.json").write_text(
+        json.dumps({"crash_events": [{"at_iteration": crash_at}]})
+    )
+
+    def invoke(arm: str, *extra: str) -> str:
+        argv = _SUPERVISED[driver] + [
+            "--checkpoint-dir", f"ckpt-{arm}", "--checkpoint-every", "3",
+            *extra,
+        ]
+        if arm == "crashed":
+            argv += ["--fault-plan", "crash.json"]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    exports = {}
+    for arm in ("crashed", "clean"):
+        exports[arm] = json.loads(invoke(
+            arm, "--format", "json", "--trace", f"{arm}.json",
+            "--stream", f"{arm}.jsonl", "--snapshot-every", "0.002",
+        ))
+    summary = exports["crashed"]["checkpoint_summary"]
+    assert summary["crashes"] == summary["restarts"] == 1
+    assert summary["restores"] == (crash_at > 3)
+    assert exports["clean"]["checkpoint_summary"]["crashes"] == 0
+    assert _without_summary(exports["crashed"]) == _without_summary(
+        exports["clean"]
+    )
+    for suffix in ("json", "jsonl"):
+        crashed = (tmp_path / f"crashed.{suffix}").read_bytes()
+        assert crashed == (tmp_path / f"clean.{suffix}").read_bytes()
+
+    # The tables carry the losses: the full-graph epoch table, and the
+    # supervised run's rows above its supervision counts.
+    tables = {arm: invoke(arm).splitlines() for arm in ("crashed", "clean")}
+    if driver == "pipeline":
+        tables = {arm: lines[:6] for arm, lines in tables.items()}
+        assert tables["clean"][4].startswith("final loss")
+    assert tables["crashed"] == tables["clean"]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["bare", "traced"])
+def test_a_fullgraph_snapshot_in_the_parent_layout_resumes(
+    traced, tmp_path, monkeypatch, capsys
+):
+    """Snapshots written by the hand-rolled fullgraph loop this command
+    used to have — ``{"plan", "trainer"}``, plus ``"tracer"`` when traced
+    — resume bit-identically through the supervisor."""
+    from repro import state
+    from repro.bench.workloads import get_workload
+    from repro.checkpoint import CheckpointStore
+    from repro.cli.context import _SSDS
+    from repro.fullgraph import FullGraphConfig, FullGraphTrainer
+    from repro.telemetry import Tracer
+
+    monkeypatch.chdir(tmp_path)
+    workload = get_workload("IGB-tiny", scale=0.002)
+    tracer = Tracer(enabled=traced, strict_tracks=True)
+    trainer = FullGraphTrainer(
+        workload.dataset,
+        workload.system(_SSDS["980pro"], num_ssds=1),
+        FullGraphConfig(hbm_budget_bytes=4 * 2**20),
+        tracer=tracer,
+    )
+    trainer.run_steps(7)
+    payload = {
+        "plan": state.save(trainer, trainer.PLAN),
+        "trainer": trainer.state_dict(),
+    }
+    if traced:
+        payload["tracer"] = tracer.state_dict()
+    CheckpointStore("parent").save(7, payload)
+
+    argv = _FULLGRAPH + ["--epochs", "2", "--format", "json"]
+    if traced:
+        argv += ["--trace", "trace.json"]
+    assert main(argv + ["--checkpoint-dir", "parent", "--resume"]) == 0
+    captured = capsys.readouterr()
+    assert "resumed from step 7" in captured.err
+    resumed = json.loads(captured.out)
+    assert resumed["checkpoint_summary"]["restores"] == 1
+    trace = (tmp_path / "trace.json").read_bytes() if traced else None
+
+    assert main(argv) == 0
+    straight = json.loads(capsys.readouterr().out)
+    assert _without_summary(resumed) == _without_summary(straight)
+    if traced:
+        assert trace == (tmp_path / "trace.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cadence", [None, "1", "10"], ids=["unsupervised", "every-1", "every-10"]
+)
+def test_target_acc_stops_at_the_first_epoch_that_reaches_it(
+    cadence, tmp_path, monkeypatch, capsys
+):
+    """``--target-acc`` ends the run at the end of the first epoch whose
+    eval accuracy reaches the target — the rule ``run_to_accuracy``
+    applies — with or without checkpointing, at any cadence."""
+    from repro.bench.workloads import get_workload
+    from repro.cli.context import _SSDS
+    from repro.fullgraph import FullGraphConfig, FullGraphTrainer
+
+    monkeypatch.chdir(tmp_path)
+    argv = _FULLGRAPH + ["--epochs", "6", "--target-acc", "0.5",
+                         "-o", "out.json"]
+
+    def invoke(*extra: str) -> tuple[str, dict]:
+        assert main(argv + list(extra)) == 0
+        export = json.loads((tmp_path / "out.json").read_text())
+        return capsys.readouterr().out, _without_summary(export)
+
+    table, export = invoke()
+    if cadence is not None:
+        assert invoke(
+            "--checkpoint-dir", "ckpt", "--checkpoint-every", cadence
+        ) == (table, export)
+    assert "stopped mid-epoch" not in table
+    assert "reached 50% accuracy" in table
+    block = export["fullgraph"]
+
+    workload = get_workload("IGB-tiny", scale=0.002)
+    trainer = FullGraphTrainer(
+        workload.dataset,
+        workload.system(_SSDS["980pro"], num_ssds=1),
+        FullGraphConfig(hbm_budget_bytes=4 * 2**20),
+    )
+    expected = trainer.run_to_accuracy(0.5, max_epochs=6)
+    assert expected.epochs_completed < 6
+    assert block["epochs_completed"] == expected.epochs_completed
+    assert block["epoch_losses"] == expected.losses
+    assert block["epoch_accuracies"] == expected.accuracies
+    assert block["epoch_end_times_s"] == expected.epoch_end_times_s

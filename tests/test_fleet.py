@@ -386,8 +386,8 @@ class TestCoordinatedCheckpoint:
         snapshot file via CheckpointStore), not just an in-memory dict."""
         store = CheckpointStore(tmp_path / "fleet", keep=2)
         trainer = ElasticFleetTrainer(_DATASET, _SYSTEM, make_fleet(), seed=0)
-        trainer.run_epoch(max_steps=2, checkpoint_store=store,
-                          checkpoint_every=1)
+        trainer.run_epoch(max_steps=2)
+        store.save(trainer.step_index, trainer.state_dict())
         loaded = store.load_latest()
         assert loaded is not None
         resumed = ElasticFleetTrainer(_DATASET, _SYSTEM, make_fleet(), seed=0)

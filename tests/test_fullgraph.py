@@ -52,6 +52,12 @@ def system():
     return SystemConfig(ssd=SAMSUNG_980PRO, num_ssds=1)
 
 
+def run_epochs(trainer, epochs):
+    """Run ``epochs`` whole sweeps; returns the result."""
+    trainer.run_steps(epochs * trainer.steps_per_epoch)
+    return trainer.result()
+
+
 def make_config(**overrides):
     base = dict(
         hidden_dim=8,
@@ -328,7 +334,7 @@ class TestExactness:
         loss, grads = model.gradients(
             batch, trainer._features, trainer._labels[trainer.train_seeds]
         )
-        result = trainer.run_epochs(1)
+        result = run_epochs(trainer, 1)
         assert result.losses[0] == pytest.approx(loss, rel=1e-12)
         model.apply_gradients(grads)
         for ours, ref in zip(trainer.model.layers, model.layers):
@@ -346,7 +352,7 @@ class TestExactness:
             trainer = FullGraphTrainer(
                 dataset, system, make_config(num_partitions=parts)
             )
-            runs[parts] = trainer.run_epochs(2)
+            runs[parts] = run_epochs(trainer, 2)
         assert np.allclose(
             runs[2].losses, runs[6].losses, rtol=1e-9, atol=1e-12
         )
@@ -360,8 +366,8 @@ class TestExactness:
         )
         assert not offload.plan.activations_resident
         assert resident.plan.activations_resident
-        a = offload.run_epochs(2)
-        b = resident.run_epochs(2)
+        a = run_epochs(offload, 2)
+        b = run_epochs(resident, 2)
         # Same partition count -> bit-identical math; only time differs.
         assert a.losses == b.losses
         assert a.report.e2e_time != b.report.e2e_time
@@ -373,7 +379,7 @@ class TestExactness:
 
 def straight_run(dataset, system, epochs=2, **overrides):
     trainer = FullGraphTrainer(dataset, system, make_config(**overrides))
-    result = trainer.run_epochs(epochs)
+    result = run_epochs(trainer, epochs)
     return trainer, result
 
 
@@ -440,7 +446,7 @@ class TestKillResume:
             )
 
         straight = build()
-        expected = straight.run_epochs(2)
+        expected = run_epochs(straight, 2)
 
         victim = build()
         victim.run_steps(13)
@@ -515,8 +521,8 @@ class TestOffloadAccounting:
             dataset, system,
             make_config(hbm_budget_bytes=1e12, num_partitions=4),
         )
-        a = offload.run_epochs(1)
-        b = resident.run_epochs(1)
+        a = run_epochs(offload, 1)
+        b = run_epochs(resident, 1)
         assert offload.traffic.act_spill_bytes > 0
         assert resident.traffic.act_spill_bytes == 0
         assert a.report.e2e_time > b.report.e2e_time
@@ -528,7 +534,7 @@ class TestOffloadAccounting:
 
     def test_sequential_path_respects_bandwidth_bounds(self, dataset, system):
         trainer = FullGraphTrainer(dataset, system, make_config())
-        trainer.run_epochs(1)
+        run_epochs(trainer, 1)
         t = trainer.traffic
         ssd = system.ssd
         # Streams can never beat the device's sequential bandwidth...
@@ -547,8 +553,8 @@ class TestOffloadAccounting:
             fault_plan=FaultPlan(seed=2, read_failure_rate=0.2,
                                  tail_latency_rate=0.2),
         )
-        a = clean.run_epochs(1)
-        b = faulty.run_epochs(1)
+        a = run_epochs(clean, 1)
+        b = run_epochs(faulty, 1)
         assert b.report.e2e_time > a.report.e2e_time
         assert b.report.counters.injected_faults > 0
         assert b.report.counters.latency_spikes > 0
@@ -562,7 +568,7 @@ class TestOffloadAccounting:
             fault_plan=FaultPlan(seed=3, bitflip_rate=0.3),
             verify_reads="full",
         )
-        result = trainer.run_epochs(1)
+        result = run_epochs(trainer, 1)
         counters = result.report.counters
         assert counters.verified_pages > 0
         assert counters.corrupt_detected > 0
@@ -600,9 +606,9 @@ class TestTrainerPlanning:
     def test_run_args_validated(self, dataset, system):
         trainer = FullGraphTrainer(dataset, system, make_config())
         with pytest.raises(FullGraphError):
-            trainer.run_epochs(0)
-        with pytest.raises(FullGraphError):
             trainer.run_steps(-1)
+        with pytest.raises(FullGraphError):
+            trainer.run_to_accuracy(0.5, max_epochs=0)
         with pytest.raises(FullGraphError):
             trainer.run_to_accuracy(1.5)
 
@@ -613,7 +619,7 @@ class TestExport:
         trainer = FullGraphTrainer(
             dataset, system, make_config(num_partitions=None)
         )
-        result = trainer.run_epochs(2)
+        result = run_epochs(trainer, 2)
         summary = report_to_dict(
             result.report, system=system, fullgraph=result.block
         )

@@ -54,7 +54,7 @@ def _sweep(dataset, system, **planes) -> FullGraphTrainer:
         ),
         **planes,
     )
-    trainer.run_epochs(2)
+    trainer.run_steps(2 * trainer.steps_per_epoch)
     return trainer
 
 
