@@ -134,13 +134,9 @@ from .telemetry import (
 from .observatory import (
     AlertRule,
     ComparisonResult,
-    RunHistory,
-    RunRecord,
     SLOMonitor,
     attribute_summary,
     compare_summaries,
-    compare_to_history,
-    config_fingerprint,
     load_alert_rules,
     system_spec_block,
 )
@@ -277,13 +273,9 @@ __all__ = [
     # observatory
     "AlertRule",
     "ComparisonResult",
-    "RunHistory",
-    "RunRecord",
     "SLOMonitor",
     "attribute_summary",
     "compare_summaries",
-    "compare_to_history",
-    "config_fingerprint",
     "load_alert_rules",
     "system_spec_block",
     # serving

@@ -62,14 +62,9 @@ COMMANDS: dict[str, tuple] = {
                   storage._args_ssd_model, storage._cmd_ssd_model),
     "analyze": ("bottleneck attribution for a saved report JSON",
                 observe._args_analyze, observe._cmd_analyze),
-    "compare": ("regression gate: compare reports or a report vs the history",
+    "compare": ("regression gate: compare a candidate report against a "
+                "baseline",
                 observe._args_compare, observe._cmd_compare),
-    "history": ("record and inspect the local run history", None, {
-        "record": ("append a report summary to the run history",
-                   observe._args_history_record, observe._cmd_history_record),
-        "list": ("list recorded fingerprints or one trend",
-                 observe._args_history_list, observe._cmd_history_list),
-    }),
 }
 
 

@@ -1,6 +1,6 @@
 """Read-only commands: the registries, paper figures and saved-artifact
 analysis (``datasets``, ``figure``, ``trace``, ``top``, ``analyze``,
-``compare``, ``history``)."""
+``compare``)."""
 
 from __future__ import annotations
 
@@ -373,15 +373,7 @@ def _args_compare(compare: argparse.ArgumentParser) -> None:
         "reports",
         nargs="+",
         metavar="REPORT",
-        help="BASELINE CANDIDATE report JSONs, or just CANDIDATE with "
-        "--history",
-    )
-    compare.add_argument(
-        "--history",
-        metavar="DIR",
-        default=None,
-        help="compare against the noise band of same-fingerprint records "
-        "in this run-history directory instead of a baseline file",
+        help="BASELINE and CANDIDATE report JSONs",
     )
     compare.add_argument(
         "--threshold",
@@ -389,14 +381,6 @@ def _args_compare(compare: argparse.ArgumentParser) -> None:
         default=0.05,
         metavar="FRACTION",
         help="relative tolerance before a delta counts (default: 0.05)",
-    )
-    compare.add_argument(
-        "--sigma",
-        type=float,
-        default=3.0,
-        metavar="N",
-        help="history noise-band width in standard deviations "
-        "(default: 3.0)",
     )
     compare.add_argument(
         "--loader",
@@ -411,36 +395,16 @@ def _args_compare(compare: argparse.ArgumentParser) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    """``compare``: regression gate between reports or vs the history."""
-    from ..observatory import (
-        RunHistory,
-        compare_summaries,
-        compare_to_history,
-    )
+    """``compare``: regression gate of a candidate against a baseline."""
+    from ..observatory import compare_summaries
 
-    if args.history is not None:
-        if len(args.reports) != 1:
-            raise ObservatoryError(
-                "--history takes exactly one CANDIDATE report"
-            )
-        candidate = _load_report(args.reports[0], loader=args.loader)
-        result = compare_to_history(
-            candidate,
-            RunHistory(args.history),
-            sigma=args.sigma,
-            threshold=args.threshold,
+    if len(args.reports) != 2:
+        raise ObservatoryError(
+            "compare takes BASELINE and CANDIDATE reports"
         )
-    else:
-        if len(args.reports) != 2:
-            raise ObservatoryError(
-                "compare takes BASELINE and CANDIDATE reports (or one "
-                "CANDIDATE with --history)"
-            )
-        baseline = _load_report(args.reports[0], loader=args.loader)
-        candidate = _load_report(args.reports[1], loader=args.loader)
-        result = compare_summaries(
-            baseline, candidate, threshold=args.threshold
-        )
+    baseline = _load_report(args.reports[0], loader=args.loader)
+    candidate = _load_report(args.reports[1], loader=args.loader)
+    result = compare_summaries(baseline, candidate, threshold=args.threshold)
 
     if args.json:
         print(_dumps(result.to_dict()))
@@ -464,7 +428,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         render_table(
             ["metric", "baseline", "candidate", "delta", "%", "verdict"],
             rows,
-            title=f"comparison ({result.mode} mode, "
+            title="comparison (baseline mode, "
             f"threshold {result.threshold:.0%})",
         )
     )
@@ -476,118 +440,3 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     print(f"verdict: {result.verdict}")
     return result.exit_code
-
-
-def _args_history_record(record: argparse.ArgumentParser) -> None:
-    record.add_argument("report", help="report JSON from run --format json")
-    record.add_argument(
-        "--dir",
-        default=".repro-history",
-        metavar="DIR",
-        help="history directory (default: .repro-history)",
-    )
-    record.add_argument(
-        "--label",
-        default=None,
-        help="workload label folded into the config fingerprint",
-    )
-    record.add_argument(
-        "--loader",
-        default=None,
-        help="pick one report out of a multi-loader export",
-    )
-
-
-def _cmd_history_record(args: argparse.Namespace) -> int:
-    """``history record``: append one report summary to the history."""
-    from ..observatory import RunHistory
-
-    summary = _load_report(args.report, loader=args.loader)
-    try:
-        record = RunHistory(args.dir).append(summary, label=args.label)
-    except OSError as exc:
-        raise ObservatoryError(str(exc)) from exc
-    e2e = record.e2e_seconds
-    print(
-        f"recorded {record.loader} run as fingerprint "
-        f"{record.fingerprint} (rev {record.git_rev}, "
-        f"e2e {'-' if e2e is None else f'{e2e * 1e3:.2f} ms'}) "
-        f"in {args.dir}"
-    )
-    return 0
-
-
-def _args_history_list(hist_list: argparse.ArgumentParser) -> None:
-    hist_list.add_argument(
-        "--dir",
-        default=".repro-history",
-        metavar="DIR",
-        help="history directory (default: .repro-history)",
-    )
-    hist_list.add_argument(
-        "--fingerprint",
-        default=None,
-        help="show the individual records of one config fingerprint",
-    )
-    hist_list.add_argument(
-        "--json",
-        action="store_true",
-        help="print records as JSON",
-    )
-
-
-def _cmd_history_list(args: argparse.Namespace) -> int:
-    """``history list``: show recorded fingerprints or one trend."""
-    from ..observatory import RunHistory
-
-    history = RunHistory(args.dir)
-    records = history.records(args.fingerprint)
-    if args.json:
-        print(_dumps([record.to_dict() for record in records]))
-        return 0
-    if not records:
-        print(f"history at {history.path} holds no records")
-        return 0
-    if args.fingerprint is not None:
-        rows = [
-            [
-                record.git_rev,
-                record.loader,
-                record.iterations,
-                "-"
-                if record.e2e_seconds is None
-                else f"{record.e2e_seconds * 1e3:.2f}",
-                record.bottleneck or "-",
-                record.label or "-",
-            ]
-            for record in records
-        ]
-        print(
-            render_table(
-                ["rev", "loader", "iters", "E2E ms", "bottleneck", "label"],
-                rows,
-                title=f"fingerprint {args.fingerprint}",
-            )
-        )
-        return 0
-    counts: dict[str, list] = {}
-    for record in records:
-        counts.setdefault(record.fingerprint, []).append(record)
-    rows = [
-        [
-            fingerprint,
-            len(group),
-            group[-1].loader,
-            group[-1].iterations,
-            group[-1].label or "-",
-        ]
-        for fingerprint, group in counts.items()
-    ]
-    print(
-        render_table(
-            ["fingerprint", "runs", "loader", "iters", "label"],
-            rows,
-            title=f"run history ({history.path})",
-        )
-    )
-    return 0

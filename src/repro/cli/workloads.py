@@ -358,6 +358,16 @@ def _args_fleet(fleet: argparse.ArgumentParser) -> None:
     _add_export_args(fleet, "run export (with the fleet block)")
 
 
+#: The ``fleet`` flags ``--chaos`` does not pass to the sweep, in
+#: declaration order: every scenario builds its own fleet config, fault
+#: plan and healthy array, untraced.
+_CHAOS_IGNORES = (
+    "batch_size", "shard_mode", "no_peer_cache", "fault_plan",
+    "trace", "trace_detail", "trace_cap", "stream", "prom",
+    "snapshot_every", "blackbox", "replication", "parity", "rebuild_iops",
+)
+
+
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """``fleet``: an elastic multi-GPU epoch (or the chaos sweep)."""
     from ..core.fleet import (
@@ -372,10 +382,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     dataset, system = ctx.workload.dataset, ctx.system
 
     if args.chaos:
-        if ctx.fault_plan is not None:
+        defaults = argparse.ArgumentParser()
+        _args_fleet(defaults)
+        ignored = [
+            "--" + dest.replace("_", "-")
+            for dest in _CHAOS_IGNORES
+            if getattr(args, dest) != defaults.get_default(dest)
+        ]
+        if ignored:
             print(
-                "note: --chaos sweeps its own fault plans; --fault-plan "
-                "is ignored",
+                "note: --chaos sweeps its own fleet configs and fault "
+                f"plans; {', '.join(ignored)} "
+                f"{'is' if len(ignored) == 1 else 'are'} ignored",
                 file=sys.stderr,
             )
         suite = run_chaos_suite(

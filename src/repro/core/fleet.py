@@ -1209,9 +1209,18 @@ def check_invariants(
 def _chaos_plan(
     scenario: str, epoch_time_s: float, num_gpus: int, seed: int
 ) -> FaultPlan | None:
-    """The fault plan a chaos scenario injects, timed mid-epoch."""
+    """The fault plan a chaos scenario injects.
+
+    Dropouts, recoveries and storms land mid-epoch.  The straggler is slow
+    from the first step: it is stolen from only after
+    ``straggler_patience`` skewed steps, and on a small fleet a mid-epoch
+    onset leaves it too few queued batches by then to steal any.
+    """
     mid = 0.35 * epoch_time_s
     early = 0.15 * epoch_time_s
+    straggle = WorkerEvent(
+        worker=(num_gpus - 1), kind="straggle", at_time_s=0.0, factor=8.0
+    )
     if scenario == "baseline":
         return None
     if scenario == "dropout":
@@ -1233,25 +1242,14 @@ def _chaos_plan(
             ),
         )
     if scenario == "straggler":
-        return FaultPlan(
-            seed=seed,
-            worker_events=(
-                WorkerEvent(
-                    worker=(num_gpus - 1), kind="straggle",
-                    at_time_s=early, factor=8.0,
-                ),
-            ),
-        )
+        return FaultPlan(seed=seed, worker_events=(straggle,))
     if scenario == "dropout+straggler":
         return FaultPlan(
             seed=seed,
             worker_events=(
+                straggle,
                 WorkerEvent(worker=1 % num_gpus, kind="dropout",
                             at_time_s=mid),
-                WorkerEvent(
-                    worker=(num_gpus - 1), kind="straggle",
-                    at_time_s=early, factor=8.0,
-                ),
             ),
         )
     if scenario == "corruption-storm":
@@ -1297,14 +1295,16 @@ def run_chaos_suite(
     exactly-once seed training, bit-identical schedule replay, and a
     bit-identical fleet-wide kill/resume at a mid-epoch step.  Scenario
     extras: a dropout must trigger a rebalance; a straggler must trigger
-    a bounded steal.
+    a bounded steal, so a fleet too small for any steal raises
+    :class:`~repro.errors.ConfigError` before a scenario runs.
 
     Returns a report dict with per-scenario verdicts; ``report["passed"]``
     is the overall result.
     """
     if fleet is None:
-        # Enough batches per worker (~8) that mid-epoch events land
-        # mid-epoch and a flagged straggler still has work to steal.
+        # About 8 batches per worker, so that mid-epoch events land
+        # mid-epoch; the batch size floors at 1, so a small train set
+        # gives fewer.
         batch_size = max(1, len(dataset.train_ids) // (num_gpus * 8))
         fleet = FleetConfig(
             num_gpus=num_gpus,
@@ -1321,6 +1321,22 @@ def run_chaos_suite(
     # Probe run: scenario event times are fractions of the healthy epoch.
     baseline = build(None).run_epoch()
     epoch_time = baseline.epoch_time_s
+    if "straggler" in scenarios:
+        # A steal needs the straggler's skew streak to reach the patience
+        # while it still holds two queued batches, and a skew measured
+        # against a median of more than two step times.
+        needed = fleet.straggler_patience + 2
+        own = sum(
+            index == num_gpus - 1
+            for step in baseline.schedule
+            for index, _ in step
+        )
+        if num_gpus < 3 or own < needed:
+            raise ConfigError(
+                f"the straggler scenario needs at least 3 GPUs and "
+                f"{needed} batches on the straggler; this fleet has "
+                f"{num_gpus} GPUs and {own} batches on gpu:{num_gpus - 1}"
+            )
 
     results: dict[str, dict] = {}
     for scenario in scenarios:

@@ -66,7 +66,8 @@ class TelemetryError(ReproError):
 
 
 class ObservatoryError(ReproError):
-    """A performance-analysis input (report, history, alert rule) is invalid."""
+    """A performance-analysis input (report, threshold, alert rule) is
+    invalid."""
 
 
 class ServingError(ReproError):

@@ -1,15 +1,9 @@
-"""Regression detection: compare a fresh report against a baseline or trend.
+"""Regression detection: compare a fresh report against a baseline report.
 
-Two comparison modes, both producing the same :class:`ComparisonResult`:
-
-* **Baseline** — candidate vs one baseline report, metric by metric, with a
-  relative threshold.  Identical-seed reruns are bit-identical in this
-  repository (modeled time, seeded RNG), so the deltas are exactly zero and
-  the verdict is ``neutral``.
-* **History band** — candidate vs the noise band (mean +/- ``sigma`` *
-  population std, floored at the relative threshold) of same-fingerprint
-  records in a :class:`~repro.observatory.history.RunHistory`, so run-to-run
-  spread across seeds widens the tolerance instead of tripping the gate.
+The candidate is compared with one baseline report, metric by metric, with
+a relative threshold.  Identical-seed reruns are bit-identical in this
+repository (modeled time, seeded RNG), so the deltas are exactly zero and
+the verdict is ``neutral``.
 
 Verdicts are CI-friendly: ``exit_code`` is 0 for ``neutral``/
 ``improvement`` and :data:`REGRESSION_EXIT_CODE` for ``regression``; bad
@@ -23,13 +17,9 @@ from dataclasses import dataclass, field
 
 from ..errors import ObservatoryError
 from .attribution import validate_summary
-from .history import RunHistory, config_fingerprint
 
 #: Default relative tolerance before a delta counts as a verdict.
 DEFAULT_THRESHOLD = 0.05
-
-#: Default width of the history noise band, in population std deviations.
-DEFAULT_SIGMA = 3.0
 
 #: Process exit code ``repro compare`` returns on a regression verdict.
 REGRESSION_EXIT_CODE = 3
@@ -78,7 +68,6 @@ class ComparisonResult:
 
     verdict: str
     deltas: list[MetricDelta]
-    mode: str  # "baseline" | "history"
     threshold: float
     drifting: list[str] = field(default_factory=list)
 
@@ -89,7 +78,7 @@ class ComparisonResult:
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "mode": self.mode,
+            "mode": "baseline",
             "threshold": self.threshold,
             "drifting": list(self.drifting),
             "deltas": [d.to_dict() for d in self.deltas],
@@ -162,8 +151,11 @@ def compare_summaries(
     """Compare two report summaries metric by metric."""
     validate_summary(baseline)
     validate_summary(candidate)
-    if threshold < 0:
-        raise ObservatoryError("threshold must be non-negative")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ObservatoryError(
+            f"threshold must be a finite non-negative number, got "
+            f"{threshold!r}"
+        )
     if baseline.get("loader") != candidate.get("loader"):
         raise ObservatoryError(
             f"cannot compare across loaders: baseline is "
@@ -189,75 +181,6 @@ def compare_summaries(
     return ComparisonResult(
         verdict=_overall(deltas),
         deltas=deltas,
-        mode="baseline",
-        threshold=threshold,
-        drifting=_drifting(deltas),
-    )
-
-
-#: Record-side spelling of each compared metric (history records flatten
-#: the summary, so the paths coincide — kept explicit for clarity).
-_HISTORY_METRICS = COMPARED_METRICS
-
-
-def compare_to_history(
-    candidate: dict,
-    history: RunHistory,
-    *,
-    fingerprint: str | None = None,
-    sigma: float = DEFAULT_SIGMA,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> ComparisonResult:
-    """Compare a summary against the history's same-fingerprint noise band.
-
-    The tolerance per metric is ``max(sigma * std, threshold * |mean|)``:
-    a noisy trend widens the band, while a bit-identical trend (zero std)
-    still allows the relative threshold before judging.
-    """
-    validate_summary(candidate)
-    if sigma < 0:
-        raise ObservatoryError("sigma must be non-negative")
-    if fingerprint is None:
-        fingerprint = config_fingerprint(candidate)
-    records = history.records(fingerprint)
-    if not records:
-        raise ObservatoryError(
-            f"history at {history.path!r} holds no records for "
-            f"fingerprint {fingerprint!r}"
-        )
-    deltas = []
-    for metric, lower_is_better in _HISTORY_METRICS:
-        try:
-            band = history.noise_band(fingerprint, metric)
-        except ObservatoryError:
-            deltas.append(
-                MetricDelta(metric, None, None, None, None, "neutral")
-            )
-            continue
-        cand = _lookup(candidate, metric)
-        mean = band["mean"]
-        tolerance_abs = max(
-            sigma * band["std"], threshold * abs(mean), _ABS_FLOOR
-        )
-        if cand is None:
-            deltas.append(
-                MetricDelta(metric, mean, None, None, None, "neutral")
-            )
-            continue
-        delta = cand - mean
-        fraction = delta / abs(mean) if abs(mean) > 0 else None
-        if abs(delta) <= tolerance_abs:
-            verdict = "neutral"
-        else:
-            worse = delta > 0 if lower_is_better else delta < 0
-            verdict = "regression" if worse else "improvement"
-        deltas.append(
-            MetricDelta(metric, mean, cand, delta, fraction, verdict)
-        )
-    return ComparisonResult(
-        verdict=_overall(deltas),
-        deltas=deltas,
-        mode="history",
         threshold=threshold,
         drifting=_drifting(deltas),
     )

@@ -235,8 +235,8 @@ class ServingReport:
         document rows a serving run has (:data:`SERVING_ROWS`), taking
         ``blocks`` by row name like
         :func:`~repro.pipeline.export.report_to_dict` — same required
-        keys — so ``repro analyze``, ``validate_summary`` and the history
-        tooling accept serving exports unchanged.
+        keys — so ``repro analyze``, ``repro compare`` and
+        ``validate_summary`` accept serving exports unchanged.
         """
         completed = self.stats.total("completed")
         return run_document(

@@ -1,6 +1,6 @@
 """CLI exit-code contract for the observatory subcommands.
 
-``analyze`` / ``compare`` / ``history`` plus the ``--json`` flags on
+``analyze`` / ``compare`` plus the ``--json`` flags on
 ``ssd-model`` and ``trace`` and the ``--alerts`` hook on ``run``.  Exit
 codes: 0 ok, 2 malformed input / usage, 3 regression verdict.
 """
@@ -147,79 +147,16 @@ class TestCompareExitCodes:
         assert main(["compare", a, b]) == 2
         assert "loaders" in capsys.readouterr().err
 
-    def test_history_mode_gates_like_baseline_mode(self, tmp_path, capsys):
-        hist = str(tmp_path / "hist")
-        report = write_report(tmp_path, "r.json", summary_dict())
-        for _ in range(3):
-            assert main(["history", "record", report, "--dir", hist]) == 0
-        assert main(["compare", report, "--history", hist]) == 0
-        slow = write_report(tmp_path, "slow.json", summary_dict(e2e=5.0))
-        assert main(["compare", slow, "--history", hist]) == 3
-        capsys.readouterr()
-
-    def test_history_mode_rejects_two_reports(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threshold", ["-0.1", "nan", "inf", "-inf"])
+    def test_non_finite_or_negative_threshold_exits_two(
+        self, tmp_path, capsys, threshold
+    ):
+        # A NaN threshold would turn every drift into a regression, and an
+        # infinite one would leave the gate unable to fail.
         a = write_report(tmp_path, "a.json", summary_dict())
-        b = write_report(tmp_path, "b.json", summary_dict())
-        assert main(["compare", a, b, "--history", str(tmp_path)]) == 2
-        assert "exactly one" in capsys.readouterr().err
-
-    def test_empty_history_exits_two(self, tmp_path, capsys):
-        report = write_report(tmp_path, "r.json", summary_dict())
-        hist = str(tmp_path / "empty-hist")
-        assert main(["compare", report, "--history", hist]) == 2
-        assert "no records" in capsys.readouterr().err
-
-
-class TestHistoryExitCodes:
-    def test_record_then_list(self, tmp_path, capsys):
-        hist = str(tmp_path / "hist")
-        report = write_report(tmp_path, "r.json", summary_dict())
-        assert main(["history", "record", report, "--dir", hist,
-                     "--label", "smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "recorded GIDS run as fingerprint" in out
-        assert main(["history", "list", "--dir", hist]) == 0
-        assert "smoke" in capsys.readouterr().out
-
-    def test_list_json_round_trips(self, tmp_path, capsys):
-        hist = str(tmp_path / "hist")
-        report = write_report(tmp_path, "r.json", summary_dict())
-        assert main(["history", "record", report, "--dir", hist]) == 0
-        capsys.readouterr()
-        assert main(["history", "list", "--dir", hist, "--json"]) == 0
-        records = json.loads(capsys.readouterr().out)
-        assert len(records) == 1
-        assert records[0]["loader"] == "GIDS"
-        assert records[0]["e2e_seconds"] == pytest.approx(1.16)
-
-    def test_list_by_fingerprint(self, tmp_path, capsys):
-        hist = str(tmp_path / "hist")
-        report = write_report(tmp_path, "r.json", summary_dict())
-        assert main(["history", "record", report, "--dir", hist]) == 0
-        capsys.readouterr()
-        assert main(["history", "list", "--dir", hist, "--json"]) == 0
-        fingerprint = json.loads(capsys.readouterr().out)[0]["fingerprint"]
-        assert main(["history", "list", "--dir", hist,
-                     "--fingerprint", fingerprint]) == 0
-        assert fingerprint in capsys.readouterr().out
-
-    def test_empty_history_lists_cleanly(self, tmp_path, capsys):
-        assert main(["history", "list", "--dir", str(tmp_path)]) == 0
-        assert "no records" in capsys.readouterr().out
-
-    def test_record_malformed_report_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        rejected(
-            capsys, ["history", "record", str(bad), "--dir", str(tmp_path)]
-        )
-
-    def test_list_corrupt_history_exits_two(self, tmp_path, capsys):
-        hist = tmp_path / "hist"
-        hist.mkdir()
-        (hist / "history.jsonl").write_text("{not json\n")
-        assert main(["history", "list", "--dir", str(hist)]) == 2
-        assert "history" in capsys.readouterr().err
+        b = write_report(tmp_path, "b.json", summary_dict(e2e=1.16 * 1.01))
+        err = rejected(capsys, ["compare", a, b, f"--threshold={threshold}"])
+        assert "threshold" in err
 
 
 class TestJsonFlags:

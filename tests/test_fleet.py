@@ -526,6 +526,29 @@ class TestChaosSuite:
                 _DATASET, _SYSTEM, num_gpus=2, scenarios=("earthquake",)
             )
 
+    def test_straggler_is_stolen_from_on_a_small_fleet(self):
+        # 20 train ids on 4 GPUs: batch size 1, five batches per GPU, so
+        # the patience must trip within the first three steps for a
+        # queued batch to be left to steal.
+        small = load_scaled("IGB-tiny", 0.02, seed=3)
+        suite = run_chaos_suite(
+            small, _SYSTEM, num_gpus=4, scenarios=("straggler",)
+        )
+        assert suite["passed"], suite
+        assert suite["scenarios"]["straggler"]["steal_events"] >= 1
+
+    @pytest.mark.parametrize("scale,num_gpus", [(0.05, 2), (0.02, 8)])
+    def test_fleet_too_small_for_the_straggler_rejected(
+        self, scale, num_gpus
+    ):
+        with pytest.raises(ConfigError, match="straggler scenario needs"):
+            run_chaos_suite(
+                load_scaled("IGB-tiny", scale, seed=3),
+                _SYSTEM,
+                num_gpus=num_gpus,
+                scenarios=("straggler",),
+            )
+
 
 class TestGradientSplit:
     def test_average_gradients_matches_single_worker_step(self):

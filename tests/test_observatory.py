@@ -1,7 +1,7 @@
 """Unit tests for the performance observatory.
 
-Covers the four observatory parts (attribution, run history, regression
-detection, SLO alerts) plus the schema-v6 export wiring.  The attribution
+Covers the three observatory parts (attribution, regression detection,
+SLO alerts) plus the schema-v6 export wiring.  The attribution
 scenarios follow the acceptance criteria: one SSD-bound and one PCIe/CPU-
 bound synthetic run, with utilization fractions cross-checked against the
 counters and the sim peak specs.
@@ -17,20 +17,15 @@ from repro import (
     INTEL_OPTANE,
     AlertRule,
     ObservatoryError,
-    RunHistory,
-    RunRecord,
     SLOMonitor,
     SystemConfig,
     Tracer,
     attribute_summary,
     compare_summaries,
-    compare_to_history,
-    config_fingerprint,
     load_alert_rules,
     system_spec_block,
 )
 from repro.core.gids import GIDSDataLoader
-from repro.observatory.history import record_from_summary
 from repro.observatory.regression import REGRESSION_EXIT_CODE
 from repro.observatory.slo import ALERTS_TRACK
 from repro.pipeline.export import EXPORT_SCHEMA_VERSION, report_to_dict
@@ -327,71 +322,6 @@ class TestExportIntegration:
         assert report_to_dict(report, alerts=block)["alerts"] == block
 
 
-class TestHistory:
-    def test_fingerprint_ignores_run_varying_values(self):
-        a = make_summary()
-        b = make_summary(storage_requests=999, gpu_cache_hit_ratio=0.1)
-        b["e2e_seconds"] = 123.0
-        assert config_fingerprint(a) == config_fingerprint(b)
-
-    def test_fingerprint_tracks_config_identity(self):
-        assert config_fingerprint(make_summary()) != config_fingerprint(
-            make_summary(iterations=20)
-        )
-        assert config_fingerprint(make_summary()) != config_fingerprint(
-            make_summary(), extra={"label": "nightly"}
-        )
-
-    def test_record_round_trip(self):
-        record = record_from_summary(
-            make_summary(), label="smoke", git_rev="abc1234"
-        )
-        assert record.git_rev == "abc1234"
-        assert RunRecord.from_dict(record.to_dict()) == record
-
-    def test_append_and_filter(self, tmp_path):
-        history = RunHistory(str(tmp_path / "hist"))
-        r1 = history.append(make_summary(), git_rev="aaa")
-        history.append(make_summary(iterations=20), git_rev="bbb")
-        assert len(history.records()) == 2
-        assert [r.git_rev for r in history.records(r1.fingerprint)] == [
-            "aaa"
-        ]
-        assert [r.fingerprint for r in history.records()].count(
-            r1.fingerprint
-        ) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert RunHistory(str(tmp_path / "nope")).records() == []
-
-    def test_malformed_line_names_location(self, tmp_path):
-        root = tmp_path / "hist"
-        history = RunHistory(str(root))
-        history.append(make_summary(), git_rev="aaa")
-        with open(history.path, "a", encoding="utf-8") as fh:
-            fh.write("{not json\n")
-        with pytest.raises(ObservatoryError, match=":2"):
-            history.records()
-
-    def test_noise_band(self, tmp_path):
-        history = RunHistory(str(tmp_path / "hist"))
-        for e2e in (1.0, 1.1, 0.9):
-            summary = make_summary()
-            summary["e2e_seconds"] = e2e
-            record = history.append(summary, git_rev="x")
-        band = history.noise_band(record.fingerprint, "e2e_seconds")
-        assert band["count"] == 3
-        assert band["mean"] == pytest.approx(1.0)
-        assert band["min"] == 0.9 and band["max"] == 1.1
-        assert band["std"] == pytest.approx(0.0816496580927726)
-
-    def test_noise_band_unknown_metric(self, tmp_path):
-        history = RunHistory(str(tmp_path / "hist"))
-        record = history.append(make_summary(), git_rev="x")
-        with pytest.raises(ObservatoryError, match="unknown history metric"):
-            history.noise_band(record.fingerprint, "bogus")
-
-
 class TestRegression:
     def test_identical_reports_are_neutral(self):
         result = compare_summaries(make_summary(), make_summary())
@@ -441,59 +371,6 @@ class TestRegression:
     def test_iteration_mismatch_rejected(self):
         with pytest.raises(ObservatoryError, match="iteration counts"):
             compare_summaries(make_summary(), make_summary(iterations=20))
-
-    def test_history_band_neutral_on_identical_rerun(self, tmp_path):
-        history = RunHistory(str(tmp_path / "hist"))
-        for _ in range(3):
-            history.append(make_summary(), git_rev="x")
-        result = compare_to_history(make_summary(), history)
-        assert result.mode == "history"
-        assert result.verdict == "neutral"
-        assert result.exit_code == 0
-
-    def test_history_band_flags_slowdown(self, tmp_path):
-        history = RunHistory(str(tmp_path / "hist"))
-        for _ in range(3):
-            history.append(make_summary(), git_rev="x")
-        slow = make_summary()
-        slow["e2e_seconds"] *= 2.0
-        result = compare_to_history(slow, history)
-        assert result.verdict == "regression"
-        assert result.exit_code == REGRESSION_EXIT_CODE
-
-    def test_history_band_widens_with_noise(self, tmp_path):
-        # Across-seed spread of +/-30% widens the band beyond the 5%
-        # threshold, so a +25% candidate stays inside it.
-        history = RunHistory(str(tmp_path / "hist"))
-        for e2e in (0.7, 1.0, 1.3):
-            summary = make_summary()
-            summary["e2e_seconds"] = e2e
-            history.append(summary, git_rev="x")
-        candidate = make_summary()
-        candidate["e2e_seconds"] = 1.25
-        result = compare_to_history(candidate, history)
-        e2e_delta = next(
-            d for d in result.deltas if d.metric == "e2e_seconds"
-        )
-        assert e2e_delta.verdict == "neutral"
-
-    def test_labeled_records_trend_with_unlabeled_reruns(self, tmp_path):
-        # The label annotates a record without changing config identity,
-        # so `compare --history` (which fingerprints the candidate with
-        # no label) still finds the labeled trend.
-        history = RunHistory(str(tmp_path / "hist"))
-        for _ in range(3):
-            record = history.append(
-                make_summary(), git_rev="x", label="nightly"
-            )
-        assert record.fingerprint == config_fingerprint(make_summary())
-        result = compare_to_history(make_summary(), history)
-        assert result.verdict == "neutral"
-
-    def test_history_without_records_rejected(self, tmp_path):
-        history = RunHistory(str(tmp_path / "hist"))
-        with pytest.raises(ObservatoryError, match="no records"):
-            compare_to_history(make_summary(), history)
 
 
 def make_report(*, aggregation=0.2, hit_ratio_hits=0) -> RunReport:

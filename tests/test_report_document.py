@@ -9,7 +9,7 @@ readers rely on.  These tests hold both ends to it:
   rows their exporter walks;
 * hostile input — each row given a value of the wrong type, in the
   committed v6 fixture or, for rows newer than v6, in a fresh v11 export
-  — makes ``analyze``, ``compare`` and ``history record`` exit 2 with
+  — makes ``analyze`` and ``compare`` exit 2 with
   one ``error:`` line, never a traceback;
 * the table itself agrees with the schema version and the v6 fixture,
   and an exporter refuses a block name the table does not give it.
@@ -120,7 +120,6 @@ def _assert_every_reader_exits_2(tmp_path: Path, base: dict, hostile: dict):
     for argv in (
         ["analyze", hostile_path],
         ["compare", base_path, hostile_path],
-        ["history", "record", hostile_path, "--dir", tmp_path / "hist"],
     ):
         code, _, err = _main(argv)
         lines = err.splitlines()
