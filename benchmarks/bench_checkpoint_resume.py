@@ -151,8 +151,7 @@ def test_snapshot_save_restore_overhead(benchmark, tmp_path):
 
 def run_crash_recovery(tmp_root):
     """The acceptance scenario: two crashes, resume, compare bit-for-bit."""
-    reference = _make_pipeline()
-    ref_result = reference.train(ITERATIONS)
+    reference = _make_pipeline().train(ITERATIONS)
 
     plan = FaultPlan(crash_events=(CrashEvent(9), CrashEvent(23)))
     supervisor = RunSupervisor(
@@ -161,22 +160,22 @@ def run_crash_recovery(tmp_root):
         config=SupervisorConfig(checkpoint_every=6),
     )
     pipeline = supervisor.run(ITERATIONS)
-    return ref_result, reference.report, pipeline, supervisor.summary
+    return reference, pipeline, supervisor.summary
 
 
 def test_crash_recovery_bit_identical(benchmark, tmp_path):
-    ref_result, ref_report, pipeline, summary = benchmark.pedantic(
+    reference, pipeline, summary = benchmark.pedantic(
         run_crash_recovery, args=(str(tmp_path),), rounds=1, iterations=1
     )
     assert summary.crashes == 2
     assert summary.restores == 2
-    assert pipeline.losses == ref_result.losses
+    assert pipeline.losses == reference.losses
     assert (
-        pipeline.result().final_train_accuracy
-        == ref_result.final_train_accuracy
+        pipeline.final_train_accuracy()
+        == reference.final_train_accuracy()
     )
     supervised = report_to_dict(pipeline.report)
-    unsupervised = report_to_dict(ref_report)
+    unsupervised = report_to_dict(reference.report)
     assert supervised == unsupervised
     print()
     print(

@@ -53,17 +53,17 @@ def main() -> None:
         f"({dataset.num_nodes:,} nodes, {NUM_CLASSES} classes) "
         f"for {ITERATIONS} mini-batches..."
     )
-    result = pipeline.train(ITERATIONS)
+    losses = pipeline.train(ITERATIONS).losses
 
     window = 10
-    for start in range(0, len(result.losses), 3 * window):
-        chunk = result.losses[start : start + window]
+    for start in range(0, len(losses), 3 * window):
+        chunk = losses[start : start + window]
         mean = sum(chunk) / len(chunk)
         print(f"  steps {start:4d}-{start + len(chunk) - 1:4d}: "
               f"loss {mean:.4f}")
-    print(f"\nfinal training accuracy: {result.final_train_accuracy:.1%}")
-    first = sum(result.losses[:window]) / window
-    last = sum(result.losses[-window:]) / window
+    print(f"\nfinal training accuracy: {pipeline.final_train_accuracy():.1%}")
+    first = sum(losses[:window]) / window
+    last = sum(losses[-window:]) / window
     print(f"loss improved {first:.4f} -> {last:.4f} "
           f"({(1 - last / first):.0%} reduction)")
 

@@ -105,7 +105,6 @@ from .pipeline import (
     RunReport,
     StageTimes,
     TrainingPipeline,
-    TrainingResult,
     report_to_dict,
     report_to_json,
     reports_to_comparison_csv,
@@ -239,7 +238,6 @@ __all__ = [
     "RunReport",
     "StageTimes",
     "TrainingPipeline",
-    "TrainingResult",
     "report_to_dict",
     "report_to_json",
     "reports_to_comparison_csv",

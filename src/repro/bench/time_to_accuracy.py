@@ -224,11 +224,11 @@ def fullgraph_vs_minibatch(
             model_seed=4,
         ),
     )
-    result = trainer.run_to_accuracy(target, max_epochs=max_epochs)
+    trainer.run_to_accuracy(target, max_epochs=max_epochs)
     full = AccuracyTrace(
         loader="GIDS-fullgraph",
-        times_s=list(result.epoch_end_times_s),
-        accuracies=list(result.accuracies),
+        times_s=list(trainer.epoch_end_times_s),
+        accuracies=list(trainer.accuracies),
     )
 
     rows = []
@@ -258,6 +258,8 @@ def fullgraph_vs_minibatch(
             "minibatch_time_to_target_s": t_mini,
             "fullgraph_time_to_target_s": t_full,
             "fullgraph_over_minibatch": advantage,
-            "fullgraph_block": result.block,
+            "fullgraph_block": trainer.fullgraph_block(
+                target_accuracy=target
+            ),
         },
     )

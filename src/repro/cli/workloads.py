@@ -301,12 +301,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         pipeline, summary = pipeline_factory(), None
         pipeline.train(args.iterations)
-    result, report = pipeline.result(), pipeline.report
+    report = pipeline.report
     ctx.finish(report)
-    first = sum(result.losses[:5]) / 5
-    last = sum(result.losses[-5:]) / 5
-    print(f"trained {result.num_steps} steps: loss {first:.4f} -> {last:.4f}")
-    print(f"final training accuracy: {result.final_train_accuracy:.1%}")
+    losses = pipeline.losses
+    first = sum(losses[:5]) / 5
+    last = sum(losses[-5:]) / 5
+    print(f"trained {len(losses)} steps: loss {first:.4f} -> {last:.4f}")
+    print(f"final training accuracy: {pipeline.final_train_accuracy():.1%}")
     integ = report.integrity_summary()
     if any(v for k, v in integ.items() if k != "consistent"):
         print(
@@ -443,9 +444,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         tracer=ctx.tracer,
         **ctx.ha,
     )
-    result = trainer.run_epoch()
+    trainer.run_epoch()
 
-    violations = check_invariants(dataset, result)
+    violations = check_invariants(trainer)
     incident = None
     if violations:
         incident = (
@@ -453,10 +454,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             trainer.clock_s,
             {"violations": list(violations)},
         )
-    blocks = ctx.finish(result.report, trainer, incident=incident)
-    summary = report_to_dict(
-        result.report, fleet=result.fleet_block(), **blocks
-    )
+    blocks = ctx.finish(trainer.report, trainer, incident=incident)
+    fleet = trainer.fleet_block()
+    summary = report_to_dict(trainer.report, fleet=fleet, **blocks)
     if not ctx.emit(_dumps(summary)):
         rows = [
             [
@@ -469,7 +469,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 w["ssd_pages"],
                 w["stolen_in"] - w["stolen_out"],
             ]
-            for w in result.worker_stats
+            for w in fleet["workers"]
         ]
         print(
             render_table(
@@ -481,15 +481,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             )
         )
         print(
-            f"epoch: {len(result.schedule)} global steps, "
-            f"{result.epoch_time_s * 1e3:.2f} modeled ms, final loss "
-            f"{result.final_loss:.4f}, peer-cache hit ratio "
-            f"{result.peer_cache_hit_ratio:.1%}"
+            f"epoch: {fleet['global_steps']} global steps, "
+            f"{fleet['epoch_time_s'] * 1e3:.2f} modeled ms, final loss "
+            f"{fleet['final_loss']:.4f}, peer-cache hit ratio "
+            f"{fleet['peer_cache_hit_ratio']:.1%}"
         )
-        if result.rebalance_events:
-            print(f"rebalances: {len(result.rebalance_events)}")
-        if result.steal_events:
-            print(f"steals: {len(result.steal_events)}")
+        if trainer.rebalance_events:
+            print(f"rebalances: {len(trainer.rebalance_events)}")
+        if trainer.steal_events:
+            print(f"steals: {len(trainer.steal_events)}")
     for violation in violations:
         print(f"error: invariant violated: {violation}", file=sys.stderr)
     return 1 if violations else 0
@@ -555,6 +555,10 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
 
     if args.epochs <= 0:
         raise ConfigError("--epochs must be positive")
+    if args.target_acc is not None and not 0.0 < args.target_acc <= 1.0:
+        raise ConfigError("--target-acc must be in (0, 1]")
+    if args.steps is not None and args.steps < 1:
+        raise ConfigError("--steps must be at least 1")
     ctx = RunContext(args, "fullgraph")
     ctx.note_unmodeled("fullgraph")
     config = FullGraphConfig(
@@ -607,17 +611,16 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                 f"{type(exc).__name__}: {exc}", trainer.clock_s, crash=exc
             )
             raise
-    result = trainer.result(target_accuracy=args.target_acc)
+    block = trainer.fullgraph_block(target_accuracy=args.target_acc)
 
-    blocks = ctx.finish(result.report, trainer.stack)
+    blocks = ctx.finish(trainer.report, trainer.stack)
     summary = report_to_dict(
-        result.report, fullgraph=result.block,
+        trainer.report, fullgraph=block,
         checkpoint_summary=supervision, **blocks,
     )
     if ctx.emit(_dumps(summary)):
         return 0
 
-    block = result.block
     plan = block["plan"]
     rows = [
         [
@@ -627,7 +630,7 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             format_time(end_s),
         ]
         for epoch, (loss, acc, end_s) in enumerate(
-            zip(result.losses, result.accuracies, result.epoch_end_times_s)
+            zip(trainer.losses, trainer.accuracies, trainer.epoch_end_times_s)
         )
     ]
     print(
@@ -662,16 +665,16 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
             f"{trainer.steps_per_epoch} (resume with --checkpoint-dir "
             "--resume)"
         )
-    if result.target_accuracy is not None:
-        if result.time_to_target_s is not None:
+    if args.target_acc is not None:
+        if block["time_to_target_s"] is not None:
             print(
-                f"reached {result.target_accuracy:.0%} accuracy at modeled "
-                f"{format_time(result.time_to_target_s)}"
+                f"reached {args.target_acc:.0%} accuracy at modeled "
+                f"{format_time(block['time_to_target_s'])}"
             )
         else:
             print(
-                f"did not reach {result.target_accuracy:.0%} accuracy in "
-                f"{result.epochs_completed} epochs"
+                f"did not reach {args.target_acc:.0%} accuracy in "
+                f"{trainer.epochs_completed} epochs"
             )
     what_if = block["what_if_2x_hbm"]
     if what_if.get("speedup") and what_if["speedup"] > 1.0:

@@ -17,7 +17,6 @@ from .fleet import (
     CHAOS_SCENARIOS,
     ElasticFleetTrainer,
     FleetConfig,
-    FleetResult,
     InterconnectSpec,
     check_invariants,
     partition_shards,
@@ -37,7 +36,6 @@ __all__ = [
     "CHAOS_SCENARIOS",
     "ElasticFleetTrainer",
     "FleetConfig",
-    "FleetResult",
     "InterconnectSpec",
     "check_invariants",
     "replay_schedule",

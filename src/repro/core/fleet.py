@@ -378,71 +378,6 @@ class _Served:
     counters: TransferCounters
 
 
-@dataclass(frozen=True)
-class FleetResult:
-    """Everything an elastic epoch produced, replayable and exportable."""
-
-    num_gpus: int
-    losses: tuple[float, ...]
-    epoch_time_s: float
-    completed: bool
-    report: RunReport
-    schedule: tuple[tuple[tuple[int, int], ...], ...]
-    batches: tuple[np.ndarray, ...]
-    worker_stats: tuple[dict, ...]
-    rebalance_events: tuple[dict, ...]
-    steal_events: tuple[dict, ...]
-    fired_events: tuple[dict, ...]
-    breaker_transitions: tuple[dict, ...]
-    config: dict
-
-    @property
-    def final_loss(self) -> float | None:
-        return self.losses[-1] if self.losses else None
-
-    @property
-    def trained_batch_ids(self) -> list[int]:
-        return [b for step in self.schedule for _, b in step]
-
-    def trained_seeds(self) -> np.ndarray:
-        """Every seed id trained, duplicates preserved."""
-        ids = self.trained_batch_ids
-        if not ids:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([self.batches[b] for b in ids])
-
-    @property
-    def peer_cache_hit_ratio(self) -> float:
-        """Peer hits over all pages that missed the local cache."""
-        peer = sum(w["peer_hit_pages"] for w in self.worker_stats)
-        ssd = sum(w["ssd_pages"] for w in self.worker_stats)
-        total = peer + ssd
-        return peer / total if total else 0.0
-
-    @property
-    def total_ssd_pages(self) -> int:
-        return sum(w["ssd_pages"] for w in self.worker_stats)
-
-    def fleet_block(self) -> dict:
-        """The schema-v8 ``fleet`` export block."""
-        return {
-            "num_gpus": self.num_gpus,
-            "completed": self.completed,
-            "epoch_time_s": self.epoch_time_s,
-            "global_steps": len(self.schedule),
-            "final_loss": self.final_loss,
-            "peer_cache_hit_ratio": self.peer_cache_hit_ratio,
-            "workers": [dict(w) for w in self.worker_stats],
-            "rebalance_events": [dict(e) for e in self.rebalance_events],
-            "steal_events": [dict(e) for e in self.steal_events],
-            "worker_events": [dict(e) for e in self.fired_events],
-            "breaker_transitions": [
-                dict(t) for t in self.breaker_transitions
-            ],
-            "config": dict(self.config),
-        }
-
-
 class ElasticFleetTrainer(Stateful):
     """Data-parallel GraphSAGE training over an elastic modeled GPU fleet.
 
@@ -613,9 +548,6 @@ class ElasticFleetTrainer(Stateful):
 
     def _active_workers(self) -> list[_Worker]:
         return [w for w in self.workers if w.active]
-
-    def _remaining_batches(self) -> int:
-        return sum(len(w.queue) for w in self.workers)
 
     def _instant(self, name: str, *, at_s: float, **args) -> None:
         """Mirror one elasticity event record (it carries its own
@@ -842,9 +774,6 @@ class ElasticFleetTrainer(Stateful):
     # ------------------------------------------------------------------
     # The global step
 
-    def _has_work(self) -> bool:
-        return self._remaining_batches() > 0
-
     def _next_event_time(self) -> float | None:
         if self._event_cursor < len(self._events):
             return self._events[self._event_cursor].at_time_s
@@ -863,6 +792,7 @@ class ElasticFleetTrainer(Stateful):
                 self._step_impl()
         else:
             self._step_impl()
+        tracer.clock_s = self.clock_s
         if tracer.enabled:
             tracer.poll(self.clock_s)
 
@@ -1016,8 +946,11 @@ class ElasticFleetTrainer(Stateful):
         self.step_index += 1
         self._detect_stragglers(step_times)
 
-    def run_epoch(self, *, max_steps: int | None = None) -> FleetResult:
-        """Run (or resume) the epoch until every batch has been trained.
+    def run_epoch(
+        self, *, max_steps: int | None = None
+    ) -> "ElasticFleetTrainer":
+        """Run (or resume) the epoch until every batch has been trained;
+        returns the trainer.
 
         Args:
             max_steps: stop after this many *additional* global steps
@@ -1026,7 +959,7 @@ class ElasticFleetTrainer(Stateful):
         steps_done = 0
         guard = 0
         limit = 10 * max(1, len(self.batches)) + len(self._events) + 16
-        while self._has_work():
+        while not self.completed:
             if max_steps is not None and steps_done >= max_steps:
                 break
             before = self.step_index
@@ -1040,27 +973,63 @@ class ElasticFleetTrainer(Stateful):
             if self.step_index == before:
                 continue  # idled to an event boundary, no step executed
             steps_done += 1
-        return self.result()
+        return self
 
-    def result(self) -> FleetResult:
-        """Snapshot the run so far as an immutable result."""
-        return FleetResult(
-            num_gpus=self.fleet.num_gpus,
-            losses=tuple(self.losses),
-            epoch_time_s=self.clock_s,
-            completed=not self._has_work(),
-            report=self.report,
-            schedule=tuple(tuple(step) for step in self.schedule),
-            batches=tuple(self.batches),
-            worker_stats=tuple(
+    # ------------------------------------------------------------------
+    # What the run produced, read off the live state
+
+    @property
+    def epoch_time_s(self) -> float:
+        """The modeled clock: the epoch's length once it completes."""
+        return self.clock_s
+
+    @property
+    def completed(self) -> bool:
+        """No batch is left queued on any worker."""
+        return not any(w.queue for w in self.workers)
+
+    @property
+    def final_loss(self) -> float | None:
+        return self.losses[-1] if self.losses else None
+
+    def trained_seeds(self) -> np.ndarray:
+        """Every seed id trained, duplicates preserved."""
+        ids = [b for step in self.schedule for _, b in step]
+        if not ids:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([self.batches[b] for b in ids])
+
+    @property
+    def total_ssd_pages(self) -> int:
+        return sum(w.counters["ssd_pages"] for w in self.workers)
+
+    @property
+    def peer_cache_hit_ratio(self) -> float:
+        """Peer hits over all pages that missed the local cache."""
+        peer = sum(w.counters["peer_hit_pages"] for w in self.workers)
+        total = peer + self.total_ssd_pages
+        return peer / total if total else 0.0
+
+    def fleet_block(self) -> dict:
+        """The schema-v8 ``fleet`` export block."""
+        return {
+            "num_gpus": self.fleet.num_gpus,
+            "completed": self.completed,
+            "epoch_time_s": self.clock_s,
+            "global_steps": len(self.schedule),
+            "final_loss": self.final_loss,
+            "peer_cache_hit_ratio": self.peer_cache_hit_ratio,
+            "workers": [
                 {"worker": w.index, "active": w.active, **w.counters}
                 for w in self.workers
-            ),
-            rebalance_events=tuple(self.rebalance_events),
-            steal_events=tuple(self.steal_events),
-            fired_events=tuple(self.fired_events),
-            breaker_transitions=tuple(self.breakers.transitions()),
-            config={
+            ],
+            "rebalance_events": [dict(e) for e in self.rebalance_events],
+            "steal_events": [dict(e) for e in self.steal_events],
+            "worker_events": [dict(e) for e in self.fired_events],
+            "breaker_transitions": [
+                dict(t) for t in self.breakers.transitions()
+            ],
+            "config": {
                 "num_gpus": self.fleet.num_gpus,
                 "batch_size": self.fleet.batch_size,
                 "shard_mode": self.fleet.shard_mode,
@@ -1072,7 +1041,7 @@ class ElasticFleetTrainer(Stateful):
                 "lr": self.lr,
                 "label_seed": self.label_seed,
             },
-        )
+        }
 
     # ------------------------------------------------------------------
     # Coordinated checkpoint (consistent cut at the step barrier)
@@ -1126,43 +1095,37 @@ def _batch_inputs(store: FeatureStore, minibatch, projection: np.ndarray):
     return features, project_labels(features[seed_rows], projection)
 
 
-def replay_schedule(
-    dataset: ScaledDataset, result: FleetResult
-) -> list[float]:
-    """Re-execute a fleet result's schedule with training math only.
+def replay_schedule(trainer: ElasticFleetTrainer) -> list[float]:
+    """Re-execute a fleet's schedule with training math only.
 
     The schedule — which batches ran in which global step, in which
     worker order — fully determines the loss trajectory: sampling RNG is
     per-batch, labels and features are pure functions of node ids, and
     gradient averaging follows the recorded order.  The returned losses
-    are bit-identical to ``result.losses`` for any genuine result; the
+    are bit-identical to ``trainer.losses`` for any genuine run; the
     chaos harness uses the comparison as its replay invariant.
     """
-    cfg = result.config
+    dataset = trainer.dataset
     model = GraphSAGE(
         in_dim=dataset.feature_dim,
-        hidden_dim=int(cfg["hidden_dim"]),
-        num_classes=int(cfg["num_classes"]),
-        num_layers=len(cfg["fanouts"]),
-        lr=float(cfg["lr"]),
-        seed=int(cfg["seed"]),
+        hidden_dim=trainer.hidden_dim,
+        num_classes=trainer.num_classes,
+        num_layers=len(trainer.fanouts),
+        lr=trainer.lr,
+        seed=trainer.seed,
     )
     store = FeatureStore(dataset.num_nodes, dataset.feature_dim)
     projection = label_projection(
-        dataset.feature_dim,
-        int(cfg["num_classes"]),
-        seed=int(cfg["label_seed"]),
+        dataset.feature_dim, trainer.num_classes, seed=trainer.label_seed
     )
-    fanouts = tuple(int(f) for f in cfg["fanouts"])
-    seed = int(cfg["seed"])
     losses = []
-    for step in result.schedule:
+    for step in trainer.schedule:
         grads_list = []
         step_losses = []
         for _, batch_index in step:
-            rng = np.random.default_rng([seed, 0x5A3B1E, batch_index])
-            sampler = NeighborSampler(dataset.graph, fanouts, seed=rng)
-            minibatch = sampler.sample(result.batches[batch_index])
+            rng = np.random.default_rng([trainer.seed, 0x5A3B1E, batch_index])
+            sampler = NeighborSampler(dataset.graph, trainer.fanouts, seed=rng)
+            minibatch = sampler.sample(trainer.batches[batch_index])
             features, labels = _batch_inputs(store, minibatch, projection)
             loss, grads = model.gradients(minibatch, features, labels)
             grads_list.append(grads)
@@ -1172,9 +1135,7 @@ def replay_schedule(
     return losses
 
 
-def check_invariants(
-    dataset: ScaledDataset, result: FleetResult
-) -> list[str]:
+def check_invariants(trainer: ElasticFleetTrainer) -> list[str]:
     """The chaos harness's invariants; returns violations (empty = pass).
 
     * every training seed trained exactly once (none lost to a dropout,
@@ -1183,10 +1144,10 @@ def check_invariants(
       schedule, bit for bit.
     """
     violations: list[str] = []
-    if not result.completed:
+    if not trainer.completed:
         violations.append("epoch did not complete")
-    trained = result.trained_seeds()
-    expected = np.sort(np.asarray(dataset.train_ids, dtype=np.int64))
+    trained = trainer.trained_seeds()
+    expected = np.sort(np.asarray(trainer.dataset.train_ids, dtype=np.int64))
     if len(trained) != len(expected):
         violations.append(
             f"trained {len(trained)} seeds, expected {len(expected)}"
@@ -1198,8 +1159,7 @@ def check_invariants(
         )
     if not np.array_equal(np.sort(trained), expected):
         violations.append("trained seed set differs from the train set")
-    replayed = replay_schedule(dataset, result)
-    if list(result.losses) != replayed:
+    if trainer.losses != replay_schedule(trainer):
         violations.append(
             "loss trajectory diverges from the schedule replay"
         )
@@ -1343,7 +1303,7 @@ def run_chaos_suite(
         plan = _chaos_plan(scenario, epoch_time, num_gpus, seed)
         trainer = build(plan)
         outcome = trainer.run_epoch()
-        violations = check_invariants(dataset, outcome)
+        violations = check_invariants(outcome)
 
         if "dropout" in scenario and not outcome.rebalance_events:
             violations.append("dropout fired but nothing was rebalanced")
@@ -1384,7 +1344,7 @@ def run_chaos_suite(
             "ssd_pages": outcome.total_ssd_pages,
             "rebalance_events": len(outcome.rebalance_events),
             "steal_events": len(outcome.steal_events),
-            "breaker_transitions": len(outcome.breaker_transitions),
+            "breaker_transitions": len(outcome.breakers.transitions()),
         }
 
     return {

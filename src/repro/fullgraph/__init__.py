@@ -10,7 +10,6 @@ from .scheduler import PartitionSweepScheduler, SweepStep
 from .trainer import (
     FULLGRAPH_LOADER_NAME,
     FullGraphConfig,
-    FullGraphResult,
     FullGraphTrainer,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "SweepStep",
     "FULLGRAPH_LOADER_NAME",
     "FullGraphConfig",
-    "FullGraphResult",
     "FullGraphTrainer",
 ]

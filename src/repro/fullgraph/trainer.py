@@ -26,7 +26,7 @@ run killed at *any* partition boundary resumes bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,7 +35,12 @@ from ..config import SystemConfig
 from ..core import readpath
 from ..errors import ConfigError, FullGraphError
 from ..graph.partition import partition_graph
-from ..pipeline.metrics import IterationMetrics, RunReport, StageTimes
+from ..pipeline.metrics import (
+    IterationMetrics,
+    RunReport,
+    StageTimes,
+    e2e_seconds,
+)
 from ..sim.counters import TransferCounters
 from ..state import Stateful, array, child, guard, scalar, seq
 from ..telemetry.context import TraceContext, step_trace_id
@@ -134,20 +139,6 @@ def _copied_grads(grads):
         {k: np.asarray(v, dtype=np.float64).copy() for k, v in g.items()}
         for g in grads
     ]
-
-
-@dataclass
-class FullGraphResult:
-    """Outcome of a (possibly resumed) full-graph run."""
-
-    report: RunReport
-    epochs_completed: int
-    losses: list[float]
-    accuracies: list[float]
-    epoch_end_times_s: list[float]
-    target_accuracy: float | None
-    time_to_target_s: float | None
-    block: dict = field(default_factory=dict)
 
 
 class FullGraphTrainer(Stateful):
@@ -475,8 +466,7 @@ class FullGraphTrainer(Stateful):
         """Advance up to ``max_steps`` partition steps; returns steps run."""
         if max_steps < 0:
             raise FullGraphError("max_steps must be non-negative")
-        for done in range(max_steps):
-            self._step()
+        self.run_until(self.completed_steps + max_steps)
         return max_steps
 
     def run_until(self, step: int, *, on_step=None) -> None:
@@ -498,8 +488,9 @@ class FullGraphTrainer(Stateful):
 
     def run_to_accuracy(
         self, target: float, *, max_epochs: int = 50
-    ) -> FullGraphResult:
-        """Sweep epochs until eval accuracy reaches ``target``."""
+    ) -> "FullGraphTrainer":
+        """Sweep epochs until eval accuracy reaches ``target``; returns
+        the trainer."""
         if not 0.0 < target <= 1.0:
             raise FullGraphError("target accuracy must be in (0, 1]")
         if max_epochs <= 0:
@@ -511,7 +502,7 @@ class FullGraphTrainer(Stateful):
                 max_epochs * self.steps_per_epoch,
                 on_step=lambda trainer: trainer.reached_accuracy(target),
             )
-        return self.result(target_accuracy=target)
+        return self
 
     def _step(self) -> None:
         """Execute one partition step and advance the cursor."""
@@ -780,31 +771,7 @@ class FullGraphTrainer(Stateful):
             tracer.poll(self.clock_s)
 
     # ------------------------------------------------------------------
-    # Results / export
-
-    def result(
-        self, *, target_accuracy: float | None = None
-    ) -> FullGraphResult:
-        time_to_target = None
-        if target_accuracy is not None:
-            for t, acc in zip(self.epoch_end_times_s, self.accuracies):
-                if acc >= target_accuracy:
-                    time_to_target = t
-                    break
-        result = FullGraphResult(
-            report=self.report,
-            epochs_completed=self.epochs_completed,
-            losses=list(self.losses),
-            accuracies=list(self.accuracies),
-            epoch_end_times_s=list(self.epoch_end_times_s),
-            target_accuracy=target_accuracy,
-            time_to_target_s=time_to_target,
-        )
-        result.block = self.fullgraph_block(
-            target_accuracy=target_accuracy,
-            time_to_target_s=time_to_target,
-        )
-        return result
+    # Export
 
     def _what_if_2x_hbm(self) -> dict:
         """Predicted end-to-end seconds with double the HBM budget.
@@ -837,12 +804,9 @@ class FullGraphTrainer(Stateful):
             )
         else:
             predicted_prep = actual_prep
-        if self.config.io_overlap:
-            actual = max(actual_prep, t.compute_s)
-            predicted = max(predicted_prep, t.compute_s)
-        else:
-            actual = actual_prep + t.compute_s
-            predicted = predicted_prep + t.compute_s
+        overlap = self.config.io_overlap
+        actual = e2e_seconds(actual_prep, t.compute_s, overlap)
+        predicted = e2e_seconds(predicted_prep, t.compute_s, overlap)
         return {
             "num_partitions": doubled.num_partitions,
             "activations_resident": doubled.activations_resident,
@@ -851,12 +815,16 @@ class FullGraphTrainer(Stateful):
         }
 
     def fullgraph_block(
-        self,
-        *,
-        target_accuracy: float | None = None,
-        time_to_target_s: float | None = None,
+        self, *, target_accuracy: float | None = None
     ) -> dict:
-        """The schema-v9 ``fullgraph`` export block."""
+        """The schema-v9 ``fullgraph`` export block; ``time_to_target_s``
+        is the end of the first epoch that reached ``target_accuracy``."""
+        time_to_target_s = None
+        if target_accuracy is not None:
+            for end_s, acc in zip(self.epoch_end_times_s, self.accuracies):
+                if acc >= target_accuracy:
+                    time_to_target_s = end_s
+                    break
         t = self.traffic
         stats = self.scheduler.edge_cut_stats()
         return {

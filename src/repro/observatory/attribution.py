@@ -27,6 +27,7 @@ import math
 
 from ..config import SSDSpec, SystemConfig
 from ..errors import ObservatoryError
+from ..pipeline.metrics import e2e_seconds
 from ..sim.pcie import PCIeLink
 from ..sim.ssd import SSDArray, contended_ssd
 
@@ -155,11 +156,6 @@ def _finite(value: float | None) -> float | None:
         return None
     value = float(value)
     return value if math.isfinite(value) else None
-
-
-def _combine_e2e(prep_s: float, train_s: float, overlapped: bool) -> float:
-    """End-to-end time rule shared with :class:`RunReport.e2e_time`."""
-    return max(prep_s, train_s) if overlapped else prep_s + train_s
 
 
 def _ssd_array(specs: dict, num_ssds: int) -> SSDArray:
@@ -436,7 +432,7 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
         return max(storage_time, cpu_time, link_floor) + hbm_bytes / hbm_bw
 
     base_pred = predict(base_array, pages, storage_bytes, cpu_bytes)
-    base_e2e = _combine_e2e(
+    base_e2e = e2e_seconds(
         sampling_s + agg_s + transfer_s, train_s, overlapped
     )
 
@@ -444,7 +440,7 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
         """``(aggregation, e2e)`` seconds with the measured aggregation
         scaled by ``pred`` over the base prediction."""
         new_agg = agg_s * (pred / base_pred if base_pred > 0 else 1.0)
-        return new_agg, _combine_e2e(
+        return new_agg, e2e_seconds(
             sampling_s + new_agg + transfer_s, train_s, overlapped
         )
 
@@ -559,7 +555,7 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
     def fleet_e2e(pred: float, n: int) -> tuple[float, float]:
         """:func:`scaled` for ``n`` GPUs that split the run's work."""
         agg_n = agg_s * (pred / base_pred if base_pred > 0 else 1.0) / n
-        return agg_n, _combine_e2e(
+        return agg_n, e2e_seconds(
             (sampling_s + transfer_s) / n + agg_n, train_s / n, overlapped
         )
 

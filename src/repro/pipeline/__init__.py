@@ -3,7 +3,7 @@ reporting."""
 
 from .metrics import IterationMetrics, RunReport, StageTimes
 from .loader import MiniBatchLoader
-from .runner import TrainingPipeline, TrainingResult
+from .runner import TrainingPipeline
 from .export import (
     report_to_dict,
     report_to_json,
@@ -18,7 +18,6 @@ __all__ = [
     "RunReport",
     "StageTimes",
     "TrainingPipeline",
-    "TrainingResult",
     "report_to_dict",
     "report_to_json",
     "reports_to_comparison_csv",

@@ -95,7 +95,8 @@ DOCUMENT = (
     Block("alerts", 6, dict),
     # ServingReport.to_dict: admission ledger, latency, breakers, brownout.
     Block("serving", 7, dict),
-    # FleetResult.fleet_block: per-worker counters and elasticity events.
+    # ElasticFleetTrainer.fleet_block: per-worker counters and elasticity
+    # events.
     Block("fleet", 8, dict, training_only=True),
     # FullGraphTrainer.fullgraph_block: plan, traffic, 2x-HBM what-if.
     Block(

@@ -19,6 +19,12 @@ from ..state import StateRecord, child, children, scalar
 STAGES = ("sampling", "aggregation", "transfer", "training")
 
 
+def e2e_seconds(prep_s: float, train_s: float, overlapped: bool) -> float:
+    """End-to-end time of a preparation stream and a training stream: the
+    longer of the two when they overlap, their sum when they take turns."""
+    return max(prep_s, train_s) if overlapped else prep_s + train_s
+
+
 @dataclass
 class StageTimes(StateRecord):
     """Modeled seconds spent in each pipeline stage for one iteration."""
@@ -104,9 +110,9 @@ class RunReport(StateRecord):
     def e2e_time(self) -> float:
         """End-to-end modeled time of the measured iterations."""
         totals = self.stage_totals
-        if self.overlapped:
-            return max(totals.preparation, totals.training)
-        return totals.total
+        return e2e_seconds(
+            totals.preparation, totals.training, self.overlapped
+        )
 
     @property
     def counters(self) -> TransferCounters:

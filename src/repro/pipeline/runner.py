@@ -19,7 +19,6 @@ checkpoint/resume bit-identical.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,18 +28,6 @@ from ..sampling.minibatch import MiniBatch
 from ..state import Stateful, child, children, guard, scalar, seq
 from ..training.graphsage import GraphSAGE, synthetic_labels
 from .metrics import RunReport
-
-
-@dataclass
-class TrainingResult:
-    """Losses and accuracy of a functional training run."""
-
-    losses: list[float] = field(default_factory=list)
-    final_train_accuracy: float = 0.0
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.losses)
 
 
 class TrainingPipeline(Stateful):
@@ -93,12 +80,13 @@ class TrainingPipeline(Stateful):
             seed=self.label_seed,
         )
 
-    def train(self, num_iterations: int) -> TrainingResult:
-        """Run ``num_iterations`` *additional* training steps."""
+    def train(self, num_iterations: int) -> "TrainingPipeline":
+        """Run ``num_iterations`` *additional* training steps; returns the
+        pipeline."""
         if num_iterations <= 0:
             raise PipelineError("num_iterations must be positive")
         self.run_until(self.completed_steps + num_iterations)
-        return self.result()
+        return self
 
     def run_until(
         self,
@@ -137,21 +125,17 @@ class TrainingPipeline(Stateful):
             if on_step is not None and on_step(self):
                 return
 
-    def result(self) -> TrainingResult:
-        """The run's outcome so far (losses, step count, train accuracy)."""
-        result = TrainingResult(losses=list(self.losses))
-        if self._last_batch is not None:
-            features = self._last_features
-            if features is None:
-                features = self.loader.store.fetch(
-                    self._last_batch.input_nodes
-                )
-            predictions = self.model.predict(self._last_batch, features)
-            labels = self._labels_for(self._last_batch.seeds)
-            result.final_train_accuracy = float(
-                np.mean(predictions == labels)
-            )
-        return result
+    def final_train_accuracy(self) -> float:
+        """The model's accuracy on the last trained batch (0.0 before the
+        first step)."""
+        if self._last_batch is None:
+            return 0.0
+        features = self._last_features
+        if features is None:
+            features = self.loader.store.fetch(self._last_batch.input_nodes)
+        predictions = self.model.predict(self._last_batch, features)
+        labels = self._labels_for(self._last_batch.seeds)
+        return float(np.mean(predictions == labels))
 
     # ------------------------------------------------------------------
     # The run supervisor's driver protocol

@@ -103,8 +103,11 @@ class TestKillResumeProperty:
         ref_result, ref_report = reference_run(num_iterations, plan)
         result, report = killed_and_resumed(num_iterations, kill_at, plan)
         assert result.losses == ref_result.losses
-        assert result.final_train_accuracy == ref_result.final_train_accuracy
-        assert result.num_steps == num_iterations
+        assert (
+            result.final_train_accuracy()
+            == ref_result.final_train_accuracy()
+        )
+        assert result.completed_steps == num_iterations
         assert repr(report.state_dict()) == repr(ref_report.state_dict())
 
 
@@ -122,8 +125,8 @@ class TestSupervisor:
         summary = supervisor.summary
         assert pipeline.losses == ref_result.losses
         assert (
-            pipeline.result().final_train_accuracy
-            == ref_result.final_train_accuracy
+            pipeline.final_train_accuracy()
+            == ref_result.final_train_accuracy()
         )
         assert summary.crashes == 2
         assert summary.restarts == 2

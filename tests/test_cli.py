@@ -129,6 +129,12 @@ HOSTILE = {
     ),
     "negative-scrub-budget": _GIDS + ["--scrub-iops", "-5"],
     "fullgraph-zero-epochs": _SWEEP + ["--epochs", "0"],
+    # A NaN target used to die in the JSON writer, an out-of-range one to
+    # run (exit 0), and --steps 0 to fail on an empty report naming no flag.
+    "fullgraph-nan-target-acc": _SWEEP + ["--target-acc", "nan"],
+    "fullgraph-negative-target-acc": _SWEEP + ["--target-acc", "-1"],
+    "fullgraph-target-acc-above-one": _SWEEP + ["--target-acc", "1.5"],
+    "fullgraph-zero-steps": _SWEEP + ["--steps", "0"],
     # "ckpt" holds snapshots of a model with a different --hidden-dim.
     "resume-skewed-checkpoint": (
         _TRAIN + ["--checkpoint-dir", "ckpt", "--resume"]
@@ -142,6 +148,14 @@ HOSTILE = {
         _SWEEP + ["--fault-plan", "p.json", "--verify-reads", "full",
                   "--resume"]
     ),
+}
+
+#: The flag a hostile case's error line must name.
+_NAMES_FLAG = {
+    "fullgraph-nan-target-acc": "--target-acc",
+    "fullgraph-negative-target-acc": "--target-acc",
+    "fullgraph-target-acc-above-one": "--target-acc",
+    "fullgraph-zero-steps": "--steps",
 }
 
 #: The run that fills "ckpt" before a hostile ``--resume``.
@@ -171,6 +185,8 @@ class TestHostileInput:
         assert "Traceback" not in captured.err
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        flag = _NAMES_FLAG.get(name)
+        assert flag is None or flag in lines[0], lines
 
     @pytest.mark.parametrize(
         "flags, commands",

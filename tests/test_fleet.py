@@ -21,7 +21,6 @@ from repro.core.fleet import (
     STRAGGLER_THRESHOLD,
     ElasticFleetTrainer,
     FleetConfig,
-    FleetResult,
     InterconnectSpec,
     check_invariants,
     replay_schedule,
@@ -164,11 +163,11 @@ class TestHealthyEpoch:
         assert again.epoch_time_s == healthy_result.epoch_time_s
 
     def test_replay_is_bit_identical(self, healthy_result):
-        replayed = replay_schedule(_DATASET, healthy_result)
+        replayed = replay_schedule(healthy_result)
         assert list(healthy_result.losses) == replayed
 
     def test_invariants_pass(self, healthy_result):
-        assert check_invariants(_DATASET, healthy_result) == []
+        assert check_invariants(healthy_result) == []
 
     def test_loss_decreases(self, healthy_result):
         assert healthy_result.losses[-1] < healthy_result.losses[0]
@@ -194,7 +193,7 @@ class TestHealthyEpoch:
         trainer = ElasticFleetTrainer(
             _DATASET, _SYSTEM, make_fleet(), seed=0, tracer=tracer
         )
-        trainer.run_epoch()
+        assert trainer.run_epoch() is trainer
         tracks = {span.track for span in tracer.spans}
         assert any(t.startswith("fleet.gpu") for t in tracks)
 
@@ -252,23 +251,23 @@ class TestDropout:
 
     def test_dropout_rebalances_and_completes(self, dropout_plan):
         result = run_fleet(fault_plan=dropout_plan)
-        assert check_invariants(_DATASET, result) == []
+        assert check_invariants(result) == []
         assert len(result.rebalance_events) == 1
         event = result.rebalance_events[0]
         assert event["from"] == 1
         assert 1 not in event["to"]
-        stats = {w["worker"]: w for w in result.worker_stats}
+        stats = {w["worker"]: w for w in result.fleet_block()["workers"]}
         assert stats[1]["active"] is False
 
     def test_dropout_replay_bit_identical(self, dropout_plan):
         result = run_fleet(fault_plan=dropout_plan)
-        assert list(result.losses) == replay_schedule(_DATASET, result)
+        assert list(result.losses) == replay_schedule(result)
 
     def test_dropped_peer_opens_breaker(self, dropout_plan):
         result = run_fleet(fault_plan=dropout_plan)
         opened = [
             t
-            for t in result.breaker_transitions
+            for t in result.breakers.transitions()
             if t["to"] == "open" and t["device"] == 1
         ]
         assert opened, "survivors must stop probing the dead peer"
@@ -289,11 +288,11 @@ class TestDropout:
             )
         )
         result = run_fleet(fault_plan=plan)
-        assert check_invariants(_DATASET, result) == []
+        assert check_invariants(result) == []
         kinds = [e["kind"] for e in result.fired_events]
         assert kinds.count("dropout") == 1
         assert kinds.count("recovery") == 1
-        stats = {w["worker"]: w for w in result.worker_stats}
+        stats = {w["worker"]: w for w in result.fleet_block()["workers"]}
         assert stats[1]["active"] is True
 
     def test_all_workers_dropped_raises(self):
@@ -328,13 +327,13 @@ class TestStraggler:
         # elapses while the straggler still has queued work to steal.
         fleet = make_fleet(batch_size=2)
         result = run_fleet(fleet, fault_plan=straggle_plan)
-        assert check_invariants(_DATASET, result) == []
+        assert check_invariants(result) == []
         assert result.steal_events
         assert len(result.steal_events) <= MAX_STEALS_PER_VICTIM
         for event in result.steal_events:
             assert event["from"] == 3
             assert event["skew"] > STRAGGLER_THRESHOLD
-        stats = {w["worker"]: w for w in result.worker_stats}
+        stats = {w["worker"]: w for w in result.fleet_block()["workers"]}
         assert stats[3]["stolen_out"] > 0
 
     def test_straggler_slows_epoch_but_loses_nothing(
@@ -356,11 +355,11 @@ class TestStraggler:
         result = run_fleet(fault_plan=plan)
         opened = [
             t
-            for t in result.breaker_transitions
+            for t in result.breakers.transitions()
             if t["to"] == "open" and t["device"] == 0
         ]
         assert opened
-        assert check_invariants(_DATASET, result) == []
+        assert check_invariants(result) == []
 
 
 class TestCoordinatedCheckpoint:
@@ -485,7 +484,7 @@ class TestDropoutScheduleProperty:
             return
         plan = FaultPlan(worker_events=tuple(events))
         result = run_fleet(seed=seed, fault_plan=plan)
-        assert check_invariants(_DATASET, result) == []
+        assert check_invariants(result) == []
 
         cut_at = max(1, len(result.schedule) // 2)
         first = ElasticFleetTrainer(
@@ -627,6 +626,19 @@ class TestFleetCLI:
         assert len(doc["fleet"]["workers"]) == 2
         rows = {r["scenario"] for r in doc["attribution"]["what_if"]}
         assert "capacity @4 GPUs" in rows
+
+    def test_traced_export_clock_is_the_epoch_time(self, tmp_path, capsys):
+        """The fleet keeps its tracer's clock current, so a traced export's
+        ``telemetry.clock_s`` is where the epoch ended."""
+        from repro.cli import main
+
+        assert main([
+            "fleet", "--scale", "0.02", "--gpus", "2",
+            "--trace", str(tmp_path / "t.json"), "--format", "json",
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fleet"]["epoch_time_s"] > 0.0
+        assert doc["telemetry"]["clock_s"] == doc["fleet"]["epoch_time_s"]
 
     def test_fleet_chaos_smoke(self, capsys):
         from repro.cli import main

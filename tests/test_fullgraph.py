@@ -53,9 +53,9 @@ def system():
 
 
 def run_epochs(trainer, epochs):
-    """Run ``epochs`` whole sweeps; returns the result."""
+    """Run ``epochs`` whole sweeps; returns the trainer."""
     trainer.run_steps(epochs * trainer.steps_per_epoch)
-    return trainer.result()
+    return trainer
 
 
 def make_config(**overrides):
@@ -401,14 +401,13 @@ class TestKillResume:
         resumed.load_state_dict(state)
         total = 2 * base_trainer.steps_per_epoch
         resumed.run_steps(total - kill_step)
-        result = resumed.result()
 
-        assert result.losses == base.losses
-        assert result.accuracies == base.accuracies
-        assert result.epoch_end_times_s == base.epoch_end_times_s
-        assert result.report.e2e_time == base.report.e2e_time
+        assert resumed.losses == base.losses
+        assert resumed.accuracies == base.accuracies
+        assert resumed.epoch_end_times_s == base.epoch_end_times_s
+        assert resumed.report.e2e_time == base.report.e2e_time
         assert (
-            result.report.state_dict() == base.report.state_dict()
+            resumed.report.state_dict() == base.report.state_dict()
         )
         for ours, ref in zip(resumed.model.layers, base_trainer.model.layers):
             for name in ("w_self", "w_neigh", "bias"):
@@ -589,11 +588,12 @@ class TestTrainerPlanning:
 
     def test_run_to_accuracy_stops_at_target(self, dataset, system):
         trainer = FullGraphTrainer(dataset, system, make_config())
-        result = trainer.run_to_accuracy(0.5, max_epochs=20)
-        assert result.target_accuracy == 0.5
-        if result.time_to_target_s is not None:
-            assert result.accuracies[-1] >= 0.5
-            assert result.time_to_target_s <= result.epoch_end_times_s[-1]
+        assert trainer.run_to_accuracy(0.5, max_epochs=20) is trainer
+        block = trainer.fullgraph_block(target_accuracy=0.5)
+        assert block["target_accuracy"] == 0.5
+        if block["time_to_target_s"] is not None:
+            assert trainer.accuracies[-1] >= 0.5
+            assert block["time_to_target_s"] == trainer.epoch_end_times_s[-1]
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
@@ -621,7 +621,7 @@ class TestExport:
         )
         result = run_epochs(trainer, 2)
         summary = report_to_dict(
-            result.report, system=system, fullgraph=result.block
+            result.report, system=system, fullgraph=result.fullgraph_block()
         )
         return trainer, result, summary
 

@@ -554,7 +554,7 @@ def fleet_trajectory(dataset, steps, seed, *, num_gpus=4, fanouts=(10, 10)):
             built.append(self)
 
     with mock.patch.object(fleet, "GraphSAGE", Oracle):
-        oracle = fleet.replay_schedule(dataset, result)
+        oracle = fleet.replay_schedule(result)
     # The replay trained the oracle, not the pruned model.
     assert len(built) == 1
     return list(result.losses), oracle

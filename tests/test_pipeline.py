@@ -102,9 +102,9 @@ class TestTrainingPipeline:
         )
         pipeline = TrainingPipeline(loader, model, num_classes=4)
         result = pipeline.train(25)
-        assert result.num_steps == 25
+        assert result is pipeline and result.completed_steps == 25
         assert np.mean(result.losses[-5:]) < np.mean(result.losses[:5])
-        assert 0.0 <= result.final_train_accuracy <= 1.0
+        assert 0.0 <= result.final_train_accuracy() <= 1.0
 
     def test_invalid_args(self, small_dataset, tight_system):
         loader = GIDSDataLoader(

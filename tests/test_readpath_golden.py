@@ -351,7 +351,7 @@ def _run_fleet(**kwargs) -> dict:
     out = _report_digest(result.report.iterations)
     out["losses"] = list(result.losses)
     out["epoch_time_s"] = result.epoch_time_s
-    out["worker_stats"] = [dict(w) for w in result.worker_stats]
+    out["worker_stats"] = result.fleet_block()["workers"]
     out["storage_ha"] = (
         None
         if trainer.storage_ha is None

@@ -139,7 +139,7 @@ def _fleet(tracer):
     modeled = _report_digest(result.report.iterations)
     modeled["losses"] = list(result.losses)
     modeled["clock_s"] = result.epoch_time_s
-    modeled["worker_stats"] = [dict(w) for w in result.worker_stats]
+    modeled["worker_stats"] = result.fleet_block()["workers"]
     modeled["events"] = [
         result.fired_events, result.rebalance_events, result.steal_events
     ]
