@@ -269,11 +269,9 @@ class FullGraphTrainer(Stateful):
             seed=cfg.model_seed,
         )
 
-        # Dense float64 copy of the features: the sweep math reads global
+        # The whole float32 feature matrix: the sweep math reads global
         # rows; the storage *time* is charged separately per block.
-        self._features = self.store.fetch(
-            np.arange(n, dtype=np.int64)
-        ).astype(np.float64)
+        self._features = self.store.fetch(np.arange(n, dtype=np.int64))
         self._labels = project_labels(
             self._features,
             label_projection(
@@ -308,47 +306,58 @@ class FullGraphTrainer(Stateful):
     # Planning
 
     def _plan_and_partition(self):
-        """Plan, partition, then re-plan if the real halo breaks the fit.
+        """Plan, partition, then re-plan while the real halo breaks the fit.
 
         The planner's halo estimate is a guess; the measured partition may
-        have a fatter boundary.  When the actual per-step working set
+        have a fatter boundary.  While the measured per-step working set
         exceeds the budget (and the count was not forced) the next larger
-        candidate count is tried, a bounded number of times.
+        candidate count is partitioned and measured.  The returned plan
+        always names the returned partition's count; when no candidate
+        fits, the budget is too small for this graph.
         """
         cfg = self.config
         plan = self.planner.plan(num_partitions=cfg.num_partitions)
-        for _ in range(4):
+        larger = [
+            c for c in _CANDIDATE_PARTS
+            if plan.num_partitions < c <= self.dataset.num_nodes
+        ]
+        while True:
             partition = partition_graph(
                 self.dataset.graph,
                 plan.num_partitions,
                 refine_passes=cfg.refine_passes,
                 seed=cfg.partition_seed,
             )
-            if plan.forced or self._actual_fits(partition):
+            if plan.forced:
                 return plan, partition
-            larger = [
-                c for c in _CANDIDATE_PARTS
-                if c > plan.num_partitions
-                and c <= self.dataset.num_nodes
-                and self.planner.fits(c)
-            ]
+            workspace = self._measured_workspace(partition)
+            if workspace <= self.hbm_budget_bytes:
+                return plan, partition
             if not larger:
-                return plan, partition
-            plan = self.planner.plan(num_partitions=larger[0])
+                raise FullGraphError(
+                    f"no partition count up to {plan.num_partitions} fits "
+                    f"one sweep step into {self.hbm_budget_bytes / 2**20:.3g}"
+                    f" MiB of HBM with its measured halo (at "
+                    f"{plan.num_partitions} parts it needs "
+                    f"{workspace / 2**20:.3g} MiB); raise the budget "
+                    "(--hbm-mb)"
+                )
+            plan = self.planner.plan(num_partitions=larger.pop(0))
             plan = type(plan)(**{**plan.to_dict(), "forced": False})
-        return plan, partition
 
-    def _actual_fits(self, partition) -> bool:
-        worst = 0.0
-        for p in range(partition.num_parts):
-            rows = int(partition.part_sizes[p])
-            halo = len(partition.halo_nodes(self.dataset.graph, p))
-            frac = halo / rows if rows else 0.0
-            worst = max(worst, frac)
-        actual = self.planner.workspace_bytes(
+    def _measured_workspace(self, partition) -> int:
+        """One sweep step's bytes at the partition's worst real halo."""
+        worst = max(
+            (
+                s["halo_nodes"] / s["nodes"]
+                for s in partition.edge_cut_stats(self.dataset.graph)
+                if s["nodes"]
+            ),
+            default=0.0,
+        )
+        return self.planner.workspace_bytes(
             partition.num_parts, halo_fraction=worst
         )
-        return actual <= self.hbm_budget_bytes
 
     # ------------------------------------------------------------------
     # Storage charging helpers

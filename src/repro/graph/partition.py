@@ -10,6 +10,16 @@ followed by greedy boundary refinement (the uncoarsened core of
 multilevel partitioners) — along with quality metrics, so the ClusterGCN
 benchmark can measure real partitioning cost on the scaled replicas and
 extrapolate it to full scale.
+
+Both phases run on arrays, not one node at a time, and are *exact*: for
+every graph, part count, seed, pass count and balance slack they return
+the ``parts`` that growing one neighbour at a time and re-counting one
+node at a time would, bit for bit.  That one-at-a-time specification is
+kept in ``tests/oracles/partition_reference.py``, and
+``tests/test_partition_differential.py`` holds the two equal.  Growth
+takes one array step per (part, BFS level); refinement screens every
+node at the start of a pass and re-counts only the nodes an earlier move
+in the pass touched.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GraphError
+from ..sampling.frontier import row_positions
 from ..utils import as_rng
 from .csr import CSRGraph
 
@@ -132,6 +143,107 @@ def edge_cut(graph: CSRGraph, parts: np.ndarray) -> int:
     return int(np.count_nonzero(parts[dst] != parts[graph.indices]))
 
 
+#: ``(indptr, indices)`` of a CSR adjacency.
+_Adjacency = tuple[np.ndarray, np.ndarray]
+
+
+def _undirected(graph: CSRGraph) -> _Adjacency:
+    """The graph with every edge both ways: row ``v`` is
+    ``graph.neighbors(v)`` followed by ``graph.reverse().neighbors(v)``.
+
+    The ids are int32 when they fit: twice the edges at half the bytes,
+    so partitioning holds no more than the int64 reverse graph it
+    replaces.
+    """
+    n = graph.num_nodes
+    reverse = graph.reverse()
+    in_degrees = graph.degrees
+    out_degrees = reverse.degrees
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(in_degrees + out_degrees, out=indptr[1:])
+    indices = np.empty(
+        int(indptr[-1]), dtype=np.int32 if n < 2**31 else np.int64
+    )
+    starts = indptr[:-1]
+    indices[row_positions(starts, in_degrees)] = graph.indices
+    indices[row_positions(starts + in_degrees, out_degrees)] = reverse.indices
+    return indptr, indices
+
+
+def _smallest_first(sizes: np.ndarray, count: int) -> np.ndarray:
+    """Parts of ``count`` nodes that each join the smallest part so far.
+
+    One ``np.argmin(sizes)`` per node (lowest id on ties), at once: the
+    greedy takes the free ``(size, part)`` slots in sorted order, so the
+    answer is the first ``count`` slots below the lowest size level that
+    holds that many.
+    """
+    lo = int(sizes.min())
+    hi = lo + count  # the smallest part alone has ``count`` slots below
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if int(np.maximum(mid - sizes, 0).sum()) >= count:
+            hi = mid
+        else:
+            lo = mid + 1
+    slots = np.maximum(lo - sizes, 0)
+    part = np.repeat(np.arange(len(sizes), dtype=np.int64), slots)
+    level = row_positions(sizes, slots)
+    return part[np.lexsort((part, level))[:count]]
+
+
+def _grow(
+    undirected: _Adjacency,
+    num_parts: int,
+    seed: int | np.random.Generator | None,
+) -> PartitionResult:
+    """:func:`bfs_partition` over a prebuilt :func:`_undirected` graph."""
+    indptr, indices = undirected
+    n = len(indptr) - 1
+    if num_parts <= 0:
+        raise GraphError("num_parts must be positive")
+    if num_parts > n:
+        raise GraphError("more parts than nodes")
+    rng = as_rng(seed)
+    parts = np.full(n, -1, dtype=np.int64)
+    capacity = int(np.ceil(n / num_parts))
+
+    seeds = rng.choice(n, size=num_parts, replace=False)
+    parts[seeds] = np.arange(num_parts)
+    frontiers = [seeds[p : p + 1] for p in range(num_parts)]
+    sizes = [1] * num_parts
+    degrees = np.diff(indptr)
+
+    active = True
+    while active:
+        active = False
+        for p in range(num_parts):
+            frontier = frontiers[p]
+            room = capacity - sizes[p]
+            if not len(frontier) or room <= 0:
+                continue
+            active = True
+            # One level of part ``p``: nothing else moves meanwhile, so it
+            # claims the first occurrences of unassigned nodes in
+            # frontier-neighbour order, up to its room.
+            reached = indices[
+                row_positions(indptr[frontier], degrees[frontier])
+            ]
+            reached = reached[parts[reached] == -1]
+            _, first = np.unique(reached, return_index=True)
+            taken = reached[np.sort(first)[:room]]
+            parts[taken] = p
+            sizes[p] += len(taken)
+            frontiers[p] = taken
+
+    unassigned = np.flatnonzero(parts == -1)
+    if len(unassigned):
+        parts[unassigned] = _smallest_first(
+            np.array(sizes, dtype=np.int64), len(unassigned)
+        )
+    return PartitionResult(parts=parts, num_parts=num_parts)
+
+
 def bfs_partition(
     graph: CSRGraph,
     num_parts: int,
@@ -146,52 +258,114 @@ def bfs_partition(
     currently smallest part.  This is the classic "graph growing" scheme
     used to initialize multilevel partitioners.
     """
-    n = graph.num_nodes
-    if num_parts <= 0:
-        raise GraphError("num_parts must be positive")
-    if num_parts > n:
-        raise GraphError("more parts than nodes")
-    rng = as_rng(seed)
-    parts = np.full(n, -1, dtype=np.int64)
-    capacity = int(np.ceil(n / num_parts))
+    return _grow(_undirected(graph), num_parts, seed)
 
-    seeds = rng.choice(n, size=num_parts, replace=False)
-    frontiers: list[list[int]] = [[int(s)] for s in seeds]
-    sizes = np.zeros(num_parts, dtype=np.int64)
-    for p, s in enumerate(seeds):
-        parts[s] = p
-        sizes[p] = 1
 
-    # Treat edges as undirected for growth: out-neighbors come from the
-    # reversed graph.
-    reverse = graph.reverse()
+def _screen(
+    undirected: _Adjacency, parts: np.ndarray, num_parts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's best neighbour part and its gain, in one array pass.
 
-    active = True
-    while active:
-        active = False
-        for p in range(num_parts):
-            if not frontiers[p] or sizes[p] >= capacity:
-                continue
-            active = True
-            next_frontier: list[int] = []
-            for node in frontiers[p]:
-                for neighbor_list in (
-                    graph.neighbors(node),
-                    reverse.neighbors(node),
-                ):
-                    for v in neighbor_list:
-                        v = int(v)
-                        if parts[v] == -1 and sizes[p] < capacity:
-                            parts[v] = p
-                            sizes[p] += 1
-                            next_frontier.append(v)
-            frontiers[p] = next_frontier
+    ``best[v]`` is ``np.argmax`` of ``v``'s neighbour-part counts (the
+    lowest part on ties; ``parts[v]`` for a node without neighbours) and
+    ``gain[v]`` that count minus the count of ``v``'s own part.  The
+    ``(node, part)`` pairs are counted by sorting their keys.
+    """
+    indptr, indices = undirected
+    n = len(indptr) - 1
+    best = parts.copy()
+    gain = np.zeros(n, dtype=np.int64)
+    if not len(indices):
+        return best, gain
+    # Key ``v * num_parts + part`` per neighbour; int32 when it fits, as
+    # these are the pass's largest arrays.
+    key_type = np.int32 if n * num_parts < 2**31 else np.int64
+    keys = np.repeat(
+        np.arange(0, n * num_parts, num_parts, dtype=key_type),
+        np.diff(indptr),
+    )
+    keys += parts.astype(key_type)[indices]
+    keys.sort()
+    new_pair = np.empty(len(keys), dtype=bool)
+    new_pair[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_pair[1:])
+    starts = np.flatnonzero(new_pair)
+    pair = keys[starts]
+    del keys, new_pair
+    # One score per pair, highest for the largest count and, among equal
+    # counts, the lowest part: a node's maximum score is its argmax.
+    score = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=score[:-1])
+    score[-1] = len(indices) - starts[-1]
+    del starts
+    score *= num_parts
+    score += num_parts - 1
+    score -= pair % num_parts
+    owners = np.flatnonzero(np.diff(indptr))
+    top = np.maximum.reduceat(
+        score, np.searchsorted(pair, owners * num_parts)
+    )
+    best[owners] = num_parts - 1 - top % num_parts
+    gain[owners] = top // num_parts
+    own_key = np.arange(0, n * num_parts, num_parts, dtype=key_type)
+    own_key += parts.astype(key_type)
+    at = np.minimum(np.searchsorted(pair, own_key), len(pair) - 1)
+    gain -= np.where(pair[at] == own_key, score[at] // num_parts, 0)
+    return best, gain
 
-    unassigned = np.flatnonzero(parts == -1)
-    for v in unassigned:
-        p = int(np.argmin(sizes))
-        parts[v] = p
-        sizes[p] += 1
+
+def _refine(
+    undirected: _Adjacency,
+    partition: PartitionResult,
+    passes: int,
+    balance_slack: float,
+) -> PartitionResult:
+    """:func:`refine_partition` over a prebuilt :func:`_undirected` graph."""
+    if passes < 0:
+        raise GraphError("passes must be non-negative")
+    if balance_slack < 1.0:
+        raise GraphError("balance_slack must be >= 1.0")
+    indptr, indices = undirected
+    n = len(indptr) - 1
+    num_parts = partition.num_parts
+    parts = partition.parts.copy()
+    sizes = np.bincount(parts, minlength=num_parts).tolist()
+    limit = int(np.ceil(n / num_parts * balance_slack))
+    indptr = indptr.tolist()
+
+    for _ in range(passes):
+        # Nodes visit in id order and only a visit moves one, so a node
+        # no earlier mover neighbours still sees its pass-start counts:
+        # its screened verdict stands, and only the rest are re-counted.
+        best, gain = _screen(undirected, parts, num_parts)
+        best = best.tolist()
+        visit = bytearray((gain > 0).tobytes())
+        dirty = bytearray(n)
+        visit_mask = np.frombuffer(visit, dtype=np.uint8)
+        dirty_mask = np.frombuffer(dirty, dtype=np.uint8)
+        moved = 0
+        v = visit.find(1)
+        while v != -1:
+            current = int(parts[v])
+            neighbors = indices[indptr[v] : indptr[v + 1]]
+            if dirty[v]:
+                counts = np.bincount(parts[neighbors], minlength=num_parts)
+                target = int(counts.argmax())
+                favoured = counts[target] > counts[current]
+            else:
+                target = best[v]
+                favoured = True
+            if favoured and sizes[target] < limit:
+                sizes[current] -= 1
+                sizes[target] += 1
+                parts[v] = target
+                moved += 1
+                later = neighbors[neighbors > v]
+                visit_mask[later] = 1
+                dirty_mask[later] = 1
+            v = visit.find(1, v + 1)
+        if moved == 0:
+            break
     return PartitionResult(parts=parts, num_parts=num_parts)
 
 
@@ -209,39 +383,7 @@ def refine_partition(
     reduces the edge cut and keeps the destination part within
     ``balance_slack`` of the ideal size.
     """
-    if passes < 0:
-        raise GraphError("passes must be non-negative")
-    if balance_slack < 1.0:
-        raise GraphError("balance_slack must be >= 1.0")
-    n = graph.num_nodes
-    num_parts = partition.num_parts
-    parts = partition.parts.copy()
-    sizes = np.bincount(parts, minlength=num_parts)
-    limit = int(np.ceil(n / num_parts * balance_slack))
-    reverse = graph.reverse()
-
-    for _ in range(passes):
-        moved = 0
-        for v in range(n):
-            neighbors = np.concatenate(
-                [graph.neighbors(v), reverse.neighbors(v)]
-            )
-            if len(neighbors) == 0:
-                continue
-            counts = np.bincount(parts[neighbors], minlength=num_parts)
-            current = parts[v]
-            best = int(np.argmax(counts))
-            if best == current:
-                continue
-            gain = counts[best] - counts[current]
-            if gain > 0 and sizes[best] < limit:
-                sizes[current] -= 1
-                sizes[best] += 1
-                parts[v] = best
-                moved += 1
-        if moved == 0:
-            break
-    return PartitionResult(parts=parts, num_parts=num_parts)
+    return _refine(_undirected(graph), partition, passes, balance_slack)
 
 
 def partition_graph(
@@ -252,7 +394,8 @@ def partition_graph(
     seed: int | np.random.Generator | None = 0,
 ) -> PartitionResult:
     """BFS growth followed by boundary refinement — the full pipeline."""
-    initial = bfs_partition(graph, num_parts, seed=seed)
+    undirected = _undirected(graph)
+    initial = _grow(undirected, num_parts, seed)
     if refine_passes == 0:
         return initial
-    return refine_partition(graph, initial, passes=refine_passes)
+    return _refine(undirected, initial, refine_passes, 1.1)

@@ -10,14 +10,18 @@ scale — the trade-off quantified by ``benchmarks/bench_clustergcn.py``.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..errors import SamplingError
 from ..graph.csr import CSRGraph
-from ..graph.partition import PartitionResult
 from ..utils import as_rng
 from .frontier import check_edge_keys, row_positions, unique_edges
 from .minibatch import MiniBatch, SampledLayer
+
+if TYPE_CHECKING:  # the partitioner imports this package's frontier helpers
+    from ..graph.partition import PartitionResult
 
 
 class ClusterSampler:

@@ -270,7 +270,10 @@ class GraphSAGE(Stateful):
             li: layer index.
             h_prev: previous-layer representations for the *whole* graph
                 (``num_nodes x d_in``); the sweep only reads the partition
-                rows plus its halo, but indexing stays global.
+                rows plus its halo, but indexing stays global.  Layer 0's
+                float32 features are read as they are: only the block's
+                own rows are cast, and the scatter widens the rest exactly
+                as it adds.
             rows: sorted global node ids computed by this step.
             src/dst: global-id in-edges with every ``dst`` in ``rows``.
             plan: ``BlockPlan.of_partition(rows, src, dst)`` when the
@@ -284,10 +287,9 @@ class GraphSAGE(Stateful):
             full-graph forward exactly.
         """
         params = self.layers[li]
-        h_prev = np.asarray(h_prev, dtype=np.float64)
         if plan is None:
             plan = BlockPlan.of_partition(rows, src, dst)
-        own = h_prev[rows]
+        own = h_prev[rows].astype(np.float64, copy=False)
         agg, _ = self._aggregate(h_prev, own, plan)
         if self.aggregator == "gcn":
             z = agg @ params.w_neigh + params.bias
@@ -327,11 +329,10 @@ class GraphSAGE(Stateful):
         outputs.
         """
         params = self.layers[li]
-        h_prev = np.asarray(h_prev, dtype=np.float64)
         if plan is None:
             plan = BlockPlan.of_partition(rows, src, dst)
         dz = d_out if h_out_rows is None else d_out * (h_out_rows > 0.0)
-        own = h_prev[rows]
+        own = h_prev[rows].astype(np.float64, copy=False)
         agg, agg_cache = self._aggregate(h_prev, own, plan)
         grads["w_neigh"] += agg.T @ dz
         grads["bias"] += dz.sum(axis=0)

@@ -1092,6 +1092,11 @@ TEST_ONLY = {
     "state_of": "DeviceHealthMonitor's per-device verdict",
     "unrepairable_count": "StorageHA's lost-page count",
     "with_ssd": "SystemConfig's storage swap",
+    # Library phases.
+    "bfs_partition": "partition_graph's growth phase, which it runs on the "
+    "undirected CSR it shares with refinement instead of by name",
+    "refine_partition": "partition_graph's refinement phase, which it runs "
+    "on the undirected CSR it shares with growth instead of by name",
 }
 
 

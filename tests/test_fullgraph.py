@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import SAMSUNG_980PRO, SystemConfig, load_scaled
+from repro.cli import main
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -584,7 +585,43 @@ class TestTrainerPlanning:
             dataset, system,
             make_config(num_partitions=None, hbm_budget_bytes=6e6),
         )
-        assert trainer._actual_fits(trainer.partition)
+        assert (
+            trainer._measured_workspace(trainer.partition)
+            <= trainer.hbm_budget_bytes
+        )
+
+    def test_replan_runs_the_plan_it_returns(self, system):
+        """3 MiB: the measured halo breaks the fit at 24, 32, 48 and 64
+        parts; the re-plan goes on past a fourth try and partitions at
+        the count its plan names."""
+        trainer = FullGraphTrainer(
+            load_scaled("IGB-tiny", 0.02, seed=0),
+            system,
+            FullGraphConfig(hbm_budget_bytes=3 * 2**20),
+        )
+        assert trainer.partition.num_parts == trainer.plan.num_partitions
+        assert trainer.plan.num_partitions > 64
+        assert (
+            trainer._measured_workspace(trainer.partition)
+            <= trainer.hbm_budget_bytes
+        )
+
+    def test_budget_no_count_fits_is_refused(self, system, capsys):
+        """1.5 MiB: the estimate picks 96 parts, the measured halo fits
+        neither 96 nor 128, and no larger count is left to try."""
+        with pytest.raises(FullGraphError, match="--hbm-mb"):
+            FullGraphTrainer(
+                load_scaled("IGB-tiny", 0.02, seed=0),
+                system,
+                FullGraphConfig(hbm_budget_bytes=1.5 * 2**20),
+            )
+        argv = [
+            "fullgraph", "--dataset", "IGB-tiny", "--scale", "0.02",
+            "--epochs", "1", "--hbm-mb", "1.5",
+        ]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "--hbm-mb" in line
 
     def test_run_to_accuracy_stops_at_target(self, dataset, system):
         trainer = FullGraphTrainer(dataset, system, make_config())
@@ -672,8 +709,6 @@ class TestCLIIntegrityRule:
     @staticmethod
     def _integrity(tmp_path, capsys, plan: dict, *flags: str) -> tuple:
         import json
-
-        from repro.cli import main
 
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan))
