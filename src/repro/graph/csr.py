@@ -6,16 +6,56 @@ the *in-neighbors* of ``v`` — the direction neighborhood sampling traverses
 (a training node gathers messages from the nodes that point at it).  The
 reverse orientation (out-edges) is available via :meth:`CSRGraph.reverse` and
 is what reverse PageRank runs on.
+
+Both builders (:func:`from_coo` and :meth:`CSRGraph.reverse`) place edges in
+the stable order of their row ids.  :func:`_stable_order` computes that
+order with an LSD radix sort over 16-bit digits, one NumPy counting sort
+per digit, in time linear in the edge count.  A stable sort has exactly one
+permutation, so every graph is bit-identical to the one
+``np.argsort(ids, kind="stable")`` (a timsort on int64 ids) would build;
+``tests/test_graph_setup_differential.py`` checks the two orders against
+each other.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ..errors import GraphError
+
+#: Bits of one radix digit: NumPy's stable sort of a ``uint16`` array is a
+#: counting sort.
+_DIGIT_BITS = 16
+
+
+def _stable_order(ids: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for int32 or int64 ids in
+    ``[0, num_nodes)``, in linear time.
+
+    Sorts by one 16-bit digit at a time, lowest first, each digit read as a
+    strided ``uint16`` view of the keys rather than a shifted copy; passes
+    after the first compose in an int32 order when that can index ``ids``.
+    """
+    ids = np.ascontiguousarray(ids)
+    lanes = ids.view(np.uint16)
+    width = ids.itemsize // 2
+    bits = int(num_nodes - 1).bit_length()
+    passes = min(width, max(1, -(-bits // _DIGIT_BITS)))
+
+    def digit(d: int) -> np.ndarray:
+        lane = d if sys.byteorder == "little" else width - 1 - d
+        return lanes[lane::width]
+
+    order = np.argsort(digit(0), kind="stable")
+    if passes > 1 and len(ids) < 2**31:
+        order = order.astype(np.int32)
+    for d in range(1, passes):
+        order = order[np.argsort(digit(d)[order], kind="stable")]
+    return order
 
 
 @dataclass(frozen=True)
@@ -97,8 +137,7 @@ class CSRGraph:
         indices = np.empty(self.num_edges, dtype=np.int64)
         # Destination of each original edge, expanded from indptr runs.
         dst = np.repeat(np.arange(num_nodes, dtype=np.int64), self.degrees)
-        order = np.argsort(self.indices, kind="stable")
-        indices[:] = dst[order]
+        indices[:] = dst[_stable_order(self.indices, num_nodes)]
         return CSRGraph(indptr=indptr, indices=indices)
 
     def structure_bytes(self, index_bytes: int = 8) -> int:
@@ -139,6 +178,5 @@ def from_coo(
     counts = np.bincount(dst, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(dst, kind="stable")
-    indices = src[order]
+    indices = src[_stable_order(dst, num_nodes)]
     return CSRGraph(indptr=indptr, indices=indices)

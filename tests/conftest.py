@@ -20,8 +20,10 @@ from repro import (
 
 
 # CI's regression-gate job runs tests/test_cache_gpu_differential.py and
-# tests/test_sampler_differential.py, and the test job's training-kernels
-# step tests/test_graphsage_differential.py, with
+# tests/test_sampler_differential.py, the test job's training-kernels step
+# tests/test_graphsage_differential.py, and the full-graph job
+# tests/test_partition_differential.py and
+# tests/test_graph_setup_differential.py, with
 # ``--hypothesis-profile=differential --hypothesis-seed=0``.
 settings.register_profile("differential", max_examples=500, deadline=None)
 

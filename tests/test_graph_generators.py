@@ -53,6 +53,15 @@ class TestPowerLawGraph:
         with pytest.raises(GraphError):
             power_law_graph(10, 10, skew=-0.5)
 
+    @pytest.mark.parametrize(
+        "skew", [float("nan"), float("inf"), -float("inf")]
+    )
+    def test_non_finite_skew(self, skew):
+        """NaN used to pass the sign check and die inside NumPy; +inf
+        silently generated an edgeless graph."""
+        with pytest.raises(GraphError, match="finite"):
+            power_law_graph(10, 10, skew=skew)
+
     def test_zero_edges(self):
         g = power_law_graph(10, 0, seed=0)
         assert g.num_edges == 0
