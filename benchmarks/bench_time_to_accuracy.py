@@ -57,7 +57,6 @@ def test_fullgraph_vs_minibatch_tta(benchmark):
                 "minibatch_final_accuracy": mini.accuracies[-1],
                 "spill_pages": block["traffic"]["spill_pages"],
                 "reload_pages": block["traffic"]["reload_pages"],
-                "what_if_2x_hbm": block["what_if_2x_hbm"],
             },
             indent=2,
             sort_keys=True,

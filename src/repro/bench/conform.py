@@ -55,6 +55,7 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
     "ablation-structure-placement": ex.ablation_structure_placement,
     "ablation-eviction": ex.ablation_eviction_policy,
     "observatory-ssd-sweep": ex.observatory_ssd_sweep,
+    "observatory-what-if": ex.observatory_what_if,
 }
 
 
@@ -201,6 +202,13 @@ def _latency_contrast(r: ExperimentResult) -> float:
     flash = _result("fig13")
     return min(_at(flash, "vs mmap", name) / _at(r, "vs mmap", name)
                for name in _LARGE)
+
+
+def _worst_error(driver: str, what_if: str):
+    """The largest ``|predicted / achieved - 1|`` of one driver's what-if
+    row, over every base run it was checked on."""
+    return lambda r: max(abs(row[-1]) for row in r.rows
+                         if row[:2] == [driver, what_if])
 
 
 def _threshold_drift(count: int):
@@ -360,6 +368,23 @@ BANDS: tuple[Band, ...] = (
          "§3.2: striped SSDs reach PCIe", lambda r: _at(r, "pcie %", 8), lo=90),
     Band("observatory-ssd-sweep", "E2E ratio per SSD doubling (max)",
          "improves until PCIe saturates", _max_step("E2E ms"), hi=1, closed=True),
+    Band("observatory-what-if", "GIDS +1 SSD, worst abs error vs its run",
+         "Eq. 2-3: more SSDs, more IOPS", _worst_error("GIDS", "+1 SSD"), hi=0.3),
+    Band("observatory-what-if", "GIDS 2x window depth, worst abs error",
+         "Eq. 2-3: merging amortizes T_i/T_t",
+         _worst_error("GIDS", "2x window depth"), hi=0.3),
+    Band("observatory-what-if", "GIDS 1 SSD down, replicated, worst abs error",
+         "extension: replicas absorb an outage",
+         _worst_error("GIDS", "degraded, replicated"), hi=0.3),
+    Band("observatory-what-if", "GIDS 1 SSD down, bare, worst abs error",
+         "extension: lost share reads the CPU mirror",
+         _worst_error("GIDS", "degraded, no redundancy"), hi=0.3),
+    Band("observatory-what-if", "fleet +1 SSD, abs error vs its run",
+         "extension: GPUs share the array",
+         _worst_error("GIDS-fleet", "+1 SSD"), hi=0.3),
+    Band("observatory-what-if", "full-graph +1 SSD, abs error vs its run",
+         "extension: offloaded sweep", _worst_error("GIDS-fullgraph", "+1 SSD"),
+         hi=0.3),
 )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
+from functools import cache
 
 import numpy as np
 
@@ -857,4 +858,96 @@ def observatory_ssd_sweep(
         headers=["SSDs", "bottleneck", "ssd %", "pcie %", "cpu.buf %", "E2E ms"],
         rows=rows,
         formats=["", "", ".1f", ".1f", ".1f", ".2f"],
+    )
+
+
+def observatory_what_if(
+    ssds: tuple[SSDSpec, ...] = (SAMSUNG_980PRO, INTEL_OPTANE),
+    num_ssds: tuple[int, ...] = (1, 2, 4),
+    iters: int = MEASURE_ITERS,
+) -> ExperimentResult:
+    """Every what-if row an export keeps, against a run of its own
+    configuration (error = predicted / achieved - 1).
+
+    GIDS on IGB-Full checks ``+1 SSD`` by a run with one more device,
+    ``2x window depth`` by depth 16 and, from two devices up, ``degraded
+    capacity (1 SSD down)`` by dropping device 0 at t=0 — under
+    replication 2 for the row's prediction, bare for its
+    ``no_redundancy`` one.  A 4-GPU fleet epoch and a spilling full-graph
+    epoch check ``+1 SSD``.
+    """
+    from ..core.fleet import ElasticFleetTrainer, FleetConfig
+    from ..faults.plan import DeviceEvent, FaultPlan
+    from ..fullgraph import FullGraphConfig, FullGraphTrainer
+    from ..pipeline.export import report_to_dict
+
+    rows = []
+
+    def check(driver, label, setup, base, run, scenario=None,
+              key="predicted_e2e_seconds"):
+        predicted = next(row for row in base["attribution"]["what_if"]
+                         if row["scenario"] == (scenario or label))[key]
+        achieved = run["e2e_seconds"]
+        rows.append([driver, label, setup, predicted * 1e3, achieved * 1e3,
+                     predicted / achieved - 1])
+
+    workload = get_workload("IGB-Full")
+    dropout = FaultPlan(device_events=(DeviceEvent(0, "dropout", 0.0),))
+
+    @cache
+    def gids(ssd: SSDSpec, count: int, depth: int = 8, **kwargs) -> dict:
+        system = workload.system(ssd, num_ssds=count)
+        config = workload.loader_config(window_depth=depth)
+        loader = _gids(workload, system, config, seed=1, hot=True, **kwargs)
+        return report_to_dict(loader.run(iters, warmup=WARMUP_GIDS),
+                              system=system)
+
+    for ssd in ssds:
+        for count in num_ssds:
+            setup, base = f"{ssd.name} x{count}", gids(ssd, count)
+            check("GIDS", "+1 SSD", setup, base, gids(ssd, count + 1))
+            check("GIDS", "2x window depth", setup, base,
+                  gids(ssd, count, depth=16))
+            if count >= 2:
+                degraded = "degraded capacity (1 SSD down)"
+                check("GIDS", "degraded, replicated", setup, base,
+                      gids(ssd, count, fault_plan=dropout, replication=2),
+                      degraded)
+                check("GIDS", "degraded, no redundancy", setup, base,
+                      gids(ssd, count, fault_plan=dropout), degraded,
+                      "no_redundancy_e2e_seconds")
+
+    tiny = get_workload("IGB-tiny", scale=0.05)
+
+    def fleet(count: int) -> dict:
+        system = tiny.system(INTEL_OPTANE, num_ssds=count)
+        trainer = ElasticFleetTrainer(tiny.dataset, system,
+                                      FleetConfig(num_gpus=4),
+                                      fanouts=tiny.fanouts).run_epoch()
+        return report_to_dict(trainer.report, system=system,
+                              fleet=trainer.fleet_block())
+
+    check("GIDS-fleet", "+1 SSD", f"4 GPUs, {INTEL_OPTANE.name} x1",
+          fleet(1), fleet(2))
+    sweep_workload = get_workload("IGB-tiny", scale=0.08)
+
+    def sweep(count: int) -> dict:
+        system = sweep_workload.system(SAMSUNG_980PRO, num_ssds=count)
+        trainer = FullGraphTrainer(
+            sweep_workload.dataset, system,
+            FullGraphConfig(hbm_budget_bytes=10 * 2**20),
+        )
+        trainer.run_until(trainer.steps_per_epoch)
+        return report_to_dict(trainer.report, system=system,
+                              fullgraph=trainer.fullgraph_block())
+
+    check("GIDS-fullgraph", "+1 SSD", f"10 MiB HBM, {SAMSUNG_980PRO.name} x1",
+          sweep(1), sweep(2))
+    return ExperimentResult(
+        experiment="Observatory: what-if predictions vs runs of their "
+        "configurations",
+        headers=["driver", "what-if", "base run", "predicted ms",
+                 "achieved ms", "error"],
+        rows=rows,
+        formats=["", "", "", ".3f", ".3f", "+.3f"],
     )

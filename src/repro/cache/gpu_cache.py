@@ -28,6 +28,7 @@ definition (``tests/oracles/gpu_cache_reference.py``) bit for bit.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Iterable
 
 import numpy as np
@@ -109,10 +110,11 @@ class GPUSoftwareCache(Stateful):
         self._num_resident = 0
         # Evictable (reuse == 0) resident pages in their exact order.  For
         # "random": list + position map for O(1) swap-remove; for "lru":
-        # insertion-ordered dict (re-inserting refreshes recency).
+        # an OrderedDict, least recent first (a plain dict's first key is
+        # found by scanning the holes its deletions leave).
         self._evictable_list: list[int] = []
         self._evictable_pos: dict[int, int] = {}
-        self._lru: dict[int, None] = {}
+        self._lru: OrderedDict[int, None] = OrderedDict()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -142,7 +144,7 @@ class GPUSoftwareCache(Stateful):
         return int(np.count_nonzero(self._pending))
 
     @property
-    def _evictable(self) -> list[int] | dict[int, None]:
+    def _evictable(self) -> list[int] | OrderedDict[int, None]:
         """The unpinned lines, in the order the policy reads them."""
         return self._evictable_list if self.policy == "random" else self._lru
 
@@ -332,8 +334,7 @@ class GPUSoftwareCache(Stateful):
                     self._mark_evictable(page)
             elif lru is not None:
                 # Refresh recency of an unpinned line.
-                del lru[page]
-                lru[page] = None
+                lru.move_to_end(page)
         self.stats.hits += hits
         self.stats.misses += len(pages) - hits
 
@@ -577,7 +578,7 @@ class GPUSoftwareCache(Stateful):
         self._num_resident = len(resident)
         self._evictable_list = []
         self._evictable_pos = {}
-        self._lru = {}
+        self._lru = OrderedDict()
         for page in evictable.tolist():
             self._mark_evictable(page)
         try:

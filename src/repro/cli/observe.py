@@ -352,19 +352,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 title="Eq. 2-3 sensitivity (modeled)",
             )
         )
-        for row in block["what_if"]:
-            if row["scenario"] != "capacity":
-                continue
-            max_req_s = row.get("max_sustainable_req_s")
-            if max_req_s is not None:
-                from ..utils import format_rate
+        # Every non-empty table carries the capacity read-out.
+        row = next(r for r in block["what_if"] if r["scenario"] == "capacity")
+        if row["max_sustainable_req_s"] is not None:
+            from ..utils import format_rate
 
-                print(
-                    f"capacity: ~{format_rate(max_req_s)} feature requests "
-                    f"sustainable at the {row['bottleneck']} bottleneck "
-                    f"(achieved {format_rate(row['achieved_req_s'])}, "
-                    f"{row['utilization']:.1%} utilized)"
-                )
+            print(
+                f"capacity: ~{format_rate(row['max_sustainable_req_s'])} "
+                f"feature requests sustainable at the {row['bottleneck']} "
+                f"bottleneck (achieved {format_rate(row['achieved_req_s'])}, "
+                f"{row['utilization']:.1%} utilized)"
+            )
     return 0
 
 

@@ -133,58 +133,37 @@ def _cmd_faults_validate(args: argparse.Namespace) -> int:
     """``faults validate``: parse a plan and cross-check its events."""
     plan = _load_fault_plan(args.plan)  # exits 2 on a malformed plan
 
-    problems: list[str] = []
-    if args.iterations is not None:
-        for event in plan.crash_events:
-            if event.at_iteration > args.iterations:
-                problems.append(
-                    f"crash event at iteration {event.at_iteration} never "
-                    f"fires in a {args.iterations}-iteration run"
-                )
-    if args.fleet_size is not None:
-        if args.fleet_size <= 0:
-            raise ConfigError("--fleet-size must be positive")
-        for event in plan.worker_events:
-            if event.worker >= args.fleet_size:
-                problems.append(
-                    f"{event.kind} event targets {event.target} but a "
-                    f"{args.fleet_size}-GPU fleet only has workers "
-                    f"gpu:0..gpu:{args.fleet_size - 1}"
-                )
-        # A dropout with no later recovery strands the shard only if it
-        # empties the whole fleet; flag the unrecoverable full wipe.
-        if _all_down_at_end(plan.worker_events, "worker", args.fleet_size):
-            problems.append(
-                f"the plan drops all {args.fleet_size} workers with no "
-                "recovery: the fleet would stall with batches unassigned"
-            )
-    if args.num_ssds is not None:
-        if args.num_ssds <= 0:
-            raise ConfigError("--num-ssds must be positive")
-        for event in plan.device_events:
-            if event.device >= args.num_ssds:
-                problems.append(
-                    f"{event.kind} event targets device {event.device} "
-                    f"but a {args.num_ssds}-SSD array only has devices "
-                    f"0..{args.num_ssds - 1}"
-                )
-        for event in plan.corruption_events:
-            if event.device >= args.num_ssds:
-                problems.append(
-                    f"corruption storm targets device {event.device} "
-                    f"but a {args.num_ssds}-SSD array only has devices "
-                    f"0..{args.num_ssds - 1}"
-                )
-        # A full-array wipe with no recovery leaves nothing to serve (or
-        # rebuild) from; with redundancy a partial wipe is survivable,
-        # but an all-devices-down plan cannot be routed around.
-        in_range = [e for e in plan.device_events if e.device < args.num_ssds]
-        if _all_down_at_end(in_range, "device", args.num_ssds):
-            problems.append(
-                f"the plan drops all {args.num_ssds} devices with no "
-                "recovery: no replica or parity group survives to serve "
-                "reads"
-            )
+    if args.fleet_size is not None and args.fleet_size <= 0:
+        raise ConfigError("--fleet-size must be positive")
+    if args.num_ssds is not None and args.num_ssds <= 0:
+        raise ConfigError("--num-ssds must be positive")
+    problems = plan.target_errors(
+        num_ssds=args.num_ssds,
+        fleet_size=args.fleet_size,
+        iterations=args.iterations,
+    )
+    # A dropout with no later recovery strands the shard only if it empties
+    # the whole fleet; flag the unrecoverable full wipe.
+    if args.fleet_size is not None and _all_down_at_end(
+        plan.worker_events, "worker", args.fleet_size
+    ):
+        problems.append(
+            f"the plan drops all {args.fleet_size} workers with no "
+            "recovery: the fleet would stall with batches unassigned"
+        )
+    # A full-array wipe with no recovery leaves nothing to serve (or
+    # rebuild) from; with redundancy a partial wipe is survivable, but an
+    # all-devices-down plan cannot be routed around.
+    if args.num_ssds is not None and _all_down_at_end(
+        [e for e in plan.device_events if e.device < args.num_ssds],
+        "device",
+        args.num_ssds,
+    ):
+        problems.append(
+            f"the plan drops all {args.num_ssds} devices with no "
+            "recovery: no replica or parity group survives to serve "
+            "reads"
+        )
 
     rates = [
         ["read_failure_rate", f"{plan.read_failure_rate:g}"],

@@ -676,12 +676,6 @@ def _cmd_fullgraph(args: argparse.Namespace) -> int:
                 f"did not reach {args.target_acc:.0%} accuracy in "
                 f"{trainer.epochs_completed} epochs"
             )
-    what_if = block["what_if_2x_hbm"]
-    if what_if.get("speedup") and what_if["speedup"] > 1.0:
-        print(
-            f"what-if 2x HBM: activations become resident, predicted "
-            f"{what_if['speedup']:.2f}x faster epoch"
-        )
     return 0
 
 

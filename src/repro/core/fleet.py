@@ -444,12 +444,11 @@ class ElasticFleetTrainer(Stateful):
         self._events: list[WorkerEvent] = []
         device_plan = None
         if fault_plan is not None:
-            for event in fault_plan.worker_events:
-                if event.worker >= self.fleet.num_gpus:
-                    raise ConfigError(
-                        f"worker event targets {event.target} but the "
-                        f"fleet has {self.fleet.num_gpus} workers"
-                    )
+            problems = fault_plan.target_errors(
+                num_ssds=system.num_ssds, fleet_size=self.fleet.num_gpus
+            )
+            if problems:
+                raise ConfigError(f"fault plan: {'; '.join(problems)}")
             self._events = sorted(
                 fault_plan.worker_events,
                 key=lambda e: (e.at_time_s, e.worker),

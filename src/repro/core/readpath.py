@@ -125,7 +125,8 @@ class StorageStack:
         dataset: the graph whose feature table is served.
         system: hardware configuration (GPU, PCIe, SSD array).
         fault_plan: optional fault scenario; a PCIe degradation factor in
-            the plan swaps in the degraded link.
+            the plan swaps in the degraded link.  A device or corruption
+            event past the array is a :class:`~repro.errors.ConfigError`.
         retry_policy: overrides the plan's embedded retry policy.
         replication / parity / rebuild_iops: storage-HA knobs; any
             non-default value builds the HA coordinator.  A replication
@@ -160,6 +161,10 @@ class StorageStack:
             raise ConfigError("replication factor must be >= 1")
         if not rebuild_iops >= 0:
             raise ConfigError("rebuild IOPS budget must be non-negative")
+        if fault_plan is not None:
+            problems = fault_plan.target_errors(num_ssds=system.num_ssds)
+            if problems:
+                raise ConfigError(f"fault plan: {'; '.join(problems)}")
         self.system = system
         self.tracer = ensure_tracer(tracer)
         self.store = FeatureStore(

@@ -181,8 +181,9 @@ class FaultInjector(Stateful):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-device ``(active, slowdown_factor)`` at simulated ``now_s``.
 
-        Events targeting devices outside the array are ignored (a plan can
-        be reused across differently-sized arrays).
+        Events targeting devices outside the array are ignored here;
+        :class:`~repro.core.readpath.StorageStack` refuses such a plan
+        before any injector is built.
         """
         if num_devices <= 0:
             raise ConfigError("num_devices must be positive")

@@ -304,6 +304,41 @@ class FaultPlan:
             or bool(self.corruption_events)
         )
 
+    def target_errors(
+        self,
+        *,
+        num_ssds: int | None = None,
+        fleet_size: int | None = None,
+        iterations: int | None = None,
+    ) -> list[str]:
+        """One line per event whose target lies outside the system: a
+        device or corruption event past a ``num_ssds``-SSD array, a worker
+        event past a ``fleet_size``-GPU fleet, a crash after an
+        ``iterations``-long run.  A width left ``None`` is not checked;
+        drivers refuse a plan with any such event, ``faults validate``
+        lists them."""
+        problems = [
+            f"crash event at iteration {e.at_iteration} never fires in a "
+            f"{iterations}-iteration run"
+            for e in self.crash_events
+            if iterations is not None and e.at_iteration > iterations
+        ]
+        problems += [
+            f"{e.kind} event targets {e.target} but a {fleet_size}-GPU "
+            f"fleet only has workers gpu:0..gpu:{fleet_size - 1}"
+            for e in self.worker_events
+            if fleet_size is not None and e.worker >= fleet_size
+        ]
+        devices = [(f"{e.kind} event", e.device) for e in self.device_events]
+        devices += [("corruption storm", e.device)
+                    for e in self.corruption_events]
+        return problems + [
+            f"{what} targets device {device} but a {num_ssds}-SSD array "
+            f"only has devices 0..{num_ssds - 1}"
+            for what, device in devices
+            if num_ssds is not None and device >= num_ssds
+        ]
+
     # ------------------------------------------------------------------
     # Serialization
 

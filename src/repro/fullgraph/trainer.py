@@ -39,7 +39,6 @@ from ..pipeline.metrics import (
     IterationMetrics,
     RunReport,
     StageTimes,
-    e2e_seconds,
 )
 from ..sim.counters import TransferCounters
 from ..state import Stateful, array, child, guard, scalar, seq
@@ -782,47 +781,6 @@ class FullGraphTrainer(Stateful):
     # ------------------------------------------------------------------
     # Export
 
-    def _what_if_2x_hbm(self) -> dict:
-        """Predicted end-to-end seconds with double the HBM budget.
-
-        Re-plans at 2x budget; when that makes activations resident, all
-        activation spill/reload/halo traffic is re-priced at HBM
-        bandwidth (feature streaming is unchanged — the dataset still
-        lives on SSD).
-        """
-        doubled = MemoryPlanner(
-            self.dataset.num_nodes,
-            self._dims,
-            2.0 * self.hbm_budget_bytes,
-            halo_fraction=self.config.halo_fraction,
-        ).plan()
-        t = self.traffic
-        actual_prep = (
-            t.feat_seq_s
-            + t.feat_halo_s
-            + t.act_reload_s
-            + t.act_halo_s
-            + t.act_spill_s
-        )
-        if doubled.activations_resident and not self.plan.activations_resident:
-            act_bytes = (
-                t.act_reload_bytes + t.act_halo_bytes + t.act_spill_bytes
-            )
-            predicted_prep = (
-                t.feat_seq_s + t.feat_halo_s + self._hbm(act_bytes)
-            )
-        else:
-            predicted_prep = actual_prep
-        overlap = self.config.io_overlap
-        actual = e2e_seconds(actual_prep, t.compute_s, overlap)
-        predicted = e2e_seconds(predicted_prep, t.compute_s, overlap)
-        return {
-            "num_partitions": doubled.num_partitions,
-            "activations_resident": doubled.activations_resident,
-            "predicted_e2e_seconds": predicted,
-            "speedup": (actual / predicted) if predicted > 0 else None,
-        }
-
     def fullgraph_block(
         self, *, target_accuracy: float | None = None
     ) -> dict:
@@ -878,7 +836,6 @@ class FullGraphTrainer(Stateful):
             "epoch_end_times_s": list(self.epoch_end_times_s),
             "target_accuracy": target_accuracy,
             "time_to_target_s": time_to_target_s,
-            "what_if_2x_hbm": self._what_if_2x_hbm(),
         }
 
     # ------------------------------------------------------------------

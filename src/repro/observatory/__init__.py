@@ -13,7 +13,6 @@ Three parts layered on the existing report/telemetry plumbing:
 
 from .attribution import (
     AGGREGATION_RESOURCES,
-    CPU_BUFFER_ABSORPTION,
     attribute_summary,
     system_spec_block,
     validate_summary,
@@ -39,7 +38,6 @@ __all__ = [
     "AGGREGATION_RESOURCES",
     "ALERTS_TRACK",
     "COMPARED_METRICS",
-    "CPU_BUFFER_ABSORPTION",
     "DEFAULT_THRESHOLD",
     "OPS",
     "REGRESSION_EXIT_CODE",

@@ -12,8 +12,9 @@ into that analysis:
   specs allow.  A roofline-style verdict names the binding bottleneck.
 * **What-if sensitivity** — the Eq. 2-3 analytic SSD model
   (:class:`~repro.sim.ssd.SSDArray`) plus the PCIe link-sharing formula
-  predict how epoch time would move for +1 SSD, a larger constant CPU buffer,
-  and a deeper look-ahead window.
+  predict how epoch time would move for +1 SSD, a deeper look-ahead window
+  and one device of the array down — each only for the drivers whose run
+  of that configuration checks it (:data:`_CHECKED_ROWS`).
 
 Everything operates on the plain-dict summaries produced by
 :func:`repro.pipeline.export.report_to_dict`, so the analysis works equally
@@ -23,32 +24,32 @@ and on a report JSON loaded from disk (``repro analyze``).
 
 from __future__ import annotations
 
-import math
-
 from ..config import SSDSpec, SystemConfig
 from ..errors import ObservatoryError
+from ..pipeline.export import (
+    DOCUMENT,
+    EXPORT_SCHEMA_VERSION,
+    _finite,
+    shape_error,
+)
 from ..pipeline.metrics import e2e_seconds
 from ..sim.pcie import PCIeLink
-from ..sim.ssd import SSDArray, contended_ssd
+from ..sim.ssd import SSDArray
 
 #: Resources attributed over the aggregation phase, in display order.
 AGGREGATION_RESOURCES = ("ssd", "pcie", "cpu.buffer", "gpu.hbm")
 
-#: Fraction of storage reads the "+CPU buffer" what-if assumes the enlarged
-#: hot set absorbs.  The report alone cannot say how much of the access
-#: distribution's tail extra capacity would capture, so the scenario is a
-#: sensitivity probe at a fixed, documented absorption, not a fit.
-CPU_BUFFER_ABSORPTION = 0.25
-
-#: Fraction of one GPU's storage reads the fleet what-if assumes a peer's
-#: private cache already holds (partition-aware shards make neighboring
-#: seeds land together, so workers share hot neighborhoods).  Like
-#: :data:`CPU_BUFFER_ABSORPTION`, a documented sensitivity constant — the
-#: measured ratio of a real fleet run lives in its ``fleet`` export block.
-PEER_CACHE_ABSORPTION = 0.35
-
-#: Data-parallel widths the fleet what-if rows are computed for.
-FLEET_WHAT_IF_SIZES = (2, 4, 8)
+#: The what-if rows an export carries, by its ``loader`` (the driver that
+#: ran it).  A row is emitted only where a run of the row's own
+#: configuration checks the prediction — the ``observatory-what-if`` bands
+#: of :mod:`repro.bench.conform` hold each pair here to a bounded error;
+#: a new pair brings its band.  The ``capacity`` read-out reads the run
+#: itself and is on every export.
+_CHECKED_ROWS = {
+    "GIDS": ("+1 SSD", "2x window depth", "degraded capacity (1 SSD down)"),
+    "GIDS-fleet": ("+1 SSD",),
+    "GIDS-fullgraph": ("+1 SSD",),
+}
 
 #: Shape of every spec block (the export embeds one so a saved report
 #: stays analyzable without the original :class:`SystemConfig`): the SSD's
@@ -102,11 +103,6 @@ def validate_summary(summary: object) -> dict:
     Used by every CLI analysis entry point so malformed inputs exit with
     a one-line message instead of a traceback.
     """
-    # Local import: pipeline.export imports this module for the
-    # ``attribution`` block, so the reverse import must stay off the
-    # module level.
-    from ..pipeline.export import DOCUMENT, EXPORT_SCHEMA_VERSION, shape_error
-
     if not isinstance(summary, dict):
         raise ObservatoryError(
             f"expected a run-report object, got {type(summary).__name__}"
@@ -139,8 +135,6 @@ def validate_summary(summary: object) -> dict:
 
 
 def _validate_specs(specs: dict) -> dict:
-    from ..pipeline.export import shape_error
-
     problem = shape_error(specs, _SPECS, "spec block")
     if problem is not None:
         raise ObservatoryError(problem)
@@ -149,13 +143,6 @@ def _validate_specs(specs: dict) -> dict:
 
 def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
-
-
-def _finite(value: float | None) -> float | None:
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else None
 
 
 def _ssd_array(specs: dict, num_ssds: int) -> SSDArray:
@@ -355,20 +342,20 @@ def _prediction(agg_s: float | None, e2e_s: float, base_e2e: float) -> dict:
 
 
 def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
-    """Predict epoch-time deltas for the paper's three balancing levers
-    from a validated summary whose :func:`_resources` are ``resources``.
+    """Predict epoch-time deltas for the paper's balancing levers from a
+    validated summary whose :func:`_resources` are ``resources``.
 
     Each scenario re-solves the Eq. 2-3 analytic SSD service model and the
     PCIe link-sharing formula at per-iteration granularity, then scales the
     *measured* aggregation time by the predicted ratio — so a scenario that
     leaves the model inputs unchanged predicts exactly the measured run.
+    Only the scenarios :data:`_CHECKED_ROWS` lists for the export's driver
+    are emitted, plus ``capacity``.
 
     Scenarios:
 
     * ``+1 SSD`` — one more device striped into the array (collective peak
       IOPS and bandwidth grow, Eq. 2-3 steady state shortens).
-    * ``+CPU buffer`` — the enlarged hot set absorbs
-      :data:`CPU_BUFFER_ABSORPTION` of storage reads onto the CPU path.
     * ``2x window depth`` — a deeper look-ahead window lets the accumulator
       merge twice the iterations per storage kernel, halving the per-
       iteration share of the fixed T_i/T_t phases.
@@ -378,12 +365,6 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
       number that answers "how many req/s before this array saturates?".
       Its predicted times equal the measured run (delta 0) and it carries
       the extra ``max_sustainable_req_s``/``bottleneck`` keys.
-    * ``capacity @{n} GPUs`` — one row per :data:`FLEET_WHAT_IF_SIZES`
-      width: the epoch re-solved for ``n`` data-parallel GPUs sharing the
-      SSD array (work / ``n``, per-GPU IOPS peak / ``n``), plus a
-      peer-cache variant (:data:`PEER_CACHE_ABSORPTION` of storage reads
-      served from peer caches) — the "would another GPU help, or do I
-      need another SSD?" answer.
     * ``degraded capacity (1 SSD down)`` — the epoch re-solved with one
       device of the array gone: the redundant prediction keeps every
       read on storage (surviving replicas), the ``no_redundancy``
@@ -399,6 +380,7 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
     overlapped = bool(summary.get("overlapped"))
     if iterations <= 0 or agg_s <= 0.0:
         return []
+    checked = _CHECKED_ROWS.get(summary["loader"], ())
 
     counters = summary["counters"]
     faults = summary.get("faults") or {}
@@ -444,7 +426,6 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
             sampling_s + new_agg + transfer_s, train_s, overlapped
         )
 
-    moved = CPU_BUFFER_ABSORPTION * pages
     scenarios = [
         (
             "+1 SSD",
@@ -454,17 +435,6 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
                 pages,
                 storage_bytes,
                 cpu_bytes,
-            ),
-        ),
-        (
-            "+CPU buffer",
-            f"grow the hot set to absorb {CPU_BUFFER_ABSORPTION:.0%} of "
-            "storage reads onto the CPU path",
-            predict(
-                base_array,
-                pages - moved,
-                storage_bytes - moved * page_bytes,
-                cpu_bytes + moved * page_bytes,
             ),
         ),
         (
@@ -481,36 +451,8 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
             **_prediction(*scaled(pred), base_e2e),
         }
         for name, description, pred in scenarios
+        if name in checked
     ]
-
-    # Full-graph sweep runs carry their own memory-wall lever: the trainer
-    # re-plans the sweep at double the HBM budget and re-prices activation
-    # spill/reload at HBM bandwidth when the doubled budget makes them
-    # resident.  The row surfaces that prediction next to the paper's
-    # balancing levers.
-    fullgraph = summary.get("fullgraph")
-    if fullgraph:
-        what_if_hbm = fullgraph.get("what_if_2x_hbm") or {}
-        pred_e2e = what_if_hbm.get("predicted_e2e_seconds")
-        if pred_e2e is not None:
-            resident = bool(what_if_hbm.get("activations_resident"))
-            table.append(
-                {
-                    "scenario": "2x HBM",
-                    "description": (
-                        "double the modeled HBM budget; "
-                        + (
-                            "activations become resident (spill/reload "
-                            "repriced at HBM bandwidth)"
-                            if resident
-                            else "activations still spill, epoch unchanged"
-                        )
-                    ),
-                    **_prediction(None, float(pred_e2e), base_e2e),
-                    "activations_resident": resident,
-                    "speedup": _finite(what_if_hbm.get("speedup")),
-                }
-            )
 
     # Capacity headroom at the binding aggregation resource: how far the
     # achieved request rate could scale before the busiest resource hits
@@ -545,57 +487,13 @@ def _what_if_rows(summary: dict, specs: dict, resources: dict) -> list[dict]:
         }
     )
 
-    # Per-fleet-size capacity rows: the epoch re-solved with the SSD array
-    # shared by n concurrently aggregating GPUs.  Work divides by n, but
-    # every GPU sees only peak/n IOPS (the shared-array contention model),
-    # so aggregation shrinks sublinearly — the row quantifies exactly how
-    # far from linear.  ``peer_cache_e2e_seconds`` repeats the solve with
-    # PEER_CACHE_ABSORPTION of storage reads served from peer caches over
-    # the interconnect instead of the SSD array.
-    def fleet_e2e(pred: float, n: int) -> tuple[float, float]:
-        """:func:`scaled` for ``n`` GPUs that split the run's work."""
-        agg_n = agg_s * (pred / base_pred if base_pred > 0 else 1.0) / n
-        return agg_n, e2e_seconds(
-            (sampling_s + transfer_s) / n + agg_n, train_s / n, overlapped
-        )
-
-    kept = 1.0 - PEER_CACHE_ABSORPTION
-    for n in FLEET_WHAT_IF_SIZES:
-        shared = SSDArray(contended_ssd(base_array.spec, n), num_ssds)
-        agg_n, e2e_n = fleet_e2e(
-            predict(shared, pages, storage_bytes, cpu_bytes), n
-        )
-        _, peer_e2e_n = fleet_e2e(
-            predict(shared, pages * kept, storage_bytes * kept, cpu_bytes), n
-        )
-        table.append(
-            {
-                "scenario": f"capacity @{n} GPUs",
-                "description": (
-                    f"epoch re-solved for {n} data-parallel GPUs sharing "
-                    f"the SSD array (each sees 1/{n} of peak IOPS); "
-                    f"peer-cache variant absorbs "
-                    f"{PEER_CACHE_ABSORPTION:.0%} of storage reads"
-                ),
-                "num_gpus": n,
-                **_prediction(agg_n, e2e_n, base_e2e),
-                "peer_cache_e2e_seconds": _finite(peer_e2e_n),
-                "speedup_vs_1gpu": _finite(
-                    base_e2e / e2e_n if e2e_n > 0 else None
-                ),
-                "peer_cache_speedup_vs_1gpu": _finite(
-                    base_e2e / peer_e2e_n if peer_e2e_n > 0 else None
-                ),
-            }
-        )
-
     # Degraded-capacity row: one device of the array down mid-run.  With
     # redundancy every read is still storage-served off the surviving
     # n-1 devices (replica redirects); without it the dead device's share
     # of reads (1/n of pages, the striping share) falls back to the CPU
     # mirror path.  The gap between the two predictions is what the
     # redundancy overhead buys.
-    if num_ssds >= 2:
+    if num_ssds >= 2 and "degraded capacity (1 SSD down)" in checked:
         degraded_array = _ssd_array(specs, num_ssds - 1)
         lost_share = 1.0 / num_ssds
         lost_pages = pages * lost_share

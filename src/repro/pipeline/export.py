@@ -88,8 +88,9 @@ DOCUMENT = (
     # Tracer.export_block: per-track span seconds and the metrics registry.
     Block("telemetry", 4, dict),
     # Spec snapshot, utilization, bottleneck verdict and what-if table; v7
-    # added the capacity row, v8 the per-fleet-size rows, v9 the 2x HBM
-    # row, v10 the degraded-capacity row.
+    # added the capacity row, v10 the degraded-capacity row.  Older exports
+    # may carry rows no longer emitted (+CPU buffer, capacity @N GPUs,
+    # 2x HBM); readers re-attribute and ignore them.
     Block("attribution", 6, {"specs": dict, "bottleneck": str}),
     # SLOMonitor.evaluate of --alerts rules.
     Block("alerts", 6, dict),
@@ -98,18 +99,10 @@ DOCUMENT = (
     # ElasticFleetTrainer.fleet_block: per-worker counters and elasticity
     # events.
     Block("fleet", 8, dict, training_only=True),
-    # FullGraphTrainer.fullgraph_block: plan, traffic, 2x-HBM what-if.
+    # FullGraphTrainer.fullgraph_block: plan, traffic, epoch trajectory
+    # (older exports may also carry a ``what_if_2x_hbm`` object, unread).
     Block(
-        "fullgraph", 9,
-        {
-            "traffic": {str: OPT_NUMBER},
-            "what_if_2x_hbm": {
-                "predicted_e2e_seconds": OPT_NUMBER,
-                "activations_resident": bool,
-                "speedup": OPT_NUMBER,
-            },
-        },
-        training_only=True,
+        "fullgraph", 9, {"traffic": {str: OPT_NUMBER}}, training_only=True
     ),
     # StorageHA.summary_block: placement, device health, rebuild progress.
     Block("storage_ha", 10, dict),

@@ -13,8 +13,9 @@ Artifacts, by ledger name:
 * ``readpath_golden.json:CASE`` and ``cli_golden.json:CASE`` (``parser``
   for the CLI option dump) — one entry of a keyed golden, hashed as
   canonical JSON;
-* ``arrival_golden.json``, ``baseline_report.json`` and
-  ``parent_train_ckpt-00000006.bin`` — whole files, hashed byte for byte;
+* ``arrival_golden.json``, ``baseline_report.json``,
+  ``parent_train_ckpt-00000006.bin`` and ``v11_fullgraph_report.json`` —
+  whole files, hashed byte for byte;
 * ``test_module.py::Class.NAME`` — a named in-test pin, hashed as its
   ``repr``.
 
@@ -54,6 +55,7 @@ WHOLE = (
     "arrival_golden.json",
     "baseline_report.json",
     "parent_train_ckpt-00000006.bin",
+    "v11_fullgraph_report.json",
 )
 #: Named in-test pins.
 PINS = (

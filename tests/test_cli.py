@@ -369,6 +369,32 @@ def test_a_fully_modeled_plan_prints_no_note(
     assert _plan_notes(argv, modeled, tmp_path, monkeypatch, capsys) == []
 
 
+@pytest.mark.parametrize(
+    "driver", sorted(set(_UNMODELED) - {"mmap"})  # mmap ignores every part
+)
+def test_a_plan_targeting_a_device_outside_the_array_exits_2(
+    driver, tmp_path, monkeypatch, capsys
+):
+    """A device event past the array is refused by every driver that takes
+    the plan, as ``faults validate --num-ssds`` flags it: one ``error:``
+    line naming the event and exit 2, never a healthy run ignoring it."""
+    argv, _, _ = _UNMODELED[driver]
+    plan = {"device_events": [
+        {"device": 5, "kind": "dropout", "at_time_s": 0.0}
+    ]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    monkeypatch.chdir(tmp_path)
+    problem = "dropout event targets device 5 but a 1-SSD array only has " \
+        "devices 0..0"
+    assert main(["faults", "validate", "plan.json", "--num-ssds", "1"]) == 2
+    assert f"error: {problem}" in capsys.readouterr().err.splitlines()
+    assert main(argv + ["--fault-plan", "plan.json"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert [line for line in errors if line.startswith("error:")] == [
+        f"error: fault plan: {problem}"
+    ]
+
+
 # ----------------------------------------------------------------------
 # One checkpoint loop: every supervised command runs through
 # RunSupervisor.run

@@ -93,6 +93,24 @@ _FIXTURES = {
         ],
         "crash_events": [{"at_iteration": 5}],
     },
+    # The same two plans for the one-SSD ``train``, without the device-1
+    # dropout: an event outside the array is refused, no longer ignored.
+    "train-plan.json": {
+        "seed": 5,
+        "read_failure_rate": 0.02,
+        "tail_latency_rate": 0.01,
+        "bitflip_rate": 1e-3,
+        "corruption_events": [
+            {"device": 0, "at_time_s": 0.0, "page_fraction": 0.02},
+        ],
+    },
+    "train-crash.json": {
+        "seed": 5,
+        "read_failure_rate": 0.02,
+        "tail_latency_rate": 0.01,
+        "bitflip_rate": 1e-3,
+        "crash_events": [{"at_iteration": 5}],
+    },
     # Worker-scoped elasticity events for the fleet (run untraced: at the
     # generating commit a traced worker event dies in a TypeError inside
     # ``ElasticFleetTrainer._fire_due_events``).
@@ -213,10 +231,12 @@ CASES: dict[str, list[list[str]]] = {
         + _loader_planes("crash.json") + _TELEMETRY
     ],
     "train-plain": [_TRAIN],
-    "train-planes": [_TRAIN + _train_planes("plan.json")],
-    "train-supervised": [_TRAIN + _CKPT + ["--fault-plan", "crash.json"]],
+    "train-planes": [_TRAIN + _train_planes("train-plan.json")],
+    "train-supervised": [
+        _TRAIN + _CKPT + ["--fault-plan", "train-crash.json"]
+    ],
     "train-supervised-planes": [
-        _TRAIN + _CKPT + _train_planes("crash.json")
+        _TRAIN + _CKPT + _train_planes("train-crash.json")
     ],
     "train-resume": [
         _TRAIN + _CKPT + ["--iterations", "7"],
@@ -225,8 +245,9 @@ CASES: dict[str, list[list[str]]] = {
         _TRAIN + _CKPT,
     ],
     "train-resume-planes": [
-        _TRAIN + _CKPT + ["--iterations", "7"] + _train_planes("plan.json"),
-        _TRAIN + _CKPT + ["--resume"] + _train_planes("plan.json"),
+        _TRAIN + _CKPT + ["--iterations", "7"]
+        + _train_planes("train-plan.json"),
+        _TRAIN + _CKPT + ["--resume"] + _train_planes("train-plan.json"),
     ],
     "fleet-epoch-table": [_FLEET],
     "fleet-epoch-json": [_FLEET + _JSON],

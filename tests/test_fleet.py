@@ -624,8 +624,8 @@ class TestFleetCLI:
         assert doc["schema_version"] == EXPORT_SCHEMA_VERSION
         assert doc["fleet"]["num_gpus"] == 2
         assert len(doc["fleet"]["workers"]) == 2
-        rows = {r["scenario"] for r in doc["attribution"]["what_if"]}
-        assert "capacity @4 GPUs" in rows
+        rows = [r["scenario"] for r in doc["attribution"]["what_if"]]
+        assert rows == ["+1 SSD", "capacity"]
 
     def test_traced_export_clock_is_the_epoch_time(self, tmp_path, capsys):
         """The fleet keeps its tracer's clock current, so a traced export's

@@ -677,23 +677,17 @@ class TestExport:
 
         validate_summary(summary)
 
-    def test_attribution_sequential_verdict_and_2x_hbm_row(self, exported):
+    def test_attribution_sequential_verdict_and_what_if_rows(self, exported):
         trainer, _, summary = exported
         attribution = summary["attribution"]
         assert attribution["bottleneck"] == "ssd.sequential"
         assert "sequential-read-bound" in attribution["verdict"]
-        rows = {r["scenario"]: r for r in attribution["what_if"]}
-        assert "2x HBM" in rows
-        row = rows["2x HBM"]
-        what_if = summary["fullgraph"]["what_if_2x_hbm"]
-        assert row["predicted_e2e_seconds"] == pytest.approx(
-            what_if["predicted_e2e_seconds"]
-        )
-        # Doubling the 6 MB budget lets the planner keep activations
-        # resident, so the predicted epoch is strictly faster.
-        assert what_if["activations_resident"]
-        assert what_if["speedup"] > 1.0
-        assert row["delta_seconds"] < 0.0
+        # Only the rows a full-graph run can check: +1 SSD and the capacity
+        # read-out.  A doubled HBM budget re-plans the partition count,
+        # which no what-if row models, so there is no 2x HBM prediction.
+        rows = [r["scenario"] for r in attribution["what_if"]]
+        assert rows == ["+1 SSD", "capacity"]
+        assert "what_if_2x_hbm" not in summary["fullgraph"]
 
     def test_minibatch_reports_have_no_fullgraph_block(self, exported):
         trainer, result, _ = exported

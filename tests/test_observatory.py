@@ -190,12 +190,8 @@ class TestWhatIf:
         table = what_if(summary, optane_specs)
         assert [row["scenario"] for row in table] == [
             "+1 SSD",
-            "+CPU buffer",
             "2x window depth",
             "capacity",
-            "capacity @2 GPUs",
-            "capacity @4 GPUs",
-            "capacity @8 GPUs",
         ]
         plus_one = table[0]
         assert plus_one["predicted_aggregation_seconds"] < 1.0
@@ -233,9 +229,40 @@ class TestWhatIf:
             aggregation=1.0,
         )
         table = what_if(summary, optane_specs)
-        deeper = table[2]
+        deeper = table[1]
         assert deeper["scenario"] == "2x window depth"
         assert deeper["predicted_aggregation_seconds"] < 1.0
+
+    #: Export ``loader`` -> the scenarios a 2-SSD run of it emits: only the
+    #: rows a run of the driver can check (conform's observatory-what-if
+    #: bands), plus the capacity read-out.
+    EMITTED = {
+        "GIDS": [
+            "+1 SSD", "2x window depth", "capacity",
+            "degraded capacity (1 SSD down)",
+        ],
+        "GIDS-fleet": ["+1 SSD", "capacity"],
+        "GIDS-fullgraph": ["+1 SSD", "capacity"],
+        "GIDS-serve": ["capacity"],
+        "BaM": ["capacity"],
+        "DGL-mmap": ["capacity"],
+    }
+
+    @pytest.mark.parametrize("loader", sorted(EMITTED))
+    def test_each_driver_emits_only_the_rows_a_run_checks(self, loader):
+        specs = system_spec_block(SystemConfig(ssd=INTEL_OPTANE, num_ssds=2))
+        n = 1_400_000
+        summary = make_summary(
+            loader=loader, storage_requests=n, storage_bytes=n * 4096
+        )
+        table = what_if(summary, specs)
+        assert [row["scenario"] for row in table] == self.EMITTED[loader]
+        # A row a driver keeps is the same prediction whichever driver ran.
+        gids = {r["scenario"]: r for r in what_if(
+            make_summary(storage_requests=n, storage_bytes=n * 4096), specs
+        )}
+        for row in table:
+            assert row == gids[row["scenario"]]
 
 
 class TestValidateSummary:

@@ -38,6 +38,10 @@ from repro.pipeline.metrics import IterationMetrics, RunReport, StageTimes
 from repro.sim.counters import TransferCounters
 
 V6_FIXTURE = Path(__file__).parent / "data" / "baseline_report.json"
+#: A ``repro fullgraph --scale 0.002 --epochs 1 --hbm-mb 4`` export written
+#: when the what-if table still carried +CPU buffer, 2x HBM and
+#: capacity @N GPUs rows and ``fullgraph.what_if_2x_hbm``.
+V11_FULLGRAPH = Path(__file__).parent / "data" / "v11_fullgraph_report.json"
 
 _TINY = ["--dataset", "IGB-tiny", "--scale", "0.02"]
 
@@ -102,6 +106,38 @@ def test_fresh_exports_validate_and_emit_only_table_keys(fresh, name):
     assert doc["schema_version"] == EXPORT_SCHEMA_VERSION
 
 
+#: Export -> the what-if scenarios it carries: the rows a run of its driver
+#: checks (every export here runs one SSD, so no degraded row), and the
+#: capacity read-out.
+_WHAT_IF = {
+    "run --loader gids": ["+1 SSD", "2x window depth", "capacity"],
+    "run --checkpoint-dir": ["+1 SSD", "2x window depth", "capacity"],
+    "serve": ["capacity"],
+    "fleet": ["+1 SSD", "capacity"],
+    "fullgraph": ["+1 SSD", "capacity"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPORTS))
+def test_fresh_exports_carry_only_the_checked_what_if_rows(fresh, name):
+    rows = fresh[name]["attribution"]["what_if"]
+    assert [row["scenario"] for row in rows] == _WHAT_IF[name]
+
+
+def test_an_export_with_retired_what_if_rows_validates_and_renders(tmp_path):
+    doc = json.loads(V11_FULLGRAPH.read_text(encoding="utf-8"))
+    assert "2x HBM" in {r["scenario"] for r in doc["attribution"]["what_if"]}
+    assert "what_if_2x_hbm" in doc["fullgraph"]
+    assert validate_summary(doc) is doc
+    code, out, err = _main(["analyze", V11_FULLGRAPH])
+    assert code == 0 and err == "", err
+    assert "+1 SSD" in out and "ssd.sequential" in out
+    for retired in ("+CPU buffer", "2x HBM", "GPUs"):
+        assert retired not in out
+    code, out, _ = _main(["compare", V11_FULLGRAPH, V11_FULLGRAPH])
+    assert code == 0
+
+
 def _v6() -> dict:
     return json.loads(V6_FIXTURE.read_text(encoding="utf-8"))
 
@@ -142,9 +178,6 @@ NESTED = {
     "faults.fallback_bytes": ("v6", "faults", "fallback_bytes", [0]),
     "attribution.specs": ("v6", "attribution", "specs", ["optane"]),
     "fullgraph.traffic": ("fullgraph", "fullgraph", "traffic", "none"),
-    "fullgraph.what_if_2x_hbm": (
-        "fullgraph", "fullgraph", "what_if_2x_hbm", 2.0,
-    ),
 }
 
 
