@@ -170,7 +170,7 @@ def fullgraph_vs_minibatch(
     batch_size: int = 256,
     fanouts: tuple[int, ...] = (5, 5),
     max_epochs: int = 20,
-    hbm_budget_bytes: float = 8 * 2**20,
+    hbm_budget_bytes: float = 21 * 2**20,
     scale: float = 5e-5,
 ) -> ExperimentResult:
     """Full-graph partition sweeps vs mini-batch GIDS, same SSD budget.

@@ -14,16 +14,23 @@ of state implement GIDS's window buffering:
 With no registered future reuse the cache degenerates to plain BaM behavior:
 random eviction over all resident lines (the Fig. 11 depth-0 baseline).
 
-Both tables are ``int32`` arrays indexed by page id (``-1`` in the reuse
-table = not resident), grown by doubling to the largest page id seen — about
-8 bytes per page of the feature table.  A call is served a *run* of pages at
-a time: one fancy-index classifies the run against the state at entry, one
+Random eviction draws ``rng.integers(n)`` over the *n* unpinned lines in
+their evictable order and swaps the last into the victim's slot; newly
+evictable lines are appended, and a pin or an invalidation leaves a hole,
+the order otherwise in place (a uniform choice fixes no order).  So a pin is
+one fancy-index per call and freed lines one bulk append; holes are closed,
+order kept, before a draw or when the buffer is full.  The tables are
+``int32`` arrays indexed by page id (reuse count, pending count, evictable
+slot; ``-1`` = none), grown by doubling — about 12 bytes per page of the
+feature table — plus the order, an ``int32`` buffer of at most twice the
+most lines evictable at once.  A call is served a *run* of pages at a time:
+one fancy-index classifies the run against the state at entry, one
 cumulative sum gives the size of the evictable population every miss will
 see, one ``Generator.integers`` call draws every victim's index (it consumes
 the bit stream exactly like the scalar draws it stands for —
-``tests/test_utils.py`` pins that), and only the swap-remove/append walk over
-the evictable list stays per page.  Decisions are those of the per-page
-definition (``tests/oracles/gpu_cache_reference.py``) bit for bit.
+``tests/test_utils.py`` pins that), and only a run that evicts walks its
+events per page, over the order as a list.  Decisions are those of the
+per-page definition (``tests/oracles/gpu_cache_reference.py``) bit for bit.
 """
 
 from __future__ import annotations
@@ -109,11 +116,12 @@ class GPUSoftwareCache(Stateful):
         self._pending = np.zeros(0, dtype=np.int32)
         self._num_resident = 0
         # Evictable (reuse == 0) resident pages in their exact order.  For
-        # "random": list + position map for O(1) swap-remove; for "lru":
-        # an OrderedDict, least recent first (a plain dict's first key is
-        # found by scanning the holes its deletions leave).
-        self._evictable_list: list[int] = []
-        self._evictable_pos: dict[int, int] = {}
+        # "random": ``_order[:_end]`` holds them with -1 holes, ``_live`` of
+        # them, and ``_slot`` maps a page to its index there (-1 = none);
+        # for "lru": an OrderedDict, least recent first.
+        self._slot = np.full(0, -1, dtype=np.int32)
+        self._order = np.zeros(0, dtype=np.int32)
+        self._end = self._live = 0
         self._lru: OrderedDict[int, None] = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -144,13 +152,16 @@ class GPUSoftwareCache(Stateful):
         return int(np.count_nonzero(self._pending))
 
     @property
-    def _evictable(self) -> list[int] | OrderedDict[int, None]:
+    def _evictable(self) -> np.ndarray:
         """The unpinned lines, in the order the policy reads them."""
-        return self._evictable_list if self.policy == "random" else self._lru
+        if self.policy == "lru":
+            return np.fromiter(self._lru, dtype=np.int64, count=len(self._lru))
+        order = self._order[: self._end]
+        return order[order >= 0].astype(np.int64)
 
     @property
     def _num_evictable(self) -> int:
-        return len(self._evictable)
+        return self._live if self.policy == "random" else len(self._lru)
 
     def pending_reuse(self, page: int) -> int:
         """Outstanding future-reuse count for ``page`` (resident or not)."""
@@ -177,42 +188,68 @@ class GPUSoftwareCache(Stateful):
     def _grow(self, num_ids: int) -> None:
         old = len(self._reuse)
         size = max(num_ids, 2 * old)
-        reuse = np.full(size, -1, dtype=np.int32)
-        reuse[:old] = self._reuse
-        pending = np.zeros(size, dtype=np.int32)
-        pending[:old] = self._pending
-        self._reuse = reuse
-        self._pending = pending
+        for name, empty in (("_reuse", -1), ("_pending", 0), ("_slot", -1)):
+            table = np.full(size, empty, dtype=np.int32)
+            table[:old] = getattr(self, name)
+            setattr(self, name, table)
 
     # ------------------------------------------------------------------
     # Evictable-set maintenance
 
-    def _mark_evictable(self, page: int) -> None:
-        if self.policy == "random":
-            self._evictable_pos[page] = len(self._evictable_list)
-            self._evictable_list.append(page)
-        else:
-            self._lru[page] = None
+    def _unpin(self, pages: np.ndarray) -> None:
+        """Take distinct evictable ``pages`` out; the order stays in place."""
+        if self.policy == "lru":
+            for page in pages.tolist():
+                del self._lru[page]
+            return
+        self._order[self._slot[pages]] = -1
+        self._slot[pages] = -1
+        self._live -= len(pages)
 
-    def _unmark_evictable(self, page: int) -> None:
-        if self.policy == "random":
-            pos = self._evictable_pos.pop(page)
-            last = self._evictable_list.pop()
-            if last != page:
-                self._evictable_list[pos] = last
-                self._evictable_pos[last] = pos
-        else:
-            del self._lru[page]
+    def _release(self, pages) -> None:
+        """Append the newly evictable ``pages`` to the order, in order."""
+        if not len(pages):
+            return
+        pages = np.asarray(pages, dtype=np.int64)
+        if self.policy == "lru":
+            self._lru.update(dict.fromkeys(pages.tolist()))
+            return
+        end, k = self._end, len(pages)
+        if end + k > len(self._order):
+            self._compact()
+            end = self._end
+            if 2 * (end + k) > len(self._order):
+                order = np.empty(2 * (end + k), dtype=np.int32)
+                order[:end] = self._order[:end]
+                self._order = order
+        self._order[end : end + k] = pages
+        self._slot[pages] = np.arange(end, end + k, dtype=np.int32)
+        self._end = end + k
+        self._live += k
 
-    def _pick_victim(self) -> int | None:
-        if self.policy == "random":
-            if not self._evictable_list:
-                return None
-            idx = int(self._rng.integers(len(self._evictable_list)))
-            return self._evictable_list[idx]
-        if not self._lru:
+    def _compact(self) -> None:
+        """Close the order's holes, keeping the lines' order."""
+        if self._end > self._live:
+            order = self._order[: self._end]
+            live = order[order >= 0]
+            order[: self._live] = live
+            self._slot[live] = np.arange(self._live, dtype=np.int32)
+            self._end = self._live
+
+    def _evict_one(self) -> int | None:
+        """Draw and take out a victim among the unpinned lines, or ``None``."""
+        if self.policy == "lru":
+            return self._lru.popitem(last=False)[0] if self._lru else None
+        if not self._live:
             return None
-        return next(iter(self._lru))
+        self._compact()
+        slot = int(self._rng.integers(self._live))
+        self._live = self._end = self._live - 1
+        victim, last = self._order[[slot, self._live]].tolist()
+        self._order[slot] = last
+        self._slot[last] = slot
+        self._slot[victim] = -1
+        return victim
 
     def _trace_instants(self, name: str, pages: Iterable[int]) -> None:
         tracer = self.tracer
@@ -236,16 +273,15 @@ class GPUSoftwareCache(Stateful):
         resident = count >= 0
         # Registering changes no residency, so the classification at entry
         # holds for the whole call, repeated pages included.
-        unpin = pages[count == 0].tolist()
+        unpin = pages[count == 0]
         if _repeat_free_prefix(pages) == len(pages):
             self._reuse[pages] = count + resident
             self._pending[pages] += ~resident
         else:
             np.add.at(self._reuse, pages[resident], 1)
             np.add.at(self._pending, pages[~resident], 1)
-            unpin = dict.fromkeys(unpin)
-        for page in unpin:
-            self._unmark_evictable(page)
+            unpin = np.unique(unpin)
+        self._unpin(unpin)
 
     def forget_future(self, pages: np.ndarray) -> None:
         """Reverse :meth:`register_future` for pages that will not be used.
@@ -262,18 +298,19 @@ class GPUSoftwareCache(Stateful):
             # non-resident ones.
             waiting = pending[pages]
             pending[pages] = waiting - (waiting > 0)
-            for page in pages[count == 1].tolist():
-                self._mark_evictable(page)
+            self._release(pages[count == 1])
             return
         # A repeated page sees what its earlier occurrence left behind.
+        freed = []
         for page in pages.tolist():
             count = reuse[page]
             if count > 0:
                 reuse[page] = count - 1
                 if count == 1:
-                    self._mark_evictable(page)
+                    freed.append(page)
             elif count < 0 and pending[page] > 0:
                 pending[page] -= 1
+        self._release(freed)
 
     # ------------------------------------------------------------------
     # Access path
@@ -319,47 +356,49 @@ class GPUSoftwareCache(Stateful):
     def _access_walk(self, pages: np.ndarray, hit_mask: np.ndarray) -> None:
         """Serve ``pages`` one at a time (short batches, the LRU arm)."""
         reuse = self._reuse
+        pending = self._pending
         lru = self._lru if self.policy == "lru" else None
+        # Lines freed since the last draw: the random policy appends them
+        # just before the next one, LRU (which refreshes recency) at once.
+        freed: list[int] = []
+        free = freed.append if lru is None else lru.setdefault
         hits = 0
         for i, page in enumerate(pages.tolist()):
             count = reuse[page]
-            if count < 0:
-                self._admit(page)
+            if count >= 0:
+                hit_mask[i] = True
+                hits += 1
+                if count > 0:
+                    reuse[page] = count - 1
+                    if count == 1:
+                        free(page)
+                elif lru is not None:
+                    # Refresh recency of an unpinned line.
+                    lru.move_to_end(page)
                 continue
-            hit_mask[i] = True
-            hits += 1
-            if count > 0:
-                reuse[page] = count - 1
-                if count == 1:
-                    self._mark_evictable(page)
-            elif lru is not None:
-                # Refresh recency of an unpinned line.
-                lru.move_to_end(page)
+            # A miss consumes one registered unit; admit, evicting if full.
+            count = max(int(pending[page]) - 1, 0)
+            if self._num_resident >= self.capacity_lines:
+                self._release(freed)
+                freed.clear()
+                victim = self._evict_one()
+                if victim is None:
+                    # Every line pinned: stream the page without caching.
+                    self.stats.bypasses += 1
+                    pending[page] = count
+                    continue
+                reuse[victim] = -1
+                self._num_resident -= 1
+                self.stats.evictions += 1
+                self._trace_instants("cache.evict", (victim,))
+            pending[page] = 0
+            reuse[page] = count
+            self._num_resident += 1
+            if count == 0:
+                free(page)
+        self._release(freed)
         self.stats.hits += hits
         self.stats.misses += len(pages) - hits
-
-    def _admit(self, page: int) -> None:
-        """Insert ``page`` after a miss, evicting if necessary."""
-        count = int(self._pending[page])
-        if count > 0:
-            count -= 1  # The current access consumes one registered unit.
-        if self._num_resident >= self.capacity_lines:
-            victim = self._pick_victim()
-            if victim is None:
-                # Every line pinned: stream the page without caching.
-                self.stats.bypasses += 1
-                self._pending[page] = count
-                return
-            self._unmark_evictable(victim)
-            self._reuse[victim] = -1
-            self._num_resident -= 1
-            self.stats.evictions += 1
-            self._trace_instants("cache.evict", (victim,))
-        self._pending[page] = 0
-        self._reuse[page] = count
-        self._num_resident += 1
-        if count == 0:
-            self._mark_evictable(page)
 
     def _access_run(self, pages: np.ndarray, hit_mask: np.ndarray) -> int:
         """Serve a leading run of ``pages`` (random policy); return its length.
@@ -387,8 +426,7 @@ class GPUSoftwareCache(Stateful):
                 self._pending[pages] = 0
                 self._num_resident += n_miss
             reuse[pages] = after
-            for page in pages[(after == 0) & (count != 0)].tolist():
-                self._mark_evictable(page)
+            self._release(pages[(after == 0) & (count != 0)])
             self.stats.hits += n_hits
             self.stats.misses += n_miss
             hit_mask[:n] = hit
@@ -409,9 +447,8 @@ class GPUSoftwareCache(Stateful):
         step = (count == 1).astype(np.int64)
         step += miss & ~(full | pinned)
         step -= full & pinned
-        order = self._evictable_list
         # level[i]: evictable lines when page i is reached.
-        level = np.cumsum(np.concatenate(([len(order)], step)))
+        level = np.cumsum(np.concatenate(([self._num_evictable], step)))
         level -= np.minimum.accumulate(np.minimum(level, 0))
         full_at = np.flatnonzero(full)
         bounds = level[full_at]
@@ -420,51 +457,55 @@ class GPUSoftwareCache(Stateful):
         evict_at = full_at[drawing]
         bounds = bounds[drawing]
 
-        # Only a page that is unpinned at entry can be evicted before the
-        # run reaches it; with window pinning there is none.
-        unserved = {}
-        exposed = np.flatnonzero(count == 0)
-        if len(exposed):
-            unserved = dict(zip(pages[exposed].tolist(), exposed.tolist()))
-        rng = self._rng
-        rewind = rng.bit_generator.state if unserved else None
-        slots = rng.integers(0, bounds) if len(bounds) else bounds
-
-        # What each page does to the evictable list, walked in page order.
+        # What each page does to the evictable order, in page order.
         kind = ((count == 1) | (miss & ~pinned)) * _APPENDS
         kind[bypass_at] = 0
         kind[evict_at] |= _EVICTS
         events = np.flatnonzero(kind)
-        where = self._evictable_pos
         victims: list[int] = []
-        draw = iter(slots.tolist())
         end = n
-        for at, page, does in zip(
-            events.tolist(), pages[events].tolist(), kind[events].tolist()
-        ):
-            if at >= end:
-                break
-            if does & _EVICTS:
+        if not len(bounds):
+            self._release(pages[events])
+        else:
+            # Only a page that is unpinned at entry can be evicted before
+            # the run reaches it; with window pinning there is none.
+            exposed = np.flatnonzero(count == 0)
+            unserved = dict(zip(pages[exposed].tolist(), exposed.tolist()))
+            rng = self._rng
+            rewind = rng.bit_generator.state if unserved else None
+            draw = iter(rng.integers(0, bounds).tolist())
+            self._compact()
+            order = self._order[: self._live].tolist()
+            for at, page, does in zip(
+                events.tolist(), pages[events].tolist(), kind[events].tolist()
+            ):
+                if at >= end:
+                    break
+                if does == _APPENDS:
+                    order.append(page)
+                    continue
+                # The last line fills the victim's slot; an admitted
+                # unpinned page then takes the last place.
                 slot = next(draw)
                 victim = order[slot]
-                last = order.pop()
-                if last != victim:
-                    order[slot] = last
-                    where[last] = slot
-                del where[victim]
+                order[slot] = order[-1]
+                if does & _APPENDS:
+                    order[-1] = page
+                else:
+                    order.pop()
                 victims.append(victim)
                 if unserved:
                     ahead = unserved.get(victim)
                     if ahead is not None and at < ahead < end:
                         end = ahead
-            if does & _APPENDS:
-                where[page] = len(order)
-                order.append(page)
-        if len(victims) < len(slots):
-            # The run ended early: give back the draws it did not use.
-            rng.bit_generator.state = rewind
-            if victims:
-                rng.integers(0, bounds[: len(victims)])
+            if len(victims) < len(bounds):
+                # The run ended early: give back the draws it did not use.
+                rng.bit_generator.state = rewind
+                if victims:
+                    rng.integers(0, bounds[: len(victims)])
+            self._slot[victims] = -1
+            self._end = self._live = 0
+            self._release(order)
 
         if end < n:
             n = end
@@ -502,16 +543,14 @@ class GPUSoftwareCache(Stateful):
         pages = self._page_array(pages)
         reuse = self._reuse
         # A repeated page is already gone the second time round.
-        dropped = list(dict.fromkeys(pages[reuse[pages] >= 0].tolist()))
-        for page in dropped:
-            count = int(reuse[page])
-            if count == 0:
-                self._unmark_evictable(page)
-            else:
-                self._pending[page] += count
-            reuse[page] = -1
+        dropped = pages[reuse[pages] >= 0]
+        dropped = dropped[np.sort(np.unique(dropped, return_index=True)[1])]
+        count = reuse[dropped]
+        self._unpin(dropped[count == 0])
+        self._pending[dropped] += count
+        reuse[dropped] = -1
         self._num_resident -= len(dropped)
-        self._trace_instants("cache.invalidate", dropped)
+        self._trace_instants("cache.invalidate", dropped.tolist())
         return len(dropped)
 
     # ------------------------------------------------------------------
@@ -533,15 +572,12 @@ class GPUSoftwareCache(Stateful):
         indexes into and the LRU policy reads recency from."""
         resident = np.flatnonzero(self._reuse >= 0)
         waiting = np.flatnonzero(self._pending > 0)
-        evictable = self._evictable
         return {
             "resident_pages": resident,
             "resident_counts": self._reuse[resident],
             "pending_pages": waiting,
             "pending_counts": self._pending[waiting],
-            "evictable": np.fromiter(
-                evictable, dtype=np.int64, count=len(evictable)
-            ),
+            "evictable": self._evictable,
         }
 
     def _lines_from_state(self, state: dict) -> None:
@@ -563,6 +599,10 @@ class GPUSoftwareCache(Stateful):
         waiting = _snapshot_ints(waiting, "pending pages")
         pending = _snapshot_ints(pending, "pending counts")
         evictable = _snapshot_ints(evictable, "evictable pages")
+        if len(np.unique(evictable)) != len(evictable):
+            raise CheckpointError(
+                "cache snapshot lists an evictable page twice"
+            )
         if len(resident) != len(reuse) or len(waiting) != len(pending):
             raise CheckpointError(
                 f"cache snapshot pairs {len(resident)} resident pages with "
@@ -576,11 +616,10 @@ class GPUSoftwareCache(Stateful):
         self._pending = np.zeros(size, dtype=np.int32)
         self._pending[waiting] = pending
         self._num_resident = len(resident)
-        self._evictable_list = []
-        self._evictable_pos = {}
+        self._slot = np.full(size, -1, dtype=np.int32)
+        self._end = self._live = 0
         self._lru = OrderedDict()
-        for page in evictable.tolist():
-            self._mark_evictable(page)
+        self._release(evictable)
         try:
             self.check_invariants()
         except AssertionError as exc:
@@ -622,8 +661,7 @@ class GPUSoftwareCache(Stateful):
         if (reuse < -1).any():
             page = int(np.flatnonzero(reuse < -1)[0])
             raise AssertionError(f"negative reuse counter on {page}")
-        evictable = self._evictable
-        ids = np.fromiter(evictable, dtype=np.int64, count=len(evictable))
+        ids = self._evictable
         if len(np.unique(ids)) != len(ids):
             raise AssertionError("evictable page listed twice")
         known = (ids >= 0) & (ids < len(reuse))
@@ -647,11 +685,12 @@ class GPUSoftwareCache(Stateful):
             page = int(np.flatnonzero((pending > 0) & (reuse >= 0))[0])
             raise AssertionError(f"pending entry for resident page {page}")
         if self.policy == "random":
-            if len(self._evictable_list) != len(self._evictable_pos):
-                raise AssertionError("evictable list/pos size mismatch")
-            for page, pos in self._evictable_pos.items():
-                if self._evictable_list[pos] != page:
-                    raise AssertionError("evictable position map corrupted")
+            slots = np.flatnonzero(self._order[: self._end] >= 0)
+            listed = np.count_nonzero(self._slot >= 0)
+            if not len(slots) == listed == self._live:
+                raise AssertionError("evictable count out of step")
+            if (self._slot[self._order[slots]] != slots).any():
+                raise AssertionError("evictable slot table corrupted")
 
 
 def _snapshot_ints(values, what: str) -> np.ndarray:

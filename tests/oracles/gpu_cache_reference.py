@@ -1,11 +1,15 @@
 """Reference oracle: the dict-backed GPU software cache (PRs 0-11).
 
 This is the implementation ``repro.cache.gpu_cache`` shipped before it moved
-its state to arrays, kept verbatim as the *specification* the array-backed
-class is checked against: per page, one dict lookup, one scalar
-``Generator.integers`` draw per eviction.  ``tests/test_cache_gpu_differential.py``
-and ``benchmarks/bench_gpu_cache.py`` drive both with the same calls and
-require equal hit masks, statistics, eviction order and RNG state.
+its state to arrays, kept as the *specification* the array-backed class is
+checked against: per page, one dict lookup, one scalar ``Generator.integers``
+draw per eviction.  One rule differs from that implementation: a line that
+a pin or an invalidation takes out of the random policy's evictable order
+leaves a hole, so the other lines keep their order, and holes are closed,
+order kept, before the next draw.  An eviction swaps the last line into the
+victim's slot.  ``tests/test_cache_gpu_differential.py`` and
+``benchmarks/bench_gpu_cache.py`` drive both with the same calls and require
+equal hit masks, statistics, eviction order and RNG state.
 
 Test-only: nothing under ``src/`` may import this module.
 """
@@ -58,11 +62,12 @@ class ReferenceGPUSoftwareCache:
         self._reuse: dict[int, int] = {}
         # Pages not resident but already known to be reused soon.
         self._pending: dict[int, int] = {}
-        # Evictable (reuse == 0) resident pages.  For "random": list +
-        # position map for O(1) swap-remove; for "lru": insertion-ordered
-        # dict (Python dicts preserve order; re-inserting refreshes recency).
-        self._evictable_list: list[int] = []
+        # Evictable (reuse == 0) resident pages.  For "random": list with
+        # ``None`` holes + position map; for "lru": insertion-ordered dict
+        # (Python dicts preserve order; re-inserting refreshes recency).
+        self._evictable_list: list[int | None] = []
         self._evictable_pos: dict[int, int] = {}
+        self._holes = 0
         self._lru: dict[int, None] = {}
 
     # ------------------------------------------------------------------
@@ -82,7 +87,7 @@ class ReferenceGPUSoftwareCache:
     @property
     def _num_evictable(self) -> int:
         if self.policy == "random":
-            return len(self._evictable_list)
+            return len(self._evictable_list) - self._holes
         return len(self._lru)
 
     def pending_reuse(self, page: int) -> int:
@@ -102,14 +107,22 @@ class ReferenceGPUSoftwareCache:
             self._lru[page] = None
 
     def _unmark_evictable(self, page: int) -> None:
+        """A pin or invalidation: the other lines keep their order."""
         if self.policy == "random":
-            pos = self._evictable_pos.pop(page)
-            last = self._evictable_list.pop()
-            if last != page:
-                self._evictable_list[pos] = last
-                self._evictable_pos[last] = pos
+            self._evictable_list[self._evictable_pos.pop(page)] = None
+            self._holes += 1
         else:
             del self._lru[page]
+
+    def _close_holes(self) -> None:
+        if self._holes:
+            self._evictable_list = [
+                page for page in self._evictable_list if page is not None
+            ]
+            self._evictable_pos = {
+                page: pos for pos, page in enumerate(self._evictable_list)
+            }
+            self._holes = 0
 
     def _touch(self, page: int) -> None:
         """Refresh recency for LRU; no-op under random eviction."""
@@ -119,6 +132,7 @@ class ReferenceGPUSoftwareCache:
 
     def _pick_victim(self) -> int | None:
         if self.policy == "random":
+            self._close_holes()
             if not self._evictable_list:
                 return None
             idx = int(self._rng.integers(len(self._evictable_list)))
@@ -128,7 +142,15 @@ class ReferenceGPUSoftwareCache:
         return next(iter(self._lru))
 
     def _evict(self, page: int) -> None:
-        self._unmark_evictable(page)
+        if self.policy == "random":
+            # Swap-remove: the last line fills the victim's slot.
+            pos = self._evictable_pos.pop(page)
+            last = self._evictable_list.pop()
+            if last != page:
+                self._evictable_list[pos] = last
+                self._evictable_pos[last] = pos
+        else:
+            del self._lru[page]
         del self._reuse[page]
         self.stats.evictions += 1
         tracer = self.tracer
@@ -303,7 +325,9 @@ class ReferenceGPUSoftwareCache:
             },
             "reuse": dict(self._reuse),
             "pending": dict(self._pending),
-            "evictable": list(self._evictable_list),
+            "evictable": [
+                page for page in self._evictable_list if page is not None
+            ],
             "lru": list(self._lru),
         }
 
@@ -333,6 +357,7 @@ class ReferenceGPUSoftwareCache:
         self._evictable_pos = {
             page: pos for pos, page in enumerate(self._evictable_list)
         }
+        self._holes = 0
         self._lru = {int(p): None for p in state["lru"]}
         self.check_invariants()
 
@@ -341,7 +366,7 @@ class ReferenceGPUSoftwareCache:
         if len(self._reuse) > self.capacity_lines:
             raise AssertionError("resident lines exceed capacity")
         evictable = (
-            set(self._evictable_list)
+            set(self._evictable_pos)
             if self.policy == "random"
             else set(self._lru)
         )
@@ -361,7 +386,7 @@ class ReferenceGPUSoftwareCache:
             if page in self._reuse:
                 raise AssertionError(f"pending entry for resident page {page}")
         if self.policy == "random":
-            if len(self._evictable_list) != len(self._evictable_pos):
+            if self._num_evictable != len(self._evictable_pos):
                 raise AssertionError("evictable list/pos size mismatch")
             for page, pos in self._evictable_pos.items():
                 if self._evictable_list[pos] != page:

@@ -136,6 +136,20 @@ class TestWindowPinning:
         cache.register_future(np.array([1, 2]))
         assert cache.num_pinned == 2
 
+    def test_pin_leaves_the_evictable_order_in_place(self):
+        """Pinning b out of [a, b, c, d] leaves [a, c, d] (no swap of d
+        into b's slot), so a draw of index 1 evicts c."""
+        seed = 1
+        assert np.random.default_rng(seed).integers(3) == 1
+        cache = GPUSoftwareCache(4, seed=seed)
+        cache.access(np.array([10, 11, 12, 13]))
+        cache.register_future(np.array([11]))
+        assert cache.state_dict()["evictable"].tolist() == [10, 12, 13]
+        cache.access(np.array([14]))
+        assert 12 not in cache
+        assert all(page in cache for page in (10, 11, 13, 14))
+        cache.check_invariants()
+
 
 class TestLRUPolicy:
     def test_lru_evicts_least_recent(self):
