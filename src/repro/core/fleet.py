@@ -68,6 +68,7 @@ from ..state import (
     guard,
     mapping,
     records,
+    retired,
     scalar,
     seq,
 )
@@ -323,7 +324,6 @@ class _Worker(Stateful):
         self.queue: deque[int] = deque()
         self.skew_streak = 0
         self.times_stolen_from = 0
-        self.last_step_s: float | None = None
         self.counters = {
             "iterations": 0,
             "seeds_trained": 0,
@@ -361,7 +361,7 @@ class _Worker(Stateful):
         seq("queue", int, into=deque, save=each(int)),
         scalar("skew_streak", int),
         scalar("times_stolen_from", int),
-        scalar("last_step_s", float, optional=True),
+        retired("last_step_s"),
         mapping("counters"),
         # Built for the restored generation, then filled.
         child("cache", fresh=lambda self: self._fresh_cache()),
@@ -760,9 +760,7 @@ class ElasticFleetTrainer(Stateful):
         counters.storage_bytes += lost * page_bytes
         counters.fallback_requests -= lost
         counters.fallback_bytes -= lost * page_bytes
-        n_service = (
-            n_ssd + counters.reconstruct_reads - counters.parity_reconstructs
-        )
+        n_service = counters.device_reads
         ssd_s = array.batch_service_time(n_service) if n_service else 0.0
 
         worker.counters["cache_hit_pages"] += counters.gpu_cache_hits
@@ -852,7 +850,6 @@ class ElasticFleetTrainer(Stateful):
 
             assignments.append((worker.index, batch_index))
             step_times[worker.index] = elapsed
-            worker.last_step_s = elapsed
             worker.counters["iterations"] += 1
             worker.counters["seeds_trained"] += len(minibatch.seeds)
             worker.counters["busy_s"] += elapsed

@@ -230,15 +230,9 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
     def _sample_next(self) -> None:
         """Sample one future iteration and push it into the window."""
         batch = self._sample()
-        nodes = batch.input_nodes
-        if self.cpu_buffer is not None:
-            buffered = self.cpu_buffer.contains(nodes)
-            n_buffer_nodes = int(buffered.sum())
-            cache_nodes = nodes[~buffered]
-        else:
-            n_buffer_nodes = 0
-            cache_nodes = nodes
-        pages = self.layout.pages_for_nodes(cache_nodes)
+        n_buffer_nodes, pages = readpath.bypass(
+            self.stack, self.cpu_buffer, batch.input_nodes
+        )
         sampling_time = self.gpu.sampling_time(
             batch.num_sampled, n_kernels=batch.num_layers
         )
@@ -307,21 +301,11 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
                 unrecovered=fault.unrecovered,
                 timed_out=fault.timed_out,
             )
-        # Retried commands and repair re-reads occupy device service
-        # exactly like fresh ones; parity reconstruction issues k member
-        # reads for each rebuilt page, and the extra k-1 do too.  Digest
-        # checks cost modeled hash time on every verified byte.  All are
-        # zero whenever the matching plane is off.
-        integrity_rereads = sum(c.integrity_rereads for c in per_entry)
-        ha_extra_reads = sum(
-            c.reconstruct_reads - c.parity_reconstructs for c in per_entry
-        )
-        service_requests = (
-            total_storage_pages
-            + fault.retries
-            + integrity_rereads
-            + ha_extra_reads
-        )
+        # Retries, repair re-reads and parity member reads occupy device
+        # service like fresh commands (``device_reads``); digest checks
+        # cost modeled hash time on every verified byte.  Each is zero
+        # whenever its plane is off.
+        service_requests = sum(c.device_reads for c in per_entry)
         integrity_extra_time = (
             sum(c.verified_pages for c in per_entry)
             * page_bytes
@@ -365,7 +349,7 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
                     quarantined=sum(
                         c.corrupt_quarantined for c in per_entry
                     ),
-                    rereads=integrity_rereads,
+                    rereads=sum(c.integrity_rereads for c in per_entry),
                 )
 
         if self.accumulator is not None:
@@ -401,8 +385,9 @@ class GIDSDataLoader(MiniBatchLoader, Stateful):
         self.stack.background(
             group_elapsed, group_start_s + group_elapsed, metrics[-1].counters
         )
-        if tracer.want_request_detail and (
-            ha_extra_reads or any(c.replica_redirects for c in per_entry)
+        if tracer.want_request_detail and any(
+            c.replica_redirects or c.reconstruct_reads > c.parity_reconstructs
+            for c in per_entry
         ):
             tracer.record(
                 "degraded_reads",

@@ -15,10 +15,12 @@ or spill pages through it, so it exists exactly once, here, in two parts:
   accounting:
 
   ============ ========================================================
+  ``bypass``   ``cpu_buffer.contains`` -> the hot nodes the constant CPU
+               buffer serves, and the pages of the rest
   ``probe``    ``cache.access`` -> hit bytes
   ``route``    ``stack.router`` (``StorageHA.route``, the
-               unavailable-page mask, or all-direct) -> storage /
-               replica / parity / fallback split
+               unavailable-page mask, or all-direct; each honours
+               ``avoid``) -> storage / replica / parity / fallback split
   ``verify``   corruption draw -> ``ReadVerifier.process`` -> cache
                invalidate
   ``charge``   the failure/retry/spike process, drawn and counted once
@@ -108,8 +110,13 @@ def _uncharged(entries: list[TransferCounters]):
     return _UNCHARGED
 
 
-def _all_direct(pages: np.ndarray, avoid=None) -> HARouteOutcome:
-    return HARouteOutcome(n_direct=len(pages))
+def _split_lost(lost: np.ndarray) -> HARouteOutcome:
+    """Route outcome of an unprotected array: ``lost`` pages have no copy
+    to go to, every other page is read direct."""
+    n_lost = int(lost.sum())
+    return HARouteOutcome(
+        n_direct=len(lost) - n_lost, n_lost=n_lost, lost_mask=lost
+    )
 
 
 class StorageStack:
@@ -184,7 +191,7 @@ class StorageStack:
         #: The array a storage batch is charged against.
         self.array = self.ssd
         #: ``router(pages, avoid=None) -> HARouteOutcome``.
-        self.router = _all_direct
+        self.router = self._all_direct
         #: ``charge(entries) -> (BatchFaultOutcome, spike_s)``.
         self.charge = _uncharged
         #: ``device_masks() -> (active, stale)`` at the current time.
@@ -385,13 +392,20 @@ class StorageStack:
         active, _ = self.fault_array.device_states()
         return active, self.fault_array.stale_device_mask()
 
+    def _all_direct(self, pages, avoid=None) -> HARouteOutcome:
+        """No fault machinery: every page is read from its home device,
+        unless the caller avoids that device."""
+        if avoid is None:
+            return HARouteOutcome(n_direct=len(pages))
+        return _split_lost(avoid[pages % self.system.num_ssds])
+
     def _route_unprotected(self, pages, avoid=None) -> HARouteOutcome:
-        """No redundancy: unavailable pages are known-lost, skip storage."""
+        """No redundancy: unavailable pages, and pages homed on an avoided
+        device, are known-lost and skip storage."""
         lost = self.fault_array.unavailable_page_mask(pages)
-        n_lost = int(lost.sum())
-        return HARouteOutcome(
-            n_direct=len(pages) - n_lost, n_lost=n_lost, lost_mask=lost
-        )
+        if avoid is not None:
+            lost = lost | avoid[pages % self.system.num_ssds]
+        return _split_lost(lost)
 
     def _charge(
         self, entries: list[TransferCounters]
@@ -422,6 +436,24 @@ class StorageStack:
 
 # ----------------------------------------------------------------------
 # Stages
+
+
+def bypass(
+    stack: StorageStack,
+    cpu_buffer: ConstantCPUBuffer | None,
+    nodes: np.ndarray,
+) -> tuple[int, np.ndarray]:
+    """Split a batch's input ``nodes`` at the constant CPU buffer.
+
+    Returns ``(n_buffered, pages)``: how many nodes the buffer serves
+    (Section 3.3), and the pages of the rest, left for the GPU cache and
+    storage.  Without a buffer every node's page is left.
+    """
+    if cpu_buffer is None:
+        return 0, stack.layout.pages_for_nodes(nodes)
+    buffered = cpu_buffer.contains(nodes)
+    pages = stack.layout.pages_for_nodes(nodes[~buffered])
+    return int(buffered.sum()), pages
 
 
 def probe(
@@ -464,9 +496,11 @@ def route(
     """Decide which copy serves each miss page and account the split.
 
     With redundancy, unavailable pages redirect to a surviving replica or
-    reconstruct from parity (``avoid`` masks out further devices — an open
-    breaker is a routing decision, not a device state); without it they
-    are known-unavailable and skip storage.  Only pages with no live copy
+    reconstruct from parity; without it they are known-unavailable and
+    skip storage.  ``avoid`` (a per-device mask) forbids further devices
+    under every router — an open breaker is a routing decision, not a
+    device state: a page homed on an avoided device goes to another copy
+    when one exists, and is lost otherwise.  Only pages with no live copy
     fall back to the CPU mirror (``lost_mask`` marks them; it may be
     ``None`` when ``n_lost`` is zero).
     """

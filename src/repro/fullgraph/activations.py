@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FullGraphError
-from ..state import Stateful, guard, mapping, scalar
+from ..state import Stateful, guard, mapping, retired, scalar
 
 #: Spilled activations are paged at the storage granularity.
 PAGE_BYTES = 4096
@@ -49,9 +49,7 @@ class ActivationStore(Stateful):
         self.resident = bool(resident)
         self.page_bytes = int(page_bytes)
         self._arrays: dict[int, np.ndarray] = {}
-        self.spilled_bytes = 0
         self.spill_pages = 0
-        self.reloaded_bytes = 0
         self.reload_pages = 0
 
     # ------------------------------------------------------------------
@@ -94,7 +92,6 @@ class ActivationStore(Stateful):
         if self.resident:
             return 0
         n_bytes = values.size * values.itemsize
-        self.spilled_bytes += n_bytes
         self.spill_pages += self.pages_for(n_bytes)
         return n_bytes
 
@@ -110,7 +107,6 @@ class ActivationStore(Stateful):
         if self.resident:
             return values, 0
         n_bytes = values.size * values.itemsize
-        self.reloaded_bytes += n_bytes
         self.reload_pages += self.pages_for(n_bytes)
         return values, n_bytes
 
@@ -118,17 +114,15 @@ class ActivationStore(Stateful):
         """Account offloaded scratch traffic (e.g. gradient buffers).
 
         Returns the bytes actually charged against storage (0 when
-        resident), updating the same spill/reload counters.
+        resident), updating the same spill/reload page counts.
         """
         if n_bytes < 0:
             raise FullGraphError("scratch bytes must be non-negative")
         if self.resident or n_bytes == 0:
             return 0
         if read:
-            self.reloaded_bytes += n_bytes
             self.reload_pages += self.pages_for(n_bytes)
         else:
-            self.spilled_bytes += n_bytes
             self.spill_pages += self.pages_for(n_bytes)
         return int(n_bytes)
 
@@ -153,8 +147,8 @@ class ActivationStore(Stateful):
             )
             and "array shape does not match the graph",
         ),
-        scalar("spilled_bytes", int),
+        retired("spilled_bytes"),
         scalar("spill_pages", int),
-        scalar("reloaded_bytes", int),
+        retired("reloaded_bytes"),
         scalar("reload_pages", int),
     )

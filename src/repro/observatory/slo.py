@@ -259,10 +259,9 @@ class SLOMonitor:
 
         ``registry`` defaults to the tracer's metrics registry, so
         ``metrics.*`` rules work out of the box on traced runs.  ``report``
-        may be ``None`` for registry-only evaluation (the serving layer's
-        brownout controller runs mid-flight, before any
-        :class:`~repro.pipeline.metrics.RunReport` exists); ``report.*``
-        and ``iteration.*`` rules then resolve as missing.
+        may be ``None`` for registry-only evaluation (``serve --alerts``:
+        a serving run has no :class:`~repro.pipeline.metrics.RunReport`);
+        ``report.*`` and ``iteration.*`` rules then resolve as missing.
         """
         if registry is None:
             registry = self.tracer.metrics

@@ -7,11 +7,11 @@ answers with staleness accounting — and steps back up when the tail
 recovers.  Quality is degraded *for everyone* instead of latency being
 blown *for someone*: the classic brownout trade.
 
-The trigger is literal SLO machinery, not a private heuristic: the
-controller publishes a sliding-window p99 gauge into a metrics registry and
-asks a :class:`~repro.observatory.slo.SLOMonitor` whether its rule
-(``metrics.serving.p99_window.value > slo_p99_s`` by default) fires every
-:data:`EVAL_EVERY` completions over the last :data:`WINDOW`.
+Every :data:`EVAL_EVERY` completions the controller takes the exact p99
+of the last :data:`WINDOW` latencies, publishes it as the
+``serving.p99_window`` gauge (so ``serve --alerts`` rules and metric
+snapshots see it) and compares it with ``slo_p99_s``; the evaluation fires
+when the window p99 is above the objective.
 :data:`STEP_DOWN_AFTER` consecutive firing evaluations step down one level
 of :data:`~repro.serving.config.DEFAULT_BROWNOUT_LEVELS`;
 :data:`STEP_UP_AFTER` consecutive healthy ones step back up.
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..observatory.slo import ALERTS_TRACK, AlertRule, SLOMonitor
 from ..state import Stateful, records, scalar, seq
 from ..telemetry.tracer import ensure_tracer
+from ..telemetry.tracks import ALERTS_TRACK
+from ..utils import percentile
 from .config import DEFAULT_BROWNOUT_LEVELS, BrownoutLevel, ServingConfig
 
 #: Consecutive SLO-violating evaluations before stepping down a level.
@@ -38,15 +39,9 @@ EVAL_EVERY = 16
 WINDOW = 128
 
 
-def _exact_percentile(values: list[float], p: float) -> float:
-    """Nearest-rank percentile over a small window (exact, deterministic)."""
-    ordered = sorted(values)
-    rank = max(1, int(round(p / 100.0 * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 class BrownoutController(Stateful):
-    """Steps service quality down/up according to the SLO monitor."""
+    """Steps service quality down/up as the window p99 misses or meets
+    the objective."""
 
     def __init__(
         self,
@@ -58,17 +53,6 @@ class BrownoutController(Stateful):
         self.config = config
         self.registry = registry
         self.tracer = ensure_tracer(tracer)
-        self.monitor = SLOMonitor(
-            [
-                AlertRule(
-                    name="serving-p99",
-                    metric="metrics.serving.p99_window.value",
-                    op=">",
-                    threshold=config.slo_p99_s,
-                    severity="critical",
-                )
-            ],
-        )
         self.level_index = 0
         self.violation_streak = 0
         self.healthy_streak = 0
@@ -95,13 +79,12 @@ class BrownoutController(Stateful):
             self.evaluate(now_s)
 
     def evaluate(self, now_s: float) -> None:
-        """Publish the window p99 and run the monitor's step logic."""
+        """Publish the window p99 and step on whether it meets the SLO."""
         if not self._window:
             return
-        p99 = _exact_percentile(list(self._window), 99.0)
+        p99 = percentile(self._window, 99.0)
         self.registry.gauge("serving.p99_window").set(p99)
-        alerts = self.monitor.evaluate(None, self.registry)
-        if not alerts["ok"]:
+        if p99 > self.config.slo_p99_s:
             self.violation_streak += 1
             self.healthy_streak = 0
             if (

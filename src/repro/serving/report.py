@@ -17,6 +17,7 @@ from ..errors import ServingError
 from ..pipeline.export import SERVING_ROWS, _finite, run_document
 from ..pipeline.metrics import STAGES
 from ..state import Stateful, seq
+from ..utils import percentile
 from .config import PRIORITIES
 
 #: Ledger fields counted per priority tier.
@@ -31,15 +32,6 @@ _TIER_FIELDS = (
     "deadline_met",
     "deadline_missed",
 )
-
-
-def _percentile(values: list[float], p: float) -> float | None:
-    """Nearest-rank percentile, exact; ``None`` on an empty sample."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, int(round(p / 100.0 * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 class ServingStats(Stateful):
@@ -110,8 +102,6 @@ class ServingReport:
         *,
         stats: ServingStats,
         latencies: list[float],
-        latency_priorities: list[int],
-        deadline_flags: list[bool],
         protection: bool,
         arrival: dict,
         slo_p99_s: float,
@@ -131,8 +121,6 @@ class ServingReport:
     ) -> None:
         self.stats = stats
         self.latencies = latencies
-        self.latency_priorities = latency_priorities
-        self.deadline_flags = deadline_flags
         self.protection = protection
         self.arrival = arrival
         self.slo_p99_s = slo_p99_s
@@ -155,7 +143,7 @@ class ServingReport:
 
     def latency_percentile(self, p: float) -> float | None:
         """Exact latency percentile over admitted completed requests."""
-        return _percentile(self.latencies, p)
+        return percentile(self.latencies, p)
 
     @property
     def goodput_req_s(self) -> float:

@@ -35,7 +35,7 @@ from ..faults import FaultPlan, RetryPolicy
 from ..graph.datasets import ScaledDataset
 from ..sampling.neighbor import NeighborSampler
 from ..sim.counters import TransferCounters
-from ..state import Stateful, child, each, mapping, rng_state, scalar, seq
+from ..state import Stateful, child, mapping, retired, rng_state, scalar, seq
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.tracer import Tracer, ensure_tracer
 from ..utils import as_rng
@@ -144,19 +144,10 @@ class InferenceServer(Stateful):
         )
         self.store = self.stack.store
         self.layout = self.stack.layout
-        self.ssd = self.stack.ssd
-        self.pcie = self.stack.pcie
         self.gpu = self.stack.gpu
         self.faults = self.stack.faults
         self.fault_array = self.stack.fault_array
         self.storage_ha = self.stack.storage_ha
-        # Pages behind an open breaker or a dead device go to a surviving
-        # copy when redundancy exists, to the CPU mirror otherwise.
-        self._reroute = (
-            self._reroute_to_mirror
-            if self.storage_ha is None
-            else self._reroute_to_copy
-        )
 
         cache_lines = int(
             self.config.gpu_cache_bytes // self.layout.page_bytes
@@ -206,8 +197,6 @@ class InferenceServer(Stateful):
         self._busy_s = 0.0
         self._last_completion_s = 0.0
         self._latencies: list[float] = []
-        self._latency_priorities: list[int] = []
-        self._deadline_flags: list[bool] = []
         self._latency_hist = Histogram("serving.latency_s")
         self._gauges = None  # handles, resolved at the first publish
         self._stage_seconds = {
@@ -325,8 +314,6 @@ class InferenceServer(Stateful):
         self.stats.count("deadline_met" if met else "deadline_missed",
                          priority)
         self._latencies.append(latency)
-        self._latency_priorities.append(priority)
-        self._deadline_flags.append(met)
         self._latency_hist.observe(latency)
         self.admission.observe_service(service_s)
         if self.brownout is not None:
@@ -386,15 +373,11 @@ class InferenceServer(Stateful):
                 brownout_level=level_index,
             )
 
-        if self.cpu_buffer is not None:
-            buffered = self.cpu_buffer.contains(nodes)
-        else:
-            buffered = np.zeros(len(nodes), dtype=bool)
-        n_buffered = int(buffered.sum())
+        n_buffered, pages = readpath.bypass(
+            self.stack, self.cpu_buffer, nodes
+        )
         counters.cpu_buffer_requests += n_buffered
         counters.cpu_buffer_bytes += n_buffered * self.store.feature_bytes
-
-        pages = self.layout.pages_for_nodes(nodes[~buffered])
         counters.page_faults += len(pages)
         miss_pages = readpath.probe(self.stack, self.cache, pages, counters)
 
@@ -470,41 +453,34 @@ class InferenceServer(Stateful):
         policy — which devices the breaker board lets a request touch,
         what a dead device costs to discover, and hedging.
         """
-        num_ssds = self.system.num_ssds
-        page_bytes = self.layout.page_bytes
-        devices = miss_pages % num_ssds
+        devices = miss_pages % self.system.num_ssds
         array = self.stack.advance(start_s)
         active, stale = self.stack.device_masks()
+        unusable = ~(active & ~stale)
         timeout_s = 0.0
         stamp = self.tracer.want_request_detail
-
-        def reroute(pages_subset: np.ndarray, device: int) -> None:
-            self._reroute(
-                pages_subset, device, counters, start_s, active, stale
-            )
 
         # At most num_ssds devices: a set, not np.unique's sort machinery.
         for device in sorted(set(devices.tolist())):
             dev_pages = miss_pages[devices == device]
-            n_dev = len(dev_pages)
             breaker = (
                 self.breakers[device] if self.breakers is not None else None
             )
-            if breaker is not None and not breaker.allows_storage(
+            # An open breaker keeps every page off the device; a half-open
+            # one lets only probe traffic through.
+            n_probe = 0
+            if breaker is None or breaker.allows_storage(
                 start_s, self.tracer
             ):
-                # Open breaker: reroute — to a surviving replica when
-                # redundancy exists, to the CPU mirror otherwise.
-                reroute(dev_pages, device)
-                continue
-            n_probe = n_dev
-            if breaker is not None and breaker.state == HALF_OPEN:
-                # Half-open: only probe traffic touches the device.
-                n_probe = min(n_dev, PROBES)
-                reroute(dev_pages[n_probe:], device)
-            if not active[device]:
-                # Dead device discovered the hard way: the probe times
-                # out, then reroutes.
+                n_probe = len(dev_pages)
+                if breaker is not None and breaker.state == HALF_OPEN:
+                    n_probe = min(n_probe, PROBES)
+            # A dead device is discovered the hard way: the probe times
+            # out.  A stale one answers, but its pages predate its
+            # dropout, so they come from a copy until the rebuilder marks
+            # the device clean.
+            n_read = 0 if unusable[device] else n_probe
+            if n_probe and not active[device]:
                 timeout_s += DEVICE_TIMEOUT_S
                 if stamp:
                     self.tracer.instant(
@@ -512,24 +488,44 @@ class InferenceServer(Stateful):
                         "faults",
                         at_s=start_s,
                         device=device,
-                        pages=int(n_probe),
+                        pages=n_probe,
                         timeout_s=DEVICE_TIMEOUT_S,
                     )
-                reroute(dev_pages[:n_probe], device)
-                if breaker is not None:
-                    breaker.record(0, n_probe, start_s, self.tracer)
-            elif stale[device]:
-                # The device answers (no breaker failure) but its pages
-                # predate its dropout; serve them from a copy until the
-                # rebuilder marks the device clean.
-                reroute(dev_pages[:n_probe], device)
-                if breaker is not None:
-                    breaker.record(n_probe, 0, start_s, self.tracer)
-            else:
-                counters.storage_requests += n_probe
-                counters.storage_bytes += n_probe * page_bytes
-                if breaker is not None:
-                    breaker.record(n_probe, 0, start_s, self.tracer)
+            counters.storage_requests += n_read
+            counters.storage_bytes += n_read * self.layout.page_bytes
+            rerouted = dev_pages[n_read:]
+            if len(rerouted):
+                # Around this device and every unusable one: to a copy
+                # when redundancy holds one, to the CPU mirror otherwise.
+                avoid = unusable.copy()
+                avoid[device] = True
+                out = readpath.route(
+                    self.stack, rerouted, counters, avoid=avoid
+                )
+                if stamp and out.n_lost == len(rerouted):
+                    self.tracer.instant(
+                        "fallback.mirror",
+                        "cpu.buffer",
+                        at_s=start_s,
+                        device=device,
+                        pages=len(rerouted),
+                    )
+                elif stamp:
+                    self.tracer.instant(
+                        "ha.redirect",
+                        HA_TRACK,
+                        at_s=start_s,
+                        device=device,
+                        pages=len(rerouted),
+                        replica=out.n_replica,
+                        reconstruct=out.n_reconstruct,
+                        lost=out.n_lost,
+                    )
+            if breaker is not None and n_probe:
+                answered = n_probe if active[device] else 0
+                breaker.record(
+                    answered, n_probe - answered, start_s, self.tracer
+                )
 
         n_storage = counters.storage_requests
         latency = timeout_s
@@ -545,16 +541,7 @@ class InferenceServer(Stateful):
                     backoff_s=fault.backoff_s,
                     unrecovered=fault.unrecovered,
                 )
-            # A read that exhausted its retries never completed on the
-            # device: the server neither counts it as a storage request
-            # nor charges it a service slot.
-            counters.storage_requests -= fault.unrecovered
-            base = array.batch_service_time(
-                counters.storage_requests
-                + fault.retries
-                + counters.reconstruct_reads
-                - counters.parity_reconstructs
-            )
+            base = array.batch_service_time(counters.device_reads)
             latency += base + fault.backoff_s + spike_s
 
         if self.hedge is not None and n_storage:
@@ -572,44 +559,6 @@ class InferenceServer(Stateful):
         # storage window.
         self.stack.background(latency, start_s + latency, counters)
         return latency
-
-    def _reroute_to_mirror(
-        self, pages, device, counters, start_s, active, stale
-    ) -> None:
-        """No redundancy: pages kept off ``device`` come from the mirror."""
-        n_pages = len(pages)
-        counters.fallback_requests += n_pages
-        counters.fallback_bytes += n_pages * self.layout.page_bytes
-        if n_pages and self.tracer.want_request_detail:
-            self.tracer.instant(
-                "fallback.mirror",
-                "cpu.buffer",
-                at_s=start_s,
-                device=device,
-                pages=n_pages,
-            )
-
-    def _reroute_to_copy(
-        self, pages, device, counters, start_s, active, stale
-    ) -> None:
-        """Redundancy: route around ``device`` and whatever else is down;
-        only pages with no live copy left reach the mirror."""
-        if len(pages) == 0:
-            return
-        avoid = ~(active & ~stale)
-        avoid[device] = True
-        out = readpath.route(self.stack, pages, counters, avoid=avoid)
-        if self.tracer.want_request_detail:
-            self.tracer.instant(
-                "ha.redirect",
-                HA_TRACK,
-                at_s=start_s,
-                device=device,
-                pages=len(pages),
-                replica=out.n_replica,
-                reconstruct=out.n_reconstruct,
-                lost=out.n_lost,
-            )
 
     # ------------------------------------------------------------------
     # Metrics
@@ -658,8 +607,6 @@ class InferenceServer(Stateful):
         return ServingReport(
             stats=self.stats,
             latencies=list(self._latencies),
-            latency_priorities=list(self._latency_priorities),
-            deadline_flags=list(self._deadline_flags),
             protection=self.serving.protection,
             arrival={
                 "shape": self.arrival_config.shape,
@@ -716,8 +663,8 @@ class InferenceServer(Stateful):
         child("cache"),
         child("counters", cls=TransferCounters),
         seq("latencies", float, attr="_latencies"),
-        seq("latency_priorities", int, attr="_latency_priorities"),
-        seq("deadline_flags", bool, attr="_deadline_flags", save=each(bool)),
+        retired("latency_priorities"),
+        retired("deadline_flags"),
         child("latency_hist", "_latency_hist"),
         mapping("stage_seconds", float, attr="_stage_seconds"),
         scalar("degraded_requests", int),

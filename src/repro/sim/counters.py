@@ -39,6 +39,9 @@ class TransferCounters(StateRecord):
     member reads those reconstructions issued (``k`` per page — each
     occupies device service like a fresh command), and ``rebuild_pages``
     the pages the online rebuilder rewrote on its background IOPS budget.
+
+    :attr:`device_reads` is the one rule for how many SSD service slots
+    those counts occupy.
     """
 
     storage_requests: int = 0
@@ -74,6 +77,24 @@ class TransferCounters(StateRecord):
             + self.cpu_buffer_requests
             + self.gpu_cache_hits
             + self.fallback_requests
+        )
+
+    @property
+    def device_reads(self) -> int:
+        """Commands that occupy an SSD service slot (Eqs. 2-3).
+
+        Every storage request takes one, including a read that exhausted
+        its retries (it was issued; the fallback tier then re-serves it),
+        and so does every retried command and integrity re-read.  A parity
+        reconstruction issues ``k`` member reads in place of its page's
+        one read.
+        """
+        return (
+            self.storage_requests
+            + self.storage_retries
+            + self.integrity_rereads
+            + self.reconstruct_reads
+            - self.parity_reconstructs
         )
 
     @property

@@ -9,7 +9,8 @@ snapshot and the live object disagree is decided here and nowhere else:
 
 * a key the table does not declare, or a declared key that is absent
   (``late`` keys, which older snapshots lack, and the keys of ``omit``
-  components excepted);
+  components excepted; a :func:`retired` key, which only older snapshots
+  have, is accepted and dropped);
 * a :func:`guard` whose saved value differs from the live configuration;
 * an optional component present on one side only;
 * a :func:`children` list of the wrong length;
@@ -452,6 +453,15 @@ def group(key, fields, *, when=None) -> Field:
     return Field(
         "group", key, save_group, load_group,
         fields=fields, optional=present is not None,
+    )
+
+
+def retired(key) -> Field:
+    """A key older layouts saved and this one no longer keeps: left out of
+    new snapshots, accepted and dropped when an older snapshot has it."""
+    return Field(
+        "retired", key, lambda obj: _OMIT, lambda obj, value, fail: None,
+        late=True,
     )
 
 

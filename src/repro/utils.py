@@ -1,4 +1,5 @@
-"""Small shared helpers: RNG normalization, sorted sets, readable formatting."""
+"""Small shared helpers: RNG normalization, sorted sets, percentiles,
+readable formatting."""
 
 from __future__ import annotations
 
@@ -52,6 +53,16 @@ def require_finite(
     if maximum is not None and value > maximum:
         raise ConfigError(f"{name} must be <= {maximum}, got {value}")
     return value
+
+
+def percentile(values, p: float) -> float | None:
+    """Nearest-rank ``p``-th percentile of ``values``, exact and
+    deterministic; ``None`` on an empty sample."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = max(1, int(round(p / 100.0 * len(ordered) + 0.5)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 def format_bytes(n: float) -> str:

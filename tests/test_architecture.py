@@ -92,6 +92,9 @@ STAGE_CALLS = {
     "ingress_time": set(),
     # The OS page cache of the mmap baseline, and GPUSoftwareCache.warm.
     "access": {"baselines/mmap_loader.py", "cache/gpu_cache.py"},
+    # The bypass split.  `fetch_features` asks again which rows the CPU
+    # buffer served, so that corruption never reaches them.
+    "contains": {"core/gids.py"},
 }
 
 #: Non-driver sites that build bare storage-side models: the paper-figure
@@ -194,13 +197,13 @@ PLANE_HANDLES = (
 
 #: Read-path module -> the plane tests it may hold (48 before the stack
 #: owned the question, 8 before the tracer owned the snapshotter, 4
-#: before the sweep took its planes from the stack).  What is left: one
-#: construction-time choice — the server's reroute target (storage_ha) —
-#: plus ``verify``'s own "is there an injector to draw corruption from".
-#: Entries only shrink.
+#: before the sweep took its planes from the stack, 2 before every router
+#: honoured ``avoid`` and the server stopped choosing its reroute
+#: target).  What is left: ``verify``'s own "is there an injector to draw
+#: corruption from".  Entries only shrink.
 PLANE_TESTS = {
     "core/gids.py": 0,
-    "serving/server.py": 1,
+    "serving/server.py": 0,
     "core/readpath.py": 1,
     "core/fleet.py": 0,
     "fullgraph/trainer.py": 0,
@@ -248,12 +251,56 @@ def test_plane_tests_only_shrink(rel):
 
 
 def test_plane_tests_stay_under_three():
-    assert sum(PLANE_TESTS.values()) <= 2
+    assert sum(PLANE_TESTS.values()) <= 1
     total = sum(
         len(_none_tests(dict(SOURCES)[rel], PLANE_HANDLES))
         for rel in PLANE_TESTS
     )
-    assert total <= 2
+    assert total <= 1
+
+
+#: The one home of the device-slot rule (``TransferCounters.device_reads``).
+SLOT_RULE = "sim/counters.py"
+
+
+def _slot_arithmetic(tree) -> list[tuple[int, str]]:
+    """``(line, source)`` of every ``... reconstruct_reads -
+    ...parity_reconstructs`` and every ``storage_requests -= ...``."""
+
+    def name(node) -> str | None:
+        while isinstance(node, ast.BinOp):  # the rightmost operand
+            node = node.right
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return node.id if isinstance(node, ast.Name) else None
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.BinOp, ast.AugAssign)):
+            continue
+        if not isinstance(node.op, ast.Sub):
+            continue
+        if isinstance(node, ast.AugAssign):
+            hit = name(node.target) == "storage_requests"
+        else:
+            hit = (
+                name(node.left) == "reconstruct_reads"
+                and name(node.right) == "parity_reconstructs"
+            )
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_the_slot_rule_has_one_site():
+    sites = {
+        rel: found for rel, tree in SOURCES if (found := _slot_arithmetic(tree))
+    }
+    assert set(sites) == {SLOT_RULE}, (
+        "how many SSD slots a batch occupies is TransferCounters"
+        f".device_reads ({SLOT_RULE}); price batches from it instead of "
+        f"re-deriving it: {sites}"
+    )
 
 
 def test_the_tracer_is_never_none_where_it_runs_per_step():

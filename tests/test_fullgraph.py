@@ -162,7 +162,7 @@ class TestActivationStore:
         clone.load_state_dict(store.state_dict())
         assert clone.resident is False
         assert np.array_equal(clone.array(0), store.array(0))
-        assert clone.spilled_bytes == store.spilled_bytes
+        assert clone.spill_pages == store.spill_pages
 
     def test_wrong_graph_checkpoint_rejected(self):
         store = ActivationStore(6, resident=False)

@@ -596,8 +596,8 @@ class TestServingStats:
         stats = ServingStats()
         stats.count("offered", 0)  # offered but never resolved
         report_kwargs = dict(
-            stats=stats, latencies=[], latency_priorities=[],
-            deadline_flags=[], protection=True, arrival={}, slo_p99_s=0.05,
+            stats=stats, latencies=[], protection=True, arrival={},
+            slo_p99_s=0.05,
             duration_s=0.0, busy_s=0.0, stage_seconds={}, counters=None,
             degraded_requests=0, stale_requests=0, stale_pages=0,
             hedge={}, breaker_transitions=[], breaker_open_count=0,

@@ -11,7 +11,11 @@ running workloads, and checks
   guard and nulling / un-nulling each optional component raises the
   table's typed error — never ``KeyError``, ``TypeError`` or
   ``AttributeError``; late keys (absent from older snapshots) and lenient
-  telemetry riders load either way.
+  telemetry riders load either way, and a retired key (present only in
+  older snapshots) is accepted and dropped.
+
+A current snapshot with its retired keys added back must also resume
+bit-identically, for every driver that retired some.
 
 ``tests/data/parent_train_ckpt-00000006.bin`` was written by ``repro
 train`` at the commit before the tables (the command is in
@@ -221,6 +225,14 @@ def _mutations(fields, state: dict):
     """
     yield "bogus key", lambda s: s.update(bogus=1), True
     for field in fields:
+        if field.kind == "retired":
+            # What a snapshot written before the key was retired holds.
+            yield (
+                f"add retired {field.key!r}",
+                lambda s, key=field.key: s.update({key: [0]}),
+                False,
+            )
+            continue
         for key in field.keys_of(state):
             if key in state:
                 yield (
@@ -300,6 +312,89 @@ def test_every_skew_raises_the_typed_error(cls, instances):
     assert _text(
         _restore(cls, live, live.state_dict()).state_dict()
     ) == _text(reference)
+
+
+# ----------------------------------------------------------------------
+# Retired keys
+
+
+def _server(dataset) -> InferenceServer:
+    return InferenceServer(
+        dataset,
+        SystemConfig(ssd=INTEL_OPTANE, num_ssds=2),
+        LoaderConfig(gpu_cache_bytes=dataset.feature_data_bytes * 0.02),
+        arrival=ArrivalConfig(shape="bursty", rate=4000.0, seed=3),
+        serving=ServingConfig(protection=True),
+        fanouts=(3, 3),
+        seed=4,
+        fault_plan=_plan(device_events=(DeviceEvent(1, "dropout", 0.004),)),
+    )
+
+
+def _fleet(dataset) -> ElasticFleetTrainer:
+    return ElasticFleetTrainer(
+        dataset,
+        SystemConfig(ssd=INTEL_OPTANE, num_ssds=2),
+        FleetConfig(num_gpus=2, batch_size=4),
+        seed=6,
+        fanouts=(3, 3),
+        gpu_cache_bytes=dataset.feature_data_bytes * 0.02,
+        fault_plan=_plan(),
+        replication=2,
+    )
+
+
+def _sweep(dataset) -> FullGraphTrainer:
+    return FullGraphTrainer(
+        load_scaled("IGB-tiny", 0.001, seed=3),
+        SystemConfig(ssd=SAMSUNG_980PRO, num_ssds=2),
+        FullGraphConfig(
+            hidden_dim=4, num_classes=3, hbm_budget_bytes=6e6,
+            num_partitions=4,
+        ),
+        fault_plan=_plan(),
+        verify_reads="full",
+    )
+
+
+def _add_server_keys(state: dict) -> None:
+    n = len(state["latencies"])
+    state["latency_priorities"] = [i % 3 for i in range(n)]
+    state["deadline_flags"] = [i % 2 == 0 for i in range(n)]
+
+
+def _add_fleet_keys(state: dict) -> None:
+    for worker in state["workers"]:
+        worker["last_step_s"] = 1e-3
+
+
+def _add_sweep_keys(state: dict) -> None:
+    state["activations"]["spilled_bytes"] = 4096
+    state["activations"]["reloaded_bytes"] = 8192
+
+
+#: ``(build(dataset), advance(driver), add the retired keys(state))``.
+_RETIRING = {
+    "server": (_server, lambda d: d.serve(40), _add_server_keys),
+    "fleet": (_fleet, lambda d: d.run_epoch(max_steps=2), _add_fleet_keys),
+    "fullgraph": (_sweep, lambda d: d.run_steps(3), _add_sweep_keys),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RETIRING))
+def test_a_snapshot_with_retired_keys_resumes_bit_identically(name):
+    build, advance, add_retired = _RETIRING[name]
+    dataset = load_scaled("IGB-tiny", 0.02, seed=3)
+    original = build(dataset)
+    advance(original)
+    state = original.state_dict()
+    add_retired(state)
+    resumed = build(dataset)
+    resumed.load_state_dict(state)
+    assert _text(resumed.state_dict()) == _text(original.state_dict())
+    advance(original)
+    advance(resumed)
+    assert _text(resumed.state_dict()) == _text(original.state_dict())
 
 
 # ----------------------------------------------------------------------

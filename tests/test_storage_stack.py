@@ -14,18 +14,21 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.config import SAMSUNG_980PRO, LoaderConfig, SystemConfig
 from repro.core.bam import BaMDataLoader
 from repro.core.fleet import ElasticFleetTrainer
+from repro.core import readpath
 from repro.core.gids import GIDSDataLoader
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.fullgraph import FullGraphConfig, FullGraphTrainer
 from repro.graph.datasets import load_scaled
 from repro.serving import InferenceServer
+from repro.sim.counters import TransferCounters
 
 #: Every spill read that fails once stays failed: no retries.
 _PLAN = {"seed": 3, "read_failure_rate": 0.3, "retry": {"max_retries": 0}}
@@ -132,3 +135,46 @@ def test_every_driver_rejects_a_redundancy_knob_out_of_range(
     the sweep's own config."""
     with pytest.raises(ConfigError, match="replication|rebuild"):
         _DRIVERS[driver](dataset, system, **knob)
+
+
+_FAULTS = FaultPlan(seed=1, read_failure_rate=0.01)
+
+#: ``(planes, pages homed on the avoided device that a copy serves)``:
+#: a bare stack, an unprotected one (faults, no redundancy) and a
+#: replicated one.
+_ROUTERS = {
+    "bare": ({}, 0),
+    "unprotected": ({"fault_plan": _FAULTS}, 0),
+    "replicated": ({"fault_plan": _FAULTS, "replication": 2}, 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROUTERS))
+def test_every_router_honours_avoid(kind, dataset):
+    planes, redirected = _ROUTERS[kind]
+    stack = readpath.StorageStack(
+        dataset, SystemConfig(ssd=SAMSUNG_980PRO, num_ssds=4), **planes
+    )
+    stack.advance(0.0)
+    pages = np.arange(16, dtype=np.int64)
+
+    counters = TransferCounters()
+    out = readpath.route(stack, pages, counters)
+    assert (out.n_direct, out.n_lost) == (16, 0)
+    assert counters.storage_requests == 16
+
+    # An open breaker on device 1: its pages (page % 4 == 1) go to another
+    # copy when the placement holds one, and are lost otherwise.
+    avoid = np.array([False, True, False, False])
+    counters = TransferCounters()
+    out = readpath.route(stack, pages, counters, avoid=avoid)
+    homed = pages % 4 == 1
+    lost = 4 - redirected
+    assert out.n_lost == lost
+    assert out.n_replica == redirected
+    assert out.n_direct == 12
+    if lost:
+        assert np.array_equal(out.lost_mask, homed)
+    assert counters.fallback_requests == lost
+    assert counters.storage_requests == 16 - lost
+    assert counters.replica_redirects == redirected
