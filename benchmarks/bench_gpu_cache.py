@@ -18,6 +18,12 @@ eviction RNG state.  ``BENCH_gpu_cache.json`` at the repo root records pages
 per host second before (oracle) and after (array-backed), ``register_future``
 time included, so the trajectory is tracked across commits.
 
+Its ``run_min_sweep`` block chooses ``gpu_cache._RUN_MIN``, the batch length
+below which a batch is walked page by page: the head of each stream is
+re-cut into ``access`` calls of k pages and replayed once walked and once
+through the array path, both forced, and the access time per page of each
+is recorded.
+
     PYTHONPATH=src python benchmarks/bench_gpu_cache.py
 """
 
@@ -36,6 +42,7 @@ if str(ROOT) not in sys.path:  # the oracle lives with the tests
 
 from repro.bench.tables import render_table  # noqa: E402
 from repro.bench.workloads import get_workload  # noqa: E402
+from repro.cache import gpu_cache  # noqa: E402
 from repro.cache.gpu_cache import GPUSoftwareCache  # noqa: E402
 from repro.config import SAMSUNG_980PRO  # noqa: E402
 from repro.core.gids import GIDSDataLoader  # noqa: E402
@@ -96,6 +103,64 @@ def record_stream(
     return cache.capacity_lines, warm, calls
 
 
+#: Call lengths, in pages, that the cut-over sweep re-cuts the streams into.
+SWEEP_PAGES = (4, 8, 16, 24, 32, 48, 64, 96, 128, 256)
+#: Accessed pages of each stream's head that the sweep replays.
+SWEEP_HEAD = 60_000
+
+
+def recut(calls, k: int) -> list[tuple[str, np.ndarray]]:
+    """The head of a stream with each ``access`` call cut into calls of
+    ``k`` pages (the window calls are kept whole)."""
+    out, accessed = [], 0
+    for method, pages in calls:
+        if method == "access":
+            if accessed >= SWEEP_HEAD:
+                break
+            accessed += len(pages)
+            out += [(method, pages[i : i + k]) for i in range(0, len(pages), k)]
+        else:
+            out.append((method, pages))
+    return out
+
+
+def access_seconds(capacity, warm, calls, run_min: int) -> float:
+    """Host seconds in ``access`` with ``_RUN_MIN`` set to ``run_min``."""
+    saved = gpu_cache._RUN_MIN
+    gpu_cache._RUN_MIN = run_min
+    try:
+        cache = GPUSoftwareCache(capacity, seed=7)
+        cache.warm(warm)
+        seconds = 0.0
+        for method, pages in calls:
+            start = time.perf_counter()
+            getattr(cache, method)(pages)
+            if method == "access":
+                seconds += time.perf_counter() - start
+    finally:
+        gpu_cache._RUN_MIN = saved
+    return seconds
+
+
+def sweep_stream(capacity, warm, calls) -> dict:
+    """Per call length k: access microseconds per page, walked and through
+    the array path (min of ``REPEATS``), and the array path's speed-up."""
+    points = {}
+    for k in SWEEP_PAGES:
+        cut = recut(calls, k)
+        pages = sum(len(p) for method, p in cut if method == "access")
+        walk = batch = float("inf")
+        for _ in range(REPEATS):
+            walk = min(walk, access_seconds(capacity, warm, cut, 2**62))
+            batch = min(batch, access_seconds(capacity, warm, cut, 0))
+        points[str(k)] = {
+            "walk_us_per_page": 1e6 * walk / pages,
+            "batch_us_per_page": 1e6 * batch / pages,
+            "batch_speedup": walk / batch,
+        }
+    return points
+
+
 def replay(cache, calls) -> tuple[float, list[np.ndarray]]:
     """Host seconds for the whole stream, and every ``access`` hit mask."""
     masks = []
@@ -107,7 +172,8 @@ def replay(cache, calls) -> tuple[float, list[np.ndarray]]:
     return time.perf_counter() - start, masks
 
 
-def compare_stream(name: str) -> dict:
+def compare_stream(name: str) -> tuple[dict, dict]:
+    """The stream's before/after row and its cut-over sweep."""
     capacity, warm, calls = record_stream(name)
     accessed = sum(len(p) for method, p in calls if method == "access")
     seconds = {"before": float("inf"), "after": float("inf")}
@@ -130,7 +196,7 @@ def compare_stream(name: str) -> dict:
         if oracle._rng.bit_generator.state != cache._rng.bit_generator.state:
             raise AssertionError(f"{name}: eviction RNG state differs")
     stats = cache.stats
-    return {
+    return sweep_stream(capacity, warm, calls), {
         "capacity_lines": capacity,
         "calls": len(calls),
         "pages_accessed": accessed,
@@ -144,11 +210,15 @@ def compare_stream(name: str) -> dict:
     }
 
 
-def run_all() -> dict:
-    return {name: compare_stream(name) for name in STREAMS}
+def run_all() -> tuple[dict, dict]:
+    """``(before/after row per stream, run_min_sweep block)``."""
+    rows, sweeps = {}, {}
+    for name in STREAMS:
+        sweeps[name], rows[name] = compare_stream(name)
+    return rows, {"run_min": gpu_cache._RUN_MIN, "streams": sweeps}
 
 
-def report(results: dict) -> None:
+def report(results: dict, sweep: dict) -> None:
     print()
     print(
         render_table(
@@ -172,6 +242,22 @@ def report(results: dict) -> None:
             f"(register_future included, min of {REPEATS})",
         )
     )
+    print()
+    print(
+        render_table(
+            ["pages per call"] + [f"{name} batch/walk" for name in STREAMS],
+            [
+                [k]
+                + [
+                    f"{sweep['streams'][name][str(k)]['batch_speedup']:.2f}x"
+                    for name in STREAMS
+                ]
+                for k in SWEEP_PAGES
+            ],
+            title=f"Walk/batch cut-over (_RUN_MIN = {sweep['run_min']}): "
+            "array-path speed over the walk's",
+        )
+    )
     ARTIFACT.write_text(
         json.dumps(
             {
@@ -180,6 +266,7 @@ def report(results: dict) -> None:
                 "before": "tests/oracles/gpu_cache_reference.py",
                 "after": "src/repro/cache/gpu_cache.py",
                 "streams": results,
+                "run_min_sweep": sweep,
             },
             indent=2,
             sort_keys=True,
@@ -189,8 +276,8 @@ def report(results: dict) -> None:
 
 
 def test_array_backed_cache_matches_oracle_and_is_faster(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    report(results)
+    results, sweep = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    report(results, sweep)
     # The miss path is what the change is for; the other two must not pay.
     assert results["miss"]["speedup"] > 2.0
     assert results["hit"]["speedup"] > 1.0
@@ -198,4 +285,4 @@ def test_array_backed_cache_matches_oracle_and_is_faster(benchmark):
 
 
 if __name__ == "__main__":
-    report(run_all())
+    report(*run_all())

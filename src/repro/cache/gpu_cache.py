@@ -14,29 +14,32 @@ of state implement GIDS's window buffering:
 With no registered future reuse the cache degenerates to plain BaM behavior:
 random eviction over all resident lines (the Fig. 11 depth-0 baseline).
 
-Random eviction draws ``rng.integers(n)`` over the *n* unpinned lines in
-their evictable order and swaps the last into the victim's slot; newly
-evictable lines are appended, and a pin or an invalidation leaves a hole,
-the order otherwise in place (a uniform choice fixes no order).  So a pin is
-one fancy-index per call and freed lines one bulk append; holes are closed,
-order kept, before a draw or when the buffer is full.  The tables are
-``int32`` arrays indexed by page id (reuse count, pending count, evictable
-slot; ``-1`` = none), grown by doubling — about 12 bytes per page of the
-feature table — plus the order, an ``int32`` buffer of at most twice the
-most lines evictable at once.  A call is served a *run* of pages at a time:
-one fancy-index classifies the run against the state at entry, one
-cumulative sum gives the size of the evictable population every miss will
-see, one ``Generator.integers`` call draws every victim's index (it consumes
-the bit stream exactly like the scalar draws it stands for —
-``tests/test_utils.py`` pins that), and only a run that evicts walks its
-events per page, over the order as a list.  Decisions are those of the
-per-page definition (``tests/oracles/gpu_cache_reference.py``) bit for bit.
+Random eviction works a *batch* at a time: the longest stretch of an
+``access`` call that names no page twice, whose lookups and evictions one
+batch's GPU threads make concurrently.  Every page of a batch is classified
+against the state at batch entry; misses fill free lines first, and each
+later miss evicts while an unpinned line is left for it, else streams
+through (bypass).  The batch's victims are then drawn uniformly, distinct,
+in one ``Generator.choice`` call over the lines evictable at entry (in their
+evictable order) followed by the lines the batch releases (in page order) —
+so a line the batch hits may be evicted once it is served.  The order is
+then the entry order less its victims, followed by the released lines that
+survive; a pin or an invalidation leaves a hole, the order otherwise in
+place (a uniform choice fixes no order), and holes are closed, order kept,
+by a draw or when the buffer is full.  The tables are ``int32`` arrays
+indexed by page id (reuse count, pending count, evictable slot; ``-1`` =
+none), grown by doubling — about 12 bytes per page of the feature table —
+plus the order, an ``int32`` buffer of at most twice the most lines
+evictable at once.  A long batch is served with array operations (one
+fancy-index classifies it, one cumulative sum counts the unpinned lines each
+full-cache miss finds), a short one page by page; the LRU arm evicts page
+by page, least recent first.  Decisions are those of the per-page
+definition (``tests/oracles/gpu_cache_reference.py``) bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -49,32 +52,38 @@ from .base import CacheStats
 #: Supported eviction policies for the unpinned population.
 _POLICIES = ("random", "lru")
 
-#: Calls (or stretches between two run ends) shorter than this are walked
-#: page by page: a run costs 20-60 us of NumPy set-up whatever its length.
-#: Measured by cutting the three recorded streams of
-#: ``benchmarks/bench_gpu_cache.py`` into calls of k pages: the run overtakes
-#: the walk at k = 24 (all hits), 28 (88% misses) and 100 (every line
-#: pinned); at 64 it is 1.8x, 1.9x and 0.7x the walk's speed.  Serving sends
-#: about 7 pages per call.
-_RUN_MIN = 64
-
-#: What a page of a run does to the evictable list (bit flags).
-_EVICTS, _APPENDS = 1, 2
+#: Batches shorter than this are walked page by page: the array path costs
+#: tens of microseconds of NumPy set-up whatever its length.  Chosen by
+#: cutting the three recorded streams of ``benchmarks/bench_gpu_cache.py``
+#: into calls of k pages (its ``run_min_sweep`` block in
+#: ``BENCH_gpu_cache.json``): the array path overtakes the walk at k = 12-16
+#: (88% misses; all hits) and 40-48 (every line pinned), and at 48 it is
+#: 1.6x, 2.2x and 1.1x the walk's speed.  Serving sends about 7 pages per
+#: call.
+_RUN_MIN = 48
 
 #: Page ids index arrays, so they are bounded; 2**31 ids is 16 GiB of state.
 _MAX_PAGE_ID = 2**31 - 1
 
 
-def _repeat_free_prefix(pages: np.ndarray) -> int:
-    """Length of the longest prefix of ``pages`` that names no page twice."""
-    if len(pages) < 2 or (pages[1:] > pages[:-1]).all():
-        return len(pages)
+def _batch_ends(pages: np.ndarray) -> list[int]:
+    """Where each batch of ``pages`` ends: the greedy cut of the call into
+    the longest stretches that name no page twice."""
+    n = len(pages)
+    if n < 2 or (pages[1:] > pages[:-1]).all():
+        return [n]
     order = np.argsort(pages, kind="stable")
-    ranked = pages[order]
-    again = ranked[1:] == ranked[:-1]
-    if not again.any():
-        return len(pages)
-    return int(order[1:][again].min())
+    again = np.flatnonzero(pages[order[1:]] == pages[order[:-1]])
+    # Each repeat's position, beside its page's previous occurrence.
+    repeat, before = order[again + 1], order[again]
+    by = np.argsort(repeat)
+    ends, start = [], 0
+    for at, prev in zip(repeat[by].tolist(), before[by].tolist()):
+        if prev >= start:
+            ends.append(at)
+            start = at
+    ends.append(n)
+    return ends
 
 
 class GPUSoftwareCache(Stateful):
@@ -236,25 +245,40 @@ class GPUSoftwareCache(Stateful):
             self._slot[live] = np.arange(self._live, dtype=np.int32)
             self._end = self._live
 
-    def _evict_one(self) -> int | None:
-        """Draw and take out a victim among the unpinned lines, or ``None``."""
-        if self.policy == "lru":
-            return self._lru.popitem(last=False)[0] if self._lru else None
-        if not self._live:
-            return None
-        self._compact()
-        slot = int(self._rng.integers(self._live))
-        self._live = self._end = self._live - 1
-        victim, last = self._order[[slot, self._live]].tolist()
-        self._order[slot] = last
-        self._slot[last] = slot
-        self._slot[victim] = -1
-        return victim
+    def _evict(self, released, owed: int) -> None:
+        """End a batch (random policy): draw its ``owed`` victims in one call
+        and append the ``released`` lines that survive, in page order.
 
-    def _trace_instants(self, name: str, pages: Iterable[int]) -> None:
+        The candidates are the evictable order at batch entry, then the
+        ``released`` lines.  The batch's own ``reuse`` writes are done, so a
+        victim it hit is served and then evicted.
+        """
+        if owed:
+            order = self._order[: self._end]
+            candidates = np.concatenate(
+                (order[order >= 0], np.asarray(released, dtype=np.int64))
+            )
+            drawn = np.zeros(len(candidates), dtype=bool)
+            drawn[
+                self._rng.choice(
+                    len(candidates), size=owed, replace=False, shuffle=False
+                )
+            ] = True
+            victims = candidates[drawn]
+            # The entry order less its victims, then the released survivors.
+            released = candidates[~drawn]
+            self._slot[victims] = -1
+            self._end = self._live = 0
+            self._reuse[victims] = -1
+            self._num_resident -= owed
+            self.stats.evictions += owed
+            self._trace_instants("cache.evict", victims)
+        self._release(released)
+
+    def _trace_instants(self, name: str, pages) -> None:
         tracer = self.tracer
         if tracer.want_request_detail:
-            for page in pages:
+            for page in np.asarray(pages).tolist():
                 tracer.instant(name, "gpu.cache", page=page)
 
     # ------------------------------------------------------------------
@@ -274,7 +298,7 @@ class GPUSoftwareCache(Stateful):
         # Registering changes no residency, so the classification at entry
         # holds for the whole call, repeated pages included.
         unpin = pages[count == 0]
-        if _repeat_free_prefix(pages) == len(pages):
+        if len(_batch_ends(pages)) == 1:
             self._reuse[pages] = count + resident
             self._pending[pages] += ~resident
         else:
@@ -291,7 +315,7 @@ class GPUSoftwareCache(Stateful):
         pages = self._page_array(pages)
         reuse = self._reuse
         pending = self._pending
-        if _repeat_free_prefix(pages) == len(pages):
+        if len(_batch_ends(pages)) == 1:
             count = reuse[pages]
             reuse[pages] = count - (count > 0)
             # Resident pages hold no pending units, so this only moves the
@@ -323,7 +347,8 @@ class GPUSoftwareCache(Stateful):
         whose counter reaches zero returns to the evictable population.
         Misses evict a victim chosen by the configured policy among
         *unpinned* lines; if every line is pinned the miss is streamed
-        through without admission (counted as a bypass).
+        through without admission (counted as a bypass).  The random
+        policy draws a batch's victims together once the batch is served.
         """
         pages = self._page_array(pages)
         n = len(pages)
@@ -338,31 +363,29 @@ class GPUSoftwareCache(Stateful):
         if self.policy == "lru":
             self._access_walk(pages, hit_mask)
             return hit_mask
-        lo, span = 0, n
-        while lo < n:
-            hi = min(n, lo + span)
-            if hi - lo < _RUN_MIN:
-                self._access_walk(pages[lo:hi], hit_mask[lo:hi])
-                served = hi - lo
+        start = 0
+        for end in _batch_ends(pages):
+            if end - start < _RUN_MIN:
+                self._access_walk(pages[start:end], hit_mask[start:end])
             else:
-                served = self._access_run(pages[lo:hi], hit_mask[lo:hi])
-            # A run that ended early is re-classified from where it
-            # stopped; looking only twice as far as it got keeps a call
-            # with many run ends linear in its length.
-            span = 2 * (span if served == hi - lo else served)
-            lo += served
+                self._access_batch(pages[start:end], hit_mask[start:end])
+            start = end
         return hit_mask
 
     def _access_walk(self, pages: np.ndarray, hit_mask: np.ndarray) -> None:
-        """Serve ``pages`` one at a time (short batches, the LRU arm)."""
+        """Serve ``pages`` one at a time: a short batch of the random
+        policy, or a whole call of the LRU arm, which evicts at once."""
         reuse = self._reuse
         pending = self._pending
         lru = self._lru if self.policy == "lru" else None
-        # Lines freed since the last draw: the random policy appends them
-        # just before the next one, LRU (which refreshes recency) at once.
-        freed: list[int] = []
-        free = freed.append if lru is None else lru.setdefault
-        hits = 0
+        # Lines the batch releases: the random policy offers them to the
+        # batch's draw, LRU (which refreshes recency) appends them at once.
+        released: list[int] = []
+        free = released.append if lru is None else lru.setdefault
+        room = self.capacity_lines - self._num_resident
+        # Unpinned lines a full-cache miss still finds (random policy).
+        level = self._live
+        owed = hits = 0
         for i, page in enumerate(pages.tolist()):
             count = reuse[page]
             if count >= 0:
@@ -372,162 +395,88 @@ class GPUSoftwareCache(Stateful):
                     reuse[page] = count - 1
                     if count == 1:
                         free(page)
+                        level += 1
                 elif lru is not None:
                     # Refresh recency of an unpinned line.
                     lru.move_to_end(page)
                 continue
             # A miss consumes one registered unit; admit, evicting if full.
             count = max(int(pending[page]) - 1, 0)
-            if self._num_resident >= self.capacity_lines:
-                self._release(freed)
-                freed.clear()
-                victim = self._evict_one()
-                if victim is None:
-                    # Every line pinned: stream the page without caching.
-                    self.stats.bypasses += 1
-                    pending[page] = count
-                    continue
+            if room:
+                room -= 1
+            elif lru is None and level:
+                level -= 1
+                owed += 1
+            elif lru:
+                victim = lru.popitem(last=False)[0]
                 reuse[victim] = -1
                 self._num_resident -= 1
                 self.stats.evictions += 1
                 self._trace_instants("cache.evict", (victim,))
+            else:
+                # Every line pinned: stream the page without caching.
+                self.stats.bypasses += 1
+                pending[page] = count
+                continue
             pending[page] = 0
             reuse[page] = count
             self._num_resident += 1
             if count == 0:
                 free(page)
-        self._release(freed)
+                level += 1
+        if lru is None:
+            self._evict(released, owed)
         self.stats.hits += hits
         self.stats.misses += len(pages) - hits
 
-    def _access_run(self, pages: np.ndarray, hit_mask: np.ndarray) -> int:
-        """Serve a leading run of ``pages`` (random policy); return its length.
-
-        The run is classified once, against the state at entry.  That stays
-        exact up to (a) the first repeated page and (b) the first page this
-        run itself evicts before reaching it — an unpinned resident page of
-        the same call drawn as a victim, which only happens without window
-        pinning.  The run ends there and the caller starts the next one.
-        """
-        n = _repeat_free_prefix(pages)
-        pages = pages[:n]
+    def _access_batch(self, pages: np.ndarray, hit_mask: np.ndarray) -> None:
+        """Serve a batch (random policy) with array operations."""
         reuse = self._reuse
         count = reuse[pages]
         hit = count >= 0
-        n_hits = int(np.count_nonzero(hit))
-        n_miss = n - n_hits
-        free = self.capacity_lines - self._num_resident
-        if n_miss <= free:
-            # Every miss fills a free line: nothing is evicted, and lines
-            # join the evictable list in page order.
-            after = np.maximum(count - 1, 0)
-            if n_miss:
-                after += np.maximum(self._pending[pages] - 1, 0)
-                self._pending[pages] = 0
-                self._num_resident += n_miss
-            reuse[pages] = after
-            self._release(pages[(after == 0) & (count != 0)])
-            self.stats.hits += n_hits
-            self.stats.misses += n_miss
-            hit_mask[:n] = hit
-            return n
-
-        miss = ~hit
-        # What an admitted miss starts with: its registered units minus the
-        # one this access consumes.  Resident pages hold no pending units,
-        # so ``carry`` and ``pinned`` are only ever set on a miss.
-        carry = np.maximum(self._pending[pages] - 1, 0)
-        pinned = carry > 0
-        # Misses fill free lines first; once full the cache stays full.
-        full = miss & (np.cumsum(miss) > free)
-        # The evictable population moves by +1 where a line's last unit is
-        # consumed or an unpinned page fills a free line, by -1 where a
-        # full-cache miss evicts and admits pinned, and never below zero:
-        # a full-cache miss that finds it empty streams through (bypass).
-        step = (count == 1).astype(np.int64)
-        step += miss & ~(full | pinned)
-        step -= full & pinned
-        # level[i]: evictable lines when page i is reached.
-        level = np.cumsum(np.concatenate(([self._num_evictable], step)))
-        level -= np.minimum.accumulate(np.minimum(level, 0))
-        full_at = np.flatnonzero(full)
-        bounds = level[full_at]
-        drawing = bounds > 0
-        bypass_at = full_at[~drawing]
-        evict_at = full_at[drawing]
-        bounds = bounds[drawing]
-
-        # What each page does to the evictable order, in page order.
-        kind = ((count == 1) | (miss & ~pinned)) * _APPENDS
-        kind[bypass_at] = 0
-        kind[evict_at] |= _EVICTS
-        events = np.flatnonzero(kind)
-        victims: list[int] = []
-        end = n
-        if not len(bounds):
-            self._release(pages[events])
+        n_miss = len(pages) - int(np.count_nonzero(hit))
+        owed = 0
+        if n_miss:
+            # A line keeps its units less the one this access consumes; an
+            # admitted miss starts with its registered units less that one
+            # (resident pages hold no pending units).
+            waiting = self._pending[pages]
+            after = np.maximum(count + waiting - hit, 0)
+            self._pending[pages] = 0
+            free = self.capacity_lines - self._num_resident
+            self._num_resident += n_miss
+            owed = max(n_miss - free, 0)
         else:
-            # Only a page that is unpinned at entry can be evicted before
-            # the run reaches it; with window pinning there is none.
-            exposed = np.flatnonzero(count == 0)
-            unserved = dict(zip(pages[exposed].tolist(), exposed.tolist()))
-            rng = self._rng
-            rewind = rng.bit_generator.state if unserved else None
-            draw = iter(rng.integers(0, bounds).tolist())
-            self._compact()
-            order = self._order[: self._live].tolist()
-            for at, page, does in zip(
-                events.tolist(), pages[events].tolist(), kind[events].tolist()
-            ):
-                if at >= end:
-                    break
-                if does == _APPENDS:
-                    order.append(page)
-                    continue
-                # The last line fills the victim's slot; an admitted
-                # unpinned page then takes the last place.
-                slot = next(draw)
-                victim = order[slot]
-                order[slot] = order[-1]
-                if does & _APPENDS:
-                    order[-1] = page
-                else:
-                    order.pop()
-                victims.append(victim)
-                if unserved:
-                    ahead = unserved.get(victim)
-                    if ahead is not None and at < ahead < end:
-                        end = ahead
-            if len(victims) < len(bounds):
-                # The run ended early: give back the draws it did not use.
-                rng.bit_generator.state = rewind
-                if victims:
-                    rng.integers(0, bounds[: len(victims)])
-            self._slot[victims] = -1
-            self._end = self._live = 0
-            self._release(order)
-
-        if end < n:
-            n = end
-            pages, count, carry = pages[:n], count[:n], carry[:n]
-            bypass_at = bypass_at[bypass_at < n]
-            n_hits = int(np.count_nonzero(hit[:n]))
-            n_miss = n - n_hits
-        after = np.maximum(count - 1, 0) + carry
-        after[bypass_at] = -1
+            after = np.maximum(count - 1, 0)
+        released = (after == 0) & (count != 0)
+        # Each full-cache miss admitted pinned takes one unpinned line for
+        # good; only when those could use up the unpinned lines can a miss
+        # find none and stream through (bypass).
+        if owed and self._live <= np.count_nonzero(waiting > 1):
+            # Misses fill free lines first; once full the cache stays full.
+            # The unpinned lines gain the lines the batch releases and lose
+            # one per full-cache miss, never below zero.
+            miss = ~hit
+            full = miss & (np.cumsum(miss) > free)
+            step = released.astype(np.int64)
+            step -= full
+            # level[i]: unpinned lines left when page i is reached.
+            level = np.cumsum(np.concatenate(([self._live], step)))
+            level -= np.minimum.accumulate(np.minimum(level, 0))
+            full_at = np.flatnonzero(full)
+            evicts = level[full_at] > 0
+            owed = int(np.count_nonzero(evicts))
+            bypass_at = full_at[~evicts]
+            released[bypass_at] = False
+            self._pending[pages[bypass_at]] = after[bypass_at]
+            after[bypass_at] = -1
+            self._num_resident -= len(bypass_at)
+            self.stats.bypasses += len(bypass_at)
         reuse[pages] = after
-        reuse[victims] = -1
-        self._pending[pages] = 0
-        if len(bypass_at):
-            self._pending[pages[bypass_at]] = carry[bypass_at]
-        self._num_resident += n_miss - len(bypass_at) - len(victims)
-        self.stats.hits += n_hits
+        self._evict(pages[released], owed)
+        self.stats.hits += len(pages) - n_miss
         self.stats.misses += n_miss
-        self.stats.bypasses += len(bypass_at)
-        self.stats.evictions += len(victims)
-        self._trace_instants("cache.evict", victims)
-        hit_mask[:n] = hit[:n]
-        return n
+        hit_mask[:] = hit
 
     def invalidate(self, pages: np.ndarray) -> int:
         """Drop resident lines whose bytes are no longer trusted.
@@ -550,7 +499,7 @@ class GPUSoftwareCache(Stateful):
         self._pending[dropped] += count
         reuse[dropped] = -1
         self._num_resident -= len(dropped)
-        self._trace_instants("cache.invalidate", dropped.tolist())
+        self._trace_instants("cache.invalidate", dropped)
         return len(dropped)
 
     # ------------------------------------------------------------------
@@ -599,10 +548,15 @@ class GPUSoftwareCache(Stateful):
         waiting = _snapshot_ints(waiting, "pending pages")
         pending = _snapshot_ints(pending, "pending counts")
         evictable = _snapshot_ints(evictable, "evictable pages")
-        if len(np.unique(evictable)) != len(evictable):
-            raise CheckpointError(
-                "cache snapshot lists an evictable page twice"
-            )
+        for field, ids in (
+            ("resident_pages", resident),
+            ("pending_pages", waiting),
+            ("evictable", evictable),
+        ):
+            if len(np.unique(ids)) != len(ids):
+                raise CheckpointError(
+                    f"cache snapshot names a page twice in {field}"
+                )
         if len(resident) != len(reuse) or len(waiting) != len(pending):
             raise CheckpointError(
                 f"cache snapshot pairs {len(resident)} resident pages with "

@@ -2,12 +2,18 @@
 
 This is the implementation ``repro.cache.gpu_cache`` shipped before it moved
 its state to arrays, kept as the *specification* the array-backed class is
-checked against: per page, one dict lookup, one scalar ``Generator.integers``
-draw per eviction.  One rule differs from that implementation: a line that
-a pin or an invalidation takes out of the random policy's evictable order
-leaves a hole, so the other lines keep their order, and holes are closed,
-order kept, before the next draw.  An eviction swaps the last line into the
-victim's slot.  ``tests/test_cache_gpu_differential.py`` and
+checked against: per page, one dict lookup.  Two rules differ from that
+implementation.  A line that a pin or an invalidation takes out of the
+random policy's evictable order leaves a hole, so the other lines keep their
+order, and holes are closed, order kept, before the next draw.  And the
+random policy evicts a *batch* at a time — the longest stretch of one
+``access`` call that names no page twice: each page is classified against
+the state at batch entry, a full-cache miss owes an eviction while an
+unpinned line is left for it (else it streams through), and at the end of
+the batch the owed victims are drawn in one ``Generator.choice`` call,
+distinct, over the evictable list as it then stands — the lines evictable at
+entry, then the lines the batch released, in page order.  The LRU arm
+evicts page by page.  ``tests/test_cache_gpu_differential.py`` and
 ``benchmarks/bench_gpu_cache.py`` drive both with the same calls and require
 equal hit masks, statistics, eviction order and RNG state.
 
@@ -69,6 +75,8 @@ class ReferenceGPUSoftwareCache:
         self._evictable_pos: dict[int, int] = {}
         self._holes = 0
         self._lru: dict[int, None] = {}
+        # Evictions the current batch owes (random policy).
+        self._owed = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -130,25 +138,9 @@ class ReferenceGPUSoftwareCache:
             del self._lru[page]
             self._lru[page] = None
 
-    def _pick_victim(self) -> int | None:
-        if self.policy == "random":
-            self._close_holes()
-            if not self._evictable_list:
-                return None
-            idx = int(self._rng.integers(len(self._evictable_list)))
-            return self._evictable_list[idx]
-        if not self._lru:
-            return None
-        return next(iter(self._lru))
-
     def _evict(self, page: int) -> None:
         if self.policy == "random":
-            # Swap-remove: the last line fills the victim's slot.
-            pos = self._evictable_pos.pop(page)
-            last = self._evictable_list.pop()
-            if last != page:
-                self._evictable_list[pos] = last
-                self._evictable_pos[last] = pos
+            self._unmark_evictable(page)
         else:
             del self._lru[page]
         del self._reuse[page]
@@ -156,6 +148,20 @@ class ReferenceGPUSoftwareCache:
         tracer = self.tracer
         if tracer is not None and tracer.want_request_detail:
             tracer.instant("cache.evict", "gpu.cache", page=page)
+
+    def _end_batch(self) -> None:
+        """Draw the batch's owed victims, in one call, and evict them."""
+        if self._owed:
+            self._close_holes()
+            drawn = self._rng.choice(
+                len(self._evictable_list),
+                size=self._owed,
+                replace=False,
+                shuffle=False,
+            )
+            for page in [self._evictable_list[i] for i in sorted(drawn)]:
+                self._evict(page)
+            self._owed = 0
 
     # ------------------------------------------------------------------
     # Window-buffer interface
@@ -223,8 +229,14 @@ class ReferenceGPUSoftwareCache:
             return hit_mask
 
         reuse = self._reuse
+        batch: set[int] = set()
         for i, page in enumerate(pages):
             page = int(page)
+            if page in batch:
+                # A repeated page ends the batch.
+                self._end_batch()
+                batch.clear()
+            batch.add(page)
             if page in reuse:
                 hit_mask[i] = True
                 self.stats.hits += 1
@@ -237,6 +249,7 @@ class ReferenceGPUSoftwareCache:
             else:
                 self.stats.misses += 1
                 self._admit(page)
+        self._end_batch()
         return hit_mask
 
     def _consume_pending(self, page: int) -> None:
@@ -252,15 +265,17 @@ class ReferenceGPUSoftwareCache:
         count = self._pending.pop(page, 0)
         if count > 0:
             count -= 1  # The current access consumes one registered unit.
-        if len(self._reuse) >= self.capacity_lines:
-            victim = self._pick_victim()
-            if victim is None:
+        if len(self._reuse) - self._owed >= self.capacity_lines:
+            if self.policy == "random" and self._num_evictable > self._owed:
+                self._owed += 1
+            elif self.policy == "lru" and self._lru:
+                self._evict(next(iter(self._lru)))
+            else:
                 # Every line pinned: stream the page without caching.
                 self.stats.bypasses += 1
                 if count > 0:
                     self._pending[page] = count
                 return
-            self._evict(victim)
         self._reuse[page] = count
         if count == 0:
             self._mark_evictable(page)

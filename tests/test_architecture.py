@@ -975,6 +975,60 @@ def test_the_scatter_plan_crossover_is_one_documented_constant():
         assert min(elements) < crossover < max(elements), dtype
 
 
+def test_one_eviction_draw_per_batch():
+    """``GPUSoftwareCache`` draws a batch's victims in one call: one site
+    reads the eviction RNG, and it calls ``choice``.  No RNG state is
+    assigned (a rewind), and the per-event eviction walk — ``_evict_one``
+    and the ``_EVICTS`` event flags — does not come back."""
+    tree = dict(SOURCES)["cache/gpu_cache.py"]
+    rewinds = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        if isinstance(target, ast.Attribute) and target.attr == "state"
+        and getattr(target.value, "attr", None) == "bit_generator"
+    ]
+    assert not rewinds, rewinds
+    reads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_rng"
+        and isinstance(node.ctx, ast.Load)
+    ]
+    draws = [
+        call for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.value in reads
+    ]
+    assert len(reads) == 1 and len(draws) == 1, [n.lineno for n in reads]
+    assert draws[0].func.attr == "choice"
+    names = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert not names & {"_evict_one", "_EVICTS", "_APPENDS"}
+
+
+def test_the_run_min_cutover_is_one_documented_constant():
+    """The batch length below which the cache walks page by page: one
+    constant, and the sweep that chose it — each recorded stream re-cut
+    into calls of k pages, on both sides of it — in
+    ``BENCH_gpu_cache.json`` at that value."""
+    run_min, sweep = _one_documented_constant(
+        "_RUN_MIN", "cache/gpu_cache.py", "bench_gpu_cache.py",
+        "run_min_sweep", "BENCH_gpu_cache.json",
+    )
+    assert sweep["run_min"] == run_min
+    for name, points in sweep["streams"].items():
+        swept = {int(k) for k in points}
+        assert min(swept) < run_min < max(swept), name
+
+
 def test_the_feature_hash_block_is_one_documented_constant():
     """``FeatureStore._synthetic``'s block size, and the sweep that chose
     it recorded in ``BENCH_training_kernels.json`` at that value."""

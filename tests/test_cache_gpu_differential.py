@@ -1,12 +1,13 @@
 """Differential test: the array-backed GPU cache against its per-page oracle.
 
 ``tests/oracles/gpu_cache_reference.py`` is the dict-backed implementation
-the class replaced: one lookup per page, one scalar RNG draw per eviction.
-The state machine below drives both with the same calls — every public
+the class replaced: one lookup per page, one victim draw per batch.  The
+state machine below drives both with the same calls — every public
 mutator, snapshot round-trips, the pre-array snapshot layout — and after
 every step requires equal hit masks, statistics, residency, pin and pending
 counts, evictable order, eviction order (the ``cache.evict`` instants a
-request-detail tracer sees) and eviction RNG state.
+request-detail tracer sees) and eviction RNG state.  Calls come both short
+(walked page by page) and long (served as arrays).
 
 Tier 1 runs the default Hypothesis profile; CI's ``regression-gate`` job
 runs ``--hypothesis-profile=differential --hypothesis-seed=0`` (500
@@ -14,17 +15,22 @@ examples of 50 steps).  Each of these mutants of the class fails it there:
 
 * swap-remove on pin — ``_unpin`` moves the last line into the pinned
   line's slot (the rule before pins left holes);
-* stable removal on eviction — the run walk pops the victim and shifts
-  the lines after it;
 * a compaction that reorders — ``_compact`` sorts the lines it keeps;
-* a draw bounded by the buffer length — the run's evictable level starts
-  from ``_end`` (holes included) instead of the live count;
+* a draw bounded by the buffer length — the batch's unpinned-line level
+  starts from ``_end`` (holes included) instead of the live count;
 * a dropped bulk mark — ``forget_future`` leaves the lines it unpins out
   of the order;
 * a pin counted twice — ``register_future`` skips the ``np.unique`` of a
   call that names an evictable page more than once;
-* freed lines appended after the draw — the per-page walk flushes the
-  lines it freed after ``_evict_one`` instead of before.
+* candidates drawn from the entry order only — the lines a batch releases
+  are appended after the draw instead of joining it;
+* released lines placed before the entry order;
+* ``reuse[victims]`` written before ``reuse[pages]`` — a line the batch
+  hits and then evicts stays resident.
+
+The same mutation of the array path's shortcut test (``_end`` for the live
+count where it decides whether a bypass is possible) passes here and fails
+``tests/test_cache_gpu.py::TestBatchDraw``.
 """
 
 from collections import deque
@@ -269,6 +275,24 @@ class TestSnapshotLayouts:
         state = cache.state_dict()
         corrupt(state)
         with pytest.raises(CheckpointError):
+            GPUSoftwareCache(40, seed=0).load_state_dict(state)
+
+    @pytest.mark.parametrize(
+        "field, pages, counts",
+        [
+            ("pending_pages", [5, 5], [1, 3]),
+            ("resident_pages", [7, 7], [1, 2]),
+        ],
+    )
+    def test_a_page_named_twice_is_a_checkpoint_error(
+        self, field, pages, counts
+    ):
+        """Loaded as it stands, ``pending_pages=[5, 5]`` with counts
+        ``[1, 3]`` would keep the last count and lose a reuse unit."""
+        state = GPUSoftwareCache(40, seed=0).state_dict()
+        state[field] = np.array(pages)
+        state[field.replace("pages", "counts")] = np.array(counts)
+        with pytest.raises(CheckpointError, match=field):
             GPUSoftwareCache(40, seed=0).load_state_dict(state)
 
     def test_page_ids_must_fit_the_tables(self):

@@ -30,57 +30,6 @@ class TestAsRng:
         assert isinstance(as_rng(None), np.random.Generator)
 
 
-class TestBoundedIntegerContract:
-    """What ``GPUSoftwareCache`` relies on when it draws a run's eviction
-    victims in one call: ``rng.integers(0, bounds)`` over an array of
-    bounds consumes the bit stream exactly like one scalar
-    ``rng.integers(b)`` per bound.  NumPy does not promise this across
-    versions; if an upgrade changes bounded-integer generation, this fails
-    here instead of as digest drift in every cache-using test."""
-
-    BOUNDS = [
-        1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**31,
-        2**32 - 1, 2**32, 2**32 + 1, 2**33,
-    ]
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_array_bounds_draw_like_scalar_bounds(self, seed):
-        order = np.random.default_rng(seed).permutation(len(self.BOUNDS))
-        bounds = np.array(self.BOUNDS * 3, dtype=np.int64)[
-            np.concatenate([order, order + 10, order + 20])
-        ]
-        one_call = as_rng(seed)
-        per_bound = as_rng(seed)
-        bulk = one_call.integers(0, bounds)
-        singles = [int(per_bound.integers(b)) for b in bounds]
-        message = (
-            f"NumPy {np.__version__}: Generator.integers(0, array) no "
-            "longer matches per-bound scalar draws; GPUSoftwareCache's "
-            "bulk eviction draw would change every eviction order"
-        )
-        assert bulk.tolist() == singles, message
-        assert (
-            one_call.bit_generator.state == per_bound.bit_generator.state
-        ), message
-        # The half-used 32-bit word a draw may leave behind carries over.
-        assert one_call.integers(2**20) == per_bound.integers(2**20), message
-
-    def test_rewind_and_redraw_a_prefix(self):
-        """A run that ends early restores the state and redraws only the
-        bounds it used."""
-        bounds = np.array(self.BOUNDS, dtype=np.int64)
-        rng = as_rng(5)
-        saved = rng.bit_generator.state
-        full = rng.integers(0, bounds)
-        rng.bit_generator.state = saved
-        prefix = rng.integers(0, bounds[:4])
-        assert prefix.tolist() == full[:4].tolist()
-        reference = as_rng(5)
-        for b in bounds[:4]:
-            reference.integers(b)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-
 class TestWeightedChoiceContract:
     """What ``ArrivalProcess`` relies on when it draws a request's priority
     from a cdf it builds once: ``rng.choice(n, p=p)`` is that cdf searched
