@@ -263,6 +263,7 @@ class GraphSAGE(Stateful):
         src: np.ndarray,
         dst: np.ndarray,
         plan: BlockPlan | None = None,
+        aggregate: tuple | None = None,
     ) -> np.ndarray:
         """Layer ``li`` outputs for one partition of a full-graph sweep.
 
@@ -279,6 +280,9 @@ class GraphSAGE(Stateful):
             plan: ``BlockPlan.of_partition(rows, src, dst)`` when the
                 caller keeps one (a static graph's blocks never change);
                 built here otherwise.
+            aggregate: the block's :meth:`block_aggregate` when the caller
+                keeps one (inputs that never change, as layer 0's features
+                do); computed here otherwise.
 
         Returns:
             ``len(rows) x d_out`` block of the layer's output.  Because a
@@ -290,7 +294,9 @@ class GraphSAGE(Stateful):
         if plan is None:
             plan = BlockPlan.of_partition(rows, src, dst)
         own = h_prev[rows].astype(np.float64, copy=False)
-        agg, _ = self._aggregate(h_prev, own, plan)
+        if aggregate is None:
+            aggregate = self._aggregate(h_prev, own, plan)
+        agg, _ = aggregate
         if self.aggregator == "gcn":
             z = agg @ params.w_neigh + params.bias
         else:
@@ -310,6 +316,7 @@ class GraphSAGE(Stateful):
         d_h_prev: np.ndarray | None,
         grads: dict,
         plan: BlockPlan | None = None,
+        aggregate: tuple | None = None,
     ) -> None:
         """Backward of :meth:`layer_forward_block` for one partition.
 
@@ -324,16 +331,20 @@ class GraphSAGE(Stateful):
 
         ``h_out_rows`` is this block's forward output (for the ReLU mask);
         pass ``None`` for the last layer, whose activation is linear.
-        The aggregation itself is *recomputed* from ``h_prev`` rather than
-        cached — the activation-offload design stores only the layer
-        outputs.
+        The aggregation is recomputed from ``h_prev`` unless the caller
+        passes the block's :meth:`block_aggregate` as ``aggregate`` — as
+        the full-graph trainer does at layer 0, whose inputs never change.
+        The *modeled* system keeps no aggregate: it stores only the layer
+        outputs and pays for re-reading every block's inputs.
         """
         params = self.layers[li]
         if plan is None:
             plan = BlockPlan.of_partition(rows, src, dst)
         dz = d_out if h_out_rows is None else d_out * (h_out_rows > 0.0)
         own = h_prev[rows].astype(np.float64, copy=False)
-        agg, agg_cache = self._aggregate(h_prev, own, plan)
+        if aggregate is None:
+            aggregate = self._aggregate(h_prev, own, plan)
+        agg, agg_cache = aggregate
         grads["w_neigh"] += agg.T @ dz
         grads["bias"] += dz.sum(axis=0)
         gcn = self.aggregator == "gcn"
@@ -349,6 +360,20 @@ class GraphSAGE(Stateful):
         self._aggregate_backward(
             d_agg, d_h_prev, h_prev, agg, plan, agg_cache
         )
+
+    def block_aggregate(
+        self, h_prev: np.ndarray, rows: np.ndarray, plan: BlockPlan
+    ) -> tuple:
+        """The neighbor aggregate of one partition block, ``(agg, cache)``.
+
+        A pure function of ``h_prev`` and the static block, for every
+        aggregator: a caller whose inputs never change computes it once
+        and hands it to :meth:`layer_forward_block` and
+        :meth:`layer_backward_block` as ``aggregate``, bit for bit what
+        they would compute.  Neither method writes into it.
+        """
+        own = h_prev[rows].astype(np.float64, copy=False)
+        return self._aggregate(h_prev, own, plan)
 
     def zero_gradients(self) -> list[dict]:
         """Zero-filled per-layer gradient dicts for sweep accumulation."""

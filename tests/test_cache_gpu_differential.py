@@ -26,11 +26,11 @@ examples of 50 steps).  Each of these mutants of the class fails it there:
   are appended after the draw instead of joining it;
 * released lines placed before the entry order;
 * ``reuse[victims]`` written before ``reuse[pages]`` — a line the batch
-  hits and then evicts stays resident.
-
-The same mutation of the array path's shortcut test (``_end`` for the live
-count where it decides whether a bypass is possible) passes here and fails
-``tests/test_cache_gpu.py::TestBatchDraw``.
+  hits and then evicts stays resident;
+* a bypass shortcut bounded by the buffer length — the test that decides
+  whether a bypass is possible compares ``_end`` (holes included) instead
+  of the live count, so admissions that stay pinned owe more victims than
+  there are unpinned lines (``pinned_misses_at_capacity`` reaches it).
 """
 
 from collections import deque
@@ -46,6 +46,7 @@ from hypothesis.stateful import (
 )
 
 from repro import GIDSDataLoader, LoaderConfig, SystemConfig, Tracer
+from repro.cache import gpu_cache
 from repro.cache.gpu_cache import GPUSoftwareCache
 from repro.errors import CheckpointError, ConfigError
 from repro.telemetry.tracer import Instant, Span
@@ -155,6 +156,33 @@ class CacheDifferential(RuleBasedStateMachine):
             pages = self.window.pop()
             self.cache.forget_future(pages)
             self.oracle.forget_future(pages)
+
+    @rule(
+        keep=st.integers(0, 8),
+        twice=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    def pinned_misses_at_capacity(self, keep, twice, seed):
+        """Fill the cache, pin all but ``keep`` evictable lines (the pins
+        leave holes in the evictable order), then access ``twice`` misses
+        registered twice, padded with unregistered misses to a call served
+        as arrays: once the admissions that stay pinned use up the
+        unpinned lines, the rest of the call streams through."""
+        absent = np.array(
+            [p for p in range(self.universe) if p not in self.oracle],
+            dtype=np.int64,
+        )
+        free = max(self.cache.capacity_lines - len(self.oracle), 0)
+        self._access(absent[:free])
+        order = evictable_order(self.oracle)
+        pins = np.array(order[: max(len(order) - keep, 0)], dtype=np.int64)
+        misses = np.random.default_rng(seed).permutation(absent[free:])
+        registered = misses[:twice]
+        for pages in (pins, registered, registered):
+            self.cache.register_future(pages)
+            self.oracle.register_future(pages)
+        self.window.extend((pins, registered))
+        self._access(misses[: max(twice, gpu_cache._RUN_MIN)])
 
     @rule(raw=page_batches())
     def forget_unregistered(self, raw):

@@ -532,6 +532,24 @@ class TestOffloadAccounting:
             > b.report.counters.storage_bytes
         )
 
+    def test_a_healthy_sweep_shares_each_steps_record(self, dataset, system):
+        """Every epoch of a healthy sweep repeats the last one's step
+        records, so the report holds one record object per step; a faulted
+        sweep's records differ and are kept apart."""
+        healthy = run_epochs(FullGraphTrainer(dataset, system, make_config()), 3)
+        records = healthy.report.iterations
+        assert len(records) == 3 * healthy.steps_per_epoch
+        assert len({id(r) for r in records}) == healthy.steps_per_epoch
+        faulted = run_epochs(
+            FullGraphTrainer(
+                dataset, system, make_config(),
+                fault_plan=FaultPlan(seed=5, tail_latency_rate=0.2),
+            ),
+            3,
+        )
+        records = faulted.report.iterations
+        assert len({id(r) for r in records}) > faulted.steps_per_epoch
+
     def test_sequential_path_respects_bandwidth_bounds(self, dataset, system):
         trainer = FullGraphTrainer(dataset, system, make_config())
         run_epochs(trainer, 1)

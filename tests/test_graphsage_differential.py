@@ -31,6 +31,15 @@ reads is dropped, and an id with no input row is a ``ConfigError``.  A
 fleet's per-step losses stay within
 1e-9 relative of an oracle-driven replay of its schedule.
 
+A full-graph trainer aggregates layer 0 once per partition and reuses the
+aggregate on every later visit.  Three epochs over eight partitions, for
+each aggregator, are held to a trainer that aggregates layer 0 on every
+visit: losses, accuracies, every layer's activations and the summed
+gradients, bit for bit.  A run killed between the layer-0 forward and
+backward sweeps writes the recomputing run's snapshot (no aggregate in
+it) and resumes bit for bit.  The four tests cost about 5 s of tier 1 on
+a 2-core box.
+
 Tier 1 runs the default Hypothesis profile and a 2-GPU, 24-step fleet
 (~2 s together); CI's ``training-kernels`` step runs
 ``--hypothesis-profile=differential --hypothesis-seed=0`` (500 examples,
@@ -49,9 +58,10 @@ import pytest
 from hypothesis import Phase, event, example, find, given, settings
 from hypothesis import strategies as st
 
-from repro.config import INTEL_OPTANE, SystemConfig
+from repro.config import INTEL_OPTANE, SAMSUNG_980PRO, SystemConfig
 from repro.core import fleet
 from repro.errors import ConfigError
+from repro.fullgraph import FullGraphConfig, FullGraphTrainer
 from repro.graph.datasets import load_scaled
 from repro.graph.generators import power_law_graph
 from repro.graph.hetero import stack_types
@@ -71,6 +81,7 @@ from repro.training.scatter import (
     scatter,
 )
 from tests.oracles.graphsage_reference import ReferenceGraphSAGE
+from tests.test_readpath_golden import _sha
 
 IN_DIM, HIDDEN, CLASSES = 32, 16, 4
 SHAPES = ("uniform", "multi", "hub", "gaps", "empty")
@@ -527,6 +538,120 @@ def test_edges_into_rows_nothing_reads_are_dropped():
         *_models("mean", 0), stray, _values(rng, (6, IN_DIM)),
         np.zeros(1, dtype=np.int64),
     )
+
+
+# ----------------------------------------------------------------------
+# Full-graph sweeps reuse each partition's layer-0 aggregate
+
+#: Partitions and epochs of the reuse check: every block is aggregated on
+#: its first visit and reused in both sweeps of every later epoch, after
+#: the weights have moved.
+REUSE_PARTS, REUSE_EPOCHS = 8, 3
+
+
+def _sweep_config(aggregator):
+    return FullGraphConfig(
+        hidden_dim=8,
+        num_classes=4,
+        hbm_budget_bytes=6e6,  # activations spill
+        num_partitions=REUSE_PARTS,
+        aggregator=aggregator,
+    )
+
+
+def _sweep_trainer(dataset, aggregator, *, recompute):
+    """A trainer that reuses its layer-0 aggregates, or one that hands the
+    kernels none, so they aggregate layer 0 on every visit."""
+    trainer = FullGraphTrainer(
+        dataset, SystemConfig(ssd=SAMSUNG_980PRO), _sweep_config(aggregator)
+    )
+    if recompute:
+        trainer._kept_aggregate = lambda li, p, h_prev: None
+    return trainer
+
+
+def _recorded_sweeps(trainer):
+    """``REUSE_EPOCHS`` epochs: every layer's activations after each forward
+    sweep, the summed gradients each epoch applies, and how often a layer-0
+    aggregate was computed for the trainer to keep."""
+    activations, grads, computed = [], [], []
+    model = trainer.model
+    apply, aggregate = model.apply_gradients, model.block_aggregate
+
+    def applying(summed):
+        grads.append([{k: v.copy() for k, v in g.items()} for g in summed])
+        apply(summed)
+
+    def aggregating(*args):
+        computed.append(1)
+        return aggregate(*args)
+
+    model.apply_gradients, model.block_aggregate = applying, aggregating
+    layers = trainer.config.num_layers
+    forward = layers * trainer.partition.num_parts
+    for _ in range(REUSE_EPOCHS):
+        trainer.run_steps(forward)
+        activations.append(
+            [trainer.activations.array(li).copy() for li in range(layers)]
+        )
+        trainer.run_steps(trainer.steps_per_epoch - forward)
+    return activations, grads, len(computed)
+
+
+@pytest.fixture(scope="module")
+def sweep_dataset():
+    return load_scaled("IGB-tiny", 0.001, seed=3)
+
+
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+def test_reused_layer0_aggregates_are_a_recompute_bit_for_bit(
+    sweep_dataset, aggregator
+):
+    kept = _sweep_trainer(sweep_dataset, aggregator, recompute=False)
+    redone = _sweep_trainer(sweep_dataset, aggregator, recompute=True)
+    assert kept.partition.num_parts == REUSE_PARTS
+    got_acts, got_grads, computed = _recorded_sweeps(kept)
+    want_acts, want_grads, never = _recorded_sweeps(redone)
+    # One aggregate per partition for 2 x REUSE_EPOCHS visits each.
+    assert (computed, never) == (REUSE_PARTS, 0)
+    assert_same_bits(kept.losses, redone.losses, "losses")
+    assert_same_bits(kept.accuracies, redone.accuracies, "accuracies")
+    for epoch, (got, want) in enumerate(zip(got_acts, want_acts)):
+        for li, (a, b) in enumerate(zip(got, want)):
+            assert_same_bits(a, b, f"epoch {epoch} layer {li} activations")
+    for epoch, (got, want) in enumerate(zip(got_grads, want_grads)):
+        for li, (a, b) in enumerate(zip(got, want)):
+            for name in b:
+                assert_same_bits(a[name], b[name], f"{epoch} {li} {name}")
+
+
+def test_a_snapshot_carries_no_aggregate_and_resumes_bit_for_bit(
+    sweep_dataset,
+):
+    """Killed in the second epoch between the layer-0 forward sweep and the
+    layer-0 backward one, when every aggregate is kept: the snapshot equals
+    a recomputing run's, and the resumed run aggregates again."""
+    straight = _sweep_trainer(sweep_dataset, "mean", recompute=False)
+    total = 2 * straight.steps_per_epoch
+    straight.run_steps(total)
+    kill = straight.steps_per_epoch + REUSE_PARTS
+    assert straight.scheduler.step(kill).layer == 1
+
+    victim = _sweep_trainer(sweep_dataset, "mean", recompute=False)
+    reference = _sweep_trainer(sweep_dataset, "mean", recompute=True)
+    victim.run_steps(kill)
+    reference.run_steps(kill)
+    assert all(slot is not None for slot in victim._layer0)
+    payload = victim.checkpoint()
+    assert _sha(payload) == _sha(reference.checkpoint())
+
+    resumed = _sweep_trainer(sweep_dataset, "mean", recompute=False)
+    resumed.restore(payload)
+    assert all(slot is None for slot in resumed._layer0)
+    resumed.run_steps(total - kill)
+    assert_same_bits(resumed.losses, straight.losses, "losses")
+    assert_same_bits(resumed.accuracies, straight.accuracies, "accuracies")
+    assert _sha(resumed.checkpoint()) == _sha(straight.checkpoint())
 
 
 # ----------------------------------------------------------------------
