@@ -13,7 +13,6 @@ GIDS dataloader's zero preprocessing plus warmup time on the same graph.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from ..config import INTEL_OPTANE
 from ..core.gids import GIDSDataLoader
 from ..graph.datasets import get_dataset_spec, load_scaled
 from ..graph.partition import edge_cut, partition_graph
-from ..sampling.cluster import ClusterSampler
 from .experiments import ExperimentResult
 from .workloads import get_workload
 
@@ -105,46 +103,3 @@ def section47_clustergcn(
         },
     )
 
-
-@dataclass
-class ClusterTrainingCheck:
-    """Outcome of the functional ClusterGCN sanity run."""
-
-    losses: list[float]
-    batches: int
-
-
-def clustergcn_functional_check(
-    num_parts: int = 16,
-    batches: int = 20,
-) -> ClusterTrainingCheck:
-    """Train GraphSAGE on ClusterGCN batches (functional completeness).
-
-    Demonstrates the sampler integrates with the model even though the
-    paper skips its evaluation — the losses must be finite and decreasing.
-    """
-    from ..storage.feature_store import FeatureStore
-    from ..training.graphsage import GraphSAGE, synthetic_labels
-
-    dataset = load_scaled("IGB-tiny", 0.03, seed=0)
-    partition = partition_graph(dataset.graph, num_parts, seed=0)
-    # All cluster members serve as seeds: cluster batches are few and
-    # large, so a lower learning rate keeps full-batch updates stable.
-    sampler = ClusterSampler(
-        dataset.graph,
-        partition,
-        clusters_per_batch=2,
-        num_layers=2,
-        seed=1,
-    )
-    store = FeatureStore(dataset.num_nodes, dataset.feature_dim)
-    model = GraphSAGE(
-        dataset.feature_dim, 32, 4, num_layers=2, lr=0.01, seed=0
-    )
-    losses = []
-    for _ in range(batches):
-        batch = sampler.sample()
-        features = store.fetch(batch.input_nodes)
-        labels = synthetic_labels(store, batch.seeds, 4, seed=0)
-        losses.append(model.train_step(batch, features, labels))
-    return ClusterTrainingCheck(losses=losses, batches=batches)

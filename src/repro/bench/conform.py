@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import experiments as ex
+from . import time_to_accuracy as tta
 from .experiments import ExperimentResult
 
 #: ``repro figure`` name -> experiment, in EXPERIMENTS.md order.
@@ -56,6 +57,17 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
     "ablation-eviction": ex.ablation_eviction_policy,
     "observatory-ssd-sweep": ex.observatory_ssd_sweep,
     "observatory-what-if": ex.observatory_what_if,
+    "fleet-scaling": ex.fleet_scaling,
+    "tta-gids-vs-mmap": tta.time_to_accuracy,
+    "tta-fullgraph": tta.fullgraph_vs_minibatch,
+    "storage-ha-degraded": ex.storage_ha_degraded,
+    "faults-sweep": ex.faults_sweep,
+    "faults-dropout": ex.faults_dropout,
+    "integrity-verify": ex.integrity_verify,
+    "integrity-storm": ex.integrity_storm,
+    "serving-overload": ex.serving_overload,
+    "checkpoint-resume": ex.checkpoint_resume,
+    "scale-invariance": ex.scale_invariance,
 }
 
 
@@ -216,6 +228,61 @@ def _threshold_drift(count: int):
                          - count * _at(r, "95% threshold", 1))
 
 
+def _cell(column: str, *key: object):
+    """The cell as a number, ``nan`` (a red band) where it is ``None``."""
+    def measure(r: ExperimentResult) -> float:
+        value = _at(r, column, *key)
+        return float("nan") if value is None else value
+    return measure
+
+
+def _among(pick, column: str, key_column: str, test):
+    """``pick`` of ``column`` over the rows whose ``key_column`` cell
+    passes ``test``."""
+    def measure(r: ExperimentResult) -> float:
+        value, key = r.headers.index(column), r.headers.index(key_column)
+        return pick(row[value] for row in r.rows if test(row[key]))
+    return measure
+
+
+def _all(column: str):
+    """1 when every cell of ``column`` is true, else 0."""
+    return lambda r: float(all(_col(r, column)))
+
+
+def _healthy_cost(r: ExperimentResult) -> float:
+    """The largest |healthy e2e of a redundant run / the bare run's - 1|."""
+    return max(abs(_at(r, "healthy ms", n, mode) / _at(r, "healthy ms", n, "none")
+                   - 1) for n, mode, *_ in r.rows if mode != "none")
+
+
+def _parity_reads(r: ExperimentResult) -> float:
+    """The largest |member reads - (SSDs - 1) x reconstructs| of a parity run."""
+    return max(abs(_at(r, "member reads", n, "parity")
+                   - (n - 1) * _at(r, "reconstructs", n, "parity"))
+               for n in set(_col(r, "SSDs")))
+
+
+def _fault_steps(r: ExperimentResult) -> float:
+    """The smallest ratio of a cell's e2e to the next-lower fault rate's, over
+    every loader and retry policy."""
+    runs: dict = {}
+    for loader, policy, _, e2e, *_ in r.rows:
+        runs.setdefault((loader, policy), []).append(e2e)
+    return min(b / a for times in runs.values() for a, b in pairwise(times))
+
+
+def _checked_snapshots(r: ExperimentResult) -> float:
+    """The fewest snapshots of a run over its steps / cadence."""
+    return min(snapshots / (steps // every) for every, steps, snapshots in zip(
+        _col(r, "every"), _col(r, "steps"), _col(r, "snapshots")))
+
+
+def _off(value: float, measure):
+    """How far ``measure`` is from ``value``: a band ``<= 0`` is equality."""
+    return lambda r: abs(measure(r) - value)
+
+
 _OPTANE, _FLASH = "Intel Optane SSD", "Samsung 980 Pro SSD"
 _CONSUME = "GPU consumption (training)"
 _LARGE = ("IGB-Full", "IGBH-Full")
@@ -224,6 +291,12 @@ _PREP = ("sampling", "aggregation", "transfer")
 _RP20 = ("20% buffer", "reverse_pagerank")
 _RP10 = ("10% buffer", "reverse_pagerank")
 _PAGES = "storage pages per requested node"
+_FULLGRAPH = "GIDS-fullgraph"
+_DROPOUT = "1% failures + SSD 1 dropout"
+_CRASHES = "crashes at 9, 23"
+_STORM = "integrity-storm"
+_PEERS = "extension: peers absorb redundant reads"
+_OUTAGE = "extension: one SSD down at t=0"
 
 BANDS: tuple[Band, ...] = (
     Band("fig03", "GPU consumption over the 16-thread CPU plateau",
@@ -385,6 +458,147 @@ BANDS: tuple[Band, ...] = (
     Band("observatory-what-if", "full-graph +1 SSD, abs error vs its run",
          "extension: offloaded sweep", _worst_error("GIDS-fullgraph", "+1 SSD"),
          hi=0.3),
+    Band("fleet-scaling", "SSD pages, peer over no-peer, 2-4 GPUs (max)", _PEERS,
+         lambda r: max(_ratio("peer SSD pages", n, n, "no-peer SSD pages")(r)
+                       for n in (2, 4)), hi=1),
+    Band("fleet-scaling", "peer hit %, 2-4 GPUs (min)", _PEERS,
+         _over(min, "peer hit %", (2, 4)), lo=0),
+    Band("fleet-scaling", "same losses with and without peers (1 = yes)",
+         "extension: peers change cost, not content", _all("same losses"), lo=0.5),
+    Band("fleet-scaling", "4-GPU speedup, peer over no-peer",
+         "LSM-GNN: share the cache across GPUs",
+         _ratio("peer speedup", 4, 4, "no-peer speedup"), lo=1),
+    Band("fleet-scaling", "4-GPU peer speedup over 1 GPU",
+         "LSM-GNN: share the cache across GPUs",
+         lambda r: _at(r, "peer speedup", 4), lo=1),
+    Band("fleet-scaling", "no-peer speedup over GPU count, 2-4 GPUs (max)",
+         "§5: more GPUs need more SSDs",
+         lambda r: max(_at(r, "no-peer speedup", n) / n for n in (2, 4)), hi=1),
+    Band("tta-gids-vs-mmap", "DGL-mmap over GIDS time to 60%",
+         "extension: the data path is the whole gap", _cell("vs GIDS", "DGL-mmap"),
+         lo=10),
+    Band("tta-gids-vs-mmap", "same accuracy per step (1 = yes)",
+         "extension: identical batch sequences", _all("same acc curve"), lo=0.5),
+    Band("tta-fullgraph", "full-graph over mini-batch time to 60%",
+         "GriNNder: the memory wall", _cell("vs mini-batch", _FULLGRAPH), lo=10),
+    Band("tta-fullgraph", "activations resident (1 = yes)",
+         "extension: 21 MiB forces offload", _is("resident", _FULLGRAPH, True),
+         hi=0.5),
+    Band("tta-fullgraph", "activation pages spilled",
+         "extension: 21 MiB forces offload", _cell("spill pages", _FULLGRAPH),
+         lo=0),
+    Band("storage-ha-degraded", "bare mirror reads (min)", _OUTAGE,
+         _among(min, "mirror reads", "mode", lambda m: m == "none"), lo=0),
+    Band("storage-ha-degraded", "redundant mirror reads (max)", _OUTAGE,
+         _among(max, "mirror reads", "mode", lambda m: m != "none"), hi=0,
+         closed=True),
+    Band("storage-ha-degraded", "healthy e2e, redundant over bare, off 1 (max)",
+         "extension: pay for what you use", _healthy_cost, hi=0, closed=True),
+    Band("storage-ha-degraded", "same batches as the healthy bare run (1 = yes)",
+         "extension: redundancy changes cost, not content", _all("same batches"),
+         lo=0.5),
+    Band("storage-ha-degraded", "replica reads, replication 2 (min)", _OUTAGE,
+         _among(min, "replica reads", "mode", lambda m: m == "replication-2"),
+         lo=0),
+    Band("storage-ha-degraded", "rebuilt pages, replication 2 (min)",
+         "extension: re-protect onto survivors",
+         _among(min, "rebuilt pages", "mode", lambda m: m == "replication-2"),
+         lo=0),
+    Band("storage-ha-degraded", "parity reconstructs (min)", _OUTAGE,
+         _among(min, "reconstructs", "mode", lambda m: m == "parity"), lo=0),
+    Band("storage-ha-degraded", "member reads off (SSDs - 1) x reconstructs (max)",
+         "extension: k reads per reconstruct", _parity_reads, hi=0, closed=True),
+    Band("faults-sweep", "e2e per fault-rate step (min, loaders x policies)",
+         "extension: faults cost time", _fault_steps, lo=0.999, closed=True),
+    Band("faults-sweep", "injected faults at a 5% rate (min)",
+         "extension: faults land on storage reads",
+         _among(min, "injected", "fault rate", lambda rate: rate == 0.05), lo=0),
+    Band("faults-dropout", "iterations, faulted off healthy",
+         "extension: the epoch completes",
+         lambda r: abs(_at(r, "iterations", _DROPOUT)
+                       - _at(r, "iterations", "healthy")), hi=0, closed=True),
+    Band("faults-dropout", "e2e slowdown", "extension: bounded slowdown",
+         _ratio("e2e ms", _DROPOUT, "healthy"), lo=1, closed=True),
+    Band("faults-dropout", "e2e slowdown, upper bound", "extension: bounded slowdown",
+         _ratio("e2e ms", _DROPOUT, "healthy"), hi=5),
+    Band("faults-dropout", "exported storage retries", "extension: faults observable",
+         lambda r: _at(r, "retries", _DROPOUT), lo=0),
+    Band("faults-dropout", "exported fallback reads", "extension: faults observable",
+         lambda r: _at(r, "fallbacks", _DROPOUT), lo=0),
+    Band("faults-dropout", "exported injected faults", "extension: faults observable",
+         lambda r: _at(r, "injected", _DROPOUT), lo=0),
+    Band("integrity-verify", "verify off, e2e over no integrity (max)",
+         "extension: pay for what you use",
+         _among(max, "vs off", "verify", lambda m: m == "off"), hi=1.02,
+         closed=True),
+    Band("integrity-verify", "full verify, detected off emitted (max)",
+         "extension: full verify catches every flip",
+         lambda r: max(abs(_at(r, "detected", "full", rate)
+                           - _at(r, "emitted", "full", rate))
+                       for rate in set(_col(r, "bitflip rate"))),
+         hi=0, closed=True),
+    Band("integrity-verify", "ledger consistent (1 = yes)",
+         "extension: each detection repaired or quarantined", _all("consistent"),
+         lo=0.5),
+    Band("integrity-verify", "corruptions emitted, full verify at 1e-3",
+         "extension: full verify catches every flip",
+         lambda r: _at(r, "emitted", "full", 1e-3), lo=0),
+    Band("integrity-verify", "full over off e2e (min over rates)",
+         "extension: checking costs time",
+         lambda r: min(_at(r, "e2e ms", "full", rate) / _at(r, "e2e ms", "off", rate)
+                       for rate in set(_col(r, "bitflip rate"))), lo=1, closed=True),
+    Band(_STORM, "corruptions detected", "extension: scrub + verify find the storm",
+         lambda r: _col(r, "detected")[0], lo=0),
+    Band(_STORM, "detected off emitted", "extension: scrub + verify find the storm",
+         lambda r: abs(_col(r, "detected")[0] - _col(r, "emitted")[0]), hi=0,
+         closed=True),
+    Band(_STORM, "ledger consistent (1 = yes)",
+         "extension: each detection repaired or quarantined", _all("consistent"),
+         lo=0.5),
+    Band(_STORM, "p50 detection latency, ms", "extension: ordered percentiles",
+         lambda r: _col(r, "p50 ms")[0], lo=0, closed=True),
+    Band(_STORM, "p95 - p50 and p99 - p95, ms (min)", "extension: ordered percentiles",
+         lambda r: min(_col(r, "p95 ms")[0] - _col(r, "p50 ms")[0],
+                       _col(r, "p99 ms")[0] - _col(r, "p95 ms")[0]), lo=0,
+         closed=True),
+    Band("serving-overload", "unprotected p99 over the SLO at 2x capacity",
+         "extension: the queueing hockey stick",
+         lambda r: _at(r, "p99 / SLO (off)", 2.0), lo=3),
+    Band("serving-overload", "unprotected p99, 2x over 0.5x capacity",
+         "extension: the queueing hockey stick",
+         _ratio("p99 ms (off)", 2.0, 0.5), lo=10),
+    Band("serving-overload", "protected p99 over the SLO (max)",
+         "extension: admission keeps the tail", lambda r: max(_col(r, "p99 / SLO (on)")),
+         hi=1, closed=True),
+    Band("serving-overload", "protected goodput over capacity, > 1x (min)",
+         "extension: goodput plateaus",
+         _among(min, "on / capacity", "load", lambda load: load > 1), lo=0.9,
+         closed=True),
+    Band("serving-overload", "protected shed %, > 1x (min)",
+         "extension: overload is shed", _among(min, "shed %", "load", lambda load: load > 1),
+         lo=0),
+    Band("serving-overload", "protected degraded % (min)", "extension: brownout",
+         lambda r: min(_col(r, "degraded %")), lo=0, closed=True),
+    Band("checkpoint-resume", "snapshots over steps / cadence (min)",
+         "extension: a snapshot every N steps", _checked_snapshots, lo=1,
+         closed=True),
+    Band("checkpoint-resume", "crashes survived, off the plan's 2",
+         "extension: crash-safe runs", _off(2, lambda r: _at(r, "crashes", _CRASHES)),
+         hi=0, closed=True),
+    Band("checkpoint-resume", "restores, off the plan's 2", "extension: crash-safe runs",
+         _off(2, lambda r: _at(r, "restores", _CRASHES)), hi=0, closed=True),
+    Band("checkpoint-resume", "same losses as unsupervised (1 = yes)",
+         "extension: bit-identical resume", _all("same losses"), lo=0.5),
+    Band("checkpoint-resume", "same final accuracy (1 = yes)",
+         "extension: bit-identical resume", _all("same accuracy"), lo=0.5),
+    Band("checkpoint-resume", "same exported report (1 = yes)",
+         "extension: bit-identical resume", _all("same export"), lo=0.5),
+    Band("scale-invariance", "redirect fraction gap across 2x scale",
+         "methodology: scaling keeps ratios",
+         lambda r: _at(r, "gap", "CPU-buffer redirect fraction"), hi=0.12),
+    Band("scale-invariance", "GIDS-over-BaM gap over its x0.002 value",
+         "methodology: scaling keeps ratios",
+         lambda r: _at(r, "gap / larger-scale value", "GIDS over BaM"), hi=0.5),
 )
 
 

@@ -9,6 +9,9 @@ bands its rows must fall in; ``python -m repro.bench.conform`` runs them all.
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
@@ -27,14 +30,16 @@ from ..config import (
 )
 from ..core.bam import BaMDataLoader
 from ..core.gids import GIDSDataLoader
-from ..graph.datasets import get_dataset_spec
+from ..faults.plan import CorruptionEvent, CrashEvent, DeviceEvent, FaultPlan
+from ..faults.retry import RetryPolicy
+from ..graph.datasets import get_dataset_spec, load_scaled
 from ..sampling.neighbor import NeighborSampler
 from ..sampling.seeds import epoch_seed_batches
 from ..sim.cpu import CPUModel
 from ..sim.gpu import GPUModel
 from ..sim.pcie import PCIeLink
 from ..sim.ssd import SSDArray, SSDMicrobench
-from ..utils import format_bytes
+from ..utils import ceil_div, format_bytes
 from .tables import render_table
 from .workloads import Workload, get_workload
 
@@ -950,4 +955,372 @@ def observatory_what_if(
                  "achieved ms", "error"],
         rows=rows,
         formats=["", "", "", ".3f", ".3f", "+.3f"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Extensions beyond the paper: the subsystems built around the loader, each
+# on the small replica its claim needs.
+
+
+def fleet_scaling() -> ExperimentResult:
+    """The elastic fleet on one shared Optane SSD at 1/2/4 GPUs, with and
+    without the peer cache tier.  The per-worker batch is fixed (8 seeds),
+    so a wider fleet runs fewer global steps over the same epoch."""
+    from ..core.fleet import ElasticFleetTrainer, FleetConfig
+
+    workload = get_workload("IGB-tiny", scale=0.05)
+    system = workload.system(INTEL_OPTANE, num_ssds=1)
+
+    def epoch(num_gpus: int, peer_cache: bool):
+        fleet = FleetConfig(num_gpus=num_gpus, batch_size=8, peer_cache=peer_cache)
+        return ElasticFleetTrainer(workload.dataset, system, fleet, seed=0,
+                                   fanouts=workload.fanouts).run_epoch()
+
+    runs = [(n, epoch(n, True), epoch(n, False)) for n in (1, 2, 4)]
+    _, peer_1, base_1 = runs[0]
+    rows = [
+        [n, len(peer.schedule), peer.epoch_time_s * 1e3, base.epoch_time_s * 1e3,
+         peer_1.epoch_time_s / peer.epoch_time_s,
+         base_1.epoch_time_s / base.epoch_time_s, 100 * peer.peer_cache_hit_ratio,
+         peer.total_ssd_pages, base.total_ssd_pages, peer.final_loss,
+         peer.losses == base.losses]
+        for n, peer, base in runs
+    ]
+    return ExperimentResult(
+        experiment="Extension: elastic fleet epoch on one shared Intel Optane "
+        "SSD (IGB-tiny x0.05, 8 seeds per GPU)",
+        headers=["GPUs", "steps", "peer ms", "no-peer ms", "peer speedup",
+                 "no-peer speedup", "peer hit %", "peer SSD pages",
+                 "no-peer SSD pages", "final loss", "same losses"],
+        rows=rows,
+        formats=["", "", ".3f", ".3f", ".5f", ".5f", ".1f", "", "", ".4f", ""],
+    )
+
+
+def storage_ha_degraded() -> ExperimentResult:
+    """GIDS on 2/4/8 SSDs with SSD 1 dropped at t=0, bare and under 2-way
+    replication and k+1 parity (rebuilding at 1M IOPS), each beside its
+    healthy run."""
+    iters = 12
+    workload = get_workload("IGB-tiny", scale=0.05)
+    dropout = FaultPlan(seed=2, device_events=(DeviceEvent(1, "dropout", 0.0),))
+    rows = []
+    for count in (2, 4, 8):
+        system = workload.system(INTEL_OPTANE, num_ssds=count)
+
+        def run(**kwargs):
+            loader = _gids(workload, system, workload.loader_config(), seed=1,
+                           **kwargs)
+            return loader, loader.run(iters, warmup=0)
+
+        for mode, ha in (("none", {}), ("replication-2", {"replication": 2}),
+                         ("parity", {"parity": True})):
+            _, healthy = run(**ha)
+            rebuild = {"rebuild_iops": 1e6} if ha else {}
+            loader, degraded = run(**ha, **rebuild, fault_plan=dropout)
+            batches = [it.num_input_nodes for it in degraded.iterations]
+            if not ha:
+                bare = [it.num_input_nodes for it in healthy.iterations]
+            c = degraded.counters
+            placement = loader.storage_ha and loader.storage_ha.placement
+            rows.append([
+                count, mode,
+                placement.storage_overhead_factor if placement else 1.0,
+                healthy.e2e_time * 1e3, degraded.e2e_time * 1e3,
+                degraded.e2e_time / healthy.e2e_time, c.fallback_requests,
+                c.replica_redirects, c.parity_reconstructs, c.reconstruct_reads,
+                c.rebuild_pages, c.rebuild_pages / degraded.e2e_time,
+                batches == bare,
+            ])
+    return ExperimentResult(
+        experiment="Extension: one SSD down at t=0, by redundancy mode "
+        f"(GIDS, Intel Optane, IGB-tiny x0.05, {iters} iterations)",
+        headers=["SSDs", "mode", "overhead", "healthy ms", "degraded ms",
+                 "slowdown", "mirror reads", "replica reads", "reconstructs",
+                 "member reads", "rebuilt pages", "rebuilt pages/s",
+                 "same batches"],
+        rows=rows,
+        formats=["", "", ".3f", ".4f", ".4f", ".5f", "", "", "", "", "", ",.0f",
+                 ""],
+    )
+
+
+def _tiny(scale: float, *, num_ssds: int = 1, memory=None, **config):
+    """An IGB-tiny replica (seed 3) on Optane with a 5% GPU cache and a 10%
+    CPU buffer; ``memory(dataset)``, when given, limits CPU memory."""
+    dataset = load_scaled("IGB-tiny", scale, seed=3)
+    system = SystemConfig(
+        ssd=INTEL_OPTANE, num_ssds=num_ssds,
+        cpu_memory_limit_bytes=memory and memory(dataset))
+    return dataset, system, LoaderConfig(
+        gpu_cache_bytes=dataset.feature_data_bytes * 0.05,
+        cpu_buffer_fraction=0.10, **config)
+
+
+def _tight(dataset) -> float:
+    """The structure plus 15% of the features: every loader, Ginex's Belady
+    cache included, misses to storage, so injected faults land."""
+    return dataset.structure_data_bytes + dataset.feature_data_bytes * 0.15
+
+
+def faults_sweep() -> ExperimentResult:
+    """Per-request read failures (0/1/5%) x two retry policies, for GIDS,
+    BaM and Ginex on two Optane SSDs (IGB-tiny x0.05, tight memory)."""
+    iters = 20
+    dataset, system, config = _tiny(0.05, num_ssds=2, memory=_tight,
+                                    window_depth=4)
+    policies = (("fast-fail", RetryPolicy(max_retries=1, backoff_base_s=20e-6)),
+                ("patient", RetryPolicy(max_retries=4, backoff_base_s=50e-6)))
+    rows = []
+    for kind, build in (("GIDS", GIDSDataLoader), ("BaM", BaMDataLoader),
+                        ("Ginex", GinexLoader)):
+        for name, policy in policies:
+            for rate in (0.0, 0.01, 0.05):
+                plan = FaultPlan(seed=11, read_failure_rate=rate) if rate else None
+                args = (dataset, system) + ((config,) if kind != "Ginex" else ())
+                loader = build(*args, batch_size=64, fanouts=(5, 5), seed=1,
+                               fault_plan=plan, retry_policy=policy)
+                report = loader.run(iters, warmup=20 if kind == "Ginex" else 5)
+                c = report.counters
+                rows.append([kind, name, rate, report.e2e_time * 1e3,
+                             c.storage_requests, c.injected_faults,
+                             c.storage_retries, c.fallback_requests])
+    return ExperimentResult(
+        experiment="Extension: read-failure rate x retry policy "
+        f"(2x Intel Optane, IGB-tiny x0.05, {iters} iterations)",
+        headers=["loader", "policy", "fault rate", "e2e ms", "storage reads",
+                 "injected", "retries", "fallbacks"],
+        rows=rows,
+        formats=["", "", ".0%", ".4f", "", "", "", ""],
+    )
+
+
+def faults_dropout() -> ExperimentResult:
+    """One GIDS epoch under 1% read failures, with SSD 1 of 2 dropping out
+    at half the healthy epoch's modeled time (IGB-tiny x0.25, batch 16);
+    the fault counts are read back from each run's export."""
+    from ..pipeline.export import report_to_dict
+
+    dataset, system, config = _tiny(0.25, num_ssds=2, memory=_tight,
+                                    window_depth=4)
+    iters = ceil_div(len(dataset.train_ids), 16)
+
+    def run(plan):
+        return GIDSDataLoader(
+            dataset, system, config, batch_size=16, fanouts=(5, 5), seed=1,
+            fault_plan=plan,
+        ).run(iters, warmup=0)
+
+    def row(label, report):
+        faults = report_to_dict(report)["faults"]
+        return [label, report.num_iterations, report.e2e_time * 1e3] + [
+            faults[key] for key in
+            ("injected_faults", "storage_retries", "fallback_requests")]
+
+    healthy = run(None)
+    dropout = DeviceEvent(1, "dropout", healthy.e2e_time / 2)
+    faulty = run(FaultPlan(seed=13, read_failure_rate=0.01,
+                           device_events=(dropout,)))
+    return ExperimentResult(
+        experiment="Extension: a GIDS epoch through read failures and a "
+        "mid-epoch SSD dropout (2x Intel Optane)",
+        headers=["run", "iterations", "e2e ms", "injected", "retries",
+                 "fallbacks"],
+        rows=[row("healthy", healthy),
+              row("1% failures + SSD 1 dropout", faulty)],
+        formats=["", "", ".3f", "", "", ""],
+    )
+
+
+def _integrity_loader(plan, verify_reads: str, **kwargs) -> GIDSDataLoader:
+    dataset, system, config = _tiny(
+        0.08, memory=lambda d: d.total_bytes * 0.5, window_depth=4)
+    return GIDSDataLoader(dataset, system, config, batch_size=64,
+                          fanouts=(5, 5), seed=1, fault_plan=plan,
+                          verify_reads=verify_reads, **kwargs)
+
+
+def integrity_verify() -> ExperimentResult:
+    """What each verify-on-read mode costs in modeled time, and what it
+    catches, under random bit flips (GIDS, IGB-tiny x0.08)."""
+    iters = 30
+    rows = []
+    for mode in ("off", "sample", "full"):
+        for rate in (0.0, 1e-4, 1e-3):
+            plan = FaultPlan(seed=11, bitflip_rate=rate) if rate else None
+            loader = _integrity_loader(plan, mode)
+            report = loader.run(iters)
+            ledger = loader.ledger
+            rows.append([
+                mode, rate, report.e2e_time * 1e3, report.counters.verified_pages,
+                loader.faults.stats.corruptions_emitted if plan else 0,
+                ledger.total_detected if ledger else 0,
+                ledger.is_consistent() if ledger else True,
+            ])
+    for row in rows:  # against verify off with nothing injected
+        row.insert(3, row[2] / rows[0][2])
+    return ExperimentResult(
+        experiment=f"Extension: verify mode x bit-flip rate ({iters} "
+        "iterations)",
+        headers=["verify", "bitflip rate", "e2e ms", "vs off", "verified",
+                 "emitted", "detected", "consistent"],
+        rows=rows,
+        formats=["", "g", ".4f", ".4f", "", "", "", ""],
+    )
+
+
+def integrity_storm() -> ExperimentResult:
+    """Full verification plus a 1e5 IOPS scrub through random bit flips and
+    a persistent corruption of 2% of SSD 0's pages at 0.1 ms."""
+    iters = 30
+    storm = CorruptionEvent(device=0, at_time_s=1e-4, page_fraction=0.02)
+    plan = FaultPlan(seed=7, bitflip_rate=1e-4, corruption_events=(storm,))
+    loader = _integrity_loader(plan, "full", scrub_iops=1e5)
+    report = loader.run(iters)
+    ledger = loader.ledger
+    latency = ledger.detection_latency_percentiles()
+    row = [ledger.total_detected, loader.faults.stats.corruptions_emitted,
+           ledger.total_repaired, ledger.total_unrepairable,
+           ledger.num_quarantined, report.counters.scrubbed_pages,
+           ledger.is_consistent()] + [latency[p] * 1e3
+                                      for p in ("p50", "p95", "p99")]
+    return ExperimentResult(
+        experiment="Extension: detection under a corruption storm (full "
+        f"verify + scrub, {iters} iterations)",
+        headers=["detected", "emitted", "repaired", "unrepairable",
+                 "quarantined", "scrubbed", "consistent", "p50 ms", "p95 ms",
+                 "p99 ms"],
+        rows=[row],
+        formats=[""] * 7 + [".3f"] * 3,
+    )
+
+
+def serving_overload() -> ExperimentResult:
+    """Poisson arrivals at 0.5-2x the measured capacity, each served
+    with protection off and on (admission, shedding, hedging, brownout).
+    Capacity is the service rate of a saturated unprotected run; the
+    protected columns are read back from the run's validated export."""
+    from ..observatory import validate_summary
+    from ..serving import ArrivalConfig, InferenceServer, ServingConfig
+
+    requests, slo_s = 1200, 0.05
+    dataset, system, config = _tiny(0.08, num_ssds=2, memory=_tight)
+
+    def serve(rate: float, protection: bool):
+        server = InferenceServer(
+            dataset, system, config,
+            arrival=ArrivalConfig(shape="poisson", rate=rate, seed=5,
+                                  deadline_s=0.05),
+            serving=ServingConfig(protection=protection, slo_p99_s=slo_s),
+            fanouts=(5, 5), seed=1,
+        )
+        server.serve(requests)
+        server.drain()
+        return server.report()
+
+    capacity = serve(20_000.0, False).capacity_req_s
+    rows = []
+    for load in (0.5, 0.8, 1.1, 1.5, 2.0):
+        off = serve(capacity * load, False)
+        doc = json.loads(json.dumps(
+            serve(capacity * load, True).export_dict(system=system)))
+        validate_summary(doc)
+        on = doc["serving"]
+        p99_off, p99_on = off.latency_percentile(99), on["latency_s"]["p99"]
+        rows.append([
+            load, p99_off * 1e3, p99_off / slo_s, off.goodput_req_s,
+            p99_on * 1e3, p99_on / slo_s, on["goodput_req_s"],
+            on["goodput_req_s"] / capacity, 100 * on["shed_fraction"],
+            100 * on["degraded"]["fraction"],
+        ])
+    return ExperimentResult(
+        experiment=f"Extension: serving overload (capacity {capacity:.0f} "
+        f"req/s, SLO p99 {slo_s * 1e3:.0f} ms, {requests} requests)",
+        headers=["load", "p99 ms (off)", "p99 / SLO (off)", "goodput (off)",
+                 "p99 ms (on)", "p99 / SLO (on)", "goodput (on)",
+                 "on / capacity", "shed %", "degraded %"],
+        rows=rows,
+        formats=[".1f", ".2f", ".2f", ".0f", ".2f", ".2f", ".0f", ".3f", ".1f",
+                 ".1f"],
+    )
+
+
+def checkpoint_resume() -> ExperimentResult:
+    """Supervised training runs against an unsupervised one: snapshots every
+    1, 4 and 16 steps, then crashes at steps 9 and 23 resumed from a ring
+    written every 6 steps (GIDS, IGB-tiny x0.05)."""
+    iters = 32
+    from ..checkpoint import CheckpointStore, RunSupervisor, SupervisorConfig
+    from ..pipeline.export import report_to_dict
+    from ..pipeline.runner import TrainingPipeline
+    from ..training.graphsage import GraphSAGE
+
+    dataset, system, config = _tiny(0.05, window_depth=4)
+
+    def pipeline(plan=None) -> TrainingPipeline:
+        loader = GIDSDataLoader(dataset, system, config, batch_size=64,
+                                fanouts=(5, 5), seed=1, fault_plan=plan)
+        model = GraphSAGE(dataset.feature_dim, 16, 8, num_layers=2, seed=7)
+        return TrainingPipeline(loader, model, num_classes=8)
+
+    reference = pipeline().train(iters)
+    crashes = FaultPlan(crash_events=(CrashEvent(9), CrashEvent(23)))
+    runs = [(f"every {n}", n, None) for n in (1, 4, 16)]
+    runs.append(("crashes at 9, 23", 6, crashes))
+    rows = []
+    with tempfile.TemporaryDirectory() as root:
+        for label, every, plan in runs:
+            supervisor = RunSupervisor(
+                lambda: pipeline(plan), CheckpointStore(os.path.join(root, label)),
+                config=SupervisorConfig(checkpoint_every=every))
+            run = supervisor.run(iters)
+            s = supervisor.summary
+            rows.append([
+                label, every, run.completed_steps, s.snapshots_written,
+                s.snapshot_bytes / s.snapshots_written / 1e6, s.crashes,
+                s.restores, run.losses == reference.losses,
+                run.final_train_accuracy() == reference.final_train_accuracy(),
+                report_to_dict(run.report) == report_to_dict(reference.report),
+            ])
+    return ExperimentResult(
+        experiment="Extension: supervised runs against an unsupervised one "
+        f"({iters} steps)",
+        headers=["run", "every", "steps", "snapshots", "MB/snapshot",
+                 "crashes", "restores", "same losses", "same accuracy",
+                 "same export"],
+        rows=rows,
+        formats=["", "", "", "", ".3f", "", "", "", "", ""],
+    )
+
+
+def scale_invariance() -> ExperimentResult:
+    """The dimensionless outputs every figure rests on, at replica scales
+    0.001 and 0.002 of IGB-Full (Intel Optane, GIDS vs BaM, 30 iterations)."""
+    scales, iters = (0.001, 0.002), 30
+
+    def measure(scale: float) -> dict[str, float]:
+        workload = get_workload("IGB-Full", scale=scale)
+        system = workload.system(INTEL_OPTANE)
+        config = workload.loader_config()
+        gids = _gids(workload, system, config, seed=17, hot=True).run(
+            iters, warmup=WARMUP_GIDS)
+        bam = BaMDataLoader(
+            workload.dataset, system, config, batch_size=workload.batch_size,
+            fanouts=workload.fanouts, seed=17,
+        ).run(iters, warmup=WARMUP_GIDS)
+        return {"CPU-buffer redirect fraction": gids.counters.redirect_fraction,
+                "GPU cache hit ratio": gids.gpu_cache_hit_ratio,
+                "GIDS over BaM": bam.e2e_time / gids.e2e_time}
+
+    small, large = (measure(scale) for scale in scales)
+    rows = [[name, small[name], large[name], abs(small[name] - large[name]),
+             abs(small[name] - large[name]) / large[name]] for name in small]
+    return ExperimentResult(
+        experiment="Methodology: dimensionless results across a 2x replica "
+        "scale (IGB-Full)",
+        headers=["quantity", f"scale {scales[0]:g}", f"scale {scales[1]:g}",
+                 "gap", "gap / larger-scale value"],
+        rows=rows,
+        formats=["", ".3f", ".3f", ".3f", ".3f"],
     )

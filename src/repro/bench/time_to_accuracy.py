@@ -130,34 +130,32 @@ def time_to_accuracy(
             )
         )
 
+    gids = traces[0]
+    return ExperimentResult(
+        experiment=f"Extension: time to {target:.0%} accuracy, GIDS vs "
+        f"DGL-mmap ({ssd.name}, IGB-Full)",
+        headers=["loader", "total ms", "final acc %", f"ms to {target:.0%}",
+                 "vs GIDS", "same acc curve"],
+        rows=[row + [bool(np.allclose(gids.accuracies, trace.accuracies,
+                                      atol=1e-9))]
+              for row, trace in zip(_trace_rows(traces, target), traces)],
+        formats=["", ".2f", ".1f", ".2f", ".3f", ""],
+    )
+
+
+def _trace_rows(traces: list[AccuracyTrace], target: float) -> list[list]:
+    """A row per trace: total ms, final accuracy %, ms to ``target`` and
+    that time over the first trace's (``None`` where one never got there)."""
+    first = traces[0].time_to(target)
     rows = []
     for trace in traces:
         reached = trace.time_to(target)
-        rows.append(
-            [
-                trace.loader,
-                f"{trace.times_s[-1] * 1e3:.2f}",
-                f"{100 * trace.accuracies[-1]:.1f}",
-                "-" if reached is None else f"{reached * 1e3:.2f}",
-            ]
-        )
-    gids, mmap = traces
-    speedup = None
-    t_gids, t_mmap = gids.time_to(target), mmap.time_to(target)
-    if t_gids and t_mmap:
-        speedup = t_mmap / t_gids
-    return ExperimentResult(
-        experiment=f"Time-to-accuracy (target {target:.0%}, {ssd.name})",
-        headers=["loader", "total ms", "final acc %", f"ms to {target:.0%}"],
-        rows=rows,
-        extras={
-            "traces": traces,
-            "speedup": speedup,
-            "per_step_accuracy_identical": np.allclose(
-                gids.accuracies, mmap.accuracies, atol=1e-9
-            ),
-        },
-    )
+        rows.append([
+            trace.loader, trace.times_s[-1] * 1e3, 100 * trace.accuracies[-1],
+            None if reached is None else reached * 1e3,
+            reached / first if reached and first else None,
+        ])
+    return rows
 
 
 def fullgraph_vs_minibatch(
@@ -181,10 +179,11 @@ def fullgraph_vs_minibatch(
     task's convention).  The mini-batch arm pays random 4K feature reads
     per sampled batch; the full-graph arm pays sequential feature
     streaming plus activation spill/reload under a deliberately tight HBM
-    budget — the memory-wall regime.  Neither arm is "correct": the bench
-    quantifies which data path converts SSD seconds into accuracy faster.
+    budget — the memory-wall regime.  Neither arm is "correct": the
+    experiment quantifies which data path converts SSD seconds into
+    accuracy faster.
 
-    A smaller replica than the mini-batch-only benchmark is used because
+    A smaller replica than the GIDS-vs-mmap experiment's is used because
     the full-graph arm materializes every layer's activations for the
     whole graph (that being the point of the workload).
     """
@@ -231,35 +230,19 @@ def fullgraph_vs_minibatch(
         accuracies=list(trainer.accuracies),
     )
 
-    rows = []
-    for trace in (mini, full):
-        reached = trace.time_to(target)
-        rows.append(
-            [
-                trace.loader,
-                f"{trace.times_s[-1] * 1e3:.2f}",
-                f"{100 * trace.accuracies[-1]:.1f}",
-                "-" if reached is None else f"{reached * 1e3:.2f}",
-            ]
-        )
-    t_mini, t_full = mini.time_to(target), full.time_to(target)
-    advantage = None
-    if t_mini and t_full:
-        advantage = t_full / t_mini
+    block = trainer.fullgraph_block(target_accuracy=target)
+    traffic = block["traffic"]
+    mini_row, full_row = _trace_rows([mini, full], target)
+    fullgraph = [block["epochs_completed"], block["num_partitions"],
+                 block["activations_resident"], traffic["spill_pages"],
+                 traffic["reload_pages"]]
     return ExperimentResult(
-        experiment=(
-            f"Full-graph vs mini-batch time-to-accuracy "
-            f"(target {target:.0%}, {ssd.name})"
-        ),
-        headers=["arm", "total ms", "final acc %", f"ms to {target:.0%}"],
-        rows=rows,
-        extras={
-            "traces": [mini, full],
-            "minibatch_time_to_target_s": t_mini,
-            "fullgraph_time_to_target_s": t_full,
-            "fullgraph_over_minibatch": advantage,
-            "fullgraph_block": trainer.fullgraph_block(
-                target_accuracy=target
-            ),
-        },
+        experiment=f"Extension: time to {target:.0%} accuracy, full-graph "
+        f"sweeps vs mini-batch GIDS ({ssd.name}, IGB-Full x{scale:g}, "
+        f"{hbm_budget_bytes / 2**20:g} MiB HBM)",
+        headers=["arm", "total ms", "final acc %", f"ms to {target:.0%}",
+                 "vs mini-batch", "epochs", "partitions", "resident",
+                 "spill pages", "reload pages"],
+        rows=[mini_row + [None] * 5, full_row + fullgraph],
+        formats=["", ".2f", ".1f", ".2f", ".3f", "", "", "", "", ""],
     )

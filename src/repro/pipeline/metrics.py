@@ -9,7 +9,7 @@ end-to-end time with or without prep/train overlap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import PipelineError
 from ..sim.counters import TransferCounters
@@ -91,6 +91,11 @@ class RunReport(StateRecord):
     loader_name: str
     iterations: list[IterationMetrics] = field(default_factory=list)
     overlapped: bool = False
+    #: ``(list, n, totals)``: the stage sums of ``list[:n]``, so that a
+    #: total read as a run goes costs only the steps appended since.
+    _sums: tuple = field(
+        default=(None, 0, None), init=False, repr=False, compare=False
+    )
 
     def append(self, metrics: IterationMetrics) -> None:
         self.iterations.append(metrics)
@@ -101,10 +106,21 @@ class RunReport(StateRecord):
 
     @property
     def stage_totals(self) -> StageTimes:
-        totals = StageTimes()
-        for it in self.iterations:
+        """Every iteration's stage times summed in list order, from zero.
+
+        The sums of the steps already seen are kept and extended, which
+        adds in the same order as a re-sum, so the totals are bit for bit
+        a re-sum's; a replaced or shortened list is summed afresh.
+        """
+        listed, summed, kept = self._sums
+        if listed is self.iterations and summed <= len(listed):
+            totals = replace(kept)
+        else:
+            summed, totals = 0, StageTimes()
+        for it in self.iterations[summed:]:
             totals.add(it.times)
-        return totals
+        self._sums = (self.iterations, len(self.iterations), totals)
+        return replace(totals)
 
     @property
     def e2e_time(self) -> float:
@@ -148,23 +164,6 @@ class RunReport(StateRecord):
     @property
     def gpu_cache_hit_ratio(self) -> float:
         return self.counters.gpu_cache_hit_ratio
-
-    def resilience_summary(self) -> dict[str, float]:
-        """Fault/retry/fallback view of the run (all zero when healthy)."""
-        counters = self.counters
-        return {
-            "injected_faults": counters.injected_faults,
-            "storage_retries": counters.storage_retries,
-            "latency_spikes": counters.latency_spikes,
-            "fallback_requests": counters.fallback_requests,
-            "fallback_bytes": counters.fallback_bytes,
-            "fallback_fraction": counters.fallback_fraction,
-            "retry_timeouts": counters.retry_timeouts,
-            "replica_redirects": counters.replica_redirects,
-            "parity_reconstructs": counters.parity_reconstructs,
-            "reconstruct_reads": counters.reconstruct_reads,
-            "rebuild_pages": counters.rebuild_pages,
-        }
 
     def integrity_summary(self) -> dict[str, float]:
         """Data-integrity view of the run (all zero when the layer is off).

@@ -33,6 +33,7 @@ from repro.graph.csr import from_coo
 from repro.graph.generators import power_law_graph
 from repro.graph.partition import halo_nodes, partition_graph
 from repro.pipeline.export import EXPORT_SCHEMA_VERSION, report_to_dict
+from repro.pipeline.metrics import STAGES, StageTimes
 from repro.sampling.minibatch import MiniBatch, SampledLayer
 from tests.oracles.graphsage_reference import ReferenceGraphSAGE
 from tests.test_readpath_golden import _sha
@@ -413,6 +414,36 @@ class TestKillResume:
         for ours, ref in zip(resumed.model.layers, base_trainer.model.layers):
             for name in ("w_self", "w_neigh", "bias"):
                 assert np.array_equal(getattr(ours, name), getattr(ref, name))
+
+    def test_resumed_stage_totals_are_a_resum_bit_for_bit(
+        self, dataset, system, baseline
+    ):
+        """The report keeps its stage sums as steps are appended; after a
+        kill three steps before an epoch ends and a resume across that
+        boundary, they and every epoch end time must equal a from-scratch
+        re-sum as ``uint64`` bits."""
+        base_trainer, base = baseline
+        total = 2 * base_trainer.steps_per_epoch
+        victim = FullGraphTrainer(dataset, system, make_config())
+        victim.run_steps(base_trainer.steps_per_epoch - 3)
+        resumed = FullGraphTrainer(dataset, system, make_config())
+        resumed.load_state_dict(victim.state_dict())
+        resumed.run_steps(total - (base_trainer.steps_per_epoch - 3))
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+        resum = StageTimes()
+        for it in resumed.report.iterations:
+            resum.add(it.times)
+        kept = resumed.report.stage_totals
+        assert np.array_equal(
+            bits([getattr(kept, stage) for stage in STAGES]),
+            bits([getattr(resum, stage) for stage in STAGES]),
+        )
+        assert np.array_equal(
+            bits(resumed.epoch_end_times_s), bits(base.epoch_end_times_s)
+        )
 
     @given(kill=st.integers(min_value=0, max_value=31))
     @settings(max_examples=8, deadline=None)

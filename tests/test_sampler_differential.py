@@ -20,7 +20,25 @@ speed, never a result — so ``find`` can show the strategy reaches all three.
 
 Tier 1 runs the default Hypothesis profile; CI's ``regression-gate`` job
 runs ``--hypothesis-profile=differential --hypothesis-seed=0`` (500
-examples).
+examples).  Each of these mutants of ``sampling/neighbor.py`` and
+``sampling/frontier.py`` fails it there:
+
+* a row of exactly ``fanout`` neighbours drawn from instead of taken
+  whole — ``degrees >= fanout`` on the array path;
+* the same on the list path — ``end - start >= fanout``;
+* a list-path row end off by one — ``range(start, end - 1)``;
+* ``row_positions`` off by one — each row read from one slot on;
+* the draw offsets dropped — array-path picks not shifted by the row
+  start;
+* a frontier union that drops the last source — ``src[:-1]``;
+* a dedup dropped — ``unique_edges`` keeps repeated keys;
+* duplicate seeds kept — ``checked_seeds`` sorts without dropping them;
+* the cutover compared with ``<=`` — both paths give the same block, so
+  only ``test_a_layer_of_exactly_the_cutover_takes_arrays`` sees it.
+
+Dropping ``unique_edges``'s in-place sort changes nothing
+(``sorted_unique`` sorts what is not sorted), and neither does a dedup
+that keeps the last of equal keys: no test can tell either apart.
 """
 
 from random import Random
@@ -228,6 +246,15 @@ class TestCutover:
             sampler = PathSpy(self.GRAPH, (fanout,), seed=0)
             sampler._sample_layer(frontier, fanout)
             assert sampler.paths == [path]
+
+    @pytest.mark.parametrize("below, path", [(1, "list"), (0, "array")])
+    def test_a_layer_of_exactly_the_cutover_takes_arrays(self, below, path):
+        """Both paths give the same block, so only the path taken shows a
+        cutover compared with ``<=``: one edge per row, at the constant."""
+        frontier = np.arange(_LIST_PATH_MAX_EDGES - below, dtype=np.int64)
+        sampler = PathSpy(self.GRAPH, (1,), seed=0)
+        sampler._sample_layer(frontier * 40, 1)
+        assert sampler.paths == [path]
 
     @pytest.mark.parametrize("degree", [0, 3])
     def test_list_path_on_rows_that_draw_nothing(self, degree):
